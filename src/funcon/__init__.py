@@ -11,7 +11,6 @@ from .core import (
     FunctionClass,
     FunctionTable,
     Relation,
-    TupleM,
     canonical_constraint,
     enumerate_constraints,
     enumerate_functions,
@@ -21,7 +20,6 @@ from .core import (
     tuple_unrank,
 )
 from .satisfaction import (
-    GaloisQuery,
     compose_classes,
     csf,
     csf_m,

@@ -19,7 +19,6 @@ from .constraint_closures import (
     CmBounds,
     cm_closure,
     cm_m_closure,
-    cm_m_oracle,
     lo_n_closure,
 )
 from .core import (

@@ -387,7 +387,8 @@ def lo_constraints_closure(
         return t
     n = max(t.dom.size**m for m in t.arities())
     closed = lo_n_closure(t, n, budget)
-    assert closed == t, "local closure must be the identity on finite domains"
+    if closed != t:
+        raise RuntimeError("local closure must be the identity on finite domains")
     return closed
 
 

@@ -5,12 +5,20 @@ Elements of a finite domain are integer indices 0..size-1.  Tuples over a
 domain are addressed by their lexicographic rank (first coordinate most
 significant), and relations are stored as bit-addressable sets over those
 ranks, so subset/intersection/union are single word operations.
+
+Function classes use the same convention one level up: an n-ary table is
+addressed by its rank, the table read as base-|B| digits with the first entry
+most significant, and a class stores each arity as a set of such ranks.
+``column_masks`` gives, per argument point and value, the bitmask over the
+whole |B|^(|A|^n)-table universe of the ranks taking that value there, so the
+Galois maps become AND/OR operations on these truth-table columns.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
@@ -67,33 +75,6 @@ def tuple_unrank(rank: int, size: int, arity: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TupleM:
-    """An m-tuple over a finite domain."""
-
-    domain: DomainSpec
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) < 1:
-            raise ValueError("tuples have positive arity")
-        for e in self.entries:
-            if not 0 <= e < self.domain.size:
-                raise ValueError(f"entry {e} out of range for domain {self.domain.name!r}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.entries)
-
-    def rank(self) -> int:
-        return tuple_rank(self.entries, self.domain.size)
-
-    @classmethod
-    def unrank(cls, rank: int, domain: DomainSpec, arity: int) -> "TupleM":
-        return cls(domain, tuple_unrank(rank, domain.size, arity))
-
-
 @dataclass(frozen=True, order=True)
 class FunctionTable:
     """An n-ary cod-valued function on dom, as an explicit value table.
@@ -129,6 +110,11 @@ class FunctionTable:
     def rank(self) -> int:
         """Rank of the table itself, read as base-|cod| digits."""
         return tuple_rank(self.table, self.cod.size)
+
+    @classmethod
+    def unrank(cls, dom: DomainSpec, cod: DomainSpec, arity: int, rank: int) -> "FunctionTable":
+        """Inverse of ``rank``: the table of the given rank."""
+        return cls(dom, cod, arity, tuple_unrank(rank, cod.size, dom.size**arity))
 
     def apply_pointwise(self, rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
         """Apply to n chosen m-tuples coordinatewise: out_i = f(rows[0][i], ..)."""
@@ -294,6 +280,50 @@ def projection(dom: DomainSpec, n: int, i: int) -> FunctionTable:
     return FunctionTable(dom, dom, n, tuple(table))
 
 
+def function_count(dom: DomainSpec, cod: DomainSpec, n: int) -> int:
+    return cod.size ** (dom.size**n)
+
+
+@lru_cache(maxsize=16)
+def column_masks(dom: DomainSpec, cod: DomainSpec, n: int) -> tuple[tuple[int, ...], ...]:
+    """``col[p][v]``: the bitmask over table ranks of the n-ary functions whose
+    entry at argument point ``p`` is ``v``.
+
+    Each mask has ``function_count(dom, cod, n)`` bits, so callers build the
+    table only after checking that count against their enumeration budget.
+    """
+    size, points = cod.size, dom.size**n
+    count = size**points
+    cols = []
+    for p in range(points):
+        stride = size ** (points - 1 - p)  # the digit of point p has this weight
+        row = []
+        for v in range(size):
+            # bit strings are written least significant bit first, then reversed
+            period = "0" * (v * stride) + "1" * stride + "0" * ((size - 1 - v) * stride)
+            row.append(int((period * (count // (size * stride)))[::-1], 2))
+        cols.append(tuple(row))
+    return tuple(cols)
+
+
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def ranks_of_mask(mask: int) -> frozenset[int]:
+    """The positions of the set bits of a non-negative mask."""
+    digits = format(mask, "b")[::-1].encode().translate(_BIT_DIGITS)
+    return frozenset(itertools.compress(itertools.count(), digits))
+
+
+def mask_of_ranks(ranks: Iterable[int], count: int) -> int:
+    """The mask with bits set at the given ranks, all below ``count``."""
+    digits = bytearray(count)
+    for r in ranks:
+        digits[r] = 1
+    return int(digits[::-1].translate(_DIGIT_BITS), 2)
+
+
 def enumerate_functions(
     dom: DomainSpec,
     cod: DomainSpec,
@@ -312,10 +342,6 @@ def enumerate_functions(
         yield FunctionTable(dom, cod, n, table)
 
 
-def function_count(dom: DomainSpec, cod: DomainSpec, n: int) -> int:
-    return cod.size ** (dom.size**n)
-
-
 def _normalized_by_arity(by_arity: Mapping[int, Iterable], cap: int | None) -> dict:
     out: dict[int, frozenset] = {}
     for arity, members in by_arity.items():
@@ -330,22 +356,50 @@ def _normalized_by_arity(by_arity: Mapping[int, Iterable], cap: int | None) -> d
 
 @dataclass(frozen=True)
 class FunctionClass:
-    """An arity-indexed collection of function tables with common dom and cod."""
+    """An arity-indexed collection of functions with common dom and cod.
+
+    Each arity holds the ranks of its member tables (see ``FunctionTable.rank``).
+    The constructor also accepts ``FunctionTable`` members and converts them;
+    ``members`` and ``tables`` decode tables back for I/O and witnesses.
+    """
 
     dom: DomainSpec
     cod: DomainSpec
-    by_arity: Mapping[int, frozenset[FunctionTable]]
+    by_arity: Mapping[int, frozenset[int]]
     arity_cap: int | None = field(default=None, compare=False)
+    _masks: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         norm = _normalized_by_arity(self.by_arity, self.arity_cap)
-        for arity, members in norm.items():
-            for f in members:
-                if f.dom != self.dom or f.cod != self.cod:
-                    raise DomainMismatchError(f"function over {f.dom.name!r}->{f.cod.name!r} in class over {self.dom.name!r}->{self.cod.name!r}")
-                if f.arity != arity:
-                    raise ArityMismatchError(f"function of arity {f.arity} stored under arity {arity}")
-        object.__setattr__(self, "by_arity", norm)
+        ranks = {arity: self._validated_ranks(arity, members) for arity, members in norm.items()}
+        object.__setattr__(self, "by_arity", ranks)
+
+    @classmethod
+    def from_masks(cls, dom: DomainSpec, cod: DomainSpec, masks: Mapping[int, int]) -> "FunctionClass":
+        """A class from per-arity bitmasks over table ranks (see ``mask``)."""
+        for arity, mask in masks.items():
+            if arity < 1 or mask < 0 or mask >> function_count(dom, cod, arity):
+                raise ValueError(f"mask out of range for arity {arity}")
+        k = cls(dom, cod, {})
+        # a mask in range holds valid ranks only, so the per-rank checks are skipped
+        object.__setattr__(k, "by_arity", {n: ranks_of_mask(masks[n]) for n in sorted(masks) if masks[n]})
+        k._masks.update(masks)
+        return k
+
+    def _validated_ranks(self, arity: int, members: frozenset) -> frozenset[int]:
+        kinds = set(map(type, members))
+        if kinds == {int}:
+            if min(members) < 0 or max(members) >= function_count(self.dom, self.cod, arity):
+                raise ValueError(f"table rank out of range for arity {arity}")
+            return members
+        if kinds != {FunctionTable}:
+            raise TypeError("class members must be all table ranks or all FunctionTables")
+        for f in members:
+            if f.dom != self.dom or f.cod != self.cod:
+                raise DomainMismatchError(f"function over {f.dom.name!r}->{f.cod.name!r} in class over {self.dom.name!r}->{self.cod.name!r}")
+            if f.arity != arity:
+                raise ArityMismatchError(f"function of arity {f.arity} stored under arity {arity}")
+        return frozenset(f.rank() for f in members)
 
     @classmethod
     def from_tables(
@@ -367,34 +421,51 @@ class FunctionClass:
     def arities(self) -> tuple[int, ...]:
         return tuple(self.by_arity)
 
-    def members(self, arity: int) -> frozenset[FunctionTable]:
+    def ranks(self, arity: int) -> frozenset[int]:
         return self.by_arity.get(arity, frozenset())
+
+    def mask(self, arity: int) -> int:
+        """The members of one arity as a bitmask over table ranks.
+
+        The mask has ``function_count(dom, cod, arity)`` bits, so callers check
+        that count against their budget first.
+        """
+        if arity not in self._masks:
+            count = function_count(self.dom, self.cod, arity)
+            self._masks[arity] = mask_of_ranks(self.ranks(arity), count)
+        return self._masks[arity]
+
+    def members(self, arity: int) -> frozenset[FunctionTable]:
+        return frozenset(self._decode(arity, self.ranks(arity)))
 
     def tables(self) -> list[FunctionTable]:
         out: list[FunctionTable] = []
-        for arity in sorted(self.by_arity):
-            out.extend(sorted(self.by_arity[arity], key=lambda f: f.table))
+        for arity, ranks in self.by_arity.items():
+            out.extend(self._decode(arity, sorted(ranks)))
         return out
+
+    def _decode(self, arity: int, ranks: Iterable[int]) -> Iterator[FunctionTable]:
+        return (FunctionTable.unrank(self.dom, self.cod, arity, r) for r in ranks)
 
     def __len__(self) -> int:
         return sum(len(s) for s in self.by_arity.values())
 
     def __contains__(self, f: FunctionTable) -> bool:
-        return f in self.by_arity.get(f.arity, frozenset())
+        return (f.dom, f.cod) == (self.dom, self.cod) and f.rank() in self.ranks(f.arity)
 
     def __or__(self, other: "FunctionClass") -> "FunctionClass":
         if (self.dom, self.cod) != (other.dom, other.cod):
             raise DomainMismatchError("cannot union classes over different domains")
         merged = dict(self.by_arity)
-        for arity, members in other.by_arity.items():
-            merged[arity] = merged.get(arity, frozenset()) | members
+        for arity, ranks in other.by_arity.items():
+            merged[arity] = merged.get(arity, frozenset()) | ranks
         return FunctionClass(self.dom, self.cod, merged)
 
     def issubset(self, other: "FunctionClass") -> bool:
-        return all(members <= other.members(arity) for arity, members in self.by_arity.items())
+        return all(ranks <= other.ranks(arity) for arity, ranks in self.by_arity.items())
 
     def restrict_arity(self, arity: int) -> "FunctionClass":
-        return FunctionClass(self.dom, self.cod, {arity: self.members(arity)})
+        return FunctionClass(self.dom, self.cod, {arity: self.ranks(arity)})
 
 
 @dataclass(frozen=True)

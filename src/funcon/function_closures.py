@@ -2,9 +2,10 @@
 
 ``vs_closure`` realizes closure under simple variable substitutions (the class
 composed with the projection clone); ``lo_m_closure`` adds every function whose
-restriction to each size-<=m subset of its domain agrees with some member.  On
-finite domains the unparametrized local closure is the identity, which
-``lo_closure`` asserts.
+restriction to each size-<=m subset of its domain agrees with some member,
+computed on the column masks of ``core.column_masks`` as an AND over subsets
+of an OR over the class's value patterns there.  On finite domains the
+unparametrized local closure is the identity, which ``lo_closure`` checks.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from .core import (
     BudgetExceededError,
     FunctionClass,
     FunctionTable,
+    column_masks,
     function_count,
     tuple_unrank,
 )
-from .satisfaction import _all_tables
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,21 @@ def vs_closure(k: FunctionClass, cap: int) -> FunctionClass:
     return FunctionClass.from_tables(k.dom, k.cod, out)
 
 
+def _agreeing(cols, members: int, subset: tuple[int, ...], prefix: int = -1) -> int:
+    """The tables whose values on the subset form a pattern some member takes
+    there: an OR over those patterns of the column masks ANDed along the
+    subset.  ``prefix`` holds the tables matching the pattern chosen on the
+    points before the subset; -1 is the all-ones mask."""
+    if not subset:
+        return prefix
+    out = 0
+    for col in cols[subset[0]]:
+        narrowed = prefix & col
+        if narrowed & members:
+            out |= _agreeing(cols, members, subset[1:], narrowed)
+    return out
+
+
 def lo_m_closure(
     k: FunctionClass, m: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> FunctionClass:
@@ -109,7 +125,7 @@ def lo_m_closure(
     if m < 1:
         raise ValueError("m must be >= 1")
     dom, cod = k.dom, k.cod
-    result: dict[int, set[FunctionTable]] = {}
+    result: dict[int, int] = {}
     for n in k.arities():
         count = function_count(dom, cod, n)
         if count > budget:
@@ -117,25 +133,14 @@ def lo_m_closure(
                 f"lo_{m} closure at arity {n} needs {count} candidates, exceeding budget {budget}",
                 count,
             )
-        members = sorted(k.members(n), key=lambda f: f.table)
+        cols = column_masks(dom, cod, n)
+        members = k.mask(n)
         points = dom.size**n
-        d = min(m, points)
-        subsets = list(itertools.combinations(range(points), d))
-        # value patterns of the class on each subset, indexed once
-        patterns = [
-            frozenset(tuple(f.table[p] for p in subset) for f in members)
-            for subset in subsets
-        ]
-        kept = set()
-        for g in _all_tables(dom, cod, n, budget):
-            table = g.table
-            if all(
-                tuple(table[p] for p in subset) in pats
-                for subset, pats in zip(subsets, patterns)
-            ):
-                kept.add(g)
+        kept = (1 << count) - 1
+        for subset in itertools.combinations(range(points), min(m, points)):
+            kept &= _agreeing(cols, members, subset)
         result[n] = kept
-    return FunctionClass(dom, cod, {n: frozenset(s) for n, s in result.items()})
+    return FunctionClass.from_masks(dom, cod, result)
 
 
 def lo_closure(k: FunctionClass, budget: int = DEFAULT_ENUMERATION_BUDGET) -> FunctionClass:
@@ -144,5 +149,6 @@ def lo_closure(k: FunctionClass, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Fu
         return k
     m = max(k.dom.size**n for n in k.arities())
     closed = lo_m_closure(k, m, budget)
-    assert closed == k, "local closure must be the identity on finite domains"
+    if closed != k:
+        raise RuntimeError("local closure must be the identity on finite domains")
     return closed

@@ -25,9 +25,7 @@ from .core import (
     Relation,
     canonical_constraint,
     enumerate_constraints,
-    enumerate_functions,
     function_count,
-    tuple_unrank,
 )
 from .constraint_closures import (
     CmBounds,
@@ -38,13 +36,11 @@ from .constraint_closures import (
 )
 from .function_closures import lo_m_closure, vs_closure, vs_n_closure
 from .satisfaction import (
-    _all_tables,
     csf,
     csf_m,
     fsc,
     fsc_n,
     minimal_consequent,
-    satisfies,
 )
 
 MAX_WITNESSES = 8
@@ -95,17 +91,22 @@ def _verdict(lhs_only: list, rhs_only: list) -> str:
     return "incomparable"
 
 
+def _class_difference(k: FunctionClass, other: FunctionClass) -> list[tuple[int, int]]:
+    """(arity, rank) of every member of k missing from other, in table order."""
+    return sorted((n, r) for n in k.arities() for r in k.ranks(n) - other.ranks(n))
+
+
 def _report_classes(
     name: str, params: dict, lhs: FunctionClass, rhs: FunctionClass, started: float
 ) -> ClosureReport:
-    lhs_only = sorted(
-        (f for f in lhs.tables() if f not in rhs), key=lambda f: (f.arity, f.table)
-    )
-    rhs_only = sorted(
-        (f for f in rhs.tables() if f not in lhs), key=lambda f: (f.arity, f.table)
-    )
-    wits = [_describe_function(f) + " (lhs only)" for f in lhs_only[:MAX_WITNESSES]]
-    wits += [_describe_function(f) + " (rhs only)" for f in rhs_only[:MAX_WITNESSES]]
+    lhs_only = _class_difference(lhs, rhs)
+    rhs_only = _class_difference(rhs, lhs)
+
+    def describe(n, r):
+        return _describe_function(FunctionTable.unrank(lhs.dom, lhs.cod, n, r))
+
+    wits = [describe(n, r) + " (lhs only)" for n, r in lhs_only[:MAX_WITNESSES]]
+    wits += [describe(n, r) + " (rhs only)" for n, r in rhs_only[:MAX_WITNESSES]]
     return ClosureReport(
         name, params, len(lhs), len(rhs), wits, _verdict(lhs_only, rhs_only), time.time() - started
     )
@@ -141,26 +142,23 @@ def fsc_n_of_csf_m(
 ) -> FunctionClass:
     """The n-ary functions satisfying every m-ary constraint the class satisfies.
 
-    Instead of materializing the m-ary constraint universe, candidates are
-    filtered against the separating constraints (R, S) where R ranges over
-    antecedents of size at most n and S is the smallest consequent the class
-    admits over R.  A violation of any satisfied constraint always restricts
-    to a violation of one of these.
+    Instead of materializing the m-ary constraint universe, this is fsc_n of
+    the separating constraints (R, S) where R ranges over antecedents of size
+    at most n and S is the smallest consequent the class admits over R.  A
+    violation of any satisfied constraint always restricts to a violation of
+    one of these.
     """
     count = function_count(k.dom, k.cod, n)
-    if count > budget:
+    if count > budget:  # refuse before building the separators
         raise BudgetExceededError(
             f"filtering {count} candidate functions exceeds budget {budget}", count
         )
-    separators = [
-        Constraint(r, minimal_consequent(k, r)) for r in small_antecedents(k.dom, m, n)
-    ]
-    kept = [
-        g
-        for g in _all_tables(k.dom, k.cod, n, budget)
-        if all(satisfies(g, c) for c in separators)
-    ]
-    return FunctionClass.from_tables(k.dom, k.cod, kept)
+    separators = ConstraintSet.from_constraints(
+        k.dom,
+        k.cod,
+        (Constraint(r, minimal_consequent(k, r)) for r in small_antecedents(k.dom, m, n)),
+    )
+    return fsc_n(separators, n, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +269,12 @@ def _escalating_cm_m(t_m, m, bounds, budget, lhs_sets, rhs_from):
         return res, rhs, escalations
 
 
+def _require(name: str, **params) -> None:
+    missing = [key for key, value in params.items() if value is None]
+    if missing:
+        raise ValueError(f"{name} needs parameter {', '.join(missing)}")
+
+
 def verify_factorization(
     identity: str,
     payload,
@@ -284,13 +288,13 @@ def verify_factorization(
     started = time.time()
     if identity == "t15i":
         k_n: FunctionClass = payload
-        assert n is not None and m is not None
+        _require(identity, n=n, m=m)
         lhs = fsc_n_of_csf_m(k_n, n, m, budget)
         rhs = lo_m_closure(vs_n_closure(k_n), m, budget)
         return _report_classes("t15i", {"n": n, "m": m}, lhs, rhs, started)
     if identity == "t15ii":
         t_m: ConstraintSet = payload
-        assert n is not None and m is not None
+        _require(identity, n=n, m=m)
         lhs = csf_m(fsc_n(t_m, n, budget), m, budget)
         res, rhs, escalations = _escalating_cm_m(
             t_m, m, bounds, budget, lhs, lambda cs: lo_n_closure(cs, n, budget)
@@ -299,7 +303,7 @@ def verify_factorization(
         return _report_sets("t15ii", params, lhs, rhs, started)
     if identity == "t8ii":
         t: ConstraintSet = payload
-        assert n is not None and cap is not None
+        _require(identity, n=n, cap=cap)
         left = csf(fsc_n(t, n, budget), cap, budget)
         res = cm_closure(t, cap, bounds, budget)
         rhs = lo_n_closure(res.constraints, n, budget)
@@ -307,7 +311,7 @@ def verify_factorization(
         return _report_sets("t8ii", params, left, rhs, started)
     if identity == "t12ii":
         t_m = payload
-        assert m is not None
+        _require(identity, m=m)
         n_star = t_m.dom.size**m
         lhs = None
         for arity in range(1, n_star + 1):
@@ -325,13 +329,11 @@ def verify_factorization(
         return _report_sets("t12ii", params, lhs, rhs, started)
     if identity == "t4finite":
         k: FunctionClass = payload
-        assert cap is not None
+        _require(identity, cap=cap)
         vs = vs_closure(k, cap)
-        lhs_tables = []
+        lhs = FunctionClass.empty(k.dom, k.cod)
         for arity in range(1, cap + 1):
-            m_star = k.dom.size**arity
-            lhs_tables.extend(fsc_n_of_csf_m(k, arity, m_star, budget).tables())
-        lhs = FunctionClass.from_tables(k.dom, k.cod, lhs_tables)
+            lhs = lhs | fsc_n_of_csf_m(k, arity, k.dom.size**arity, budget)
         return _report_classes("t4finite", {"cap": cap}, lhs, vs, started)
     raise ValueError(f"unknown identity {identity!r}")
 
@@ -368,7 +370,7 @@ def verify_definability(
     started = time.time()
     if side == "thm5":
         k_n: FunctionClass = payload
-        assert n is not None
+        _require(side, n=n)
         m_star = k_n.dom.size**n
         predicate = vs_n_closure(k_n) == k_n  # local closure is trivial here
         fixed = fsc_n_of_csf_m(k_n, n, m_star, budget) == k_n
@@ -378,7 +380,7 @@ def verify_definability(
         )
     if side == "thm13":
         k_n = payload
-        assert n is not None and m is not None
+        _require(side, n=n, m=m)
         predicate = (
             lo_m_closure(k_n, m, budget) == k_n and vs_n_closure(k_n) == k_n
         )
@@ -397,7 +399,7 @@ def verify_definability(
         )
     if side == "thm6":
         t: ConstraintSet = payload
-        assert n is not None and cap is not None
+        _require(side, n=n, cap=cap)
         predicate = (
             lo_n_closure(t, n, budget) == t
             and _has_distinguished(t, cap)
@@ -410,7 +412,7 @@ def verify_definability(
         )
     if side == "thm14":
         t_m: ConstraintSet = payload
-        assert n is not None and m is not None
+        _require(side, n=n, m=m)
         eq_m = canonical_constraint("equality", m, t_m.dom, t_m.cod)
         empty_m = canonical_constraint("empty", m, t_m.dom, t_m.cod)
         predicate = (
@@ -426,7 +428,7 @@ def verify_definability(
         )
     if side == "cor2":
         t = payload
-        assert cap is not None
+        _require(side, cap=cap)
         unions_ok, _ = union_closure_check(t)
         predicate = (
             _has_distinguished(t, cap)
@@ -458,9 +460,16 @@ def _has_distinguished(t: ConstraintSet, cap: int) -> bool:
 def random_function_class(
     rng: random.Random, dom: DomainSpec, cod: DomainSpec, arity: int, count: int
 ) -> FunctionClass:
-    tables = list(_all_tables(dom, cod, arity, DEFAULT_ENUMERATION_BUDGET))
-    picked = rng.sample(tables, min(count, len(tables)))
-    return FunctionClass.from_tables(dom, cod, picked)
+    total = function_count(dom, cod, arity)
+    if total > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"sampling from {total} functions of arity {arity} exceeds budget "
+            f"{DEFAULT_ENUMERATION_BUDGET}",
+            total,
+        )
+    # sample picks by index, so this draws the tables a list in rank order would
+    picked = rng.sample(range(total), min(count, total))
+    return FunctionClass(dom, cod, {arity: frozenset(picked)})
 
 
 def random_constraint_set(

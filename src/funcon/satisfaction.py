@@ -1,15 +1,19 @@
 """Class composition, images, the satisfaction relation, and the Galois maps.
 
 ``fsc_n`` and ``csf_m`` realize the two directions of the correspondence at
-fixed arities; ``trace_constraint`` builds the canonical separating constraint
-whose antecedent lists chosen columns and whose consequent collects the class's
-values on them.
+fixed arities.  Both work on classes as bitmasks over table ranks with the
+column table of ``core.column_masks``: ``fsc_n`` ANDs, per signature of each
+constraint, an OR of column minterms, and ``csf_m`` reads each probe's
+achievable output tuples off ANDs of the class mask with column minterms.
+``satisfies`` and ``image`` evaluate one table at a time and serve as the
+scalar reference.  ``trace_constraint`` builds the canonical separating
+constraint whose antecedent lists chosen columns and whose consequent collects
+the class's values on them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -23,27 +27,13 @@ from .core import (
     FunctionClass,
     FunctionTable,
     Relation,
+    column_masks,
     constraint_universe_count,
-    enumerate_functions,
     function_count,
     projection,
+    ranks_of_mask,
     tuple_unrank,
 )
-
-
-@dataclass(frozen=True)
-class GaloisQuery:
-    """One direction of the correspondence at a fixed arity or cap."""
-
-    side: str  # "functions_from_constraints" | "constraints_from_functions"
-    arity_selector: int
-    budget: int = DEFAULT_ENUMERATION_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.side not in ("functions_from_constraints", "constraints_from_functions"):
-            raise ValueError(f"unknown side {self.side!r}")
-        if self.arity_selector < 1:
-            raise ValueError("arity selector must be >= 1")
 
 
 def image(f: FunctionTable, r: Relation) -> Relation:
@@ -132,31 +122,25 @@ def projections_class(dom: DomainSpec, cap: int) -> FunctionClass:
     )
 
 
-@lru_cache(maxsize=32)
-def _all_tables(dom: DomainSpec, cod: DomainSpec, n: int, budget: int) -> tuple[FunctionTable, ...]:
-    return tuple(enumerate_functions(dom, cod, n, budget))
-
-
-def _constraint_plan(c: Constraint, n: int) -> tuple[list[tuple[int, ...]], int]:
-    """Distinct evaluation signatures of an n-ary function against c.
+@lru_cache(maxsize=256)
+def _signatures(r: Relation, n: int) -> frozenset[tuple[int, ...]]:
+    """Distinct evaluation signatures of an n-ary function against antecedent r.
 
     Each signature is the m argument-point ranks produced by one choice of n
-    antecedent rows; a function satisfies c iff every signature's output tuple
-    lands in the consequent.
+    antecedent rows; a function satisfies (r, S) iff every signature's output
+    tuple lands in S.
     """
-    size = c.dom.size
-    rows = c.antecedent.tuples()
-    m = c.arity
-    seen: set[tuple[int, ...]] = set()
-    for choice in itertools.product(rows, repeat=n):
-        sig = []
-        for i in range(m):
-            r = 0
-            for row in choice:
-                r = r * size + row[i]
-            sig.append(r)
-        seen.add(tuple(sig))
-    return sorted(seen), c.consequent.bits
+    size, m = r.domain.size, r.arity
+    rows = list(r.member_ranks())
+    by_coordinate = []
+    for i in range(m):
+        weight = size ** (m - 1 - i)
+        entries = [row // weight % size for row in rows]
+        points = [0]
+        for _ in range(n):  # every choice of n rows, in itertools.product order
+            points = [p * size + e for p in points for e in entries]
+        by_coordinate.append(points)
+    return frozenset(zip(*by_coordinate))
 
 
 def fsc_n(
@@ -164,31 +148,37 @@ def fsc_n(
     n: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> FunctionClass:
-    """All n-ary functions satisfying every member of t."""
+    """All n-ary functions satisfying every member of t.
+
+    The class is computed as a bitmask over table ranks: an AND over every
+    signature of every constraint of an OR over consequent tuples s of the
+    column masks ``col[q_i][s_i]`` ANDed along the signature.  When fewer
+    tuples lie outside the consequent, the OR runs over those instead and its
+    result is removed from the class.
+    """
     count = function_count(t.dom, t.cod, n)
     if count > budget:
         raise BudgetExceededError(
             f"fsc_{n} needs {count} candidate functions, exceeding budget {budget}", count
         )
-    plans = [_constraint_plan(c, n) for c in t.constraints()]
-    cod_size = t.cod.size
-    kept = []
-    for f in _all_tables(t.dom, t.cod, n, budget):
-        table = f.table
-        ok = True
-        for sigs, cons_bits in plans:
-            for sig in sigs:
-                rank = 0
-                for q in sig:
-                    rank = rank * cod_size + table[q]
-                if not (cons_bits >> rank) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            kept.append(f)
-    return FunctionClass.from_tables(t.dom, t.cod, kept)
+    cols = column_masks(t.dom, t.cod, n)
+    kept = (1 << count) - 1
+    for m, constraints in t.by_arity.items():
+        value_tuples = list(itertools.product(range(t.cod.size), repeat=m))  # in rank order
+        outside_all = (1 << len(value_tuples)) - 1
+        for c in constraints:
+            cons = c.consequent.bits
+            banned = 2 * cons.bit_count() > len(value_tuples)
+            values = [value_tuples[s] for s in ranks_of_mask(outside_all & ~cons if banned else cons)]
+            for sig in _signatures(c.antecedent, n):
+                hits = 0
+                for s in values:
+                    mask = kept
+                    for q, v in zip(sig, s):
+                        mask &= cols[q][v]
+                    hits |= mask
+                kept = kept ^ hits if banned else hits
+    return FunctionClass.from_masks(t.dom, t.cod, {n: kept})
 
 
 def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> FunctionClass:
@@ -199,31 +189,25 @@ def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     return out
 
 
-def _class_output_masks(k: FunctionClass, m: int) -> dict[int, list[int]]:
-    """Per arity n, the achievable output-tuple masks for every m-point probe.
+def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
+    """The achievable output-tuple masks of k's arity-n part at every m-point probe.
 
-    Entry ``q`` of the arity-n list is a bitmask over cod^m ranks: the value
-    tuples some member of the class takes at the m argument points encoded in
-    the probe rank ``q`` (base |A|^n digits, first point most significant).
-    Saturation per probe is detected early so large classes stay cheap.
+    Entry ``q`` is a bitmask over cod^m ranks: the value tuples some member of
+    the class takes at the m argument points encoded in the probe rank ``q``
+    (base |A|^n digits, first point most significant).  Bit s is set iff the
+    class mask meets ``AND_i col[q_i][s_i]``; probes sharing a prefix share
+    its partial ANDs.  Arities whose table universe exceeds the budget have
+    no column table, so their members are evaluated one by one instead.
     """
+    points = k.dom.size**n
     cod_size = k.cod.size
-    out: dict[int, list[int]] = {}
-    for n in k.arities():
-        points = k.dom.size**n
-        n_probes = points**m
-        masks = [0] * n_probes
+    masks = [0] * points**m
+    if function_count(k.dom, k.cod, n) > budget:
+        probes = [tuple_unrank(q, points, m) for q in range(points**m)]
         # max distinct value tuples at a probe = |B| ** (number of distinct points)
-        limits = []
-        for q in range(n_probes):
-            probe = tuple_unrank(q, points, m)
-            limits.append(cod_size ** len(set(probe)))
-        probes = [tuple_unrank(q, points, m) for q in range(n_probes)]
-        active = list(range(n_probes))
-        members = sorted(k.members(n), key=lambda f: f.table)
-        for f in members:
-            if not active:
-                break
+        limits = [cod_size ** len(set(probe)) for probe in probes]
+        active = range(points**m)
+        for f in k.members(n):
             table = f.table
             still = []
             for q in active:
@@ -234,8 +218,24 @@ def _class_output_masks(k: FunctionClass, m: int) -> dict[int, list[int]]:
                 if masks[q].bit_count() < limits[q]:
                     still.append(q)
             active = still
-        out[n] = masks
-    return out
+            if not active:
+                break
+        return masks
+    cols = column_masks(k.dom, k.cod, n)
+
+    def walk(depth: int, q: int, s: int, within: int) -> None:
+        for p in range(points):
+            for v, col in enumerate(cols[p]):
+                hit = within & col
+                if not hit:
+                    continue
+                if depth == 1:
+                    masks[q * points + p] |= 1 << (s * cod_size + v)
+                else:
+                    walk(depth - 1, q * points + p, s * cod_size + v, hit)
+
+    walk(m, 0, 0, k.mask(n))
+    return masks
 
 
 def csf_m(
@@ -246,15 +246,13 @@ def csf_m(
 ) -> ConstraintSet:
     """All m-ary constraints satisfied by every member of k.
 
-    Without an explicit candidate set the full constraint universe is scanned,
-    which requires 2^(|A|^m) * 2^(|B|^m) to fit the budget.
+    Without an explicit candidate set every antecedent is paired with each
+    consequent containing the output tuples the class produces from it; the
+    universe of 2^(|A|^m) * 2^(|B|^m) constraints must fit the budget.
     """
     if candidates is not None:
-        kept = [
-            c
-            for c in candidates.members(m)
-            if all(satisfies(f, c) for f in k.tables())
-        ]
+        tables = k.tables()
+        kept = [c for c in candidates.members(m) if all(satisfies(f, c) for f in tables)]
         return ConstraintSet.from_constraints(k.dom, k.cod, kept)
     count = constraint_universe_count(k.dom, k.cod, m)
     if count > budget:
@@ -264,42 +262,38 @@ def csf_m(
             count,
         )
     dom, cod = k.dom, k.cod
-    n_ante = dom.size**m
-    n_cons_ranks = cod.size**m
-    masks_by_arity = _class_output_masks(k, m)
-    # per arity, each probe's cross-rows: row j reads coordinate j of every
-    # probe point; the probe is reachable from an antecedent iff all its
-    # cross-rows belong to it
-    rows_by_arity: dict[int, list[tuple[int, list[int]]]] = {}
-    for n, masks in masks_by_arity.items():
-        points = dom.size**n
-        plan = []
-        for q, mask in enumerate(masks):
-            probe = tuple_unrank(q, points, m)
-            cols = [tuple_unrank(p, dom.size, n) for p in probe]
-            row_ranks = []
-            for j in range(n):
-                rr = 0
-                for col in cols:
-                    rr = rr * dom.size + col[j]
-                row_ranks.append(rr)
-            plan.append((mask, row_ranks))
-        rows_by_arity[n] = plan
+    # needed[r]: the output tuples some member produces from rows inside the
+    # antecedent of rank mask r.  A probe is reachable from r iff its
+    # cross-rows (row j reads coordinate j of every probe point) lie in r.
+    needed = [0] * (1 << dom.size**m)
+    for n in k.arities():
+        digits = [tuple_unrank(p, dom.size, n) for p in range(dom.size**n)]
+        cross_rows = [(0,) * n]  # per probe rank, the ranks of its n cross-rows
+        for _ in range(m):
+            cross_rows = [
+                tuple(r * dom.size + d for r, d in zip(rows, point))
+                for rows in cross_rows
+                for point in digits
+            ]
+        for mask, rows in zip(_probe_masks(k, n, m, budget), cross_rows):
+            needed[sum(1 << r for r in set(rows))] |= mask
+    # close under subsets of the antecedent: needed[r] |= needed[r - {row}]
+    for i in range(dom.size**m):
+        bit = 1 << i
+        for r in range(len(needed)):
+            if r & bit:
+                needed[r] |= needed[r ^ bit]
     kept = []
-    full_cons = (1 << n_cons_ranks) - 1
-    for r_bits in range(1 << n_ante):
-        needed = 0
-        for plan in rows_by_arity.values():
-            for mask, row_ranks in plan:
-                if all((r_bits >> rr) & 1 for rr in row_ranks):
-                    needed |= mask
-            if needed == full_cons:
+    free_all = (1 << cod.size**m) - 1
+    for r_bits, need in enumerate(needed):
+        ante = Relation(dom, m, r_bits)
+        free = free_all & ~need
+        extra = free
+        while True:  # every consequent containing need
+            kept.append(Constraint(ante, Relation(cod, m, need | extra)))
+            if not extra:
                 break
-        for s_bits in range(1 << n_cons_ranks):
-            if needed & ~s_bits == 0:
-                kept.append(
-                    Constraint(Relation(dom, m, r_bits), Relation(cod, m, s_bits))
-                )
+            extra = (extra - 1) & free
     return ConstraintSet.from_constraints(dom, cod, kept)
 
 
