@@ -38,6 +38,7 @@ from .instance_io import (
     set_listing,
 )
 from .lab import (
+    FACTORIZATION_IDENTITIES,
     check_closure_laws,
     check_galois_axioms,
     nested_class_pair,
@@ -94,13 +95,7 @@ def _build_parser() -> _Parser:
     galois.add_argument("--cap", type=int, help="union over arities 1..cap")
 
     verify = sub.add_parser("verify", help="two-sided identity / definability check")
-    verify.add_argument(
-        "identity",
-        choices=[
-            "t4", "t8", "t12", "t15i", "t15ii",
-            "thm5", "thm6", "thm13", "thm14", "cor1", "cor2",
-        ],
-    )
+    verify.add_argument("identity", choices=list(_VERIFY))
     common(verify)
     verify.add_argument("--class", dest="class_name")
     verify.add_argument("--set", dest="set_name")
@@ -167,10 +162,8 @@ def _run_close(args, doc) -> str:
         return set_listing(lo_n_closure(t, _need(args, "n", "--n"), args.budget))
     if op == "cmm":
         res = cm_m_closure(t, _need(args, "m", "--m"), _bounds(args), args.budget)
-        if not res.converged:
-            print("warning: fixpoint iteration limit reached", file=sys.stderr)
-        return set_listing(res.constraints)
-    res = cm_closure(t, _need(args, "cap", "--cap"), _bounds(args), args.budget)
+    else:
+        res = cm_closure(t, _need(args, "cap", "--cap"), _bounds(args), args.budget)
     if not res.converged:
         print("warning: fixpoint iteration limit reached", file=sys.stderr)
     return set_listing(res.constraints)
@@ -190,55 +183,34 @@ def _run_galois(args, doc) -> str:
     return set_listing(csf(k, args.cap, args.budget))
 
 
+# identity: its name in the lab and the parameters it needs, in the order
+# they are checked
+_VERIFY = {
+    "t4": ("t4finite", ("cap",)),
+    "t8": ("t8ii", ("n", "cap")),
+    "t12": ("t12ii", ("m",)),
+    "t15i": ("t15i", ("n", "m")),
+    "t15ii": ("t15ii", ("n", "m")),
+    "thm5": ("thm5", ("n",)),
+    "thm6": ("thm6", ("n", "cap")),
+    "thm13": ("thm13", ("n", "m")),
+    "thm14": ("thm14", ("n", "m")),
+    "cor1": ("cor1", ()),
+    "cor2": ("cor2", ("cap",)),
+}
+_CLASS_SIDE = ("t4", "t15i", "thm5", "thm13", "cor1")
+
+
 def _run_verify(args, doc):
-    identity = args.identity
+    name, params = _VERIFY[args.identity]
+    run = verify_factorization if name in FACTORIZATION_IDENTITIES else verify_definability
     bounds = _bounds(args)
-    if identity in ("t15i", "t4"):
-        k = doc.function_class(_need(args, "class_name", "--class"))
-        if identity == "t15i":
-            rep = verify_factorization(
-                "t15i", k, n=_need(args, "n", "--n"), m=_need(args, "m", "--m"), budget=args.budget
-            )
-        else:
-            rep = verify_factorization("t4finite", k, cap=_need(args, "cap", "--cap"), budget=args.budget)
-    elif identity in ("t15ii", "t8", "t12"):
-        t = doc.constraint_set(_need(args, "set_name", "--set"))
-        if identity == "t15ii":
-            rep = verify_factorization(
-                "t15ii", t, n=_need(args, "n", "--n"), m=_need(args, "m", "--m"),
-                bounds=bounds, budget=args.budget,
-            )
-        elif identity == "t8":
-            rep = verify_factorization(
-                "t8ii", t, n=_need(args, "n", "--n"), cap=_need(args, "cap", "--cap"),
-                bounds=bounds, budget=args.budget,
-            )
-        else:
-            rep = verify_factorization(
-                "t12ii", t, m=_need(args, "m", "--m"), bounds=bounds, budget=args.budget
-            )
-    elif identity in ("thm5", "thm13", "cor1"):
-        k = doc.function_class(_need(args, "class_name", "--class"))
-        kwargs = {"budget": args.budget}
-        if identity == "thm5":
-            kwargs["n"] = _need(args, "n", "--n")
-        if identity == "thm13":
-            kwargs["n"] = _need(args, "n", "--n")
-            kwargs["m"] = _need(args, "m", "--m")
-        rep = verify_definability(identity, k, **kwargs)
+    if args.identity in _CLASS_SIDE:
+        payload = doc.function_class(_need(args, "class_name", "--class"))
     else:
-        t = doc.constraint_set(_need(args, "set_name", "--set"))
-        kwargs = {"bounds": bounds, "budget": args.budget}
-        if identity == "thm6":
-            kwargs["n"] = _need(args, "n", "--n")
-            kwargs["cap"] = _need(args, "cap", "--cap")
-        elif identity == "thm14":
-            kwargs["n"] = _need(args, "n", "--n")
-            kwargs["m"] = _need(args, "m", "--m")
-        else:  # cor2
-            kwargs["cap"] = _need(args, "cap", "--cap")
-        rep = verify_definability(identity, t, **kwargs)
-    return rep
+        payload = doc.constraint_set(_need(args, "set_name", "--set"))
+    kwargs = {p: _need(args, p, "--" + p) for p in params}
+    return run(name, payload, bounds=bounds, budget=args.budget, **kwargs)
 
 
 def _run_enumerate(args) -> str:

@@ -98,10 +98,8 @@ def _maximal_pairs(members: dict) -> list[tuple[int, int]]:
         dominated = False
         for r2, s2 in pairs:
             if (r2, s2) != (r, s) and r & ~r2 == 0 and s2 & ~s == 0:
-                # (r,s) is a relaxation of (r2,s2); strictness:
-                if (r, s) != (r2, s2):
-                    dominated = True
-                    break
+                dominated = True  # (r, s) is a strict relaxation of (r2, s2)
+                break
         if dominated:
             continue
         out.append((r, s))
@@ -143,7 +141,7 @@ def _project(bits: int, m: int, v: int, size: int) -> int:
 def _closure_fixpoint(
     seeds: dict[int, list[tuple[tuple[int, int], MinorWitness]]],
     targets: list[int],
-    source_arity_filter,
+    same_arity: bool,
     dom: DomainSpec,
     cod: DomainSpec,
     bounds: CmBounds,
@@ -151,7 +149,8 @@ def _closure_fixpoint(
     """Shared engine for cm_m (single arity) and cm (cross-arity, capped).
 
     ``seeds`` maps each target arity to its initial members; sources for the
-    minor moves are the maximal members of every arity passing the filter.
+    minor moves are the maximal members of the target's own arity when
+    ``same_arity`` is set, and of every target arity otherwise.
     """
     sa, sb = dom.size, cod.size
     members: dict[int, dict[tuple[int, int], MinorWitness]] = {m: {} for m in targets}
@@ -172,7 +171,7 @@ def _closure_fixpoint(
             lifts: list[tuple[int, int, tuple[int, int], tuple[int, ...], int]] = []
             lift_seen: set[tuple[int, int]] = set()
             for src_arity in targets:
-                if not source_arity_filter(m, src_arity):
+                if same_arity and src_arity != m:
                     continue
                 for r, s in maximals[src_arity]:
                     for h in itertools.product(range(m + v), repeat=src_arity):
@@ -226,26 +225,12 @@ def _witness(m, v, sources, dom, cod) -> MinorWitness:
     return MinorWitness("minor", family=family, scheme=scheme)
 
 
-def _seed_pairs(t: ConstraintSet, m: int, dom, cod) -> list:
-    seeds = [
-        (
-            (c.antecedent.bits, c.consequent.bits),
-            MinorWitness("seed"),
-        )
-        for c in t.members(m)
-    ]
+def _seed_pairs(t: ConstraintSet, m: int) -> list:
+    seeds = [(pair, MinorWitness("seed")) for pair in t.ranks(m)]
     for kind in ("equality", "empty"):
-        c = canonical_constraint(kind, m, dom, cod)
+        c = canonical_constraint(kind, m, t.dom, t.cod)
         seeds.append(((c.antecedent.bits, c.consequent.bits), MinorWitness("seed")))
     return seeds
-
-
-def _to_set(members: dict[int, dict], dom, cod) -> ConstraintSet:
-    out = []
-    for m, pairs in members.items():
-        for r, s in pairs:
-            out.append(Constraint(Relation(dom, m, r), Relation(cod, m, s)))
-    return ConstraintSet.from_constraints(dom, cod, out)
 
 
 def _universe_guard(dom, cod, m, budget):
@@ -257,6 +242,27 @@ def _universe_guard(dom, cod, m, budget):
         )
 
 
+def _cm_result(
+    t: ConstraintSet, targets: list[int], same_arity: bool, bounds: CmBounds, budget: int
+) -> CmResult:
+    """Run the fixpoint at the target arities and decode its witnesses."""
+    dom, cod = t.dom, t.cod
+    for m in targets:
+        _universe_guard(dom, cod, m, budget)
+    for arity in t.arities():
+        if arity not in targets:
+            raise ValueError(f"input set contains arity {arity}, outside target arities {targets}")
+    seeds = {m: _seed_pairs(t, m) for m in targets}
+    members, converged, iterations = _closure_fixpoint(seeds, targets, same_arity, dom, cod, bounds)
+    witnesses = {
+        Constraint(Relation(dom, m, r), Relation(cod, m, s)): wit
+        for m in targets
+        for (r, s), wit in members[m].items()
+    }
+    constraints = ConstraintSet(dom, cod, {m: frozenset(members[m]) for m in targets})
+    return CmResult(constraints, converged, iterations, witnesses)
+
+
 def cm_m_closure(
     t_m: ConstraintSet,
     m: int,
@@ -264,19 +270,7 @@ def cm_m_closure(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> CmResult:
     """Bounded-generator fixpoint for the m-ary minor closure within Q_m."""
-    _universe_guard(t_m.dom, t_m.cod, m, budget)
-    for arity in t_m.arities():
-        if arity != m:
-            raise ValueError(f"input set contains arity {arity}, expected {m}")
-    seeds = {m: _seed_pairs(t_m, m, t_m.dom, t_m.cod)}
-    members, converged, iterations = _closure_fixpoint(
-        seeds, [m], lambda tgt, src: src == tgt, t_m.dom, t_m.cod, bounds
-    )
-    witnesses = {
-        Constraint(Relation(t_m.dom, m, r), Relation(t_m.cod, m, s)): wit
-        for (r, s), wit in members[m].items()
-    }
-    return CmResult(_to_set(members, t_m.dom, t_m.cod), converged, iterations, witnesses)
+    return _cm_result(t_m, [m], True, bounds, budget)
 
 
 def cm_closure(
@@ -289,21 +283,7 @@ def cm_closure(
 
     Source families for the minor moves may mix any materialized arity.
     """
-    targets = list(range(1, cap + 1))
-    for m in targets:
-        _universe_guard(t.dom, t.cod, m, budget)
-    for arity in t.arities():
-        if arity > cap:
-            raise ValueError(f"input set contains arity {arity} beyond cap {cap}")
-    seeds = {m: _seed_pairs(t, m, t.dom, t.cod) for m in targets}
-    members, converged, iterations = _closure_fixpoint(
-        seeds, targets, lambda tgt, src: True, t.dom, t.cod, bounds
-    )
-    witnesses = {}
-    for m in targets:
-        for (r, s), wit in members[m].items():
-            witnesses[Constraint(Relation(t.dom, m, r), Relation(t.cod, m, s))] = wit
-    return CmResult(_to_set(members, t.dom, t.cod), converged, iterations, witnesses)
+    return _cm_result(t, list(range(1, cap + 1)), False, bounds, budget)
 
 
 def cm_m_oracle(
@@ -334,7 +314,7 @@ def lo_n_closure(
     result: dict[int, set[tuple[int, int]]] = {}
     for m in t.arities():
         _universe_guard(dom, cod, m, budget)
-        present = {(c.antecedent.bits, c.consequent.bits) for c in t.members(m)}
+        present = set(t.ranks(m))
         n_cons = cod.size**m
         changed = True
         while changed:
@@ -352,11 +332,7 @@ def lo_n_closure(
                         present.add((r_bits, s_bits))
                         changed = True
         result[m] = present
-    out = []
-    for m, pairs in result.items():
-        for r, s in pairs:
-            out.append(Constraint(Relation(dom, m, r), Relation(cod, m, s)))
-    return ConstraintSet.from_constraints(dom, cod, out)
+    return ConstraintSet(dom, cod, result)
 
 
 def _small_relaxations_present(
@@ -396,13 +372,8 @@ def union_closure_check(t: ConstraintSet) -> tuple[bool, tuple[Constraint, Const
     """Pairwise-union closure per arity; at finite scale this implies closure
     under arbitrary unions.  Returns a violating pair if any."""
     for m in t.arities():
-        members = sorted(
-            t.members(m), key=lambda c: (c.antecedent.bits, c.consequent.bits)
-        )
-        present = {(c.antecedent.bits, c.consequent.bits) for c in members}
-        for c1, c2 in itertools.combinations_with_replacement(members, 2):
-            r = c1.antecedent.bits | c2.antecedent.bits
-            s = c1.consequent.bits | c2.consequent.bits
-            if (r, s) not in present:
-                return False, (c1, c2)
+        present = t.ranks(m)
+        for (r1, s1), (r2, s2) in itertools.combinations_with_replacement(sorted(present), 2):
+            if (r1 | r2, s1 | s2) not in present:
+                return False, (t.decode(m, (r1, s1)), t.decode(m, (r2, s2)))
     return True, None

@@ -6,9 +6,12 @@ domain are addressed by their lexicographic rank (first coordinate most
 significant), and relations are stored as bit-addressable sets over those
 ranks, so subset/intersection/union are single word operations.
 
-Function classes use the same convention one level up: an n-ary table is
-addressed by its rank, the table read as base-|B| digits with the first entry
-most significant, and a class stores each arity as a set of such ranks.
+Both sides of the Galois connection are held the same way, by the
+arity-indexed container ``ArityIndexed``: each arity is a frozenset of
+integer keys, decoded into members only for I/O and witnesses.  A
+``FunctionClass`` keys an n-ary table by its rank, the table read as base-|B|
+digits with the first entry most significant; a ``ConstraintSet`` keys a
+constraint by its ``(antecedent.bits, consequent.bits)`` pair.
 ``column_masks`` gives, per argument point and value, the bitmask over the
 whole |B|^(|A|^n)-table universe of the ranks taking that value there, so the
 Galois maps become AND/OR operations on these truth-table columns.
@@ -342,20 +345,90 @@ def enumerate_functions(
         yield FunctionTable(dom, cod, n, table)
 
 
-def _normalized_by_arity(by_arity: Mapping[int, Iterable], cap: int | None) -> dict:
-    out: dict[int, frozenset] = {}
-    for arity, members in by_arity.items():
-        members = frozenset(members)
-        if not members:
-            continue
-        if cap is not None and arity > cap:
-            raise ValueError(f"arity {arity} exceeds declared cap {cap}")
-        out[arity] = members
-    return dict(sorted(out.items()))
+def _grouped_by_arity(members: Iterable) -> dict[int, set]:
+    by_arity: dict[int, set] = {}
+    for x in members:
+        by_arity.setdefault(x.arity, set()).add(x)
+    return by_arity
 
 
 @dataclass(frozen=True)
-class FunctionClass:
+class ArityIndexed:
+    """An arity-indexed collection over a common dom and cod, each arity held
+    as a frozenset of integer keys.
+
+    A subclass fixes what a key is: ``_encode`` validates the members given
+    for one arity and converts them to keys, ``decode`` turns one key back
+    into a member.  Empty arities are dropped and the arities kept sorted.
+    """
+
+    dom: DomainSpec
+    cod: DomainSpec
+    by_arity: Mapping[int, frozenset]
+    arity_cap: int | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        out: dict[int, frozenset] = {}
+        for arity, members in sorted(self.by_arity.items()):
+            members = frozenset(members)
+            if not members:
+                continue
+            if self.arity_cap is not None and arity > self.arity_cap:
+                raise ValueError(f"arity {arity} exceeds declared cap {self.arity_cap}")
+            out[arity] = self._encode(arity, members)
+        object.__setattr__(self, "by_arity", out)
+
+    def decode(self, arity: int, key):
+        """The member of the given arity stored under ``key``."""
+        raise NotImplementedError
+
+    @classmethod
+    def empty(cls, dom: DomainSpec, cod: DomainSpec):
+        return cls(dom, cod, {})
+
+    def arities(self) -> tuple[int, ...]:
+        return tuple(self.by_arity)
+
+    def ranks(self, arity: int) -> frozenset:
+        """The keys of one arity."""
+        return self.by_arity.get(arity, frozenset())
+
+    def members(self, arity: int) -> frozenset:
+        return frozenset(self.decode(arity, key) for key in self.ranks(arity))
+
+    def _sorted_members(self) -> list:
+        """Every member, decoded, by arity and then by key."""
+        return [self.decode(n, key) for n, keys in self.by_arity.items() for key in sorted(keys)]
+
+    def __len__(self) -> int:
+        return sum(len(keys) for keys in self.by_arity.values())
+
+    def __contains__(self, member) -> bool:
+        """Membership of a decoded member."""
+        if (member.dom, member.cod) != (self.dom, self.cod):
+            return False
+        (key,) = self._encode(member.arity, frozenset([member]))
+        return key in self.ranks(member.arity)
+
+    def __or__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if (self.dom, self.cod) != (other.dom, other.cod):
+            raise DomainMismatchError("cannot union collections over different domains")
+        merged = dict(self.by_arity)
+        for arity, keys in other.by_arity.items():
+            merged[arity] = merged.get(arity, frozenset()) | keys
+        return type(self)(self.dom, self.cod, merged)
+
+    def issubset(self, other) -> bool:
+        return all(keys <= other.ranks(arity) for arity, keys in self.by_arity.items())
+
+    def restrict_arity(self, arity: int):
+        return type(self)(self.dom, self.cod, {arity: self.ranks(arity)})
+
+
+@dataclass(frozen=True)
+class FunctionClass(ArityIndexed):
     """An arity-indexed collection of functions with common dom and cod.
 
     Each arity holds the ranks of its member tables (see ``FunctionTable.rank``).
@@ -363,16 +436,7 @@ class FunctionClass:
     ``members`` and ``tables`` decode tables back for I/O and witnesses.
     """
 
-    dom: DomainSpec
-    cod: DomainSpec
-    by_arity: Mapping[int, frozenset[int]]
-    arity_cap: int | None = field(default=None, compare=False)
     _masks: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        norm = _normalized_by_arity(self.by_arity, self.arity_cap)
-        ranks = {arity: self._validated_ranks(arity, members) for arity, members in norm.items()}
-        object.__setattr__(self, "by_arity", ranks)
 
     @classmethod
     def from_masks(cls, dom: DomainSpec, cod: DomainSpec, masks: Mapping[int, int]) -> "FunctionClass":
@@ -386,7 +450,7 @@ class FunctionClass:
         k._masks.update(masks)
         return k
 
-    def _validated_ranks(self, arity: int, members: frozenset) -> frozenset[int]:
+    def _encode(self, arity: int, members: frozenset) -> frozenset[int]:
         kinds = set(map(type, members))
         if kinds == {int}:
             if min(members) < 0 or max(members) >= function_count(self.dom, self.cod, arity):
@@ -401,6 +465,9 @@ class FunctionClass:
                 raise ArityMismatchError(f"function of arity {f.arity} stored under arity {arity}")
         return frozenset(f.rank() for f in members)
 
+    def decode(self, arity: int, rank: int) -> FunctionTable:
+        return FunctionTable.unrank(self.dom, self.cod, arity, rank)
+
     @classmethod
     def from_tables(
         cls,
@@ -409,20 +476,7 @@ class FunctionClass:
         tables: Iterable[FunctionTable],
         arity_cap: int | None = None,
     ) -> "FunctionClass":
-        by_arity: dict[int, set[FunctionTable]] = {}
-        for f in tables:
-            by_arity.setdefault(f.arity, set()).add(f)
-        return cls(dom, cod, {n: frozenset(s) for n, s in by_arity.items()}, arity_cap)
-
-    @classmethod
-    def empty(cls, dom: DomainSpec, cod: DomainSpec) -> "FunctionClass":
-        return cls(dom, cod, {})
-
-    def arities(self) -> tuple[int, ...]:
-        return tuple(self.by_arity)
-
-    def ranks(self, arity: int) -> frozenset[int]:
-        return self.by_arity.get(arity, frozenset())
+        return cls(dom, cod, _grouped_by_arity(tables), arity_cap)
 
     def mask(self, arity: int) -> int:
         """The members of one arity as a bitmask over table ranks.
@@ -435,57 +489,37 @@ class FunctionClass:
             self._masks[arity] = mask_of_ranks(self.ranks(arity), count)
         return self._masks[arity]
 
-    def members(self, arity: int) -> frozenset[FunctionTable]:
-        return frozenset(self._decode(arity, self.ranks(arity)))
-
     def tables(self) -> list[FunctionTable]:
-        out: list[FunctionTable] = []
-        for arity, ranks in self.by_arity.items():
-            out.extend(self._decode(arity, sorted(ranks)))
-        return out
-
-    def _decode(self, arity: int, ranks: Iterable[int]) -> Iterator[FunctionTable]:
-        return (FunctionTable.unrank(self.dom, self.cod, arity, r) for r in ranks)
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.by_arity.values())
-
-    def __contains__(self, f: FunctionTable) -> bool:
-        return (f.dom, f.cod) == (self.dom, self.cod) and f.rank() in self.ranks(f.arity)
-
-    def __or__(self, other: "FunctionClass") -> "FunctionClass":
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise DomainMismatchError("cannot union classes over different domains")
-        merged = dict(self.by_arity)
-        for arity, ranks in other.by_arity.items():
-            merged[arity] = merged.get(arity, frozenset()) | ranks
-        return FunctionClass(self.dom, self.cod, merged)
-
-    def issubset(self, other: "FunctionClass") -> bool:
-        return all(ranks <= other.ranks(arity) for arity, ranks in self.by_arity.items())
-
-    def restrict_arity(self, arity: int) -> "FunctionClass":
-        return FunctionClass(self.dom, self.cod, {arity: self.ranks(arity)})
+        return self._sorted_members()
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """An arity-indexed collection of constraints over a common A and B."""
+class ConstraintSet(ArityIndexed):
+    """An arity-indexed collection of constraints over a common A and B.
 
-    dom: DomainSpec
-    cod: DomainSpec
-    by_arity: Mapping[int, frozenset[Constraint]]
-    arity_cap: int | None = field(default=None, compare=False)
+    Each arity holds the ``(antecedent.bits, consequent.bits)`` pairs of its
+    members.  The constructor also accepts ``Constraint`` members and converts
+    them; ``members`` and ``constraints`` decode constraints back.
+    """
 
-    def __post_init__(self) -> None:
-        norm = _normalized_by_arity(self.by_arity, self.arity_cap)
-        for arity, members in norm.items():
-            for c in members:
-                if c.dom != self.dom or c.cod != self.cod:
-                    raise DomainMismatchError(f"constraint over {c.dom.name!r}->{c.cod.name!r} in set over {self.dom.name!r}->{self.cod.name!r}")
-                if c.arity != arity:
-                    raise ArityMismatchError(f"constraint of arity {c.arity} stored under arity {arity}")
-        object.__setattr__(self, "by_arity", norm)
+    def _encode(self, arity: int, members: frozenset) -> frozenset[tuple[int, int]]:
+        kinds = set(map(type, members))
+        if kinds == {tuple}:
+            a_limit, b_limit = 1 << self.dom.size**arity, 1 << self.cod.size**arity
+            for r, s in members:
+                if not (type(r) is int and type(s) is int and 0 <= r < a_limit and 0 <= s < b_limit):
+                    raise ValueError(f"bitmask pair {(r, s)} out of range for arity {arity}")
+            return members
+        if kinds != {Constraint}:
+            raise TypeError("set members must be all bitmask pairs or all Constraints")
+        for c in members:
+            if c.dom != self.dom or c.cod != self.cod:
+                raise DomainMismatchError(f"constraint over {c.dom.name!r}->{c.cod.name!r} in set over {self.dom.name!r}->{self.cod.name!r}")
+            if c.arity != arity:
+                raise ArityMismatchError(f"constraint of arity {c.arity} stored under arity {arity}")
+        return frozenset((c.antecedent.bits, c.consequent.bits) for c in members)
+
+    def decode(self, arity: int, pair: tuple[int, int]) -> Constraint:
+        return Constraint(Relation(self.dom, arity, pair[0]), Relation(self.cod, arity, pair[1]))
 
     @classmethod
     def from_constraints(
@@ -495,48 +529,10 @@ class ConstraintSet:
         constraints: Iterable[Constraint],
         arity_cap: int | None = None,
     ) -> "ConstraintSet":
-        by_arity: dict[int, set[Constraint]] = {}
-        for c in constraints:
-            by_arity.setdefault(c.arity, set()).add(c)
-        return cls(dom, cod, {m: frozenset(s) for m, s in by_arity.items()}, arity_cap)
-
-    @classmethod
-    def empty(cls, dom: DomainSpec, cod: DomainSpec) -> "ConstraintSet":
-        return cls(dom, cod, {})
-
-    def arities(self) -> tuple[int, ...]:
-        return tuple(self.by_arity)
-
-    def members(self, arity: int) -> frozenset[Constraint]:
-        return self.by_arity.get(arity, frozenset())
+        return cls(dom, cod, _grouped_by_arity(constraints), arity_cap)
 
     def constraints(self) -> list[Constraint]:
-        out: list[Constraint] = []
-        for arity in sorted(self.by_arity):
-            out.extend(
-                sorted(self.by_arity[arity], key=lambda c: (c.antecedent.bits, c.consequent.bits))
-            )
-        return out
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.by_arity.values())
-
-    def __contains__(self, c: Constraint) -> bool:
-        return c in self.by_arity.get(c.arity, frozenset())
-
-    def __or__(self, other: "ConstraintSet") -> "ConstraintSet":
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise DomainMismatchError("cannot union sets over different domains")
-        merged = dict(self.by_arity)
-        for arity, members in other.by_arity.items():
-            merged[arity] = merged.get(arity, frozenset()) | members
-        return ConstraintSet(self.dom, self.cod, merged)
-
-    def issubset(self, other: "ConstraintSet") -> bool:
-        return all(members <= other.members(arity) for arity, members in self.by_arity.items())
-
-    def restrict_arity(self, arity: int) -> "ConstraintSet":
-        return ConstraintSet(self.dom, self.cod, {arity: self.members(arity)})
+        return self._sorted_members()
 
 
 def constraint_universe_count(dom: DomainSpec, cod: DomainSpec, m: int) -> int:

@@ -10,12 +10,14 @@ carry explicit witnesses for any discrepancy.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
+    ArityIndexed,
     BudgetExceededError,
     Constraint,
     ConstraintSet,
@@ -24,7 +26,7 @@ from .core import (
     FunctionTable,
     Relation,
     canonical_constraint,
-    enumerate_constraints,
+    constraint_universe_count,
     function_count,
 )
 from .constraint_closures import (
@@ -70,14 +72,12 @@ class ClosureReport:
         return self.verdict == "equal"
 
 
-def _describe_function(f: FunctionTable) -> str:
-    return f"function arity={f.arity} table={list(f.table)}"
-
-
-def _describe_constraint(c: Constraint) -> str:
+def _describe(x: FunctionTable | Constraint) -> str:
+    if isinstance(x, FunctionTable):
+        return f"function arity={x.arity} table={list(x.table)}"
     return (
-        f"constraint arity={c.arity} R={sorted(c.antecedent.tuples())} "
-        f"S={sorted(c.consequent.tuples())}"
+        f"constraint arity={x.arity} R={sorted(x.antecedent.tuples())} "
+        f"S={sorted(x.consequent.tuples())}"
     )
 
 
@@ -91,35 +91,19 @@ def _verdict(lhs_only: list, rhs_only: list) -> str:
     return "incomparable"
 
 
-def _class_difference(k: FunctionClass, other: FunctionClass) -> list[tuple[int, int]]:
-    """(arity, rank) of every member of k missing from other, in table order."""
-    return sorted((n, r) for n in k.arities() for r in k.ranks(n) - other.ranks(n))
+def _difference(x: ArityIndexed, other: ArityIndexed) -> list[tuple[int, object]]:
+    """(arity, key) of every member of x missing from other, in key order."""
+    return sorted((n, key) for n in x.arities() for key in x.ranks(n) - other.ranks(n))
 
 
-def _report_classes(
-    name: str, params: dict, lhs: FunctionClass, rhs: FunctionClass, started: float
+def _report(
+    name: str, params: dict, lhs: ArityIndexed, rhs: ArityIndexed, started: float
 ) -> ClosureReport:
-    lhs_only = _class_difference(lhs, rhs)
-    rhs_only = _class_difference(rhs, lhs)
-
-    def describe(n, r):
-        return _describe_function(FunctionTable.unrank(lhs.dom, lhs.cod, n, r))
-
-    wits = [describe(n, r) + " (lhs only)" for n, r in lhs_only[:MAX_WITNESSES]]
-    wits += [describe(n, r) + " (rhs only)" for n, r in rhs_only[:MAX_WITNESSES]]
-    return ClosureReport(
-        name, params, len(lhs), len(rhs), wits, _verdict(lhs_only, rhs_only), time.time() - started
-    )
-
-
-def _report_sets(
-    name: str, params: dict, lhs: ConstraintSet, rhs: ConstraintSet, started: float
-) -> ClosureReport:
-    key = lambda c: (c.arity, c.antecedent.bits, c.consequent.bits)
-    lhs_only = sorted((c for c in lhs.constraints() if c not in rhs), key=key)
-    rhs_only = sorted((c for c in rhs.constraints() if c not in lhs), key=key)
-    wits = [_describe_constraint(c) + " (lhs only)" for c in lhs_only[:MAX_WITNESSES]]
-    wits += [_describe_constraint(c) + " (rhs only)" for c in rhs_only[:MAX_WITNESSES]]
+    """Both sides of an identity over classes or over constraint sets."""
+    lhs_only = _difference(lhs, rhs)
+    rhs_only = _difference(rhs, lhs)
+    wits = [_describe(lhs.decode(n, key)) + " (lhs only)" for n, key in lhs_only[:MAX_WITNESSES]]
+    wits += [_describe(rhs.decode(n, key)) + " (rhs only)" for n, key in rhs_only[:MAX_WITNESSES]]
     return ClosureReport(
         name, params, len(lhs), len(rhs), wits, _verdict(lhs_only, rhs_only), time.time() - started
     )
@@ -153,10 +137,15 @@ def fsc_n_of_csf_m(
         raise BudgetExceededError(
             f"filtering {count} candidate functions exceeds budget {budget}", count
         )
-    separators = ConstraintSet.from_constraints(
+    antecedents = sum(math.comb(k.dom.size**m, j) for j in range(n + 1))
+    if antecedents > budget:
+        raise BudgetExceededError(
+            f"building {antecedents} separating constraints exceeds budget {budget}", antecedents
+        )
+    separators = ConstraintSet(
         k.dom,
         k.cod,
-        (Constraint(r, minimal_consequent(k, r)) for r in small_antecedents(k.dom, m, n)),
+        {m: [(r.bits, minimal_consequent(k, r).bits) for r in small_antecedents(k.dom, m, n)]},
     )
     return fsc_n(separators, n, budget)
 
@@ -216,18 +205,12 @@ def check_galois_axioms(
         return csf(ks, m_cap, budget)
 
     # order reversal on nested pairs obtained by dropping one member
-    for c in t.constraints():
-        smaller = ConstraintSet.from_constraints(
-            t.dom, t.cod, (x for x in t.constraints() if x != c)
-        )
-        if not fsc_c(t).issubset(fsc_c(smaller)):
-            violations.append(f"fsc not order reversing at {_describe_constraint(c)}")
-    for f in k.tables():
-        smaller = FunctionClass.from_tables(
-            k.dom, k.cod, (x for x in k.tables() if x != f)
-        )
-        if not csf_c(k).issubset(csf_c(smaller)):
-            violations.append(f"csf not order reversing at {_describe_function(f)}")
+    for x, close, name in ((t, fsc_c, "fsc"), (k, csf_c, "csf")):
+        closed = close(x)
+        for n, key in sorted((n, key) for n in x.arities() for key in x.ranks(n)):
+            smaller = type(x)(x.dom, x.cod, {**x.by_arity, n: x.ranks(n) - {key}})
+            if not closed.issubset(close(smaller)):
+                violations.append(f"{name} not order reversing at {_describe(x.decode(n, key))}")
     # extensive composites
     if not k.issubset(fsc_c(csf_c(k))):
         violations.append("class not contained in fsc(csf(class))")
@@ -291,7 +274,7 @@ def verify_factorization(
         _require(identity, n=n, m=m)
         lhs = fsc_n_of_csf_m(k_n, n, m, budget)
         rhs = lo_m_closure(vs_n_closure(k_n), m, budget)
-        return _report_classes("t15i", {"n": n, "m": m}, lhs, rhs, started)
+        return _report("t15i", {"n": n, "m": m}, lhs, rhs, started)
     if identity == "t15ii":
         t_m: ConstraintSet = payload
         _require(identity, n=n, m=m)
@@ -300,7 +283,7 @@ def verify_factorization(
             t_m, m, bounds, budget, lhs, lambda cs: lo_n_closure(cs, n, budget)
         )
         params = {"n": n, "m": m, "cm_converged": res.converged, "escalations": escalations}
-        return _report_sets("t15ii", params, lhs, rhs, started)
+        return _report("t15ii", params, lhs, rhs, started)
     if identity == "t8ii":
         t: ConstraintSet = payload
         _require(identity, n=n, cap=cap)
@@ -308,25 +291,21 @@ def verify_factorization(
         res = cm_closure(t, cap, bounds, budget)
         rhs = lo_n_closure(res.constraints, n, budget)
         params = {"n": n, "cap": cap, "cm_converged": res.converged}
-        return _report_sets("t8ii", params, left, rhs, started)
+        return _report("t8ii", params, left, rhs, started)
     if identity == "t12ii":
         t_m = payload
         _require(identity, m=m)
         n_star = t_m.dom.size**m
-        lhs = None
-        for arity in range(1, n_star + 1):
+        lhs = csf_m(fsc_n(t_m, 1, budget), m, budget)
+        for arity in range(2, n_star + 1):
             piece = csf_m(fsc_n(t_m, arity, budget), m, budget)
-            if lhs is None:
-                lhs = piece
-            else:
-                lhs = ConstraintSet.from_constraints(
-                    t_m.dom, t_m.cod, (c for c in lhs.constraints() if c in piece)
-                )
+            both = {a: lhs.ranks(a) & piece.ranks(a) for a in lhs.arities()}
+            lhs = ConstraintSet(t_m.dom, t_m.cod, both)
         res, rhs, escalations = _escalating_cm_m(
             t_m, m, bounds, budget, lhs, lambda cs: cs
         )
         params = {"m": m, "n_star": n_star, "cm_converged": res.converged, "escalations": escalations}
-        return _report_sets("t12ii", params, lhs, rhs, started)
+        return _report("t12ii", params, lhs, rhs, started)
     if identity == "t4finite":
         k: FunctionClass = payload
         _require(identity, cap=cap)
@@ -334,7 +313,7 @@ def verify_factorization(
         lhs = FunctionClass.empty(k.dom, k.cod)
         for arity in range(1, cap + 1):
             lhs = lhs | fsc_n_of_csf_m(k, arity, k.dom.size**arity, budget)
-        return _report_classes("t4finite", {"cap": cap}, lhs, vs, started)
+        return _report("t4finite", {"cap": cap}, lhs, vs, started)
     raise ValueError(f"unknown identity {identity!r}")
 
 
@@ -342,8 +321,9 @@ def verify_factorization(
 # definability equivalences
 
 
-def _equivalence_report(name, params, predicate, fixed_point, started, detail):
+def _equivalence_report(name, params, predicate, fixed_point, started, detail=None):
     verdict = "equal" if predicate == fixed_point else "incomparable"
+    detail = detail or f"predicate={predicate} but fixed_point={fixed_point}"
     wits = [] if verdict == "equal" else [detail]
     return ClosureReport(
         name,
@@ -374,10 +354,7 @@ def verify_definability(
         m_star = k_n.dom.size**n
         predicate = vs_n_closure(k_n) == k_n  # local closure is trivial here
         fixed = fsc_n_of_csf_m(k_n, n, m_star, budget) == k_n
-        return _equivalence_report(
-            "thm5", {"n": n}, predicate, fixed, started,
-            f"predicate={predicate} but fixed_point={fixed}",
-        )
+        return _equivalence_report("thm5", {"n": n}, predicate, fixed, started)
     if side == "thm13":
         k_n = payload
         _require(side, n=n, m=m)
@@ -385,10 +362,7 @@ def verify_definability(
             lo_m_closure(k_n, m, budget) == k_n and vs_n_closure(k_n) == k_n
         )
         fixed = fsc_n_of_csf_m(k_n, n, m, budget) == k_n
-        return _equivalence_report(
-            "thm13", {"n": n, "m": m}, predicate, fixed, started,
-            f"predicate={predicate} but fixed_point={fixed}",
-        )
+        return _equivalence_report("thm13", {"n": n, "m": m}, predicate, fixed, started)
     if side == "cor1":
         k_1: FunctionClass = payload
         m_star = k_1.dom.size
@@ -406,10 +380,7 @@ def verify_definability(
             and cm_closure(t, cap, bounds, budget).constraints == t
         )
         fixed = csf(fsc_n(t, n, budget), cap, budget) == t
-        return _equivalence_report(
-            "thm6", {"n": n, "cap": cap}, predicate, fixed, started,
-            f"predicate={predicate} but fixed_point={fixed}",
-        )
+        return _equivalence_report("thm6", {"n": n, "cap": cap}, predicate, fixed, started)
     if side == "thm14":
         t_m: ConstraintSet = payload
         _require(side, n=n, m=m)
@@ -422,10 +393,7 @@ def verify_definability(
             and cm_m_closure(t_m, m, bounds, budget).constraints == t_m
         )
         fixed = csf_m(fsc_n(t_m, n, budget), m, budget) == t_m
-        return _equivalence_report(
-            "thm14", {"n": n, "m": m}, predicate, fixed, started,
-            f"predicate={predicate} but fixed_point={fixed}",
-        )
+        return _equivalence_report("thm14", {"n": n, "m": m}, predicate, fixed, started)
     if side == "cor2":
         t = payload
         _require(side, cap=cap)
@@ -436,10 +404,7 @@ def verify_definability(
             and cm_closure(t, cap, bounds, budget).constraints == t
         )
         fixed = csf(fsc_n(t, 1, budget), cap, budget) == t
-        return _equivalence_report(
-            "cor2", {"cap": cap}, predicate, fixed, started,
-            f"predicate={predicate} but fixed_point={fixed}",
-        )
+        return _equivalence_report("cor2", {"cap": cap}, predicate, fixed, started)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -457,27 +422,32 @@ def _has_distinguished(t: ConstraintSet, cap: int) -> bool:
 # seeded instance generators
 
 
+def _sample_ranks(rng: random.Random, total: int, count: int, what: str) -> list[int]:
+    if total > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"sampling from {total} {what} exceeds budget "
+            f"{DEFAULT_ENUMERATION_BUDGET}",
+            total,
+        )
+    # sample picks by index, so this draws the members a list in rank order would
+    return rng.sample(range(total), min(count, total))
+
+
 def random_function_class(
     rng: random.Random, dom: DomainSpec, cod: DomainSpec, arity: int, count: int
 ) -> FunctionClass:
     total = function_count(dom, cod, arity)
-    if total > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"sampling from {total} functions of arity {arity} exceeds budget "
-            f"{DEFAULT_ENUMERATION_BUDGET}",
-            total,
-        )
-    # sample picks by index, so this draws the tables a list in rank order would
-    picked = rng.sample(range(total), min(count, total))
+    picked = _sample_ranks(rng, total, count, f"functions of arity {arity}")
     return FunctionClass(dom, cod, {arity: frozenset(picked)})
 
 
 def random_constraint_set(
     rng: random.Random, dom: DomainSpec, cod: DomainSpec, arity: int, count: int
 ) -> ConstraintSet:
-    universe = list(enumerate_constraints(dom, cod, arity))
-    picked = rng.sample(universe, min(count, len(universe)))
-    return ConstraintSet.from_constraints(dom, cod, picked)
+    total = constraint_universe_count(dom, cod, arity)
+    picked = _sample_ranks(rng, total, count, f"constraints of arity {arity}")
+    # rank r * 2^(|B|^arity) + s is the pair (r, s), as enumerate_constraints orders them
+    return ConstraintSet(dom, cod, {arity: {divmod(i, 2 ** (cod.size**arity)) for i in picked}})
 
 
 def nested_class_pair(rng, dom, cod, arity, count, extra):

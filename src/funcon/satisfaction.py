@@ -123,15 +123,15 @@ def projections_class(dom: DomainSpec, cap: int) -> FunctionClass:
 
 
 @lru_cache(maxsize=256)
-def _signatures(r: Relation, n: int) -> frozenset[tuple[int, ...]]:
-    """Distinct evaluation signatures of an n-ary function against antecedent r.
+def _signatures(size: int, m: int, r_bits: int, n: int) -> frozenset[tuple[int, ...]]:
+    """Distinct evaluation signatures of an n-ary function against the m-ary
+    antecedent of rank mask r_bits over a domain of the given size.
 
     Each signature is the m argument-point ranks produced by one choice of n
-    antecedent rows; a function satisfies (r, S) iff every signature's output
+    antecedent rows; a function satisfies (R, S) iff every signature's output
     tuple lands in S.
     """
-    size, m = r.domain.size, r.arity
-    rows = list(r.member_ranks())
+    rows = list(ranks_of_mask(r_bits))
     by_coordinate = []
     for i in range(m):
         weight = size ** (m - 1 - i)
@@ -163,14 +163,13 @@ def fsc_n(
         )
     cols = column_masks(t.dom, t.cod, n)
     kept = (1 << count) - 1
-    for m, constraints in t.by_arity.items():
+    for m, pairs in t.by_arity.items():
         value_tuples = list(itertools.product(range(t.cod.size), repeat=m))  # in rank order
         outside_all = (1 << len(value_tuples)) - 1
-        for c in constraints:
-            cons = c.consequent.bits
+        for r_bits, cons in pairs:
             banned = 2 * cons.bit_count() > len(value_tuples)
             values = [value_tuples[s] for s in ranks_of_mask(outside_all & ~cons if banned else cons)]
-            for sig in _signatures(c.antecedent, n):
+            for sig in _signatures(t.dom.size, m, r_bits, n):
                 hits = 0
                 for s in values:
                     mask = kept
@@ -242,23 +241,17 @@ def csf_m(
     k: FunctionClass,
     m: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    candidates: ConstraintSet | None = None,
 ) -> ConstraintSet:
     """All m-ary constraints satisfied by every member of k.
 
-    Without an explicit candidate set every antecedent is paired with each
-    consequent containing the output tuples the class produces from it; the
-    universe of 2^(|A|^m) * 2^(|B|^m) constraints must fit the budget.
+    Every antecedent is paired with each consequent containing the output
+    tuples the class produces from it; the universe of
+    2^(|A|^m) * 2^(|B|^m) constraints must fit the budget.
     """
-    if candidates is not None:
-        tables = k.tables()
-        kept = [c for c in candidates.members(m) if all(satisfies(f, c) for f in tables)]
-        return ConstraintSet.from_constraints(k.dom, k.cod, kept)
     count = constraint_universe_count(k.dom, k.cod, m)
     if count > budget:
         raise BudgetExceededError(
-            f"csf_{m} universe has {count} constraints, exceeding budget {budget}; "
-            "supply an explicit candidate set",
+            f"csf_{m} universe has {count} constraints, exceeding budget {budget}",
             count,
         )
     dom, cod = k.dom, k.cod
@@ -286,15 +279,14 @@ def csf_m(
     kept = []
     free_all = (1 << cod.size**m) - 1
     for r_bits, need in enumerate(needed):
-        ante = Relation(dom, m, r_bits)
         free = free_all & ~need
         extra = free
         while True:  # every consequent containing need
-            kept.append(Constraint(ante, Relation(cod, m, need | extra)))
+            kept.append((r_bits, need | extra))
             if not extra:
                 break
             extra = (extra - 1) & free
-    return ConstraintSet.from_constraints(dom, cod, kept)
+    return ConstraintSet(dom, cod, {m: kept})
 
 
 def csf(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> ConstraintSet:

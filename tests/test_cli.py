@@ -126,6 +126,55 @@ def test_budget_refusal_exit_code(doc_path, capsys):
     assert code == EXIT_BUDGET and "budget" in err.lower()
 
 
+def test_t4_budget_refusal_exit_code(doc_path, capsys):
+    code, out, err = run(capsys, "verify", "t4", "--in", doc_path, "--class", "K2", "--cap", "3")
+    assert code == EXIT_BUDGET and "separating constraints" in err and out == ""
+
+
+def test_verify_dispatches_every_identity(doc_path, capsys, monkeypatch):
+    from funcon import ClosureReport
+    import funcon.cli as cli
+
+    calls = []
+
+    def recorder(entry):
+        def record(name, payload, **kwargs):
+            params = {k: kwargs[k] for k in ("n", "m", "cap") if k in kwargs}
+            calls.append((entry, name, type(payload).__name__, params))
+            return ClosureReport(name, {}, 0, 0)
+
+        return record
+
+    monkeypatch.setattr(cli, "verify_factorization", recorder("factorization"))
+    monkeypatch.setattr(cli, "verify_definability", recorder("definability"))
+    k, t = ("--class", "K2"), ("--set", "T2")
+    cases = [
+        ("t4", "factorization", "t4finite", k, {"cap": 1}),
+        ("t8", "factorization", "t8ii", t, {"n": 2, "cap": 1}),
+        ("t12", "factorization", "t12ii", t, {"m": 2}),
+        ("t15i", "factorization", "t15i", k, {"n": 2, "m": 1}),
+        ("t15ii", "factorization", "t15ii", t, {"n": 2, "m": 2}),
+        ("thm5", "definability", "thm5", k, {"n": 2}),
+        ("thm6", "definability", "thm6", t, {"n": 2, "cap": 2}),
+        ("thm13", "definability", "thm13", k, {"n": 2, "m": 1}),
+        ("thm14", "definability", "thm14", t, {"n": 1, "m": 2}),
+        ("cor1", "definability", "cor1", k, {}),
+        ("cor2", "definability", "cor2", t, {"cap": 2}),
+    ]
+    for identity, entry, name, binding, params in cases:
+        argv = ["verify", identity, "--in", doc_path, *binding]
+        for key, value in params.items():
+            argv += [f"--{key}", str(value)]
+        kind = "FunctionClass" if binding == k else "ConstraintSet"
+        assert run(capsys, *argv)[0] == EXIT_OK and calls.pop() == (entry, name, kind, params)
+        code, _, err = run(capsys, *argv[:4])  # the binding is missing
+        assert code == EXIT_USAGE and f"requires {binding[0]}" in err
+        if params:  # the last parameter is missing
+            code, _, err = run(capsys, *argv[:-2])
+            assert code == EXIT_USAGE and f"requires --{list(params)[-1]}" in err
+    assert not calls
+
+
 def test_discrepancy_exit_code(doc_path, capsys, monkeypatch):
     # the theorems hold, so a discrepancy is simulated through the lab layer
     from funcon import ClosureReport

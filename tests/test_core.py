@@ -6,6 +6,7 @@ from funcon import (
     ArityMismatchError,
     Constraint,
     ConstraintSet,
+    DomainMismatchError,
     DomainSpec,
     FunctionClass,
     FunctionTable,
@@ -144,3 +145,68 @@ def test_constraint_set_basics():
 def test_empty_arities_normalized_out():
     k = FunctionClass(BOOL, BOOL, {2: frozenset(), 1: frozenset({fn((0, 1))})})
     assert k.arities() == (1,)
+
+
+SIZE_PAIRS = [(2, 2), (3, 2), (2, 3)]
+
+
+def _sample_set(dom, cod, rng):
+    """Constraints of arities 1 and 2 drawn by bitmask pair."""
+    by_arity = {}
+    for m in (1, 2):
+        a_count, b_count = 1 << dom.size**m, 1 << cod.size**m
+        by_arity[m] = {(rng.randrange(a_count), rng.randrange(b_count)) for _ in range(6)}
+    return by_arity
+
+
+@pytest.mark.parametrize("sizes", SIZE_PAIRS)
+def test_containers_round_trip_through_their_members(sizes, rng):
+    dom, cod = DomainSpec("A", sizes[0]), DomainSpec("B", sizes[1])
+    pairs = _sample_set(dom, cod, rng)
+    t = ConstraintSet(dom, cod, pairs)
+    assert ConstraintSet.from_constraints(dom, cod, t.constraints()) == t
+    assert t.ranks(2) == frozenset(pairs[2]) and len(t) == sum(map(len, pairs.values()))
+    by_constraint = {m: {t.decode(m, pair) for pair in ps} for m, ps in pairs.items()}
+    assert ConstraintSet(dom, cod, by_constraint) == t
+    assert t.members(1) == by_constraint[1]
+    assert all(c in t for c in t.constraints())
+    k = FunctionClass(dom, cod, {1: set(range(0, function_count(dom, cod, 1), 2)), 2: {0, 5, 7}})
+    assert FunctionClass.from_tables(dom, cod, k.tables()) == k
+    assert all(f in k for f in k.tables())
+
+
+@pytest.mark.parametrize("sizes", SIZE_PAIRS)
+def test_constraint_set_rejects_malformed_members(sizes):
+    dom, cod = DomainSpec("A", sizes[0]), DomainSpec("B", sizes[1])
+    full = canonical_constraint("trivial", 2, dom, cod)
+    with pytest.raises(ValueError):
+        ConstraintSet(dom, cod, {2: {(1 << dom.size**2, 0)}})
+    with pytest.raises(ValueError):
+        ConstraintSet(dom, cod, {2: {(0, 1 << cod.size**2)}})
+    with pytest.raises(ValueError):
+        ConstraintSet(dom, cod, {2: {(-1, 0)}})
+    with pytest.raises(TypeError):
+        ConstraintSet(dom, cod, {2: {(0, 0), full}})
+    with pytest.raises(DomainMismatchError):
+        ConstraintSet(DomainSpec("C", sizes[0] + 1), cod, {2: {full}})
+    with pytest.raises(ArityMismatchError):
+        ConstraintSet(dom, cod, {1: {full}})
+    with pytest.raises(ValueError):
+        ConstraintSet(dom, cod, {2: {(0, 0)}}, arity_cap=1)
+
+
+def test_classes_and_sets_do_not_mix():
+    k, t = cls(AND), cset(C_LEQ)
+    with pytest.raises(TypeError):
+        k | t
+    with pytest.raises(TypeError):
+        t | k
+    assert k != t
+    with pytest.raises(DomainMismatchError):
+        t | ConstraintSet.empty(DomainSpec("C", 3), BOOL)
+
+
+def test_from_constructors_live_in_their_own_class():
+    # perfbench/tracer.py patches these through cls.__dict__[attr]
+    assert "from_tables" in FunctionClass.__dict__
+    assert "from_constraints" in ConstraintSet.__dict__

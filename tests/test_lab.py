@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from funcon import (
@@ -14,7 +16,7 @@ from funcon import (
     verify_factorization,
     vs_n_closure,
 )
-from funcon.core import ConstraintSet, FunctionClass
+from funcon.core import BudgetExceededError, ConstraintSet, FunctionClass
 from funcon.lab import nested_class_pair, nested_set_pair, random_constraint_set, random_function_class
 
 from conftest import AND, BOOL, C_LEQ, NEGATION, OR, PR1, PR2, cls, cset
@@ -78,6 +80,21 @@ def test_galois_axioms_empty_class():
     assert rep.ok
 
 
+def test_galois_axioms_name_the_dropped_member(monkeypatch):
+    # an fsc that grows with its input is not order reversing at any member
+    import funcon.lab as lab
+
+    grows = lambda ts, cap, budget: FunctionClass(ts.dom, ts.cod, {2: range(min(len(ts), 16))})
+    monkeypatch.setattr(lab, "fsc", grows)
+    t = cset(C_LEQ, Constraint(Relation.from_tuples(BOOL, 1, [(0,)]), Relation.from_tuples(BOOL, 1, [(1,)])))
+    rep = check_galois_axioms(FunctionClass.empty(BOOL, BOOL), t, 2, 2)
+    order = [w for w in rep.symmetric_difference if "order reversing" in w]
+    assert order == [
+        "fsc not order reversing at constraint arity=1 R=[(0,)] S=[(1,)]",
+        "fsc not order reversing at constraint arity=2 R=[(0, 0), (0, 1), (1, 1)] S=[(0, 0), (0, 1), (1, 1)]",
+    ]
+
+
 def test_t15i_worked_instance():
     rep = verify_factorization("t15i", cls(AND), n=2, m=1)
     assert rep.ok and rep.lhs_size == 4
@@ -115,6 +132,16 @@ def test_t4finite(rng):
     for k in (cls(AND), random_function_class(rng, BOOL, BOOL, 2, 2)):
         rep = verify_factorization("t4finite", k, cap=2)
         assert rep.ok, rep.symmetric_difference
+
+
+def test_t4finite_refuses_oversized_separator_sets():
+    # cap=3 needs antecedents of up to 3 tuples over A^8: sum_{j<=3} C(256, j)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        verify_factorization("t4finite", cls(NEGATION), cap=3)
+    assert excinfo.value.count == 2_796_417
+    with pytest.raises(BudgetExceededError):
+        fsc_n_of_csf_m(cls(AND), 2, 4, budget=136)  # 1 + 16 + 120 separators
+    assert fsc_n_of_csf_m(cls(AND), 2, 4, budget=137) == fsc_n_of_csf_m(cls(AND), 2, 4)
 
 
 def test_unknown_identity_rejected():
@@ -178,3 +205,17 @@ def test_cor2_equivalence():
     assert rep.ok and rep.parameters["predicate"] and rep.parameters["fixed_point"]
     rep = verify_definability("cor2", cset(C_LEQ), cap=2)
     assert rep.ok and not rep.parameters["predicate"] and not rep.parameters["fixed_point"]
+
+
+def test_random_constraint_set_draws_as_from_the_listed_universe():
+    from funcon.core import DomainSpec, enumerate_constraints
+
+    for dom, cod, arity in ((BOOL, BOOL, 1), (BOOL, BOOL, 2), (DomainSpec("T", 3), BOOL, 1)):
+        universe = list(enumerate_constraints(dom, cod, arity))
+        for seed in range(5):
+            for count in (0, 3, len(universe) + 1):
+                rng, ref = random.Random(seed), random.Random(seed)
+                picked = ref.sample(universe, min(count, len(universe)))
+                t = random_constraint_set(rng, dom, cod, arity, count)
+                assert t == ConstraintSet.from_constraints(dom, cod, picked)
+                assert rng.random() == ref.random()

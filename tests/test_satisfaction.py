@@ -128,13 +128,6 @@ def test_csf_matches_brute_filter():
     assert csf(k, 2) == csf_m(k, 1) | csf_m(k, 2)
 
 
-def test_csf_with_explicit_candidates():
-    k = cls(AND)
-    cands = cset(C_LEQ, Constraint(LEQ, Relation(BOOL, 2, 0b0001)))
-    got = csf_m(k, 2, candidates=cands)
-    assert got == cset(C_LEQ)
-
-
 def test_csf_multi_arity_class():
     # constraints must be satisfied by members of every arity
     k = cls(AND, NEGATION)
