@@ -145,7 +145,10 @@ def _need(args, attr, flag):
 
 
 def _bounds(args) -> CmBounds:
-    return CmBounds(args.max_family, args.max_indets, args.max_iterations)
+    try:
+        return CmBounds(args.max_family, args.max_indets, args.max_iterations)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from exc
 
 
 def _run_close(args, doc) -> str:

@@ -5,12 +5,24 @@ and tight-minor moves inside the m-ary constraint universe.  Soundness is by
 construction (every move produces a conjunctive minor; iterating small steps
 is covered by transitivity of minor formation); completeness is certified per
 instance against ``cm_m_oracle``, the independently computed Galois composite.
+
+The kernels are word operations on the relations' rank bitmasks.  A lift
+through a map h is an OR of cached per-rank preimage masks (``_preimages``):
+entry ``read`` holds the extended tuples whose h-reading has rank ``read``.
+Every member set is closed under relaxation (``_down_close``), so a member is
+maximal exactly when none of its single-tuple strengthenings (one antecedent
+tuple more, one consequent tuple fewer) is a member: any strictly stronger
+member is reached from it through such a step, and that step is itself a
+relaxation of the stronger member.  ``lo_n_closure`` keeps, per antecedent,
+the mask of consequents present with it and decides every candidate in one
+pass over the antecedents (see its docstring).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -60,6 +72,14 @@ class CmResult:
     witnesses: dict[Constraint, MinorWitness] = field(default_factory=dict)
 
 
+def _low_bits(mask: int):
+    """The set bits of ``mask`` as single-bit masks, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low
+
+
 def _down_close(
     members: dict[tuple[int, int], MinorWitness],
     new_pairs: list[tuple[tuple[int, int], MinorWitness]],
@@ -90,40 +110,41 @@ def _down_close(
     return changed
 
 
-def _maximal_pairs(members: dict) -> list[tuple[int, int]]:
-    """Members not a strict relaxation of any other member."""
-    pairs = sorted(members)
-    out = []
-    for r, s in pairs:
-        dominated = False
-        for r2, s2 in pairs:
-            if (r2, s2) != (r, s) and r & ~r2 == 0 and s2 & ~s == 0:
-                dominated = True  # (r, s) is a strict relaxation of (r2, s2)
-                break
-        if dominated:
-            continue
-        out.append((r, s))
-    return out
+def _maximal_pairs(members: dict, full_ante: int) -> list[tuple[int, int]]:
+    """Members not a strict relaxation of any other member, in sorted order.
+
+    ``members`` must be closed under relaxation: then a member is maximal iff
+    no single-tuple strengthening of it is a member."""
+    return [
+        (r, s)
+        for r, s in sorted(members)
+        if not any((r | low, s) in members for low in _low_bits(full_ante & ~r))
+        and not any((r, s ^ low) in members for low in _low_bits(s))
+    ]
+
+
+@lru_cache(maxsize=4096)
+def _preimages(h: tuple[int, ...], m: int, v: int, size: int) -> tuple[int, ...]:
+    """Entry ``read``: bitmask over size^(m+v) of the extended tuples (coordinate
+    1 most significant) whose h-reading has rank ``read``."""
+    pre = [0] * size ** len(h)
+    for rank, digits in enumerate(itertools.product(range(size), repeat=m + v)):
+        read = 0
+        for e in h:
+            read = read * size + digits[e]
+        pre[read] |= 1 << rank
+    return tuple(pre)
 
 
 def _lift(r_bits: int, h: tuple[int, ...], m: int, v: int, size: int) -> int:
     """Bitmask over size^(m+v): extended tuples (a, sigma) whose h-reading is
     in the source relation."""
-    total = m + v
+    pre = _preimages(h, m, v, size)
     out = 0
-    for rank in range(size**total):
-        # decode with coordinate 1 most significant
-        digits = []
-        rr = rank
-        for _ in range(total):
-            digits.append(rr % size)
-            rr //= size
-        digits.reverse()
-        read = 0
-        for e in h:
-            read = read * size + digits[e]
-        if (r_bits >> read) & 1:
-            out |= 1 << rank
+    while r_bits:  # inlined _low_bits: this is the fixpoint's hottest loop
+        low = r_bits & -r_bits
+        out |= pre[low.bit_length() - 1]
+        r_bits ^= low
     return out
 
 
@@ -163,7 +184,7 @@ def _closure_fixpoint(
     for iteration in range(1, bounds.max_iterations + 1):
         changed = False
         maximals = {
-            m: _maximal_pairs(members[m]) for m in targets
+            m: _maximal_pairs(members[m], (1 << sa**m) - 1) for m in targets
         }
         for m in targets:
             full_cons = (1 << sb**m) - 1
@@ -307,7 +328,16 @@ def lo_n_closure(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> ConstraintSet:
     """Add every constraint all of whose relaxations with antecedent of size
-    at most n already belong to the set; iterated to the least fixpoint."""
+    at most n already belong to the set.
+
+    Only constraints with more than n antecedent tuples are added, and the
+    test reads only those with at most n, so one pass is the least fixpoint.
+    Per antecedent r, ``rows[r]`` masks the consequents present with r; for
+    |r| <= n its up-interior (consequents all of whose supersets are present)
+    is taken by one shift-and-mask pass per consequent tuple, and
+    ``shared[r]`` is the AND of those interiors over the subsets of r of size
+    at most n, built from the ``shared`` of r's one-tuple-smaller subsets.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     dom, cod = t.dom, t.cod
@@ -315,44 +345,41 @@ def lo_n_closure(
     for m in t.arities():
         _universe_guard(dom, cod, m, budget)
         present = set(t.ranks(m))
-        n_cons = cod.size**m
-        changed = True
-        while changed:
-            changed = False
-            for r_bits in range(1 << dom.size**m):
-                ranks = [i for i in range(dom.size**m) if (r_bits >> i) & 1]
-                if len(ranks) <= n:
-                    continue  # such a constraint is its own small relaxation
-                for s_bits in range(1 << n_cons):
-                    if (r_bits, s_bits) in present:
-                        continue
-                    if _small_relaxations_present(
-                        present, ranks, s_bits, n, n_cons
-                    ):
-                        present.add((r_bits, s_bits))
-                        changed = True
+        n_ante, width = 1 << dom.size**m, cod.size**m
+        rows = [0] * n_ante
+        for r, s in present:
+            rows[r] |= 1 << s
+        containing = _containing_masks(width)
+        full = (1 << (1 << width)) - 1
+        shared = [0] * n_ante
+        for r in range(n_ante):
+            acc = full
+            for low in _low_bits(r):
+                acc &= shared[r ^ low]
+            if r.bit_count() <= n:
+                row = rows[r]
+                for j, with_j in enumerate(containing):
+                    row &= (row >> (1 << j)) | with_j
+                acc &= row
+            else:
+                present.update((r, low.bit_length() - 1) for low in _low_bits(acc & ~rows[r]))
+            shared[r] = acc
         result[m] = present
     return ConstraintSet(dom, cod, result)
 
 
-def _small_relaxations_present(
-    present: set[tuple[int, int]], ranks: list[int], s_bits: int, n: int, n_cons: int
-) -> bool:
-    full = (1 << n_cons) - 1
-    for k in range(0, min(n, len(ranks)) + 1):
-        for subset in itertools.combinations(ranks, k):
-            f_bits = 0
-            for i in subset:
-                f_bits |= 1 << i
-            missing = full & ~s_bits
-            sup = missing
-            while True:
-                if (f_bits, s_bits | sup) not in present:
-                    return False
-                if sup == 0:
-                    break
-                sup = (sup - 1) & missing
-    return True
+@lru_cache(maxsize=16)
+def _containing_masks(width: int) -> tuple[int, ...]:
+    """Entry j: bitmask over the 2^width consequent masks of those holding
+    tuple j."""
+    out = []
+    for j in range(width):
+        mask, span = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while span < 1 << width:
+            mask |= mask << span
+            span <<= 1
+        out.append(mask)
+    return tuple(out)
 
 
 def lo_constraints_closure(

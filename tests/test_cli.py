@@ -112,6 +112,20 @@ def test_usage_errors(doc_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--max-family", "0"), ("--max-indets", "-1"), ("--max-iterations", "0")]
+)
+def test_invalid_cm_bounds_are_usage_errors(doc_path, capsys, flag, value):
+    requests = [
+        ["verify", "t15ii", "--in", doc_path, "--set", "T2", "--n", "2", "--m", "2"],
+        ["close", "cmm", "--in", doc_path, "--set", "T2", "--m", "2"],
+    ]
+    for argv in requests:
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "must be" in err and "Traceback" not in err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")

@@ -85,6 +85,30 @@ def test_cm_witnesses_recheck_via_minor_check():
     assert checked > 0
 
 
+def test_cm_3_closure_of_even_parity_is_pinned():
+    even = Relation.from_tuples(
+        BOOL, 3, [t for t in itertools.product((0, 1), repeat=3) if sum(t) % 2 == 0]
+    )
+    t = cset(Constraint(even, even))
+    res = cm_m_closure(t, 3)
+    assert res.converged
+    assert len(res.constraints) == 2360
+    assert set(res.witnesses) == set(res.constraints.constraints())
+    seeds = set(t.constraints()) | {
+        canonical_constraint(kind, 3, BOOL, BOOL) for kind in ("equality", "empty")
+    }
+    for c, wit in res.witnesses.items():
+        if wit.kind == "seed":
+            assert c in seeds
+        elif wit.kind == "relaxation":
+            r, s = wit.parent
+            parent = Constraint(Relation(BOOL, 3, r), Relation(BOOL, 3, s))
+            assert parent in res.constraints and relaxation_of(c, parent)
+        else:
+            assert all(f in res.constraints for f in wit.family)
+            assert minor_check(c, list(wit.family), wit.scheme, "tight", max_indets=wit.scheme.indets)
+
+
 def test_cm_cross_arity_closure():
     res = cm_closure(cset(C_LEQ), cap=2)
     assert res.converged

@@ -1,6 +1,8 @@
 """Differential tests of the bit-sliced Galois kernels against scalar
 references built from ``satisfies`` over the enumerated function and
-constraint universes, on seeded instances off the Boolean domain too."""
+constraint universes, on seeded instances off the Boolean domain too, and of
+the constraint-side mask kernels (lift, maximal pairs, ``lo_n_closure``)
+against scalar pair-by-pair reference loops."""
 
 import itertools
 import os
@@ -19,15 +21,18 @@ from funcon import (
     FunctionClass,
     FunctionTable,
     Relation,
+    cm_m_closure,
     csf_m,
     enumerate_constraints,
     enumerate_functions,
     fsc_n,
     fsc_n_of_csf_m,
     lo_m_closure,
+    lo_n_closure,
     random_function_class,
     satisfies,
 )
+from funcon.constraint_closures import MinorWitness, _down_close, _lift, _maximal_pairs
 
 # (|A|, |B|) with the function arities n and the constraint arities m at
 # which the scalar references stay small; csf_reference scans the whole
@@ -173,3 +178,141 @@ def test_missing_verify_parameter_raises_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "1 t15i needs parameter m"
+
+
+# the constraint-side kernels
+
+
+def lift_reference(r_bits, h, m, v, size):
+    """Decode every extended tuple digit by digit and read it through h."""
+    out = 0
+    for rank in range(size ** (m + v)):
+        digits = []
+        rr = rank
+        for _ in range(m + v):
+            digits.append(rr % size)
+            rr //= size
+        digits.reverse()
+        read = 0
+        for e in h:
+            read = read * size + digits[e]
+        if (r_bits >> read) & 1:
+            out |= 1 << rank
+    return out
+
+
+def maximal_reference(members):
+    """Members not a strict relaxation of any other member, by a pairwise scan."""
+    pairs = sorted(members)
+    return [
+        (r, s)
+        for r, s in pairs
+        if not any((r2, s2) != (r, s) and r & ~r2 == 0 and s2 & ~s == 0 for r2, s2 in pairs)
+    ]
+
+
+def lo_n_reference(t, n):
+    """Add, pair by pair, every constraint all of whose relaxations with
+    antecedent of size at most n are present, sweeping until nothing changes."""
+    result = {}
+    for m in t.arities():
+        present = set(t.ranks(m))
+        n_cons = t.cod.size**m
+        changed = True
+        while changed:
+            changed = False
+            for r_bits in range(1 << t.dom.size**m):
+                ranks = [i for i in range(t.dom.size**m) if (r_bits >> i) & 1]
+                if len(ranks) <= n:
+                    continue
+                for s_bits in range(1 << n_cons):
+                    if (r_bits, s_bits) not in present and small_relaxations_present(
+                        present, ranks, s_bits, n, n_cons
+                    ):
+                        present.add((r_bits, s_bits))
+                        changed = True
+        result[m] = present
+    return ConstraintSet(t.dom, t.cod, result)
+
+
+def small_relaxations_present(present, ranks, s_bits, n, n_cons):
+    missing = ((1 << n_cons) - 1) & ~s_bits
+    for k in range(0, min(n, len(ranks)) + 1):
+        for subset in itertools.combinations(ranks, k):
+            f_bits = sum(1 << i for i in subset)
+            sup = missing
+            while True:
+                if (f_bits, s_bits | sup) not in present:
+                    return False
+                if sup == 0:
+                    break
+                sup = (sup - 1) & missing
+    return True
+
+
+def random_pair_set(rng, dom, cod, m, count):
+    pairs = {
+        (rng.randrange(1 << dom.size**m), rng.randrange(1 << cod.size**m)) for _ in range(count)
+    }
+    return ConstraintSet(dom, cod, {m: frozenset(pairs)})
+
+
+def dense_pair_set(rng, dom, cod, m, density):
+    """Each m-ary pair present with the given probability."""
+    pairs = itertools.product(range(1 << dom.size**m), range(1 << cod.size**m))
+    return ConstraintSet(dom, cod, {m: frozenset(p for p in pairs if rng.random() < density)})
+
+
+CONSTRAINT_SIDE_PAIRS = [(2, 2), (3, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_lift_matches_digit_decoding(size):
+    rng = random.Random(size)
+    for _ in range(60):
+        m = rng.randint(1, 3 if size == 2 else 2)
+        v = rng.randint(0, 2)
+        h = tuple(rng.randrange(m + v) for _ in range(rng.randint(1, 3)))
+        for r_bits in (0, (1 << size ** len(h)) - 1, rng.getrandbits(size ** len(h))):
+            assert _lift(r_bits, h, m, v, size) == lift_reference(r_bits, h, m, v, size)
+
+
+@pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS)
+def test_maximal_pairs_match_pairwise_scan(sizes):
+    dom, cod = domains(sizes)
+    rng = random.Random(10 * sizes[0] + sizes[1])
+    member_sets = []
+    for m in (1, 2):
+        for _ in range(2):
+            t = ConstraintSet.from_constraints(dom, cod, [random_constraint(rng, dom, cod, m)])
+            member_sets.append((m, dict.fromkeys(cm_m_closure(t, m).constraints.ranks(m))))
+        for count in (1, 3, 8):
+            members = {}
+            seeds = random_pair_set(rng, dom, cod, m, count).ranks(m)
+            _down_close(members, [(p, MinorWitness("seed")) for p in seeds], (1 << cod.size**m) - 1)
+            member_sets.append((m, members))
+    for m, members in member_sets:
+        assert _maximal_pairs(members, (1 << dom.size**m) - 1) == maximal_reference(members)
+
+
+@pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS)
+def test_lo_n_closure_matches_pair_sweep(sizes):
+    dom, cod = domains(sizes)
+    rng = random.Random(10 * sizes[0] + sizes[1])
+    sets = []
+    for m in (1, 2):
+        sets += [random_pair_set(rng, dom, cod, m, count) for count in (3, 40)]
+        sets += [dense_pair_set(rng, dom, cod, m, density) for density in (0.8, 0.95)]
+        # cm-closed sets with about a quarter of their members dropped grow under lo_n
+        for _ in range(2):
+            t = ConstraintSet.from_constraints(dom, cod, [random_constraint(rng, dom, cod, m)])
+            members = sorted(cm_m_closure(t, m).constraints.ranks(m))
+            kept = rng.sample(members, len(members) - len(members) // 4)
+            sets.append(ConstraintSet(dom, cod, {m: frozenset(kept)}))
+    grown = 0
+    for t in sets:
+        for n in (1, 2, 3):
+            closed = lo_n_closure(t, n)
+            assert closed == lo_n_reference(t, n)
+            grown += len(closed) > len(t)
+    assert grown  # the sweep is not vacuous
