@@ -24,7 +24,9 @@ from .constraint_closures import (
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
+    ConstraintSet,
     DomainSpec,
+    FunctionClass,
     enumerate_constraints,
     enumerate_functions,
 )
@@ -39,10 +41,13 @@ from .instance_io import (
 )
 from .lab import (
     FACTORIZATION_IDENTITIES,
+    ClosureReport,
     check_closure_laws,
     check_galois_axioms,
     nested_class_pair,
     nested_set_pair,
+    random_constraint_set,
+    random_function_class,
     verify_definability,
     verify_factorization,
 )
@@ -220,14 +225,10 @@ def _run_enumerate(args) -> str:
     dom = DomainSpec("A", args.dom_size)
     cod = DomainSpec("B", args.cod_size)
     if args.universe == "functions":
-        from .core import FunctionClass
-
         k = FunctionClass.from_tables(
             dom, cod, enumerate_functions(dom, cod, args.arity, args.budget)
         )
         return class_listing(k)
-    from .core import ConstraintSet
-
     t = ConstraintSet.from_constraints(
         dom, cod, enumerate_constraints(dom, cod, args.arity, args.budget)
     )
@@ -239,8 +240,6 @@ def _run_laws(args):
     dom = DomainSpec("A", args.dom_size)
     cod = DomainSpec("B", args.cod_size)
     if args.suite == "axioms":
-        from .lab import random_constraint_set, random_function_class
-
         violations = []
         checked = 0
         for _ in range(args.samples):
@@ -251,8 +250,6 @@ def _run_laws(args):
             violations.extend(rep.symmetric_difference)
             if violations:
                 break
-        from .lab import ClosureReport
-
         return ClosureReport(
             "galois-axioms",
             {"samples": checked, "seed": args.seed},

@@ -33,6 +33,7 @@ from .core import (
     Relation,
     canonical_constraint,
     constraint_universe_count,
+    readings,
 )
 from .minors import Scheme
 from .satisfaction import csf_m, fsc_n
@@ -128,11 +129,8 @@ def _preimages(h: tuple[int, ...], m: int, v: int, size: int) -> tuple[int, ...]
     """Entry ``read``: bitmask over size^(m+v) of the extended tuples (coordinate
     1 most significant) whose h-reading has rank ``read``."""
     pre = [0] * size ** len(h)
-    for rank, digits in enumerate(itertools.product(range(size), repeat=m + v)):
-        read = 0
-        for e in h:
-            read = read * size + digits[e]
-        pre[read] |= 1 << rank
+    for x, read in enumerate(readings(h, m + v, size)):
+        pre[read] |= 1 << x
     return tuple(pre)
 
 

@@ -15,6 +15,14 @@ constraint by its ``(antecedent.bits, consequent.bits)`` pair.
 ``column_masks`` gives, per argument point and value, the bitmask over the
 whole |B|^(|A|^n)-table universe of the ranks taking that value there, so the
 Galois maps become AND/OR operations on these truth-table columns.
+
+Two kernels turn digits into ranks: ``tuple_rank`` ranks one tuple and
+checks its entries, and ``readings(h, k, size)`` tabulates, per k-tuple rank,
+the rank of that tuple read through the coordinate map h.  A variable
+substitution and a minor scheme's source map are both such readings.
+``column_masks`` and the signature and probe kernels of ``satisfaction``
+keep their own digit arithmetic: ``satisfies`` is their scalar reference in
+the differential tests, so it shares no code with them.
 """
 
 from __future__ import annotations
@@ -78,6 +86,20 @@ def tuple_unrank(rank: int, size: int, arity: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def readings(h: tuple[int, ...], k: int, size: int) -> tuple[int, ...]:
+    """Entry ``x``: the rank of ``(x[h[0]], .., x[h[-1]])`` for the k-tuple of
+    rank ``x``.  h may repeat coordinates and skip others."""
+    if any(not 0 <= e < k for e in h):
+        raise ValueError(f"reading {h} out of range for arity {k}")
+    out = [0] * size**k
+    for i in range(k):  # add coordinate i's digit times its weight in the reading
+        weight = sum(size ** (len(h) - 1 - j) for j, e in enumerate(h) if e == i)
+        stride = size ** (k - 1 - i)
+        out = [r + x // stride % size * weight for x, r in enumerate(out)]
+    return tuple(out)
+
+
 @dataclass(frozen=True, order=True)
 class FunctionTable:
     """An n-ary cod-valued function on dom, as an explicit value table.
@@ -120,18 +142,13 @@ class FunctionTable:
         return cls(dom, cod, arity, tuple_unrank(rank, cod.size, dom.size**arity))
 
     def apply_pointwise(self, rows: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-        """Apply to n chosen m-tuples coordinatewise: out_i = f(rows[0][i], ..)."""
+        """Apply to n chosen m-tuples coordinatewise: out_i = f(rows[0][i], ..).
+
+        Ragged rows and entries outside the domain raise ``ValueError``."""
         if len(rows) != self.arity:
             raise ArityMismatchError(f"expected {self.arity} rows, got {len(rows)}")
         size = self.dom.size
-        table = self.table
-        out = []
-        for i in range(len(rows[0])):
-            r = 0
-            for row in rows:
-                r = r * size + row[i]
-            out.append(table[r])
-        return tuple(out)
+        return tuple(self.table[tuple_rank(col, size)] for col in zip(*rows, strict=True))
 
 
 @dataclass(frozen=True)
@@ -276,11 +293,7 @@ def projection(dom: DomainSpec, n: int, i: int) -> FunctionTable:
     """The n-ary projection onto coordinate i (1-based) over dom."""
     if not 1 <= i <= n:
         raise ValueError(f"projection coordinate {i} out of range 1..{n}")
-    size = dom.size
-    table = [0] * size**n
-    for rank in range(size**n):
-        table[rank] = tuple_unrank(rank, size, n)[i - 1]
-    return FunctionTable(dom, dom, n, tuple(table))
+    return FunctionTable(dom, dom, n, readings((i - 1,), n, dom.size))
 
 
 def function_count(dom: DomainSpec, cod: DomainSpec, n: int) -> int:

@@ -21,7 +21,7 @@ from .core import (
     FunctionTable,
     column_masks,
     function_count,
-    tuple_unrank,
+    readings,
 )
 
 
@@ -50,16 +50,9 @@ def substitute(f: FunctionTable, s: SubstitutionMap) -> FunctionTable:
     """g(x1..xt) = f(x_{s(1)}, ..., x_{s(n)}) — a simple variable substitution."""
     if s.source_arity != f.arity:
         raise ArityMismatchError(f"substitution source arity {s.source_arity} != function arity {f.arity}")
-    size = f.dom.size
     t = s.target_arity
-    table = []
-    for rank in range(size**t):
-        x = tuple_unrank(rank, size, t)
-        r = 0
-        for a in s.assignment:
-            r = r * size + x[a - 1]
-        table.append(f.table[r])
-    return FunctionTable(f.dom, f.cod, t, tuple(table))
+    reading = readings(tuple(a - 1 for a in s.assignment), t, f.dom.size)
+    return FunctionTable(f.dom, f.cod, t, tuple(f.table[r] for r in reading))
 
 
 def _all_maps(source: int, target: int):

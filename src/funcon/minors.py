@@ -9,7 +9,6 @@ indeterminates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,10 +16,11 @@ from .core import (
     ArityMismatchError,
     BudgetExceededError,
     Constraint,
+    DomainMismatchError,
     DomainSpec,
     Relation,
+    readings,
     relaxation_of,
-    tuple_unrank,
 )
 
 DEFAULT_SKOLEM_BUDGET = 2
@@ -131,27 +131,15 @@ def tight_minor_relation(
         domain = relations[0].domain
     for r in relations:
         if r.domain != domain:
-            raise ArityMismatchError(f"relation over {r.domain.name!r}, expected {domain.name!r}")
-    m = scheme.target
-    size = domain.size
+            raise DomainMismatchError(f"relation over {r.domain.name!r}, expected {domain.name!r}")
+    m, v, size = scheme.target, scheme.indets, domain.size
     # identical (relation, map) pairs contribute one condition
-    pairs = sorted({(r.bits, h) for r, h in zip(relations, scheme.maps)})
-    sigmas = list(itertools.product(range(size), repeat=scheme.indets))
+    pairs = {(r.bits, h) for r, h in zip(relations, scheme.maps)}
+    conditions = [(r_bits, readings(h, m + v, size)) for r_bits, h in pairs]
     bits = 0
-    for rank in range(size**m):
-        a = tuple_unrank(rank, size, m)
-        for sigma in sigmas:
-            ok = True
-            for r_bits, h in pairs:
-                rr = 0
-                for e in h:
-                    rr = rr * size + (a[e] if e < m else sigma[e - m])
-                if not (r_bits >> rr) & 1:
-                    ok = False
-                    break
-            if ok:
-                bits |= 1 << rank
-                break
+    for e in range(size ** (m + v)):  # e ranks the extended tuple (a, sigma)
+        if all(r_bits >> reading[e] & 1 for r_bits, reading in conditions):
+            bits |= 1 << (e // size**v)
     return Relation(domain, m, bits)
 
 

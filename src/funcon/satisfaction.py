@@ -5,10 +5,12 @@ fixed arities.  Both work on classes as bitmasks over table ranks with the
 column table of ``core.column_masks``: ``fsc_n`` ANDs, per signature of each
 constraint, an OR of column minterms, and ``csf_m`` reads each probe's
 achievable output tuples off ANDs of the class mask with column minterms.
-``satisfies`` and ``image`` evaluate one table at a time and serve as the
-scalar reference.  ``trace_constraint`` builds the canonical separating
-constraint whose antecedent lists chosen columns and whose consequent collects
-the class's values on them.
+``satisfies`` and ``image`` evaluate one table at a time, ranking each output
+tuple with ``core.tuple_rank``, and serve as the scalar reference: they share
+no code with ``_signatures``, the column table or the probe walk.  ``csf_m``
+reads the cross-rows of its probes off ``core.readings``.  ``trace_constraint``
+builds the canonical separating constraint whose antecedent lists chosen
+columns and whose consequent collects the class's values on them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .core import (
     function_count,
     projection,
     ranks_of_mask,
+    readings,
+    tuple_rank,
     tuple_unrank,
 )
 
@@ -40,15 +44,10 @@ def image(f: FunctionTable, r: Relation) -> Relation:
     """The coordinatewise image of R under f: {f(a1..an) : a1..an in R}."""
     if f.dom != r.domain:
         raise DomainMismatchError(f"function on {f.dom.name!r} applied to relation over {r.domain.name!r}")
-    rows = r.tuples()
     out_bits = 0
     cod_size = f.cod.size
-    for choice in itertools.product(rows, repeat=f.arity):
-        out = f.apply_pointwise(choice)
-        rank = 0
-        for v in out:
-            rank = rank * cod_size + v
-        out_bits |= 1 << rank
+    for choice in itertools.product(r.tuples(), repeat=f.arity):
+        out_bits |= 1 << tuple_rank(f.apply_pointwise(choice), cod_size)
     return Relation(f.cod, r.arity, out_bits)
 
 
@@ -63,17 +62,11 @@ def satisfies(f: FunctionTable, c: Constraint) -> bool:
             f"function {f.dom.name!r}->{f.cod.name!r} against constraint "
             f"{c.dom.name!r}-to-{c.cod.name!r}"
         )
-    rows = c.antecedent.tuples()
-    cons = c.consequent
-    cod_size = f.cod.size
-    for choice in itertools.product(rows, repeat=f.arity):
-        out = f.apply_pointwise(choice)
-        rank = 0
-        for v in out:
-            rank = rank * cod_size + v
-        if not (cons.bits >> rank) & 1:
-            return False
-    return True
+    cons, cod_size = c.consequent.bits, f.cod.size
+    return all(
+        cons >> tuple_rank(f.apply_pointwise(choice), cod_size) & 1
+        for choice in itertools.product(c.antecedent.tuples(), repeat=f.arity)
+    )
 
 
 def preserves(f: FunctionTable, r: Relation) -> bool:
@@ -100,19 +93,9 @@ def compose_classes(outer: FunctionClass, inner: FunctionClass, cap: int) -> Fun
                     continue
                 inner_m = sorted(inner.members(m), key=lambda g: g.table)
                 for gs in itertools.product(inner_m, repeat=n):
-                    table = tuple(
-                        f.table[_args_rank([g.table[r] for g in gs], outer.dom.size)]
-                        for r in range(dom.size**m)
-                    )
+                    table = f.apply_pointwise([g.table for g in gs])
                     result.add(FunctionTable(dom, f.cod, m, table))
     return FunctionClass.from_tables(dom, outer.cod, result)
-
-
-def _args_rank(args: list[int], size: int) -> int:
-    rank = 0
-    for a in args:
-        rank = rank * size + a
-    return rank
 
 
 def projections_class(dom: DomainSpec, cap: int) -> FunctionClass:
@@ -210,10 +193,7 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
             table = f.table
             still = []
             for q in active:
-                rank = 0
-                for p in probes[q]:
-                    rank = rank * cod_size + table[p]
-                masks[q] |= 1 << rank
+                masks[q] |= 1 << tuple_rank([table[p] for p in probes[q]], cod_size)
                 if masks[q].bit_count() < limits[q]:
                     still.append(q)
             active = still
@@ -260,14 +240,8 @@ def csf_m(
     # cross-rows (row j reads coordinate j of every probe point) lie in r.
     needed = [0] * (1 << dom.size**m)
     for n in k.arities():
-        digits = [tuple_unrank(p, dom.size, n) for p in range(dom.size**n)]
-        cross_rows = [(0,) * n]  # per probe rank, the ranks of its n cross-rows
-        for _ in range(m):
-            cross_rows = [
-                tuple(r * dom.size + d for r, d in zip(rows, point))
-                for rows in cross_rows
-                for point in digits
-            ]
+        # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
+        cross_rows = zip(*[readings(tuple(range(j, n * m, n)), n * m, dom.size) for j in range(n)])
         for mask, rows in zip(_probe_masks(k, n, m, budget), cross_rows):
             needed[sum(1 << r for r in set(rows))] |= mask
     # close under subsets of the antecedent: needed[r] |= needed[r - {row}]
@@ -315,13 +289,8 @@ def trace_constraint(
         raise ArityMismatchError(f"{len(columns)} columns for arity {arity}")
     ante = Relation.from_tuples(k.dom, m, columns)
     cons_bits = 0
-    cod_size = k.cod.size
     for f in k.members(n):
-        out = f.apply_pointwise(columns)
-        rank = 0
-        for v in out:
-            rank = rank * cod_size + v
-        cons_bits |= 1 << rank
+        cons_bits |= 1 << tuple_rank(f.apply_pointwise(columns), k.cod.size)
     return Constraint(ante, Relation(k.cod, m, cons_bits))
 
 

@@ -59,6 +59,13 @@ def test_function_apply_pointwise():
     assert AND.apply_pointwise([(0, 1), (1, 1)]) == (0, 1)
 
 
+def test_apply_pointwise_rejects_malformed_rows():
+    # two out-of-range entries (one would read AND(1, 0)), then ragged rows
+    for rows in ([(0,), (2,)], [(1,), (2,)], [(1,), (1, 0)]):
+        with pytest.raises(ValueError):
+            AND.apply_pointwise(rows)
+
+
 def test_relation_bitmask_ops():
     assert len(LEQ) == 3
     assert LEQ.contains_tuple((0, 1)) and not LEQ.contains_tuple((1, 0))

@@ -2,7 +2,9 @@
 references built from ``satisfies`` over the enumerated function and
 constraint universes, on seeded instances off the Boolean domain too, and of
 the constraint-side mask kernels (lift, maximal pairs, ``lo_n_closure``)
-against scalar pair-by-pair reference loops."""
+against scalar pair-by-pair reference loops, and of the reading table
+``core.readings`` and the tight minor built on it against digit-by-digit
+decoding."""
 
 import itertools
 import os
@@ -21,6 +23,7 @@ from funcon import (
     FunctionClass,
     FunctionTable,
     Relation,
+    Scheme,
     cm_m_closure,
     csf_m,
     enumerate_constraints,
@@ -31,8 +34,12 @@ from funcon import (
     lo_n_closure,
     random_function_class,
     satisfies,
+    tuple_rank,
+    tuple_unrank,
 )
 from funcon.constraint_closures import MinorWitness, _down_close, _lift, _maximal_pairs
+from funcon.core import readings
+from funcon.minors import tight_minor_relation
 
 # (|A|, |B|) with the function arities n and the constraint arities m at
 # which the scalar references stay small; csf_reference scans the whole
@@ -275,6 +282,78 @@ def test_lift_matches_digit_decoding(size):
         h = tuple(rng.randrange(m + v) for _ in range(rng.randint(1, 3)))
         for r_bits in (0, (1 << size ** len(h)) - 1, rng.getrandbits(size ** len(h))):
             assert _lift(r_bits, h, m, v, size) == lift_reference(r_bits, h, m, v, size)
+
+
+def readings_reference(h, k, size):
+    tuples = [tuple_unrank(x, size, k) for x in range(size**k)]
+    return tuple(tuple_rank([t[e] for e in h], size) for t in tuples)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_readings_match_unrank_then_rank(size):
+    rng = random.Random(20 + size)
+    for k in range(5):
+        maps = [(), tuple(range(k)), tuple(reversed(range(k))), (0,) * (k + 1)] if k else [()]
+        for _ in range(12 if k else 0):  # these repeat and skip coordinates, some outgrow k
+            maps.append(tuple(rng.randrange(k) for _ in range(rng.randint(1, k + 2))))
+        for h in maps:
+            assert readings(h, k, size) == readings_reference(h, k, size)
+    with pytest.raises(ValueError):
+        readings((2,), 2, size)
+
+
+def test_readings_table_is_filled_lazily():
+    script = "import funcon\nfrom funcon.core import readings\nprint(readings.cache_info().currsize)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(funcon.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+
+
+def tight_minor_reference(relations, scheme, domain):
+    """The Skolem search per target tuple: it belongs iff some assignment of
+    the indeterminates puts every map's reading inside its relation."""
+    scheme = scheme.normalized()
+    m, size = scheme.target, domain.size
+    bits = 0
+    for rank in range(size**m):
+        a = tuple_unrank(rank, size, m)
+        for sigma in itertools.product(range(size), repeat=scheme.indets):
+            ok = True
+            for r, h in zip(relations, scheme.maps):
+                rr = 0
+                for e in h:
+                    rr = rr * size + (a[e] if e < m else sigma[e - m])
+                if not (r.bits >> rr) & 1:
+                    ok = False
+                    break
+            if ok:
+                bits |= 1 << rank
+                break
+    return Relation(domain, m, bits)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_tight_minor_relation_matches_skolem_search(size):
+    dom = DomainSpec("a", size)
+    rng = random.Random(30 + size)
+    for _ in range(300):
+        m, v = rng.randint(1, 3 if size == 2 else 2), rng.randint(0, 2)
+        relations, maps = [], []
+        for _ in range(rng.randint(1, 3)):
+            if relations and rng.random() < 0.2:  # a repeated (relation, map) pair
+                relations.append(relations[-1])
+                maps.append(maps[-1])
+                continue
+            arity = rng.randint(1, 3 if size == 2 else 2)
+            bits = rng.choice([0, (1 << size**arity) - 1, rng.getrandbits(size**arity)])
+            relations.append(Relation(dom, arity, bits))
+            maps.append(tuple(rng.randrange(m + v) for _ in range(arity)))
+        scheme = Scheme(m, v, tuple(maps))
+        expected = tight_minor_reference(relations, scheme, dom)
+        assert tight_minor_relation(relations, scheme) == expected
 
 
 @pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS)

@@ -5,6 +5,8 @@ import pytest
 
 from funcon import (
     Constraint,
+    DomainMismatchError,
+    DomainSpec,
     Relation,
     Scheme,
     compose_schemes,
@@ -49,6 +51,14 @@ def test_tight_minor_swap():
     assert tight_minor_relation([LEQ], SWAP) == GEQ
     swapped = tight_minor([C_LEQ], SWAP)
     assert swapped == Constraint(GEQ, GEQ)
+
+
+def test_tight_minor_relation_reports_a_domain_mismatch():
+    t = DomainSpec("t", 3)
+    with pytest.raises(DomainMismatchError):
+        tight_minor_relation([LEQ, Relation.full(t, 2)], identity_scheme(2, 2))
+    with pytest.raises(DomainMismatchError):
+        tight_minor_relation([LEQ], SWAP, domain=t)
 
 
 def test_tight_minor_composition_scheme():
