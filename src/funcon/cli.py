@@ -10,6 +10,7 @@ runtimes and warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -23,6 +24,7 @@ from .constraint_closures import (
 )
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
+    ArityMismatchError,
     BudgetExceededError,
     ConstraintSet,
     DomainSpec,
@@ -69,6 +71,7 @@ class SystemExit2(Exception):
     pass
 
 
+@functools.cache  # built on the first request, then shared by the process
 def _build_parser() -> _Parser:
     p = _Parser(prog="funcon", description="Finite-domain function/constraint Galois workbench")
     p.add_argument("--cache-dir", help="result cache directory (overrides FUNCON_CACHE_DIR)")
@@ -79,17 +82,18 @@ def _build_parser() -> _Parser:
             sp.add_argument("--in", dest="infile", required=True, help="instance document")
         sp.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
 
+    def shared(sp, class_help=None, set_help=None):  # the flags of close and verify
+        sp.add_argument("--class", dest="class_name", help=class_help)
+        sp.add_argument("--set", dest="set_name", help=set_help)
+        for flag in ("--n", "--m", "--cap"):
+            sp.add_argument(flag, type=int)
+        for bound in ("max_indets", "max_family", "max_iterations"):
+            sp.add_argument("--" + bound.replace("_", "-"), type=int, default=getattr(CmBounds(), bound))
+
     close = sub.add_parser("close", help="apply a closure operator")
     close.add_argument("operator", choices=["vs", "vsn", "lom", "lon", "cmm", "cm"])
     common(close)
-    close.add_argument("--class", dest="class_name", help="function-class binding")
-    close.add_argument("--set", dest="set_name", help="constraint-set binding")
-    close.add_argument("--n", type=int)
-    close.add_argument("--m", type=int)
-    close.add_argument("--cap", type=int)
-    close.add_argument("--max-indets", type=int, default=CmBounds().max_indets)
-    close.add_argument("--max-family", type=int, default=CmBounds().max_family)
-    close.add_argument("--max-iterations", type=int, default=CmBounds().max_iterations)
+    shared(close, "function-class binding", "constraint-set binding")
 
     galois = sub.add_parser("galois", help="one direction of the correspondence")
     galois.add_argument("direction", choices=["fsc", "csf"])
@@ -102,14 +106,7 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="two-sided identity / definability check")
     verify.add_argument("identity", choices=list(_VERIFY))
     common(verify)
-    verify.add_argument("--class", dest="class_name")
-    verify.add_argument("--set", dest="set_name")
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--m", type=int)
-    verify.add_argument("--cap", type=int)
-    verify.add_argument("--max-indets", type=int, default=CmBounds().max_indets)
-    verify.add_argument("--max-family", type=int, default=CmBounds().max_family)
-    verify.add_argument("--max-iterations", type=int, default=CmBounds().max_iterations)
+    shared(verify)
 
     enum = sub.add_parser("enumerate", help="list a functional or constraint universe")
     enum.add_argument("universe", choices=["functions", "constraints"])
@@ -323,7 +320,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InstanceParseError, InstanceSemanticError) as exc:
+    except (InstanceParseError, InstanceSemanticError, ArityMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

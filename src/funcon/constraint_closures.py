@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
+    ArityMismatchError,
     BudgetExceededError,
     Constraint,
     ConstraintSet,
@@ -270,7 +271,7 @@ def _cm_result(
         _universe_guard(dom, cod, m, budget)
     for arity in t.arities():
         if arity not in targets:
-            raise ValueError(f"input set contains arity {arity}, outside target arities {targets}")
+            raise ArityMismatchError(f"input set contains arity {arity}, outside target arities {targets}")
     seeds = {m: _seed_pairs(t, m) for m in targets}
     members, converged, iterations = _closure_fixpoint(seeds, targets, same_arity, dom, cod, bounds)
     witnesses = {

@@ -24,7 +24,6 @@ from .core import (
     DomainSpec,
     FunctionClass,
     FunctionTable,
-    Relation,
     canonical_constraint,
     constraint_universe_count,
     function_count,
@@ -37,13 +36,7 @@ from .constraint_closures import (
     union_closure_check,
 )
 from .function_closures import lo_m_closure, vs_closure, vs_n_closure
-from .satisfaction import (
-    csf,
-    csf_m,
-    fsc,
-    fsc_n,
-    minimal_consequent,
-)
+from .satisfaction import csf, csf_m, fsc, fsc_n, probe_groups
 
 MAX_WITNESSES = 8
 
@@ -113,12 +106,30 @@ def _report(
 # satisfaction-side composites
 
 
-def small_antecedents(dom: DomainSpec, m: int, max_size: int):
-    """All antecedent relations over dom^m with at most max_size tuples."""
-    universe = dom.size**m
-    for k in range(0, min(max_size, universe) + 1):
-        for ranks in itertools.combinations(range(universe), k):
-            yield Relation.from_ranks(dom, m, ranks)
+def _separators(k: FunctionClass, n: int, m: int, budget: int) -> list[tuple[int, int]]:
+    """(R, S_min(R)) as rank masks for every antecedent R over A^m of at most
+    n tuples, S_min(R) being the OR of the ``probe_groups`` of R's subsets."""
+    universe = k.dom.size**m
+    antecedents = sum(math.comb(universe, j) for j in range(n + 1))
+    if antecedents > budget:
+        raise BudgetExceededError(
+            f"building {antecedents} separating constraints exceeds budget {budget}", antecedents
+        )
+    # an arity a walks (|A|^m)^a probes, within n! of the separator count if a <= n
+    probes = sum(universe**a for a in k.arities() if a > n)
+    if probes > budget:
+        raise BudgetExceededError(f"walking {probes} probes exceeds budget {budget}", probes)
+    groups = probe_groups(k, m, budget)
+    pairs = []
+    for j in range(n + 1):
+        for rows in itertools.combinations(range(universe), j):
+            r = sub = sum(1 << row for row in rows)
+            need = 0
+            while sub:  # every nonempty subset of R
+                need |= groups.get(sub, 0)
+                sub = (sub - 1) & r
+            pairs.append((r, need))
+    return pairs
 
 
 def fsc_n_of_csf_m(
@@ -127,27 +138,17 @@ def fsc_n_of_csf_m(
     """The n-ary functions satisfying every m-ary constraint the class satisfies.
 
     Instead of materializing the m-ary constraint universe, this is fsc_n of
-    the separating constraints (R, S) where R ranges over antecedents of size
-    at most n and S is the smallest consequent the class admits over R.  A
-    violation of any satisfied constraint always restricts to a violation of
-    one of these.
+    the separators (R, S): R ranges over antecedents of size at most n and S,
+    the smallest consequent the class admits over R, is read off csf_m's probe
+    masks.  A violation of any satisfied constraint always restricts to a
+    violation of one of these.
     """
     count = function_count(k.dom, k.cod, n)
     if count > budget:  # refuse before building the separators
         raise BudgetExceededError(
             f"filtering {count} candidate functions exceeds budget {budget}", count
         )
-    antecedents = sum(math.comb(k.dom.size**m, j) for j in range(n + 1))
-    if antecedents > budget:
-        raise BudgetExceededError(
-            f"building {antecedents} separating constraints exceeds budget {budget}", antecedents
-        )
-    separators = ConstraintSet(
-        k.dom,
-        k.cod,
-        {m: [(r.bits, minimal_consequent(k, r).bits) for r in small_antecedents(k.dom, m, n)]},
-    )
-    return fsc_n(separators, n, budget)
+    return fsc_n(ConstraintSet(k.dom, k.cod, {m: _separators(k, n, m, budget)}), n, budget)
 
 
 # ---------------------------------------------------------------------------

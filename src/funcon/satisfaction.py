@@ -5,12 +5,13 @@ fixed arities.  Both work on classes as bitmasks over table ranks with the
 column table of ``core.column_masks``: ``fsc_n`` ANDs, per signature of each
 constraint, an OR of column minterms, and ``csf_m`` reads each probe's
 achievable output tuples off ANDs of the class mask with column minterms.
-``satisfies`` and ``image`` evaluate one table at a time, ranking each output
-tuple with ``core.tuple_rank``, and serve as the scalar reference: they share
-no code with ``_signatures``, the column table or the probe walk.  ``csf_m``
-reads the cross-rows of its probes off ``core.readings``.  ``trace_constraint``
-builds the canonical separating constraint whose antecedent lists chosen
-columns and whose consequent collects the class's values on them.
+``probe_groups`` ORs the probe masks by cross-row set, read off
+``core.readings``; ``csf_m`` and the separators of ``lab.fsc_n_of_csf_m`` share
+it.  ``satisfies``, ``image`` and ``minimal_consequent`` evaluate one table at
+a time and serve as the scalar reference, sharing no code with these kernels.
+``trace_constraint`` builds the canonical separating constraint whose
+antecedent lists chosen columns and whose consequent collects the class's
+values on them.
 """
 
 from __future__ import annotations
@@ -217,6 +218,21 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     return masks
 
 
+def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
+    """The probe masks of every arity of k, ORed by cross-row set: key r (a rank
+    mask over A^m) collects the probes whose cross-rows, row j reading
+    coordinate j of every probe point, are the members of r."""
+    groups: dict[int, int] = {}
+    for n in k.arities():
+        keys = [0] * k.dom.size ** (n * m)
+        for j in range(n):  # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
+            rows = readings(tuple(range(j, n * m, n)), n * m, k.dom.size)
+            keys = [r | 1 << row for r, row in zip(keys, rows)]
+        for r, mask in zip(keys, _probe_masks(k, n, m, budget)):
+            groups[r] = groups.get(r, 0) | mask
+    return groups
+
+
 def csf_m(
     k: FunctionClass,
     m: int,
@@ -235,15 +251,10 @@ def csf_m(
             count,
         )
     dom, cod = k.dom, k.cod
-    # needed[r]: the output tuples some member produces from rows inside the
-    # antecedent of rank mask r.  A probe is reachable from r iff its
-    # cross-rows (row j reads coordinate j of every probe point) lie in r.
+    # needed[r]: the output tuples some member produces from rows inside r
     needed = [0] * (1 << dom.size**m)
-    for n in k.arities():
-        # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
-        cross_rows = zip(*[readings(tuple(range(j, n * m, n)), n * m, dom.size) for j in range(n)])
-        for mask, rows in zip(_probe_masks(k, n, m, budget), cross_rows):
-            needed[sum(1 << r for r in set(rows))] |= mask
+    for r, mask in probe_groups(k, m, budget).items():
+        needed[r] = mask
     # close under subsets of the antecedent: needed[r] |= needed[r - {row}]
     for i in range(dom.size**m):
         bit = 1 << i

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from funcon import CmBounds
 from funcon.cli import (
     EXIT_BUDGET,
     EXIT_DISCREPANCY,
     EXIT_OK,
     EXIT_USAGE,
+    _build_parser,
     run_command,
 )
 
@@ -20,10 +22,37 @@ DOC = """{
 }"""
 
 
+# bindings holding arities 1 and 2
+MIXED_DOC = """{
+  "domains": {"bool": 2},
+  "functions": {
+    "and": {"dom": "bool", "cod": "bool", "arity": 2, "table": [0, 0, 0, 1]},
+    "not": {"dom": "bool", "cod": "bool", "arity": 1, "table": [1, 0]}
+  },
+  "relations": {
+    "leq": {"domain": "bool", "arity": 2, "tuples": [[0, 0], [0, 1], [1, 1]]},
+    "one": {"domain": "bool", "arity": 1, "tuples": [[1]]}
+  },
+  "constraints": {
+    "c_leq": {"antecedent": "leq", "consequent": "leq"},
+    "c_one": {"antecedent": "one", "consequent": "one"}
+  },
+  "classes": {"KM": {"dom": "bool", "cod": "bool", "members": ["and", "not"]}},
+  "sets": {"TM": {"dom": "bool", "cod": "bool", "members": ["c_leq", "c_one"]}}
+}"""
+
+
 @pytest.fixture
 def doc_path(tmp_path):
     path = tmp_path / "ex.json"
     path.write_text(DOC)
+    return str(path)
+
+
+@pytest.fixture
+def mixed_path(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(MIXED_DOC)
     return str(path)
 
 
@@ -124,6 +153,55 @@ def test_invalid_cm_bounds_are_usage_errors(doc_path, capsys, flag, value):
         code, out, err = run(capsys, *argv, flag, value)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and "must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "words, flags",
+    [
+        (["verify", "t15i"], ["--class", "KM", "--n", "2", "--m", "1"]),
+        (["verify", "thm5"], ["--class", "KM", "--n", "2"]),
+        (["verify", "thm13"], ["--class", "KM", "--n", "2", "--m", "1"]),
+        (["close", "cmm"], ["--set", "TM", "--m", "1"]),
+        (["verify", "t12"], ["--set", "TM", "--m", "1"]),
+        (["verify", "t15ii"], ["--set", "TM", "--n", "1", "--m", "1"]),
+    ],
+)
+def test_multi_arity_bindings_are_usage_errors(mixed_path, capsys, words, flags):
+    code, out, err = run(capsys, *words, "--in", mixed_path, *flags)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "arit" in err and "Traceback" not in err
+
+
+def without_elapsed(result):
+    code, out, err = result
+    return code, out, [line for line in err.splitlines() if not line.startswith("elapsed: ")]
+
+
+def test_cached_parser_keeps_no_state_after_parse_errors(doc_path, capsys):
+    valid = ["verify", "t15i", "--in", doc_path, "--class", "K2", "--n", "2", "--m", "1"]
+    _build_parser.cache_clear()
+    alone = without_elapsed(run(capsys, *valid))
+    assert alone[0] == EXIT_OK
+    for bad in (["close", "nope", "--in", doc_path], ["close", "vsn", "--class", "K2"]):
+        assert run(capsys, *bad)[0] == EXIT_USAGE
+        assert without_elapsed(run(capsys, *valid)) == alone
+
+
+def test_cached_parser_restores_default_bounds(doc_path, capsys, monkeypatch):
+    from funcon import ClosureReport
+    import funcon.cli as cli
+
+    seen = []
+
+    def record(name, payload, bounds, **kwargs):
+        seen.append(bounds)
+        return ClosureReport(name, {}, 0, 0)
+
+    monkeypatch.setattr(cli, "verify_factorization", record)
+    argv = ["--in", doc_path, "--set", "T2", "--m", "2"]
+    assert run(capsys, "close", "cmm", *argv, "--max-indets", "3")[0] == EXIT_OK
+    assert run(capsys, "verify", "t15ii", *argv, "--n", "2")[0] == EXIT_OK
+    assert seen == [CmBounds()]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -2,9 +2,10 @@
 references built from ``satisfies`` over the enumerated function and
 constraint universes, on seeded instances off the Boolean domain too, and of
 the constraint-side mask kernels (lift, maximal pairs, ``lo_n_closure``)
-against scalar pair-by-pair reference loops, and of the reading table
+against scalar pair-by-pair reference loops, of the reading table
 ``core.readings`` and the tight minor built on it against digit-by-digit
-decoding."""
+decoding, and of the separators ``fsc_n_of_csf_m`` reads off the probe
+groups against ``minimal_consequent``."""
 
 import itertools
 import os
@@ -32,6 +33,7 @@ from funcon import (
     fsc_n_of_csf_m,
     lo_m_closure,
     lo_n_closure,
+    minimal_consequent,
     random_function_class,
     satisfies,
     tuple_rank,
@@ -39,6 +41,7 @@ from funcon import (
 )
 from funcon.constraint_closures import MinorWitness, _down_close, _lift, _maximal_pairs
 from funcon.core import readings
+from funcon.lab import _separators
 from funcon.minors import tight_minor_relation
 
 # (|A|, |B|) with the function arities n and the constraint arities m at
@@ -151,6 +154,32 @@ def test_fsc_n_of_csf_m_matches_scalar_reference(sizes, arities, constraint_arit
         k = random_function_class(rng, dom, cod, n, 2)
         for m in constraint_arities:
             assert fsc_n_of_csf_m(k, n, m) == fsc_reference(csf_reference(k, m), n)
+
+
+def separators_reference(k: FunctionClass, n: int, m: int) -> list[tuple[int, int]]:
+    antecedents = (
+        Relation.from_ranks(k.dom, m, ranks)
+        for j in range(n + 1)
+        for ranks in itertools.combinations(range(k.dom.size**m), j)
+    )
+    return [(r.bits, minimal_consequent(k, r).bits) for r in antecedents]
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)])
+def test_separators_match_minimal_consequent(sizes):
+    dom, cod = domains(sizes)
+    rng = random.Random(40 + 10 * sizes[0] + sizes[1])
+    classes = [FunctionClass.empty(dom, cod)]
+    for arities in ((1,), (2,), (1, 2)):  # single- and mixed-arity classes
+        for count in (1, 3):
+            k = FunctionClass.empty(dom, cod)
+            for a in arities:
+                k = k | random_function_class(rng, dom, cod, a, count)
+            classes.append(k)
+    for k in classes:
+        for n in (1, 2, 3):  # below, at and above the class arities
+            for m in (1, 2):
+                assert _separators(k, n, m, 10**6) == separators_reference(k, n, m)
 
 
 def test_csf_1_of_boolean_arity_5_class_evaluates_members():

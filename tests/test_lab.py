@@ -19,7 +19,7 @@ from funcon import (
 from funcon.core import BudgetExceededError, ConstraintSet, FunctionClass
 from funcon.lab import nested_class_pair, nested_set_pair, random_constraint_set, random_function_class
 
-from conftest import AND, BOOL, C_LEQ, NEGATION, OR, PR1, PR2, cls, cset
+from conftest import AND, BOOL, C_LEQ, NEGATION, OR, PR1, PR2, cls, cset, fn
 
 
 def test_report_verdict_invariant():
@@ -142,6 +142,16 @@ def test_t4finite_refuses_oversized_separator_sets():
     with pytest.raises(BudgetExceededError):
         fsc_n_of_csf_m(cls(AND), 2, 4, budget=136)  # 1 + 16 + 120 separators
     assert fsc_n_of_csf_m(cls(AND), 2, 4, budget=137) == fsc_n_of_csf_m(cls(AND), 2, 4)
+
+
+def test_fsc_n_of_csf_m_refuses_oversized_probe_walks():
+    # n=1, m=2: 1 + 4 separators, but the ternary member walks 4^3 = 64 probes
+    ternary = FunctionClass.from_tables(BOOL, BOOL, [fn((0, 1) * 4, 3)])
+    k = cls(NEGATION) | ternary
+    with pytest.raises(BudgetExceededError) as excinfo:
+        fsc_n_of_csf_m(k, 1, 2, budget=63)
+    assert excinfo.value.count == 64
+    assert fsc_n_of_csf_m(k, 1, 2, budget=64) == fsc_n_of_csf_m(k, 1, 2)
 
 
 def test_unknown_identity_rejected():
