@@ -71,6 +71,17 @@ class SystemExit2(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the arity, size and cap flags."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 @functools.cache  # built on the first request, then shared by the process
 def _build_parser() -> _Parser:
     p = _Parser(prog="funcon", description="Finite-domain function/constraint Galois workbench")
@@ -86,8 +97,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--class", dest="class_name", help=class_help)
         sp.add_argument("--set", dest="set_name", help=set_help)
         for flag in ("--n", "--m", "--cap"):
-            sp.add_argument(flag, type=int)
-        for bound in ("max_indets", "max_family", "max_iterations"):
+            sp.add_argument(flag, type=_positive_int)
+        for bound in ("max_indets", "max_iterations"):
             sp.add_argument("--" + bound.replace("_", "-"), type=int, default=getattr(CmBounds(), bound))
 
     close = sub.add_parser("close", help="apply a closure operator")
@@ -100,8 +111,8 @@ def _build_parser() -> _Parser:
     common(galois)
     galois.add_argument("--class", dest="class_name")
     galois.add_argument("--set", dest="set_name")
-    galois.add_argument("--arity", type=int, help="single target arity")
-    galois.add_argument("--cap", type=int, help="union over arities 1..cap")
+    galois.add_argument("--arity", type=_positive_int, help="single target arity")
+    galois.add_argument("--cap", type=_positive_int, help="union over arities 1..cap")
 
     verify = sub.add_parser("verify", help="two-sided identity / definability check")
     verify.add_argument("identity", choices=list(_VERIFY))
@@ -110,9 +121,9 @@ def _build_parser() -> _Parser:
 
     enum = sub.add_parser("enumerate", help="list a functional or constraint universe")
     enum.add_argument("universe", choices=["functions", "constraints"])
-    enum.add_argument("--arity", type=int, required=True)
-    enum.add_argument("--dom-size", type=int, default=2)
-    enum.add_argument("--cod-size", type=int, default=2)
+    enum.add_argument("--arity", type=_positive_int, required=True)
+    enum.add_argument("--dom-size", type=_positive_int, default=2)
+    enum.add_argument("--cod-size", type=_positive_int, default=2)
     enum.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
 
     laws = sub.add_parser("laws", help="closure-law and Galois-axiom audit")
@@ -121,11 +132,11 @@ def _build_parser() -> _Parser:
     )
     laws.add_argument("--samples", type=int, default=100)
     laws.add_argument("--seed", type=int, default=0)
-    laws.add_argument("--dom-size", type=int, default=2)
-    laws.add_argument("--cod-size", type=int, default=2)
-    laws.add_argument("--arity", type=int, default=2)
-    laws.add_argument("--m", type=int, default=1)
-    laws.add_argument("--n", type=int, default=1)
+    laws.add_argument("--dom-size", type=_positive_int, default=2)
+    laws.add_argument("--cod-size", type=_positive_int, default=2)
+    laws.add_argument("--arity", type=_positive_int, default=2)
+    laws.add_argument("--m", type=_positive_int, default=1)
+    laws.add_argument("--n", type=_positive_int, default=1)
     laws.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
     return p
 
@@ -148,7 +159,7 @@ def _need(args, attr, flag):
 
 def _bounds(args) -> CmBounds:
     try:
-        return CmBounds(args.max_family, args.max_indets, args.max_iterations)
+        return CmBounds(max_indets=args.max_indets, max_iterations=args.max_iterations)
     except ValueError as exc:
         raise SystemExit2(str(exc)) from exc
 

@@ -13,16 +13,20 @@ Every member set is closed under relaxation (``_down_close``), so a member is
 maximal exactly when none of its single-tuple strengthenings (one antecedent
 tuple more, one consequent tuple fewer) is a member: any strictly stronger
 member is reached from it through such a step, and that step is itself a
-relaxation of the stronger member.  ``lo_n_closure`` keeps, per antecedent,
-the mask of consequents present with it and decides every candidate in one
-pass over the antecedents (see its docstring).
+relaxation of the stronger member.  A round of minor moves is one loop over
+the pairs i <= j of lifts, projecting their meet; i == j is a single-source
+tight minor.  Witnesses stay bit pairs while the fixpoint runs and are
+decoded into constraints when ``CmResult.witnesses`` is first read.
+``lo_n_closure`` keeps, per antecedent, the mask of consequents present with
+it and decides every candidate in one pass over the antecedents (see its
+docstring).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -31,8 +35,6 @@ from .core import (
     Constraint,
     ConstraintSet,
     DomainSpec,
-    Relation,
-    canonical_constraint,
     constraint_universe_count,
     readings,
 )
@@ -44,13 +46,12 @@ from .satisfaction import csf_m, fsc_n
 class CmBounds:
     """Per-step limits for the bounded-generator fixpoint."""
 
-    max_family: int = 2
     max_indets: int = 2
     max_iterations: int = 50
 
     def __post_init__(self) -> None:
-        if self.max_family < 1 or self.max_iterations < 1:
-            raise ValueError("max_family and max_iterations must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.max_indets < 0:
             raise ValueError("max_indets must be >= 0")
 
@@ -68,10 +69,30 @@ class MinorWitness:
 
 @dataclass
 class CmResult:
+    """The closure, and per arity the fixpoint's witness of each member's
+    bit pair: ``("seed",)``, ``("relaxation", parent_pair)`` or ``("minor",
+    v, sources)`` with sources ``(r, s, h, src_arity)``."""
+
     constraints: ConstraintSet
     converged: bool
     iterations: int
-    witnesses: dict[Constraint, MinorWitness] = field(default_factory=dict)
+    pair_witnesses: dict[int, dict[tuple[int, int], tuple]] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def witnesses(self) -> dict[Constraint, MinorWitness]:
+        """The pair witnesses decoded into members, on first read."""
+        decode = self.constraints.decode
+        out = {}
+        for m, pairs in self.pair_witnesses.items():
+            for pair, (kind, *rest) in pairs.items():
+                if kind == "minor":
+                    v, sources = rest
+                    family = tuple(decode(n, (r, s)) for r, s, _, n in sources)
+                    wit = MinorWitness(kind, family, Scheme(m, v, tuple(h for _, _, h, _ in sources)))
+                else:
+                    wit = MinorWitness(kind, parent=rest[0] if rest else None)
+                out[decode(m, pair)] = wit
+        return out
 
 
 def _low_bits(mask: int):
@@ -83,8 +104,8 @@ def _low_bits(mask: int):
 
 
 def _down_close(
-    members: dict[tuple[int, int], MinorWitness],
-    new_pairs: list[tuple[tuple[int, int], MinorWitness]],
+    members: dict[tuple[int, int], tuple],
+    new_pairs: list[tuple[tuple[int, int], tuple]],
     full_cons: int,
 ) -> bool:
     """Add relaxations (antecedent submasks, consequent supermasks) of the new
@@ -97,18 +118,10 @@ def _down_close(
             continue
         members[(r, s)] = wit
         changed = True
-        relax = MinorWitness("relaxation", parent=(r, s))
+        relax = ("relaxation", (r, s))
         # single-tuple relaxation moves, iterated through the stack
-        bits = r
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            stack.append(((r ^ low, s), relax))
-        missing = full_cons & ~s
-        while missing:
-            low = missing & -missing
-            missing ^= low
-            stack.append(((r, s | low), relax))
+        stack += [((r ^ low, s), relax) for low in _low_bits(r)]
+        stack += [((r, s | low), relax) for low in _low_bits(full_cons & ~s)]
     return changed
 
 
@@ -159,25 +172,26 @@ def _project(bits: int, m: int, v: int, size: int) -> int:
 
 
 def _closure_fixpoint(
-    seeds: dict[int, list[tuple[tuple[int, int], MinorWitness]]],
+    seeds: dict[int, list[tuple[int, int]]],
     targets: list[int],
     same_arity: bool,
     dom: DomainSpec,
     cod: DomainSpec,
     bounds: CmBounds,
-) -> tuple[dict[int, dict[tuple[int, int], MinorWitness]], bool, int]:
+) -> tuple[dict[int, dict[tuple[int, int], tuple]], bool, int]:
     """Shared engine for cm_m (single arity) and cm (cross-arity, capped).
 
     ``seeds`` maps each target arity to its initial members; sources for the
     minor moves are the maximal members of the target's own arity when
-    ``same_arity`` is set, and of every target arity otherwise.
+    ``same_arity`` is set, and of every target arity otherwise.  Members map
+    to their witnesses, as ``CmResult`` holds them.
     """
     sa, sb = dom.size, cod.size
-    members: dict[int, dict[tuple[int, int], MinorWitness]] = {m: {} for m in targets}
+    members: dict[int, dict[tuple[int, int], tuple]] = {m: {} for m in targets}
     for m in targets:
-        _down_close(members[m], seeds.get(m, []), (1 << sb**m) - 1)
+        _down_close(members[m], [(pair, ("seed",)) for pair in seeds.get(m, [])], (1 << sb**m) - 1)
     v = bounds.max_indets
-    done: set = set()
+    done: set[tuple[int, int, int]] = set()
     converged = False
     iteration = 0
     for iteration in range(1, bounds.max_iterations + 1):
@@ -186,50 +200,27 @@ def _closure_fixpoint(
             m: _maximal_pairs(members[m], (1 << sa**m) - 1) for m in targets
         }
         for m in targets:
-            full_cons = (1 << sb**m) - 1
-            # lifted (antecedent, consequent) masks for every (source, map)
-            lifts: list[tuple[int, int, tuple[int, int], tuple[int, ...], int]] = []
-            lift_seen: set[tuple[int, int]] = set()
+            # lifted (antecedent, consequent) masks -> the first source giving them
+            lifts: dict[tuple[int, int], tuple[int, int, tuple[int, ...], int]] = {}
             for src_arity in targets:
                 if same_arity and src_arity != m:
                     continue
                 for r, s in maximals[src_arity]:
                     for h in itertools.product(range(m + v), repeat=src_arity):
-                        la = _lift(r, h, m, v, sa)
-                        lb = _lift(s, h, m, v, sb)
-                        if (la, lb) in lift_seen:
-                            continue
-                        lift_seen.add((la, lb))
-                        lifts.append((la, lb, (r, s), h, src_arity))
-            fresh: list[tuple[tuple[int, int], MinorWitness]] = []
-            # single-source tight minors
-            for la, lb, src, h, src_arity in lifts:
-                key = ("g2", m, la, lb)
-                if key in done:
-                    continue
-                done.add(key)
-                cand = (_project(la, m, v, sa), _project(lb, m, v, sb))
-                if cand not in members[m]:
-                    fresh.append((cand, _witness(m, v, [(src, h, src_arity)], dom, cod)))
-            # two-member families sharing the indeterminate pool; includes
-            # identity-map pairs, i.e. pairwise intersection
-            if bounds.max_family >= 2:
-                for i in range(len(lifts)):
-                    la1, lb1, src1, h1, n1 = lifts[i]
-                    for j in range(i + 1, len(lifts)):
-                        la2, lb2, src2, h2, n2 = lifts[j]
-                        ia = la1 & la2
-                        ib = lb1 & lb2
-                        key = ("g4", m, ia, ib)
-                        if key in done:
-                            continue
-                        done.add(key)
-                        cand = (_project(ia, m, v, sa), _project(ib, m, v, sb))
-                        if cand not in members[m]:
-                            fresh.append(
-                                (cand, _witness(m, v, [(src1, h1, n1), (src2, h2, n2)], dom, cod))
-                            )
-            if fresh and _down_close(members[m], fresh, full_cons):
+                        lifts.setdefault((_lift(r, h, m, v, sa), _lift(s, h, m, v, sb)), (r, s, h, src_arity))
+            pairs, sources = list(lifts), list(lifts.values())
+            fresh: list[tuple[tuple[int, int], tuple]] = []
+            for i, (la, lb) in enumerate(pairs):
+                for j, (la2, lb2) in enumerate(pairs[i:], i):
+                    key = (m, la & la2, lb & lb2)
+                    if key in done:
+                        continue
+                    done.add(key)
+                    cand = (_project(key[1], m, v, sa), _project(key[2], m, v, sb))
+                    if cand not in members[m]:
+                        family = (sources[i],) if i == j else (sources[i], sources[j])
+                        fresh.append((cand, ("minor", v, family)))
+            if fresh and _down_close(members[m], fresh, (1 << sb**m) - 1):
                 changed = True
         if not changed:
             converged = True
@@ -237,20 +228,9 @@ def _closure_fixpoint(
     return members, converged, iteration
 
 
-def _witness(m, v, sources, dom, cod) -> MinorWitness:
-    family = tuple(
-        Constraint(Relation(dom, n, r), Relation(cod, n, s)) for (r, s), h, n in sources
-    )
-    scheme = Scheme(m, v, tuple(h for _, h, _ in sources))
-    return MinorWitness("minor", family=family, scheme=scheme)
-
-
-def _seed_pairs(t: ConstraintSet, m: int) -> list:
-    seeds = [(pair, MinorWitness("seed")) for pair in t.ranks(m)]
-    for kind in ("equality", "empty"):
-        c = canonical_constraint(kind, m, t.dom, t.cod)
-        seeds.append(((c.antecedent.bits, c.consequent.bits), MinorWitness("seed")))
-    return seeds
+def _diagonal(size: int, m: int) -> int:
+    """Bits of the m-ary equality relation over a domain of the given size."""
+    return sum(1 << rank for rank in readings((0,) * m, 1, size))
 
 
 def _universe_guard(dom, cod, m, budget):
@@ -265,22 +245,20 @@ def _universe_guard(dom, cod, m, budget):
 def _cm_result(
     t: ConstraintSet, targets: list[int], same_arity: bool, bounds: CmBounds, budget: int
 ) -> CmResult:
-    """Run the fixpoint at the target arities and decode its witnesses."""
+    """Run the fixpoint at the target arities, seeded with the input set and
+    the equality and empty constraints of each."""
     dom, cod = t.dom, t.cod
     for m in targets:
+        if m < 1:
+            raise ValueError("constraint arity must be >= 1")
         _universe_guard(dom, cod, m, budget)
     for arity in t.arities():
         if arity not in targets:
             raise ArityMismatchError(f"input set contains arity {arity}, outside target arities {targets}")
-    seeds = {m: _seed_pairs(t, m) for m in targets}
+    seeds = {m: [*t.ranks(m), (_diagonal(dom.size, m), _diagonal(cod.size, m)), (0, 0)] for m in targets}
     members, converged, iterations = _closure_fixpoint(seeds, targets, same_arity, dom, cod, bounds)
-    witnesses = {
-        Constraint(Relation(dom, m, r), Relation(cod, m, s)): wit
-        for m in targets
-        for (r, s), wit in members[m].items()
-    }
     constraints = ConstraintSet(dom, cod, {m: frozenset(members[m]) for m in targets})
-    return CmResult(constraints, converged, iterations, witnesses)
+    return CmResult(constraints, converged, iterations, members)
 
 
 def cm_m_closure(

@@ -378,7 +378,6 @@ class ArityIndexed:
     dom: DomainSpec
     cod: DomainSpec
     by_arity: Mapping[int, frozenset]
-    arity_cap: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         out: dict[int, frozenset] = {}
@@ -386,8 +385,6 @@ class ArityIndexed:
             members = frozenset(members)
             if not members:
                 continue
-            if self.arity_cap is not None and arity > self.arity_cap:
-                raise ValueError(f"arity {arity} exceeds declared cap {self.arity_cap}")
             out[arity] = self._encode(arity, members)
         object.__setattr__(self, "by_arity", out)
 
@@ -487,9 +484,8 @@ class FunctionClass(ArityIndexed):
         dom: DomainSpec,
         cod: DomainSpec,
         tables: Iterable[FunctionTable],
-        arity_cap: int | None = None,
     ) -> "FunctionClass":
-        return cls(dom, cod, _grouped_by_arity(tables), arity_cap)
+        return cls(dom, cod, _grouped_by_arity(tables))
 
     def mask(self, arity: int) -> int:
         """The members of one arity as a bitmask over table ranks.
@@ -540,9 +536,8 @@ class ConstraintSet(ArityIndexed):
         dom: DomainSpec,
         cod: DomainSpec,
         constraints: Iterable[Constraint],
-        arity_cap: int | None = None,
     ) -> "ConstraintSet":
-        return cls(dom, cod, _grouped_by_arity(constraints), arity_cap)
+        return cls(dom, cod, _grouped_by_arity(constraints))
 
     def constraints(self) -> list[Constraint]:
         return self._sorted_members()

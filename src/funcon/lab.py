@@ -13,11 +13,12 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     ArityIndexed,
+    ArityMismatchError,
     BudgetExceededError,
     Constraint,
     ConstraintSet,
@@ -41,7 +42,6 @@ from .satisfaction import csf, csf_m, fsc, fsc_n, probe_groups
 MAX_WITNESSES = 8
 
 FACTORIZATION_IDENTITIES = ("t15i", "t15ii", "t8ii", "t12ii", "t4finite")
-DEFINABILITY_SIDES = ("thm5", "thm6", "thm13", "thm14", "cor1", "cor2")
 
 
 @dataclass
@@ -247,7 +247,7 @@ def _escalating_cm_m(t_m, m, bounds, budget, lhs_sets, rhs_from):
         res = cm_m_closure(t_m, m, bounds, budget)
         rhs = rhs_from(res.constraints)
         if rhs.issubset(lhs_sets) and rhs != lhs_sets and escalations < 2:
-            bounds = CmBounds(bounds.max_family, bounds.max_indets + 1, bounds.max_iterations)
+            bounds = replace(bounds, max_indets=bounds.max_indets + 1)
             escalations += 1
             continue
         return res, rhs, escalations
@@ -257,6 +257,13 @@ def _require(name: str, **params) -> None:
     missing = [key for key, value in params.items() if value is None]
     if missing:
         raise ValueError(f"{name} needs parameter {', '.join(missing)}")
+
+
+def _require_arity(name: str, payload: ArityIndexed, n: int | None, m: int | None) -> None:
+    """Refuse a payload holding any arity but the one a single-arity identity reads."""
+    arity = {"t15i": n, "thm5": n, "thm13": n, "cor1": 1, "t15ii": m, "t12ii": m, "thm14": m}.get(name)
+    if arity is not None and payload.arities() not in ((), (arity,)):
+        raise ArityMismatchError(f"{name} needs arity {arity}, got arities {list(payload.arities())}")
 
 
 def verify_factorization(
@@ -269,6 +276,7 @@ def verify_factorization(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> ClosureReport:
     """Compute both sides of a factorization identity independently."""
+    _require_arity(identity, payload, n, m)
     started = time.time()
     if identity == "t15i":
         k_n: FunctionClass = payload
@@ -348,6 +356,7 @@ def verify_definability(
 ) -> ClosureReport:
     """Check a definability/characterization equivalence on one instance:
     the closure-condition predicate against the Galois fixed-point test."""
+    _require_arity(side, payload, n, m)
     started = time.time()
     if side == "thm5":
         k_n: FunctionClass = payload

@@ -222,6 +222,8 @@ def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
     """The probe masks of every arity of k, ORed by cross-row set: key r (a rank
     mask over A^m) collects the probes whose cross-rows, row j reading
     coordinate j of every probe point, are the members of r."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     groups: dict[int, int] = {}
     for n in k.arities():
         keys = [0] * k.dom.size ** (n * m)

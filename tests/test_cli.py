@@ -22,7 +22,7 @@ DOC = """{
 }"""
 
 
-# bindings holding arities 1 and 2
+# KM and TM hold arities 1 and 2; K1, K2 and T1 a single arity each
 MIXED_DOC = """{
   "domains": {"bool": 2},
   "functions": {
@@ -37,8 +37,15 @@ MIXED_DOC = """{
     "c_leq": {"antecedent": "leq", "consequent": "leq"},
     "c_one": {"antecedent": "one", "consequent": "one"}
   },
-  "classes": {"KM": {"dom": "bool", "cod": "bool", "members": ["and", "not"]}},
-  "sets": {"TM": {"dom": "bool", "cod": "bool", "members": ["c_leq", "c_one"]}}
+  "classes": {
+    "KM": {"dom": "bool", "cod": "bool", "members": ["and", "not"]},
+    "K1": {"dom": "bool", "cod": "bool", "members": ["not"]},
+    "K2": {"dom": "bool", "cod": "bool", "members": ["and"]}
+  },
+  "sets": {
+    "TM": {"dom": "bool", "cod": "bool", "members": ["c_leq", "c_one"]},
+    "T1": {"dom": "bool", "cod": "bool", "members": ["c_one"]}
+  }
 }"""
 
 
@@ -141,9 +148,7 @@ def test_usage_errors(doc_path, capsys):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--max-family", "0"), ("--max-indets", "-1"), ("--max-iterations", "0")]
-)
+@pytest.mark.parametrize("flag, value", [("--max-indets", "-1"), ("--max-iterations", "0")])
 def test_invalid_cm_bounds_are_usage_errors(doc_path, capsys, flag, value):
     requests = [
         ["verify", "t15ii", "--in", doc_path, "--set", "T2", "--n", "2", "--m", "2"],
@@ -164,12 +169,41 @@ def test_invalid_cm_bounds_are_usage_errors(doc_path, capsys, flag, value):
         (["close", "cmm"], ["--set", "TM", "--m", "1"]),
         (["verify", "t12"], ["--set", "TM", "--m", "1"]),
         (["verify", "t15ii"], ["--set", "TM", "--n", "1", "--m", "1"]),
+        # a single arity, but not the one the identity reads
+        (["verify", "t15i"], ["--class", "K1", "--n", "2", "--m", "1"]),
+        (["verify", "thm5"], ["--class", "K1", "--n", "2"]),
+        (["verify", "thm13"], ["--class", "K1", "--n", "2", "--m", "1"]),
+        (["verify", "cor1"], ["--class", "K2"]),
+        (["verify", "thm14"], ["--set", "T1", "--n", "1", "--m", "2"]),
     ],
 )
 def test_multi_arity_bindings_are_usage_errors(mixed_path, capsys, words, flags):
     code, out, err = run(capsys, *words, "--in", mixed_path, *flags)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and "arit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["close", "lom", "--in", "DOC", "--class", "K1", "--m", "0"],
+        ["close", "lon", "--in", "DOC", "--set", "T1", "--n", "0"],
+        ["close", "vs", "--in", "DOC", "--class", "K1", "--cap", "0"],
+        ["verify", "t4", "--in", "DOC", "--class", "K1", "--cap", "0"],
+        ["verify", "t15i", "--in", "DOC", "--class", "K1", "--n", "1", "--m", "0"],
+        ["galois", "fsc", "--in", "DOC", "--set", "T1", "--arity", "0"],
+        ["galois", "csf", "--in", "DOC", "--class", "K1", "--arity", "0"],
+        ["galois", "csf", "--in", "DOC", "--class", "K1", "--cap", "-1"],
+        ["enumerate", "functions", "--arity", "0"],
+        ["enumerate", "constraints", "--arity", "1", "--cod-size", "0"],
+        ["laws", "vsn", "--dom-size", "0"],
+        ["laws", "cmm", "--m", "-2"],
+    ],
+)
+def test_nonpositive_integer_flags_are_usage_errors(mixed_path, capsys, argv):
+    code, out, err = run(capsys, *(mixed_path if word == "DOC" else word for word in argv))
+    assert code == EXIT_USAGE and out == ""
+    assert "must be >= 1" in err and "Traceback" not in err
 
 
 def without_elapsed(result):

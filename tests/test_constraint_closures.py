@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcon import (
     CmBounds,
     Constraint,
+    DomainSpec,
     Relation,
     canonical_constraint,
     cm_closure,
@@ -17,7 +20,7 @@ from funcon import (
     relaxation_of,
     union_closure_check,
 )
-from funcon.core import ConstraintSet
+from funcon.core import ConstraintSet, constraint_universe_count
 
 from conftest import BOOL, C_EQ2, C_LEQ, GEQ, cset
 
@@ -118,11 +121,46 @@ def test_cm_cross_arity_closure():
     assert res.constraints.restrict_arity(1) == cm_m_oracle(
         res.constraints.restrict_arity(1), 1
     )
+    # every witness re-checks where minor families mix arities 1 and 2
+    one = Relation.from_tuples(BOOL, 1, [(1,)])
+    t = cset(C_LEQ, Constraint(one, one))
+    res = cm_closure(t, cap=2)
+    assert res.converged
+    assert set(res.witnesses) == set(res.constraints.constraints())
+    seeds = set(t.constraints()) | {
+        canonical_constraint(kind, m, BOOL, BOOL) for kind in ("equality", "empty") for m in (1, 2)
+    }
+    mixed = 0
+    for c, wit in res.witnesses.items():
+        if wit.kind == "seed":
+            assert c in seeds
+        elif wit.kind == "relaxation":
+            parent = res.constraints.decode(c.arity, wit.parent)
+            assert parent in res.constraints and relaxation_of(c, parent)
+        else:
+            assert all(f in res.constraints for f in wit.family)
+            assert minor_check(c, list(wit.family), wit.scheme, "tight", max_indets=wit.scheme.indets)
+            mixed += len({f.arity for f in wit.family} | {c.arity}) > 1
+    assert mixed > 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(shape=st.sampled_from([(2, 2, 1), (2, 2, 2), (2, 3, 1)]), data=st.data())
+def test_cm_m_closure_matches_oracle_on_random_sets(shape, data):
+    sa, sb, m = shape
+    dom, cod = DomainSpec("A", sa), DomainSpec("B", sb)
+    total = constraint_universe_count(dom, cod, m)
+    picked = data.draw(st.lists(st.integers(0, total - 1), max_size=4), label="pair indices")
+    # index i is the pair (r, s) with i = r * 2^(|B|^m) + s
+    t = ConstraintSet(dom, cod, {m: {divmod(i, 2 ** (sb**m)) for i in picked}})
+    res = cm_m_closure(t, m)
+    assert res.converged
+    assert res.constraints == cm_m_oracle(t, m)
 
 
 def test_cm_bounds_validation():
     with pytest.raises(ValueError):
-        CmBounds(max_family=0)
+        CmBounds(max_iterations=0)
     with pytest.raises(ValueError):
         CmBounds(max_indets=-1)
 

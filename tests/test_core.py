@@ -198,8 +198,6 @@ def test_constraint_set_rejects_malformed_members(sizes):
         ConstraintSet(DomainSpec("C", sizes[0] + 1), cod, {2: {full}})
     with pytest.raises(ArityMismatchError):
         ConstraintSet(dom, cod, {1: {full}})
-    with pytest.raises(ValueError):
-        ConstraintSet(dom, cod, {2: {(0, 0)}}, arity_cap=1)
 
 
 def test_classes_and_sets_do_not_mix():

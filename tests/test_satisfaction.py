@@ -145,6 +145,11 @@ def test_csf_multi_arity_class():
     assert set(got.constraints()) == expected
 
 
+def test_csf_m_rejects_arity_zero():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        csf_m(cls(AND, NEGATION), 0)
+
+
 def test_trace_constraint():
     k = cls(AND, OR)
     c = trace_constraint(k, [(0, 1), (1, 1)])
