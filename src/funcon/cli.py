@@ -43,6 +43,7 @@ from .instance_io import (
 )
 from .lab import (
     FACTORIZATION_IDENTITIES,
+    IDENTITIES,
     ClosureReport,
     check_closure_laws,
     check_galois_axioms,
@@ -199,29 +200,17 @@ def _run_galois(args, doc) -> str:
     return set_listing(csf(k, args.cap, args.budget))
 
 
-# identity: its name in the lab and the parameters it needs, in the order
-# they are checked
-_VERIFY = {
-    "t4": ("t4finite", ("cap",)),
-    "t8": ("t8ii", ("n", "cap")),
-    "t12": ("t12ii", ("m",)),
-    "t15i": ("t15i", ("n", "m")),
-    "t15ii": ("t15ii", ("n", "m")),
-    "thm5": ("thm5", ("n",)),
-    "thm6": ("thm6", ("n", "cap")),
-    "thm13": ("thm13", ("n", "m")),
-    "thm14": ("thm14", ("n", "m")),
-    "cor1": ("cor1", ()),
-    "cor2": ("cor2", ("cap",)),
-}
-_CLASS_SIDE = ("t4", "t15i", "thm5", "thm13", "cor1")
+# the verify command's spelling of each lab identity
+_SPELLINGS = {"t4finite": "t4", "t8ii": "t8", "t12ii": "t12"}
+_VERIFY = {_SPELLINGS.get(name, name): name for name in IDENTITIES}
 
 
 def _run_verify(args, doc):
-    name, params = _VERIFY[args.identity]
+    name = _VERIFY[args.identity]
+    side, params, _ = IDENTITIES[name]
     run = verify_factorization if name in FACTORIZATION_IDENTITIES else verify_definability
     bounds = _bounds(args)
-    if args.identity in _CLASS_SIDE:
+    if side == "class":
         payload = doc.function_class(_need(args, "class_name", "--class"))
     else:
         payload = doc.constraint_set(_need(args, "set_name", "--set"))

@@ -281,6 +281,8 @@ def cm_closure(
 
     Source families for the minor moves may mix any materialized arity.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     return _cm_result(t, list(range(1, cap + 1)), False, bounds, budget)
 
 

@@ -2,6 +2,12 @@
 relations, constraints, classes, sets and schemes, with canonical
 serialization and deterministic report formatting.
 
+The grammar is one table, ``SECTIONS``.  ``parse_instance`` walks it once,
+checking every binding name and entry shape in one place before each
+section's builder runs that section's own checks.  The document keeps every
+binding with the validated spec it was built from, and
+``serialize_instance`` canonicalizes those specs.
+
 Canonicalization invariants: parsing a canonical document and serializing it
 returns the same bytes; serializing any parsed document is idempotent.
 """
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import (
     Constraint,
@@ -37,55 +44,43 @@ _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
 @dataclass
 class InstanceDocument:
-    """Named bindings parsed from one instance file."""
+    """Named bindings parsed from one instance file: per section, the built
+    bindings and the validated specs they were built from."""
 
-    domains: dict[str, DomainSpec] = field(default_factory=dict)
-    functions: dict[str, FunctionTable] = field(default_factory=dict)
-    relations: dict[str, Relation] = field(default_factory=dict)
-    constraints: dict[str, Constraint] = field(default_factory=dict)
-    classes: dict[str, FunctionClass] = field(default_factory=dict)
-    sets: dict[str, ConstraintSet] = field(default_factory=dict)
-    schemes: dict[str, Scheme] = field(default_factory=dict)
-    # reverse maps used for canonical serialization
-    _constraint_parts: dict[str, tuple[str, str]] = field(default_factory=dict)
-    _class_members: dict[str, tuple[str, str, tuple[str, ...]]] = field(default_factory=dict)
-    _set_members: dict[str, tuple[str, str, tuple[str, ...]]] = field(default_factory=dict)
+    bindings: dict[str, dict] = field(default_factory=lambda: {s: {} for s in SECTIONS})
+    specs: dict[str, dict] = field(default_factory=lambda: {s: {} for s in SECTIONS})
 
-    def _lookup(self, table: dict, name: str, kind: str):
+    def _lookup(self, section: str, name: str):
+        table = self.bindings[section]
         if name not in table:
-            raise InstanceSemanticError(f"{kind} {name!r} is not defined")
+            raise InstanceSemanticError(f"{SECTIONS[section][0]} {name!r} is not defined")
         return table[name]
 
     def domain(self, name: str) -> DomainSpec:
-        return self._lookup(self.domains, name, "domain")
+        return self._lookup("domains", name)
 
     def function(self, name: str) -> FunctionTable:
-        return self._lookup(self.functions, name, "function")
+        return self._lookup("functions", name)
 
     def relation(self, name: str) -> Relation:
-        return self._lookup(self.relations, name, "relation")
+        return self._lookup("relations", name)
 
     def constraint(self, name: str) -> Constraint:
-        return self._lookup(self.constraints, name, "constraint")
+        return self._lookup("constraints", name)
 
     def function_class(self, name: str) -> FunctionClass:
-        return self._lookup(self.classes, name, "class")
+        return self._lookup("classes", name)
 
     def constraint_set(self, name: str) -> ConstraintSet:
-        return self._lookup(self.sets, name, "set")
+        return self._lookup("sets", name)
 
     def scheme(self, name: str) -> Scheme:
-        return self._lookup(self.schemes, name, "scheme")
+        return self._lookup("schemes", name)
 
 
 def _require(cond: bool, binding: str, message: str) -> None:
     if not cond:
         raise InstanceSemanticError(f"{binding}: {message}")
-
-
-def _check_name(name: str, section: str) -> None:
-    if not isinstance(name, str) or not _NAME.match(name):
-        raise InstanceSemanticError(f"{section}: invalid binding name {name!r}")
 
 
 def parse_scheme_literal(text: str, binding: str = "scheme") -> Scheme:
@@ -153,14 +148,101 @@ def scheme_literal(s: Scheme) -> str:
     return "; ".join(parts)
 
 
+def _integer(value, low: int, high: float = float("inf")) -> bool:
+    """A JSON integer in low..high.  JSON booleans are refused, although
+    Python counts them as integers."""
+    return type(value) is int and low <= value <= high
+
+
+def _check_values(values: list, size: int, binding: str, what: str) -> None:
+    for v in values:
+        if not _integer(v, 0, size - 1):
+            raise InstanceSemanticError(f"{binding}: {what} {v!r} out of range 0..{size - 1}")
+
+
+def _domain(doc, name, binding, size) -> DomainSpec:
+    _require(_integer(size, 1), binding, f"size must be a positive integer, got {size!r}")
+    return DomainSpec(name, size)
+
+
+def _function(doc, name, binding, spec) -> FunctionTable:
+    dom, cod = doc.domain(spec["dom"]), doc.domain(spec["cod"])
+    arity, table = spec["arity"], spec["table"]
+    _require(_integer(arity, 1), binding, "arity must be a positive integer")
+    _require(isinstance(table, list), binding, "table must be an array")
+    expected = dom.size**arity
+    _require(len(table) == expected, binding, f"expected {expected} entries, got {len(table)}")
+    _check_values(table, cod.size, binding, "table value")
+    return FunctionTable(dom, cod, arity, tuple(table))
+
+
+def _relation(doc, name, binding, spec) -> Relation:
+    dom = doc.domain(spec["domain"])
+    arity, tuples = spec["arity"], spec["tuples"]
+    _require(_integer(arity, 1), binding, "arity must be a positive integer")
+    _require(isinstance(tuples, list), binding, "tuples must be an array of arrays")
+    for t in tuples:
+        if not (isinstance(t, list) and len(t) == arity):
+            raise InstanceSemanticError(f"{binding}: tuple {t!r} does not have arity {arity}")
+        _check_values(t, dom.size, binding, "element")
+    return Relation.from_tuples(dom, arity, [tuple(t) for t in tuples])
+
+
+def _constraint(doc, name, binding, spec) -> Constraint:
+    ante, cons = doc.relation(spec["antecedent"]), doc.relation(spec["consequent"])
+    _require(
+        ante.arity == cons.arity,
+        binding,
+        f"antecedent arity {ante.arity} != consequent arity {cons.arity}",
+    )
+    return Constraint(ante, cons)
+
+
+def _members(kind, member_section, make, sep, doc, name, binding, spec):
+    """A class or a set: every member, a binding of member_section, lies over
+    the collection's domains."""
+    dom, cod = doc.domain(spec["dom"]), doc.domain(spec["cod"])
+    members = spec["members"]
+    member_kind = SECTIONS[member_section][0]
+    _require(isinstance(members, list), binding, f"members must be an array of {member_kind} names")
+    found = []
+    for member in members:
+        x = doc._lookup(member_section, member)
+        if x.dom != dom or x.cod != cod:
+            raise InstanceSemanticError(
+                f"{binding}: member {member!r} is over {x.dom.name!r}{sep}{x.cod.name!r}, "
+                f"{kind} is over {dom.name!r}{sep}{cod.name!r}"
+            )
+        found.append(x)
+    return make(dom, cod, found)
+
+
+def _scheme(doc, name, binding, literal) -> Scheme:
+    _require(isinstance(literal, str), binding, "scheme literal must be a string")
+    return parse_scheme_literal(literal, binding)
+
+
+# The document grammar, sections in the order they are parsed and serialized.
+# section: (binding kind, entry keys in the order they are checked and
+# serialized or () for bare values, builder).  A builder gets the document so
+# far, the binding's name and label, and an entry whose name, shape and keys
+# are already checked.
+SECTIONS = {
+    "domains": ("domain", (), _domain),
+    "functions": ("function", ("dom", "cod", "arity", "table"), _function),
+    "relations": ("relation", ("domain", "arity", "tuples"), _relation),
+    "constraints": ("constraint", ("antecedent", "consequent"), _constraint),
+    "classes": ("class", ("dom", "cod", "members"),
+                partial(_members, "class", "functions", FunctionClass.from_tables, "->")),
+    "sets": ("set", ("dom", "cod", "members"),
+             partial(_members, "set", "constraints", ConstraintSet.from_constraints, "-to-")),
+    "schemes": ("scheme", (), _scheme),
+}
+
+
 def _as_dict(value, binding: str) -> dict:
     _require(isinstance(value, dict), binding, f"expected an object, got {type(value).__name__}")
     return value
-
-
-def _only_keys(obj: dict, allowed: set[str], binding: str) -> None:
-    extra = set(obj) - allowed
-    _require(not extra, binding, f"unknown keys {sorted(extra)}")
 
 
 def parse_instance(text: str) -> InstanceDocument:
@@ -173,192 +255,49 @@ def parse_instance(text: str) -> InstanceDocument:
         ) from exc
     if not isinstance(raw, dict):
         raise InstanceParseError("document root must be a JSON object")
-    known = {"domains", "functions", "relations", "constraints", "classes", "sets", "schemes"}
-    extra = set(raw) - known
+    extra = raw.keys() - SECTIONS.keys()
     if extra:
         raise InstanceSemanticError(f"document: unknown sections {sorted(extra)}")
     doc = InstanceDocument()
-
-    for name, size in _as_dict(raw.get("domains", {}), "domains").items():
-        _check_name(name, "domains")
-        binding = f"domain {name!r}"
-        _require(isinstance(size, int) and size >= 1, binding, f"size must be a positive integer, got {size!r}")
-        doc.domains[name] = DomainSpec(name, size)
-
-    for name, spec in _as_dict(raw.get("functions", {}), "functions").items():
-        _check_name(name, "functions")
-        binding = f"function {name!r}"
-        spec = _as_dict(spec, binding)
-        _only_keys(spec, {"dom", "cod", "arity", "table"}, binding)
-        for key in ("dom", "cod", "arity", "table"):
-            _require(key in spec, binding, f"missing {key!r}")
-        dom = doc.domain(spec["dom"])
-        cod = doc.domain(spec["cod"])
-        arity, table = spec["arity"], spec["table"]
-        _require(isinstance(arity, int) and arity >= 1, binding, "arity must be a positive integer")
-        _require(isinstance(table, list), binding, "table must be an array")
-        expected = dom.size**arity
-        _require(
-            len(table) == expected, binding, f"expected {expected} entries, got {len(table)}"
-        )
-        for v in table:
-            _require(
-                isinstance(v, int) and 0 <= v < cod.size,
-                binding,
-                f"table value {v!r} out of range 0..{cod.size - 1}",
-            )
-        doc.functions[name] = FunctionTable(dom, cod, arity, tuple(table))
-
-    for name, spec in _as_dict(raw.get("relations", {}), "relations").items():
-        _check_name(name, "relations")
-        binding = f"relation {name!r}"
-        spec = _as_dict(spec, binding)
-        _only_keys(spec, {"domain", "arity", "tuples"}, binding)
-        for key in ("domain", "arity", "tuples"):
-            _require(key in spec, binding, f"missing {key!r}")
-        dom = doc.domain(spec["domain"])
-        arity, tuples = spec["arity"], spec["tuples"]
-        _require(isinstance(arity, int) and arity >= 1, binding, "arity must be a positive integer")
-        _require(isinstance(tuples, list), binding, "tuples must be an array of arrays")
-        for t in tuples:
-            _require(
-                isinstance(t, list) and len(t) == arity,
-                binding,
-                f"tuple {t!r} does not have arity {arity}",
-            )
-            for e in t:
-                _require(
-                    isinstance(e, int) and 0 <= e < dom.size,
-                    binding,
-                    f"element {e!r} out of range 0..{dom.size - 1}",
-                )
-        doc.relations[name] = Relation.from_tuples(dom, arity, [tuple(t) for t in tuples])
-
-    for name, spec in _as_dict(raw.get("constraints", {}), "constraints").items():
-        _check_name(name, "constraints")
-        binding = f"constraint {name!r}"
-        spec = _as_dict(spec, binding)
-        _only_keys(spec, {"antecedent", "consequent"}, binding)
-        for key in ("antecedent", "consequent"):
-            _require(key in spec, binding, f"missing {key!r}")
-        ante = doc.relation(spec["antecedent"])
-        cons = doc.relation(spec["consequent"])
-        _require(
-            ante.arity == cons.arity,
-            binding,
-            f"antecedent arity {ante.arity} != consequent arity {cons.arity}",
-        )
-        doc.constraints[name] = Constraint(ante, cons)
-        doc._constraint_parts[name] = (spec["antecedent"], spec["consequent"])
-
-    for name, spec in _as_dict(raw.get("classes", {}), "classes").items():
-        _check_name(name, "classes")
-        binding = f"class {name!r}"
-        spec = _as_dict(spec, binding)
-        _only_keys(spec, {"dom", "cod", "members"}, binding)
-        for key in ("dom", "cod", "members"):
-            _require(key in spec, binding, f"missing {key!r}")
-        dom = doc.domain(spec["dom"])
-        cod = doc.domain(spec["cod"])
-        members = spec["members"]
-        _require(isinstance(members, list), binding, "members must be an array of function names")
-        tables = []
-        for fname in members:
-            f = doc.function(fname)
-            _require(
-                f.dom == dom and f.cod == cod,
-                binding,
-                f"member {fname!r} is over {f.dom.name!r}->{f.cod.name!r}, "
-                f"class is over {dom.name!r}->{cod.name!r}",
-            )
-            tables.append(f)
-        doc.classes[name] = FunctionClass.from_tables(dom, cod, tables)
-        doc._class_members[name] = (spec["dom"], spec["cod"], tuple(sorted(members)))
-
-    for name, spec in _as_dict(raw.get("sets", {}), "sets").items():
-        _check_name(name, "sets")
-        binding = f"set {name!r}"
-        spec = _as_dict(spec, binding)
-        _only_keys(spec, {"dom", "cod", "members"}, binding)
-        for key in ("dom", "cod", "members"):
-            _require(key in spec, binding, f"missing {key!r}")
-        dom = doc.domain(spec["dom"])
-        cod = doc.domain(spec["cod"])
-        members = spec["members"]
-        _require(isinstance(members, list), binding, "members must be an array of constraint names")
-        cs = []
-        for cname in members:
-            c = doc.constraint(cname)
-            _require(
-                c.dom == dom and c.cod == cod,
-                binding,
-                f"member {cname!r} is over {c.dom.name!r}-to-{c.cod.name!r}, "
-                f"set is over {dom.name!r}-to-{cod.name!r}",
-            )
-            cs.append(c)
-        doc.sets[name] = ConstraintSet.from_constraints(dom, cod, cs)
-        doc._set_members[name] = (spec["dom"], spec["cod"], tuple(sorted(members)))
-
-    for name, literal in _as_dict(raw.get("schemes", {}), "schemes").items():
-        _check_name(name, "schemes")
-        _require(isinstance(literal, str), f"scheme {name!r}", "scheme literal must be a string")
-        doc.schemes[name] = parse_scheme_literal(literal, f"scheme {name!r}")
-
+    for section, (kind, keys, build) in SECTIONS.items():
+        for name, spec in _as_dict(raw.get(section, {}), section).items():
+            if not isinstance(name, str) or not _NAME.match(name):
+                raise InstanceSemanticError(f"{section}: invalid binding name {name!r}")
+            binding = f"{kind} {name!r}"
+            if keys:
+                spec = _as_dict(spec, binding)
+                extra = spec.keys() - keys
+                _require(not extra, binding, f"unknown keys {sorted(extra)}")
+                for key in keys:
+                    _require(key in spec, binding, f"missing {key!r}")
+            doc.bindings[section][name] = build(doc, name, binding, spec)
+            doc.specs[section][name] = spec
     return doc
 
 
+def _canonical(spec, keys: tuple[str, ...], binding):
+    """A validated spec in canonical form: keys in table order, relation
+    tuples sorted and deduplicated, members sorted, scheme literals
+    re-rendered."""
+    if isinstance(binding, Scheme):
+        return scheme_literal(binding)
+    if not keys:
+        return spec
+    out = {key: spec[key] for key in keys}
+    if "tuples" in out:
+        out["tuples"] = [list(t) for t in sorted({tuple(t) for t in spec["tuples"]})]
+    if "members" in out:
+        out["members"] = sorted(spec["members"])
+    return out
+
+
 def serialize_instance(doc: InstanceDocument) -> str:
-    """Canonical text of a document: sorted names, sorted tuples and members."""
-    out: dict = {}
-    if doc.domains:
-        out["domains"] = {name: doc.domains[name].size for name in sorted(doc.domains)}
-    if doc.functions:
-        out["functions"] = {
-            name: {
-                "dom": f.dom.name,
-                "cod": f.cod.name,
-                "arity": f.arity,
-                "table": list(f.table),
-            }
-            for name, f in sorted(doc.functions.items())
-        }
-    if doc.relations:
-        out["relations"] = {
-            name: {
-                "domain": r.domain.name,
-                "arity": r.arity,
-                "tuples": [list(t) for t in sorted(r.tuples())],
-            }
-            for name, r in sorted(doc.relations.items())
-        }
-    if doc.constraints:
-        out["constraints"] = {
-            name: {
-                "antecedent": doc._constraint_parts[name][0],
-                "consequent": doc._constraint_parts[name][1],
-            }
-            for name in sorted(doc.constraints)
-        }
-    if doc.classes:
-        out["classes"] = {
-            name: {
-                "dom": doc._class_members[name][0],
-                "cod": doc._class_members[name][1],
-                "members": list(doc._class_members[name][2]),
-            }
-            for name in sorted(doc.classes)
-        }
-    if doc.sets:
-        out["sets"] = {
-            name: {
-                "dom": doc._set_members[name][0],
-                "cod": doc._set_members[name][1],
-                "members": list(doc._set_members[name][2]),
-            }
-            for name in sorted(doc.sets)
-        }
-    if doc.schemes:
-        out["schemes"] = {name: scheme_literal(s) for name, s in sorted(doc.schemes.items())}
+    """Canonical text of a document: sorted names, canonical specs."""
+    out = {}
+    for section, (_, keys, _) in SECTIONS.items():
+        if specs := doc.specs[section]:
+            bindings = doc.bindings[section]
+            out[section] = {name: _canonical(specs[name], keys, bindings[name]) for name in sorted(specs)}
     return json.dumps(out, indent=2, sort_keys=False) + "\n"
 
 

@@ -43,6 +43,23 @@ MAX_WITNESSES = 8
 
 FACTORIZATION_IDENTITIES = ("t15i", "t15ii", "t8ii", "t12ii", "t4finite")
 
+# identity: the side its payload lies on, the parameters it needs in the order
+# they are checked, and the one arity its payload may hold (a parameter's
+# value, a number, or None for any)
+IDENTITIES = {
+    "t4finite": ("class", ("cap",), None),
+    "t8ii": ("set", ("n", "cap"), None),
+    "t12ii": ("set", ("m",), "m"),
+    "t15i": ("class", ("n", "m"), "n"),
+    "t15ii": ("set", ("n", "m"), "m"),
+    "thm5": ("class", ("n",), "n"),
+    "thm6": ("set", ("n", "cap"), None),
+    "thm13": ("class", ("n", "m"), "n"),
+    "thm14": ("set", ("n", "m"), "m"),
+    "cor1": ("class", (), 1),
+    "cor2": ("set", ("cap",), None),
+}
+
 
 @dataclass
 class ClosureReport:
@@ -143,6 +160,8 @@ def fsc_n_of_csf_m(
     masks.  A violation of any satisfied constraint always restricts to a
     violation of one of these.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     count = function_count(k.dom, k.cod, n)
     if count > budget:  # refuse before building the separators
         raise BudgetExceededError(
@@ -253,17 +272,18 @@ def _escalating_cm_m(t_m, m, bounds, budget, lhs_sets, rhs_from):
         return res, rhs, escalations
 
 
-def _require(name: str, **params) -> None:
-    missing = [key for key, value in params.items() if value is None]
-    if missing:
-        raise ValueError(f"{name} needs parameter {', '.join(missing)}")
-
-
-def _require_arity(name: str, payload: ArityIndexed, n: int | None, m: int | None) -> None:
-    """Refuse a payload holding any arity but the one a single-arity identity reads."""
-    arity = {"t15i": n, "thm5": n, "thm13": n, "cor1": 1, "t15ii": m, "t12ii": m, "thm14": m}.get(name)
+def _check_request(name: str, what: str, payload: ArityIndexed, params: dict) -> None:
+    """Refuse a name ``what`` does not verify, a payload holding an arity the
+    identity does not read, and a missing parameter, in that order."""
+    if name not in IDENTITIES or (name in FACTORIZATION_IDENTITIES) != (what == "identity"):
+        raise ValueError(f"unknown {what} {name!r}")
+    _, needs, arity = IDENTITIES[name]
+    arity = params[arity] if isinstance(arity, str) else arity
     if arity is not None and payload.arities() not in ((), (arity,)):
         raise ArityMismatchError(f"{name} needs arity {arity}, got arities {list(payload.arities())}")
+    missing = [key for key in needs if params[key] is None]
+    if missing:
+        raise ValueError(f"{name} needs parameter {', '.join(missing)}")
 
 
 def verify_factorization(
@@ -276,17 +296,15 @@ def verify_factorization(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> ClosureReport:
     """Compute both sides of a factorization identity independently."""
-    _require_arity(identity, payload, n, m)
+    _check_request(identity, "identity", payload, {"n": n, "m": m, "cap": cap})
     started = time.time()
     if identity == "t15i":
         k_n: FunctionClass = payload
-        _require(identity, n=n, m=m)
         lhs = fsc_n_of_csf_m(k_n, n, m, budget)
         rhs = lo_m_closure(vs_n_closure(k_n), m, budget)
         return _report("t15i", {"n": n, "m": m}, lhs, rhs, started)
     if identity == "t15ii":
         t_m: ConstraintSet = payload
-        _require(identity, n=n, m=m)
         lhs = csf_m(fsc_n(t_m, n, budget), m, budget)
         res, rhs, escalations = _escalating_cm_m(
             t_m, m, bounds, budget, lhs, lambda cs: lo_n_closure(cs, n, budget)
@@ -295,7 +313,6 @@ def verify_factorization(
         return _report("t15ii", params, lhs, rhs, started)
     if identity == "t8ii":
         t: ConstraintSet = payload
-        _require(identity, n=n, cap=cap)
         left = csf(fsc_n(t, n, budget), cap, budget)
         res = cm_closure(t, cap, bounds, budget)
         rhs = lo_n_closure(res.constraints, n, budget)
@@ -303,7 +320,6 @@ def verify_factorization(
         return _report("t8ii", params, left, rhs, started)
     if identity == "t12ii":
         t_m = payload
-        _require(identity, m=m)
         n_star = t_m.dom.size**m
         lhs = csf_m(fsc_n(t_m, 1, budget), m, budget)
         for arity in range(2, n_star + 1):
@@ -315,15 +331,12 @@ def verify_factorization(
         )
         params = {"m": m, "n_star": n_star, "cm_converged": res.converged, "escalations": escalations}
         return _report("t12ii", params, lhs, rhs, started)
-    if identity == "t4finite":
-        k: FunctionClass = payload
-        _require(identity, cap=cap)
-        vs = vs_closure(k, cap)
-        lhs = FunctionClass.empty(k.dom, k.cod)
-        for arity in range(1, cap + 1):
-            lhs = lhs | fsc_n_of_csf_m(k, arity, k.dom.size**arity, budget)
-        return _report("t4finite", {"cap": cap}, lhs, vs, started)
-    raise ValueError(f"unknown identity {identity!r}")
+    k: FunctionClass = payload  # t4finite
+    vs = vs_closure(k, cap)
+    lhs = FunctionClass.empty(k.dom, k.cod)
+    for arity in range(1, cap + 1):
+        lhs = lhs | fsc_n_of_csf_m(k, arity, k.dom.size**arity, budget)
+    return _report("t4finite", {"cap": cap}, lhs, vs, started)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +369,16 @@ def verify_definability(
 ) -> ClosureReport:
     """Check a definability/characterization equivalence on one instance:
     the closure-condition predicate against the Galois fixed-point test."""
-    _require_arity(side, payload, n, m)
+    _check_request(side, "side", payload, {"n": n, "m": m, "cap": cap})
     started = time.time()
     if side == "thm5":
         k_n: FunctionClass = payload
-        _require(side, n=n)
         m_star = k_n.dom.size**n
         predicate = vs_n_closure(k_n) == k_n  # local closure is trivial here
         fixed = fsc_n_of_csf_m(k_n, n, m_star, budget) == k_n
         return _equivalence_report("thm5", {"n": n}, predicate, fixed, started)
     if side == "thm13":
         k_n = payload
-        _require(side, n=n, m=m)
         predicate = (
             lo_m_closure(k_n, m, budget) == k_n and vs_n_closure(k_n) == k_n
         )
@@ -383,7 +394,6 @@ def verify_definability(
         )
     if side == "thm6":
         t: ConstraintSet = payload
-        _require(side, n=n, cap=cap)
         predicate = (
             lo_n_closure(t, n, budget) == t
             and _has_distinguished(t, cap)
@@ -393,7 +403,6 @@ def verify_definability(
         return _equivalence_report("thm6", {"n": n, "cap": cap}, predicate, fixed, started)
     if side == "thm14":
         t_m: ConstraintSet = payload
-        _require(side, n=n, m=m)
         eq_m = canonical_constraint("equality", m, t_m.dom, t_m.cod)
         empty_m = canonical_constraint("empty", m, t_m.dom, t_m.cod)
         predicate = (
@@ -404,18 +413,15 @@ def verify_definability(
         )
         fixed = csf_m(fsc_n(t_m, n, budget), m, budget) == t_m
         return _equivalence_report("thm14", {"n": n, "m": m}, predicate, fixed, started)
-    if side == "cor2":
-        t = payload
-        _require(side, cap=cap)
-        unions_ok, _ = union_closure_check(t)
-        predicate = (
-            _has_distinguished(t, cap)
-            and unions_ok
-            and cm_closure(t, cap, bounds, budget).constraints == t
-        )
-        fixed = csf(fsc_n(t, 1, budget), cap, budget) == t
-        return _equivalence_report("cor2", {"cap": cap}, predicate, fixed, started)
-    raise ValueError(f"unknown side {side!r}")
+    t = payload  # cor2
+    unions_ok, _ = union_closure_check(t)
+    predicate = (
+        _has_distinguished(t, cap)
+        and unions_ok
+        and cm_closure(t, cap, bounds, budget).constraints == t
+    )
+    fixed = csf(fsc_n(t, 1, budget), cap, budget) == t
+    return _equivalence_report("cor2", {"cap": cap}, predicate, fixed, started)
 
 
 def _has_distinguished(t: ConstraintSet, cap: int) -> bool:

@@ -140,6 +140,8 @@ def fsc_n(
     tuples lie outside the consequent, the OR runs over those instead and its
     result is removed from the class.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     count = function_count(t.dom, t.cod, n)
     if count > budget:
         raise BudgetExceededError(
@@ -246,6 +248,8 @@ def csf_m(
     tuples the class produces from it; the universe of
     2^(|A|^m) * 2^(|B|^m) constraints must fit the budget.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     count = constraint_universe_count(k.dom, k.cod, m)
     if count > budget:
         raise BudgetExceededError(

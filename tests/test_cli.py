@@ -273,6 +273,9 @@ def test_verify_dispatches_every_identity(doc_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_factorization", recorder("factorization"))
     monkeypatch.setattr(cli, "verify_definability", recorder("definability"))
+    verify = next(a for a in _build_parser()._actions if a.dest == "command").choices["verify"]
+    identity = next(a for a in verify._actions if a.dest == "identity")
+    assert list(identity.choices) == "t4 t8 t12 t15i t15ii thm5 thm6 thm13 thm14 cor1 cor2".split()
     k, t = ("--class", "K2"), ("--set", "T2")
     cases = [
         ("t4", "factorization", "t4finite", k, {"cap": 1}),

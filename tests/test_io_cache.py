@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -79,6 +80,138 @@ def test_serialize_parse_roundtrip_is_canonicalization():
     doc2 = parse_instance(canonical)
     assert doc2.function_class("K2") == doc.function_class("K2")
     assert doc2.constraint_set("T2") == doc.constraint_set("T2")
+
+
+# unsorted names, sections and spec keys, duplicate and unsorted tuples and
+# members, and a scheme literal with extra spaces
+MESSY = """{
+  "schemes": {"comp": "target=2;V=1;  h1=[c1, v1] ; h2=[v1,c2]"},
+  "sets": {"T": {"members": ["c_one", "c_leq", "c_one"], "cod": "bool", "dom": "bool"}},
+  "classes": {"K": {"cod": "bool", "members": ["neg", "id", "neg"], "dom": "bool"}},
+  "constraints": {"c_one": {"consequent": "one", "antecedent": "one"},
+                  "c_leq": {"antecedent": "leq", "consequent": "leq"}},
+  "relations": {
+    "one": {"tuples": [[1], [1]], "domain": "bool", "arity": 1},
+    "leq": {"arity": 2, "tuples": [[1, 1], [0, 1], [0, 0], [0, 1]], "domain": "bool"}
+  },
+  "functions": {
+    "neg": {"table": [1, 0], "arity": 1, "cod": "bool", "dom": "bool"},
+    "id": {"dom": "bool", "cod": "bool", "arity": 1, "table": [0, 1]}
+  },
+  "domains": {"bool": 2}
+}"""
+
+
+def test_serialize_pins_the_canonical_text():
+    expected = {
+        "domains": {"bool": 2},
+        "functions": {
+            "id": {"dom": "bool", "cod": "bool", "arity": 1, "table": [0, 1]},
+            "neg": {"dom": "bool", "cod": "bool", "arity": 1, "table": [1, 0]},
+        },
+        "relations": {
+            "leq": {"domain": "bool", "arity": 2, "tuples": [[0, 0], [0, 1], [1, 1]]},
+            "one": {"domain": "bool", "arity": 1, "tuples": [[1]]},
+        },
+        "constraints": {
+            "c_leq": {"antecedent": "leq", "consequent": "leq"},
+            "c_one": {"antecedent": "one", "consequent": "one"},
+        },
+        "classes": {"K": {"dom": "bool", "cod": "bool", "members": ["id", "neg", "neg"]}},
+        "sets": {"T": {"dom": "bool", "cod": "bool", "members": ["c_leq", "c_one", "c_one"]}},
+        "schemes": {"comp": "target=2; V=1; h1=[c1,v1]; h2=[v1,c2]"},
+    }
+    text = serialize_instance(parse_instance(MESSY))
+    assert text == json.dumps(expected, indent=2) + "\n"
+    assert text.startswith('{\n  "domains": {\n    "bool": 2\n  },\n  "functions": {\n    "id": {\n')
+    assert serialize_instance(parse_instance(text)) == text
+
+
+def mutated(*changes):
+    raw = json.loads(DOC)
+    for change in changes:
+        change(raw)
+    return json.dumps(raw)
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def change(raw):
+        for key in path[:-1]:
+            raw = raw[key]
+        raw[path[-1]] = value
+
+    return change
+
+
+# one JSON boolean where an integer belongs; Python counts booleans as integers
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("domains", "bool"), True, "domain 'bool': size must be a positive integer, got True"),
+        (("functions", "and", "arity"), True, "function 'and': arity must be a positive integer"),
+        (
+            ("functions", "and", "table"),
+            [False, False, False, True],
+            "function 'and': table value False out of range 0..1",
+        ),
+        (("relations", "leq", "arity"), True, "relation 'leq': arity must be a positive integer"),
+        (("relations", "leq", "tuples"), [[0, 0], [False, True]], "relation 'leq': element False out of range 0..1"),
+    ],
+    ids=["size", "function-arity", "table", "relation-arity", "element"],
+)
+def test_json_booleans_are_not_integers(path, value, message):
+    with pytest.raises(InstanceSemanticError, match=re.escape(message)):
+        parse_instance(mutated(_set(*path, value)))
+
+
+# bindings over a second domain, for members over the wrong domains
+TRI = (
+    _set("domains", "tri", 3),
+    _set("functions", "t", {"dom": "tri", "cod": "bool", "arity": 1, "table": [0, 1, 1]}),
+    _set("relations", "r3", {"domain": "tri", "arity": 1, "tuples": [[2]]}),
+    _set("constraints", "c3", {"antecedent": "r3", "consequent": "r3"}),
+)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (mutated(_set("domain", {})), InstanceSemanticError, "document: unknown sections ['domain']"),
+        ("[]", InstanceParseError, "document root must be a JSON object"),
+        (mutated(_set("functions", "1and", {})), InstanceSemanticError, "functions: invalid binding name '1and'"),
+        (
+            mutated(_set("functions", "and", "tabel", [])),
+            InstanceSemanticError,
+            "function 'and': unknown keys ['tabel']",
+        ),
+        (
+            mutated(lambda raw: raw["relations"]["leq"].pop("tuples")),
+            InstanceSemanticError,
+            "relation 'leq': missing 'tuples'",
+        ),
+        (
+            mutated(*TRI, _set("classes", "K2", "members", ["and", "t"])),
+            InstanceSemanticError,
+            "class 'K2': member 't' is over 'tri'->'bool', class is over 'bool'->'bool'",
+        ),
+        (
+            mutated(*TRI, _set("sets", "T2", "members", ["c_leq", "c3"])),
+            InstanceSemanticError,
+            "set 'T2': member 'c3' is over 'tri'-to-'tri', set is over 'bool'-to-'bool'",
+        ),
+        (
+            mutated(_set("schemes", "swap", ["c2", "c1"])),
+            InstanceSemanticError,
+            "scheme 'swap': scheme literal must be a string",
+        ),
+    ],
+    ids=["section", "root", "name", "unknown-key", "missing-key", "class-member", "set-member", "scheme"],
+)
+def test_each_document_check_names_the_binding(text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        parse_instance(text)
 
 
 def test_scheme_literal_roundtrip():

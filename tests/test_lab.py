@@ -159,6 +159,11 @@ def test_unknown_identity_rejected():
         verify_factorization("t99", cls(AND), n=1, m=1)
     with pytest.raises(ValueError):
         verify_definability("thm99", cls(AND))
+    # each entry point refuses the other's names
+    with pytest.raises(ValueError, match="unknown identity 'thm5'"):
+        verify_factorization("thm5", cls(AND), n=2)
+    with pytest.raises(ValueError, match="unknown side 't15ii'"):
+        verify_definability("t15ii", cset(C_LEQ), n=2, m=2)
 
 
 def test_thm5_equivalence_both_ways():

@@ -4,21 +4,25 @@ import pytest
 
 from funcon import (
     Constraint,
+    ConstraintSet,
     DomainMismatchError,
     Relation,
     canonical_constraint,
+    cm_closure,
     compose_classes,
     csf,
     csf_m,
     enumerate_functions,
     fsc,
     fsc_n,
+    fsc_n_of_csf_m,
     image,
     minimal_consequent,
     preserves,
     projections_class,
     satisfies,
     trace_constraint,
+    verify_factorization,
 )
 
 from conftest import AND, BOOL, C_LEQ, IDENTITY, LEQ, NEGATION, OR, PR1, PR2, cls, cset, fn
@@ -146,8 +150,21 @@ def test_csf_multi_arity_class():
 
 
 def test_csf_m_rejects_arity_zero():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            csf_m(cls(AND, NEGATION), m)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_arity_guards_fire_before_any_work(value):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        fsc_n(cset(C_LEQ), value)
     with pytest.raises(ValueError, match="m must be >= 1"):
-        csf_m(cls(AND, NEGATION), 0)
+        fsc_n_of_csf_m(cls(AND, NEGATION), 2, value)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        cm_closure(cset(C_LEQ), value)
+    with pytest.raises(ValueError, match="cap must be >= 1"):  # not a vacuous 'equal'
+        verify_factorization("t8ii", ConstraintSet.empty(BOOL, BOOL), n=2, cap=value)
 
 
 def test_trace_constraint():
