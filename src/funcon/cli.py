@@ -128,9 +128,7 @@ def _build_parser() -> _Parser:
     enum.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
 
     laws = sub.add_parser("laws", help="closure-law and Galois-axiom audit")
-    laws.add_argument(
-        "suite", choices=["vsn", "vs", "lom", "lon", "cmm", "axioms"]
-    )
+    laws.add_argument("suite", choices=[*_LAW_SUITES, "axioms"])
     laws.add_argument("--samples", type=int, default=100)
     laws.add_argument("--seed", type=int, default=0)
     laws.add_argument("--dom-size", type=_positive_int, default=2)
@@ -232,6 +230,17 @@ def _run_enumerate(args) -> str:
     return set_listing(t)
 
 
+# each closure suite of `laws`: the nested-pair generator of the side it
+# samples, the flag giving the sample arity, and its operator under the flags
+_LAW_SUITES = {
+    "vsn": (nested_class_pair, "arity", lambda k, args: vs_n_closure(k)),
+    "vs": (nested_class_pair, "arity", lambda k, args: vs_closure(k, args.arity)),
+    "lom": (nested_class_pair, "arity", lambda k, args: lo_m_closure(k, args.m, args.budget)),
+    "lon": (nested_set_pair, "m", lambda t, args: lo_n_closure(t, args.n, args.budget)),
+    "cmm": (nested_set_pair, "m", lambda t, args: cm_m_closure(t, args.m, budget=args.budget).constraints),
+}
+
+
 def _run_laws(args):
     rng = random.Random(args.seed)
     dom = DomainSpec("A", args.dom_size)
@@ -255,27 +264,12 @@ def _run_laws(args):
             violations,
             "equal" if not violations else "incomparable",
         )
-    if args.suite in ("vsn", "vs", "lom"):
-        samples = (
-            nested_class_pair(rng, dom, cod, args.arity, rng.randint(0, 4), rng.randint(0, 3))
-            for _ in range(args.samples)
-        )
-        ops = {
-            "vsn": vs_n_closure,
-            "vs": lambda k: vs_closure(k, args.arity),
-            "lom": lambda k: lo_m_closure(k, args.m, args.budget),
-        }
-        rep = check_closure_laws(ops[args.suite], samples, args.suite)
-    else:
-        samples = (
-            nested_set_pair(rng, dom, cod, args.m, rng.randint(0, 4), rng.randint(0, 3))
-            for _ in range(args.samples)
-        )
-        ops = {
-            "lon": lambda t: lo_n_closure(t, args.n, args.budget),
-            "cmm": lambda t: cm_m_closure(t, args.m, budget=args.budget).constraints,
-        }
-        rep = check_closure_laws(ops[args.suite], samples, args.suite)
+    pair, arity, op = _LAW_SUITES[args.suite]
+    samples = (
+        pair(rng, dom, cod, getattr(args, arity), rng.randint(0, 4), rng.randint(0, 3))
+        for _ in range(args.samples)
+    )
+    rep = check_closure_laws(lambda x: op(x, args), samples, args.suite)
     rep.parameters["seed"] = args.seed
     return rep
 

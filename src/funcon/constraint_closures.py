@@ -31,12 +31,12 @@ from functools import cached_property, lru_cache
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     ArityMismatchError,
-    BudgetExceededError,
     Constraint,
     ConstraintSet,
     DomainSpec,
     constraint_universe_count,
     readings,
+    within_budget,
 )
 from .minors import Scheme
 from .satisfaction import csf_m, fsc_n
@@ -233,15 +233,6 @@ def _diagonal(size: int, m: int) -> int:
     return sum(1 << rank for rank in readings((0,) * m, 1, size))
 
 
-def _universe_guard(dom, cod, m, budget):
-    count = constraint_universe_count(dom, cod, m)
-    if count > budget:
-        raise BudgetExceededError(
-            f"constraint universe at arity {m} has {count} members, exceeding budget {budget}",
-            count,
-        )
-
-
 def _cm_result(
     t: ConstraintSet, targets: list[int], same_arity: bool, bounds: CmBounds, budget: int
 ) -> CmResult:
@@ -251,7 +242,7 @@ def _cm_result(
     for m in targets:
         if m < 1:
             raise ValueError("constraint arity must be >= 1")
-        _universe_guard(dom, cod, m, budget)
+        within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
     for arity in t.arities():
         if arity not in targets:
             raise ArityMismatchError(f"input set contains arity {arity}, outside target arities {targets}")
@@ -322,7 +313,7 @@ def lo_n_closure(
     dom, cod = t.dom, t.cod
     result: dict[int, set[tuple[int, int]]] = {}
     for m in t.arities():
-        _universe_guard(dom, cod, m, budget)
+        within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
         present = set(t.ranks(m))
         n_ante, width = 1 << dom.size**m, cod.size**m
         rows = [0] * n_ante

@@ -23,6 +23,10 @@ substitution and a minor scheme's source map are both such readings.
 ``column_masks`` and the signature and probe kernels of ``satisfaction``
 keep their own digit arithmetic: ``satisfies`` is their scalar reference in
 the differential tests, so it shares no code with them.
+
+``within_budget`` is the single enumeration guard: every refusal in the
+package passes a count through it, and it raises ``BudgetExceededError``
+carrying that count when the count exceeds the budget.
 """
 
 from __future__ import annotations
@@ -49,6 +53,14 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, count: int):
         super().__init__(message)
         self.count = count
+
+
+def within_budget(count: int, budget: int, what: str) -> int:
+    """The one enumeration guard: ``count`` if it fits the budget, otherwise a
+    ``BudgetExceededError`` naming what was counted."""
+    if count > budget:
+        raise BudgetExceededError(f"{what}: {count} exceeds budget {budget}", count)
+    return count
 
 
 @dataclass(frozen=True, order=True)
@@ -216,6 +228,7 @@ class Relation:
             bits ^= low
 
     def tuples(self) -> list[tuple[int, ...]]:
+        """The member tuples in rank order, which is lexicographic order."""
         size = self.domain.size
         return [tuple_unrank(r, size, self.arity) for r in self.member_ranks()]
 
@@ -349,11 +362,7 @@ def enumerate_functions(
     """All n-ary cod-valued functions on dom, in table-rank order."""
     if n < 1:
         raise ValueError("function arity must be >= 1")
-    count = cod.size ** (dom.size**n)
-    if count > budget:
-        raise BudgetExceededError(
-            f"enumerating {count} functions of arity {n} exceeds budget {budget}", count
-        )
+    within_budget(function_count(dom, cod, n), budget, f"functions of arity {n}")
     for table in itertools.product(range(cod.size), repeat=dom.size**n):
         yield FunctionTable(dom, cod, n, table)
 
@@ -555,11 +564,7 @@ def enumerate_constraints(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Iterator[Constraint]:
     """All m-ary constraints, ordered by (antecedent, consequent) bitmask."""
-    count = constraint_universe_count(dom, cod, m)
-    if count > budget:
-        raise BudgetExceededError(
-            f"enumerating {count} constraints of arity {m} exceeds budget {budget}", count
-        )
+    within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
     for r_bits in range(2 ** (dom.size**m)):
         for s_bits in range(2 ** (cod.size**m)):
             yield Constraint(Relation(dom, m, r_bits), Relation(cod, m, s_bits))

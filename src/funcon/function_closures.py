@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     ArityMismatchError,
-    BudgetExceededError,
     FunctionClass,
     FunctionTable,
     column_masks,
     function_count,
     readings,
+    within_budget,
 )
 
 
@@ -120,12 +120,7 @@ def lo_m_closure(
     dom, cod = k.dom, k.cod
     result: dict[int, int] = {}
     for n in k.arities():
-        count = function_count(dom, cod, n)
-        if count > budget:
-            raise BudgetExceededError(
-                f"lo_{m} closure at arity {n} needs {count} candidates, exceeding budget {budget}",
-                count,
-            )
+        count = within_budget(function_count(dom, cod, n), budget, f"lo_{m} candidates at arity {n}")
         cols = column_masks(dom, cod, n)
         members = k.mask(n)
         points = dom.size**n

@@ -51,9 +51,11 @@ class InstanceDocument:
     specs: dict[str, dict] = field(default_factory=lambda: {s: {} for s in SECTIONS})
 
     def _lookup(self, section: str, name: str):
-        table = self.bindings[section]
+        kind, table = SECTIONS[section][0], self.bindings[section]
+        if not isinstance(name, str):
+            raise InstanceSemanticError(f"{kind} reference {name!r} must be a name")
         if name not in table:
-            raise InstanceSemanticError(f"{SECTIONS[section][0]} {name!r} is not defined")
+            raise InstanceSemanticError(f"{kind} {name!r} is not defined")
         return table[name]
 
     def domain(self, name: str) -> DomainSpec:
@@ -312,8 +314,8 @@ def function_record(f: FunctionTable) -> dict:
 def constraint_record(c: Constraint) -> dict:
     return {
         "arity": c.arity,
-        "antecedent": [list(t) for t in sorted(c.antecedent.tuples())],
-        "consequent": [list(t) for t in sorted(c.consequent.tuples())],
+        "antecedent": [list(t) for t in c.antecedent.tuples()],
+        "consequent": [list(t) for t in c.consequent.tuples()],
     }
 
 

@@ -19,7 +19,6 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     ArityIndexed,
     ArityMismatchError,
-    BudgetExceededError,
     Constraint,
     ConstraintSet,
     DomainSpec,
@@ -28,6 +27,7 @@ from .core import (
     canonical_constraint,
     constraint_universe_count,
     function_count,
+    within_budget,
 )
 from .constraint_closures import (
     CmBounds,
@@ -85,10 +85,7 @@ class ClosureReport:
 def _describe(x: FunctionTable | Constraint) -> str:
     if isinstance(x, FunctionTable):
         return f"function arity={x.arity} table={list(x.table)}"
-    return (
-        f"constraint arity={x.arity} R={sorted(x.antecedent.tuples())} "
-        f"S={sorted(x.consequent.tuples())}"
-    )
+    return f"constraint arity={x.arity} R={x.antecedent.tuples()} S={x.consequent.tuples()}"
 
 
 def _verdict(lhs_only: list, rhs_only: list) -> str:
@@ -127,15 +124,9 @@ def _separators(k: FunctionClass, n: int, m: int, budget: int) -> list[tuple[int
     """(R, S_min(R)) as rank masks for every antecedent R over A^m of at most
     n tuples, S_min(R) being the OR of the ``probe_groups`` of R's subsets."""
     universe = k.dom.size**m
-    antecedents = sum(math.comb(universe, j) for j in range(n + 1))
-    if antecedents > budget:
-        raise BudgetExceededError(
-            f"building {antecedents} separating constraints exceeds budget {budget}", antecedents
-        )
+    within_budget(sum(math.comb(universe, j) for j in range(n + 1)), budget, "separating constraints")
     # an arity a walks (|A|^m)^a probes, within n! of the separator count if a <= n
-    probes = sum(universe**a for a in k.arities() if a > n)
-    if probes > budget:
-        raise BudgetExceededError(f"walking {probes} probes exceeds budget {budget}", probes)
+    within_budget(sum(universe**a for a in k.arities() if a > n), budget, "probes")
     groups = probe_groups(k, m, budget)
     pairs = []
     for j in range(n + 1):
@@ -162,11 +153,8 @@ def fsc_n_of_csf_m(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    count = function_count(k.dom, k.cod, n)
-    if count > budget:  # refuse before building the separators
-        raise BudgetExceededError(
-            f"filtering {count} candidate functions exceeds budget {budget}", count
-        )
+    # refuse before building the separators
+    within_budget(function_count(k.dom, k.cod, n), budget, f"fsc_{n} candidate functions")
     return fsc_n(ConstraintSet(k.dom, k.cod, {m: _separators(k, n, m, budget)}), n, budget)
 
 
@@ -439,12 +427,7 @@ def _has_distinguished(t: ConstraintSet, cap: int) -> bool:
 
 
 def _sample_ranks(rng: random.Random, total: int, count: int, what: str) -> list[int]:
-    if total > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"sampling from {total} {what} exceeds budget "
-            f"{DEFAULT_ENUMERATION_BUDGET}",
-            total,
-        )
+    within_budget(total, DEFAULT_ENUMERATION_BUDGET, f"{what} to sample from")
     # sample picks by index, so this draws the members a list in rank order would
     return rng.sample(range(total), min(count, total))
 

@@ -14,13 +14,13 @@ from typing import Sequence
 
 from .core import (
     ArityMismatchError,
-    BudgetExceededError,
     Constraint,
     DomainMismatchError,
     DomainSpec,
     Relation,
     readings,
     relaxation_of,
+    within_budget,
 )
 
 DEFAULT_SKOLEM_BUDGET = 2
@@ -115,11 +115,7 @@ def tight_minor_relation(
     indeterminates puts every source map's reading inside its relation.
     """
     scheme = scheme.normalized()
-    if scheme.indets > max_indets:
-        raise BudgetExceededError(
-            f"scheme uses {scheme.indets} indeterminates, budget is {max_indets}",
-            scheme.indets,
-        )
+    within_budget(scheme.indets, max_indets, "scheme indeterminates")
     if len(relations) != len(scheme.maps):
         raise ArityMismatchError(
             f"{len(relations)} relations for {len(scheme.maps)} scheme maps"

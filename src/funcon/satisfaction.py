@@ -22,7 +22,6 @@ from functools import lru_cache
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     ArityMismatchError,
-    BudgetExceededError,
     Constraint,
     ConstraintSet,
     DomainMismatchError,
@@ -38,6 +37,7 @@ from .core import (
     readings,
     tuple_rank,
     tuple_unrank,
+    within_budget,
 )
 
 
@@ -142,11 +142,7 @@ def fsc_n(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    count = function_count(t.dom, t.cod, n)
-    if count > budget:
-        raise BudgetExceededError(
-            f"fsc_{n} needs {count} candidate functions, exceeding budget {budget}", count
-        )
+    count = within_budget(function_count(t.dom, t.cod, n), budget, f"fsc_{n} candidate functions")
     cols = column_masks(t.dom, t.cod, n)
     kept = (1 << count) - 1
     for m, pairs in t.by_arity.items():
@@ -250,12 +246,7 @@ def csf_m(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    count = constraint_universe_count(k.dom, k.cod, m)
-    if count > budget:
-        raise BudgetExceededError(
-            f"csf_{m} universe has {count} constraints, exceeding budget {budget}",
-            count,
-        )
+    within_budget(constraint_universe_count(k.dom, k.cod, m), budget, f"csf_{m} universe constraints")
     dom, cod = k.dom, k.cod
     # needed[r]: the output tuples some member produces from rows inside r
     needed = [0] * (1 << dom.size**m)
@@ -288,9 +279,7 @@ def csf(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     return out
 
 
-def trace_constraint(
-    k: FunctionClass, columns: list[tuple[int, ...]], arity: int | None = None
-) -> Constraint:
+def trace_constraint(k: FunctionClass, columns: list[tuple[int, ...]]) -> Constraint:
     """The separating constraint for n chosen columns a1..an in A^m.
 
     Antecedent {a1..an}; consequent = the values of the arity-n part of the
@@ -301,12 +290,9 @@ def trace_constraint(
     m = len(columns[0])
     if any(len(c) != m for c in columns):
         raise ArityMismatchError("columns must share one arity")
-    n = len(columns) if arity is None else arity
-    if arity is not None and arity != len(columns):
-        raise ArityMismatchError(f"{len(columns)} columns for arity {arity}")
     ante = Relation.from_tuples(k.dom, m, columns)
     cons_bits = 0
-    for f in k.members(n):
+    for f in k.members(len(columns)):
         cons_bits |= 1 << tuple_rank(f.apply_pointwise(columns), k.cod.size)
     return Constraint(ante, Relation(k.cod, m, cons_bits))
 

@@ -245,6 +245,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == EXIT_USAGE and "syntax error" in err
 
 
+def test_non_string_reference_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(DOC.replace('"members": ["and"]', '"members": [["and"]]'))
+    code, out, err = run(capsys, "close", "vsn", "--in", str(bad), "--class", "K2")
+    assert code == EXIT_USAGE and "function reference ['and'] must be a name" in err and out == ""
+
+
 def test_budget_refusal_exit_code(doc_path, capsys):
     code, _, err = run(
         capsys, "galois", "fsc", "--in", doc_path, "--set", "T2", "--arity", "5", "--budget", "100"

@@ -11,15 +11,24 @@ from funcon import (
     FunctionClass,
     FunctionTable,
     Relation,
+    Scheme,
     canonical_constraint,
+    cm_m_closure,
+    coord,
+    csf_m,
     enumerate_constraints,
     enumerate_functions,
+    fsc_n,
+    indet,
+    lo_m_closure,
+    lo_n_closure,
     projection,
     relaxation_of,
     tuple_rank,
     tuple_unrank,
 )
 from funcon.core import BudgetExceededError, constraint_universe_count, function_count
+from funcon.minors import tight_minor_relation
 
 from conftest import AND, BOOL, C_LEQ, EQ2, LEQ, cls, cset, fn
 
@@ -130,6 +139,31 @@ def test_enumeration_counts_and_budget():
     assert constraint_universe_count(BOOL, BOOL, 2) == 256
     with pytest.raises(BudgetExceededError):
         list(enumerate_functions(BOOL, BOOL, 5, budget=10))
+
+
+TRI = DomainSpec("tri", 3)
+COMPOSE = Scheme.of(2, 1, [[coord(1), indet(1)], [indet(1), coord(2)]])
+
+# every guarded public entry point: a call under a given budget, and the count
+# its guard compares with that budget
+GUARDED = {
+    "enumerate_functions": (lambda b: list(enumerate_functions(BOOL, TRI, 2, b)), 3**4),
+    "enumerate_constraints": (lambda b: list(enumerate_constraints(BOOL, TRI, 1, b)), 2**2 * 2**3),
+    "fsc_n": (lambda b: fsc_n(cset(C_LEQ), 2, b), 2**4),
+    "csf_m": (lambda b: csf_m(cls(AND), 1, b), 2**2 * 2**2),
+    "lo_m_closure": (lambda b: lo_m_closure(cls(AND), 1, b), 2**4),
+    "lo_n_closure": (lambda b: lo_n_closure(cset(C_LEQ), 1, b), 2**4 * 2**4),
+    "cm_m_closure": (lambda b: cm_m_closure(cset(C_LEQ), 2, budget=b), 2**4 * 2**4),
+    "tight_minor_relation": (lambda b: tight_minor_relation([LEQ, LEQ], COMPOSE, max_indets=b), 1),
+}
+
+
+@pytest.mark.parametrize("call, count", GUARDED.values(), ids=GUARDED.keys())
+def test_budget_boundary(call, count):
+    with pytest.raises(BudgetExceededError, match="budget") as excinfo:
+        call(count - 1)
+    assert excinfo.value.count == count
+    call(count)
 
 
 def test_function_class_basics():

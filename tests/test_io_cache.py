@@ -206,8 +206,21 @@ TRI = (
             InstanceSemanticError,
             "scheme 'swap': scheme literal must be a string",
         ),
+        (
+            mutated(_set("functions", "and", "dom", ["bool"])),
+            InstanceSemanticError,
+            "domain reference ['bool'] must be a name",
+        ),
+        (
+            mutated(_set("classes", "K2", "members", [["and"]])),
+            InstanceSemanticError,
+            "function reference ['and'] must be a name",
+        ),
     ],
-    ids=["section", "root", "name", "unknown-key", "missing-key", "class-member", "set-member", "scheme"],
+    ids=[
+        "section", "root", "name", "unknown-key", "missing-key", "class-member", "set-member", "scheme",
+        "domain-reference", "member-reference",
+    ],
 )
 def test_each_document_check_names_the_binding(text, error, message):
     with pytest.raises(error, match=re.escape(message)):
