@@ -89,9 +89,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cache-dir", help="result cache directory (overrides FUNCON_CACHE_DIR)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_in=True):
-        if needs_in:
-            sp.add_argument("--in", dest="infile", required=True, help="instance document")
+    def common(sp):
+        sp.add_argument("--in", dest="infile", required=True, help="instance document")
         sp.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
 
     def shared(sp, class_help=None, set_help=None):  # the flags of close and verify
@@ -249,8 +248,8 @@ def _run_laws(args):
         violations = []
         checked = 0
         for _ in range(args.samples):
-            k = random_function_class(rng, dom, cod, args.arity, rng.randint(0, 3))
-            t = random_constraint_set(rng, dom, cod, args.m, rng.randint(0, 3))
+            k = random_function_class(rng, dom, cod, args.arity, rng.randint(0, 3), budget=args.budget)
+            t = random_constraint_set(rng, dom, cod, args.m, rng.randint(0, 3), budget=args.budget)
             rep = check_galois_axioms(k, t, n_cap=2, m_cap=2, budget=args.budget)
             checked += 1
             violations.extend(rep.symmetric_difference)
@@ -266,7 +265,7 @@ def _run_laws(args):
         )
     pair, arity, op = _LAW_SUITES[args.suite]
     samples = (
-        pair(rng, dom, cod, getattr(args, arity), rng.randint(0, 4), rng.randint(0, 3))
+        pair(rng, dom, cod, getattr(args, arity), rng.randint(0, 4), rng.randint(0, 3), budget=args.budget)
         for _ in range(args.samples)
     )
     rep = check_closure_laws(lambda x: op(x, args), samples, args.suite)

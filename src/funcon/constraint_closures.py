@@ -174,7 +174,6 @@ def _project(bits: int, m: int, v: int, size: int) -> int:
 def _closure_fixpoint(
     seeds: dict[int, list[tuple[int, int]]],
     targets: list[int],
-    same_arity: bool,
     dom: DomainSpec,
     cod: DomainSpec,
     bounds: CmBounds,
@@ -182,8 +181,7 @@ def _closure_fixpoint(
     """Shared engine for cm_m (single arity) and cm (cross-arity, capped).
 
     ``seeds`` maps each target arity to its initial members; sources for the
-    minor moves are the maximal members of the target's own arity when
-    ``same_arity`` is set, and of every target arity otherwise.  Members map
+    minor moves are the maximal members of every target arity.  Members map
     to their witnesses, as ``CmResult`` holds them.
     """
     sa, sb = dom.size, cod.size
@@ -203,8 +201,6 @@ def _closure_fixpoint(
             # lifted (antecedent, consequent) masks -> the first source giving them
             lifts: dict[tuple[int, int], tuple[int, int, tuple[int, ...], int]] = {}
             for src_arity in targets:
-                if same_arity and src_arity != m:
-                    continue
                 for r, s in maximals[src_arity]:
                     for h in itertools.product(range(m + v), repeat=src_arity):
                         lifts.setdefault((_lift(r, h, m, v, sa), _lift(s, h, m, v, sb)), (r, s, h, src_arity))
@@ -234,7 +230,7 @@ def _diagonal(size: int, m: int) -> int:
 
 
 def _cm_result(
-    t: ConstraintSet, targets: list[int], same_arity: bool, bounds: CmBounds, budget: int
+    t: ConstraintSet, targets: list[int], bounds: CmBounds, budget: int
 ) -> CmResult:
     """Run the fixpoint at the target arities, seeded with the input set and
     the equality and empty constraints of each."""
@@ -247,7 +243,7 @@ def _cm_result(
         if arity not in targets:
             raise ArityMismatchError(f"input set contains arity {arity}, outside target arities {targets}")
     seeds = {m: [*t.ranks(m), (_diagonal(dom.size, m), _diagonal(cod.size, m)), (0, 0)] for m in targets}
-    members, converged, iterations = _closure_fixpoint(seeds, targets, same_arity, dom, cod, bounds)
+    members, converged, iterations = _closure_fixpoint(seeds, targets, dom, cod, bounds)
     constraints = ConstraintSet(dom, cod, {m: frozenset(members[m]) for m in targets})
     return CmResult(constraints, converged, iterations, members)
 
@@ -259,7 +255,7 @@ def cm_m_closure(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> CmResult:
     """Bounded-generator fixpoint for the m-ary minor closure within Q_m."""
-    return _cm_result(t_m, [m], True, bounds, budget)
+    return _cm_result(t_m, [m], bounds, budget)
 
 
 def cm_closure(
@@ -274,7 +270,7 @@ def cm_closure(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return _cm_result(t, list(range(1, cap + 1)), False, bounds, budget)
+    return _cm_result(t, list(range(1, cap + 1)), bounds, budget)
 
 
 def cm_m_oracle(

@@ -1,7 +1,9 @@
 """Function-side closure operators: variable substitution and local closure.
 
 ``vs_closure`` realizes closure under simple variable substitutions (the class
-composed with the projection clone); ``lo_m_closure`` adds every function whose
+composed with the projection clone), reading member table ranks through
+``core.readings``; ``substitute`` is its one-table scalar reference.
+``lo_m_closure`` adds every function whose
 restriction to each size-<=m subset of its domain agrees with some member,
 computed on the column masks of ``core.column_masks`` as an AND over subsets
 of an OR over the class's value patterns there.  On finite domains the
@@ -21,6 +23,8 @@ from .core import (
     column_masks,
     function_count,
     readings,
+    tuple_rank,
+    tuple_unrank,
     within_budget,
 )
 
@@ -55,9 +59,17 @@ def substitute(f: FunctionTable, s: SubstitutionMap) -> FunctionTable:
     return FunctionTable(f.dom, f.cod, t, tuple(f.table[r] for r in reading))
 
 
-def _all_maps(source: int, target: int):
-    for assignment in itertools.product(range(1, target + 1), repeat=source):
-        yield SubstitutionMap(source, target, assignment)
+def _instances(k: FunctionClass, targets) -> FunctionClass:
+    """Every member read through every coordinate map into each target arity,
+    on table ranks: the map h turns the table of f into x -> f(x[h])."""
+    size, values = k.dom.size, k.cod.size
+    out: dict[int, set[int]] = {t: set() for t in targets}
+    for n in k.arities():
+        tables = [tuple_unrank(rank, values, size**n) for rank in k.ranks(n)]
+        for t in targets:
+            reads = [readings(h, t, size) for h in itertools.product(range(t), repeat=n)]
+            out[t].update(tuple_rank([table[x] for x in read], values) for table in tables for read in reads)
+    return FunctionClass(k.dom, k.cod, out)
 
 
 def vs_n_closure(k_n: FunctionClass) -> FunctionClass:
@@ -65,14 +77,7 @@ def vs_n_closure(k_n: FunctionClass) -> FunctionClass:
     arities = k_n.arities()
     if len(arities) > 1:
         raise ArityMismatchError(f"expected a single arity, got {arities}")
-    if not arities:
-        return k_n
-    n = arities[0]
-    out = set(k_n.members(n))
-    for f in k_n.members(n):
-        for s in _all_maps(n, n):
-            out.add(substitute(f, s))
-    return FunctionClass.from_tables(k_n.dom, k_n.cod, out)
+    return _instances(k_n, arities)
 
 
 def vs_closure(k: FunctionClass, cap: int) -> FunctionClass:
@@ -83,13 +88,7 @@ def vs_closure(k: FunctionClass, cap: int) -> FunctionClass:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    out: set[FunctionTable] = set()
-    for n in k.arities():
-        for f in k.members(n):
-            for t in range(1, cap + 1):
-                for s in _all_maps(n, t):
-                    out.add(substitute(f, s))
-    return FunctionClass.from_tables(k.dom, k.cod, out)
+    return _instances(k, range(1, cap + 1))
 
 
 def _agreeing(cols, members: int, subset: tuple[int, ...], prefix: int = -1) -> int:

@@ -50,12 +50,15 @@ class InstanceDocument:
     bindings: dict[str, dict] = field(default_factory=lambda: {s: {} for s in SECTIONS})
     specs: dict[str, dict] = field(default_factory=lambda: {s: {} for s in SECTIONS})
 
-    def _lookup(self, section: str, name: str):
+    def _lookup(self, section: str, name: str, binding: str | None = None):
+        """The named binding of a section.  A reference made while building a
+        binding passes that binding's label, which prefixes its errors."""
         kind, table = SECTIONS[section][0], self.bindings[section]
+        where = f"{binding}: " if binding else ""
         if not isinstance(name, str):
-            raise InstanceSemanticError(f"{kind} reference {name!r} must be a name")
+            raise InstanceSemanticError(f"{where}{kind} reference {name!r} must be a name")
         if name not in table:
-            raise InstanceSemanticError(f"{kind} {name!r} is not defined")
+            raise InstanceSemanticError(f"{where}{kind} {name!r} is not defined")
         return table[name]
 
     def domain(self, name: str) -> DomainSpec:
@@ -162,13 +165,13 @@ def _check_values(values: list, size: int, binding: str, what: str) -> None:
             raise InstanceSemanticError(f"{binding}: {what} {v!r} out of range 0..{size - 1}")
 
 
-def _domain(doc, name, binding, size) -> DomainSpec:
+def _domain(ref, name, binding, size) -> DomainSpec:
     _require(_integer(size, 1), binding, f"size must be a positive integer, got {size!r}")
     return DomainSpec(name, size)
 
 
-def _function(doc, name, binding, spec) -> FunctionTable:
-    dom, cod = doc.domain(spec["dom"]), doc.domain(spec["cod"])
+def _function(ref, name, binding, spec) -> FunctionTable:
+    dom, cod = ref("domains", spec["dom"]), ref("domains", spec["cod"])
     arity, table = spec["arity"], spec["table"]
     _require(_integer(arity, 1), binding, "arity must be a positive integer")
     _require(isinstance(table, list), binding, "table must be an array")
@@ -178,8 +181,8 @@ def _function(doc, name, binding, spec) -> FunctionTable:
     return FunctionTable(dom, cod, arity, tuple(table))
 
 
-def _relation(doc, name, binding, spec) -> Relation:
-    dom = doc.domain(spec["domain"])
+def _relation(ref, name, binding, spec) -> Relation:
+    dom = ref("domains", spec["domain"])
     arity, tuples = spec["arity"], spec["tuples"]
     _require(_integer(arity, 1), binding, "arity must be a positive integer")
     _require(isinstance(tuples, list), binding, "tuples must be an array of arrays")
@@ -190,8 +193,8 @@ def _relation(doc, name, binding, spec) -> Relation:
     return Relation.from_tuples(dom, arity, [tuple(t) for t in tuples])
 
 
-def _constraint(doc, name, binding, spec) -> Constraint:
-    ante, cons = doc.relation(spec["antecedent"]), doc.relation(spec["consequent"])
+def _constraint(ref, name, binding, spec) -> Constraint:
+    ante, cons = ref("relations", spec["antecedent"]), ref("relations", spec["consequent"])
     _require(
         ante.arity == cons.arity,
         binding,
@@ -200,16 +203,16 @@ def _constraint(doc, name, binding, spec) -> Constraint:
     return Constraint(ante, cons)
 
 
-def _members(kind, member_section, make, sep, doc, name, binding, spec):
+def _members(kind, member_section, make, sep, ref, name, binding, spec):
     """A class or a set: every member, a binding of member_section, lies over
     the collection's domains."""
-    dom, cod = doc.domain(spec["dom"]), doc.domain(spec["cod"])
+    dom, cod = ref("domains", spec["dom"]), ref("domains", spec["cod"])
     members = spec["members"]
     member_kind = SECTIONS[member_section][0]
     _require(isinstance(members, list), binding, f"members must be an array of {member_kind} names")
     found = []
     for member in members:
-        x = doc._lookup(member_section, member)
+        x = ref(member_section, member)
         if x.dom != dom or x.cod != cod:
             raise InstanceSemanticError(
                 f"{binding}: member {member!r} is over {x.dom.name!r}{sep}{x.cod.name!r}, "
@@ -219,16 +222,17 @@ def _members(kind, member_section, make, sep, doc, name, binding, spec):
     return make(dom, cod, found)
 
 
-def _scheme(doc, name, binding, literal) -> Scheme:
+def _scheme(ref, name, binding, literal) -> Scheme:
     _require(isinstance(literal, str), binding, "scheme literal must be a string")
     return parse_scheme_literal(literal, binding)
 
 
 # The document grammar, sections in the order they are parsed and serialized.
 # section: (binding kind, entry keys in the order they are checked and
-# serialized or () for bare values, builder).  A builder gets the document so
-# far, the binding's name and label, and an entry whose name, shape and keys
-# are already checked.
+# serialized or () for bare values, builder).  A builder gets a lookup
+# ref(section, name) of the bindings so far, labelling its errors with this
+# binding, the binding's name and label, and an entry whose name, shape and
+# keys are already checked.
 SECTIONS = {
     "domains": ("domain", (), _domain),
     "functions": ("function", ("dom", "cod", "arity", "table"), _function),
@@ -272,7 +276,8 @@ def parse_instance(text: str) -> InstanceDocument:
                 _require(not extra, binding, f"unknown keys {sorted(extra)}")
                 for key in keys:
                     _require(key in spec, binding, f"missing {key!r}")
-            doc.bindings[section][name] = build(doc, name, binding, spec)
+            ref = partial(doc._lookup, binding=binding)
+            doc.bindings[section][name] = build(ref, name, binding, spec)
             doc.specs[section][name] = spec
     return doc
 

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -246,20 +246,6 @@ def check_galois_axioms(
 # factorization identities
 
 
-def _escalating_cm_m(t_m, m, bounds, budget, lhs_sets, rhs_from):
-    """Run the bounded closure, escalating the indeterminate budget while the
-    right side stays strictly below the satisfaction side."""
-    escalations = 0
-    while True:
-        res = cm_m_closure(t_m, m, bounds, budget)
-        rhs = rhs_from(res.constraints)
-        if rhs.issubset(lhs_sets) and rhs != lhs_sets and escalations < 2:
-            bounds = replace(bounds, max_indets=bounds.max_indets + 1)
-            escalations += 1
-            continue
-        return res, rhs, escalations
-
-
 def _check_request(name: str, what: str, payload: ArityIndexed, params: dict) -> None:
     """Refuse a name ``what`` does not verify, a payload holding an arity the
     identity does not read, and a missing parameter, in that order."""
@@ -294,10 +280,10 @@ def verify_factorization(
     if identity == "t15ii":
         t_m: ConstraintSet = payload
         lhs = csf_m(fsc_n(t_m, n, budget), m, budget)
-        res, rhs, escalations = _escalating_cm_m(
-            t_m, m, bounds, budget, lhs, lambda cs: lo_n_closure(cs, n, budget)
-        )
-        params = {"n": n, "m": m, "cm_converged": res.converged, "escalations": escalations}
+        res = cm_m_closure(t_m, m, bounds, budget)
+        rhs = lo_n_closure(res.constraints, n, budget)
+        # one closure under the caller's bounds; the bench still reads the constant key
+        params = {"n": n, "m": m, "cm_converged": res.converged, "escalations": 0}
         return _report("t15ii", params, lhs, rhs, started)
     if identity == "t8ii":
         t: ConstraintSet = payload
@@ -314,11 +300,10 @@ def verify_factorization(
             piece = csf_m(fsc_n(t_m, arity, budget), m, budget)
             both = {a: lhs.ranks(a) & piece.ranks(a) for a in lhs.arities()}
             lhs = ConstraintSet(t_m.dom, t_m.cod, both)
-        res, rhs, escalations = _escalating_cm_m(
-            t_m, m, bounds, budget, lhs, lambda cs: cs
-        )
-        params = {"m": m, "n_star": n_star, "cm_converged": res.converged, "escalations": escalations}
-        return _report("t12ii", params, lhs, rhs, started)
+        res = cm_m_closure(t_m, m, bounds, budget)
+        # one closure under the caller's bounds; the bench still reads the constant key
+        params = {"m": m, "n_star": n_star, "cm_converged": res.converged, "escalations": 0}
+        return _report("t12ii", params, lhs, res.constraints, started)
     k: FunctionClass = payload  # t4finite
     vs = vs_closure(k, cap)
     lhs = FunctionClass.empty(k.dom, k.cod)
@@ -426,36 +411,38 @@ def _has_distinguished(t: ConstraintSet, cap: int) -> bool:
 # seeded instance generators
 
 
-def _sample_ranks(rng: random.Random, total: int, count: int, what: str) -> list[int]:
-    within_budget(total, DEFAULT_ENUMERATION_BUDGET, f"{what} to sample from")
+def _sample_ranks(rng: random.Random, total: int, count: int, what: str, budget: int) -> list[int]:
+    within_budget(total, budget, f"{what} to sample from")
     # sample picks by index, so this draws the members a list in rank order would
     return rng.sample(range(total), min(count, total))
 
 
 def random_function_class(
-    rng: random.Random, dom: DomainSpec, cod: DomainSpec, arity: int, count: int
+    rng: random.Random, dom: DomainSpec, cod: DomainSpec, arity: int, count: int,
+    *, budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> FunctionClass:
     total = function_count(dom, cod, arity)
-    picked = _sample_ranks(rng, total, count, f"functions of arity {arity}")
+    picked = _sample_ranks(rng, total, count, f"functions of arity {arity}", budget)
     return FunctionClass(dom, cod, {arity: frozenset(picked)})
 
 
 def random_constraint_set(
-    rng: random.Random, dom: DomainSpec, cod: DomainSpec, arity: int, count: int
+    rng: random.Random, dom: DomainSpec, cod: DomainSpec, arity: int, count: int,
+    *, budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> ConstraintSet:
     total = constraint_universe_count(dom, cod, arity)
-    picked = _sample_ranks(rng, total, count, f"constraints of arity {arity}")
+    picked = _sample_ranks(rng, total, count, f"constraints of arity {arity}", budget)
     # rank r * 2^(|B|^arity) + s is the pair (r, s), as enumerate_constraints orders them
     return ConstraintSet(dom, cod, {arity: {divmod(i, 2 ** (cod.size**arity)) for i in picked}})
 
 
-def nested_class_pair(rng, dom, cod, arity, count, extra):
-    x = random_function_class(rng, dom, cod, arity, count)
-    y = x | random_function_class(rng, dom, cod, arity, extra)
+def nested_class_pair(rng, dom, cod, arity, count, extra, *, budget=DEFAULT_ENUMERATION_BUDGET):
+    x = random_function_class(rng, dom, cod, arity, count, budget=budget)
+    y = x | random_function_class(rng, dom, cod, arity, extra, budget=budget)
     return x, y
 
 
-def nested_set_pair(rng, dom, cod, arity, count, extra):
-    x = random_constraint_set(rng, dom, cod, arity, count)
-    y = x | random_constraint_set(rng, dom, cod, arity, extra)
+def nested_set_pair(rng, dom, cod, arity, count, extra, *, budget=DEFAULT_ENUMERATION_BUDGET):
+    x = random_constraint_set(rng, dom, cod, arity, count, budget=budget)
+    y = x | random_constraint_set(rng, dom, cod, arity, extra, budget=budget)
     return x, y

@@ -188,8 +188,8 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
         # max distinct value tuples at a probe = |B| ** (number of distinct points)
         limits = [cod_size ** len(set(probe)) for probe in probes]
         active = range(points**m)
-        for f in k.members(n):
-            table = f.table
+        for rank in k.ranks(n):
+            table = tuple_unrank(rank, cod_size, points)
             still = []
             for q in active:
                 masks[q] |= 1 << tuple_rank([table[p] for p in probes[q]], cod_size)

@@ -52,6 +52,21 @@ def rng():
     return random.Random(20260823)
 
 
+@pytest.fixture
+def cm_m_calls(monkeypatch):
+    """The bounds of every ``cm_m_closure`` call the lab makes during a test."""
+    import funcon.lab as lab
+
+    calls, real = [], lab.cm_m_closure
+
+    def counted(t_m, m, bounds, budget):
+        calls.append(bounds)
+        return real(t_m, m, bounds, budget)
+
+    monkeypatch.setattr(lab, "cm_m_closure", counted)
+    return calls
+
+
 def monotone_tables(arity):
     """Independent oracle: pointwise-monotone Boolean tables of a given arity,
     checked by comparing all coordinatewise-ordered argument pairs."""

@@ -259,6 +259,20 @@ def test_budget_refusal_exit_code(doc_path, capsys):
     assert code == EXIT_BUDGET and "budget" in err.lower()
 
 
+def test_laws_budget_reaches_the_samplers(capsys):
+    argv = ["laws", "vs", "--dom-size", "3", "--arity", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BUDGET and out == ""
+    assert "functions of arity 3 to sample from: 134217728 exceeds budget 1000000" in err
+    code, out, _ = run(capsys, *argv, "--budget", "1000000000")
+    assert code == EXIT_OK and "verdict: equal" in out
+
+
+def test_flag_references_name_no_binding(doc_path, capsys):
+    code, out, err = run(capsys, "close", "vsn", "--in", doc_path, "--class", "nope")
+    assert code == EXIT_USAGE and out == "" and err == "error: class 'nope' is not defined\n"
+
+
 def test_t4_budget_refusal_exit_code(doc_path, capsys):
     code, out, err = run(capsys, "verify", "t4", "--in", doc_path, "--class", "K2", "--cap", "3")
     assert code == EXIT_BUDGET and "separating constraints" in err and out == ""

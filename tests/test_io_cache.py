@@ -216,10 +216,25 @@ TRI = (
             InstanceSemanticError,
             "function reference ['and'] must be a name",
         ),
+        (
+            mutated(_set("functions", "and", "dom", "nope")),
+            InstanceSemanticError,
+            "function 'and': domain 'nope' is not defined",
+        ),
+        (
+            mutated(_set("constraints", "c_leq", "consequent", "nope")),
+            InstanceSemanticError,
+            "constraint 'c_leq': relation 'nope' is not defined",
+        ),
+        (
+            mutated(_set("classes", "K2", "members", ["and", "nope"])),
+            InstanceSemanticError,
+            "class 'K2': function 'nope' is not defined",
+        ),
     ],
     ids=[
         "section", "root", "name", "unknown-key", "missing-key", "class-member", "set-member", "scheme",
-        "domain-reference", "member-reference",
+        "domain-reference", "member-reference", "undefined-domain", "undefined-relation", "undefined-member",
     ],
 )
 def test_each_document_check_names_the_binding(text, error, message):

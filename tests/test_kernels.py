@@ -5,7 +5,9 @@ the constraint-side mask kernels (lift, maximal pairs, ``lo_n_closure``)
 against scalar pair-by-pair reference loops, of the reading table
 ``core.readings`` and the tight minor built on it against digit-by-digit
 decoding, and of the separators ``fsc_n_of_csf_m`` reads off the probe
-groups against ``minimal_consequent``."""
+groups against ``minimal_consequent``, and of the variable-substitution
+closures, which rank member tables through ``core.readings``, against
+``substitute`` over every ``SubstitutionMap``."""
 
 import itertools
 import os
@@ -25,6 +27,7 @@ from funcon import (
     FunctionTable,
     Relation,
     Scheme,
+    SubstitutionMap,
     cm_m_closure,
     csf_m,
     enumerate_constraints,
@@ -36,8 +39,11 @@ from funcon import (
     minimal_consequent,
     random_function_class,
     satisfies,
+    substitute,
     tuple_rank,
     tuple_unrank,
+    vs_closure,
+    vs_n_closure,
 )
 from funcon.constraint_closures import MinorWitness, _down_close, _lift, _maximal_pairs
 from funcon.core import readings
@@ -154,6 +160,30 @@ def test_fsc_n_of_csf_m_matches_scalar_reference(sizes, arities, constraint_arit
         k = random_function_class(rng, dom, cod, n, 2)
         for m in constraint_arities:
             assert fsc_n_of_csf_m(k, n, m) == fsc_reference(csf_reference(k, m), n)
+
+
+def vs_reference(k: FunctionClass, targets) -> FunctionClass:
+    """Every member put through ``substitute`` with every map into each target arity."""
+    return FunctionClass.from_tables(k.dom, k.cod, [
+        substitute(f, SubstitutionMap(n, t, assignment))
+        for n in k.arities()
+        for f in k.members(n)
+        for t in targets
+        for assignment in itertools.product(range(1, t + 1), repeat=n)
+    ])
+
+
+@pytest.mark.parametrize("sizes, arities, constraint_arities", DOMAIN_PAIRS[:3])
+def test_vs_closures_match_substitute_reference(sizes, arities, constraint_arities):
+    dom, cod = domains(sizes)
+    rng = random.Random(10 * sizes[0] + sizes[1])
+    for n in arities:
+        for count in (1, 2, 4):
+            k = random_function_class(rng, dom, cod, n, count)
+            assert vs_n_closure(k) == vs_reference(k, [n])
+            mixed = k | random_function_class(rng, dom, cod, 1, 1)
+            for cap in (1, 2, 3):
+                assert vs_closure(mixed, cap) == vs_reference(mixed, range(1, cap + 1))
 
 
 def separators_reference(k: FunctionClass, n: int, m: int) -> list[tuple[int, int]]:

@@ -4,6 +4,7 @@ import pytest
 
 from funcon import (
     ClosureReport,
+    CmBounds,
     Constraint,
     Relation,
     canonical_constraint,
@@ -119,6 +120,13 @@ def test_t15ii_instances(rng):
     rep = verify_factorization("t15ii", cset(C_LEQ), n=4, m=2)
     assert rep.ok and rep.lhs_size == 48
     assert rep.parameters["cm_converged"]
+
+
+def test_t12ii_runs_one_bounded_closure(cm_m_calls):
+    bounds = CmBounds(max_iterations=20)
+    rep = verify_factorization("t12ii", cset(C_LEQ), m=2, bounds=bounds)
+    assert rep.ok and rep.parameters["escalations"] == 0
+    assert cm_m_calls == [bounds] and cm_m_calls[0] is bounds
 
 
 def test_t12ii_and_t8ii(rng):

@@ -8,6 +8,7 @@ import itertools
 import pytest
 
 from funcon import (
+    CmBounds,
     Constraint,
     ConstraintSet,
     DomainSpec,
@@ -17,6 +18,7 @@ from funcon import (
     fsc_n,
     lo_n_closure,
     satisfies,
+    verify_factorization,
 )
 
 BOOL = DomainSpec("bool", 2)
@@ -58,3 +60,14 @@ def test_left_only_constraints_are_satisfied_by_fsc_3(sides):
 def test_t15ii_one_in_three_even_parity_m3(sides):
     fsc, lhs, rhs = sides
     assert lhs == rhs
+
+
+def test_verify_runs_one_bounded_closure(sides, cm_m_calls):
+    fsc, lhs, rhs = sides
+    rep = verify_factorization("t15ii", T, n=3, m=3)
+    assert rep.parameters["escalations"] == 0
+    assert (rep.lhs_size, rep.rhs_size) == (len(lhs), len(rhs))
+    bounds = CmBounds(max_indets=1)
+    cm_m_calls.clear()
+    verify_factorization("t15ii", T, n=3, m=3, bounds=bounds)
+    assert cm_m_calls == [bounds] and cm_m_calls[0] is bounds
