@@ -6,12 +6,17 @@ domain are addressed by their lexicographic rank (first coordinate most
 significant), and relations are stored as bit-addressable sets over those
 ranks, so subset/intersection/union are single word operations.
 
-Both sides of the Galois connection are held the same way, by the
-arity-indexed container ``ArityIndexed``: each arity is a frozenset of
-integer keys, decoded into members only for I/O and witnesses.  A
-``FunctionClass`` keys an n-ary table by its rank, the table read as base-|B|
-digits with the first entry most significant; a ``ConstraintSet`` keys a
-constraint by its ``(antecedent.bits, consequent.bits)`` pair.
+Both sides of the Galois connection share the arity-indexed container
+``ArityIndexed``: members are held as integer keys and decoded only for I/O
+and witnesses.  A ``ConstraintSet`` holds each arity as a frozenset
+of ``(antecedent.bits, consequent.bits)`` pairs.  A ``FunctionClass`` keys an
+n-ary table by its rank, the table read as base-|B| digits with the first
+entry most significant, and holds each arity in the form that built it: a
+frozenset of ranks from the constructor and ``from_tables``, or a bitmask over
+the ranks from ``from_masks``, the form the kernels produce.  The other form
+is derived on first read and cached.  Every container operation (equality,
+subset, union, difference, ``len``, ``in``, ``tables``) reads ranks, so only
+``FunctionClass.mask`` builds a mask from ranks.
 ``column_masks`` gives, per argument point and value, the bitmask over the
 whole |B|^(|A|^n)-table universe of the ranks taking that value there, so the
 Galois maps become AND/OR operations on these truth-table columns.
@@ -32,7 +37,8 @@ carrying that count when the count exceeds the budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -381,21 +387,32 @@ class ArityIndexed:
 
     A subclass fixes what a key is: ``_encode`` validates the members given
     for one arity and converts them to keys, ``decode`` turns one key back
-    into a member.  Empty arities are dropped and the arities kept sorted.
+    into a member.  The constructor takes the members of each arity as
+    ``by_arity``; ``arities`` and ``ranks`` read the keys back.  Empty arities
+    are dropped and the arities kept sorted.  ``|``, ``-`` and ``issubset``
+    take a collection of the same type over the same domains.
     """
 
     dom: DomainSpec
     cod: DomainSpec
-    by_arity: Mapping[int, frozenset]
+    by_arity: InitVar[Mapping[int, Iterable]]
+    _keys: dict[int, frozenset] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, by_arity: Mapping[int, Iterable]) -> None:
         out: dict[int, frozenset] = {}
-        for arity, members in sorted(self.by_arity.items()):
+        for arity, members in sorted(by_arity.items()):
             members = frozenset(members)
             if not members:
                 continue
             out[arity] = self._encode(arity, members)
-        object.__setattr__(self, "by_arity", out)
+        object.__setattr__(self, "_keys", out)
+
+    @classmethod
+    def _of_keys(cls, dom: DomainSpec, cod: DomainSpec, keys: Mapping[int, frozenset]):
+        """A collection of keys already checked for their arities."""
+        out = cls(dom, cod, {})
+        out._keys.update((n, k) for n, k in sorted(keys.items()) if k)
+        return out
 
     def decode(self, arity: int, key):
         """The member of the given arity stored under ``key``."""
@@ -406,21 +423,29 @@ class ArityIndexed:
         return cls(dom, cod, {})
 
     def arities(self) -> tuple[int, ...]:
-        return tuple(self.by_arity)
+        return tuple(self._keys)
 
     def ranks(self, arity: int) -> frozenset:
         """The keys of one arity."""
-        return self.by_arity.get(arity, frozenset())
+        return self._keys.get(arity, frozenset())
+
+    def _by_arity(self) -> dict[int, frozenset]:
+        """Every arity with its keys."""
+        return {n: self.ranks(n) for n in self.arities()}
 
     def members(self, arity: int) -> frozenset:
         return frozenset(self.decode(arity, key) for key in self.ranks(arity))
 
+    def sorted_keys(self) -> list[tuple[int, object]]:
+        """(arity, key) of every member, by arity and then by key."""
+        return [(n, key) for n in self.arities() for key in sorted(self.ranks(n))]
+
     def _sorted_members(self) -> list:
         """Every member, decoded, by arity and then by key."""
-        return [self.decode(n, key) for n, keys in self.by_arity.items() for key in sorted(keys)]
+        return [self.decode(n, key) for n, key in self.sorted_keys()]
 
     def __len__(self) -> int:
-        return sum(len(keys) for keys in self.by_arity.values())
+        return sum(len(self.ranks(n)) for n in self.arities())
 
     def __contains__(self, member) -> bool:
         """Membership of a decoded member."""
@@ -429,30 +454,52 @@ class ArityIndexed:
         (key,) = self._encode(member.arity, frozenset([member]))
         return key in self.ranks(member.arity)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.dom, self.cod, self._by_arity()) == (other.dom, other.cod, other._by_arity())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dom={self.dom!r}, cod={self.cod!r}, by_arity={self._by_arity()!r})"
+
+    def _combine(self, other, op):
+        """``op`` of the two key sets of every arity of either collection."""
+        if (self.dom, self.cod) != (other.dom, other.cod):
+            raise DomainMismatchError("cannot combine collections over different domains")
+        arities = {*self.arities(), *other.arities()}
+        return self._of_keys(self.dom, self.cod, {n: op(self.ranks(n), other.ranks(n)) for n in arities})
+
     def __or__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise DomainMismatchError("cannot union collections over different domains")
-        merged = dict(self.by_arity)
-        for arity, keys in other.by_arity.items():
-            merged[arity] = merged.get(arity, frozenset()) | keys
-        return type(self)(self.dom, self.cod, merged)
+        return self._combine(other, operator.or_)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, operator.sub)
 
     def issubset(self, other) -> bool:
-        return all(keys <= other.ranks(arity) for arity, keys in self.by_arity.items())
+        if type(other) is not type(self):
+            raise TypeError(f"a {type(self).__name__} is not comparable with a {type(other).__name__}")
+        return not (self - other).arities()
 
     def restrict_arity(self, arity: int):
         return type(self)(self.dom, self.cod, {arity: self.ranks(arity)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FunctionClass(ArityIndexed):
     """An arity-indexed collection of functions with common dom and cod.
 
-    Each arity holds the ranks of its member tables (see ``FunctionTable.rank``).
-    The constructor also accepts ``FunctionTable`` members and converts them;
-    ``members`` and ``tables`` decode tables back for I/O and witnesses.
+    Each arity is held in the form that built it.  The constructor and
+    ``from_tables`` hold the ranks of the member tables (see
+    ``FunctionTable.rank``), converting ``FunctionTable`` members to ranks;
+    ``from_masks`` holds the bitmask over table ranks that the kernels produce
+    (see ``mask``).  ``ranks`` derives the ranks of a held mask on first read
+    and ``mask`` the mask of held ranks, each cached.  Every other operation
+    reads ranks, so only ``mask`` builds a mask.  ``members`` and ``tables``
+    decode tables back for I/O and witnesses.
     """
 
     _masks: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -465,8 +512,7 @@ class FunctionClass(ArityIndexed):
                 raise ValueError(f"mask out of range for arity {arity}")
         k = cls(dom, cod, {})
         # a mask in range holds valid ranks only, so the per-rank checks are skipped
-        object.__setattr__(k, "by_arity", {n: ranks_of_mask(masks[n]) for n in sorted(masks) if masks[n]})
-        k._masks.update(masks)
+        k._masks.update((n, mask) for n, mask in masks.items() if mask)
         return k
 
     def _encode(self, arity: int, members: frozenset) -> frozenset[int]:
@@ -496,16 +542,25 @@ class FunctionClass(ArityIndexed):
     ) -> "FunctionClass":
         return cls(dom, cod, _grouped_by_arity(tables))
 
+    def arities(self) -> tuple[int, ...]:
+        return tuple(sorted({*self._keys, *self._masks}))
+
+    def ranks(self, arity: int) -> frozenset[int]:
+        """The table ranks of one arity, derived from its mask on first read."""
+        if arity not in self._keys and arity in self._masks:
+            self._keys[arity] = ranks_of_mask(self._masks[arity])
+        return self._keys.get(arity, frozenset())
+
     def mask(self, arity: int) -> int:
         """The members of one arity as a bitmask over table ranks.
 
-        The mask has ``function_count(dom, cod, arity)`` bits, so callers check
-        that count against their budget first.
+        Built from ranks, the mask has ``function_count(dom, cod, arity)``
+        bits, so callers check that count against their budget first.
         """
-        if arity not in self._masks:
+        if arity not in self._masks and arity in self._keys:
             count = function_count(self.dom, self.cod, arity)
-            self._masks[arity] = mask_of_ranks(self.ranks(arity), count)
-        return self._masks[arity]
+            self._masks[arity] = mask_of_ranks(self._keys[arity], count)
+        return self._masks.get(arity, 0)
 
     def tables(self) -> list[FunctionTable]:
         return self._sorted_members()

@@ -98,17 +98,12 @@ def _verdict(lhs_only: list, rhs_only: list) -> str:
     return "incomparable"
 
 
-def _difference(x: ArityIndexed, other: ArityIndexed) -> list[tuple[int, object]]:
-    """(arity, key) of every member of x missing from other, in key order."""
-    return sorted((n, key) for n in x.arities() for key in x.ranks(n) - other.ranks(n))
-
-
 def _report(
     name: str, params: dict, lhs: ArityIndexed, rhs: ArityIndexed, started: float
 ) -> ClosureReport:
     """Both sides of an identity over classes or over constraint sets."""
-    lhs_only = _difference(lhs, rhs)
-    rhs_only = _difference(rhs, lhs)
+    lhs_only = (lhs - rhs).sorted_keys()
+    rhs_only = (rhs - lhs).sorted_keys()
     wits = [_describe(lhs.decode(n, key)) + " (lhs only)" for n, key in lhs_only[:MAX_WITNESSES]]
     wits += [_describe(rhs.decode(n, key)) + " (rhs only)" for n, key in rhs_only[:MAX_WITNESSES]]
     return ClosureReport(
@@ -215,8 +210,8 @@ def check_galois_axioms(
     # order reversal on nested pairs obtained by dropping one member
     for x, close, name in ((t, fsc_c, "fsc"), (k, csf_c, "csf")):
         closed = close(x)
-        for n, key in sorted((n, key) for n in x.arities() for key in x.ranks(n)):
-            smaller = type(x)(x.dom, x.cod, {**x.by_arity, n: x.ranks(n) - {key}})
+        for n, key in x.sorted_keys():
+            smaller = x - type(x)(x.dom, x.cod, {n: {key}})
             if not closed.issubset(close(smaller)):
                 violations.append(f"{name} not order reversing at {_describe(x.decode(n, key))}")
     # extensive composites

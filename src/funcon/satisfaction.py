@@ -145,10 +145,10 @@ def fsc_n(
     count = within_budget(function_count(t.dom, t.cod, n), budget, f"fsc_{n} candidate functions")
     cols = column_masks(t.dom, t.cod, n)
     kept = (1 << count) - 1
-    for m, pairs in t.by_arity.items():
+    for m in t.arities():
         value_tuples = list(itertools.product(range(t.cod.size), repeat=m))  # in rank order
         outside_all = (1 << len(value_tuples)) - 1
-        for r_bits, cons in pairs:
+        for r_bits, cons in t.ranks(m):
             banned = 2 * cons.bit_count() > len(value_tuples)
             values = [value_tuples[s] for s in ranks_of_mask(outside_all & ~cons if banned else cons)]
             for sig in _signatures(t.dom.size, m, r_bits, n):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -27,7 +28,15 @@ from funcon import (
     tuple_rank,
     tuple_unrank,
 )
-from funcon.core import BudgetExceededError, constraint_universe_count, function_count
+import funcon.core as core
+from funcon.core import (
+    BudgetExceededError,
+    constraint_universe_count,
+    function_count,
+    mask_of_ranks,
+    ranks_of_mask,
+)
+from funcon.lab import _report
 from funcon.minors import tight_minor_relation
 
 from conftest import AND, BOOL, C_LEQ, EQ2, LEQ, cls, cset, fn
@@ -240,6 +249,12 @@ def test_classes_and_sets_do_not_mix():
         k | t
     with pytest.raises(TypeError):
         t | k
+    with pytest.raises(TypeError):
+        k - t
+    with pytest.raises(TypeError):
+        FunctionClass.empty(BOOL, BOOL).issubset(ConstraintSet.empty(BOOL, BOOL))
+    with pytest.raises(TypeError):
+        t.issubset(k)
     assert k != t
     with pytest.raises(DomainMismatchError):
         t | ConstraintSet.empty(DomainSpec("C", 3), BOOL)
@@ -249,3 +264,122 @@ def test_from_constructors_live_in_their_own_class():
     # perfbench/tracer.py patches these through cls.__dict__[attr]
     assert "from_tables" in FunctionClass.__dict__
     assert "from_constraints" in ConstraintSet.__dict__
+
+
+def test_issubset_refuses_other_domains():
+    # rank 0 is the constant-0 table under either codomain, but not the same function
+    three = DomainSpec("three", 3)
+    with pytest.raises(DomainMismatchError):
+        FunctionClass(BOOL, BOOL, {1: {0}}).issubset(FunctionClass(BOOL, three, {1: {0}}))
+    with pytest.raises(DomainMismatchError):
+        FunctionClass.empty(BOOL, BOOL).issubset(FunctionClass.empty(three, BOOL))
+    with pytest.raises(DomainMismatchError):
+        cset(C_LEQ).issubset(ConstraintSet.empty(three, BOOL))
+    assert FunctionClass(BOOL, BOOL, {1: {0}}) != FunctionClass(BOOL, three, {1: {0}})
+
+
+def _random_members(dom, cod, rng):
+    """Table ranks at a random choice of arities 1 and 2, some arities absent."""
+    out = {}
+    for n in (1, 2):
+        if rng.random() < 0.75:
+            count = function_count(dom, cod, n)
+            out[n] = set(rng.sample(range(count), rng.randint(1, min(count, 6))))
+    return out
+
+
+def _both_forms(dom, cod, members):
+    """Builders of the same class held as rank sets and as masks.  Each call
+    builds a fresh class, so no form one check derives leaks into the next."""
+    masks = {n: mask_of_ranks(r, function_count(dom, cod, n)) for n, r in members.items()}
+    return {
+        "ranks": lambda: FunctionClass(dom, cod, members),
+        "masks": lambda: FunctionClass.from_masks(dom, cod, masks),
+    }
+
+
+def _no_mask_built(ranks, count):
+    raise AssertionError("an operation built a mask")
+
+
+@pytest.mark.parametrize("sizes", SIZE_PAIRS)
+def test_rank_and_mask_forms_agree(sizes, rng, monkeypatch):
+    dom, cod = DomainSpec("A", sizes[0]), DomainSpec("B", sizes[1])
+    samples = [{}] + [_random_members(dom, cod, rng) for _ in range(4)]
+    samples.append({n: samples[1].get(n, set()) | samples[2].get(n, set()) for n in (1, 2)})
+    samples = [{n: r for n, r in members.items() if r} for members in samples]
+    forms = [_both_forms(dom, cod, members) for members in samples]
+    for members, build in zip(samples, forms):
+        for n in (1, 2, 3):
+            assert build["ranks"]().mask(n) == build["masks"]().mask(n)
+            assert ranks_of_mask(build["ranks"]().mask(n)) == members.get(n, set())
+    # from here on any mask an operation builds fails the test
+    monkeypatch.setattr(core, "mask_of_ranks", _no_mask_built)
+    for members, build in zip(samples, forms):
+        tables = [FunctionTable.unrank(dom, cod, n, r) for n in sorted(members) for r in sorted(members[n])]
+        for form in ("ranks", "masks"):
+            assert build[form]().arities() == tuple(sorted(members))
+            assert len(build[form]()) == len(tables)
+            assert build[form]().tables() == tables
+            names = {"FunctionClass": FunctionClass, "DomainSpec": DomainSpec}
+            assert eval(repr(build[form]()), names) == build["ranks"]()
+            assert all(build[form]().ranks(n) == members.get(n, set()) for n in (1, 2, 3))
+            k = build[form]()
+            for n in (1, 2):
+                held = [f in k for f in enumerate_functions(dom, cod, n)]
+                assert held == [r in members.get(n, ()) for r in range(function_count(dom, cod, n))]
+    for (xs, x_forms), (ys, y_forms) in itertools.product(zip(samples, forms), repeat=2):
+        arities = sorted({*xs, *ys})
+        union = {n: xs.get(n, set()) | ys.get(n, set()) for n in arities}
+        lhs_only = [(n, r) for n in arities for r in sorted(xs.get(n, set()) - ys.get(n, set()))]
+        reports = []
+        for fx, fy in itertools.product(("ranks", "masks"), repeat=2):
+            x, y = x_forms[fx], y_forms[fy]
+            assert (x() == y()) == (xs == ys)
+            assert x().issubset(y()) == all(r <= ys.get(n, set()) for n, r in xs.items())
+            union_tables = [FunctionTable.unrank(dom, cod, n, r) for n in arities for r in sorted(union[n])]
+            assert (x() | y()).tables() == union_tables
+            assert (x() - y()).sorted_keys() == lhs_only
+            report = _report("pair", {}, x(), y(), 0.0)
+            reports.append((report.lhs_size, report.rhs_size, report.verdict, report.symmetric_difference))
+        assert reports == reports[:1] * 4
+        assert reports[0][3][:len(lhs_only[:8])] == [
+            f"function arity={n} table={list(FunctionTable.unrank(dom, cod, n, r).table)} (lhs only)"
+            for n, r in lhs_only[:8]
+        ]
+
+
+def test_mask_and_rank_conversions():
+    rng = random.Random(3)
+    for count in (1, 2, 7, 64, 65, 1000):
+        for size in (0, 1, count // 2, count):
+            ranks = frozenset(rng.sample(range(count), size))
+            assert ranks_of_mask(mask_of_ranks(ranks, count)) == ranks
+    three = DomainSpec("three", 3)
+    for dom, cod in ((BOOL, BOOL), (three, BOOL), (BOOL, three)):
+        for n in (1, 2):
+            count = function_count(dom, cod, n)
+            k = FunctionClass.from_masks(dom, cod, {n: (1 << count) - 1})
+            assert len(k) == count and k.ranks(n) == frozenset(range(count))
+            for bad in (-1, 1 << count, (1 << count) | 1):
+                with pytest.raises(ValueError):
+                    FunctionClass.from_masks(dom, cod, {n: bad})
+        with pytest.raises(ValueError):
+            FunctionClass.from_masks(dom, cod, {0: 1})
+    assert FunctionClass.from_masks(BOOL, BOOL, {1: 0, 2: 0}) == FunctionClass.empty(BOOL, BOOL)
+    assert FunctionClass.from_masks(BOOL, BOOL, {1: 0, 2: 1}).arities() == (2,)
+
+
+def test_mask_built_class_reads_whole_through_public_api():
+    # every arity a mask holds is seen before and after any rank is derived
+    k = FunctionClass.from_masks(BOOL, BOOL, {1: 0b0110, 2: 1 << 6})
+    built = FunctionClass(BOOL, BOOL, {1: {1, 2}, 2: {6}})
+    assert not hasattr(k, "by_arity")
+    assert k.arities() == (1, 2) and len(k) == 3
+    assert k.ranks(2) == {6} and k.arities() == (1, 2)
+    assert k.members(1) == built.members(1)
+    assert k.tables() == built.tables() and k == built
+    assert repr(k) == repr(built) == (
+        "FunctionClass(dom=DomainSpec(name='bool', size=2), cod=DomainSpec(name='bool', size=2), "
+        "by_arity={1: frozenset({1, 2}), 2: frozenset({6})})"
+    )

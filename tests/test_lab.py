@@ -122,6 +122,23 @@ def test_t15ii_instances(rng):
     assert rep.parameters["cm_converged"]
 
 
+def test_t15ii_never_turns_the_fsc_4_mask_into_ranks(monkeypatch):
+    # csf_m reads the fsc_4 class as the mask fsc_n built; FunctionClass.ranks
+    # is the one caller of core.ranks_of_mask, and only a rank read calls it
+    import funcon.core as core
+
+    calls, real = [], core.ranks_of_mask
+
+    def counted(mask):
+        calls.append(mask.bit_length())
+        return real(mask)
+
+    monkeypatch.setattr(core, "ranks_of_mask", counted)
+    rep = verify_factorization("t15ii", cset(C_LEQ), n=4, m=2)
+    assert rep.ok and rep.lhs_size == 48
+    assert calls == []
+
+
 def test_t12ii_runs_one_bounded_closure(cm_m_calls):
     bounds = CmBounds(max_iterations=20)
     rep = verify_factorization("t12ii", cset(C_LEQ), m=2, bounds=bounds)
