@@ -9,14 +9,15 @@ instance against ``cm_m_oracle``, the independently computed Galois composite.
 The kernels are word operations on the relations' rank bitmasks.  A lift
 through a map h is an OR of cached per-rank preimage masks (``_preimages``):
 entry ``read`` holds the extended tuples whose h-reading has rank ``read``.
-Every member set is closed under relaxation (``_down_close``), so a member is
-maximal exactly when none of its single-tuple strengthenings (one antecedent
-tuple more, one consequent tuple fewer) is a member: any strictly stronger
-member is reached from it through such a step, and that step is itself a
-relaxation of the stronger member.  A round of minor moves is one loop over
-the pairs i <= j of lifts, projecting their meet; i == j is a single-source
-tight minor.  Witnesses stay bit pairs while the fixpoint runs and are
-decoded into constraints when ``CmResult.witnesses`` is first read.
+The fixpoint holds one floor per antecedent R, its least consequent: the sets
+it builds are closed under relaxation and under the meet of two members with
+one antecedent, so their members are the (R, S) with S a superset of floor(R).
+``_add`` ANDs a new pair's consequent into the floors below its antecedent,
+and ``_maximal`` reads off the maximal members.  A round of minor moves is
+one loop over the pairs i <= j of lifts of the maximal members, projecting
+their meet; i == j is a single-source tight minor.  Witnesses are recorded as
+bit pairs for the pairs that enter and decoded, one per member, when
+``CmResult.witnesses`` is first read.
 ``lo_n_closure`` keeps, per antecedent, the mask of consequents present with
 it and decides every candidate in one pass over the antecedents (see its
 docstring).
@@ -25,17 +26,18 @@ docstring).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     ArityMismatchError,
     Constraint,
     ConstraintSet,
-    DomainSpec,
     constraint_universe_count,
     readings,
+    submasks,
     within_budget,
 )
 from .minors import Scheme
@@ -58,8 +60,9 @@ class CmBounds:
 
 @dataclass(frozen=True)
 class MinorWitness:
-    """How a closure member was produced: a scheme over named sources, or a
-    relaxation of another member, or a seed."""
+    """How a closure member was produced: a seed, a relaxation of another
+    member, or a tight minor of named sources under a scheme (a meet of two
+    members with one antecedent is one under the identity scheme)."""
 
     kind: str  # "seed" | "relaxation" | "minor"
     family: tuple[Constraint, ...] = ()
@@ -69,22 +72,29 @@ class MinorWitness:
 
 @dataclass
 class CmResult:
-    """The closure, and per arity the fixpoint's witness of each member's
-    bit pair: ``("seed",)``, ``("relaxation", parent_pair)`` or ``("minor",
-    v, sources)`` with sources ``(r, s, h, src_arity)``."""
+    """The closure with its floors: ``floors[m][r]`` is the least consequent
+    of antecedent r, and the members are the (r, s) with s a superset of it.
+    ``entered[m]`` maps each bit pair that entered the fixpoint (a seed, a new
+    minor candidate, a new floor) to its witness, and following witnesses
+    always ends at seeds: ``("seed",)``, ``("relaxation", parent_pair)`` or
+    ``("minor", v, sources)`` with sources ``(r, s, h, src_arity)``."""
 
     constraints: ConstraintSet
     converged: bool
     iterations: int
-    pair_witnesses: dict[int, dict[tuple[int, int], tuple]] = field(default_factory=dict, repr=False)
+    floors: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    entered: dict[int, dict[tuple[int, int], tuple]] = field(default_factory=dict, repr=False)
 
     @cached_property
     def witnesses(self) -> dict[Constraint, MinorWitness]:
-        """The pair witnesses decoded into members, on first read."""
+        """Every member with its witness, decoded on first read: the witness it
+        entered with, or else a relaxation of its antecedent's floor."""
         decode = self.constraints.decode
         out = {}
-        for m, pairs in self.pair_witnesses.items():
-            for pair, (kind, *rest) in pairs.items():
+        for m, entered in self.entered.items():
+            floors = self.floors[m]
+            for pair in self.constraints.ranks(m):
+                kind, *rest = entered.get(pair) or ("relaxation", (pair[0], floors[pair[0]]))
                 if kind == "minor":
                     v, sources = rest
                     family = tuple(decode(n, (r, s)) for r, s, _, n in sources)
@@ -103,38 +113,29 @@ def _low_bits(mask: int):
         yield low
 
 
-def _down_close(
-    members: dict[tuple[int, int], tuple],
-    new_pairs: list[tuple[tuple[int, int], tuple]],
-    full_cons: int,
-) -> bool:
-    """Add relaxations (antecedent submasks, consequent supermasks) of the new
-    pairs; single-tuple moves iterated to completion within the lattice."""
-    changed = False
-    stack = list(new_pairs)
-    while stack:
-        (r, s), wit = stack.pop()
-        if (r, s) in members:
-            continue
-        members[(r, s)] = wit
-        changed = True
-        relax = ("relaxation", (r, s))
-        # single-tuple relaxation moves, iterated through the stack
-        stack += [((r ^ low, s), relax) for low in _low_bits(r)]
-        stack += [((r, s | low), relax) for low in _low_bits(full_cons & ~s)]
-    return changed
+def _add(floors: list[int], entered: dict[tuple[int, int], tuple], pair: tuple[int, int], m: int) -> None:
+    """Add the member (r, s) by ANDing s into the floor of every r' inside r.
+    A new floor s is a relaxation of the pair, a new floor ``old & s`` the meet
+    of (r', old) and the pair; the pair's own witness is the caller's."""
+    r, s = pair
+    ident = tuple(range(m))
+    for sub in submasks(r):
+        old = floors[sub]
+        if old & ~s:
+            new = floors[sub] = old & s
+            if (sub, new) != pair:
+                meet = ("minor", 0, ((sub, old, ident, m), (r, s, ident, m)))
+                entered[sub, new] = ("relaxation", pair) if new == s else meet
 
 
-def _maximal_pairs(members: dict, full_ante: int) -> list[tuple[int, int]]:
-    """Members not a strict relaxation of any other member, in sorted order.
-
-    ``members`` must be closed under relaxation: then a member is maximal iff
-    no single-tuple strengthening of it is a member."""
+def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
+    """The maximal members: floors grow with the antecedent, so these are the
+    (r, floor(r)) whose floor grows at every one-tuple-larger antecedent."""
+    full = (1 << width) - 1
     return [
-        (r, s)
-        for r, s in sorted(members)
-        if not any((r | low, s) in members for low in _low_bits(full_ante & ~r))
-        and not any((r, s ^ low) in members for low in _low_bits(s))
+        (r, floor)
+        for r, floor in enumerate(floors)
+        if all(floors[r | low] != floor for low in _low_bits(full & ~r))
     ]
 
 
@@ -171,69 +172,14 @@ def _project(bits: int, m: int, v: int, size: int) -> int:
     return out
 
 
-def _closure_fixpoint(
-    seeds: dict[int, list[tuple[int, int]]],
-    targets: list[int],
-    dom: DomainSpec,
-    cod: DomainSpec,
-    bounds: CmBounds,
-) -> tuple[dict[int, dict[tuple[int, int], tuple]], bool, int]:
+def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, budget: int) -> CmResult:
     """Shared engine for cm_m (single arity) and cm (cross-arity, capped).
 
-    ``seeds`` maps each target arity to its initial members; sources for the
-    minor moves are the maximal members of every target arity.  Members map
-    to their witnesses, as ``CmResult`` holds them.
+    Each target arity starts from the floor B^m at every antecedent and takes
+    the members of t and the equality and empty constraints as seeds; sources
+    for the minor moves are the maximal members of every target arity.  The
+    result's constraints are the floors expanded into members.
     """
-    sa, sb = dom.size, cod.size
-    members: dict[int, dict[tuple[int, int], tuple]] = {m: {} for m in targets}
-    for m in targets:
-        _down_close(members[m], [(pair, ("seed",)) for pair in seeds.get(m, [])], (1 << sb**m) - 1)
-    v = bounds.max_indets
-    done: set[tuple[int, int, int]] = set()
-    converged = False
-    iteration = 0
-    for iteration in range(1, bounds.max_iterations + 1):
-        changed = False
-        maximals = {
-            m: _maximal_pairs(members[m], (1 << sa**m) - 1) for m in targets
-        }
-        for m in targets:
-            # lifted (antecedent, consequent) masks -> the first source giving them
-            lifts: dict[tuple[int, int], tuple[int, int, tuple[int, ...], int]] = {}
-            for src_arity in targets:
-                for r, s in maximals[src_arity]:
-                    for h in itertools.product(range(m + v), repeat=src_arity):
-                        lifts.setdefault((_lift(r, h, m, v, sa), _lift(s, h, m, v, sb)), (r, s, h, src_arity))
-            pairs, sources = list(lifts), list(lifts.values())
-            fresh: list[tuple[tuple[int, int], tuple]] = []
-            for i, (la, lb) in enumerate(pairs):
-                for j, (la2, lb2) in enumerate(pairs[i:], i):
-                    key = (m, la & la2, lb & lb2)
-                    if key in done:
-                        continue
-                    done.add(key)
-                    cand = (_project(key[1], m, v, sa), _project(key[2], m, v, sb))
-                    if cand not in members[m]:
-                        family = (sources[i],) if i == j else (sources[i], sources[j])
-                        fresh.append((cand, ("minor", v, family)))
-            if fresh and _down_close(members[m], fresh, (1 << sb**m) - 1):
-                changed = True
-        if not changed:
-            converged = True
-            break
-    return members, converged, iteration
-
-
-def _diagonal(size: int, m: int) -> int:
-    """Bits of the m-ary equality relation over a domain of the given size."""
-    return sum(1 << rank for rank in readings((0,) * m, 1, size))
-
-
-def _cm_result(
-    t: ConstraintSet, targets: list[int], bounds: CmBounds, budget: int
-) -> CmResult:
-    """Run the fixpoint at the target arities, seeded with the input set and
-    the equality and empty constraints of each."""
     dom, cod = t.dom, t.cod
     for m in targets:
         if m < 1:
@@ -242,10 +188,50 @@ def _cm_result(
     for arity in t.arities():
         if arity not in targets:
             raise ArityMismatchError(f"input set contains arity {arity}, outside target arities {targets}")
-    seeds = {m: [*t.ranks(m), (_diagonal(dom.size, m), _diagonal(cod.size, m)), (0, 0)] for m in targets}
-    members, converged, iterations = _closure_fixpoint(seeds, targets, dom, cod, bounds)
-    constraints = ConstraintSet(dom, cod, {m: frozenset(members[m]) for m in targets})
-    return CmResult(constraints, converged, iterations, members)
+    sa, sb = dom.size, cod.size
+    floors: dict[int, list[int]] = {}
+    entered: dict[int, dict[tuple[int, int], tuple]] = {}
+    for m in targets:
+        full_a, full_b = (1 << sa**m) - 1, (1 << sb**m) - 1
+        eq = tuple(sum(1 << x for x in readings((0,) * m, 1, size)) for size in (sa, sb))
+        floors[m] = [full_b] * (full_a + 1)
+        # (A^m, B^m) is the tight minor of the equality seed through a constant map
+        entered[m] = dict.fromkeys([(r, full_b) for r in range(full_a)], ("relaxation", (full_a, full_b)))
+        entered[m][full_a, full_b] = ("minor", 0, ((*eq, (0,) * m, m),))
+        for pair in [*t.ranks(m), eq, (0, 0)]:
+            entered[m][pair] = ("seed",)
+            _add(floors[m], entered[m], pair, m)
+    v = bounds.max_indets
+    done: set[tuple[int, int, int]] = set()
+    converged = False
+    iteration = 0
+    for iteration in range(1, bounds.max_iterations + 1):
+        changed = False
+        maximals = {m: _maximal(floors[m], sa**m) for m in targets}
+        for m in targets:
+            # lifted (antecedent, consequent) masks -> the first source giving them
+            lifts: dict[tuple[int, int], tuple[int, int, tuple[int, ...], int]] = {}
+            for src_arity in targets:
+                for r, s in maximals[src_arity]:
+                    for h in itertools.product(range(m + v), repeat=src_arity):
+                        lifts.setdefault((_lift(r, h, m, v, sa), _lift(s, h, m, v, sb)), (r, s, h, src_arity))
+            pairs, sources = list(lifts), list(lifts.values())
+            for i, (la, lb) in enumerate(pairs):
+                for j, (la2, lb2) in enumerate(pairs[i:], i):
+                    key = (m, la & la2, lb & lb2)
+                    if key in done:
+                        continue
+                    done.add(key)
+                    cand = (_project(key[1], m, v, sa), _project(key[2], m, v, sb))
+                    if floors[m][cand[0]] & ~cand[1]:
+                        entered[m][cand] = ("minor", v, (sources[i],) if i == j else (sources[i], sources[j]))
+                        _add(floors[m], entered[m], cand, m)
+                        changed = True
+        if not changed:
+            converged = True
+            break
+    constraints = reduce(operator.or_, (ConstraintSet.from_floors(dom, cod, m, floors[m]) for m in targets))
+    return CmResult(constraints, converged, iteration, floors, entered)
 
 
 def cm_m_closure(
@@ -255,7 +241,7 @@ def cm_m_closure(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> CmResult:
     """Bounded-generator fixpoint for the m-ary minor closure within Q_m."""
-    return _cm_result(t_m, [m], bounds, budget)
+    return _closure_fixpoint(t_m, [m], bounds, budget)
 
 
 def cm_closure(
@@ -270,7 +256,7 @@ def cm_closure(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return _cm_result(t, list(range(1, cap + 1)), bounds, budget)
+    return _closure_fixpoint(t, list(range(1, cap + 1)), bounds, budget)
 
 
 def cm_m_oracle(

@@ -9,7 +9,8 @@ ranks, so subset/intersection/union are single word operations.
 Both sides of the Galois connection share the arity-indexed container
 ``ArityIndexed``: members are held as integer keys and decoded only for I/O
 and witnesses.  A ``ConstraintSet`` holds each arity as a frozenset
-of ``(antecedent.bits, consequent.bits)`` pairs.  A ``FunctionClass`` keys an
+of ``(antecedent.bits, consequent.bits)`` pairs; ``from_floors`` builds one
+from the least consequent of each antecedent.  A ``FunctionClass`` keys an
 n-ary table by its rank, the table read as base-|B| digits with the first
 entry most significant, and holds each arity in the form that built it: a
 frozenset of ranks from the constructor and ``from_tables``, or a bitmask over
@@ -345,6 +346,15 @@ _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _DIGIT_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask``, from ``mask`` itself down to 0."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
+
+
 def ranks_of_mask(mask: int) -> frozenset[int]:
     """The positions of the set bits of a non-negative mask."""
     digits = format(mask, "b")[::-1].encode().translate(_BIT_DIGITS)
@@ -459,6 +469,9 @@ class ArityIndexed:
             return NotImplemented
         return (self.dom, self.cod, self._by_arity()) == (other.dom, other.cod, other._by_arity())
 
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.arities()))
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dom={self.dom!r}, cod={self.cod!r}, by_arity={self._by_arity()!r})"
 
@@ -483,9 +496,6 @@ class ArityIndexed:
         if type(other) is not type(self):
             raise TypeError(f"a {type(self).__name__} is not comparable with a {type(other).__name__}")
         return not (self - other).arities()
-
-    def restrict_arity(self, arity: int):
-        return type(self)(self.dom, self.cod, {arity: self.ranks(arity)})
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -602,6 +612,16 @@ class ConstraintSet(ArityIndexed):
         constraints: Iterable[Constraint],
     ) -> "ConstraintSet":
         return cls(dom, cod, _grouped_by_arity(constraints))
+
+    @classmethod
+    def from_floors(cls, dom: DomainSpec, cod: DomainSpec, m: int, floors: Sequence[int]) -> "ConstraintSet":
+        """The m-ary set of the (r, s) with s a superset of ``floors[r]``, the
+        least consequent of antecedent r."""
+        full = (1 << cod.size**m) - 1
+        if len(floors) != 1 << dom.size**m or any(not 0 <= floor <= full for floor in floors):
+            raise ValueError(f"floors out of range for arity {m}")
+        pairs = [(r, floor | extra) for r, floor in enumerate(floors) for extra in submasks(full & ~floor)]
+        return cls._of_keys(dom, cod, {m: frozenset(pairs)})
 
     def constraints(self) -> list[Constraint]:
         return self._sorted_members()

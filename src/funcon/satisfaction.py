@@ -258,17 +258,7 @@ def csf_m(
         for r in range(len(needed)):
             if r & bit:
                 needed[r] |= needed[r ^ bit]
-    kept = []
-    free_all = (1 << cod.size**m) - 1
-    for r_bits, need in enumerate(needed):
-        free = free_all & ~need
-        extra = free
-        while True:  # every consequent containing need
-            kept.append((r_bits, need | extra))
-            if not extra:
-                break
-            extra = (extra - 1) & free
-    return ConstraintSet(dom, cod, {m: kept})
+    return ConstraintSet.from_floors(dom, cod, m, needed)
 
 
 def csf(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> ConstraintSet:

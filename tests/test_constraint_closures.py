@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -88,6 +89,29 @@ def test_cm_witnesses_recheck_via_minor_check():
     assert checked > 0
 
 
+def minor_witnesses(res, t):
+    """Re-check the witness of every member of a cm result: a seed is in t or
+    canonical, a relaxation relaxes a member, a minor is the tight minor of
+    members.  Returns the (member, witness) pairs of kind minor."""
+    members = res.constraints
+    assert set(res.witnesses) == set(members.constraints())
+    seeds = set(t.constraints()) | {
+        canonical_constraint(kind, m, t.dom, t.cod) for kind in ("equality", "empty") for m in members.arities()
+    }
+    minors = []
+    for c, wit in res.witnesses.items():
+        if wit.kind == "seed":
+            assert c in seeds
+        elif wit.kind == "relaxation":
+            parent = members.decode(c.arity, wit.parent)
+            assert parent in members and relaxation_of(c, parent)
+        else:
+            assert all(f in members for f in wit.family)
+            assert minor_check(c, list(wit.family), wit.scheme, "tight", max_indets=wit.scheme.indets)
+            minors.append((c, wit))
+    return minors
+
+
 def test_cm_3_closure_of_even_parity_is_pinned():
     even = Relation.from_tuples(
         BOOL, 3, [t for t in itertools.product((0, 1), repeat=3) if sum(t) % 2 == 0]
@@ -96,52 +120,24 @@ def test_cm_3_closure_of_even_parity_is_pinned():
     res = cm_m_closure(t, 3)
     assert res.converged
     assert len(res.constraints) == 2360
-    assert set(res.witnesses) == set(res.constraints.constraints())
-    seeds = set(t.constraints()) | {
-        canonical_constraint(kind, 3, BOOL, BOOL) for kind in ("equality", "empty")
-    }
-    for c, wit in res.witnesses.items():
-        if wit.kind == "seed":
-            assert c in seeds
-        elif wit.kind == "relaxation":
-            r, s = wit.parent
-            parent = Constraint(Relation(BOOL, 3, r), Relation(BOOL, 3, s))
-            assert parent in res.constraints and relaxation_of(c, parent)
-        else:
-            assert all(f in res.constraints for f in wit.family)
-            assert minor_check(c, list(wit.family), wit.scheme, "tight", max_indets=wit.scheme.indets)
+    assert minor_witnesses(res, t)
 
 
 def test_cm_cross_arity_closure():
     res = cm_closure(cset(C_LEQ), cap=2)
     assert res.converged
     # the binary part reproduces the single-arity closure
-    assert res.constraints.restrict_arity(2) == cm_m_closure(cset(C_LEQ), 2).constraints
+    binary, unary = (ConstraintSet(BOOL, BOOL, {m: res.constraints.ranks(m)}) for m in (2, 1))
+    assert binary == cm_m_closure(cset(C_LEQ), 2).constraints
     # the unary part agrees with its own oracle
-    assert res.constraints.restrict_arity(1) == cm_m_oracle(
-        res.constraints.restrict_arity(1), 1
-    )
+    assert unary == cm_m_oracle(unary, 1)
     # every witness re-checks where minor families mix arities 1 and 2
     one = Relation.from_tuples(BOOL, 1, [(1,)])
     t = cset(C_LEQ, Constraint(one, one))
     res = cm_closure(t, cap=2)
     assert res.converged
-    assert set(res.witnesses) == set(res.constraints.constraints())
-    seeds = set(t.constraints()) | {
-        canonical_constraint(kind, m, BOOL, BOOL) for kind in ("equality", "empty") for m in (1, 2)
-    }
-    mixed = 0
-    for c, wit in res.witnesses.items():
-        if wit.kind == "seed":
-            assert c in seeds
-        elif wit.kind == "relaxation":
-            parent = res.constraints.decode(c.arity, wit.parent)
-            assert parent in res.constraints and relaxation_of(c, parent)
-        else:
-            assert all(f in res.constraints for f in wit.family)
-            assert minor_check(c, list(wit.family), wit.scheme, "tight", max_indets=wit.scheme.indets)
-            mixed += len({f.arity for f in wit.family} | {c.arity}) > 1
-    assert mixed > 0
+    minors = minor_witnesses(res, t)
+    assert any(len({f.arity for f in wit.family} | {c.arity}) > 1 for c, wit in minors)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -156,6 +152,28 @@ def test_cm_m_closure_matches_oracle_on_random_sets(shape, data):
     res = cm_m_closure(t, m)
     assert res.converged
     assert res.constraints == cm_m_oracle(t, m)
+
+
+# (|A|, |B|), the seed pairs, and the closure's size and sorted-rank digest
+OFF_DIAGONAL_M2 = [
+    ((3, 2), [(485, 13), (489, 13)], 2060, "dd46831605cc6507"),
+    ((3, 2), [(406, 9), (420, 1)], 4104, "80aba38b9d284680"),
+    ((2, 3), [(2, 291), (13, 410)], 1920, "bd5adedb3ad8ae63"),
+    ((2, 3), [(2, 202), (5, 485)], 1366, "e2c3d3ebd97ff8b2"),
+    ((3, 3), [(388, 455), (432, 197)], 13536, "88be2c174a6525f8"),
+    ((3, 3), [(52, 369), (120, 155)], 21760, "046cba2fe4926b4f"),
+]
+
+
+@pytest.mark.parametrize("sizes, seeds, size, digest", OFF_DIAGONAL_M2)
+def test_cm_2_closure_off_the_boolean_diagonal_is_pinned(sizes, seeds, size, digest):
+    # no oracle reaches (3, 3) at m = 2, so these pin the closure and re-check its witnesses
+    t = ConstraintSet(DomainSpec("A", sizes[0]), DomainSpec("B", sizes[1]), {2: seeds})
+    res = cm_m_closure(t, 2)
+    assert res.converged
+    assert len(res.constraints) == size
+    assert hashlib.sha256(repr(sorted(res.constraints.ranks(2))).encode()).hexdigest()[:16] == digest
+    assert minor_witnesses(res, t)
 
 
 def test_cm_bounds_validation():

@@ -180,7 +180,7 @@ def test_function_class_basics():
     assert len(k) == 2
     assert k.arities() == (1, 2)
     assert AND in k
-    assert k.restrict_arity(2) == cls(AND)
+    assert FunctionClass(k.dom, k.cod, {2: k.ranks(2)}) == cls(AND)
     assert cls(AND).issubset(k)
     assert (cls(AND) | cls(fn((0, 1)))) == k
 
@@ -190,6 +190,26 @@ def test_constraint_set_basics():
     assert len(t) == 1 and C_LEQ in t
     assert t.issubset(t | cset(canonical_constraint("equality", 2, BOOL, BOOL)))
     assert ConstraintSet.empty(BOOL, BOOL).arities() == ()
+
+
+def test_constraint_set_from_floors():
+    floors = [0, 1, 1, 3]  # per unary Boolean antecedent, its least consequent
+    t = ConstraintSet.from_floors(BOOL, BOOL, 1, floors)
+    assert t.ranks(1) == {(r, s) for r, f in enumerate(floors) for s in range(4) if s & f == f}
+    for bad in ([0, 1, 1], [0, 1, 1, 4], [0, -1, 1, 3]):
+        with pytest.raises(ValueError, match="floors out of range"):
+            ConstraintSet.from_floors(BOOL, BOOL, 1, bad)
+
+
+def test_collections_hash_alike_when_equal():
+    by_ranks = cls(AND, fn((0, 1)))
+    by_masks = FunctionClass.from_masks(BOOL, BOOL, {n: by_ranks.mask(n) for n in (1, 2)})
+    assert hash(by_masks) == hash(by_ranks)
+    assert not by_masks._keys  # hashing derives no ranks
+    assert by_masks == by_ranks and {by_ranks: "k"}[by_masks] == "k"
+    t = cset(C_LEQ)
+    assert {t: "t"}[ConstraintSet(BOOL, BOOL, {2: t.ranks(2)})] == "t"
+    assert hash(ConstraintSet.empty(BOOL, BOOL)) == hash(ConstraintSet.empty(BOOL, BOOL))
 
 
 def test_empty_arities_normalized_out():

@@ -1,15 +1,17 @@
 """Differential tests of the bit-sliced Galois kernels against scalar
 references built from ``satisfies`` over the enumerated function and
 constraint universes, on seeded instances off the Boolean domain too, and of
-the constraint-side mask kernels (lift, maximal pairs, ``lo_n_closure``)
-against scalar pair-by-pair reference loops, of the reading table
-``core.readings`` and the tight minor built on it against digit-by-digit
+the constraint-side mask kernels (lift, the floor add pass, maximal members,
+``lo_n_closure``) against scalar pair-by-pair reference loops, of the reading
+table ``core.readings`` and the tight minor built on it against digit-by-digit
 decoding, and of the separators ``fsc_n_of_csf_m`` reads off the probe
 groups against ``minimal_consequent``, and of the variable-substitution
 closures, which rank member tables through ``core.readings``, against
 ``substitute`` over every ``SubstitutionMap``."""
 
+import functools
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -45,7 +47,7 @@ from funcon import (
     vs_closure,
     vs_n_closure,
 )
-from funcon.constraint_closures import MinorWitness, _down_close, _lift, _maximal_pairs
+from funcon.constraint_closures import _add, _lift, _maximal
 from funcon.core import readings
 from funcon.lab import _separators
 from funcon.minors import tight_minor_relation
@@ -415,22 +417,51 @@ def test_tight_minor_relation_matches_skolem_search(size):
         assert tight_minor_relation(relations, scheme) == expected
 
 
+def meet_closure_reference(seeds, full_a, full_b):
+    """The relaxation-and-meet closure of the seeds and (A^m, B^m): every
+    relaxation of the meet of a nonempty subfamily of them."""
+    gens = [*seeds, (full_a, full_b)]
+    meets = {
+        tuple(functools.reduce(operator.and_, masks) for masks in zip(*family))
+        for k in range(1, len(gens) + 1)
+        for family in itertools.combinations(gens, k)
+    }
+    return {
+        (r, s)
+        for r in range(full_a + 1)
+        for s in range(full_b + 1)
+        if any(r & ~r2 == 0 and s2 & ~s == 0 for r2, s2 in meets)
+    }
+
+
 @pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS)
-def test_maximal_pairs_match_pairwise_scan(sizes):
+def test_floors_hold_the_relaxation_and_meet_closure(sizes):
     dom, cod = domains(sizes)
     rng = random.Random(10 * sizes[0] + sizes[1])
-    member_sets = []
+    meets = 0
     for m in (1, 2):
-        for _ in range(2):
-            t = ConstraintSet.from_constraints(dom, cod, [random_constraint(rng, dom, cod, m)])
-            member_sets.append((m, dict.fromkeys(cm_m_closure(t, m).constraints.ranks(m))))
-        for count in (1, 3, 8):
-            members = {}
-            seeds = random_pair_set(rng, dom, cod, m, count).ranks(m)
-            _down_close(members, [(p, MinorWitness("seed")) for p in seeds], (1 << cod.size**m) - 1)
-            member_sets.append((m, members))
-    for m, members in member_sets:
-        assert _maximal_pairs(members, (1 << dom.size**m) - 1) == maximal_reference(members)
+        for _ in range(2):  # the floors the fixpoint converges to
+            res = cm_m_closure(ConstraintSet.from_constraints(dom, cod, [random_constraint(rng, dom, cod, m)]), m)
+            assert _maximal(res.floors[m], dom.size**m) == maximal_reference(res.constraints.ranks(m))
+        full_a, full_b = (1 << dom.size**m) - 1, (1 << cod.size**m) - 1
+        for count in (1, 3, 5):
+            seeds = sorted(random_pair_set(rng, dom, cod, m, count).ranks(m))
+            floors, entered = [full_b] * (full_a + 1), {}
+            for pair in seeds:
+                _add(floors, entered, pair, m)
+            members = ConstraintSet.from_floors(dom, cod, m, floors).ranks(m)
+            assert members == meet_closure_reference(seeds, full_a, full_b)
+            assert _maximal(floors, dom.size**m) == maximal_reference(members)
+            for (r, s), (kind, *rest) in entered.items():  # every new floor, with its witness
+                assert floors[r] & ~s == 0
+                if kind == "relaxation":
+                    (r0, s0), = rest
+                    assert (r0, s0) in seeds and r & ~r0 == 0 and s == s0
+                else:
+                    (r1, s1, *_), (r2, s2, *_) = rest[1]
+                    assert (r, s) == (r1 & r2, s1 & s2)
+                    meets += 1
+    assert meets
 
 
 @pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS)

@@ -6,6 +6,7 @@ from funcon import (
     Constraint,
     ConstraintSet,
     DomainMismatchError,
+    FunctionClass,
     Relation,
     canonical_constraint,
     cm_closure,
@@ -87,7 +88,7 @@ def test_preserves():
 
 
 def test_compose_classes_realizes_substitutions():
-    o2 = projections_class(BOOL, 2).restrict_arity(2)
+    o2 = FunctionClass(BOOL, BOOL, {2: projections_class(BOOL, 2).ranks(2)})
     composed = compose_classes(cls(AND), o2, cap=2)
     assert composed == cls(AND, PR1, PR2)
 
