@@ -66,17 +66,18 @@ class ResultCache:
         return entry.value
 
     def store(self, key: str, value: str) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        entry = CacheEntry(key, value, __version__)
-        payload = json.dumps(
-            {"key": entry.key, "value": entry.value, "tool_version": entry.tool_version}
-        )
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        """Write an entry; the cache is best-effort, so a directory that cannot
+        hold it is reported with a warning and the entry skipped."""
+        payload = json.dumps({"key": key, "value": value, "tool_version": __version__})
+        tmp = None
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)
             os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            print(f"warning: result not cached in {self.directory}: {exc}", file=sys.stderr)
+        finally:
+            if tmp and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise

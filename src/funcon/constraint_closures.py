@@ -18,9 +18,8 @@ one loop over the pairs i <= j of lifts of the maximal members, projecting
 their meet; i == j is a single-source tight minor.  Witnesses are recorded as
 bit pairs for the pairs that enter and decoded, one per member, when
 ``CmResult.witnesses`` is first read.
-``lo_n_closure`` keeps, per antecedent, the mask of consequents present with
-it and decides every candidate in one pass over the antecedents (see its
-docstring).
+``lo_n_closure`` masks, per antecedent, the consequents present with it and
+folds their up-interiors over the subset lattice with ``core.subset_fold``.
 """
 
 from __future__ import annotations
@@ -36,8 +35,10 @@ from .core import (
     Constraint,
     ConstraintSet,
     constraint_universe_count,
+    ranks_of_mask,
     readings,
     submasks,
+    subset_fold,
     within_budget,
 )
 from .minors import Scheme
@@ -105,14 +106,6 @@ class CmResult:
         return out
 
 
-def _low_bits(mask: int):
-    """The set bits of ``mask`` as single-bit masks, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low
-
-
 def _add(floors: list[int], entered: dict[tuple[int, int], tuple], pair: tuple[int, int], m: int) -> None:
     """Add the member (r, s) by ANDing s into the floor of every r' inside r.
     A new floor s is a relaxation of the pair, a new floor ``old & s`` the meet
@@ -131,12 +124,8 @@ def _add(floors: list[int], entered: dict[tuple[int, int], tuple], pair: tuple[i
 def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
     """The maximal members: floors grow with the antecedent, so these are the
     (r, floor(r)) whose floor grows at every one-tuple-larger antecedent."""
-    full = (1 << width) - 1
-    return [
-        (r, floor)
-        for r, floor in enumerate(floors)
-        if all(floors[r | low] != floor for low in _low_bits(full & ~r))
-    ]
+    return [(r, floor) for r, floor in enumerate(floors)
+            if all(floors[r | 1 << j] != floor for j in range(width) if not r >> j & 1)]
 
 
 @lru_cache(maxsize=4096)
@@ -154,7 +143,7 @@ def _lift(r_bits: int, h: tuple[int, ...], m: int, v: int, size: int) -> int:
     in the source relation."""
     pre = _preimages(h, m, v, size)
     out = 0
-    while r_bits:  # inlined _low_bits: this is the fixpoint's hottest loop
+    while r_bits:  # one preimage per set bit, lowest first: the fixpoint's hottest loop
         low = r_bits & -r_bits
         out |= pre[low.bit_length() - 1]
         r_bits ^= low
@@ -284,54 +273,37 @@ def lo_n_closure(
 
     Only constraints with more than n antecedent tuples are added, and the
     test reads only those with at most n, so one pass is the least fixpoint.
-    Per antecedent r, ``rows[r]`` masks the consequents present with r; for
-    |r| <= n its up-interior (consequents all of whose supersets are present)
-    is taken by one shift-and-mask pass per consequent tuple, and
-    ``shared[r]`` is the AND of those interiors over the subsets of r of size
-    at most n, built from the ``shared`` of r's one-tuple-smaller subsets.
+    ``rows[r]`` masks the consequents present with antecedent r.  ``inner[r]``
+    is its up-interior for |r| <= n (the consequents all of whose supersets are
+    present, one shift-and-mask pass per consequent tuple) and all consequents
+    otherwise; a larger r gains the consequents it lacks in the AND of
+    ``inner`` over its subsets, one ``core.subset_fold``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     dom, cod = t.dom, t.cod
-    result: dict[int, set[tuple[int, int]]] = {}
+    result: dict[int, frozenset[tuple[int, int]]] = {}
     for m in t.arities():
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
-        present = set(t.ranks(m))
         n_ante, width = 1 << dom.size**m, cod.size**m
         rows = [0] * n_ante
-        for r, s in present:
+        for r, s in t.ranks(m):
             rows[r] |= 1 << s
-        containing = _containing_masks(width)
         full = (1 << (1 << width)) - 1
-        shared = [0] * n_ante
+        # entry j: the consequent masks holding tuple j, as a bitmask over all of them
+        containing = [full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j)) for j in range(width)]
+        inner = [full] * n_ante
         for r in range(n_ante):
-            acc = full
-            for low in _low_bits(r):
-                acc &= shared[r ^ low]
             if r.bit_count() <= n:
                 row = rows[r]
                 for j, with_j in enumerate(containing):
                     row &= (row >> (1 << j)) | with_j
-                acc &= row
-            else:
-                present.update((r, low.bit_length() - 1) for low in _low_bits(acc & ~rows[r]))
-            shared[r] = acc
-        result[m] = present
-    return ConstraintSet(dom, cod, result)
-
-
-@lru_cache(maxsize=16)
-def _containing_masks(width: int) -> tuple[int, ...]:
-    """Entry j: bitmask over the 2^width consequent masks of those holding
-    tuple j."""
-    out = []
-    for j in range(width):
-        mask, span = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
-        while span < 1 << width:
-            mask |= mask << span
-            span <<= 1
-        out.append(mask)
-    return tuple(out)
+                inner[r] = row
+        shared = subset_fold(inner, operator.and_)
+        added = [(r, s) for r in range(n_ante) if r.bit_count() > n for s in ranks_of_mask(shared[r] & ~rows[r])]
+        result[m] = t.ranks(m).union(added)
+    # the pairs of t were checked when t was built, and the added ones are in range
+    return ConstraintSet._of_keys(dom, cod, result)
 
 
 def lo_constraints_closure(

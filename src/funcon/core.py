@@ -30,6 +30,9 @@ substitution and a minor scheme's source map are both such readings.
 keep their own digit arithmetic: ``satisfies`` is their scalar reference in
 the differential tests, so it shares no code with them.
 
+The subset-lattice kernels are ``submasks``, the subsets of one mask, and
+``subset_fold``, which folds a table indexed by masks over every subset.
+
 ``within_budget`` is the single enumeration guard: every refusal in the
 package passes a count through it, and it raises ``BudgetExceededError``
 carrying that count when the count exceeds the budget.
@@ -353,6 +356,16 @@ def submasks(mask: int) -> Iterator[int]:
         yield sub
         sub = (sub - 1) & mask
     yield 0
+
+
+def subset_fold(table: list, op) -> list:
+    """Fold ``table``, indexed by subset masks and of power-of-two length, in
+    place: entry r becomes ``op`` over the entries of every subset of r."""
+    for i in range(len(table).bit_length() - 1):
+        for r in range(len(table)):
+            if r >> i & 1:
+                table[r] = op(table[r], table[r ^ 1 << i])
+    return table
 
 
 def ranks_of_mask(mask: int) -> frozenset[int]:

@@ -284,8 +284,7 @@ def parse_instance(text: str) -> InstanceDocument:
 
 def _canonical(spec, keys: tuple[str, ...], binding):
     """A validated spec in canonical form: keys in table order, relation
-    tuples sorted and deduplicated, members sorted, scheme literals
-    re-rendered."""
+    tuples and members sorted and deduplicated, scheme literals re-rendered."""
     if isinstance(binding, Scheme):
         return scheme_literal(binding)
     if not keys:
@@ -294,7 +293,7 @@ def _canonical(spec, keys: tuple[str, ...], binding):
     if "tuples" in out:
         out["tuples"] = [list(t) for t in sorted({tuple(t) for t in spec["tuples"]})]
     if "members" in out:
-        out["members"] = sorted(spec["members"])
+        out["members"] = sorted(set(spec["members"]))
     return out
 
 

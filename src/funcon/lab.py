@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -27,6 +29,7 @@ from .core import (
     canonical_constraint,
     constraint_universe_count,
     function_count,
+    submasks,
     within_budget,
 )
 from .constraint_closures import (
@@ -126,12 +129,8 @@ def _separators(k: FunctionClass, n: int, m: int, budget: int) -> list[tuple[int
     pairs = []
     for j in range(n + 1):
         for rows in itertools.combinations(range(universe), j):
-            r = sub = sum(1 << row for row in rows)
-            need = 0
-            while sub:  # every nonempty subset of R
-                need |= groups.get(sub, 0)
-                sub = (sub - 1) & r
-            pairs.append((r, need))
+            r = sum(1 << row for row in rows)
+            pairs.append((r, reduce(operator.or_, (groups.get(sub, 0) for sub in submasks(r)))))
     return pairs
 
 
@@ -290,11 +289,10 @@ def verify_factorization(
     if identity == "t12ii":
         t_m = payload
         n_star = t_m.dom.size**m
-        lhs = csf_m(fsc_n(t_m, 1, budget), m, budget)
-        for arity in range(2, n_star + 1):
-            piece = csf_m(fsc_n(t_m, arity, budget), m, budget)
-            both = {a: lhs.ranks(a) & piece.ranks(a) for a in lhs.arities()}
-            lhs = ConstraintSet(t_m.dom, t_m.cod, both)
+        # csf_m of a union of classes is the intersection of their csf_m; refuse before building them
+        within_budget(constraint_universe_count(t_m.dom, t_m.cod, m), budget, f"csf_{m} universe constraints")
+        masks = {arity: fsc_n(t_m, arity, budget).mask(arity) for arity in range(1, n_star + 1)}
+        lhs = csf_m(FunctionClass.from_masks(t_m.dom, t_m.cod, masks), m, budget)
         res = cm_m_closure(t_m, m, bounds, budget)
         # one closure under the caller's bounds; the bench still reads the constant key
         params = {"m": m, "n_star": n_star, "cm_converged": res.converged, "escalations": 0}

@@ -17,6 +17,7 @@ values on them.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 from .core import (
@@ -35,6 +36,7 @@ from .core import (
     projection,
     ranks_of_mask,
     readings,
+    subset_fold,
     tuple_rank,
     tuple_unrank,
     within_budget,
@@ -248,17 +250,11 @@ def csf_m(
         raise ValueError("m must be >= 1")
     within_budget(constraint_universe_count(k.dom, k.cod, m), budget, f"csf_{m} universe constraints")
     dom, cod = k.dom, k.cod
-    # needed[r]: the output tuples some member produces from rows inside r
+    # needed[r]: the outputs from rows exactly r, folded to those from rows inside r
     needed = [0] * (1 << dom.size**m)
     for r, mask in probe_groups(k, m, budget).items():
         needed[r] = mask
-    # close under subsets of the antecedent: needed[r] |= needed[r - {row}]
-    for i in range(dom.size**m):
-        bit = 1 << i
-        for r in range(len(needed)):
-            if r & bit:
-                needed[r] |= needed[r ^ bit]
-    return ConstraintSet.from_floors(dom, cod, m, needed)
+    return ConstraintSet.from_floors(dom, cod, m, subset_fold(needed, operator.or_))
 
 
 def csf(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> ConstraintSet:

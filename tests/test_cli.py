@@ -139,6 +139,18 @@ def test_cache_hit_preserves_bytes(doc_path, tmp_path, capsys):
     assert list((tmp_path / "cache").glob("*.json"))  # entry was written
 
 
+def test_unusable_cache_dir_warns_and_still_prints(doc_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FUNCON_CACHE_DIR", raising=False)
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("keep")
+    argv = ["close", "vsn", "--in", doc_path, "--class", "K2"]
+    code, out, err = run(capsys, "--cache-dir", str(blocker), *argv)
+    assert code == EXIT_OK
+    assert out == run(capsys, *argv)[1]
+    assert "warning: result not cached" in err
+    assert blocker.read_text() == "keep"
+
+
 def test_usage_errors(doc_path, capsys):
     code, _, err = run(capsys, "close", "vsn", "--in", doc_path)
     assert code == EXIT_USAGE and "--class" in err

@@ -117,14 +117,28 @@ def test_serialize_pins_the_canonical_text():
             "c_leq": {"antecedent": "leq", "consequent": "leq"},
             "c_one": {"antecedent": "one", "consequent": "one"},
         },
-        "classes": {"K": {"dom": "bool", "cod": "bool", "members": ["id", "neg", "neg"]}},
-        "sets": {"T": {"dom": "bool", "cod": "bool", "members": ["c_leq", "c_one", "c_one"]}},
+        "classes": {"K": {"dom": "bool", "cod": "bool", "members": ["id", "neg"]}},
+        "sets": {"T": {"dom": "bool", "cod": "bool", "members": ["c_leq", "c_one"]}},
         "schemes": {"comp": "target=2; V=1; h1=[c1,v1]; h2=[v1,c2]"},
     }
     text = serialize_instance(parse_instance(MESSY))
     assert text == json.dumps(expected, indent=2) + "\n"
     assert text.startswith('{\n  "domains": {\n    "bool": 2\n  },\n  "functions": {\n    "id": {\n')
     assert serialize_instance(parse_instance(text)) == text
+
+
+def test_duplicate_members_serialize_like_deduplicated_ones():
+    deduplicated = MESSY.replace('"c_one", "c_leq", "c_one"', '"c_one", "c_leq"').replace(
+        '"neg", "id", "neg"', '"neg", "id"'
+    )
+    assert deduplicated != MESSY
+    docs = [parse_instance(MESSY), parse_instance(deduplicated)]
+    text = serialize_instance(docs[0])
+    assert serialize_instance(docs[1]) == text
+    again = parse_instance(text)
+    assert serialize_instance(again) == text
+    assert again.function_class("K") == docs[0].function_class("K") == docs[1].function_class("K")
+    assert again.constraint_set("T") == docs[0].constraint_set("T") == docs[1].constraint_set("T")
 
 
 def mutated(*changes):

@@ -2,7 +2,8 @@
 references built from ``satisfies`` over the enumerated function and
 constraint universes, on seeded instances off the Boolean domain too, and of
 the constraint-side mask kernels (lift, the floor add pass, maximal members,
-``lo_n_closure``) against scalar pair-by-pair reference loops, of the reading
+``lo_n_closure``) against scalar pair-by-pair reference loops, of
+``core.subset_fold`` against a fold over ``core.submasks``, of the reading
 table ``core.readings`` and the tight minor built on it against digit-by-digit
 decoding, and of the separators ``fsc_n_of_csf_m`` reads off the probe
 groups against ``minimal_consequent``, and of the variable-substitution
@@ -48,7 +49,7 @@ from funcon import (
     vs_n_closure,
 )
 from funcon.constraint_closures import _add, _lift, _maximal
-from funcon.core import readings
+from funcon.core import readings, submasks, subset_fold
 from funcon.lab import _separators
 from funcon.minors import tight_minor_relation
 
@@ -432,6 +433,16 @@ def meet_closure_reference(seeds, full_a, full_b):
         for s in range(full_b + 1)
         if any(r & ~r2 == 0 and s2 & ~s == 0 for r2, s2 in meets)
     }
+
+
+@pytest.mark.parametrize("op", [operator.or_, operator.and_])
+@pytest.mark.parametrize("length", [1, 2, 16, 512])
+def test_subset_fold_matches_submask_fold(op, length):
+    rng = random.Random(length)
+    table = [rng.getrandbits(12) for _ in range(length)]
+    expected = [functools.reduce(op, (table[sub] for sub in submasks(r))) for r in range(length)]
+    assert subset_fold(table, op) == expected
+    assert table == expected  # folded in place
 
 
 @pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS)
