@@ -20,6 +20,7 @@ from .core import (
     tuple_unrank,
 )
 from .satisfaction import (
+    cm_m_oracle,
     compose_classes,
     csf,
     csf_m,
@@ -64,7 +65,6 @@ from .constraint_closures import (
     CmResult,
     cm_closure,
     cm_m_closure,
-    cm_m_oracle,
     lo_constraints_closure,
     lo_n_closure,
     union_closure_check,

@@ -44,7 +44,7 @@ from .instance_io import (
 from .lab import (
     FACTORIZATION_IDENTITIES,
     IDENTITIES,
-    ClosureReport,
+    audit,
     check_closure_laws,
     check_galois_axioms,
     nested_class_pair,
@@ -73,7 +73,7 @@ class SystemExit2(Exception):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the arity, size and cap flags."""
+    """argparse type of the arity, size, cap and sample-count flags."""
     try:
         value = int(text)
     except ValueError:
@@ -128,7 +128,7 @@ def _build_parser() -> _Parser:
 
     laws = sub.add_parser("laws", help="closure-law and Galois-axiom audit")
     laws.add_argument("suite", choices=[*_LAW_SUITES, "axioms"])
-    laws.add_argument("--samples", type=int, default=100)
+    laws.add_argument("--samples", type=_positive_int, default=100)
     laws.add_argument("--seed", type=int, default=0)
     laws.add_argument("--dom-size", type=_positive_int, default=2)
     laws.add_argument("--cod-size", type=_positive_int, default=2)
@@ -245,30 +245,17 @@ def _run_laws(args):
     dom = DomainSpec("A", args.dom_size)
     cod = DomainSpec("B", args.cod_size)
     if args.suite == "axioms":
-        violations = []
-        checked = 0
-        for _ in range(args.samples):
-            k = random_function_class(rng, dom, cod, args.arity, rng.randint(0, 3), budget=args.budget)
-            t = random_constraint_set(rng, dom, cod, args.m, rng.randint(0, 3), budget=args.budget)
-            rep = check_galois_axioms(k, t, n_cap=2, m_cap=2, budget=args.budget)
-            checked += 1
-            violations.extend(rep.symmetric_difference)
-            if violations:
-                break
-        return ClosureReport(
-            "galois-axioms",
-            {"samples": checked, "seed": args.seed},
-            checked,
-            checked - (1 if violations else 0),
-            violations,
-            "equal" if not violations else "incomparable",
+        draw = lambda: (
+            random_function_class(rng, dom, cod, args.arity, rng.randint(0, 3), budget=args.budget),
+            random_constraint_set(rng, dom, cod, args.m, rng.randint(0, 3), budget=args.budget),
         )
-    pair, arity, op = _LAW_SUITES[args.suite]
-    samples = (
-        pair(rng, dom, cod, getattr(args, arity), rng.randint(0, 4), rng.randint(0, 3), budget=args.budget)
-        for _ in range(args.samples)
-    )
-    rep = check_closure_laws(lambda x: op(x, args), samples, args.suite)
+        axioms = lambda k, t: check_galois_axioms(k, t, n_cap=2, m_cap=2, budget=args.budget).symmetric_difference
+        rep = audit("galois-axioms", (draw() for _ in range(args.samples)), axioms)
+    else:
+        pair, arity, op = _LAW_SUITES[args.suite]
+        size = getattr(args, arity)
+        draw = lambda: pair(rng, dom, cod, size, rng.randint(0, 4), rng.randint(0, 3), budget=args.budget)
+        rep = check_closure_laws(lambda x: op(x, args), (draw() for _ in range(args.samples)), args.suite)
     rep.parameters["seed"] = args.seed
     return rep
 

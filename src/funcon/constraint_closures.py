@@ -4,7 +4,9 @@
 and tight-minor moves inside the m-ary constraint universe.  Soundness is by
 construction (every move produces a conjunctive minor; iterating small steps
 is covered by transitivity of minor formation); completeness is certified per
-instance against ``cm_m_oracle``, the independently computed Galois composite.
+instance against ``satisfaction.cm_m_oracle``, the independently computed
+Galois composite.  Nothing here imports the satisfaction side it is checked
+against.
 
 The kernels are word operations on the relations' rank bitmasks.  A lift
 through a map h is an OR of cached per-rank preimage masks (``_preimages``):
@@ -42,7 +44,6 @@ from .core import (
     within_budget,
 )
 from .minors import Scheme
-from .satisfaction import csf_m, fsc_n
 
 
 @dataclass(frozen=True)
@@ -248,21 +249,6 @@ def cm_closure(
     return _closure_fixpoint(t, list(range(1, cap + 1)), bounds, budget)
 
 
-def cm_m_oracle(
-    t_m: ConstraintSet,
-    m: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> ConstraintSet:
-    """Galois route to the m-ary minor closure.
-
-    The composite csf_m(fsc_n(T_m)) at n = |A|^m equals the closure exactly:
-    every m-ary antecedent has at most |A|^m tuples, so at that arity the
-    antecedent-size-bounded local closure is the identity on m-ary sets.
-    """
-    n_star = t_m.dom.size**m
-    return csf_m(fsc_n(t_m, n_star, budget), m, budget)
-
-
 def lo_n_closure(
     t: ConstraintSet,
     n: int,
@@ -319,11 +305,14 @@ def lo_constraints_closure(
     return closed
 
 
-def union_closure_check(t: ConstraintSet) -> tuple[bool, tuple[Constraint, Constraint] | None]:
+def union_closure_check(
+    t: ConstraintSet, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> tuple[bool, tuple[Constraint, Constraint] | None]:
     """Pairwise-union closure per arity; at finite scale this implies closure
     under arbitrary unions.  Returns a violating pair if any."""
     for m in t.arities():
         present = t.ranks(m)
+        within_budget(len(present) * (len(present) + 1) // 2, budget, f"member pairs of arity {m}")
         for (r1, s1), (r2, s2) in itertools.combinations_with_replacement(sorted(present), 2):
             if (r1 | r2, s1 | s2) not in present:
                 return False, (t.decode(m, (r1, s1)), t.decode(m, (r2, s2)))

@@ -408,9 +408,9 @@ class ArityIndexed:
     """An arity-indexed collection over a common dom and cod, each arity held
     as a frozenset of integer keys.
 
-    A subclass fixes what a key is: ``_encode`` validates the members given
-    for one arity and converts them to keys, ``decode`` turns one key back
-    into a member.  The constructor takes the members of each arity as
+    A subclass fixes its member type, ``_member``, and what a key is:
+    ``_encode`` validates the members given for one arity and converts them to
+    keys, ``decode`` turns one key back into a member.  The constructor takes the members of each arity as
     ``by_arity``; ``arities`` and ``ranks`` read the keys back.  Empty arities
     are dropped and the arities kept sorted.  ``|``, ``-`` and ``issubset``
     take a collection of the same type over the same domains.
@@ -471,8 +471,8 @@ class ArityIndexed:
         return sum(len(self.ranks(n)) for n in self.arities())
 
     def __contains__(self, member) -> bool:
-        """Membership of a decoded member."""
-        if (member.dom, member.cod) != (self.dom, self.cod):
+        """Membership of a decoded member; any other object is not a member."""
+        if not isinstance(member, self._member) or (member.dom, member.cod) != (self.dom, self.cod):
             return False
         (key,) = self._encode(member.arity, frozenset([member]))
         return key in self.ranks(member.arity)
@@ -525,6 +525,7 @@ class FunctionClass(ArityIndexed):
     decode tables back for I/O and witnesses.
     """
 
+    _member = FunctionTable
     _masks: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
@@ -596,6 +597,8 @@ class ConstraintSet(ArityIndexed):
     members.  The constructor also accepts ``Constraint`` members and converts
     them; ``members`` and ``constraints`` decode constraints back.
     """
+
+    _member = Constraint
 
     def _encode(self, arity: int, members: frozenset) -> frozenset[tuple[int, int]]:
         kinds = set(map(type, members))

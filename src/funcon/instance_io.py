@@ -333,11 +333,8 @@ def set_listing(t: ConstraintSet) -> str:
     return json.dumps({"kind": "set", "count": len(records), "members": records}, indent=2) + "\n"
 
 
-def format_report(report: ClosureReport, include_runtime: bool = False) -> str:
-    """Structured text record of a report.
-
-    Runtime is excluded by default so identical inputs produce identical bytes.
-    """
+def format_report(report: ClosureReport) -> str:
+    """Structured text record of a report: identical inputs give identical bytes."""
     lines = [f"report: {report.identity_name}"]
     for key in sorted(report.parameters):
         lines.append(f"  {key}: {report.parameters[key]}")
@@ -346,6 +343,4 @@ def format_report(report: ClosureReport, include_runtime: bool = False) -> str:
     lines.append(f"  verdict: {report.verdict}")
     for wit in report.symmetric_difference:
         lines.append(f"  witness: {wit}")
-    if include_runtime:
-        lines.append(f"  runtime: {report.runtime:.3f}s")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,10 @@ identities and definability equivalences.
 Each identity is evaluated through two independent code paths: the left side
 through the satisfaction machinery (images, separating constraints, the
 fsc/csf maps), the right side through the closure-operator modules.  Reports
-carry explicit witnesses for any discrepancy.
+carry explicit witnesses for any discrepancy.  Each kind of check builds its
+report in one place: ``_report`` for the two sides of an identity,
+``_findings`` for what a definability check or an audit found; ``audit`` is
+the one sample loop of the audits.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import itertools
 import math
 import operator
 import random
-import time
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -74,7 +76,6 @@ class ClosureReport:
     rhs_size: int
     symmetric_difference: list[str] = field(default_factory=list)
     verdict: str = "equal"
-    runtime: float = 0.0
 
     def __post_init__(self) -> None:
         if (self.verdict == "equal") != (not self.symmetric_difference):
@@ -101,17 +102,18 @@ def _verdict(lhs_only: list, rhs_only: list) -> str:
     return "incomparable"
 
 
-def _report(
-    name: str, params: dict, lhs: ArityIndexed, rhs: ArityIndexed, started: float
-) -> ClosureReport:
+def _report(name: str, params: dict, lhs: ArityIndexed, rhs: ArityIndexed) -> ClosureReport:
     """Both sides of an identity over classes or over constraint sets."""
     lhs_only = (lhs - rhs).sorted_keys()
     rhs_only = (rhs - lhs).sorted_keys()
     wits = [_describe(lhs.decode(n, key)) + " (lhs only)" for n, key in lhs_only[:MAX_WITNESSES]]
     wits += [_describe(rhs.decode(n, key)) + " (rhs only)" for n, key in rhs_only[:MAX_WITNESSES]]
-    return ClosureReport(
-        name, params, len(lhs), len(rhs), wits, _verdict(lhs_only, rhs_only), time.time() - started
-    )
+    return ClosureReport(name, params, len(lhs), len(rhs), wits, _verdict(lhs_only, rhs_only))
+
+
+def _findings(name: str, params: dict, lhs_size: int, rhs_size: int, wits: list[str]) -> ClosureReport:
+    """A check that passes iff it found nothing to list."""
+    return ClosureReport(name, params, lhs_size, rhs_size, wits, "incomparable" if wits else "equal")
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +155,26 @@ def fsc_n_of_csf_m(
 
 
 # ---------------------------------------------------------------------------
-# closure-law audit
+# closure-law and Galois-axiom audits
+
+
+def audit(name: str, samples, check) -> ClosureReport:
+    """Run ``check`` on each sample until ``MAX_WITNESSES`` violations are found.
+
+    ``check(*sample)`` returns the sample's violations.  ``lhs_size`` counts
+    the samples checked and ``rhs_size`` those with no violation; each listed
+    violation names its sample's number.
+    """
+    checked = passed = 0
+    violations: list[str] = []
+    for sample in samples:
+        checked += 1
+        found = check(*sample)
+        passed += not found
+        violations += [f"sample {checked}: {v}" for v in found]
+        if len(violations) >= MAX_WITNESSES:
+            break
+    return _findings(name, {"samples": checked}, checked, passed, violations[:MAX_WITNESSES])
 
 
 def check_closure_laws(op, samples, name: str = "closure-laws") -> ClosureReport:
@@ -162,30 +183,13 @@ def check_closure_laws(op, samples, name: str = "closure-laws") -> ClosureReport
     ``samples`` yields (X, Y) pairs with X a subcollection of Y; both are
     FunctionClass or ConstraintSet instances accepted by ``op``.
     """
-    started = time.time()
-    checked = 0
-    violations: list[str] = []
-    for x, y in samples:
-        checked += 1
+
+    def laws(x, y) -> list[str]:
         cx = op(x)
-        cy = op(y)
-        if not x.issubset(cx):
-            violations.append(f"sample {checked}: not extensive")
-        if not cx.issubset(cy):
-            violations.append(f"sample {checked}: not monotone")
-        if op(cx) != cx:
-            violations.append(f"sample {checked}: not idempotent")
-        if len(violations) >= MAX_WITNESSES:
-            break
-    return ClosureReport(
-        name,
-        {"samples": checked},
-        checked,
-        checked - len(violations),
-        violations,
-        "equal" if not violations else "incomparable",
-        time.time() - started,
-    )
+        holds = {"extensive": x.issubset(cx), "monotone": cx.issubset(op(y)), "idempotent": op(cx) == cx}
+        return [f"not {law}" for law, ok in holds.items() if not ok]
+
+    return audit(name, samples, laws)
 
 
 def check_galois_axioms(
@@ -197,7 +201,6 @@ def check_galois_axioms(
 ) -> ClosureReport:
     """Order reversal, composite extensivity, and the triple-composition
     identities of the correspondence, at the given arity caps."""
-    started = time.time()
     violations: list[str] = []
 
     def fsc_c(ts):
@@ -225,24 +228,17 @@ def check_galois_axioms(
     ck = csf_c(k)
     if csf_c(fsc_c(ck)) != ck:
         violations.append("csf o fsc o csf != csf")
-    return ClosureReport(
-        "galois-axioms",
-        {"n_cap": n_cap, "m_cap": m_cap},
-        len(k),
-        len(t),
-        violations,
-        "equal" if not violations else "incomparable",
-        time.time() - started,
-    )
+    return _findings("galois-axioms", {"n_cap": n_cap, "m_cap": m_cap}, len(k), len(t), violations)
 
 
 # ---------------------------------------------------------------------------
 # factorization identities
 
 
-def _check_request(name: str, what: str, payload: ArityIndexed, params: dict) -> None:
-    """Refuse a name ``what`` does not verify, a payload holding an arity the
-    identity does not read, and a missing parameter, in that order."""
+def _check_request(name: str, what: str, payload: ArityIndexed, params: dict) -> dict:
+    """The parameters the request reads.  Refuses a name ``what`` does not verify,
+    a payload holding an arity the identity does not read, and a missing
+    parameter, in that order."""
     if name not in IDENTITIES or (name in FACTORIZATION_IDENTITIES) != (what == "identity"):
         raise ValueError(f"unknown {what} {name!r}")
     _, needs, arity = IDENTITIES[name]
@@ -252,6 +248,7 @@ def _check_request(name: str, what: str, payload: ArityIndexed, params: dict) ->
     missing = [key for key in needs if params[key] is None]
     if missing:
         raise ValueError(f"{name} needs parameter {', '.join(missing)}")
+    return {key: params[key] for key in needs}
 
 
 def verify_factorization(
@@ -264,64 +261,42 @@ def verify_factorization(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> ClosureReport:
     """Compute both sides of a factorization identity independently."""
-    _check_request(identity, "identity", payload, {"n": n, "m": m, "cap": cap})
-    started = time.time()
+    params = _check_request(identity, "identity", payload, {"n": n, "m": m, "cap": cap})
     if identity == "t15i":
-        k_n: FunctionClass = payload
-        lhs = fsc_n_of_csf_m(k_n, n, m, budget)
-        rhs = lo_m_closure(vs_n_closure(k_n), m, budget)
-        return _report("t15i", {"n": n, "m": m}, lhs, rhs, started)
-    if identity == "t15ii":
-        t_m: ConstraintSet = payload
-        lhs = csf_m(fsc_n(t_m, n, budget), m, budget)
-        res = cm_m_closure(t_m, m, bounds, budget)
+        lhs = fsc_n_of_csf_m(payload, n, m, budget)
+        rhs = lo_m_closure(vs_n_closure(payload), m, budget)
+    elif identity == "t15ii":
+        lhs = csf_m(fsc_n(payload, n, budget), m, budget)
+        res = cm_m_closure(payload, m, bounds, budget)
         rhs = lo_n_closure(res.constraints, n, budget)
         # one closure under the caller's bounds; the bench still reads the constant key
-        params = {"n": n, "m": m, "cm_converged": res.converged, "escalations": 0}
-        return _report("t15ii", params, lhs, rhs, started)
-    if identity == "t8ii":
-        t: ConstraintSet = payload
-        left = csf(fsc_n(t, n, budget), cap, budget)
-        res = cm_closure(t, cap, bounds, budget)
+        params.update(cm_converged=res.converged, escalations=0)
+    elif identity == "t8ii":
+        lhs = csf(fsc_n(payload, n, budget), cap, budget)
+        res = cm_closure(payload, cap, bounds, budget)
         rhs = lo_n_closure(res.constraints, n, budget)
-        params = {"n": n, "cap": cap, "cm_converged": res.converged}
-        return _report("t8ii", params, left, rhs, started)
-    if identity == "t12ii":
-        t_m = payload
-        n_star = t_m.dom.size**m
+        params["cm_converged"] = res.converged
+    elif identity == "t12ii":
+        dom, cod = payload.dom, payload.cod
+        n_star = dom.size**m
         # csf_m of a union of classes is the intersection of their csf_m; refuse before building them
-        within_budget(constraint_universe_count(t_m.dom, t_m.cod, m), budget, f"csf_{m} universe constraints")
-        masks = {arity: fsc_n(t_m, arity, budget).mask(arity) for arity in range(1, n_star + 1)}
-        lhs = csf_m(FunctionClass.from_masks(t_m.dom, t_m.cod, masks), m, budget)
-        res = cm_m_closure(t_m, m, bounds, budget)
+        within_budget(constraint_universe_count(dom, cod, m), budget, f"csf_{m} universe constraints")
+        masks = {arity: fsc_n(payload, arity, budget).mask(arity) for arity in range(1, n_star + 1)}
+        lhs = csf_m(FunctionClass.from_masks(dom, cod, masks), m, budget)
+        res = cm_m_closure(payload, m, bounds, budget)
+        rhs = res.constraints
         # one closure under the caller's bounds; the bench still reads the constant key
-        params = {"m": m, "n_star": n_star, "cm_converged": res.converged, "escalations": 0}
-        return _report("t12ii", params, lhs, res.constraints, started)
-    k: FunctionClass = payload  # t4finite
-    vs = vs_closure(k, cap)
-    lhs = FunctionClass.empty(k.dom, k.cod)
-    for arity in range(1, cap + 1):
-        lhs = lhs | fsc_n_of_csf_m(k, arity, k.dom.size**arity, budget)
-    return _report("t4finite", {"cap": cap}, lhs, vs, started)
+        params.update(n_star=n_star, cm_converged=res.converged, escalations=0)
+    else:  # t4finite
+        rhs = vs_closure(payload, cap)
+        lhs = FunctionClass.empty(payload.dom, payload.cod)
+        for arity in range(1, cap + 1):
+            lhs = lhs | fsc_n_of_csf_m(payload, arity, payload.dom.size**arity, budget)
+    return _report(identity, params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # definability equivalences
-
-
-def _equivalence_report(name, params, predicate, fixed_point, started, detail=None):
-    verdict = "equal" if predicate == fixed_point else "incomparable"
-    detail = detail or f"predicate={predicate} but fixed_point={fixed_point}"
-    wits = [] if verdict == "equal" else [detail]
-    return ClosureReport(
-        name,
-        {**params, "predicate": predicate, "fixed_point": fixed_point},
-        int(predicate),
-        int(fixed_point),
-        wits,
-        verdict,
-        time.time() - started,
-    )
 
 
 def verify_definability(
@@ -335,59 +310,43 @@ def verify_definability(
 ) -> ClosureReport:
     """Check a definability/characterization equivalence on one instance:
     the closure-condition predicate against the Galois fixed-point test."""
-    _check_request(side, "side", payload, {"n": n, "m": m, "cap": cap})
-    started = time.time()
+    params = _check_request(side, "side", payload, {"n": n, "m": m, "cap": cap})
     if side == "thm5":
-        k_n: FunctionClass = payload
-        m_star = k_n.dom.size**n
-        predicate = vs_n_closure(k_n) == k_n  # local closure is trivial here
-        fixed = fsc_n_of_csf_m(k_n, n, m_star, budget) == k_n
-        return _equivalence_report("thm5", {"n": n}, predicate, fixed, started)
-    if side == "thm13":
-        k_n = payload
-        predicate = (
-            lo_m_closure(k_n, m, budget) == k_n and vs_n_closure(k_n) == k_n
-        )
-        fixed = fsc_n_of_csf_m(k_n, n, m, budget) == k_n
-        return _equivalence_report("thm13", {"n": n, "m": m}, predicate, fixed, started)
-    if side == "cor1":
-        k_1: FunctionClass = payload
-        m_star = k_1.dom.size
+        predicate = vs_n_closure(payload) == payload  # local closure is trivial here
+        fixed = fsc_n_of_csf_m(payload, n, payload.dom.size**n, budget) == payload
+    elif side == "thm13":
+        predicate = lo_m_closure(payload, m, budget) == payload and vs_n_closure(payload) == payload
+        fixed = fsc_n_of_csf_m(payload, n, m, budget) == payload
+    elif side == "cor1":
         predicate = True  # every class over a finite domain is locally closed
-        fixed = fsc_n_of_csf_m(k_1, 1, m_star, budget) == k_1
-        return _equivalence_report(
-            "cor1", {}, predicate, fixed, started, f"fixed_point={fixed}"
-        )
-    if side == "thm6":
-        t: ConstraintSet = payload
+        fixed = fsc_n_of_csf_m(payload, 1, payload.dom.size, budget) == payload
+    elif side == "thm6":
         predicate = (
-            lo_n_closure(t, n, budget) == t
-            and _has_distinguished(t, cap)
-            and cm_closure(t, cap, bounds, budget).constraints == t
+            lo_n_closure(payload, n, budget) == payload
+            and _has_distinguished(payload, cap)
+            and cm_closure(payload, cap, bounds, budget).constraints == payload
         )
-        fixed = csf(fsc_n(t, n, budget), cap, budget) == t
-        return _equivalence_report("thm6", {"n": n, "cap": cap}, predicate, fixed, started)
-    if side == "thm14":
-        t_m: ConstraintSet = payload
-        eq_m = canonical_constraint("equality", m, t_m.dom, t_m.cod)
-        empty_m = canonical_constraint("empty", m, t_m.dom, t_m.cod)
+        fixed = csf(fsc_n(payload, n, budget), cap, budget) == payload
+    elif side == "thm14":
         predicate = (
-            lo_n_closure(t_m, n, budget) == t_m
-            and eq_m in t_m
-            and empty_m in t_m
-            and cm_m_closure(t_m, m, bounds, budget).constraints == t_m
+            lo_n_closure(payload, n, budget) == payload
+            and canonical_constraint("equality", m, payload.dom, payload.cod) in payload
+            and canonical_constraint("empty", m, payload.dom, payload.cod) in payload
+            and cm_m_closure(payload, m, bounds, budget).constraints == payload
         )
-        fixed = csf_m(fsc_n(t_m, n, budget), m, budget) == t_m
-        return _equivalence_report("thm14", {"n": n, "m": m}, predicate, fixed, started)
-    t = payload  # cor2
-    unions_ok, _ = union_closure_check(t)
-    predicate = (
-        _has_distinguished(t, cap)
-        and unions_ok
-        and cm_closure(t, cap, bounds, budget).constraints == t
-    )
-    fixed = csf(fsc_n(t, 1, budget), cap, budget) == t
-    return _equivalence_report("cor2", {"cap": cap}, predicate, fixed, started)
+        fixed = csf_m(fsc_n(payload, n, budget), m, budget) == payload
+    else:  # cor2
+        unions_ok, _ = union_closure_check(payload, budget)
+        predicate = (
+            _has_distinguished(payload, cap)
+            and unions_ok
+            and cm_closure(payload, cap, bounds, budget).constraints == payload
+        )
+        fixed = csf(fsc_n(payload, 1, budget), cap, budget) == payload
+    params.update(predicate=predicate, fixed_point=fixed)
+    # cor1's predicate is constant, so its witness names the fixed-point test alone
+    detail = f"fixed_point={fixed}" if side == "cor1" else f"predicate={predicate} but fixed_point={fixed}"
+    return _findings(side, params, int(predicate), int(fixed), [detail] if predicate != fixed else [])
 
 
 def _has_distinguished(t: ConstraintSet, cap: int) -> bool:

@@ -7,7 +7,10 @@ constraint, an OR of column minterms, and ``csf_m`` reads each probe's
 achievable output tuples off ANDs of the class mask with column minterms.
 ``probe_groups`` ORs the probe masks by cross-row set, read off
 ``core.readings``; ``csf_m`` and the separators of ``lab.fsc_n_of_csf_m`` share
-it.  ``satisfies``, ``image`` and ``minimal_consequent`` evaluate one table at
+it.  ``cm_m_oracle`` is the composite csf_m(fsc_n(T)) at n = |A|^m, the Galois
+route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
+checked against; this module imports nothing from the closure side.
+``satisfies``, ``image`` and ``minimal_consequent`` evaluate one table at
 a time and serve as the scalar reference, sharing no code with these kernels.
 ``trace_constraint`` builds the canonical separating constraint whose
 antecedent lists chosen columns and whose consequent collects the class's
@@ -263,6 +266,21 @@ def csf(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     for m in range(1, cap + 1):
         out = out | csf_m(k, m, budget)
     return out
+
+
+def cm_m_oracle(
+    t_m: ConstraintSet,
+    m: int,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> ConstraintSet:
+    """Galois route to the m-ary minor closure.
+
+    The composite csf_m(fsc_n(T_m)) at n = |A|^m equals the closure exactly:
+    every m-ary antecedent has at most |A|^m tuples, so at that arity the
+    antecedent-size-bounded local closure is the identity on m-ary sets.
+    """
+    n_star = t_m.dom.size**m
+    return csf_m(fsc_n(t_m, n_star, budget), m, budget)
 
 
 def trace_constraint(k: FunctionClass, columns: list[tuple[int, ...]]) -> Constraint:

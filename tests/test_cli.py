@@ -210,6 +210,8 @@ def test_multi_arity_bindings_are_usage_errors(mixed_path, capsys, words, flags)
         ["enumerate", "constraints", "--arity", "1", "--cod-size", "0"],
         ["laws", "vsn", "--dom-size", "0"],
         ["laws", "cmm", "--m", "-2"],
+        ["laws", "vsn", "--samples", "0"],
+        ["laws", "axioms", "--samples", "-4"],
     ],
 )
 def test_nonpositive_integer_flags_are_usage_errors(mixed_path, capsys, argv):
@@ -335,6 +337,22 @@ def test_verify_dispatches_every_identity(doc_path, capsys, monkeypatch):
             code, _, err = run(capsys, *argv[:-2])
             assert code == EXIT_USAGE and f"requires --{list(params)[-1]}" in err
     assert not calls
+
+
+def test_laws_axioms_lists_every_failing_sample(capsys, monkeypatch):
+    from funcon import ClosureReport
+    import funcon.cli as cli
+
+    def failing(k, t, n_cap, m_cap, budget):
+        return ClosureReport("galois-axioms", {}, len(k), len(t), ["fsc o csf o fsc != fsc"], "incomparable")
+
+    monkeypatch.setattr(cli, "check_galois_axioms", failing)
+    code, out, _ = run(capsys, "laws", "axioms", "--samples", "3")
+    assert code == EXIT_DISCREPANCY
+    assert "  lhs_size: 3\n  rhs_size: 0\n" in out
+    assert [line for line in out.splitlines() if "witness" in line] == [
+        f"  witness: sample {i}: fsc o csf o fsc != fsc" for i in (1, 2, 3)
+    ]
 
 
 def test_discrepancy_exit_code(doc_path, capsys, monkeypatch):

@@ -27,6 +27,7 @@ from funcon import (
     relaxation_of,
     tuple_rank,
     tuple_unrank,
+    union_closure_check,
 )
 import funcon.core as core
 from funcon.core import (
@@ -39,7 +40,7 @@ from funcon.core import (
 from funcon.lab import _report
 from funcon.minors import tight_minor_relation
 
-from conftest import AND, BOOL, C_LEQ, EQ2, LEQ, cls, cset, fn
+from conftest import AND, BOOL, C_EQ2, C_LEQ, EQ2, LEQ, cls, cset, fn
 
 
 def test_tuple_codec_roundtrip_exhaustive():
@@ -155,6 +156,7 @@ COMPOSE = Scheme.of(2, 1, [[coord(1), indet(1)], [indet(1), coord(2)]])
 
 # every guarded public entry point: a call under a given budget, and the count
 # its guard compares with that budget
+EMPTY2 = canonical_constraint("empty", 2, BOOL, BOOL)
 GUARDED = {
     "enumerate_functions": (lambda b: list(enumerate_functions(BOOL, TRI, 2, b)), 3**4),
     "enumerate_constraints": (lambda b: list(enumerate_constraints(BOOL, TRI, 1, b)), 2**2 * 2**3),
@@ -164,6 +166,8 @@ GUARDED = {
     "lo_n_closure": (lambda b: lo_n_closure(cset(C_LEQ), 1, b), 2**4 * 2**4),
     "cm_m_closure": (lambda b: cm_m_closure(cset(C_LEQ), 2, budget=b), 2**4 * 2**4),
     "tight_minor_relation": (lambda b: tight_minor_relation([LEQ, LEQ], COMPOSE, max_indets=b), 1),
+    # the pairs i <= j of a 3-member set
+    "union_closure_check": (lambda b: union_closure_check(cset(C_LEQ, C_EQ2, EMPTY2), b), 3 * 4 // 2),
 }
 
 
@@ -280,6 +284,14 @@ def test_classes_and_sets_do_not_mix():
         t | ConstraintSet.empty(DomainSpec("C", 3), BOOL)
 
 
+def test_membership_of_a_foreign_object_is_false():
+    k, t = cls(AND), cset(C_LEQ)
+    assert 5 not in k
+    assert (1, 1) not in t
+    assert C_LEQ not in k
+    assert AND not in t
+
+
 def test_from_constructors_live_in_their_own_class():
     # perfbench/tracer.py patches these through cls.__dict__[attr]
     assert "from_tables" in FunctionClass.__dict__
@@ -360,7 +372,7 @@ def test_rank_and_mask_forms_agree(sizes, rng, monkeypatch):
             union_tables = [FunctionTable.unrank(dom, cod, n, r) for n in arities for r in sorted(union[n])]
             assert (x() | y()).tables() == union_tables
             assert (x() - y()).sorted_keys() == lhs_only
-            report = _report("pair", {}, x(), y(), 0.0)
+            report = _report("pair", {}, x(), y())
             reports.append((report.lhs_size, report.rhs_size, report.verdict, report.symmetric_difference))
         assert reports == reports[:1] * 4
         assert reports[0][3][:len(lhs_only[:8])] == [

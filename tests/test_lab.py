@@ -18,7 +18,15 @@ from funcon import (
     vs_n_closure,
 )
 from funcon.core import BudgetExceededError, ConstraintSet, FunctionClass
-from funcon.lab import nested_class_pair, nested_set_pair, random_constraint_set, random_function_class
+from funcon.instance_io import format_report
+from funcon.lab import (
+    MAX_WITNESSES,
+    audit,
+    nested_class_pair,
+    nested_set_pair,
+    random_constraint_set,
+    random_function_class,
+)
 
 from conftest import AND, BOOL, C_LEQ, NEGATION, OR, PR1, PR2, cls, cset, fn
 
@@ -64,6 +72,25 @@ def test_check_closure_laws_catches_violations(rng):
     rep = check_closure_laws(not_extensive, samples, "broken")
     assert not rep.ok
     assert any("not extensive" in w for w in rep.symmetric_difference)
+
+
+def test_audit_counts_checked_and_passing_samples():
+    rep = audit("odd", [(1,), (2,), (3,)], lambda v: ["odd"] if v % 2 else [])
+    assert (rep.lhs_size, rep.rhs_size, rep.verdict) == (3, 1, "incomparable")
+    assert rep.parameters == {"samples": 3}
+    assert rep.symmetric_difference == ["sample 1: odd", "sample 3: odd"]
+
+
+def test_closure_law_audit_caps_its_witnesses():
+    # one past the largest rank is neither extensive, monotone nor idempotent
+    def broken(k):
+        return FunctionClass(BOOL, BOOL, {2: {max(k.ranks(2)) + 1}})
+
+    pair = (FunctionClass(BOOL, BOOL, {2: {0}}), FunctionClass(BOOL, BOOL, {2: {0, 5}}))
+    rep = check_closure_laws(broken, [pair] * 3, "broken")
+    assert "  samples: 3\n  lhs_size: 3\n  rhs_size: 0\n" in format_report(rep)
+    assert len(rep.symmetric_difference) == MAX_WITNESSES == 8
+    assert rep.symmetric_difference[-2:] == ["sample 3: not extensive", "sample 3: not monotone"]
 
 
 def test_galois_axioms_hold(rng):
