@@ -45,6 +45,7 @@ from .minors import (
     Scheme,
     compose_schemes,
     coord,
+    identity_scheme,
     indet,
     minor_check,
     special_minor,
@@ -60,6 +61,7 @@ from .lab import (
     verify_definability,
     verify_factorization,
 )
+from .instance_io import serialize_instance
 from .constraint_closures import (
     CmBounds,
     CmResult,

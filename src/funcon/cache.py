@@ -58,6 +58,8 @@ class ResultCache:
         try:
             raw = json.loads(path.read_text())
             entry = CacheEntry(raw["key"], raw["value"], raw["tool_version"])
+            if not all(isinstance(field, str) for field in vars(entry).values()):
+                raise TypeError("cache entry fields must be strings")
         except (ValueError, KeyError, TypeError, OSError):
             print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
             return None

@@ -141,10 +141,10 @@ def _build_parser() -> _Parser:
 
 def _load_document(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise SystemExit2(f"cannot read {path}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit2(f"cannot read {path}: {exc.strerror if isinstance(exc, OSError) else exc}") from exc
     return text, parse_instance(text)
 
 

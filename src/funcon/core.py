@@ -230,17 +230,10 @@ class Relation:
     def contains_tuple(self, t: Sequence[int]) -> bool:
         return self.contains_rank(tuple_rank(t, self.domain.size))
 
-    def member_ranks(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
     def tuples(self) -> list[tuple[int, ...]]:
         """The member tuples in rank order, which is lexicographic order."""
-        size = self.domain.size
-        return [tuple_unrank(r, size, self.arity) for r in self.member_ranks()]
+        size, bits = self.domain.size, self.bits
+        return [tuple_unrank(r, size, self.arity) for r in range(self.universe_size) if bits >> r & 1]
 
     def _check_compatible(self, other: "Relation") -> None:
         if self.domain != other.domain:

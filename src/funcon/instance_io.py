@@ -6,7 +6,9 @@ The grammar is one table, ``SECTIONS``.  ``parse_instance`` walks it once,
 checking every binding name and entry shape in one place before each
 section's builder runs that section's own checks.  The document keeps every
 binding with the validated spec it was built from, and
-``serialize_instance`` canonicalizes those specs.
+``serialize_instance`` canonicalizes those specs.  Documents are immutable
+and shared: ``parse_instance`` memoizes them on the text.  Listings are joined
+from cached JSON fragments of member tables and relations.
 
 Canonicalization invariants: parsing a canonical document and serializing it
 returns the same bytes; serializing any parsed document is idempotent.
@@ -16,8 +18,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from functools import partial
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from types import MappingProxyType
 
 from .core import (
     Constraint,
@@ -26,6 +30,7 @@ from .core import (
     FunctionClass,
     FunctionTable,
     Relation,
+    tuple_unrank,
 )
 from .lab import ClosureReport
 from .minors import Scheme
@@ -42,13 +47,13 @@ class InstanceSemanticError(ValueError):
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstanceDocument:
     """Named bindings parsed from one instance file: per section, the built
-    bindings and the validated specs they were built from."""
+    bindings and the validated specs they were built from, all read-only."""
 
-    bindings: dict[str, dict] = field(default_factory=lambda: {s: {} for s in SECTIONS})
-    specs: dict[str, dict] = field(default_factory=lambda: {s: {} for s in SECTIONS})
+    bindings: Mapping[str, Mapping]
+    specs: Mapping[str, Mapping]
 
     def _lookup(self, section: str, name: str, binding: str | None = None):
         """The named binding of a section.  A reference made while building a
@@ -246,13 +251,24 @@ SECTIONS = {
 }
 
 
+def _frozen(value):
+    """A deep copy of a JSON value with arrays as tuples, objects read-only."""
+    if isinstance(value, list):
+        return tuple(map(_frozen, value))
+    if isinstance(value, dict):
+        return MappingProxyType({key: _frozen(v) for key, v in value.items()})
+    return value
+
+
 def _as_dict(value, binding: str) -> dict:
     _require(isinstance(value, dict), binding, f"expected an object, got {type(value).__name__}")
     return value
 
 
+@lru_cache(maxsize=32)
 def parse_instance(text: str) -> InstanceDocument:
-    """Parse and fully validate an instance document."""
+    """Parse and fully validate an instance document, memoized on the text
+    (a text that fails is not memoized, so it raises on every call)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -264,7 +280,8 @@ def parse_instance(text: str) -> InstanceDocument:
     extra = raw.keys() - SECTIONS.keys()
     if extra:
         raise InstanceSemanticError(f"document: unknown sections {sorted(extra)}")
-    doc = InstanceDocument()
+    bindings, specs = {s: {} for s in SECTIONS}, {s: {} for s in SECTIONS}
+    lookup = InstanceDocument(bindings, specs)._lookup  # reads the tables as they fill
     for section, (kind, keys, build) in SECTIONS.items():
         for name, spec in _as_dict(raw.get(section, {}), section).items():
             if not isinstance(name, str) or not _NAME.match(name):
@@ -276,10 +293,10 @@ def parse_instance(text: str) -> InstanceDocument:
                 _require(not extra, binding, f"unknown keys {sorted(extra)}")
                 for key in keys:
                     _require(key in spec, binding, f"missing {key!r}")
-            ref = partial(doc._lookup, binding=binding)
-            doc.bindings[section][name] = build(ref, name, binding, spec)
-            doc.specs[section][name] = spec
-    return doc
+            ref = partial(lookup, binding=binding)
+            bindings[section][name] = build(ref, name, binding, spec)
+            specs[section][name] = spec
+    return InstanceDocument(_frozen(bindings), _frozen(specs))
 
 
 def _canonical(spec, keys: tuple[str, ...], binding):
@@ -311,26 +328,42 @@ def serialize_instance(doc: InstanceDocument) -> str:
 # canonical result listings
 
 
-def function_record(f: FunctionTable) -> dict:
-    return {"arity": f.arity, "table": list(f.table)}
+# a member's fields are written six spaces in, and so is each line of their values
+_DEPTH = "\n      "
 
 
-def constraint_record(c: Constraint) -> dict:
-    return {
-        "arity": c.arity,
-        "antecedent": [list(t) for t in c.antecedent.tuples()],
-        "consequent": [list(t) for t in c.consequent.tuples()],
-    }
+@lru_cache(maxsize=4096)
+def _table_fragment(cod_size: int, width: int, rank: int) -> str:
+    """The listed table of the function of the given rank."""
+    return json.dumps(tuple_unrank(rank, cod_size, width), indent=2).replace("\n", _DEPTH)
+
+
+@lru_cache(maxsize=4096)
+def _relation_fragment(size: int, arity: int, bits: int) -> str:
+    """The listed tuples of the relation of the given bitmask, in rank order."""
+    tuples = [tuple_unrank(r, size, arity) for r in range(size**arity) if bits >> r & 1]
+    return json.dumps(tuples, indent=2).replace("\n", _DEPTH)
+
+
+def _listing(kind: str, records: list[str]) -> str:
+    """The bytes json.dumps gives for a listing, joined from member records."""
+    if not records:
+        return json.dumps({"kind": kind, "count": 0, "members": []}, indent=2) + "\n"
+    head = f'{{\n  "kind": "{kind}",\n  "count": {len(records)},\n  "members": [\n'
+    return head + ",\n".join(records) + "\n  ]\n}\n"
 
 
 def class_listing(k: FunctionClass) -> str:
-    records = [function_record(f) for f in k.tables()]
-    return json.dumps({"kind": "class", "count": len(records), "members": records}, indent=2) + "\n"
+    record = '    {{\n      "arity": {},\n      "table": {}\n    }}'.format
+    a, b = k.dom.size, k.cod.size
+    return _listing("class", [record(n, _table_fragment(b, a**n, r)) for n, r in k.sorted_keys()])
 
 
 def set_listing(t: ConstraintSet) -> str:
-    records = [constraint_record(c) for c in t.constraints()]
-    return json.dumps({"kind": "set", "count": len(records), "members": records}, indent=2) + "\n"
+    record = '    {{\n      "arity": {0},\n      "antecedent": {1},\n      "consequent": {2}\n    }}'.format
+    a, b = t.dom.size, t.cod.size
+    return _listing("set", [record(n, _relation_fragment(a, n, r), _relation_fragment(b, n, s))
+                            for n, (r, s) in t.sorted_keys()])
 
 
 def format_report(report: ClosureReport) -> str:

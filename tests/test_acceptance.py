@@ -1,10 +1,12 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per criterion, plus a pin of the stdout bytes
+of criterion 9's commands.
 
-Each test prints exactly one PASS line (visible with -v via the test result,
+Each criterion test prints exactly one PASS line (visible with -v via the test result,
 and in captured output) and enforces its pinned runtime limit.  All sampling
 is fixed-seed; domains are Boolean throughout.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -289,34 +291,37 @@ def test_acceptance_8_chain_stabilization():
     finish(8, "lo_m and lo_n chains descend and stabilize on 100 instances each", started, 120)
 
 
+ACCEPTANCE_9_DOC = {
+    "domains": {"bool": 2},
+    "functions": {"and": {"dom": "bool", "cod": "bool", "arity": 2, "table": [0, 0, 0, 1]}},
+    "relations": {"leq": {"domain": "bool", "arity": 2, "tuples": [[0, 0], [0, 1], [1, 1]]}},
+    "constraints": {"c_leq": {"antecedent": "leq", "consequent": "leq"}},
+    "classes": {"K2": {"dom": "bool", "cod": "bool", "members": ["and"]}},
+    "sets": {"T2": {"dom": "bool", "cod": "bool", "members": ["c_leq"]}},
+}
+
+
+def acceptance_9_commands(doc):
+    return [
+        ["close", "vsn", "--in", doc, "--class", "K2"],
+        ["close", "cmm", "--in", doc, "--set", "T2", "--m", "2"],
+        ["close", "lon", "--in", doc, "--set", "T2", "--n", "2"],
+        ["galois", "fsc", "--in", doc, "--set", "T2", "--arity", "2"],
+        ["galois", "csf", "--in", doc, "--class", "K2", "--arity", "1"],
+        ["verify", "t15i", "--in", doc, "--class", "K2", "--n", "2", "--m", "1"],
+        ["verify", "t15ii", "--in", doc, "--set", "T2", "--n", "4", "--m", "2"],
+        ["enumerate", "functions", "--arity", "2"],
+        ["laws", "vsn", "--samples", "20", "--seed", "5"],
+    ]
+
+
 def test_acceptance_9_cli_determinism(tmp_path, capsys):
     from funcon.cli import run_command
 
     started = time.time()
     doc = tmp_path / "ex.json"
-    doc.write_text(
-        json.dumps(
-            {
-                "domains": {"bool": 2},
-                "functions": {"and": {"dom": "bool", "cod": "bool", "arity": 2, "table": [0, 0, 0, 1]}},
-                "relations": {"leq": {"domain": "bool", "arity": 2, "tuples": [[0, 0], [0, 1], [1, 1]]}},
-                "constraints": {"c_leq": {"antecedent": "leq", "consequent": "leq"}},
-                "classes": {"K2": {"dom": "bool", "cod": "bool", "members": ["and"]}},
-                "sets": {"T2": {"dom": "bool", "cod": "bool", "members": ["c_leq"]}},
-            }
-        )
-    )
-    commands = [
-        ["close", "vsn", "--in", str(doc), "--class", "K2"],
-        ["close", "cmm", "--in", str(doc), "--set", "T2", "--m", "2"],
-        ["close", "lon", "--in", str(doc), "--set", "T2", "--n", "2"],
-        ["galois", "fsc", "--in", str(doc), "--set", "T2", "--arity", "2"],
-        ["galois", "csf", "--in", str(doc), "--class", "K2", "--arity", "1"],
-        ["verify", "t15i", "--in", str(doc), "--class", "K2", "--n", "2", "--m", "1"],
-        ["verify", "t15ii", "--in", str(doc), "--set", "T2", "--n", "4", "--m", "2"],
-        ["enumerate", "functions", "--arity", "2"],
-        ["laws", "vsn", "--samples", "20", "--seed", "5"],
-    ]
+    doc.write_text(json.dumps(ACCEPTANCE_9_DOC))
+    commands = acceptance_9_commands(str(doc))
     for argv in commands:
         outs = []
         for _ in range(2):
@@ -334,3 +339,32 @@ def test_acceptance_9_cli_determinism(tmp_path, capsys):
     assert first_code == second_code == 0
     assert first == second
     finish(9, f"{len(commands)} commands byte-identical across runs; cache preserves bytes", started, 120)
+
+
+# sha256 and length of the stdout of each close, galois, verify and enumerate
+# command of acceptance 9, recorded before listings were joined from fragments
+ACCEPTANCE_9_STDOUT = [
+    ("e3abbd52ae7fac2e4808615330453aa717f720a2c01edf0e8aee1c90a5e7466d", 352),
+    ("04282d82d0d99232baa8fff4b6bec65be916a033459fadebb3201e88f5dd7674", 13472),
+    ("f2b94b117260bd13ebac92a16312e4d616f8d1db3d15576679a79bb24bec1406", 419),
+    ("cdb47d80d0ecddfad348bd577bb085ee37e32261f1f496b7e05358526cba3827", 649),
+    ("d6e8cca710936db3f09d6316a8f3a950f9eb3a9fed6dfbae8e90b8d02786c825", 1427),
+    ("a297e23324984090cce74bcb785721cabe858644bb547db793d2c0ba35bde7c8", 72),
+    ("0d9e6bf8253f58556eac2f59bbdda5fc30734fcd8b919fa9840664b6d1a277f2", 113),
+    ("668175e4615a2850ef8d5962ee2174378f184656717d481c27527eb147c08b60", 1640),
+]
+
+
+def test_acceptance_9_stdout_bytes_are_pinned(tmp_path, capsys):
+    from funcon.cli import run_command
+
+    doc = tmp_path / "ex.json"
+    doc.write_text(json.dumps(ACCEPTANCE_9_DOC))
+    commands = [argv for argv in acceptance_9_commands(str(doc)) if argv[0] != "laws"]
+    assert len(commands) == len(ACCEPTANCE_9_STDOUT)
+    for argv, pinned in zip(commands, ACCEPTANCE_9_STDOUT):
+        cached = ["--cache-dir", str(tmp_path / "cache")]
+        for cache in ([], cached, cached):  # uncached, then a cache miss and a hit
+            assert run_command(cache + argv) == 0
+            out = capsys.readouterr().out
+            assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == pinned, argv

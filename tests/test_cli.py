@@ -259,6 +259,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == EXIT_USAGE and "syntax error" in err
 
 
+def test_undecodable_document_is_an_unreadable_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "close", "vsn", "--in", str(bad), "--class", "K")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_non_string_reference_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(DOC.replace('"members": ["and"]', '"members": [["and"]]'))

@@ -1,17 +1,31 @@
+import itertools
 import json
+import random
 import re
 
 import pytest
 
-from funcon import ClosureReport, Scheme, coord, indet
+from funcon import (
+    ClosureReport,
+    ConstraintSet,
+    DomainSpec,
+    FunctionClass,
+    Scheme,
+    coord,
+    csf,
+    csf_m,
+    fsc,
+    fsc_n,
+    indet,
+    random_function_class,
+)
+from funcon.core import constraint_universe_count, function_count
 from funcon.cache import ResultCache, cache_key, resolve_cache_dir
 from funcon.instance_io import (
     InstanceParseError,
     InstanceSemanticError,
     class_listing,
-    constraint_record,
     format_report,
-    function_record,
     parse_instance,
     parse_scheme_literal,
     scheme_literal,
@@ -139,6 +153,41 @@ def test_duplicate_members_serialize_like_deduplicated_ones():
     assert serialize_instance(again) == text
     assert again.function_class("K") == docs[0].function_class("K") == docs[1].function_class("K")
     assert again.constraint_set("T") == docs[0].constraint_set("T") == docs[1].constraint_set("T")
+
+
+def test_documents_are_shared_and_read_only():
+    doc = parse_instance(DOC)
+    assert parse_instance(DOC) is doc
+    spec = doc.specs["functions"]["and"]
+    assignments = [
+        (doc.bindings, "functions", {}),
+        (doc.bindings["functions"], "or", doc.function("and")),
+        (doc.specs["functions"], "and", {}),
+        (spec, "table", [1, 1, 1, 1]),
+        (spec["table"], 0, 1),
+        (doc.specs["relations"]["leq"]["tuples"][0], 0, 1),
+    ]
+    for target, key, value in assignments:
+        with pytest.raises(TypeError):
+            target[key] = value
+    with pytest.raises(AttributeError):
+        doc.bindings = {}
+    assert spec["table"] == (0, 0, 0, 1)
+    assert serialize_instance(doc) == serialize_instance(parse_instance(serialize_instance(doc)))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("{ not json", InstanceParseError), (DOC.replace('"arity": 2, "table"', '"arity": 3, "table"'), InstanceSemanticError)],
+    ids=["syntax", "semantic"],
+)
+def test_a_failing_text_raises_on_every_parse(text, error):
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as exc:
+            parse_instance(text)
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1
 
 
 def mutated(*changes):
@@ -282,6 +331,54 @@ def test_listings_are_sorted_and_stable():
     assert json.loads(s)["members"][0]["antecedent"] == [[0, 0], [0, 1], [1, 1]]
 
 
+def reference_listing(kind: str, collection) -> str:
+    """The scalar reference of ``class_listing``/``set_listing``: decode every
+    member and write one dict record per member with ``json.dumps``."""
+    def tuples(r):
+        return [list(t) for t in itertools.product(range(r.domain.size), repeat=r.arity) if r.contains_tuple(t)]
+
+    if kind == "class":
+        records = [{"arity": f.arity, "table": list(f.table)} for f in collection.tables()]
+    else:
+        records = [
+            {"arity": c.arity, "antecedent": tuples(c.antecedent), "consequent": tuples(c.consequent)}
+            for c in collection.constraints()
+        ]
+    return json.dumps({"kind": kind, "count": len(records), "members": records}, indent=2) + "\n"
+
+
+def listings_of(dom, cod, rng):
+    """Random classes over dom -> cod with the csf_m and csf results of each
+    and the fsc_n and fsc classes of those, as (kind, collection) pairs."""
+    yield "class", FunctionClass.empty(dom, cod)
+    yield "set", ConstraintSet.empty(dom, cod)
+    for n in (1, 2, 3):
+        if function_count(dom, cod, n) > 1 << 16:
+            continue
+        k = random_function_class(rng, dom, cod, n, rng.randint(1, 3))
+        yield "class", k
+        for m in (1, 2, 3):
+            if constraint_universe_count(dom, cod, m) <= 1 << 16:
+                t = csf_m(k, m)
+                yield "set", t
+                yield "class", fsc_n(t, n)
+        t = csf(k, 2)  # arities 1 and 2
+        yield "set", t
+        yield "class", fsc(t, 2)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3), (3, 3)], ids=lambda s: "x".join(map(str, s)))
+def test_listings_match_the_scalar_reference(sizes):
+    rng = random.Random(sum(sizes))
+    dom, cod = DomainSpec("A", sizes[0]), DomainSpec("B", sizes[1])
+    seen = set()
+    for kind, collection in listings_of(dom, cod, rng):
+        listing = class_listing(collection) if kind == "class" else set_listing(collection)
+        assert listing == reference_listing(kind, collection)
+        seen.add((kind, len(collection.arities())))
+    assert {("class", 0), ("set", 0), ("class", 1), ("set", 1), ("set", 2), ("class", 2)} <= seen
+
+
 def test_format_report_excludes_runtime_by_default():
     rep = ClosureReport("t15i", {"n": 2, "m": 1}, 4, 4, [], "equal")
     lines = format_report(rep).splitlines()
@@ -312,6 +409,21 @@ def test_cache_rejects_corrupt_and_stale(tmp_path, capsys):
     raw["tool_version"] = "0.0.0"
     path.write_text(json.dumps(raw))
     assert cache.load(key) is None
+
+
+@pytest.mark.parametrize("field", ["key", "value", "tool_version"])
+def test_cache_rejects_entries_with_non_string_fields(tmp_path, capsys, field):
+    cache = ResultCache(tmp_path)
+    key = cache_key("op", "x", {})
+    cache.store(key, "value")
+    path = tmp_path / f"{key}.json"
+    raw = json.loads(path.read_text())
+    raw[field] = 5
+    path.write_text(json.dumps(raw))
+    assert cache.load(key) is None
+    assert "corrupt cache entry" in capsys.readouterr().err
+    cache.store(key, "value")  # a recomputed result overwrites the entry
+    assert cache.load(key) == "value"
 
 
 def test_cache_dir_resolution(monkeypatch, tmp_path):
