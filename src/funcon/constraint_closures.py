@@ -15,19 +15,24 @@ The fixpoint holds one floor per antecedent R, its least consequent: the sets
 it builds are closed under relaxation and under the meet of two members with
 one antecedent, so their members are the (R, S) with S a superset of floor(R).
 ``_add`` ANDs a new pair's consequent into the floors below its antecedent,
-and ``_maximal`` reads off the maximal members.  A round of minor moves is
-one loop over the pairs i <= j of lifts of the maximal members, projecting
-their meet; i == j is a single-source tight minor.  Witnesses are recorded as
-bit pairs for the pairs that enter and decoded, one per member, when
-``CmResult.witnesses`` is first read.
+and ``_maximal`` reads off the maximal members.  A round of minor moves packs
+each lift of a maximal member into one int, antecedent above consequent, so
+the meet of lifts i <= j is one AND (i == j is a single-source tight minor).
+Lift i's row of meets is deduplicated against every meet seen, and each new
+one is projected, in row order, by shift-ORs and 8-block tables
+(``_meet_projection``).  Semi-naive rounds: an old lift meets only the fresh
+lifts after it.  Witnesses are recorded as bit pairs for the pairs that enter
+and decoded, one per member, when ``CmResult.witnesses`` is first read.
 ``lo_n_closure`` masks, per antecedent, the consequents present with it and
 folds their up-interiors over the subset lattice with ``core.subset_fold``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
@@ -151,15 +156,43 @@ def _lift(r_bits: int, h: tuple[int, ...], m: int, v: int, size: int) -> int:
     return out
 
 
+def _projection(m: int, v: int, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, dict[int, int]], ...]]:
+    """The shifts whose ORs fold each block of size^v bits onto its lowest bit (they sum to
+    size^v - 1, so no block reads the next one), and per chunk of 8 blocks its offset, the
+    mask of their lowest bits and the table from that pattern to the projected bits."""
+    block = size**v
+    chunks = []
+    for first in range(0, size**m, 8):
+        spread = [sum(1 << k * block for k in range(8) if p >> k & 1) for p in range(1 << min(8, size**m - first))]
+        chunks.append((first * block, spread[-1], {low: p << first for p, low in enumerate(spread)}))
+    return tuple(min(1 << k, block - (1 << k)) for k in range((block - 1).bit_length())), tuple(chunks)
+
+
+@lru_cache(maxsize=64)
+def _meet_projection(m: int, v: int, sa: int, sb: int) -> Callable[[int], tuple[int, int]]:
+    """The projection of a packed lift ``a << sb^(m+v) | b`` to its pair of masks.  With sa == sb one
+    fold serves both halves: the antecedent bits it moves down stay above the top consequent block's lowest bit."""
+    (shifts, chunks), width_b = _projection(m, v, sb), sb ** (m + v)
+    if sa != sb:
+        return lambda packed: (_project(packed >> width_b, m, v, sa), _project(packed & (1 << width_b) - 1, m, v, sb))
+    chunks_a = tuple((offset + width_b, low, table) for offset, low, table in chunks)
+
+    def project(packed: int) -> tuple[int, int]:
+        for shift in shifts:
+            packed |= packed >> shift
+        pa = pb = 0
+        for offset, low, table in chunks_a:
+            pa |= table[packed >> offset & low]
+        for offset, low, table in chunks:
+            pb |= table[packed >> offset & low]
+        return pa, pb
+
+    return project
+
+
 def _project(bits: int, m: int, v: int, size: int) -> int:
     """Existentially project away the trailing v coordinates."""
-    block = size**v
-    out = 0
-    mask = (1 << block) - 1
-    for ar in range(size**m):
-        if (bits >> (ar * block)) & mask:
-            out |= 1 << ar
-    return out
+    return _meet_projection(m, v, size, size)(bits)[1]
 
 
 def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, budget: int) -> CmResult:
@@ -192,30 +225,34 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             entered[m][pair] = ("seed",)
             _add(floors[m], entered[m], pair, m)
     v = bounds.max_indets
-    done: set[tuple[int, int, int]] = set()
+    done: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, packed meets projected
+    previous: dict[int, set[int]] = {m: set() for m in targets}  # and the last round's packed lifts
     converged = False
     iteration = 0
     for iteration in range(1, bounds.max_iterations + 1):
         changed = False
         maximals = {m: _maximal(floors[m], sa**m) for m in targets}
         for m in targets:
-            # lifted (antecedent, consequent) masks -> the first source giving them
-            lifts: dict[tuple[int, int], tuple[int, int, tuple[int, ...], int]] = {}
+            width_b = sb ** (m + v)
+            # packed lift (antecedent << width_b | consequent) -> the first source giving it
+            lifts: dict[int, tuple[int, int, tuple[int, ...], int]] = {}
             for src_arity in targets:
                 for r, s in maximals[src_arity]:
                     for h in itertools.product(range(m + v), repeat=src_arity):
-                        lifts.setdefault((_lift(r, h, m, v, sa), _lift(s, h, m, v, sb)), (r, s, h, src_arity))
-            pairs, sources = list(lifts), list(lifts.values())
-            for i, (la, lb) in enumerate(pairs):
-                for j, (la2, lb2) in enumerate(pairs[i:], i):
-                    key = (m, la & la2, lb & lb2)
-                    if key in done:
-                        continue
-                    done.add(key)
-                    cand = (_project(key[1], m, v, sa), _project(key[2], m, v, sb))
-                    if floors[m][cand[0]] & ~cand[1]:
+                        lifts.setdefault(_lift(r, h, m, v, sa) << width_b | _lift(s, h, m, v, sb), (r, s, h, src_arity))
+            packed, sources, old, previous[m] = list(lifts), list(lifts.values()), previous[m], set(lifts)
+            fresh = [i for i, key in enumerate(packed) if key not in old]
+            project, seen, floor = _meet_projection(m, v, sa, sb), done[m], floors[m]
+            for i, key in enumerate(packed):
+                js = fresh[bisect.bisect(fresh, i):] if key in old else range(i, len(packed))  # old meets old last round
+                first = {key & packed[j]: j for j in reversed(js)}  # meet -> its first j
+                new = first.keys() - seen
+                seen |= new
+                for j, meet in sorted(zip(map(first.__getitem__, new), new)):  # in the order of the row
+                    cand = project(meet)
+                    if floor[cand[0]] & ~cand[1]:
                         entered[m][cand] = ("minor", v, (sources[i],) if i == j else (sources[i], sources[j]))
-                        _add(floors[m], entered[m], cand, m)
+                        _add(floor, entered[m], cand, m)
                         changed = True
         if not changed:
             converged = True

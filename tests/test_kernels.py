@@ -1,8 +1,9 @@
 """Differential tests of the bit-sliced Galois kernels against scalar
 references built from ``satisfies`` over the enumerated function and
 constraint universes, on seeded instances off the Boolean domain too, and of
-the constraint-side mask kernels (lift, the floor add pass, maximal members,
-``lo_n_closure``) against scalar pair-by-pair reference loops, of
+the constraint-side mask kernels (lift, projection, the floor add pass,
+maximal members, ``lo_n_closure``) against scalar pair-by-pair reference
+loops, of the cm fixpoint against the tuple-keyed all-pairs round loop, of
 ``core.subset_fold`` against a fold over ``core.submasks``, of the reading
 table ``core.readings`` and the tight minor built on it against digit-by-digit
 decoding, and of the separators ``fsc_n_of_csf_m`` reads off the probe
@@ -23,6 +24,7 @@ import pytest
 
 import funcon
 from funcon import (
+    CmBounds,
     Constraint,
     ConstraintSet,
     DomainSpec,
@@ -31,6 +33,7 @@ from funcon import (
     Relation,
     Scheme,
     SubstitutionMap,
+    cm_closure,
     cm_m_closure,
     csf_m,
     enumerate_constraints,
@@ -48,7 +51,7 @@ from funcon import (
     vs_closure,
     vs_n_closure,
 )
-from funcon.constraint_closures import _add, _lift, _maximal
+from funcon.constraint_closures import _add, _lift, _maximal, _project, _projection
 from funcon.core import readings, submasks, subset_fold
 from funcon.lab import _separators
 from funcon.minors import tight_minor_relation
@@ -344,6 +347,108 @@ def test_lift_matches_digit_decoding(size):
         h = tuple(rng.randrange(m + v) for _ in range(rng.randint(1, 3)))
         for r_bits in (0, (1 << size ** len(h)) - 1, rng.getrandbits(size ** len(h))):
             assert _lift(r_bits, h, m, v, size) == lift_reference(r_bits, h, m, v, size)
+
+
+def project_reference(bits, m, v, size):
+    """One test per block of size^v bits: its projected bit is set iff any is."""
+    block = size**v
+    out = 0
+    mask = (1 << block) - 1
+    for ar in range(size**m):
+        if (bits >> (ar * block)) & mask:
+            out |= 1 << ar
+    return out
+
+
+def test_project_matches_block_loop():
+    rng = random.Random(16)
+    checked = set()
+    for size, m, v in itertools.product((2, 3, 4), (1, 2, 3), (0, 1, 2, 3)):
+        width = size ** (m + v)
+        if width > 4096:
+            continue
+        checked.add((v == 0, size**m > 8))
+        masks = [0, (1 << width) - 1]
+        for density in (1, 4, 32):  # random sparse masks: about one bit in density set
+            masks += [sum(1 << x for x in range(width) if rng.randrange(density) == 0) for _ in range(4)]
+        for bits in masks:
+            assert _project(bits, m, v, size) == project_reference(bits, m, v, size)
+    assert checked == {(False, False), (False, True), (True, False), (True, True)}
+    # every table a projection reads holds at most 256 entries
+    assert max(len(table) for m, v, size in itertools.product((1, 2, 3), (0, 1, 2), (2, 3, 4))
+               for *_, table in _projection(m, v, size)[1]) == 256
+
+
+def fixpoint_reference(t, targets, bounds):
+    """The round loop as a tuple-keyed scan over every pair i <= j of lifts,
+    projecting each meet not seen before block by block: the floors, the
+    entered items in order, the rounds run and whether it converged."""
+    sa, sb = t.dom.size, t.cod.size
+    floors, entered = {}, {}
+    for m in targets:
+        full_a, full_b = (1 << sa**m) - 1, (1 << sb**m) - 1
+        eq = tuple(sum(1 << x for x in readings((0,) * m, 1, size)) for size in (sa, sb))
+        floors[m] = [full_b] * (full_a + 1)
+        entered[m] = dict.fromkeys([(r, full_b) for r in range(full_a)], ("relaxation", (full_a, full_b)))
+        entered[m][full_a, full_b] = ("minor", 0, ((*eq, (0,) * m, m),))
+        for pair in [*t.ranks(m), eq, (0, 0)]:
+            entered[m][pair] = ("seed",)
+            _add(floors[m], entered[m], pair, m)
+    v, done, converged, iteration = bounds.max_indets, set(), False, 0
+    for iteration in range(1, bounds.max_iterations + 1):
+        changed = False
+        maximals = {m: _maximal(floors[m], sa**m) for m in targets}
+        for m in targets:
+            lifts = {}
+            for src_arity in targets:
+                for r, s in maximals[src_arity]:
+                    for h in itertools.product(range(m + v), repeat=src_arity):
+                        lifts.setdefault((_lift(r, h, m, v, sa), _lift(s, h, m, v, sb)), (r, s, h, src_arity))
+            pairs, sources = list(lifts), list(lifts.values())
+            for i, (la, lb) in enumerate(pairs):
+                for j, (la2, lb2) in enumerate(pairs[i:], i):
+                    key = (m, la & la2, lb & lb2)
+                    if key in done:
+                        continue
+                    done.add(key)
+                    cand = (project_reference(key[1], m, v, sa), project_reference(key[2], m, v, sb))
+                    if floors[m][cand[0]] & ~cand[1]:
+                        entered[m][cand] = ("minor", v, (sources[i],) if i == j else (sources[i], sources[j]))
+                        _add(floors[m], entered[m], cand, m)
+                        changed = True
+        if not changed:
+            converged = True
+            break
+    return floors, {m: list(e.items()) for m, e in entered.items()}, iteration, converged
+
+
+def boolean_ternary_set(ante, cons):
+    """{(ante, cons)} over the Boolean ternary relations of two predicates."""
+    bool_ = DomainSpec("bool", 2)
+    r, s = (Relation.from_tuples(bool_, 3, [t for t in itertools.product((0, 1), repeat=3) if p(*t)])
+            for p in (ante, cons))
+    return ConstraintSet.from_constraints(bool_, bool_, [Constraint(r, s)])
+
+
+def test_fixpoint_matches_all_pairs_round():
+    gap = boolean_ternary_set(lambda a, b, c: a + b + c == 1, lambda a, b, c: (a + b + c) % 2 == 0)
+    runs = [(gap, [3], CmBounds(max_indets=k)) for k in (0, 1, 2)]  # the instance of test_t15ii_gap
+    for pool in (lambda a, b, c: not a == b == c, lambda a, b, c: a <= b <= c, lambda a, b, c: a + b + c >= 2):
+        runs.append((boolean_ternary_set(pool, pool), [3], CmBounds()))
+    runs.append((runs[-1][0], [3], CmBounds(max_iterations=1)))
+    # four rounds, where the meets of a fresh lift with an old one still add members
+    runs.append((ConstraintSet(gap.dom, gap.cod, {3: frozenset({(97, 230)})}), [3], CmBounds(max_indets=1)))
+    rng = random.Random(1616)
+    for sizes in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+        dom, cod = domains(sizes)
+        for bounds in [CmBounds(), CmBounds(max_indets=3)] if sizes != (3, 3) else [CmBounds()]:
+            runs.append((random_pair_set(rng, dom, cod, 2, 3), [2], bounds))
+    dom, cod = domains((2, 3))
+    runs.append((random_pair_set(rng, dom, cod, 1, 2) | random_pair_set(rng, dom, cod, 2, 2), [1, 2], CmBounds()))
+    for t, targets, bounds in runs:
+        res = cm_m_closure(t, targets[0], bounds) if len(targets) == 1 else cm_closure(t, len(targets), bounds)
+        entered = {m: list(e.items()) for m, e in res.entered.items()}
+        assert (res.floors, entered, res.iterations, res.converged) == fixpoint_reference(t, targets, bounds)
 
 
 def readings_reference(h, k, size):

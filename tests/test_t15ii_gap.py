@@ -55,7 +55,7 @@ def test_left_only_constraints_are_satisfied_by_fsc_3(sides):
 @pytest.mark.xfail(
     strict=True,
     reason="the bounded cm_m_closure is not complete at m = 3 (2300 vs 2360); "
-    "see ROADMAP items 3 and 4",
+    "see ROADMAP items 5 (indicator certificate) and 6 (per-antecedent families)",
 )
 def test_t15ii_one_in_three_even_parity_m3(sides):
     fsc, lhs, rhs = sides
