@@ -1,9 +1,9 @@
-"""Content-addressed result cache for CLI operations.
+"""Content-addressed result cache for the CLI's close and galois listings.
 
-Keys are sha256 hashes of the operation name, canonical inputs, and bounds;
-hits require an exact tool-version match.  Entries are JSON files written via
-atomic rename; corrupt or stale entries are ignored with a warning and the
-result recomputed.
+A key is the sha256 of the operation name and its inputs, which the CLI
+gives as the document text plus the argument list; a hit requires an exact
+tool-version match.  Entries are JSON files written via atomic rename; a
+corrupt entry is ignored with a warning and the result recomputed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -21,27 +20,15 @@ from . import __version__
 CACHE_DIR_ENV = "FUNCON_CACHE_DIR"
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    value: str
-    tool_version: str
-
-
-def cache_key(operation: str, canonical_inputs: str, bounds: dict) -> str:
-    payload = json.dumps(
-        {"operation": operation, "inputs": canonical_inputs, "bounds": bounds},
-        sort_keys=True,
-    )
+def cache_key(operation: str, inputs: str) -> str:
+    payload = json.dumps({"operation": operation, "inputs": inputs}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def resolve_cache_dir(flag_value: str | None) -> Path | None:
     """Cache directory from the flag, else the environment, else disabled."""
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CACHE_DIR_ENV)
-    return Path(env) if env else None
+    directory = flag_value or os.environ.get(CACHE_DIR_ENV)
+    return Path(directory) if directory else None
 
 
 class ResultCache:
@@ -57,15 +44,13 @@ class ResultCache:
             return None
         try:
             raw = json.loads(path.read_text())
-            entry = CacheEntry(raw["key"], raw["value"], raw["tool_version"])
-            if not all(isinstance(field, str) for field in vars(entry).values()):
+            stored, value, version = raw["key"], raw["value"], raw["tool_version"]
+            if not all(isinstance(field, str) for field in (stored, value, version)):
                 raise TypeError("cache entry fields must be strings")
         except (ValueError, KeyError, TypeError, OSError):
             print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
             return None
-        if entry.key != key or entry.tool_version != __version__:
-            return None
-        return entry.value
+        return value if (stored, version) == (key, __version__) else None
 
     def store(self, key: str, value: str) -> None:
         """Write an entry; the cache is best-effort, so a directory that cannot

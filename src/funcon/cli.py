@@ -3,6 +3,12 @@
 Exit codes: 0 success; 1 a verification found a discrepancy (report emitted);
 2 usage or parse error; 3 an enumeration budget refusal.
 
+Every command builds its stdout text inside one ``try`` in ``run_command``,
+whose one tail writes it, prints the ``elapsed:`` line and picks the exit
+code.  The listings of close and galois go through the result cache, keyed on
+the document text plus the argument list; a closure cut off by
+--max-iterations is never cached, so it warns on every run.
+
 Output on stdout is canonical and byte-stable for fixed inputs and seed;
 runtimes and warnings go to stderr.
 """
@@ -155,6 +161,15 @@ def _need(args, attr, flag):
     return value
 
 
+# the document section and the flag naming the binding of each side
+_SIDES = {"class": ("classes", "class_name", "--class"), "set": ("sets", "set_name", "--set")}
+
+
+def _binding(args, doc, side: str):
+    section, attr, flag = _SIDES[side]
+    return doc.lookup(section, _need(args, attr, flag))
+
+
 def _bounds(args) -> CmBounds:
     try:
         return CmBounds(max_indets=args.max_indets, max_iterations=args.max_iterations)
@@ -162,39 +177,58 @@ def _bounds(args) -> CmBounds:
         raise SystemExit2(str(exc)) from exc
 
 
-def _run_close(args, doc) -> str:
+def _run_close(args, doc):
+    """The closure and whether it is complete; a cm fixpoint cut off by
+    --max-iterations is not."""
     op = args.operator
     if op in ("vs", "vsn", "lom"):
-        k = doc.function_class(_need(args, "class_name", "--class"))
+        k = _binding(args, doc, "class")
         if op == "vs":
-            return class_listing(vs_closure(k, _need(args, "cap", "--cap")))
+            return vs_closure(k, _need(args, "cap", "--cap")), True
         if op == "vsn":
-            return class_listing(vs_n_closure(k))
-        return class_listing(lo_m_closure(k, _need(args, "m", "--m"), args.budget))
-    t = doc.constraint_set(_need(args, "set_name", "--set"))
+            return vs_n_closure(k), True
+        return lo_m_closure(k, _need(args, "m", "--m"), args.budget), True
+    t = _binding(args, doc, "set")
     if op == "lon":
-        return set_listing(lo_n_closure(t, _need(args, "n", "--n"), args.budget))
+        return lo_n_closure(t, _need(args, "n", "--n"), args.budget), True
     if op == "cmm":
         res = cm_m_closure(t, _need(args, "m", "--m"), _bounds(args), args.budget)
     else:
         res = cm_closure(t, _need(args, "cap", "--cap"), _bounds(args), args.budget)
-    if not res.converged:
-        print("warning: fixpoint iteration limit reached", file=sys.stderr)
-    return set_listing(res.constraints)
+    return res.constraints, res.converged
 
 
-def _run_galois(args, doc) -> str:
+def _run_galois(args, doc):
     if (args.arity is None) == (args.cap is None):
         raise SystemExit2("exactly one of --arity / --cap is required")
-    if args.direction == "fsc":
-        t = doc.constraint_set(_need(args, "set_name", "--set"))
-        if args.arity is not None:
-            return class_listing(fsc_n(t, args.arity, args.budget))
-        return class_listing(fsc(t, args.cap, args.budget))
-    k = doc.function_class(_need(args, "class_name", "--class"))
+    side, at_arity, up_to_cap = ("set", fsc_n, fsc) if args.direction == "fsc" else ("class", csf_m, csf)
+    x = _binding(args, doc, side)
     if args.arity is not None:
-        return set_listing(csf_m(k, args.arity, args.budget))
-    return set_listing(csf(k, args.cap, args.budget))
+        return at_arity(x, args.arity, args.budget)
+    return up_to_cap(x, args.cap, args.budget)
+
+
+def _listing(x) -> str:
+    return class_listing(x) if isinstance(x, FunctionClass) else set_listing(x)
+
+
+def _run_cached(args, argv: list[str]) -> str:
+    """The listing of a close or galois request, read from the result cache
+    when one is set, else computed and stored there.  A closure cut off by
+    --max-iterations is never stored, so its warning comes on every run."""
+    text, doc = _load_document(args.infile)
+    cache_dir = resolve_cache_dir(args.cache_dir)
+    cache = ResultCache(cache_dir) if cache_dir else None
+    key = cache_key(args.command, text + "\n" + " ".join(argv))
+    out = cache.load(key) if cache else None
+    if out is None:
+        result, complete = _run_close(args, doc) if args.command == "close" else (_run_galois(args, doc), True)
+        out = _listing(result)
+        if not complete:
+            print("warning: fixpoint iteration limit reached", file=sys.stderr)
+        elif cache:
+            cache.store(key, out)
+    return out
 
 
 # the verify command's spelling of each lab identity
@@ -202,31 +236,22 @@ _SPELLINGS = {"t4finite": "t4", "t8ii": "t8", "t12ii": "t12"}
 _VERIFY = {_SPELLINGS.get(name, name): name for name in IDENTITIES}
 
 
-def _run_verify(args, doc):
+def _run_verify(args):
     name = _VERIFY[args.identity]
     side, params, _ = IDENTITIES[name]
     run = verify_factorization if name in FACTORIZATION_IDENTITIES else verify_definability
     bounds = _bounds(args)
-    if side == "class":
-        payload = doc.function_class(_need(args, "class_name", "--class"))
-    else:
-        payload = doc.constraint_set(_need(args, "set_name", "--set"))
+    payload = _binding(args, _load_document(args.infile)[1], side)
     kwargs = {p: _need(args, p, "--" + p) for p in params}
     return run(name, payload, bounds=bounds, budget=args.budget, **kwargs)
 
 
-def _run_enumerate(args) -> str:
+def _run_enumerate(args):
     dom = DomainSpec("A", args.dom_size)
     cod = DomainSpec("B", args.cod_size)
     if args.universe == "functions":
-        k = FunctionClass.from_tables(
-            dom, cod, enumerate_functions(dom, cod, args.arity, args.budget)
-        )
-        return class_listing(k)
-    t = ConstraintSet.from_constraints(
-        dom, cod, enumerate_constraints(dom, cod, args.arity, args.budget)
-    )
-    return set_listing(t)
+        return FunctionClass.from_tables(dom, cod, enumerate_functions(dom, cod, args.arity, args.budget))
+    return ConstraintSet.from_constraints(dom, cod, enumerate_constraints(dom, cod, args.arity, args.budget))
 
 
 # each closure suite of `laws`: the nested-pair generator of the side it
@@ -261,51 +286,25 @@ def _run_laws(args):
 
 
 def run_command(argv: list[str]) -> int:
-    parser = _build_parser()
     started = time.time()
     try:
-        args = parser.parse_args(argv)
-        cache_dir = resolve_cache_dir(args.cache_dir)
+        args = _build_parser().parse_args(argv)
         if args.command in ("close", "galois"):
-            text, doc = _load_document(args.infile)
-            key = cache_key(
-                args.command,
-                text + "\n" + " ".join(argv),
-                {"version_inputs": True},
-            )
-            cached = ResultCache(cache_dir).load(key) if cache_dir else None
-            if cached is not None:
-                sys.stdout.write(cached)
-            else:
-                out = _run_close(args, doc) if args.command == "close" else _run_galois(args, doc)
-                if cache_dir:
-                    ResultCache(cache_dir).store(key, out)
-                sys.stdout.write(out)
-            print(f"elapsed: {time.time() - started:.3f}s", file=sys.stderr)
-            return EXIT_OK
-        if args.command == "verify":
-            _, doc = _load_document(args.infile)
-            rep = _run_verify(args, doc)
-            sys.stdout.write(format_report(rep))
-            print(f"elapsed: {time.time() - started:.3f}s", file=sys.stderr)
-            return EXIT_OK if rep.ok else EXIT_DISCREPANCY
-        if args.command == "enumerate":
-            sys.stdout.write(_run_enumerate(args))
-            return EXIT_OK
-        # laws
-        rep = _run_laws(args)
-        sys.stdout.write(format_report(rep))
-        print(f"elapsed: {time.time() - started:.3f}s", file=sys.stderr)
-        return EXIT_OK if rep.ok else EXIT_DISCREPANCY
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InstanceParseError, InstanceSemanticError, ArityMismatchError) as exc:
+            out, ok = _run_cached(args, argv), True
+        elif args.command == "enumerate":
+            out, ok = _listing(_run_enumerate(args)), True
+        else:
+            rep = _run_verify(args) if args.command == "verify" else _run_laws(args)
+            out, ok = format_report(rep), rep.ok
+    except (SystemExit2, InstanceParseError, InstanceSemanticError, ArityMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    sys.stdout.write(out)
+    print(f"elapsed: {time.time() - started:.3f}s", file=sys.stderr)
+    return EXIT_OK if ok else EXIT_DISCREPANCY
 
 
 def main() -> None:

@@ -41,6 +41,7 @@ from .core import (
     ArityMismatchError,
     Constraint,
     ConstraintSet,
+    capped_arities,
     constraint_universe_count,
     ranks_of_mask,
     readings,
@@ -281,9 +282,7 @@ def cm_closure(
 
     Source families for the minor moves may mix any materialized arity.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    return _closure_fixpoint(t, list(range(1, cap + 1)), bounds, budget)
+    return _closure_fixpoint(t, list(capped_arities(cap)), bounds, budget)
 
 
 def lo_n_closure(

@@ -73,6 +73,14 @@ def within_budget(count: int, budget: int, what: str) -> int:
     return count
 
 
+def capped_arities(cap: int) -> range:
+    """The arities 1..cap of a union or closure capped at ``cap``; the one
+    place a cap below 1 is refused."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    return range(1, cap + 1)
+
+
 @dataclass(frozen=True, order=True)
 class DomainSpec:
     """A named finite set, identified with {0, ..., size-1}."""

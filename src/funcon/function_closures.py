@@ -20,6 +20,7 @@ from .core import (
     ArityMismatchError,
     FunctionClass,
     FunctionTable,
+    capped_arities,
     column_masks,
     function_count,
     readings,
@@ -86,9 +87,7 @@ def vs_closure(k: FunctionClass, cap: int) -> FunctionClass:
     Arbitrary maps n -> t cover identification, permutation and dummy-argument
     addition at once; this equals composing the class with the projection clone.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    return _instances(k, range(1, cap + 1))
+    return _instances(k, capped_arities(cap))
 
 
 def _agreeing(cols, members: int, subset: tuple[int, ...], prefix: int = -1) -> int:

@@ -4,11 +4,12 @@ serialization and deterministic report formatting.
 
 The grammar is one table, ``SECTIONS``.  ``parse_instance`` walks it once,
 checking every binding name and entry shape in one place before each
-section's builder runs that section's own checks.  The document keeps every
-binding with the validated spec it was built from, and
-``serialize_instance`` canonicalizes those specs.  Documents are immutable
-and shared: ``parse_instance`` memoizes them on the text.  Listings are joined
-from cached JSON fragments of member tables and relations.
+section's builder runs that section's own checks through ``_require``.  The
+document keeps every binding with the validated spec it was built from;
+``InstanceDocument.lookup`` reads a binding, and ``serialize_instance``
+canonicalizes the specs.  Documents are immutable and shared:
+``parse_instance`` memoizes them on the text.  Listings are joined from
+cached JSON fragments of member tables and relations.
 
 Canonicalization invariants: parsing a canonical document and serializing it
 returns the same bytes; serializing any parsed document is idempotent.
@@ -50,12 +51,14 @@ _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 @dataclass(frozen=True)
 class InstanceDocument:
     """Named bindings parsed from one instance file: per section, the built
-    bindings and the validated specs they were built from, all read-only."""
+    bindings and the validated specs they were built from, all read-only.
+    ``lookup(section, name)`` is the one way a binding is read, by the CLI
+    and by the section builders alike."""
 
     bindings: Mapping[str, Mapping]
     specs: Mapping[str, Mapping]
 
-    def _lookup(self, section: str, name: str, binding: str | None = None):
+    def lookup(self, section: str, name: str, binding: str | None = None):
         """The named binding of a section.  A reference made while building a
         binding passes that binding's label, which prefixes its errors."""
         kind, table = SECTIONS[section][0], self.bindings[section]
@@ -66,29 +69,9 @@ class InstanceDocument:
             raise InstanceSemanticError(f"{where}{kind} {name!r} is not defined")
         return table[name]
 
-    def domain(self, name: str) -> DomainSpec:
-        return self._lookup("domains", name)
-
-    def function(self, name: str) -> FunctionTable:
-        return self._lookup("functions", name)
-
-    def relation(self, name: str) -> Relation:
-        return self._lookup("relations", name)
-
-    def constraint(self, name: str) -> Constraint:
-        return self._lookup("constraints", name)
-
-    def function_class(self, name: str) -> FunctionClass:
-        return self._lookup("classes", name)
-
-    def constraint_set(self, name: str) -> ConstraintSet:
-        return self._lookup("sets", name)
-
-    def scheme(self, name: str) -> Scheme:
-        return self._lookup("schemes", name)
-
 
 def _require(cond: bool, binding: str, message: str) -> None:
+    """A check of one binding, whose failure names the binding."""
     if not cond:
         raise InstanceSemanticError(f"{binding}: {message}")
 
@@ -102,16 +85,13 @@ def parse_scheme_literal(text: str, binding: str = "scheme") -> Scheme:
     parts = [p.strip() for p in text.split(";") if p.strip()]
     fields: dict[str, str] = {}
     for part in parts:
-        if "=" not in part:
-            raise InstanceSemanticError(f"{binding}: expected key=value, got {part!r}")
+        _require("=" in part, binding, f"expected key=value, got {part!r}")
         key, _, value = part.partition("=")
         key = key.strip()
-        if key in fields:
-            raise InstanceSemanticError(f"{binding}: duplicate key {key!r}")
+        _require(key not in fields, binding, f"duplicate key {key!r}")
         fields[key] = value.strip()
     for needed in ("target", "V"):
-        if needed not in fields:
-            raise InstanceSemanticError(f"{binding}: missing {needed!r}")
+        _require(needed in fields, binding, f"missing {needed!r}")
     try:
         target = int(fields.pop("target"))
         indets = int(fields.pop("V"))
@@ -120,21 +100,14 @@ def parse_scheme_literal(text: str, binding: str = "scheme") -> Scheme:
     maps = []
     for i in range(1, len(fields) + 1):
         key = f"h{i}"
-        if key not in fields:
-            raise InstanceSemanticError(
-                f"{binding}: maps must be named h1..h{len(fields)}, missing {key!r}"
-            )
+        _require(key in fields, binding, f"maps must be named h1..h{len(fields)}, missing {key!r}")
         value = fields[key]
-        if not (value.startswith("[") and value.endswith("]")):
-            raise InstanceSemanticError(f"{binding}: {key} must be a [..] entry list")
+        _require(value.startswith("[") and value.endswith("]"), binding, f"{key} must be a [..] entry list")
         row = []
         for entry in value[1:-1].split(","):
             entry = entry.strip()
             m = re.fullmatch(r"([cv])(\d+)", entry)
-            if not m:
-                raise InstanceSemanticError(
-                    f"{binding}: {key} entry {entry!r} is not c<i> or v<i>"
-                )
+            _require(m is not None, binding, f"{key} entry {entry!r} is not c<i> or v<i>")
             kind, idx = m.group(1), int(m.group(2))
             bound = target if kind == "c" else indets
             _require(1 <= idx <= bound, binding, f"{key} entry {entry!r} out of range 1..{bound}")
@@ -192,19 +165,14 @@ def _relation(ref, name, binding, spec) -> Relation:
     _require(_integer(arity, 1), binding, "arity must be a positive integer")
     _require(isinstance(tuples, list), binding, "tuples must be an array of arrays")
     for t in tuples:
-        if not (isinstance(t, list) and len(t) == arity):
-            raise InstanceSemanticError(f"{binding}: tuple {t!r} does not have arity {arity}")
+        _require(isinstance(t, list) and len(t) == arity, binding, f"tuple {t!r} does not have arity {arity}")
         _check_values(t, dom.size, binding, "element")
     return Relation.from_tuples(dom, arity, [tuple(t) for t in tuples])
 
 
 def _constraint(ref, name, binding, spec) -> Constraint:
     ante, cons = ref("relations", spec["antecedent"]), ref("relations", spec["consequent"])
-    _require(
-        ante.arity == cons.arity,
-        binding,
-        f"antecedent arity {ante.arity} != consequent arity {cons.arity}",
-    )
+    _require(ante.arity == cons.arity, binding, f"antecedent arity {ante.arity} != consequent arity {cons.arity}")
     return Constraint(ante, cons)
 
 
@@ -218,11 +186,8 @@ def _members(kind, member_section, make, sep, ref, name, binding, spec):
     found = []
     for member in members:
         x = ref(member_section, member)
-        if x.dom != dom or x.cod != cod:
-            raise InstanceSemanticError(
-                f"{binding}: member {member!r} is over {x.dom.name!r}{sep}{x.cod.name!r}, "
-                f"{kind} is over {dom.name!r}{sep}{cod.name!r}"
-            )
+        _require((x.dom, x.cod) == (dom, cod), binding,
+                 f"member {member!r} is over {x.dom.name!r}{sep}{x.cod.name!r}, {kind} is over {dom.name!r}{sep}{cod.name!r}")
         found.append(x)
     return make(dom, cod, found)
 
@@ -281,7 +246,7 @@ def parse_instance(text: str) -> InstanceDocument:
     if extra:
         raise InstanceSemanticError(f"document: unknown sections {sorted(extra)}")
     bindings, specs = {s: {} for s in SECTIONS}, {s: {} for s in SECTIONS}
-    lookup = InstanceDocument(bindings, specs)._lookup  # reads the tables as they fill
+    lookup = InstanceDocument(bindings, specs).lookup  # reads the tables as they fill
     for section, (kind, keys, build) in SECTIONS.items():
         for name, spec in _as_dict(raw.get(section, {}), section).items():
             if not isinstance(name, str) or not _NAME.match(name):

@@ -237,11 +237,15 @@ def check_galois_axioms(
 
 def _check_request(name: str, what: str, payload: ArityIndexed, params: dict) -> dict:
     """The parameters the request reads.  Refuses a name ``what`` does not verify,
-    a payload holding an arity the identity does not read, and a missing
-    parameter, in that order."""
+    a payload that is not a collection of the identity's side, a payload
+    holding an arity the identity does not read, and a missing parameter, in
+    that order."""
     if name not in IDENTITIES or (name in FACTORIZATION_IDENTITIES) != (what == "identity"):
         raise ValueError(f"unknown {what} {name!r}")
-    _, needs, arity = IDENTITIES[name]
+    side, needs, arity = IDENTITIES[name]
+    container = FunctionClass if side == "class" else ConstraintSet
+    if not isinstance(payload, container):
+        raise TypeError(f"{name} needs a {container.__name__}, got a {type(payload).__name__}")
     arity = params[arity] if isinstance(arity, str) else arity
     if arity is not None and payload.arities() not in ((), (arity,)):
         raise ArityMismatchError(f"{name} needs arity {arity}, got arities {list(payload.arities())}")
@@ -281,8 +285,7 @@ def verify_factorization(
         n_star = dom.size**m
         # csf_m of a union of classes is the intersection of their csf_m; refuse before building them
         within_budget(constraint_universe_count(dom, cod, m), budget, f"csf_{m} universe constraints")
-        masks = {arity: fsc_n(payload, arity, budget).mask(arity) for arity in range(1, n_star + 1)}
-        lhs = csf_m(FunctionClass.from_masks(dom, cod, masks), m, budget)
+        lhs = csf_m(fsc(payload, n_star, budget), m, budget)
         res = cm_m_closure(payload, m, bounds, budget)
         rhs = res.constraints
         # one closure under the caller's bounds; the bench still reads the constant key

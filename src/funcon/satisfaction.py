@@ -33,6 +33,7 @@ from .core import (
     FunctionClass,
     FunctionTable,
     Relation,
+    capped_arities,
     column_masks,
     constraint_universe_count,
     function_count,
@@ -88,15 +89,13 @@ def compose_classes(outer: FunctionClass, inner: FunctionClass, cap: int) -> Fun
         raise DomainMismatchError(
             f"inner codomain {inner.cod.name!r} does not match outer domain {outer.dom.name!r}"
         )
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    caps = capped_arities(cap)
+    arities = [m for m in inner.arities() if m in caps]
     dom = inner.dom
     result: set[FunctionTable] = set()
     for n in outer.arities():
         for f in outer.members(n):
-            for m in inner.arities():
-                if m > cap:
-                    continue
+            for m in arities:
                 inner_m = sorted(inner.members(m), key=lambda g: g.table)
                 for gs in itertools.product(inner_m, repeat=n):
                     table = f.apply_pointwise([g.table for g in gs])
@@ -107,7 +106,7 @@ def compose_classes(outer: FunctionClass, inner: FunctionClass, cap: int) -> Fun
 def projections_class(dom: DomainSpec, cap: int) -> FunctionClass:
     """The projection clone over dom, materialized at arities 1..cap."""
     return FunctionClass.from_tables(
-        dom, dom, (projection(dom, n, i) for n in range(1, cap + 1) for i in range(1, n + 1))
+        dom, dom, (projection(dom, n, i) for n in capped_arities(cap) for i in range(1, n + 1))
     )
 
 
@@ -168,11 +167,9 @@ def fsc_n(
 
 
 def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> FunctionClass:
-    """Union of fsc_n over n = 1..cap."""
-    out = FunctionClass.empty(t.dom, t.cod)
-    for n in range(1, cap + 1):
-        out = out | fsc_n(t, n, budget)
-    return out
+    """Union of fsc_n over n = 1..cap, one kernel mask per arity."""
+    masks = {n: fsc_n(t, n, budget).mask(n) for n in capped_arities(cap)}
+    return FunctionClass.from_masks(t.dom, t.cod, masks)
 
 
 def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
@@ -263,7 +260,7 @@ def csf_m(
 def csf(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> ConstraintSet:
     """Union of csf_m over m = 1..cap."""
     out = ConstraintSet.empty(k.dom, k.cod)
-    for m in range(1, cap + 1):
+    for m in capped_arities(cap):
         out = out | csf_m(k, m, budget)
     return out
 

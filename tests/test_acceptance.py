@@ -341,8 +341,20 @@ def test_acceptance_9_cli_determinism(tmp_path, capsys):
     finish(9, f"{len(commands)} commands byte-identical across runs; cache preserves bytes", started, 120)
 
 
-# sha256 and length of the stdout of each close, galois, verify and enumerate
-# command of acceptance 9, recorded before listings were joined from fragments
+# commands whose stdout is pinned beside acceptance 9's own: a closure suite and
+# the axioms of `laws`, two definability checks, a galois union and a cm
+# closure cut off by --max-iterations
+PINNED_EXTRA = [
+    ["laws", "axioms", "--samples", "10", "--seed", "5"],
+    ["verify", "thm13", "--in", "DOC", "--class", "K2", "--n", "2", "--m", "1"],
+    ["verify", "thm14", "--in", "DOC", "--set", "T2", "--n", "2", "--m", "2"],
+    ["galois", "fsc", "--in", "DOC", "--set", "T2", "--cap", "2"],
+    ["close", "cmm", "--in", "DOC", "--set", "T2", "--m", "2", "--max-iterations", "1"],
+]
+
+# sha256 and length of the stdout of each command of acceptance 9 and then of
+# PINNED_EXTRA, recorded before listings were joined from fragments (the
+# first eight) and before the CLI wrote every command's output in one place
 ACCEPTANCE_9_STDOUT = [
     ("e3abbd52ae7fac2e4808615330453aa717f720a2c01edf0e8aee1c90a5e7466d", 352),
     ("04282d82d0d99232baa8fff4b6bec65be916a033459fadebb3201e88f5dd7674", 13472),
@@ -352,6 +364,12 @@ ACCEPTANCE_9_STDOUT = [
     ("a297e23324984090cce74bcb785721cabe858644bb547db793d2c0ba35bde7c8", 72),
     ("0d9e6bf8253f58556eac2f59bbdda5fc30734fcd8b919fa9840664b6d1a277f2", 113),
     ("668175e4615a2850ef8d5962ee2174378f184656717d481c27527eb147c08b60", 1640),
+    ("efc8ba8f2952490d62e3f8955322b76923e354ec85716c4376141d52e509b1ac", 83),
+    ("d320a56a12bf79d846ecc1ff4db0b9c832d3e6dd7a0b3fa8babbdd40d114ac4a", 93),
+    ("1e3ae3506fbf1c6eedc901906ed3e17ea018e454341b408302380a8d00bd2d93", 113),
+    ("8f4eed641f858bbf1d281fd578da2b7b4e8e06530638d3494c84073925bc172f", 113),
+    ("fec0ddcf1e5554211f5359999b78f5a2d9adbcd53c285ed11483364473203d1f", 880),
+    ("04282d82d0d99232baa8fff4b6bec65be916a033459fadebb3201e88f5dd7674", 13472),
 ]
 
 
@@ -360,7 +378,8 @@ def test_acceptance_9_stdout_bytes_are_pinned(tmp_path, capsys):
 
     doc = tmp_path / "ex.json"
     doc.write_text(json.dumps(ACCEPTANCE_9_DOC))
-    commands = [argv for argv in acceptance_9_commands(str(doc)) if argv[0] != "laws"]
+    extra = [[str(doc) if word == "DOC" else word for word in argv] for argv in PINNED_EXTRA]
+    commands = acceptance_9_commands(str(doc)) + extra
     assert len(commands) == len(ACCEPTANCE_9_STDOUT)
     for argv, pinned in zip(commands, ACCEPTANCE_9_STDOUT):
         cached = ["--cache-dir", str(tmp_path / "cache")]

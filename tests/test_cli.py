@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,18 @@ def test_cache_hit_preserves_bytes(doc_path, tmp_path, capsys):
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     assert list((tmp_path / "cache").glob("*.json"))  # entry was written
+
+
+def test_cut_off_closure_warns_on_every_run_and_is_never_cached(doc_path, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache), "close", "cmm", "--in", doc_path, "--set", "T2", "--m", "2",
+            "--max-iterations", "1"]
+    runs = [run(capsys, *argv) for _ in range(2)]
+    for code, _, err in runs:
+        assert code == EXIT_OK
+        assert "warning: fixpoint iteration limit reached" in err
+    assert runs[0][1] == runs[1][1]
+    assert not list(cache.glob("*.json"))
 
 
 def test_unusable_cache_dir_warns_and_still_prints(doc_path, tmp_path, capsys, monkeypatch):
@@ -375,3 +391,39 @@ def test_discrepancy_exit_code(doc_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "t15i", "--in", doc_path, "--class", "K2", "--n", "2", "--m", "1")
     assert code == EXIT_DISCREPANCY
     assert "witness" in out
+
+
+# the gap instance of test_t15ii_gap: t15ii at n = m = 3 finds a discrepancy
+GAP_DOC = {
+    "domains": {"bool": 2},
+    "relations": {
+        "one_in_three": {"domain": "bool", "arity": 3, "tuples": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]},
+        "even_parity": {"domain": "bool", "arity": 3, "tuples": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+    },
+    "constraints": {"c": {"antecedent": "one_in_three", "consequent": "even_parity"}},
+    "sets": {"T": {"dom": "bool", "cod": "bool", "members": ["c"]}},
+}
+
+
+@pytest.mark.parametrize(
+    "expected, argv",
+    [
+        (EXIT_OK, ["galois", "csf", "--in", "DOC", "--class", "K2", "--arity", "1"]),
+        (EXIT_DISCREPANCY, ["verify", "t15ii", "--in", "GAP", "--set", "T", "--n", "3", "--m", "3"]),
+        (EXIT_USAGE, ["close", "vsn", "--in", "DOC"]),
+        (EXIT_BUDGET, ["galois", "fsc", "--in", "DOC", "--set", "T2", "--arity", "2", "--budget", "10"]),
+    ],
+    ids=["ok", "discrepancy", "usage", "budget"],
+)
+def test_the_module_as_a_process_exits_and_prints_as_run_command(doc_path, tmp_path, capsys, monkeypatch, expected, argv):
+    monkeypatch.delenv("FUNCON_CACHE_DIR", raising=False)
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps(GAP_DOC))
+    argv = [{"DOC": doc_path, "GAP": str(gap)}.get(word, word) for word in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == expected
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "funcon.cli", *argv], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == expected, proc.stderr
+    assert proc.stdout == out.encode()

@@ -48,12 +48,12 @@ DOC = """{
 
 def test_parse_instance_bindings():
     doc = parse_instance(DOC)
-    assert doc.function("and") == AND
-    assert sorted(doc.relation("leq").tuples()) == [(0, 0), (0, 1), (1, 1)]
-    assert doc.constraint("c_leq") == C_LEQ
-    assert doc.function_class("K2") == cls(AND)
-    assert doc.constraint_set("T2") == cset(C_LEQ)
-    assert doc.scheme("swap").maps == ((1, 0),)
+    assert doc.lookup("functions", "and") == AND
+    assert sorted(doc.lookup("relations", "leq").tuples()) == [(0, 0), (0, 1), (1, 1)]
+    assert doc.lookup("constraints", "c_leq") == C_LEQ
+    assert doc.lookup("classes", "K2") == cls(AND)
+    assert doc.lookup("sets", "T2") == cset(C_LEQ)
+    assert doc.lookup("schemes", "swap").maps == ((1, 0),)
 
 
 def test_parse_syntax_error_has_position():
@@ -92,8 +92,8 @@ def test_serialize_parse_roundtrip_is_canonicalization():
     assert canonical == again  # idempotent
     # parse of the canonical form reproduces the same bindings
     doc2 = parse_instance(canonical)
-    assert doc2.function_class("K2") == doc.function_class("K2")
-    assert doc2.constraint_set("T2") == doc.constraint_set("T2")
+    assert doc2.lookup("classes", "K2") == doc.lookup("classes", "K2")
+    assert doc2.lookup("sets", "T2") == doc.lookup("sets", "T2")
 
 
 # unsorted names, sections and spec keys, duplicate and unsorted tuples and
@@ -151,8 +151,8 @@ def test_duplicate_members_serialize_like_deduplicated_ones():
     assert serialize_instance(docs[1]) == text
     again = parse_instance(text)
     assert serialize_instance(again) == text
-    assert again.function_class("K") == docs[0].function_class("K") == docs[1].function_class("K")
-    assert again.constraint_set("T") == docs[0].constraint_set("T") == docs[1].constraint_set("T")
+    assert again.lookup("classes", "K") == docs[0].lookup("classes", "K") == docs[1].lookup("classes", "K")
+    assert again.lookup("sets", "T") == docs[0].lookup("sets", "T") == docs[1].lookup("sets", "T")
 
 
 def test_documents_are_shared_and_read_only():
@@ -161,7 +161,7 @@ def test_documents_are_shared_and_read_only():
     spec = doc.specs["functions"]["and"]
     assignments = [
         (doc.bindings, "functions", {}),
-        (doc.bindings["functions"], "or", doc.function("and")),
+        (doc.bindings["functions"], "or", doc.lookup("functions", "and")),
         (doc.specs["functions"], "and", {}),
         (spec, "table", [1, 1, 1, 1]),
         (spec["table"], 0, 1),
@@ -388,7 +388,7 @@ def test_format_report_excludes_runtime_by_default():
 
 def test_cache_roundtrip(tmp_path):
     cache = ResultCache(tmp_path)
-    key = cache_key("close", "inputs", {"m": 2})
+    key = cache_key("close", "inputs")
     assert cache.load(key) is None
     cache.store(key, "payload\n")
     assert cache.load(key) == "payload\n"
@@ -396,7 +396,7 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_rejects_corrupt_and_stale(tmp_path, capsys):
     cache = ResultCache(tmp_path)
-    key = cache_key("op", "x", {})
+    key = cache_key("op", "x")
     cache.store(key, "value")
     # corrupt the entry
     path = tmp_path / f"{key}.json"
@@ -414,7 +414,7 @@ def test_cache_rejects_corrupt_and_stale(tmp_path, capsys):
 @pytest.mark.parametrize("field", ["key", "value", "tool_version"])
 def test_cache_rejects_entries_with_non_string_fields(tmp_path, capsys, field):
     cache = ResultCache(tmp_path)
-    key = cache_key("op", "x", {})
+    key = cache_key("op", "x")
     cache.store(key, "value")
     path = tmp_path / f"{key}.json"
     raw = json.loads(path.read_text())

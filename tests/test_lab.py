@@ -20,6 +20,8 @@ from funcon import (
 from funcon.core import BudgetExceededError, ConstraintSet, FunctionClass
 from funcon.instance_io import format_report
 from funcon.lab import (
+    FACTORIZATION_IDENTITIES,
+    IDENTITIES,
     MAX_WITNESSES,
     audit,
     nested_class_pair,
@@ -216,6 +218,21 @@ def test_unknown_identity_rejected():
         verify_factorization("thm5", cls(AND), n=2)
     with pytest.raises(ValueError, match="unknown side 't15ii'"):
         verify_definability("t15ii", cset(C_LEQ), n=2, m=2)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_a_payload_of_the_other_side_is_refused_before_any_work(name, monkeypatch):
+    import funcon.lab as lab
+
+    # unary payloads, so the arity check would let both containers through
+    unary = Relation.full(BOOL, 1)
+    side = IDENTITIES[name][0]
+    wrong, expected = (cset(Constraint(unary, unary)), "FunctionClass") if side == "class" else (cls(NEGATION), "ConstraintSet")
+    for kernel in ("fsc_n", "csf_m", "vs_n_closure", "cm_m_closure", "lo_n_closure"):
+        monkeypatch.setattr(lab, kernel, None)  # any work would fail with a different error
+    run = verify_factorization if name in FACTORIZATION_IDENTITIES else verify_definability
+    with pytest.raises(TypeError, match=f"^{name} needs a {expected}, got a "):
+        run(name, wrong, n=1, m=1, cap=1)
 
 
 def test_thm5_equivalence_both_ways():

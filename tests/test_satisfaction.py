@@ -9,6 +9,7 @@ from funcon import (
     FunctionClass,
     Relation,
     canonical_constraint,
+    check_galois_axioms,
     cm_closure,
     compose_classes,
     csf,
@@ -24,6 +25,7 @@ from funcon import (
     satisfies,
     trace_constraint,
     verify_factorization,
+    vs_closure,
 )
 
 from conftest import AND, BOOL, C_LEQ, IDENTITY, LEQ, NEGATION, OR, PR1, PR2, cls, cset, fn
@@ -166,6 +168,38 @@ def test_arity_guards_fire_before_any_work(value):
         cm_closure(cset(C_LEQ), value)
     with pytest.raises(ValueError, match="cap must be >= 1"):  # not a vacuous 'equal'
         verify_factorization("t8ii", ConstraintSet.empty(BOOL, BOOL), n=2, cap=value)
+
+
+# every operator taking an arity cap, as a call on that cap
+CAP_OPERATORS = {
+    "fsc": lambda cap: fsc(cset(C_LEQ), cap),
+    "csf": lambda cap: csf(cls(AND), cap),
+    "projections_class": lambda cap: projections_class(BOOL, cap),
+    "compose_classes": lambda cap: compose_classes(cls(AND), FunctionClass.empty(BOOL, BOOL), cap),
+    "vs_closure": lambda cap: vs_closure(cls(AND), cap),
+    "cm_closure": lambda cap: cm_closure(cset(C_LEQ), cap),
+    "check_galois_axioms": lambda cap: check_galois_axioms(cls(AND), cset(C_LEQ), cap, cap),
+}
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("name", sorted(CAP_OPERATORS))
+def test_every_cap_taking_operator_refuses_a_cap_below_one(name, cap):
+    # an empty union would read as a result: galois axioms would report a false violation
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        CAP_OPERATORS[name](cap)
+
+
+def test_fsc_unions_the_fsc_n_masks_without_decoding_ranks(monkeypatch):
+    # FunctionClass.ranks is the one caller of core.ranks_of_mask
+    import funcon.core as core
+
+    calls, real = [], core.ranks_of_mask
+    monkeypatch.setattr(core, "ranks_of_mask", lambda mask: calls.append(mask) or real(mask))
+    t = cset(C_LEQ)
+    union = fsc(t, 3)
+    assert calls == []
+    assert union == fsc_n(t, 1) | fsc_n(t, 2) | fsc_n(t, 3)
 
 
 def test_trace_constraint():
