@@ -5,23 +5,25 @@ fixed arities.  Both work on classes as bitmasks over table ranks with the
 column table of ``core.column_masks``: ``fsc_n`` ANDs, per signature of each
 constraint, an OR of column minterms, and ``csf_m`` reads each probe's
 achievable output tuples off ANDs of the class mask with column minterms.
-``probe_groups`` ORs the probe masks by cross-row set, read off
-``core.readings``; ``csf_m`` and the separators of ``lab.fsc_n_of_csf_m`` share
-it.  ``cm_m_oracle`` is the composite csf_m(fsc_n(T)) at n = |A|^m, the Galois
-route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
-checked against; this module imports nothing from the closure side.
-``satisfies``, ``image`` and ``minimal_consequent`` evaluate one table at
-a time and serve as the scalar reference, sharing no code with these kernels.
-``trace_constraint`` builds the canonical separating constraint whose
-antecedent lists chosen columns and whose consequent collects the class's
-values on them.
+It walks one probe per S_m orbit (non-decreasing points), reads the last
+value at each point by difference, and moves each representative's mask to
+the other probes of its orbit through byte tables that depend only on the
+shape.  ``probe_groups`` ORs the probe masks by cross-row set; ``csf_m`` and
+the separators of ``lab.fsc_n_of_csf_m`` share it.  ``cm_m_oracle`` is the
+composite csf_m(fsc_n(T)) at n = |A|^m, the Galois route to the m-ary minor
+closure that ``constraint_closures.cm_m_closure`` is checked against; this
+module imports nothing from the closure side.  ``satisfies``, ``image`` and
+``minimal_consequent`` evaluate one table at a time and serve as the scalar
+reference, sharing no code with these kernels.  ``trace_constraint`` builds
+the canonical separating constraint whose antecedent lists chosen columns
+and whose consequent collects the class's values on them.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -172,65 +174,83 @@ def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     return FunctionClass.from_masks(t.dom, t.cod, masks)
 
 
+@lru_cache(maxsize=32)
+def _orbit_plan(size: int, n: int, m: int, cod_size: int) -> tuple[tuple[int, int, tuple], ...]:
+    """Per m-point probe of the n-ary tables: its cross-row set as a rank mask
+    over A^m, the rank of its representative (its points sorted), and byte
+    tables, table c sending bits 8c..8c+7 of the representative's value-tuple
+    mask to the bits they stand for at the probe."""
+    points = size**n
+    tables, plan = {}, []
+    for q in range(points**m):
+        probe = tuple_unrank(q, points, m)
+        rows = zip(*(tuple_unrank(p, size, n) for p in probe))  # row j reads coordinate j of each point
+        key = sum({1 << tuple_rank(row, size) for row in rows})
+        order = sorted(range(m), key=probe.__getitem__)  # representative point j is probe[order[j]]
+        inverse = tuple(sorted(range(m), key=order.__getitem__))
+        if inverse not in tables:  # the probe reads the representative's value tuple u as u[inverse[i]]
+            bits = [1 << dest for dest in readings(inverse, m, cod_size)]
+            tables[inverse] = tuple(
+                tuple(reduce(lambda table, bit: table + [t | bit for t in table], bits[c : c + 8], [0]))
+                for c in range(0, len(bits), 8)
+            )
+        plan.append((key, tuple_rank([probe[i] for i in order], points), tables[inverse]))
+    return tuple(plan)
+
+
 def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     """The achievable output-tuple masks of k's arity-n part at every m-point probe.
 
     Entry ``q`` is a bitmask over cod^m ranks: the value tuples some member of
     the class takes at the m argument points encoded in the probe rank ``q``
     (base |A|^n digits, first point most significant).  Bit s is set iff the
-    class mask meets ``AND_i col[q_i][s_i]``; probes sharing a prefix share
-    its partial ANDs.  Arities whose table universe exceeds the budget have
-    no column table, so their members are evaluated one by one instead.
+    class mask meets ``AND_i col[q_i][s_i]``.  The walk visits one probe per
+    S_m orbit, the one with non-decreasing points, sharing a prefix's ANDs;
+    at each point the last value's hit is the sub-class minus the hits of
+    the other values.  The other probes read their representative's mask
+    through the byte tables of ``_orbit_plan``.  Above the budget there is no
+    column table, so the walk runs on one over the members.
     """
-    points = k.dom.size**n
-    cod_size = k.cod.size
-    masks = [0] * points**m
+    points, cod_size, last = k.dom.size**n, k.cod.size, k.cod.size - 1
+    plan = _orbit_plan(k.dom.size, n, m, cod_size)
     if function_count(k.dom, k.cod, n) > budget:
-        probes = [tuple_unrank(q, points, m) for q in range(points**m)]
-        # max distinct value tuples at a probe = |B| ** (number of distinct points)
-        limits = [cod_size ** len(set(probe)) for probe in probes]
-        active = range(points**m)
-        for rank in k.ranks(n):
-            table = tuple_unrank(rank, cod_size, points)
-            still = []
-            for q in active:
-                masks[q] |= 1 << tuple_rank([table[p] for p in probes[q]], cod_size)
-                if masks[q].bit_count() < limits[q]:
-                    still.append(q)
-            active = still
-            if not active:
-                break
-        return masks
-    cols = column_masks(k.dom, k.cod, n)
+        members = [tuple_unrank(rank, cod_size, points) for rank in k.ranks(n)]
+        cols = [[sum(1 << i for i, table in enumerate(members) if table[p] == v) for v in range(cod_size)]
+                for p in range(points)]
+        class_mask = (1 << len(members)) - 1
+    else:
+        cols, class_mask = column_masks(k.dom, k.cod, n), k.mask(n)
+    masks = [0] * points**m
 
-    def walk(depth: int, q: int, s: int, within: int) -> None:
-        for p in range(points):
-            for v, col in enumerate(cols[p]):
+    def walk(depth: int, start: int, q: int, s: int, within: int) -> None:
+        for p in range(start, points):
+            bits = acc = 0
+            for v, col in zip(range(last), cols[p]):
                 hit = within & col
-                if not hit:
-                    continue
-                if depth == 1:
-                    masks[q * points + p] |= 1 << (s * cod_size + v)
-                else:
-                    walk(depth - 1, q * points + p, s * cod_size + v, hit)
+                if hit:
+                    acc = acc | hit if acc else hit
+                    bits |= 1 << v
+                    if depth > 1:
+                        walk(depth - 1, p, q * points + p, s * cod_size + v, hit)
+            if acc != within:  # the last value, read by difference
+                bits |= 1 << last
+                if depth > 1:
+                    walk(depth - 1, p, q * points + p, s * cod_size + last, within ^ acc)
+            if depth == 1:
+                masks[q * points + p] |= bits << s * cod_size
 
-    walk(m, 0, 0, k.mask(n))
-    return masks
+    walk(m, 0, 0, 0, class_mask)
+    return [sum(map(operator.getitem, tables, masks[rep].to_bytes(len(tables), "little"))) for _, rep, tables in plan]
 
 
 def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
     """The probe masks of every arity of k, ORed by cross-row set: key r (a rank
-    mask over A^m) collects the probes whose cross-rows, row j reading
-    coordinate j of every probe point, are the members of r."""
+    mask over A^m) collects the probes whose cross-rows are the members of r."""
     if m < 1:
         raise ValueError("m must be >= 1")
     groups: dict[int, int] = {}
     for n in k.arities():
-        keys = [0] * k.dom.size ** (n * m)
-        for j in range(n):  # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
-            rows = readings(tuple(range(j, n * m, n)), n * m, k.dom.size)
-            keys = [r | 1 << row for r, row in zip(keys, rows)]
-        for r, mask in zip(keys, _probe_masks(k, n, m, budget)):
+        for (r, _, _), mask in zip(_orbit_plan(k.dom.size, n, m, k.cod.size), _probe_masks(k, n, m, budget)):
             groups[r] = groups.get(r, 0) | mask
     return groups
 

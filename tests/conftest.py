@@ -9,6 +9,8 @@ from funcon import (
     FunctionClass,
     FunctionTable,
     Relation,
+    tuple_rank,
+    tuple_unrank,
 )
 
 BOOL = DomainSpec("bool", 2)
@@ -85,3 +87,44 @@ def monotone_tables(arity):
         if all(table[i] <= table[j] for i, j in pairs):
             out.append(fn(table, arity))
     return out
+
+
+# relabelings: value permutations pi_A, pi_B (lists, element a goes to pi[a])
+# and variable permutations tau of the functions, one per arity
+
+
+def moved_ranks(size, arity, perm):
+    """Entry r: the rank of the tuple of rank r over size^arity with perm
+    applied to every coordinate."""
+    return [tuple_rank([perm[e] for e in tuple_unrank(r, size, arity)], size) for r in range(size**arity)]
+
+
+def relabel_bits(bits, moved):
+    """The rank mask ``bits`` with bit r moved to bit moved[r]."""
+    return sum(1 << to for r, to in enumerate(moved) if bits >> r & 1)
+
+
+def relabel_class(k, pi_a, pi_b, taus=None):
+    """Every member f of k as g(x_1..x_n) = pi_b(f(y_1..y_n)) with y_i =
+    pi_a^-1(x_tau(i)), tau = ``taus[n]`` (the identity when absent).  g
+    satisfies (pi_a R, pi_b S) iff f satisfies (R, S), and the variable
+    order of a member changes no constraint it satisfies."""
+    size = k.dom.size
+    inverse_a = [pi_a.index(a) for a in range(size)]
+    tables = []
+    for n in k.arities():
+        tau = (taus or {}).get(n, range(n))
+        points = [tuple_unrank(x, size, n) for x in range(size**n)]
+        sources = [tuple_rank([inverse_a[x[t]] for t in tau], size) for x in points]
+        for f in k.members(n):
+            tables.append(FunctionTable(k.dom, k.cod, n, tuple(pi_b[f.table[y]] for y in sources)))
+    return FunctionClass.from_tables(k.dom, k.cod, tables)
+
+
+def relabel_constraints(t, pi_a, pi_b):
+    """Every member (R, S) of t as (pi_a R, pi_b S)."""
+    by_arity = {}
+    for m in t.arities():
+        moved_a, moved_b = moved_ranks(t.dom.size, m, pi_a), moved_ranks(t.cod.size, m, pi_b)
+        by_arity[m] = [(relabel_bits(r, moved_a), relabel_bits(s, moved_b)) for r, s in t.ranks(m)]
+    return ConstraintSet(t.dom, t.cod, by_arity)

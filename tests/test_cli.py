@@ -268,6 +268,13 @@ def test_cached_parser_restores_default_bounds(doc_path, capsys, monkeypatch):
     assert seen == [CmBounds()]
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_returns_exit_ok_after_the_help_text(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.startswith(" ".join(["usage: funcon", *argv[:-1]]))
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")
@@ -412,11 +419,13 @@ GAP_DOC = {
         (EXIT_DISCREPANCY, ["verify", "t15ii", "--in", "GAP", "--set", "T", "--n", "3", "--m", "3"]),
         (EXIT_USAGE, ["close", "vsn", "--in", "DOC"]),
         (EXIT_BUDGET, ["galois", "fsc", "--in", "DOC", "--set", "T2", "--arity", "2", "--budget", "10"]),
+        (EXIT_OK, ["--help"]),
     ],
-    ids=["ok", "discrepancy", "usage", "budget"],
+    ids=["ok", "discrepancy", "usage", "budget", "help"],
 )
 def test_the_module_as_a_process_exits_and_prints_as_run_command(doc_path, tmp_path, capsys, monkeypatch, expected, argv):
     monkeypatch.delenv("FUNCON_CACHE_DIR", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help text to the terminal width
     gap = tmp_path / "gap.json"
     gap.write_text(json.dumps(GAP_DOC))
     argv = [{"DOC": doc_path, "GAP": str(gap)}.get(word, word) for word in argv]

@@ -1,7 +1,8 @@
 """Differential tests of the bit-sliced Galois kernels against scalar
 references built from ``satisfies`` over the enumerated function and
-constraint universes, on seeded instances off the Boolean domain too, and of
-the constraint-side mask kernels (lift, projection, the floor add pass,
+constraint universes, on seeded instances off the Boolean domain too, of the
+csf_m probe masks and probe groups on dense classes against the walk over
+every probe, and of the constraint-side mask kernels (lift, projection, the floor add pass,
 maximal members, ``lo_n_closure``) against scalar pair-by-pair reference
 loops, of the cm fixpoint against the tuple-keyed all-pairs round loop, of
 ``core.subset_fold`` against a fold over ``core.submasks``, of the reading
@@ -52,8 +53,17 @@ from funcon import (
     vs_n_closure,
 )
 from funcon.constraint_closures import _add, _lift, _maximal, _project, _projection
-from funcon.core import readings, submasks, subset_fold
+from funcon.core import (
+    DEFAULT_ENUMERATION_BUDGET,
+    column_masks,
+    function_count,
+    mask_of_ranks,
+    readings,
+    submasks,
+    subset_fold,
+)
 from funcon.lab import _separators
+from funcon.satisfaction import _probe_masks, probe_groups
 from funcon.minors import tight_minor_relation
 
 # (|A|, |B|) with the function arities n and the constraint arities m at
@@ -220,7 +230,7 @@ def test_separators_match_minimal_consequent(sizes):
 
 def test_csf_1_of_boolean_arity_5_class_evaluates_members():
     # 2^32 arity-5 tables exceed the default budget, so no column table exists
-    # and the probe masks come from the members one by one
+    # and the probe walk runs on a column table over the members
     bool_ = DomainSpec("bool", 2)
     rng = random.Random(5)
     tables = [
@@ -231,6 +241,111 @@ def test_csf_1_of_boolean_arity_5_class_evaluates_members():
     for members in (tables, tables[:1], [parity]):
         k = FunctionClass.from_tables(bool_, bool_, members)
         assert csf_m(k, 1) == csf_reference(k, 1)
+
+
+def walk_reference(k: FunctionClass, n: int, m: int) -> list[int]:
+    """Entry q: the value tuples k's arity-n part takes at probe q, walking
+    every m-point probe and every value at each point (no orbit walk, no
+    difference read, no fill).  Arities past the default budget evaluate
+    every member at every probe."""
+    points, cod_size = k.dom.size**n, k.cod.size
+    masks = [0] * points**m
+    if function_count(k.dom, k.cod, n) > DEFAULT_ENUMERATION_BUDGET:
+        probes = [tuple_unrank(q, points, m) for q in range(points**m)]
+        for f in k.members(n):
+            for q, probe in enumerate(probes):
+                masks[q] |= 1 << tuple_rank([f.table[p] for p in probe], cod_size)
+        return masks
+    cols = column_masks(k.dom, k.cod, n)
+
+    def walk(depth, q, s, within):
+        for p in range(points):
+            for v, col in enumerate(cols[p]):
+                hit = within & col
+                if not hit:
+                    continue
+                if depth == 1:
+                    masks[q * points + p] |= 1 << (s * cod_size + v)
+                else:
+                    walk(depth - 1, q * points + p, s * cod_size + v, hit)
+
+    walk(m, 0, 0, k.mask(n))
+    return masks
+
+
+def probe_groups_reference(k: FunctionClass, m: int) -> dict[int, int]:
+    """The reference masks ORed by cross-row set, every probe point decoded
+    digit by digit: row j of a probe reads coordinate j of each point."""
+    size = k.dom.size
+    groups: dict[int, int] = {}
+    for n in k.arities():
+        for q, mask in enumerate(walk_reference(k, n, m)):
+            points = [tuple_unrank(p, size, n) for p in tuple_unrank(q, size**n, m)]
+            key = 0
+            for j in range(n):
+                key |= 1 << tuple_rank([point[j] for point in points], size)
+            groups[key] = groups.get(key, 0) | mask
+    return groups
+
+
+def csf_pairs_from_groups(k: FunctionClass, m: int, groups: dict[int, int]) -> set[tuple[int, int]]:
+    """The (r, s) whose consequent s holds the group of every subset of r."""
+    pairs = set()
+    for r in range(1 << k.dom.size**m):
+        floor = 0
+        for key, mask in groups.items():
+            if key & ~r == 0:
+                floor |= mask
+        pairs.update((r, s) for s in range(1 << k.cod.size**m) if s & floor == floor)
+    return pairs
+
+
+def dense_masks(dom: DomainSpec, cod: DomainSpec, n: int, rng) -> dict[str, int]:
+    """The full universe of n-ary tables; those with f(0..0) = 0; those with a 0
+    at the first or the last point (3/4 of them on Boolean); all but three."""
+    count = function_count(dom, cod, n)
+    full = (1 << count) - 1
+    first = (1 << count // cod.size) - 1  # the digit of point 0 is the most significant
+    last = mask_of_ranks(range(0, count, cod.size), count)
+    sparse = mask_of_ranks(rng.sample(range(count), 3), count)
+    return {"full": full, "half": first, "3/4": first | last, "co-sparse": full & ~sparse}
+
+
+def dense_cases():
+    """pytest params (class, constraint arities, whether csf_m fits the default
+    budget, whether csf_reference is cheap)."""
+    rng = random.Random(18)
+    bool_ = DomainSpec("bool", 2)
+    cases = []
+    for sizes, n, arities, fits in (((2, 2), 3, (2,), True), ((2, 2), 4, (2,), True),
+                                    ((2, 3), 2, (3,), False), ((3, 2), 2, (2,), True)):
+        dom, cod = domains(sizes)  # (2, 3) at m = 3: 27-bit value masks, four byte chunks
+        for name, mask in dense_masks(dom, cod, n, rng).items():
+            k = FunctionClass.from_masks(dom, cod, {n: mask})
+            cases.append(pytest.param(k, arities, fits, False, id=f"{sizes[0]}x{sizes[1]}-n{n}-{name}"))
+    mixed = FunctionClass.from_masks(bool_, bool_, {
+        1: dense_masks(bool_, bool_, 1, rng)["full"], 2: dense_masks(bool_, bool_, 2, rng)["half"]
+    })
+    mixed = mixed | random_function_class(rng, bool_, bool_, 3, 3)
+    cases.append(pytest.param(mixed, (1, 2), True, True, id="mixed-arity"))
+    # 2^32 arity-5 tables: no column table, so the members evaluate the probes
+    tables = [FunctionTable(bool_, bool_, 5, tuple(rng.randrange(2) for _ in range(32))) for _ in range(12)]
+    tables.append(FunctionTable(bool_, bool_, 5, tuple(bin(r).count("1") % 2 for r in range(32))))
+    cases.append(pytest.param(FunctionClass.from_tables(bool_, bool_, tables), (1, 2), True, False, id="arity-5"))
+    return cases
+
+
+@pytest.mark.parametrize("k, constraint_arities, csf_fits, reference_cheap", dense_cases())
+def test_csf_m_matches_the_all_probes_walk_on_dense_classes(k, constraint_arities, csf_fits, reference_cheap):
+    for m in constraint_arities:
+        for n in k.arities():
+            assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == walk_reference(k, n, m)
+        groups = probe_groups_reference(k, m)
+        assert probe_groups(k, m, DEFAULT_ENUMERATION_BUDGET) == groups
+        if csf_fits:
+            assert csf_m(k, m).ranks(m) == csf_pairs_from_groups(k, m, groups)
+        if reference_cheap or m == 1:
+            assert csf_m(k, m) == csf_reference(k, m)
 
 
 def test_missing_verify_parameter_raises_under_optimize():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from funcon import (
     Constraint,
     ConstraintSet,
     DomainMismatchError,
+    DomainSpec,
     FunctionClass,
     Relation,
     canonical_constraint,
@@ -22,13 +24,34 @@ from funcon import (
     minimal_consequent,
     preserves,
     projections_class,
+    random_function_class,
     satisfies,
     trace_constraint,
     verify_factorization,
     vs_closure,
 )
 
-from conftest import AND, BOOL, C_LEQ, IDENTITY, LEQ, NEGATION, OR, PR1, PR2, cls, cset, fn
+from funcon.core import DEFAULT_ENUMERATION_BUDGET, constraint_universe_count
+from funcon.satisfaction import probe_groups
+
+from conftest import (
+    AND,
+    BOOL,
+    C_LEQ,
+    IDENTITY,
+    LEQ,
+    NEGATION,
+    OR,
+    PR1,
+    PR2,
+    cls,
+    cset,
+    fn,
+    moved_ranks,
+    relabel_bits,
+    relabel_class,
+    relabel_constraints,
+)
 
 
 def brute_image(f, r):
@@ -218,3 +241,42 @@ def test_minimal_consequent_is_union_of_images():
     assert minimal_consequent(k, r) == (image(AND, r) | image(OR, r))
     for f in k.tables():
         assert satisfies(f, Constraint(r, minimal_consequent(k, r)))
+
+
+def value_permutations(size):
+    """A transposition and a cycle of the domain (one swap on Boolean)."""
+    return [[1, 0, *range(2, size)], [*range(1, size), 0]]
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)])
+def test_csf_m_commutes_with_value_permutations_and_ignores_variable_order(sizes):
+    """csf_m(pi k) = pi csf_m(k) for value permutations (pi_A, pi_B), and
+    csf_m(k tau) = csf_m(k) for variable permutations tau, at m = 1..3: on
+    csf_m where its constraint universe fits the default budget, and on the
+    probe groups it is read off, cross-row keys moved by pi_A and value
+    masks by pi_B, at every m."""
+    a, b = sizes
+    dom = DomainSpec("a", a)
+    cod = dom if a == b else DomainSpec("b", b)
+    rng = random.Random(15 * a + b)
+    classes = [random_function_class(rng, dom, cod, n, 3) for n in ((1, 2, 3) if a == b else (1, 2))]
+    classes.append(classes[0] | classes[1])
+    classes.append(FunctionClass.from_masks(dom, cod, {2: (1 << b ** (a * a - 1)) - 1}))  # f(0, 0) = 0
+    identity_a, identity_b = list(range(a)), list(range(b))
+    budget = DEFAULT_ENUMERATION_BUDGET
+    for k in classes:
+        taus = {n: [*range(1, n), 0] for n in k.arities()}
+        for m in (1, 2, 3):
+            fits = constraint_universe_count(dom, cod, m) <= budget
+            groups = probe_groups(k, m, budget)
+            for pi_a, pi_b in zip(value_permutations(a), value_permutations(b)[::-1]):
+                moved = relabel_class(k, pi_a, pi_b)
+                moved_a, moved_b = moved_ranks(a, m, pi_a), moved_ranks(b, m, pi_b)
+                expected = {relabel_bits(r, moved_a): relabel_bits(mask, moved_b) for r, mask in groups.items()}
+                assert probe_groups(moved, m, budget) == expected
+                if fits:
+                    assert csf_m(moved, m) == relabel_constraints(csf_m(k, m), pi_a, pi_b)
+            reordered = relabel_class(k, identity_a, identity_b, taus)
+            assert probe_groups(reordered, m, budget) == groups
+            if fits:
+                assert csf_m(reordered, m) == csf_m(k, m)
