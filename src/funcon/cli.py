@@ -73,16 +73,8 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SystemExit2(message)
 
-    def exit(self, status=0, message=None):  # after --help: hand the status back to run_command
-        sys.stderr.write(message or "")
-        raise _ParserExit(status)
-
 
 class SystemExit2(Exception):
-    pass
-
-
-class _ParserExit(Exception):
     pass
 
 
@@ -310,8 +302,8 @@ def run_command(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except _ParserExit as exc:
-        return exc.args[0]
+    except SystemExit as exc:  # argparse's help action exits after the help text
+        return exc.code
     sys.stdout.write(out)
     print(f"elapsed: {time.time() - started:.3f}s", file=sys.stderr)
     return EXIT_OK if ok else EXIT_DISCREPANCY

@@ -5,10 +5,9 @@ fixed arities.  Both work on classes as bitmasks over table ranks with the
 column table of ``core.column_masks``: ``fsc_n`` ANDs, per signature of each
 constraint, an OR of column minterms, and ``csf_m`` reads each probe's
 achievable output tuples off ANDs of the class mask with column minterms.
-It walks one probe per S_m orbit (non-decreasing points), reads the last
-value at each point by difference, and moves each representative's mask to
-the other probes of its orbit through byte tables that depend only on the
-shape.  ``probe_groups`` ORs the probe masks by cross-row set; ``csf_m`` and
+It reads each point's last value by difference and, where the shape's byte
+tables stay small, walks one probe per S_m orbit and fills the rest from them.
+``probe_groups`` ORs the probe masks by cross-row set; ``csf_m`` and
 the separators of ``lab.fsc_n_of_csf_m`` share it.  ``cm_m_oracle`` is the
 composite csf_m(fsc_n(T)) at n = |A|^m, the Galois route to the m-ary minor
 closure that ``constraint_closures.cm_m_closure`` is checked against; this
@@ -22,6 +21,7 @@ and whose consequent collects the class's values on them.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import lru_cache, reduce
 
@@ -175,27 +175,31 @@ def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 
 
 @lru_cache(maxsize=32)
-def _orbit_plan(size: int, n: int, m: int, cod_size: int) -> tuple[tuple[int, int, tuple], ...]:
+def _orbit_plan(size: int, n: int, m: int, cod_size: int) -> tuple[list[int], list | None]:
     """Per m-point probe of the n-ary tables: its cross-row set as a rank mask
-    over A^m, the rank of its representative (its points sorted), and byte
+    over A^m, and the fill: its representative's rank (points sorted) and byte
     tables, table c sending bits 8c..8c+7 of the representative's value-tuple
-    mask to the bits they stand for at the probe."""
+    mask to the bits they stand for at the probe, or None at a representative.
+    No fill at m = 1 or where m! permutations' tables pass 64 chunks of 256."""
     points = size**n
-    tables, plan = {}, []
+    keys = [0] * points**m
+    for j in range(n):  # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
+        rows = readings(tuple(range(j, n * m, n)), n * m, size)
+        keys = [r | 1 << row for r, row in zip(keys, rows)]
+    if m == 1 or math.factorial(m) * -(-(cod_size**m) // 8) > 64:  # m = 1 has nothing to fill
+        return keys, None
+    tables, fill = {}, []
     for q in range(points**m):
         probe = tuple_unrank(q, points, m)
-        rows = zip(*(tuple_unrank(p, size, n) for p in probe))  # row j reads coordinate j of each point
-        key = sum({1 << tuple_rank(row, size) for row in rows})
         order = sorted(range(m), key=probe.__getitem__)  # representative point j is probe[order[j]]
         inverse = tuple(sorted(range(m), key=order.__getitem__))
         if inverse not in tables:  # the probe reads the representative's value tuple u as u[inverse[i]]
             bits = [1 << dest for dest in readings(inverse, m, cod_size)]
-            tables[inverse] = tuple(
-                tuple(reduce(lambda table, bit: table + [t | bit for t in table], bits[c : c + 8], [0]))
-                for c in range(0, len(bits), 8)
-            )
-        plan.append((key, tuple_rank([probe[i] for i in order], points), tables[inverse]))
-    return tuple(plan)
+            tables[inverse] = tuple(tuple(reduce(lambda table, bit: table + [t | bit for t in table], bits[c : c + 8], [0]))
+                                    for c in range(0, len(bits), 8))
+        rep = tuple_rank([probe[i] for i in order], points)
+        fill.append((rep, tables[inverse] if rep != q else None))
+    return keys, fill
 
 
 def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
@@ -204,19 +208,20 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     Entry ``q`` is a bitmask over cod^m ranks: the value tuples some member of
     the class takes at the m argument points encoded in the probe rank ``q``
     (base |A|^n digits, first point most significant).  Bit s is set iff the
-    class mask meets ``AND_i col[q_i][s_i]``.  The walk visits one probe per
-    S_m orbit, the one with non-decreasing points, sharing a prefix's ANDs;
-    at each point the last value's hit is the sub-class minus the hits of
-    the other values.  The other probes read their representative's mask
-    through the byte tables of ``_orbit_plan``.  Above the budget there is no
-    column table, so the walk runs on one over the members.
+    class mask meets ``AND_i col[q_i][s_i]``.  The walk shares a prefix's
+    ANDs; at each point the last value's hit is the sub-class minus the other
+    values' hits.  With a fill from ``_orbit_plan`` it visits only the probes
+    with non-decreasing points, one per S_m orbit, and the fill's byte tables
+    give the rest; otherwise it visits every probe.  Above the budget the
+    column table is built over the members.
     """
     points, cod_size, last = k.dom.size**n, k.cod.size, k.cod.size - 1
-    plan = _orbit_plan(k.dom.size, n, m, cod_size)
+    fill = _orbit_plan(k.dom.size, n, m, cod_size)[1]
     if function_count(k.dom, k.cod, n) > budget:
-        members = [tuple_unrank(rank, cod_size, points) for rank in k.ranks(n)]
-        cols = [[sum(1 << i for i, table in enumerate(members) if table[p] == v) for v in range(cod_size)]
-                for p in range(points)]
+        members = [tuple_unrank(rank, cod_size, points) for rank in k.ranks(n)]  # one bit each, in every column
+        marks = [{x: 48 + (x == v) for x in range(cod_size)} for v in range(cod_size)]  # "1" where a digit is v
+        columns = ("".join(map(chr, column)) for column in zip(*members))
+        cols = [[int(column.translate(mark), 2) for mark in marks] for column in columns]
         class_mask = (1 << len(members)) - 1
     else:
         cols, class_mask = column_masks(k.dom, k.cod, n), k.mask(n)
@@ -231,16 +236,19 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
                     acc = acc | hit if acc else hit
                     bits |= 1 << v
                     if depth > 1:
-                        walk(depth - 1, p, q * points + p, s * cod_size + v, hit)
+                        walk(depth - 1, p if fill else 0, q * points + p, s * cod_size + v, hit)
             if acc != within:  # the last value, read by difference
                 bits |= 1 << last
                 if depth > 1:
-                    walk(depth - 1, p, q * points + p, s * cod_size + last, within ^ acc)
+                    walk(depth - 1, p if fill else 0, q * points + p, s * cod_size + last, within ^ acc)
             if depth == 1:
                 masks[q * points + p] |= bits << s * cod_size
 
     walk(m, 0, 0, 0, class_mask)
-    return [sum(map(operator.getitem, tables, masks[rep].to_bytes(len(tables), "little"))) for _, rep, tables in plan]
+    if fill is None:
+        return masks
+    return [masks[rep] if tables is None else sum(map(operator.getitem, tables, masks[rep].to_bytes(len(tables), "little")))
+            for rep, tables in fill]
 
 
 def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
@@ -250,7 +258,7 @@ def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
         raise ValueError("m must be >= 1")
     groups: dict[int, int] = {}
     for n in k.arities():
-        for (r, _, _), mask in zip(_orbit_plan(k.dom.size, n, m, k.cod.size), _probe_masks(k, n, m, budget)):
+        for r, mask in zip(_orbit_plan(k.dom.size, n, m, k.cod.size)[0], _probe_masks(k, n, m, budget)):
             groups[r] = groups.get(r, 0) | mask
     return groups
 

@@ -19,6 +19,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -63,7 +64,7 @@ from funcon.core import (
     subset_fold,
 )
 from funcon.lab import _separators
-from funcon.satisfaction import _probe_masks, probe_groups
+from funcon.satisfaction import _orbit_plan, _probe_masks, probe_groups
 from funcon.minors import tight_minor_relation
 
 # (|A|, |B|) with the function arities n and the constraint arities m at
@@ -332,6 +333,10 @@ def dense_cases():
     tables = [FunctionTable(bool_, bool_, 5, tuple(rng.randrange(2) for _ in range(32))) for _ in range(12)]
     tables.append(FunctionTable(bool_, bool_, 5, tuple(bin(r).count("1") % 2 for r in range(32))))
     cases.append(pytest.param(FunctionClass.from_tables(bool_, bool_, tables), (1, 2), True, False, id="arity-5"))
+    # 3^27 ternary tables over a 3-element domain: the member columns read three values
+    dom, cod = domains((3, 3))
+    tables = [FunctionTable(dom, cod, 3, tuple(rng.randrange(3) for _ in range(27))) for _ in range(6)]
+    cases.append(pytest.param(FunctionClass.from_tables(dom, cod, tables), (1, 2), True, False, id="3x3-arity-3"))
     return cases
 
 
@@ -346,6 +351,28 @@ def test_csf_m_matches_the_all_probes_walk_on_dense_classes(k, constraint_aritie
             assert csf_m(k, m).ranks(m) == csf_pairs_from_groups(k, m, groups)
         if reference_cheap or m == 1:
             assert csf_m(k, m) == csf_reference(k, m)
+
+
+def test_probe_masks_stay_small_at_wide_constraint_arities():
+    # at m = 8 the fill tables of 8! permutations over 256-bit value masks
+    # would take gigabytes, so the walk visits every probe and keeps no tables
+    bool_ = DomainSpec("bool", 2)
+    rng = random.Random(8)
+    tables = [FunctionTable(bool_, bool_, 1, (0, 1)), FunctionTable(bool_, bool_, 1, (1, 1))]
+    tables += [FunctionTable(bool_, bool_, 2, tuple(rng.randrange(2) for _ in range(4))) for _ in range(5)]
+    k = FunctionClass.from_tables(bool_, bool_, tables)
+    started = time.perf_counter()
+    out = fsc_n_of_csf_m(k, 1, 8)
+    assert time.perf_counter() - started < 10
+    assert _separators(k, 1, 8, 10**6) == separators_reference(k, 1, 8)
+    assert out.ranks(1) == fsc_n(ConstraintSet(bool_, bool_, {8: separators_reference(k, 1, 8)}), 1).ranks(1)
+    for n in (1, 2):
+        assert _orbit_plan(2, n, 8, 2)[1] is None
+        assert _probe_masks(k, n, 8, DEFAULT_ENUMERATION_BUDGET) == walk_reference(k, n, 8)
+    for shape in [(2, 2, 2, 2), (2, 2, 4, 2), (3, 1, 3, 3), (2, 1, 2, 16), (2, 1, 3, 5), (2, 1, 5, 2)]:
+        fill = _orbit_plan(*shape)[1] or []
+        entries = {id(chunks): len(chunks) * 256 for _, chunks in fill if chunks}
+        assert sum(entries.values()) <= 1 << 14, shape
 
 
 def test_missing_verify_parameter_raises_under_optimize():
