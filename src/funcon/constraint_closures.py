@@ -8,9 +8,10 @@ instance against ``satisfaction.cm_m_oracle``, the independently computed
 Galois composite.  Nothing here imports the satisfaction side it is checked
 against.
 
-The kernels are word operations on the relations' rank bitmasks.  A lift
-through a map h is an OR of cached per-rank preimage masks (``_preimages``):
-entry ``read`` holds the extended tuples whose h-reading has rank ``read``.
+The kernels are word operations on the relations' rank bitmasks.  A mask's
+lifts through every map h are sums of cached nibble tables (``_lift_tables``):
+per 4-bit chunk of the source ranks, the column of a nibble holds, per map, the
+OR of the preimages of its bits, the extended tuples whose h-readings they rank.
 The fixpoint holds one floor per antecedent R, its least consequent: the sets
 it builds are closed under relaxation and under the meet of two members with
 one antecedent, so their members are the (R, S) with S a superset of floor(R).
@@ -18,11 +19,11 @@ one antecedent, so their members are the (R, S) with S a superset of floor(R).
 and ``_maximal`` reads off the maximal members.  A round of minor moves packs
 each lift of a maximal member into one int, antecedent above consequent, so
 the meet of lifts i <= j is one AND (i == j is a single-source tight minor).
-Lift i's row of meets is deduplicated against every meet seen, and each new
-one is projected, in row order, by shift-ORs and 8-block tables
-(``_meet_projection``).  Semi-naive rounds: an old lift meets only the fresh
-lifts after it.  Witnesses are recorded as bit pairs for the pairs that enter
-and decoded, one per member, when ``CmResult.witnesses`` is first read.
+Lift i's row of meets is deduplicated in row order by ``dict.fromkeys`` and
+against every meet seen, and each new one is projected by shift-ORs and 8-block
+tables (``_meet_projection``).  Semi-naive rounds: an old lift meets only the
+fresh lifts after it.  Witnesses are recorded as bit pairs for the pairs that
+enter and decoded, one per member, when ``CmResult.witnesses`` is first read.
 ``lo_n_closure`` masks, per antecedent, the consequents present with it and
 folds their up-interiors over the subset lattice with ``core.subset_fold``.
 """
@@ -32,9 +33,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -135,26 +136,26 @@ def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
             if all(floors[r | 1 << j] != floor for j in range(width) if not r >> j & 1)]
 
 
-@lru_cache(maxsize=4096)
-def _preimages(h: tuple[int, ...], m: int, v: int, size: int) -> tuple[int, ...]:
-    """Entry ``read``: bitmask over size^(m+v) of the extended tuples (coordinate
-    1 most significant) whose h-reading has rank ``read``."""
-    pre = [0] * size ** len(h)
-    for x, read in enumerate(readings(h, m + v, size)):
-        pre[read] |= 1 << x
-    return tuple(pre)
+@lru_cache(maxsize=32)
+def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The maps h from k source coordinates to the m+v extended ones, in product
+    order, and per 4-bit chunk c of the source ranks one column per nibble p:
+    entry i is the bitmask over size^(m+v) of the extended tuples (coordinate 1
+    most significant) whose reading through map i has rank 4c+j for a bit j of p."""
+    maps, tables = tuple(itertools.product(range(m + v), repeat=k)), []
+    for h in maps:
+        pre = [0] * size**k
+        for x, read in enumerate(readings(h, m + v, size)):
+            pre[read] |= 1 << x
+        # the preimages of distinct ranks are disjoint, so a sum is their OR
+        tables.append([reduce(lambda table, bit: table + [t + bit for t in table], pre[c : c + 4], [0])
+                       for c in range(0, len(pre), 4)])
+    return maps, tuple(tuple(zip(*chunk)) for chunk in zip(*tables))
 
 
-def _lift(r_bits: int, h: tuple[int, ...], m: int, v: int, size: int) -> int:
-    """Bitmask over size^(m+v): extended tuples (a, sigma) whose h-reading is
-    in the source relation."""
-    pre = _preimages(h, m, v, size)
-    out = 0
-    while r_bits:  # one preimage per set bit, lowest first: the fixpoint's hottest loop
-        low = r_bits & -r_bits
-        out |= pre[low.bit_length() - 1]
-        r_bits ^= low
-    return out
+def _lifts(columns: tuple[tuple[tuple[int, ...], ...], ...], bits: int) -> Iterable[int]:
+    """The lifts of a source mask through every map of its ``_lift_tables``: the sum of its nibbles' columns."""
+    return reduce(partial(map, operator.add), [column[bits >> 4 * c & 15] for c, column in enumerate(columns)])
 
 
 def _projection(m: int, v: int, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, dict[int, int]], ...]]:
@@ -204,11 +205,13 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
     for the minor moves are the maximal members of every target arity.  The
     result's constraints are the floors expanded into members.
     """
-    dom, cod = t.dom, t.cod
+    dom, cod, v = t.dom, t.cod, bounds.max_indets
     for m in targets:
         if m < 1:
             raise ValueError("constraint arity must be >= 1")
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
+        lifted = sum((m + v) ** k for k in targets) * max(dom.size, cod.size) ** (m + v)  # what _lift_tables builds
+        within_budget(lifted, budget, f"lift maps times extended tuples at arity {m}")
     for arity in t.arities():
         if arity not in targets:
             raise ArityMismatchError(f"input set contains arity {arity}, outside target arities {targets}")
@@ -225,7 +228,6 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
         for pair in [*t.ranks(m), eq, (0, 0)]:
             entered[m][pair] = ("seed",)
             _add(floors[m], entered[m], pair, m)
-    v = bounds.max_indets
     done: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, packed meets projected
     previous: dict[int, set[int]] = {m: set() for m in targets}  # and the last round's packed lifts
     converged = False
@@ -238,20 +240,27 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             # packed lift (antecedent << width_b | consequent) -> the first source giving it
             lifts: dict[int, tuple[int, int, tuple[int, ...], int]] = {}
             for src_arity in targets:
+                (maps, columns_a), (_, columns_b) = _lift_tables(src_arity, m, v, sa), _lift_tables(src_arity, m, v, sb)
                 for r, s in maximals[src_arity]:
-                    for h in itertools.product(range(m + v), repeat=src_arity):
-                        lifts.setdefault(_lift(r, h, m, v, sa) << width_b | _lift(s, h, m, v, sb), (r, s, h, src_arity))
+                    keys = map(operator.or_, map(operator.lshift, _lifts(columns_a, r), itertools.repeat(width_b)), _lifts(columns_b, s))
+                    for key, h in zip(keys, maps):
+                        if key not in lifts:
+                            lifts[key] = (r, s, h, src_arity)
             packed, sources, old, previous[m] = list(lifts), list(lifts.values()), previous[m], set(lifts)
             fresh = [i for i, key in enumerate(packed) if key not in old]
+            fresh_keys = [packed[i] for i in fresh]
             project, seen, floor = _meet_projection(m, v, sa, sb), done[m], floors[m]
             for i, key in enumerate(packed):
-                js = fresh[bisect.bisect(fresh, i):] if key in old else range(i, len(packed))  # old meets old last round
-                first = {key & packed[j]: j for j in reversed(js)}  # meet -> its first j
-                new = first.keys() - seen
-                seen |= new
-                for j, meet in sorted(zip(map(first.__getitem__, new), new)):  # in the order of the row
+                cut = bisect.bisect(fresh, i)
+                # an old lift met the other old ones last round, so it meets only the fresh ones after it
+                js, row = (fresh[cut:], fresh_keys[cut:]) if key in old else (range(i, len(packed)), packed[i:])
+                meets = list(map(key.__and__, row))
+                new = [meet for meet in dict.fromkeys(meets) if meet not in seen]  # in the order of the row
+                seen.update(new)
+                for meet in new:
                     cand = project(meet)
                     if floor[cand[0]] & ~cand[1]:
+                        j = js[meets.index(meet)]
                         entered[m][cand] = ("minor", v, (sources[i],) if i == j else (sources[i], sources[j]))
                         _add(floor, entered[m], cand, m)
                         changed = True

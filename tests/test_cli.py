@@ -304,6 +304,18 @@ def test_budget_refusal_exit_code(doc_path, capsys):
     assert code == EXIT_BUDGET and "budget" in err.lower()
 
 
+def test_cm_lift_budget_refusal_exit_code(tmp_path, capsys):
+    doc = json.loads(DOC)
+    doc["relations"]["odd"] = {"domain": "bool", "arity": 3, "tuples": [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]}
+    doc["constraints"]["c_odd"] = {"antecedent": "odd", "consequent": "odd"}
+    doc["sets"]["T3"] = {"dom": "bool", "cod": "bool", "members": ["c_odd"]}
+    path = tmp_path / "ternary.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "close", "cmm", "--in", str(path), "--set", "T3", "--m", "3", "--max-indets", "8")
+    assert code == EXIT_BUDGET and out == ""
+    assert "lift maps times extended tuples at arity 3: 2725888 exceeds budget 1000000" in err
+
+
 def test_laws_budget_reaches_the_samplers(capsys):
     argv = ["laws", "vs", "--dom-size", "3", "--arity", "3"]
     code, out, err = run(capsys, *argv)

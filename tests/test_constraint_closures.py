@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from funcon import (
     relaxation_of,
     union_closure_check,
 )
-from funcon.core import ConstraintSet, constraint_universe_count
+from funcon.core import BudgetExceededError, ConstraintSet, constraint_universe_count
 
 from conftest import BOOL, C_EQ2, C_LEQ, GEQ, cset
 
@@ -181,6 +182,16 @@ def test_cm_bounds_validation():
         CmBounds(max_iterations=0)
     with pytest.raises(ValueError):
         CmBounds(max_indets=-1)
+
+
+def test_cm_lift_maps_are_refused_above_the_budget():
+    empty = ConstraintSet(BOOL, BOOL, {3: frozenset()})
+    started = time.perf_counter()
+    # (3 + 8)^3 maps times 2^(3 + 8) extended tuples, refused before any table is built
+    with pytest.raises(BudgetExceededError, match="lift maps times extended tuples at arity 3: 2725888 exceeds"):
+        cm_m_closure(empty, 3, CmBounds(max_indets=8))
+    assert time.perf_counter() - started < 2
+    assert cm_m_closure(empty, 3, CmBounds(max_indets=3)).converged  # the widest bound the tests and the bench use
 
 
 def test_lo_n_closure_small_antecedents_are_fixed():

@@ -53,7 +53,7 @@ from funcon import (
     vs_closure,
     vs_n_closure,
 )
-from funcon.constraint_closures import _add, _lift, _maximal, _project, _projection
+from funcon.constraint_closures import _add, _lift_tables, _maximal, _project, _projection
 from funcon.core import (
     DEFAULT_ENUMERATION_BUDGET,
     column_masks,
@@ -397,9 +397,10 @@ def test_missing_verify_parameter_raises_under_optimize():
 # the constraint-side kernels
 
 
-def lift_reference(r_bits, h, m, v, size):
+@functools.cache
+def decoded_readings(h, m, v, size):
     """Decode every extended tuple digit by digit and read it through h."""
-    out = 0
+    reads = []
     for rank in range(size ** (m + v)):
         digits = []
         rr = rank
@@ -410,9 +411,13 @@ def lift_reference(r_bits, h, m, v, size):
         read = 0
         for e in h:
             read = read * size + digits[e]
-        if (r_bits >> read) & 1:
-            out |= 1 << rank
-    return out
+        reads.append(read)
+    return tuple(reads)
+
+
+def lift_reference(r_bits, h, m, v, size):
+    """The extended tuples whose h-reading is in the source relation."""
+    return sum(1 << rank for rank, read in enumerate(decoded_readings(h, m, v, size)) if r_bits >> read & 1)
 
 
 def maximal_reference(members):
@@ -480,15 +485,22 @@ def dense_pair_set(rng, dom, cod, m, density):
 CONSTRAINT_SIDE_PAIRS = [(2, 2), (3, 2), (2, 3)]
 
 
-@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("size", [1, 2, 3])
 def test_lift_matches_digit_decoding(size):
-    rng = random.Random(size)
-    for _ in range(60):
-        m = rng.randint(1, 3 if size == 2 else 2)
-        v = rng.randint(0, 2)
-        h = tuple(rng.randrange(m + v) for _ in range(rng.randint(1, 3)))
-        for r_bits in (0, (1 << size ** len(h)) - 1, rng.getrandbits(size ** len(h))):
-            assert _lift(r_bits, h, m, v, size) == lift_reference(r_bits, h, m, v, size)
+    """Every map, in product order, over source widths size^k of 1 to 9 bits:
+    the sum of a mask's nibble columns is its digit-decoded lift, and a
+    partial last chunk of w bits has 2^w columns."""
+    rng = random.Random(19 + size)
+    for k, m, v in itertools.product((1, 2, 3), (1, 2), (0, 1, 2, 3)):
+        width = size**k
+        if width > 9:
+            continue
+        maps, columns = _lift_tables(k, m, v, size)
+        assert maps == tuple(itertools.product(range(m + v), repeat=k))
+        assert [len(chunk) for chunk in columns] == [1 << min(4, width - c) for c in range(0, width, 4)]
+        for r_bits in (0, (1 << width) - 1, rng.getrandbits(width), rng.getrandbits(width)):
+            lifts = [sum(chunk[r_bits >> 4 * c & 15][i] for c, chunk in enumerate(columns)) for i in range(len(maps))]
+            assert lifts == [lift_reference(r_bits, h, m, v, size) for h in maps]
 
 
 def project_reference(bits, m, v, size):
@@ -545,7 +557,7 @@ def fixpoint_reference(t, targets, bounds):
             for src_arity in targets:
                 for r, s in maximals[src_arity]:
                     for h in itertools.product(range(m + v), repeat=src_arity):
-                        lifts.setdefault((_lift(r, h, m, v, sa), _lift(s, h, m, v, sb)), (r, s, h, src_arity))
+                        lifts.setdefault((lift_reference(r, h, m, v, sa), lift_reference(s, h, m, v, sb)), (r, s, h, src_arity))
             pairs, sources = list(lifts), list(lifts.values())
             for i, (la, lb) in enumerate(pairs):
                 for j, (la2, lb2) in enumerate(pairs[i:], i):
@@ -587,6 +599,12 @@ def test_fixpoint_matches_all_pairs_round():
             runs.append((random_pair_set(rng, dom, cod, 2, 3), [2], bounds))
     dom, cod = domains((2, 3))
     runs.append((random_pair_set(rng, dom, cod, 1, 2) | random_pair_set(rng, dom, cod, 2, 2), [1, 2], CmBounds()))
+    # a one-element domain on either side: {(A^2, <=)}, and {({(0, 1)}, empty)}, whose rounds add minors
+    for sizes, pair in [((1, 2), (1, 0b1011)), ((2, 1), (0b0010, 0))]:
+        dom, cod = domains(sizes)
+        runs.append((ConstraintSet(dom, cod, {2: frozenset({pair})}), [2], CmBounds()))
+    # source arities 1..3 feed every target arity 1..3
+    runs.append((random_pair_set(rng, gap.dom, gap.cod, 1, 1) | random_pair_set(rng, gap.dom, gap.cod, 2, 2), [1, 2, 3], CmBounds()))
     for t, targets, bounds in runs:
         res = cm_m_closure(t, targets[0], bounds) if len(targets) == 1 else cm_closure(t, len(targets), bounds)
         entered = {m: list(e.items()) for m, e in res.entered.items()}
