@@ -26,6 +26,7 @@ from .satisfaction import (
     csf_m,
     fsc,
     fsc_n,
+    fsc_n_of_csf_m,
     image,
     minimal_consequent,
     preserves,
@@ -55,7 +56,6 @@ from .lab import (
     ClosureReport,
     check_closure_laws,
     check_galois_axioms,
-    fsc_n_of_csf_m,
     random_constraint_set,
     random_function_class,
     verify_definability,

@@ -184,9 +184,9 @@ def _run_close(args, doc):
     if op in ("vs", "vsn", "lom"):
         k = _binding(args, doc, "class")
         if op == "vs":
-            return vs_closure(k, _need(args, "cap", "--cap")), True
+            return vs_closure(k, _need(args, "cap", "--cap"), args.budget), True
         if op == "vsn":
-            return vs_n_closure(k), True
+            return vs_n_closure(k, args.budget), True
         return lo_m_closure(k, _need(args, "m", "--m"), args.budget), True
     t = _binding(args, doc, "set")
     if op == "lon":
@@ -257,8 +257,8 @@ def _run_enumerate(args):
 # each closure suite of `laws`: the nested-pair generator of the side it
 # samples, the flag giving the sample arity, and its operator under the flags
 _LAW_SUITES = {
-    "vsn": (nested_class_pair, "arity", lambda k, args: vs_n_closure(k)),
-    "vs": (nested_class_pair, "arity", lambda k, args: vs_closure(k, args.arity)),
+    "vsn": (nested_class_pair, "arity", lambda k, args: vs_n_closure(k, args.budget)),
+    "vs": (nested_class_pair, "arity", lambda k, args: vs_closure(k, args.arity, args.budget)),
     "lom": (nested_class_pair, "arity", lambda k, args: lo_m_closure(k, args.m, args.budget)),
     "lon": (nested_set_pair, "m", lambda t, args: lo_n_closure(t, args.n, args.budget)),
     "cmm": (nested_set_pair, "m", lambda t, args: cm_m_closure(t, args.m, budget=args.budget).constraints),

@@ -60,10 +60,13 @@ def substitute(f: FunctionTable, s: SubstitutionMap) -> FunctionTable:
     return FunctionTable(f.dom, f.cod, t, tuple(f.table[r] for r in reading))
 
 
-def _instances(k: FunctionClass, targets) -> FunctionClass:
+def _instances(k: FunctionClass, targets, budget: int) -> FunctionClass:
     """Every member read through every coordinate map into each target arity,
     on table ranks: the map h turns the table of f into x -> f(x[h])."""
     size, values = k.dom.size, k.cod.size
+    # an n-ary member has t^n maps into arity t, each reading |A|^t entries
+    count = sum(len(k.ranks(n)) * sum(t**n * size**t for t in targets) for n in k.arities())
+    within_budget(count, budget, "substitution instances")
     out: dict[int, set[int]] = {t: set() for t in targets}
     for n in k.arities():
         tables = [tuple_unrank(rank, values, size**n) for rank in k.ranks(n)]
@@ -73,21 +76,21 @@ def _instances(k: FunctionClass, targets) -> FunctionClass:
     return FunctionClass(k.dom, k.cod, out)
 
 
-def vs_n_closure(k_n: FunctionClass) -> FunctionClass:
+def vs_n_closure(k_n: FunctionClass, budget: int = DEFAULT_ENUMERATION_BUDGET) -> FunctionClass:
     """Closure of a single-arity class under arity-preserving substitutions."""
     arities = k_n.arities()
     if len(arities) > 1:
         raise ArityMismatchError(f"expected a single arity, got {arities}")
-    return _instances(k_n, arities)
+    return _instances(k_n, arities, budget)
 
 
-def vs_closure(k: FunctionClass, cap: int) -> FunctionClass:
+def vs_closure(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> FunctionClass:
     """All substitution instances of members at target arities 1..cap.
 
     Arbitrary maps n -> t cover identification, permutation and dummy-argument
     addition at once; this equals composing the class with the projection clone.
     """
-    return _instances(k, capped_arities(cap))
+    return _instances(k, capped_arities(cap), budget)
 
 
 def _agreeing(cols, members: int, subset: tuple[int, ...], prefix: int = -1) -> int:

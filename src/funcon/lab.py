@@ -2,22 +2,18 @@
 identities and definability equivalences.
 
 Each identity is evaluated through two independent code paths: the left side
-through the satisfaction machinery (images, separating constraints, the
-fsc/csf maps), the right side through the closure-operator modules.  Reports
-carry explicit witnesses for any discrepancy.  Each kind of check builds its
-report in one place: ``_report`` for the two sides of an identity,
-``_findings`` for what a definability check or an audit found; ``audit`` is
-the one sample loop of the audits.
+through the Galois maps of ``satisfaction`` and their composite
+``fsc_n_of_csf_m``, the right side through the closure-operator modules; this
+module only compares them.  Reports carry explicit witnesses for any
+discrepancy.  Each kind of check builds its report in one place: ``_report``
+for the two sides of an identity, ``_findings`` for what a definability check
+or an audit found; ``audit`` is the one sample loop of the audits.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-import operator
 import random
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -31,7 +27,6 @@ from .core import (
     canonical_constraint,
     constraint_universe_count,
     function_count,
-    submasks,
     within_budget,
 )
 from .constraint_closures import (
@@ -42,7 +37,7 @@ from .constraint_closures import (
     union_closure_check,
 )
 from .function_closures import lo_m_closure, vs_closure, vs_n_closure
-from .satisfaction import csf, csf_m, fsc, fsc_n, probe_groups
+from .satisfaction import csf, csf_m, fsc, fsc_n, fsc_n_of_csf_m
 
 MAX_WITNESSES = 8
 
@@ -114,44 +109,6 @@ def _report(name: str, params: dict, lhs: ArityIndexed, rhs: ArityIndexed) -> Cl
 def _findings(name: str, params: dict, lhs_size: int, rhs_size: int, wits: list[str]) -> ClosureReport:
     """A check that passes iff it found nothing to list."""
     return ClosureReport(name, params, lhs_size, rhs_size, wits, "incomparable" if wits else "equal")
-
-
-# ---------------------------------------------------------------------------
-# satisfaction-side composites
-
-
-def _separators(k: FunctionClass, n: int, m: int, budget: int) -> list[tuple[int, int]]:
-    """(R, S_min(R)) as rank masks for every antecedent R over A^m of at most
-    n tuples, S_min(R) being the OR of the ``probe_groups`` of R's subsets."""
-    universe = k.dom.size**m
-    within_budget(sum(math.comb(universe, j) for j in range(n + 1)), budget, "separating constraints")
-    # an arity a walks (|A|^m)^a probes, within n! of the separator count if a <= n
-    within_budget(sum(universe**a for a in k.arities() if a > n), budget, "probes")
-    groups = probe_groups(k, m, budget)
-    pairs = []
-    for j in range(n + 1):
-        for rows in itertools.combinations(range(universe), j):
-            r = sum(1 << row for row in rows)
-            pairs.append((r, reduce(operator.or_, (groups.get(sub, 0) for sub in submasks(r)))))
-    return pairs
-
-
-def fsc_n_of_csf_m(
-    k: FunctionClass, n: int, m: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> FunctionClass:
-    """The n-ary functions satisfying every m-ary constraint the class satisfies.
-
-    Instead of materializing the m-ary constraint universe, this is fsc_n of
-    the separators (R, S): R ranges over antecedents of size at most n and S,
-    the smallest consequent the class admits over R, is read off csf_m's probe
-    masks.  A violation of any satisfied constraint always restricts to a
-    violation of one of these.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    # refuse before building the separators
-    within_budget(function_count(k.dom, k.cod, n), budget, f"fsc_{n} candidate functions")
-    return fsc_n(ConstraintSet(k.dom, k.cod, {m: _separators(k, n, m, budget)}), n, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +225,7 @@ def verify_factorization(
     params = _check_request(identity, "identity", payload, {"n": n, "m": m, "cap": cap})
     if identity == "t15i":
         lhs = fsc_n_of_csf_m(payload, n, m, budget)
-        rhs = lo_m_closure(vs_n_closure(payload), m, budget)
+        rhs = lo_m_closure(vs_n_closure(payload, budget), m, budget)
     elif identity == "t15ii":
         lhs = csf_m(fsc_n(payload, n, budget), m, budget)
         res = cm_m_closure(payload, m, bounds, budget)
@@ -291,7 +248,7 @@ def verify_factorization(
         # one closure under the caller's bounds; the bench still reads the constant key
         params.update(n_star=n_star, cm_converged=res.converged, escalations=0)
     else:  # t4finite
-        rhs = vs_closure(payload, cap)
+        rhs = vs_closure(payload, cap, budget)
         lhs = FunctionClass.empty(payload.dom, payload.cod)
         for arity in range(1, cap + 1):
             lhs = lhs | fsc_n_of_csf_m(payload, arity, payload.dom.size**arity, budget)
@@ -315,10 +272,10 @@ def verify_definability(
     the closure-condition predicate against the Galois fixed-point test."""
     params = _check_request(side, "side", payload, {"n": n, "m": m, "cap": cap})
     if side == "thm5":
-        predicate = vs_n_closure(payload) == payload  # local closure is trivial here
+        predicate = vs_n_closure(payload, budget) == payload  # local closure is trivial here
         fixed = fsc_n_of_csf_m(payload, n, payload.dom.size**n, budget) == payload
     elif side == "thm13":
-        predicate = lo_m_closure(payload, m, budget) == payload and vs_n_closure(payload) == payload
+        predicate = lo_m_closure(payload, m, budget) == payload and vs_n_closure(payload, budget) == payload
         fixed = fsc_n_of_csf_m(payload, n, m, budget) == payload
     elif side == "cor1":
         predicate = True  # every class over a finite domain is locally closed

@@ -7,15 +7,18 @@ constraint, an OR of column minterms, and ``csf_m`` reads each probe's
 achievable output tuples off ANDs of the class mask with column minterms.
 It reads each point's last value by difference and, where the shape's byte
 tables stay small, walks one probe per S_m orbit and fills the rest from them.
-``probe_groups`` ORs the probe masks by cross-row set; ``csf_m`` and
-the separators of ``lab.fsc_n_of_csf_m`` share it.  ``cm_m_oracle`` is the
-composite csf_m(fsc_n(T)) at n = |A|^m, the Galois route to the m-ary minor
-closure that ``constraint_closures.cm_m_closure`` is checked against; this
-module imports nothing from the closure side.  ``satisfies``, ``image`` and
-``minimal_consequent`` evaluate one table at a time and serve as the scalar
-reference, sharing no code with these kernels.  ``trace_constraint`` builds
-the canonical separating constraint whose antecedent lists chosen columns
-and whose consequent collects the class's values on them.
+``probe_groups`` ORs the probe masks by cross-row set, and
+``_minimal_consequents`` ORs the groups into S_min(R), the least consequent
+over R, by one recurrence: its full table is the floors of ``csf_m``, its
+antecedents of at most n tuples the separators of ``fsc_n_of_csf_m``.
+``cm_m_oracle`` is the twin composite csf_m(fsc_n(T)) at n = |A|^m, the Galois
+route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
+checked against; this module imports nothing from the closure side.
+``satisfies``, ``image`` and ``minimal_consequent`` evaluate one table at a
+time and serve as the scalar reference, sharing no code with these kernels.
+``trace_constraint`` builds the canonical separating constraint whose
+antecedent lists chosen columns and whose consequent collects the class's
+values on them.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .core import (
     projection,
     ranks_of_mask,
     readings,
-    subset_fold,
     tuple_rank,
     tuple_unrank,
     within_budget,
@@ -149,6 +151,9 @@ def fsc_n(
     if n < 1:
         raise ValueError("n must be >= 1")
     count = within_budget(function_count(t.dom, t.cod, n), budget, f"fsc_{n} candidate functions")
+    # only antecedents wider than n count: the others have at most n^n row choices each
+    sizes = [r.bit_count() for m in t.arities() for r, _ in t.ranks(m)]
+    within_budget(sum(size**n for size in sizes if size > n), budget, f"fsc_{n} row choices")
     cols = column_masks(t.dom, t.cod, n)
     kept = (1 << count) - 1
     for m in t.arities():
@@ -254,13 +259,31 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
 def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
     """The probe masks of every arity of k, ORed by cross-row set: key r (a rank
     mask over A^m) collects the probes whose cross-rows are the members of r."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     groups: dict[int, int] = {}
     for n in k.arities():
         for r, mask in zip(_orbit_plan(k.dom.size, n, m, k.cod.size)[0], _probe_masks(k, n, m, budget)):
             groups[r] = groups.get(r, 0) | mask
     return groups
+
+
+def _minimal_consequents(k: FunctionClass, m: int, n: int, budget: int) -> dict[int, int]:
+    """S_min(R) for every antecedent R over A^m of at most n tuples, by size and
+    then in ``itertools.combinations`` order, as rank masks: the probe group of
+    R ORed with S_min of R less each of its tuples."""
+    universe = k.dom.size**m
+    within_budget(sum(math.comb(universe, j) for j in range(n + 1)), budget, "separating constraints")
+    # an arity a walks (|A|^m)^a probes, within n! of the separator count if a <= n
+    within_budget(sum(universe**a for a in k.arities() if a > n), budget, "probes")
+    groups, bits = probe_groups(k, m, budget), [1 << row for row in range(universe)]
+    floors: dict[int, int] = {}
+    for j in range(n + 1):
+        for rows in itertools.combinations(bits, j):
+            r = sum(rows)
+            floor = groups.get(r, 0)
+            for row in rows:
+                floor |= floors[r ^ row]
+            floors[r] = floor
+    return floors
 
 
 def csf_m(
@@ -270,19 +293,16 @@ def csf_m(
 ) -> ConstraintSet:
     """All m-ary constraints satisfied by every member of k.
 
-    Every antecedent is paired with each consequent containing the output
-    tuples the class produces from it; the universe of
-    2^(|A|^m) * 2^(|B|^m) constraints must fit the budget.
+    Every antecedent R is paired with each consequent containing S_min(R);
+    the universe of 2^(|A|^m) * 2^(|B|^m) constraints and the probes of
+    every arity must fit the budget.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     within_budget(constraint_universe_count(k.dom, k.cod, m), budget, f"csf_{m} universe constraints")
-    dom, cod = k.dom, k.cod
-    # needed[r]: the outputs from rows exactly r, folded to those from rows inside r
-    needed = [0] * (1 << dom.size**m)
-    for r, mask in probe_groups(k, m, budget).items():
-        needed[r] = mask
-    return ConstraintSet.from_floors(dom, cod, m, subset_fold(needed, operator.or_))
+    within_budget(sum(k.dom.size ** (n * m) for n in k.arities()), budget, f"csf_{m} probes")
+    floors = _minimal_consequents(k, m, k.dom.size**m, budget)
+    return ConstraintSet.from_floors(k.dom, k.cod, m, [floors[r] for r in range(1 << k.dom.size**m)])
 
 
 def csf(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> ConstraintSet:
@@ -306,6 +326,20 @@ def cm_m_oracle(
     """
     n_star = t_m.dom.size**m
     return csf_m(fsc_n(t_m, n_star, budget), m, budget)
+
+
+def fsc_n_of_csf_m(k: FunctionClass, n: int, m: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> FunctionClass:
+    """The n-ary functions satisfying every m-ary constraint the class satisfies.
+
+    Instead of materializing the m-ary constraint universe, this is fsc_n of
+    the separators (R, S_min(R)) with R of at most n tuples.  A violation of
+    any satisfied constraint always restricts to a violation of one of these.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    # refuse before building the separators
+    within_budget(function_count(k.dom, k.cod, n), budget, f"fsc_{n} candidate functions")
+    return fsc_n(ConstraintSet(k.dom, k.cod, {m: _minimal_consequents(k, m, n, budget).items()}), n, budget)
 
 
 def trace_constraint(k: FunctionClass, columns: list[tuple[int, ...]]) -> Constraint:

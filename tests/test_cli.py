@@ -316,6 +316,36 @@ def test_cm_lift_budget_refusal_exit_code(tmp_path, capsys):
     assert "lift maps times extended tuples at arity 3: 2725888 exceeds budget 1000000" in err
 
 
+@pytest.fixture
+def wide_path(tmp_path):
+    """A parity function of arity 8, a function of arity 3, and the set
+    {(A^8, A^8), (even-parity^8, even-parity^8)}."""
+    doc = json.loads(DOC)
+    points = [[x >> (7 - i) & 1 for i in range(8)] for x in range(256)]
+    doc["functions"]["par8"] = {"dom": "bool", "cod": "bool", "arity": 8, "table": [sum(p) % 2 for p in points]}
+    doc["functions"]["maj"] = {"dom": "bool", "cod": "bool", "arity": 3, "table": [0, 0, 0, 1, 0, 1, 1, 1]}
+    doc["relations"]["all8"] = {"domain": "bool", "arity": 8, "tuples": points}
+    doc["relations"]["even8"] = {"domain": "bool", "arity": 8, "tuples": [p for p in points if sum(p) % 2 == 0]}
+    doc["constraints"].update({name: {"antecedent": name[2:], "consequent": name[2:]} for name in ("c_all8", "c_even8")})
+    doc["classes"].update(P8={"dom": "bool", "cod": "bool", "members": ["par8"]},
+                          K3={"dom": "bool", "cod": "bool", "members": ["maj"]})
+    doc["sets"]["T8"] = {"dom": "bool", "cod": "bool", "members": ["c_all8", "c_even8"]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["galois", "csf", "--class", "P8", "--arity", "3"], "csf_3 probes: 16777216 exceeds budget 1000000"),
+    (["galois", "fsc", "--set", "T8", "--arity", "3"], "fsc_3 row choices: 18874368 exceeds budget 1000000"),
+    (["close", "vsn", "--class", "K3", "--budget", "215"], "substitution instances: 216 exceeds budget 215"),
+])
+def test_wide_enumerations_are_budget_refusals(wide_path, capsys, argv, refusal):
+    # each would walk its probes, row choices or instances for minutes at a wide arity
+    code, out, err = run(capsys, *argv[:2], "--in", wide_path, *argv[2:])
+    assert code == EXIT_BUDGET and out == "" and refusal in err
+
+
 def test_laws_budget_reaches_the_samplers(capsys):
     argv = ["laws", "vs", "--dom-size", "3", "--arity", "3"]
     code, out, err = run(capsys, *argv)

@@ -2,6 +2,7 @@ import pytest
 
 from funcon import (
     ArityMismatchError,
+    BudgetExceededError,
     SubstitutionMap,
     compose_classes,
     lo_closure,
@@ -13,7 +14,7 @@ from funcon import (
 )
 from funcon.core import FunctionClass
 
-from conftest import AND, BOOL, IDENTITY, OR, PR1, PR2, XOR, cls
+from conftest import AND, BOOL, IDENTITY, OR, PR1, PR2, XOR, cls, fn
 
 
 def test_substitute_examples():
@@ -37,6 +38,17 @@ def test_vs_n_closure_examples():
     assert vs_n_closure(cls(AND)) == cls(AND, PR1, PR2)
     assert vs_n_closure(cls(PR1)) == cls(PR1, PR2)
     assert vs_n_closure(FunctionClass.empty(BOOL, BOOL)) == FunctionClass.empty(BOOL, BOOL)
+
+
+def test_vs_closures_count_substitution_instances_against_the_budget():
+    # an arity-3 member has t^3 maps into arity t, each reading 2^t entries
+    k = cls(fn((0, 1, 1, 0, 1, 0, 0, 1)))
+    with pytest.raises(BudgetExceededError, match="substitution instances: 216 exceeds budget 215"):
+        vs_n_closure(k, budget=215)
+    assert vs_n_closure(k, budget=216) == vs_n_closure(k)
+    with pytest.raises(BudgetExceededError, match="substitution instances: 250 exceeds budget 249"):
+        vs_closure(k, 3, budget=249)  # 2 + 32 + 216 at t = 1, 2, 3
+    assert vs_closure(k, 3, budget=250) == vs_closure(k, 3)
 
 
 def test_vs_n_closure_rejects_mixed_arities():

@@ -7,8 +7,8 @@ maximal members, ``lo_n_closure``) against scalar pair-by-pair reference
 loops, of the cm fixpoint against the tuple-keyed all-pairs round loop, of
 ``core.subset_fold`` against a fold over ``core.submasks``, of the reading
 table ``core.readings`` and the tight minor built on it against digit-by-digit
-decoding, and of the separators ``fsc_n_of_csf_m`` reads off the probe
-groups against ``minimal_consequent``, and of the variable-substitution
+decoding, and of S_min, the separators ``fsc_n_of_csf_m`` and the floors
+``csf_m`` read off the probe groups, against ``minimal_consequent``, and of the variable-substitution
 closures, which rank member tables through ``core.readings``, against
 ``substitute`` over every ``SubstitutionMap``."""
 
@@ -57,14 +57,14 @@ from funcon.constraint_closures import _add, _lift_tables, _maximal, _project, _
 from funcon.core import (
     DEFAULT_ENUMERATION_BUDGET,
     column_masks,
+    constraint_universe_count,
     function_count,
     mask_of_ranks,
     readings,
     submasks,
     subset_fold,
 )
-from funcon.lab import _separators
-from funcon.satisfaction import _orbit_plan, _probe_masks, probe_groups
+from funcon.satisfaction import _minimal_consequents, _orbit_plan, _probe_masks, probe_groups
 from funcon.minors import tight_minor_relation
 
 # (|A|, |B|) with the function arities n and the constraint arities m at
@@ -224,9 +224,11 @@ def test_separators_match_minimal_consequent(sizes):
                 k = k | random_function_class(rng, dom, cod, a, count)
             classes.append(k)
     for k in classes:
-        for n in (1, 2, 3):  # below, at and above the class arities
-            for m in (1, 2):
-                assert _separators(k, n, m, 10**6) == separators_reference(k, n, m)
+        for m in (1, 2):
+            # below, at and above the class arities, and at n = |A|^m, the full table csf_m reads
+            full = [dom.size**m] if constraint_universe_count(dom, cod, m) <= 10**6 else []
+            for n in sorted({1, 2, 3, *full}):
+                assert list(_minimal_consequents(k, m, n, 10**6).items()) == separators_reference(k, n, m)
 
 
 def test_csf_1_of_boolean_arity_5_class_evaluates_members():
@@ -364,7 +366,7 @@ def test_probe_masks_stay_small_at_wide_constraint_arities():
     started = time.perf_counter()
     out = fsc_n_of_csf_m(k, 1, 8)
     assert time.perf_counter() - started < 10
-    assert _separators(k, 1, 8, 10**6) == separators_reference(k, 1, 8)
+    assert list(_minimal_consequents(k, 8, 1, 10**6).items()) == separators_reference(k, 1, 8)
     assert out.ranks(1) == fsc_n(ConstraintSet(bool_, bool_, {8: separators_reference(k, 1, 8)}), 1).ranks(1)
     for n in (1, 2):
         assert _orbit_plan(2, n, 8, 2)[1] is None

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from funcon import (
+    BudgetExceededError,
     Constraint,
     ConstraintSet,
     DomainMismatchError,
@@ -181,6 +182,23 @@ def test_csf_m_rejects_arity_zero():
             csf_m(cls(AND, NEGATION), m)
 
 
+def test_csf_m_counts_the_probes_of_every_arity_against_the_budget():
+    # one Boolean arity-6 member walks (2^6)^1 probes at m = 1
+    k = cls(fn([bin(x).count("1") % 2 for x in range(64)]))
+    with pytest.raises(BudgetExceededError, match="csf_1 probes: 64 exceeds budget 63"):
+        csf_m(k, 1, 63)
+    assert csf_m(k, 1, 64) == csf_m(k, 1)
+
+
+def test_fsc_n_counts_the_row_choices_of_wide_antecedents_against_the_budget():
+    # (A^3, A^3) has 8^2 choices of 2 antecedent rows
+    full = Relation.full(BOOL, 3)
+    t = cset(Constraint(full, full))
+    with pytest.raises(BudgetExceededError, match="fsc_2 row choices: 64 exceeds budget 63"):
+        fsc_n(t, 2, 63)
+    assert fsc_n(t, 2, 64) == fsc_n(t, 2)
+
+
 @pytest.mark.parametrize("value", [0, -1])
 def test_arity_guards_fire_before_any_work(value):
     with pytest.raises(ValueError, match="n must be >= 1"):
@@ -280,3 +298,24 @@ def test_csf_m_commutes_with_value_permutations_and_ignores_variable_order(sizes
             assert probe_groups(reordered, m, budget) == groups
             if fits:
                 assert csf_m(reordered, m) == csf_m(k, m)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)])
+def test_fsc_n_of_csf_m_commutes_with_value_permutations_and_ignores_variable_order(sizes):
+    """fsc_n_of_csf_m(pi k) = pi fsc_n_of_csf_m(k) for value permutations
+    (pi_A, pi_B), and fsc_n_of_csf_m(k tau) = fsc_n_of_csf_m(k) for variable
+    permutations tau, at n, m <= 2, and at m = 3 on Boolean."""
+    a, b = sizes
+    dom = DomainSpec("a", a)
+    cod = dom if a == b else DomainSpec("b", b)
+    rng = random.Random(25 * a + b)
+    classes = [random_function_class(rng, dom, cod, n, 2) for n in (1, 2)]
+    classes.append(classes[0] | classes[1])
+    identity_a, identity_b = list(range(a)), list(range(b))
+    for k in classes:
+        reordered = relabel_class(k, identity_a, identity_b, {n: [*range(1, n), 0] for n in k.arities()})
+        for n, m in itertools.product((1, 2), (1, 2, 3) if a == b == 2 else (1, 2)):
+            closed = fsc_n_of_csf_m(k, n, m)
+            for pi_a, pi_b in zip(value_permutations(a), value_permutations(b)[::-1]):
+                assert fsc_n_of_csf_m(relabel_class(k, pi_a, pi_b), n, m) == relabel_class(closed, pi_a, pi_b)
+            assert fsc_n_of_csf_m(reordered, n, m) == closed
