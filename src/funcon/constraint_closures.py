@@ -17,20 +17,23 @@ it builds are closed under relaxation and under the meet of two members with
 one antecedent, so their members are the (R, S) with S a superset of floor(R).
 ``_add`` ANDs a new pair's consequent into the floors below its antecedent,
 and ``_maximal`` reads off the maximal members.  A round of minor moves packs
-each lift of a maximal member into one int, antecedent above consequent, so
-the meet of lifts i <= j is one AND (i == j is a single-source tight minor).
-Lift i's row of meets is deduplicated in row order by ``dict.fromkeys`` and
-against every meet seen, and each new one is projected by shift-ORs and 8-block
-tables (``_meet_projection``).  Semi-naive rounds: an old lift meets only the
-fresh lifts after it.  Witnesses are recorded as bit pairs for the pairs that
-enter and decoded, one per member, when ``CmResult.witnesses`` is first read.
+each lift of a maximal member into one int, antecedent above consequent, so a
+meet of lifts is one AND (a lift met with itself is a single-source tight
+minor).  The lifts are closed under the permutations g of the target and the
+indeterminate coordinates, and g commutes with the meet and the projection, so
+the first lift of each orbit (``_map_orbits``) meets the lifts, and the floors
+are closed under the target permutations after (``core.permute``).  Its row of
+meets is deduplicated in row order by ``dict.fromkeys`` and against every meet
+seen, and each new one is projected by shift-ORs and 8-block tables
+(``_meet_projection``).  Semi-naive rounds: an old orbit meets the fresh lifts,
+a fresh one those from its own orbit on.  Witnesses are recorded as bit pairs
+for the pairs that enter and decoded, one per member, on first read.
 ``lo_n_closure`` masks, per antecedent, the consequents present with it and
 folds their up-interiors over the subset lattice with ``core.subset_fold``.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from collections.abc import Callable, Iterable
@@ -44,6 +47,8 @@ from .core import (
     ConstraintSet,
     capped_arities,
     constraint_universe_count,
+    permutation_tables,
+    permute,
     ranks_of_mask,
     readings,
     submasks,
@@ -86,7 +91,8 @@ class CmResult:
     ``entered[m]`` maps each bit pair that entered the fixpoint (a seed, a new
     minor candidate, a new floor) to its witness, and following witnesses
     always ends at seeds: ``("seed",)``, ``("relaxation", parent_pair)`` or
-    ``("minor", v, sources)`` with sources ``(r, s, h, src_arity)``."""
+    ``("minor", v, sources)`` with sources ``(r, s, h, src_arity)``; a v = 0
+    minor of one source through a permutation h is a floor's S_m image."""
 
     constraints: ConstraintSet
     converged: bool
@@ -151,6 +157,15 @@ def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple[tuple[int, ..
         tables.append([reduce(lambda table, bit: table + [t + bit for t in table], pre[c : c + 4], [0])
                        for c in range(0, len(pre), 4)])
     return maps, tuple(tuple(zip(*chunk)) for chunk in zip(*tables))
+
+
+@lru_cache(maxsize=32)
+def _map_orbits(k: int, m: int, v: int) -> tuple[tuple[int, ...], ...]:
+    """Per map h of ``_lift_tables(k, m, v, ..)``, the indices of the maps g∘h for g permuting the m target
+    and the v indeterminate coordinates: the maps that are equal where h is and targets where h is."""
+    shapes = [tuple((e < m, h.index(e)) for e in h) for h in itertools.product(range(m + v), repeat=k)]
+    orbits = {shape: tuple(i for i, other in enumerate(shapes) if other == shape) for shape in set(shapes)}
+    return tuple(map(orbits.__getitem__, shapes))
 
 
 def _lifts(columns: tuple[tuple[tuple[int, ...], ...], ...], bits: int) -> Iterable[int]:
@@ -230,6 +245,9 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             _add(floors[m], entered[m], pair, m)
     done: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, packed meets projected
     previous: dict[int, set[int]] = {m: set() for m in targets}  # and the last round's packed lifts
+    # the permutations q of the target coordinates but the identity, with their tables on both sides
+    perms = {m: [(q, permutation_tables(q, sa), permutation_tables(q, sb)) for q in itertools.permutations(range(m))][1:]
+             for m in targets}
     converged = False
     iteration = 0
     for iteration in range(1, bounds.max_iterations + 1):
@@ -237,32 +255,43 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
         maximals = {m: _maximal(floors[m], sa**m) for m in targets}
         for m in targets:
             width_b = sb ** (m + v)
-            # packed lift (antecedent << width_b | consequent) -> the first source giving it
+            # packed lift (antecedent << width_b | consequent) -> a source giving it, orbit by orbit
             lifts: dict[int, tuple[int, int, tuple[int, ...], int]] = {}
+            reps = []  # the first lift of each orbit
             for src_arity in targets:
                 (maps, columns_a), (_, columns_b) = _lift_tables(src_arity, m, v, sa), _lift_tables(src_arity, m, v, sb)
+                orbits = _map_orbits(src_arity, m, v)
                 for r, s in maximals[src_arity]:
-                    keys = map(operator.or_, map(operator.lshift, _lifts(columns_a, r), itertools.repeat(width_b)), _lifts(columns_b, s))
-                    for key, h in zip(keys, maps):
-                        if key not in lifts:
-                            lifts[key] = (r, s, h, src_arity)
-            packed, sources, old, previous[m] = list(lifts), list(lifts.values()), previous[m], set(lifts)
-            fresh = [i for i, key in enumerate(packed) if key not in old]
-            fresh_keys = [packed[i] for i in fresh]
+                    keys = list(map(operator.or_, map(operator.lshift, _lifts(columns_a, r), itertools.repeat(width_b)), _lifts(columns_b, s)))
+                    for i, key in enumerate(keys):
+                        if key not in lifts:  # nor is its orbit, the lifts through the maps g∘h
+                            reps.append(key)
+                            lifts.update({keys[j]: (r, s, maps[j], src_arity) for j in orbits[i]})
+            old, previous[m] = previous[m], set(lifts)
+            fresh = [key for key in lifts if key not in old]
+            at = {key: i for i, key in enumerate(fresh)}
             project, seen, floor = _meet_projection(m, v, sa, sb), done[m], floors[m]
-            for i, key in enumerate(packed):
-                cut = bisect.bisect(fresh, i)
-                # an old lift met the other old ones last round, so it meets only the fresh ones after it
-                js, row = (fresh[cut:], fresh_keys[cut:]) if key in old else (range(i, len(packed)), packed[i:])
+            for key in reps:
+                # an old orbit met the old lifts last round, so it meets the fresh ones; a fresh orbit meets
+                # the fresh lifts from its own orbit on, as the fresh orbits before it met it
+                row = fresh if key in old else fresh[at[key]:]
                 meets = list(map(key.__and__, row))
                 new = [meet for meet in dict.fromkeys(meets) if meet not in seen]  # in the order of the row
                 seen.update(new)
                 for meet in new:
                     cand = project(meet)
                     if floor[cand[0]] & ~cand[1]:
-                        j = js[meets.index(meet)]
-                        entered[m][cand] = ("minor", v, (sources[i],) if i == j else (sources[i], sources[j]))
+                        other = row[meets.index(meet)]
+                        entered[m][cand] = ("minor", v, (lifts[key],) if other == key else (lifts[key], lifts[other]))
                         _add(floor, entered[m], cand, m)
+                        changed = True
+            # the pairs met the orbits through one lift each, so add the S_m images of the maximal members
+            for r, s in _maximal(floor, sa**m):
+                for q, tables_a, tables_b in perms[m]:
+                    image = permute(tables_a, r), permute(tables_b, s)
+                    if floor[image[0]] & ~image[1]:
+                        entered[m][image] = ("minor", 0, ((r, s, q, m),))
+                        _add(floor, entered[m], image, m)
                         changed = True
         if not changed:
             converged = True

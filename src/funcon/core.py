@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
@@ -129,6 +129,21 @@ def readings(h: tuple[int, ...], k: int, size: int) -> tuple[int, ...]:
         stride = size ** (k - 1 - i)
         out = [r + x // stride % size * weight for x, r in enumerate(out)]
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def permutation_tables(p: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinate permutation p on rank masks over size^len(p), by bytes: table c sends bits 8c..8c+7
+    of a mask R to their bits in R's tight minor through p, {x : x read through p is in R}."""
+    inverse = tuple(sorted(range(len(p)), key=p.__getitem__))  # its readings invert those of p
+    bits = [1 << x for x in readings(inverse, len(p), size)]
+    return tuple(tuple(reduce(lambda table, bit: table + [t | bit for t in table], bits[c : c + 8], [0]))
+                 for c in range(0, len(bits), 8))
+
+
+def permute(tables: tuple[tuple[int, ...], ...], mask: int) -> int:
+    """The mask moved through its ``permutation_tables``."""
+    return sum(map(operator.getitem, tables, mask.to_bytes(len(tables), "little")))
 
 
 @dataclass(frozen=True, order=True)

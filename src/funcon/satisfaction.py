@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -42,6 +41,8 @@ from .core import (
     column_masks,
     constraint_universe_count,
     function_count,
+    permutation_tables,
+    permute,
     projection,
     ranks_of_mask,
     readings,
@@ -182,10 +183,10 @@ def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 @lru_cache(maxsize=32)
 def _orbit_plan(size: int, n: int, m: int, cod_size: int) -> tuple[list[int], list | None]:
     """Per m-point probe of the n-ary tables: its cross-row set as a rank mask
-    over A^m, and the fill: its representative's rank (points sorted) and byte
-    tables, table c sending bits 8c..8c+7 of the representative's value-tuple
-    mask to the bits they stand for at the probe, or None at a representative.
-    No fill at m = 1 or where m! permutations' tables pass 64 chunks of 256."""
+    over A^m, and the fill: its representative's rank (points sorted) and the
+    ``core.permutation_tables`` taking the representative's value-tuple mask to
+    the probe's, or None at a representative.  No fill at m = 1 or where m!
+    permutations' tables pass 64 chunks of 256."""
     points = size**n
     keys = [0] * points**m
     for j in range(n):  # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
@@ -193,17 +194,13 @@ def _orbit_plan(size: int, n: int, m: int, cod_size: int) -> tuple[list[int], li
         keys = [r | 1 << row for r, row in zip(keys, rows)]
     if m == 1 or math.factorial(m) * -(-(cod_size**m) // 8) > 64:  # m = 1 has nothing to fill
         return keys, None
-    tables, fill = {}, []
+    fill = []
     for q in range(points**m):
         probe = tuple_unrank(q, points, m)
-        order = sorted(range(m), key=probe.__getitem__)  # representative point j is probe[order[j]]
-        inverse = tuple(sorted(range(m), key=order.__getitem__))
-        if inverse not in tables:  # the probe reads the representative's value tuple u as u[inverse[i]]
-            bits = [1 << dest for dest in readings(inverse, m, cod_size)]
-            tables[inverse] = tuple(tuple(reduce(lambda table, bit: table + [t | bit for t in table], bits[c : c + 8], [0]))
-                                    for c in range(0, len(bits), 8))
+        order = tuple(sorted(range(m), key=probe.__getitem__))  # representative point j is probe[order[j]]
         rep = tuple_rank([probe[i] for i in order], points)
-        fill.append((rep, tables[inverse] if rep != q else None))
+        # the probe's value tuples are the representative's through the tight minor of order
+        fill.append((rep, permutation_tables(order, cod_size) if rep != q else None))
     return keys, fill
 
 
@@ -252,8 +249,7 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     walk(m, 0, 0, 0, class_mask)
     if fill is None:
         return masks
-    return [masks[rep] if tables is None else sum(map(operator.getitem, tables, masks[rep].to_bytes(len(tables), "little")))
-            for rep, tables in fill]
+    return [masks[rep] if tables is None else permute(tables, masks[rep]) for rep, tables in fill]
 
 
 def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:

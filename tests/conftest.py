@@ -9,6 +9,9 @@ from funcon import (
     FunctionClass,
     FunctionTable,
     Relation,
+    canonical_constraint,
+    minor_check,
+    relaxation_of,
     tuple_rank,
     tuple_unrank,
 )
@@ -69,6 +72,32 @@ def cm_m_calls(monkeypatch):
     return calls
 
 
+def minor_witnesses(res, t):
+    """Re-check the witness of every member of a cm result: a seed is in t or
+    canonical, a relaxation relaxes a member, a minor is the tight minor of
+    members.  Returns the (member, witness) pairs of kind minor."""
+    members = res.constraints
+    assert set(res.witnesses) == set(members.constraints())
+    seeds = set(t.constraints()) | {
+        canonical_constraint(kind, m, t.dom, t.cod) for kind in ("equality", "empty") for m in members.arities()
+    }
+    minors, parents = [], {}  # most members relax one of a few floors: check each parent once
+    for c, wit in res.witnesses.items():
+        if wit.kind == "seed":
+            assert c in seeds
+        elif wit.kind == "relaxation":
+            parent = parents.get((c.arity, wit.parent))
+            if parent is None:
+                parent = parents[c.arity, wit.parent] = members.decode(c.arity, wit.parent)
+                assert parent in members
+            assert relaxation_of(c, parent)
+        else:
+            assert all(f in members for f in wit.family)
+            assert minor_check(c, list(wit.family), wit.scheme, "tight", max_indets=wit.scheme.indets)
+            minors.append((c, wit))
+    return minors
+
+
 def monotone_tables(arity):
     """Independent oracle: pointwise-monotone Boolean tables of a given arity,
     checked by comparing all coordinatewise-ordered argument pairs."""
@@ -93,10 +122,13 @@ def monotone_tables(arity):
 # and variable permutations tau of the functions, one per arity
 
 
-def moved_ranks(size, arity, perm):
+def moved_ranks(size, arity, perm, sigma=None):
     """Entry r: the rank of the tuple of rank r over size^arity with perm
-    applied to every coordinate."""
-    return [tuple_rank([perm[e] for e in tuple_unrank(r, size, arity)], size) for r in range(size**arity)]
+    applied to every coordinate, and coordinate i then read from coordinate
+    sigma[i] (the identity when absent)."""
+    order = sigma or range(arity)
+    return [tuple_rank([perm[x[i]] for i in order], size)
+            for x in (tuple_unrank(r, size, arity) for r in range(size**arity))]
 
 
 def relabel_bits(bits, moved):
@@ -121,10 +153,13 @@ def relabel_class(k, pi_a, pi_b, taus=None):
     return FunctionClass.from_tables(k.dom, k.cod, tables)
 
 
-def relabel_constraints(t, pi_a, pi_b):
-    """Every member (R, S) of t as (pi_a R, pi_b S)."""
+def relabel_constraints(t, pi_a, pi_b, sigmas=None):
+    """Every member (R, S) of t as (pi_a R, pi_b S), with the coordinates of
+    both permuted by sigma = ``sigmas[m]`` at arity m (the identity when
+    absent): relabeling values and coordinates keeps satisfaction."""
     by_arity = {}
     for m in t.arities():
-        moved_a, moved_b = moved_ranks(t.dom.size, m, pi_a), moved_ranks(t.cod.size, m, pi_b)
+        sigma = (sigmas or {}).get(m)
+        moved_a, moved_b = moved_ranks(t.dom.size, m, pi_a, sigma), moved_ranks(t.cod.size, m, pi_b, sigma)
         by_arity[m] = [(relabel_bits(r, moved_a), relabel_bits(s, moved_b)) for r, s in t.ranks(m)]
     return ConstraintSet(t.dom, t.cod, by_arity)

@@ -24,7 +24,7 @@ from funcon import (
 )
 from funcon.core import BudgetExceededError, ConstraintSet, constraint_universe_count
 
-from conftest import BOOL, C_EQ2, C_LEQ, GEQ, cset
+from conftest import BOOL, C_EQ2, C_LEQ, GEQ, cset, minor_witnesses, moved_ranks, relabel_bits, relabel_constraints
 
 
 def q1_subset(rng, count):
@@ -90,29 +90,6 @@ def test_cm_witnesses_recheck_via_minor_check():
     assert checked > 0
 
 
-def minor_witnesses(res, t):
-    """Re-check the witness of every member of a cm result: a seed is in t or
-    canonical, a relaxation relaxes a member, a minor is the tight minor of
-    members.  Returns the (member, witness) pairs of kind minor."""
-    members = res.constraints
-    assert set(res.witnesses) == set(members.constraints())
-    seeds = set(t.constraints()) | {
-        canonical_constraint(kind, m, t.dom, t.cod) for kind in ("equality", "empty") for m in members.arities()
-    }
-    minors = []
-    for c, wit in res.witnesses.items():
-        if wit.kind == "seed":
-            assert c in seeds
-        elif wit.kind == "relaxation":
-            parent = members.decode(c.arity, wit.parent)
-            assert parent in members and relaxation_of(c, parent)
-        else:
-            assert all(f in members for f in wit.family)
-            assert minor_check(c, list(wit.family), wit.scheme, "tight", max_indets=wit.scheme.indets)
-            minors.append((c, wit))
-    return minors
-
-
 def test_cm_3_closure_of_even_parity_is_pinned():
     even = Relation.from_tuples(
         BOOL, 3, [t for t in itertools.product((0, 1), repeat=3) if sum(t) % 2 == 0]
@@ -175,6 +152,38 @@ def test_cm_2_closure_off_the_boolean_diagonal_is_pinned(sizes, seeds, size, dig
     assert len(res.constraints) == size
     assert hashlib.sha256(repr(sorted(res.constraints.ranks(2))).encode()).hexdigest()[:16] == digest
     assert minor_witnesses(res, t)
+
+
+# the (R, R) pairs of the six pool relations of the t15ii-m3 workload, and the six gap orbits of the
+# census of single Boolean ternary constraints (see tests/test_t15ii_gap.py), as rank masks
+POOL_M3 = [(r, r) for r in (126, 105, 139, 191, 254, 232)]
+GAP_ORBITS_M3 = [(22, 105), (22, 107), (22, 111), (41, 105), (41, 109), (41, 125)]
+
+
+@pytest.mark.parametrize("sizes, m, sets", [
+    pytest.param((2, 2), 3, [[pair] for pair in POOL_M3 + GAP_ORBITS_M3], id="2x2-m3"),
+    *[pytest.param(sizes, 2, [seeds], id=f"{sizes[0]}x{sizes[1]}-m2-{seeds[0][0]}")
+      for sizes, seeds, *_ in OFF_DIAGONAL_M2 if sizes in ((3, 2), (2, 3))],
+])
+def test_cm_m_closure_commutes_with_relabeling(sizes, m, sets):
+    """cm_m_closure(g T) = g cm_m_closure(T) for every g = (pi_A, pi_B, sigma):
+    value permutations of both sides and a permutation sigma of the m
+    coordinates, 24 of them at each size.  The closure's members are read off
+    its floors, so the floor of g R must be g floor(R), after as many rounds."""
+    dom, cod = DomainSpec("A", sizes[0]), DomainSpec("B", sizes[1])
+    relabelings = list(itertools.product(itertools.permutations(range(sizes[0])),
+                                         itertools.permutations(range(sizes[1])), itertools.permutations(range(m))))
+    assert len(relabelings) == 24
+    for seeds in sets:
+        t = ConstraintSet(dom, cod, {m: seeds})
+        res = cm_m_closure(t, m)
+        for pi_a, pi_b, sigma in relabelings:
+            moved = cm_m_closure(relabel_constraints(t, pi_a, pi_b, {m: sigma}), m)
+            moved_a, moved_b = moved_ranks(sizes[0], m, pi_a, sigma), moved_ranks(sizes[1], m, pi_b, sigma)
+            floors = [0] * len(res.floors[m])
+            for r, floor in enumerate(res.floors[m]):
+                floors[relabel_bits(r, moved_a)] = relabel_bits(floor, moved_b)
+            assert (moved.floors[m], moved.converged, moved.iterations) == (floors, res.converged, res.iterations)
 
 
 def test_cm_bounds_validation():

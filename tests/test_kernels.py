@@ -6,8 +6,8 @@ every probe, and of the constraint-side mask kernels (lift, projection, the floo
 maximal members, ``lo_n_closure``) against scalar pair-by-pair reference
 loops, of the cm fixpoint against the tuple-keyed all-pairs round loop, of
 ``core.subset_fold`` against a fold over ``core.submasks``, of the reading
-table ``core.readings`` and the tight minor built on it against digit-by-digit
-decoding, and of S_min, the separators ``fsc_n_of_csf_m`` and the floors
+table ``core.readings``, the permutation tables ``core.permutation_tables``
+and the tight minor built on them against digit-by-digit decoding, and of S_min, the separators ``fsc_n_of_csf_m`` and the floors
 ``csf_m`` read off the probe groups, against ``minimal_consequent``, and of the variable-substitution
 closures, which rank member tables through ``core.readings``, against
 ``substitute`` over every ``SubstitutionMap``."""
@@ -60,12 +60,16 @@ from funcon.core import (
     constraint_universe_count,
     function_count,
     mask_of_ranks,
+    permutation_tables,
+    permute,
     readings,
     submasks,
     subset_fold,
 )
 from funcon.satisfaction import _minimal_consequents, _orbit_plan, _probe_masks, probe_groups
 from funcon.minors import tight_minor_relation
+
+from conftest import minor_witnesses
 
 # (|A|, |B|) with the function arities n and the constraint arities m at
 # which the scalar references stay small; csf_reference scans the whole
@@ -538,44 +542,39 @@ def test_project_matches_block_loop():
 def fixpoint_reference(t, targets, bounds):
     """The round loop as a tuple-keyed scan over every pair i <= j of lifts,
     projecting each meet not seen before block by block: the floors, the
-    entered items in order, the rounds run and whether it converged."""
+    rounds run and whether it converged."""
     sa, sb = t.dom.size, t.cod.size
-    floors, entered = {}, {}
+    floors, entered = {}, {m: {} for m in targets}  # _add records its witnesses here, unread
     for m in targets:
-        full_a, full_b = (1 << sa**m) - 1, (1 << sb**m) - 1
         eq = tuple(sum(1 << x for x in readings((0,) * m, 1, size)) for size in (sa, sb))
-        floors[m] = [full_b] * (full_a + 1)
-        entered[m] = dict.fromkeys([(r, full_b) for r in range(full_a)], ("relaxation", (full_a, full_b)))
-        entered[m][full_a, full_b] = ("minor", 0, ((*eq, (0,) * m, m),))
+        floors[m] = [(1 << sb**m) - 1] * (1 << sa**m)
         for pair in [*t.ranks(m), eq, (0, 0)]:
-            entered[m][pair] = ("seed",)
             _add(floors[m], entered[m], pair, m)
     v, done, converged, iteration = bounds.max_indets, set(), False, 0
     for iteration in range(1, bounds.max_iterations + 1):
         changed = False
         maximals = {m: _maximal(floors[m], sa**m) for m in targets}
         for m in targets:
-            lifts = {}
+            lifts = set()
             for src_arity in targets:
                 for r, s in maximals[src_arity]:
                     for h in itertools.product(range(m + v), repeat=src_arity):
-                        lifts.setdefault((lift_reference(r, h, m, v, sa), lift_reference(s, h, m, v, sb)), (r, s, h, src_arity))
-            pairs, sources = list(lifts), list(lifts.values())
+                        lifts.add((lift_reference(r, h, m, v, sa), lift_reference(s, h, m, v, sb)))
+            pairs = list(lifts)
             for i, (la, lb) in enumerate(pairs):
-                for j, (la2, lb2) in enumerate(pairs[i:], i):
+                for la2, lb2 in pairs[i:]:
                     key = (m, la & la2, lb & lb2)
                     if key in done:
                         continue
                     done.add(key)
                     cand = (project_reference(key[1], m, v, sa), project_reference(key[2], m, v, sb))
                     if floors[m][cand[0]] & ~cand[1]:
-                        entered[m][cand] = ("minor", v, (sources[i],) if i == j else (sources[i], sources[j]))
                         _add(floors[m], entered[m], cand, m)
                         changed = True
         if not changed:
             converged = True
             break
-    return floors, {m: list(e.items()) for m, e in entered.items()}, iteration, converged
+    return floors, iteration, converged
 
 
 def boolean_ternary_set(ante, cons):
@@ -609,8 +608,11 @@ def test_fixpoint_matches_all_pairs_round():
     runs.append((random_pair_set(rng, gap.dom, gap.cod, 1, 1) | random_pair_set(rng, gap.dom, gap.cod, 2, 2), [1, 2, 3], CmBounds()))
     for t, targets, bounds in runs:
         res = cm_m_closure(t, targets[0], bounds) if len(targets) == 1 else cm_closure(t, len(targets), bounds)
-        entered = {m: list(e.items()) for m, e in res.entered.items()}
-        assert (res.floors, entered, res.iterations, res.converged) == fixpoint_reference(t, targets, bounds)
+        assert (res.floors, res.iterations, res.converged) == fixpoint_reference(t, targets, bounds)
+        # the engine meets one lift per orbit and adds permuted floors, so its witnesses are its own; the
+        # (3, 3) closure (all 262144 members) and the one to arity 3 (65808) take 10 s to decode and are left out
+        if len(res.constraints) < 10_000:
+            minor_witnesses(res, t)
 
 
 def readings_reference(h, k, size):
@@ -629,6 +631,20 @@ def test_readings_match_unrank_then_rank(size):
             assert readings(h, k, size) == readings_reference(h, k, size)
     with pytest.raises(ValueError):
         readings((2,), 2, size)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_permute_matches_readings_reference(size):
+    """The byte tables of ``core.permutation_tables`` move a rank mask R over
+    size^m to {x : x read through p is in R}, read tuple by tuple, for every
+    coordinate permutation p at m <= 4."""
+    rng = random.Random(30 + size)
+    for m in range(1, 5):
+        width = size**m
+        for p in itertools.permutations(range(m)):
+            reads = readings_reference(p, m, size)
+            for mask in [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(6))]:
+                assert permute(permutation_tables(p, size), mask) == sum(1 << x for x, read in enumerate(reads) if mask >> read & 1)
 
 
 def test_readings_table_is_filled_lazily():

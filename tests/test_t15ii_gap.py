@@ -1,7 +1,9 @@
 """A known gap of t15ii at m = 3: on {(one-in-three, even parity)} at n = 3
 the satisfaction side has 60 more constraints than the bounded cm closure
 followed by lo_3 reaches.  The extra constraints are genuinely satisfied by
-FSC_3(T), so the right side is incomplete, not the left side unsound."""
+FSC_3(T), so the right side is incomplete, not the left side unsound.  The
+census of single Boolean ternary constraints found five more gap orbits,
+pinned here by their sizes."""
 
 import itertools
 
@@ -55,10 +57,43 @@ def test_left_only_constraints_are_satisfied_by_fsc_3(sides):
 @pytest.mark.xfail(
     strict=True,
     reason="the bounded cm_m_closure is not complete at m = 3 (2300 vs 2360); "
-    "see ROADMAP items 5 (indicator certificate) and 6 (per-antecedent families)",
+    "see ROADMAP items 6 (indicator certificate) and 7 (per-antecedent families)",
 )
 def test_t15ii_one_in_three_even_parity_m3(sides):
     fsc, lhs, rhs = sides
+    assert lhs == rhs
+
+
+# The other five gap orbits of the census of single Boolean ternary constraints
+# {(R, S)}, as rank masks, with the sizes of both sides of t15ii at n = m = 3.
+CENSUS_GAPS = {
+    (22, 107): (2360, 2300),
+    (22, 111): (2360, 2300),
+    (41, 105): (2360, 2330),
+    (41, 109): (2360, 2330),
+    (41, 125): (2260, 2258),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CENSUS_GAPS), ids=lambda pair: "%d-%d" % pair)
+def census_sides(request):
+    t = ConstraintSet(BOOL, BOOL, {3: frozenset({request.param})})
+    return request.param, csf_m(fsc_n(t, 3), 3), lo_n_closure(cm_m_closure(t, 3).constraints, 3)
+
+
+def test_census_gap_sizes_are_pinned(census_sides):
+    pair, lhs, rhs = census_sides
+    assert (len(lhs), len(rhs)) == CENSUS_GAPS[pair]
+    assert rhs.issubset(lhs)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the bounded cm_m_closure is not complete at m = 3 on the census gap orbits; "
+    "see ROADMAP items 6 (indicator certificate) and 7 (per-antecedent families)",
+)
+def test_t15ii_census_gap_orbit_m3(census_sides):
+    pair, lhs, rhs = census_sides
     assert lhs == rhs
 
 
