@@ -28,8 +28,9 @@ seen, and each new one is projected by shift-ORs and 8-block tables
 (``_meet_projection``).  Semi-naive rounds: an old orbit meets the fresh lifts,
 a fresh one those from its own orbit on.  Witnesses are recorded as bit pairs
 for the pairs that enter and decoded, one per member, on first read.
-``lo_n_closure`` masks, per antecedent, the consequents present with it and
-folds their up-interiors over the subset lattice with ``core.subset_fold``.
+``lo_n_closure`` ORs floors over the subset lattice with ``core.subset_fold``,
+or else masks, per antecedent, the consequents present with it and folds their
+up-interiors.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
     Each target arity starts from the floor B^m at every antecedent and takes
     the members of t and the equality and empty constraints as seeds; sources
     for the minor moves are the maximal members of every target arity.  The
-    result's constraints are the floors expanded into members.
+    result's constraints are held as the floors.
     """
     dom, cod, v = t.dom, t.cod, bounds.max_indets
     for m in targets:
@@ -333,19 +334,30 @@ def lo_n_closure(
 
     Only constraints with more than n antecedent tuples are added, and the
     test reads only those with at most n, so one pass is the least fixpoint.
-    ``rows[r]`` masks the consequents present with antecedent r.  ``inner[r]``
-    is its up-interior for |r| <= n (the consequents all of whose supersets are
-    present, one shift-and-mask pass per consequent tuple) and all consequents
-    otherwise; a larger r gains the consequents it lacks in the AND of
-    ``inner`` over its subsets, one ``core.subset_fold``.
+    On floors, a larger r gains the consequents above the OR g(r) of the
+    floors of its subsets of at most n tuples, one ``core.subset_fold``, and
+    has a floor if floor(r) and g(r) are comparable.  Otherwise the pair pass
+    runs: ``rows[r]`` masks the consequents present with antecedent r.
+    ``inner[r]`` is its up-interior for |r| <= n (the consequents all of whose
+    supersets are present, one shift-and-mask pass per consequent tuple) and
+    all consequents otherwise; a larger r gains the consequents it lacks in
+    the AND of ``inner`` over its subsets, one ``core.subset_fold``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     dom, cod = t.dom, t.cod
     result: dict[int, frozenset[tuple[int, int]]] = {}
+    parts = []  # the arities that keep floors
     for m in t.arities():
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
         n_ante, width = 1 << dom.size**m, cod.size**m
+        floors = t._held.get(m)
+        if floors:
+            grown = subset_fold([f if r.bit_count() <= n else 0 for r, f in enumerate(floors)], operator.or_)
+            meets = tuple(f & g if r.bit_count() > n else f for r, (f, g) in enumerate(zip(floors, grown)))
+            if all(meet in (f, g) for meet, f, g in zip(meets, floors, grown)):  # else some r has two least consequents
+                parts.append(ConstraintSet.from_floors(dom, cod, m, meets))
+                continue
         rows = [0] * n_ante
         for r, s in t.ranks(m):
             rows[r] |= 1 << s
@@ -363,7 +375,7 @@ def lo_n_closure(
         added = [(r, s) for r in range(n_ante) if r.bit_count() > n for s in ranks_of_mask(shared[r] & ~rows[r])]
         result[m] = t.ranks(m).union(added)
     # the pairs of t were checked when t was built, and the added ones are in range
-    return ConstraintSet._of_keys(dom, cod, result)
+    return reduce(operator.or_, parts, ConstraintSet._of_keys(dom, cod, result))
 
 
 def lo_constraints_closure(

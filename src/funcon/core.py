@@ -8,16 +8,17 @@ ranks, so subset/intersection/union are single word operations.
 
 Both sides of the Galois connection share the arity-indexed container
 ``ArityIndexed``: members are held as integer keys and decoded only for I/O
-and witnesses.  A ``ConstraintSet`` holds each arity as a frozenset
-of ``(antecedent.bits, consequent.bits)`` pairs; ``from_floors`` builds one
-from the least consequent of each antecedent.  A ``FunctionClass`` keys an
+and witnesses.  A ``ConstraintSet`` holds each arity as a frozenset of
+``(antecedent.bits, consequent.bits)`` pairs or, from ``from_floors``, as the
+least consequent of each antecedent, its floor.  A ``FunctionClass`` keys an
 n-ary table by its rank, the table read as base-|B| digits with the first
 entry most significant, and holds each arity in the form that built it: a
 frozenset of ranks from the constructor and ``from_tables``, or a bitmask over
 the ranks from ``from_masks``, the form the kernels produce.  The other form
 is derived on first read and cached.  Every container operation (equality,
 subset, union, difference, ``len``, ``in``, ``tables``) reads ranks, so only
-``FunctionClass.mask`` builds a mask from ranks.
+``FunctionClass.mask`` builds a mask from ranks, except that floors give a
+``ConstraintSet`` its ``len``, a union over disjoint arities and a difference.
 ``column_masks`` gives, per argument point and value, the bitmask over the
 whole |B|^(|A|^n)-table universe of the ranks taking that value there, so the
 Galois maps become AND/OR operations on these truth-table columns.
@@ -428,15 +429,17 @@ class ArityIndexed:
     A subclass fixes its member type, ``_member``, and what a key is:
     ``_encode`` validates the members given for one arity and converts them to
     keys, ``decode`` turns one key back into a member.  The constructor takes the members of each arity as
-    ``by_arity``; ``arities`` and ``ranks`` read the keys back.  Empty arities
-    are dropped and the arities kept sorted.  ``|``, ``-`` and ``issubset``
-    take a collection of the same type over the same domains.
+    ``by_arity``; ``arities`` and ``ranks`` read the keys back.  A subclass may also hold an arity in
+    another form, ``_held``, which ``_derive`` turns into keys on first read.  Empty arities are dropped
+    and the arities kept sorted.  ``|``, ``-`` and ``issubset`` take a collection of the same type over
+    the same domains.
     """
 
     dom: DomainSpec
     cod: DomainSpec
     by_arity: InitVar[Mapping[int, Iterable]]
     _keys: dict[int, frozenset] = field(init=False, repr=False)
+    _held: dict[int, object] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self, by_arity: Mapping[int, Iterable]) -> None:
         out: dict[int, frozenset] = {}
@@ -463,10 +466,12 @@ class ArityIndexed:
         return cls(dom, cod, {})
 
     def arities(self) -> tuple[int, ...]:
-        return tuple(self._keys)
+        return tuple(sorted({*self._keys, *self._held}))
 
     def ranks(self, arity: int) -> frozenset:
-        """The keys of one arity."""
+        """The keys of one arity, derived from its held form on first read."""
+        if arity not in self._keys and arity in self._held:
+            self._keys[arity] = self._derive(arity, self._held[arity])
         return self._keys.get(arity, frozenset())
 
     def _by_arity(self) -> dict[int, frozenset]:
@@ -543,7 +548,6 @@ class FunctionClass(ArityIndexed):
     """
 
     _member = FunctionTable
-    _masks: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_masks(cls, dom: DomainSpec, cod: DomainSpec, masks: Mapping[int, int]) -> "FunctionClass":
@@ -553,7 +557,7 @@ class FunctionClass(ArityIndexed):
                 raise ValueError(f"mask out of range for arity {arity}")
         k = cls(dom, cod, {})
         # a mask in range holds valid ranks only, so the per-rank checks are skipped
-        k._masks.update((n, mask) for n, mask in masks.items() if mask)
+        k._held.update((n, mask) for n, mask in masks.items() if mask)
         return k
 
     def _encode(self, arity: int, members: frozenset) -> frozenset[int]:
@@ -583,14 +587,8 @@ class FunctionClass(ArityIndexed):
     ) -> "FunctionClass":
         return cls(dom, cod, _grouped_by_arity(tables))
 
-    def arities(self) -> tuple[int, ...]:
-        return tuple(sorted({*self._keys, *self._masks}))
-
-    def ranks(self, arity: int) -> frozenset[int]:
-        """The table ranks of one arity, derived from its mask on first read."""
-        if arity not in self._keys and arity in self._masks:
-            self._keys[arity] = ranks_of_mask(self._masks[arity])
-        return self._keys.get(arity, frozenset())
+    def _derive(self, arity: int, mask: int) -> frozenset[int]:
+        return ranks_of_mask(mask)
 
     def mask(self, arity: int) -> int:
         """The members of one arity as a bitmask over table ranks.
@@ -598,10 +596,10 @@ class FunctionClass(ArityIndexed):
         Built from ranks, the mask has ``function_count(dom, cod, arity)``
         bits, so callers check that count against their budget first.
         """
-        if arity not in self._masks and arity in self._keys:
+        if arity not in self._held and arity in self._keys:
             count = function_count(self.dom, self.cod, arity)
-            self._masks[arity] = mask_of_ranks(self._keys[arity], count)
-        return self._masks.get(arity, 0)
+            self._held[arity] = mask_of_ranks(self._keys[arity], count)
+        return self._held.get(arity, 0)
 
     def tables(self) -> list[FunctionTable]:
         return self._sorted_members()
@@ -611,8 +609,9 @@ class ConstraintSet(ArityIndexed):
     """An arity-indexed collection of constraints over a common A and B.
 
     Each arity holds the ``(antecedent.bits, consequent.bits)`` pairs of its
-    members.  The constructor also accepts ``Constraint`` members and converts
-    them; ``members`` and ``constraints`` decode constraints back.
+    members or, from ``from_floors``, the floor of each antecedent.  The
+    constructor also accepts ``Constraint`` members and converts them;
+    ``members`` and ``constraints`` decode constraints back.
     """
 
     _member = Constraint
@@ -649,12 +648,41 @@ class ConstraintSet(ArityIndexed):
     @classmethod
     def from_floors(cls, dom: DomainSpec, cod: DomainSpec, m: int, floors: Sequence[int]) -> "ConstraintSet":
         """The m-ary set of the (r, s) with s a superset of ``floors[r]``, the
-        least consequent of antecedent r."""
+        least consequent of antecedent r, held as its floors."""
         full = (1 << cod.size**m) - 1
         if len(floors) != 1 << dom.size**m or any(not 0 <= floor <= full for floor in floors):
             raise ValueError(f"floors out of range for arity {m}")
-        pairs = [(r, floor | extra) for r, floor in enumerate(floors) for extra in submasks(full & ~floor)]
-        return cls._of_keys(dom, cod, {m: frozenset(pairs)})
+        t = cls(dom, cod, {})
+        t._held[m] = tuple(floors)  # every floor has supersets, so a held arity is never empty
+        return t
+
+    def _derive(self, arity: int, floors: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+        full = (1 << self.cod.size**arity) - 1
+        return frozenset((r, f | extra) for r, f in enumerate(floors) for extra in submasks(full & ~f))
+
+    def __len__(self) -> int:
+        return sum(sum(1 << (self.cod.size**n - floor.bit_count()) for floor in self._held[n])
+                   if n in self._held else len(self._keys[n]) for n in self.arities())
+
+    def _combine(self, other, op):
+        """``op`` per arity, on floors where they decide it: an arity of one side
+        alone keeps its floors, and ``-`` of two floor-held arities takes the
+        (r, s) with s above the left floor of r but not above the right one."""
+        if (self.dom, self.cod) != (other.dom, other.cod):
+            raise DomainMismatchError("cannot combine collections over different domains")
+        keys, kept = {}, {}
+        for n in {*self.arities(), *other.arities()} if op is operator.or_ else self.arities():
+            left, right = self._held.get(n), other._held.get(n)
+            if left and n not in other.arities() or right and n not in self.arities():
+                kept[n] = left or right
+            elif left and right and op is operator.sub:
+                keys[n] = frozenset((r, a | extra) for r, (a, b) in enumerate(zip(left, right)) if b & ~a
+                                    for extra in submasks(~a & (1 << self.cod.size**n) - 1) if b & ~(a | extra))
+            else:
+                keys[n] = op(self.ranks(n), other.ranks(n))
+        out = self._of_keys(self.dom, self.cod, keys)
+        out._held.update(kept)
+        return out
 
     def constraints(self) -> list[Constraint]:
         return self._sorted_members()

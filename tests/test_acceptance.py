@@ -387,3 +387,65 @@ def test_acceptance_9_stdout_bytes_are_pinned(tmp_path, capsys):
             assert run_command(cache + argv) == 0
             out = capsys.readouterr().out
             assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == pinned, argv
+
+
+# one document over A = {0, 1, 2} and B = {0, 1}: classes and sets from A to B
+# and from B to A, for the (3, 2) and (2, 3) runs pinned below
+OFF_DIAGONAL_DOC = {
+    "domains": {"A": 3, "B": 2},
+    "functions": {
+        "ab": {"dom": "A", "cod": "B", "arity": 2, "table": [0, 1, 1, 0, 0, 1, 1, 1, 0]},
+        "ba": {"dom": "B", "cod": "A", "arity": 2, "table": [2, 0, 1, 2]},
+    },
+    "relations": {
+        "a1": {"domain": "A", "arity": 1, "tuples": [[0], [2]]},
+        "a2": {"domain": "A", "arity": 2, "tuples": [[0, 1], [2, 2]]},
+        "a2_wide": {"domain": "A", "arity": 2, "tuples": [[0, 0], [0, 2], [1, 0], [1, 2], [2, 1], [2, 2]]},
+        "b1": {"domain": "B", "arity": 1, "tuples": [[1]]},
+        "b2": {"domain": "B", "arity": 2, "tuples": [[0, 0], [0, 1], [1, 1]]},
+        "b2_eq": {"domain": "B", "arity": 2, "tuples": [[0, 0], [1, 1]]},
+    },
+    "constraints": {
+        "c32": {"antecedent": "a2", "consequent": "b2"},
+        "c32_eq": {"antecedent": "a2", "consequent": "b2_eq"},
+        "c32_1": {"antecedent": "a1", "consequent": "b1"},
+        "c23": {"antecedent": "b2", "consequent": "a2_wide"},
+        "c23_1": {"antecedent": "b1", "consequent": "a1"},
+    },
+    "classes": {"K32": {"dom": "A", "cod": "B", "members": ["ab"]}, "K23": {"dom": "B", "cod": "A", "members": ["ba"]}},
+    "sets": {
+        "T32": {"dom": "A", "cod": "B", "members": ["c32", "c32_eq"]},
+        "T32_1": {"dom": "A", "cod": "B", "members": ["c32_1"]},
+        "T23": {"dom": "B", "cod": "A", "members": ["c23"]},
+        "T23_1": {"dom": "B", "cod": "A", "members": ["c23_1"]},
+    },
+}
+
+# per command on OFF_DIAGONAL_DOC: exit code, sha256 and length of stdout; at
+# (3, 2) verify t12 refuses FSC over the 2^27 ternary tables (exit 3)
+OFF_DIAGONAL_STDOUT = [
+    (["verify", "t15ii", "--set", "T32", "--n", "2", "--m", "2"], (0, "c81ea6aaa402e42ff19cd6a3a10e4a9ee352f27f41baa3a93cc44f43f01d80c9", 115)),
+    (["verify", "t12", "--set", "T32_1", "--m", "1"], (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0)),
+    (["verify", "thm14", "--set", "T32", "--n", "2", "--m", "2"], (0, "8f4eed641f858bbf1d281fd578da2b7b4e8e06530638d3494c84073925bc172f", 113)),
+    (["close", "cmm", "--set", "T32", "--m", "2"], (0, "0ed31920245d0c80f2bab988f21c6e87a9df9f77d0a1a3279849ce92983dd080", 258365)),
+    (["close", "lon", "--set", "T32", "--n", "1"], (0, "e4c29959f0829a403a1e2397aa6a65a30b011162291a90787d6f78010d8b3402", 647)),
+    (["galois", "csf", "--class", "K32", "--arity", "2"], (0, "aa5b747e07922a63421cc41673761ca4f409daae56d1daf206cf0b71aaa0e87a", 305565)),
+    (["verify", "t15ii", "--set", "T23", "--n", "1", "--m", "2"], (0, "60914f4febb7366f8571960663717704a7710bfb67f920e18df517e72351f02f", 117)),
+    (["verify", "t12", "--set", "T23_1", "--m", "1"], (0, "99069b1b55ed4b9081b36fa2fd627cec4a9b613a6b0a2f6fd181bd54664f469a", 118)),
+    (["verify", "thm14", "--set", "T23", "--n", "2", "--m", "2"], (0, "8f4eed641f858bbf1d281fd578da2b7b4e8e06530638d3494c84073925bc172f", 113)),
+    (["close", "cmm", "--set", "T23", "--m", "2"], (0, "6055037aab253948118f7f55e1ed0096c702e3d6757b97fd04f87c9db384f59f", 606258)),
+    (["close", "lon", "--set", "T23", "--n", "2"], (0, "8eb1b4e48a4dcb20686ebe595a549aeffd80d7e59779f7352ba414c7b03361c1", 557)),
+    (["galois", "csf", "--class", "K23", "--arity", "2"], (0, "b7655fa2d1f80d0ede1bb8942a143ff08c0085603b92293928724318675374bd", 709922)),
+]
+
+
+def test_acceptance_9_off_diagonal_stdout_is_pinned(tmp_path, capsys):
+    from funcon.cli import run_command
+
+    doc = tmp_path / "off.json"
+    doc.write_text(json.dumps(OFF_DIAGONAL_DOC))
+    for argv, pinned in OFF_DIAGONAL_STDOUT:
+        argv = argv[:2] + ["--in", str(doc)] + argv[2:]
+        code = run_command(argv)
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), len(out)) == pinned, argv

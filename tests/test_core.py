@@ -205,6 +205,18 @@ def test_constraint_set_from_floors():
             ConstraintSet.from_floors(BOOL, BOOL, 1, bad)
 
 
+def test_t15ii_sides_stay_held_as_floors():
+    # csf_m and the cm closure build floors, lo_n_closure keeps them on cm-closed sets, and len and
+    # the report's differences read them: an equal verdict expands no set into pairs
+    t = cset(C_LEQ)
+    lhs, closure = csf_m(fsc_n(t, 2), 2), cm_m_closure(t, 2).constraints
+    rhs = lo_n_closure(closure, 2)
+    rep = _report("t15ii", {}, lhs, rhs)
+    assert (rep.verdict, rep.lhs_size, rep.rhs_size, len(closure)) == ("equal", 48, 48, 48)
+    assert not lhs - rhs and not rhs - lhs and lhs.issubset(rhs)
+    assert [x._keys for x in (lhs, closure, rhs)] == [{}, {}, {}]
+
+
 def test_collections_hash_alike_when_equal():
     by_ranks = cls(AND, fn((0, 1)))
     by_masks = FunctionClass.from_masks(BOOL, BOOL, {n: by_ranks.mask(n) for n in (1, 2)})

@@ -37,6 +37,7 @@ from funcon import (
     SubstitutionMap,
     cm_closure,
     cm_m_closure,
+    csf,
     csf_m,
     enumerate_constraints,
     enumerate_functions,
@@ -779,3 +780,71 @@ def test_lo_n_closure_matches_pair_sweep(sizes):
             assert closed == lo_n_reference(t, n)
             grown += len(closed) > len(t)
     assert grown  # the sweep is not vacuous
+
+
+def pair_held(t):
+    """The same set held as pairs."""
+    return ConstraintSet(t.dom, t.cod, {m: t.ranks(m) for m in t.arities()})
+
+
+# (|A|, |B|), m, and the seeds of cm_m_closure: one random constraint, or the (R, R) pairs of two
+# t15ii-m3 pool relations at Boolean m = 3
+FLOOR_CASES = [pytest.param(sizes, m, None, id=f"{sizes[0]}x{sizes[1]}-m{m}")
+               for sizes in [(2, 2), (3, 2), (2, 3), (3, 3)] for m in (1, 2)]
+FLOOR_CASES += [pytest.param((2, 2), 3, [(r, r)], id=f"2x2-m3-{r}") for r in (126, 139)]
+
+
+@pytest.mark.parametrize("sizes, m, seeds", FLOOR_CASES)
+def test_floor_held_sets_match_their_pairs(sizes, m, seeds):
+    """lo_n_closure at every n from 1 to |A|^m, len, - both ways and == on the
+    floor-held sets of csf_m, csf and cm_m_closure agree with the same sets
+    held as pairs, and lo_n_closure keeps their floors."""
+    dom, cod = domains(sizes)
+    rng = random.Random(sum(sizes) + 10 * m)
+    t = ConstraintSet(dom, cod, {m: seeds}) if seeds else ConstraintSet.from_constraints(
+        dom, cod, [random_constraint(rng, dom, cod, m)])
+    k = fsc_n(t, 1)
+    sets = [cm_m_closure(t, m).constraints, csf(k, m), csf_m(random_function_class(rng, dom, cod, 1, 1), m)]
+    # csf's union over the arities 1..m keeps each arity's floors
+    assert list(sets[1]._held) == list(range(1, m + 1))
+    assert sets[1] == functools.reduce(operator.or_, [pair_held(csf_m(k, j)) for j in range(1, m + 1)])
+    for n in range(1, dom.size**m + 1):
+        for x in sets[1:3]:  # csf sets are closed under lo_n, on either path
+            assert lo_n_closure(x, n)._held == x._held
+            assert lo_n_closure(pair_held(x), n) == x
+        closed = lo_n_closure(sets[0], n)
+        assert list(closed._held) == [m]  # cm-closed floors keep the floor path
+        assert closed == lo_n_closure(pair_held(sets[0]), n)
+        if closed._held != sets[-1]._held:  # lo_n stops growing from some n on
+            sets.append(closed)
+    pairs = list(map(pair_held, sets))
+    assert list(map(len, sets)) == list(map(len, pairs))
+    for (x, px), (y, py) in itertools.product(zip(sets, pairs), repeat=2):
+        assert (x - y).sorted_keys() == (px - py).sorted_keys() == (x - py).sorted_keys()
+        assert (x == y) == (px == py)
+    assert any(x != y for x, y in itertools.combinations(sets, 2))
+
+
+def test_floors_with_two_least_consequents_take_the_pair_path():
+    # floors not growing with the antecedent: at n = 1, {0, 1} keeps the s above its floor 2 and gains
+    # those above 1, the OR of the floors of its subsets, so the closure has two least consequents there
+    bool_ = DomainSpec("bool", 2)
+    t = ConstraintSet.from_floors(bool_, bool_, 1, [0, 1, 0, 2])
+    closed = lo_n_closure(t, 1)
+    assert not closed._held  # the pair path
+    assert closed.ranks(1) == t.ranks(1) | {(3, 1)}
+    rng = random.Random(3)
+    sets = [t] + [ConstraintSet.from_floors(bool_, bool_, 2, [rng.getrandbits(4) for _ in range(16)])
+                  for _ in range(3)]
+    paths = set()
+    for t in sets:
+        (m,) = t.arities()
+        for n in range(1, 2**m + 1):
+            closed = lo_n_closure(t, n)
+            assert closed == lo_n_closure(pair_held(t), n) == lo_n_reference(t, n)
+            assert len(closed) == len(pair_held(closed))
+            paths.add(bool(closed._held))
+        assert len(t) == len(pair_held(t))
+        for other in sets:
+            assert (t - other).sorted_keys() == (pair_held(t) - pair_held(other)).sorted_keys()
+    assert paths == {False, True}

@@ -17,7 +17,7 @@ from funcon import (
     verify_factorization,
     vs_n_closure,
 )
-from funcon.core import BudgetExceededError, ConstraintSet, FunctionClass
+from funcon.core import BudgetExceededError, ConstraintSet, DomainSpec, FunctionClass
 from funcon.instance_io import format_report
 from funcon.lab import (
     FACTORIZATION_IDENTITIES,
@@ -149,6 +149,29 @@ def test_t15ii_instances(rng):
     rep = verify_factorization("t15ii", cset(C_LEQ), n=4, m=2)
     assert rep.ok and rep.lhs_size == 48
     assert rep.parameters["cm_converged"]
+
+
+# the size of both sides of t15ii at m = 2 and n = 1, 2 on six two-constraint sets per (|A|, |B|), drawn
+# at seed 11; at (3, 3) four of the six reach all 262144 constraints
+T15II_OFF_DIAGONAL_M2 = {
+    (3, 2): [4104] * 2 + [8192] * 8 + [4104] * 2,
+    (2, 3): [4352] * 2 + [8192] * 2 + [4352] * 2 + [8192] * 4 + [1248, 920],
+    (3, 3): [262144] * 8 + [21120, 6776, 131328, 131328],
+}
+
+
+@pytest.mark.parametrize("sizes", sorted(T15II_OFF_DIAGONAL_M2), ids=lambda s: f"{s[0]}x{s[1]}")
+def test_t15ii_at_m_2_off_the_boolean_diagonal(sizes):
+    dom, cod = DomainSpec("A", sizes[0]), DomainSpec("B", sizes[1])
+    rng = random.Random(11)
+    found = []
+    for _ in range(6):
+        t = random_constraint_set(rng, dom, cod, 2, 2)
+        for n in (1, 2):
+            rep = verify_factorization("t15ii", t, n=n, m=2)
+            assert rep.ok, (sorted(t.ranks(2)), n, rep.symmetric_difference)
+            found.append(rep.lhs_size)
+    assert found == T15II_OFF_DIAGONAL_M2[sizes]
 
 
 def test_t15ii_never_turns_the_fsc_4_mask_into_ranks(monkeypatch):
