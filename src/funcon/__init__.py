@@ -29,14 +29,11 @@ from .satisfaction import (
     fsc_n_of_csf_m,
     image,
     minimal_consequent,
-    preserves,
     projections_class,
     satisfies,
-    trace_constraint,
 )
 from .function_closures import (
     SubstitutionMap,
-    lo_closure,
     lo_m_closure,
     substitute,
     vs_closure,
@@ -45,11 +42,7 @@ from .function_closures import (
 from .minors import (
     Scheme,
     compose_schemes,
-    coord,
-    identity_scheme,
-    indet,
     minor_check,
-    special_minor,
     tight_minor,
 )
 from .lab import (
@@ -67,7 +60,6 @@ from .constraint_closures import (
     CmResult,
     cm_closure,
     cm_m_closure,
-    lo_constraints_closure,
     lo_n_closure,
     union_closure_check,
 )

@@ -93,7 +93,8 @@ class CmResult:
     minor candidate, a new floor) to its witness, and following witnesses
     always ends at seeds: ``("seed",)``, ``("relaxation", parent_pair)`` or
     ``("minor", v, sources)`` with sources ``(r, s, h, src_arity)``; a v = 0
-    minor of one source through a permutation h is a floor's S_m image."""
+    minor of one source through a permutation h is a floor's S_m image.
+    ``witnesses`` decodes them for the tests and the bench's witness gate."""
 
     constraints: ConstraintSet
     converged: bool
@@ -217,7 +218,8 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
     """Shared engine for cm_m (single arity) and cm (cross-arity, capped).
 
     Each target arity starts from the floor B^m at every antecedent and takes
-    the members of t and the equality and empty constraints as seeds; sources
+    the members of t, or the (r, floor(r)) of an arity t holds as floors, and
+    the equality and empty constraints as seeds; sources
     for the minor moves are the maximal members of every target arity.  The
     result's constraints are held as the floors.
     """
@@ -241,7 +243,7 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
         # (A^m, B^m) is the tight minor of the equality seed through a constant map
         entered[m] = dict.fromkeys([(r, full_b) for r in range(full_a)], ("relaxation", (full_a, full_b)))
         entered[m][full_a, full_b] = ("minor", 0, ((*eq, (0,) * m, m),))
-        for pair in [*t.ranks(m), eq, (0, 0)]:
+        for pair in [*(enumerate(t._held[m]) if m in t._held else t.ranks(m)), eq, (0, 0)]:
             entered[m][pair] = ("seed",)
             _add(floors[m], entered[m], pair, m)
     done: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, packed meets projected
@@ -376,19 +378,6 @@ def lo_n_closure(
         result[m] = t.ranks(m).union(added)
     # the pairs of t were checked when t was built, and the added ones are in range
     return reduce(operator.or_, parts, ConstraintSet._of_keys(dom, cod, result))
-
-
-def lo_constraints_closure(
-    t: ConstraintSet, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> ConstraintSet:
-    """The unparametrized local closure; the identity on finite domains."""
-    if not t.arities():
-        return t
-    n = max(t.dom.size**m for m in t.arities())
-    closed = lo_n_closure(t, n, budget)
-    if closed != t:
-        raise RuntimeError("local closure must be the identity on finite domains")
-    return closed
 
 
 def union_closure_check(

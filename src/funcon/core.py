@@ -17,8 +17,9 @@ frozenset of ranks from the constructor and ``from_tables``, or a bitmask over
 the ranks from ``from_masks``, the form the kernels produce.  The other form
 is derived on first read and cached.  Every container operation (equality,
 subset, union, difference, ``len``, ``in``, ``tables``) reads ranks, so only
-``FunctionClass.mask`` builds a mask from ranks, except that floors give a
-``ConstraintSet`` its ``len``, a union over disjoint arities and a difference.
+``FunctionClass.mask`` builds a mask from ranks, except that equality compares
+the held forms where both sides hold one, and floors give a ``ConstraintSet``
+its ``len``, a union over disjoint arities and differences.
 ``column_masks`` gives, per argument point and value, the bitmask over the
 whole |B|^(|A|^n)-table universe of the ranks taking that value there, so the
 Galois maps become AND/OR operations on these truth-table columns.
@@ -26,7 +27,8 @@ Galois maps become AND/OR operations on these truth-table columns.
 Two kernels turn digits into ranks: ``tuple_rank`` ranks one tuple and
 checks its entries, and ``readings(h, k, size)`` tabulates, per k-tuple rank,
 the rank of that tuple read through the coordinate map h.  A variable
-substitution and a minor scheme's source map are both such readings.
+substitution, a minor scheme's source map and a ``projection`` (a member of
+the projection clone of the composition reference) are all such readings.
 ``column_masks`` and the signature and probe kernels of ``satisfaction``
 keep their own digit arithmetic: ``satisfies`` is their scalar reference in
 the differential tests, so it shares no code with them.
@@ -200,7 +202,8 @@ class FunctionTable:
 
 @dataclass(frozen=True)
 class Relation:
-    """An m-ary relation over a finite domain, stored as a bitmask of ranks."""
+    """An m-ary relation over a finite domain, stored as a bitmask of ranks;
+    ``contains_tuple`` reads one member by its tuple."""
 
     domain: DomainSpec
     arity: int
@@ -223,16 +226,6 @@ class Relation:
             if len(t) != arity:
                 raise ArityMismatchError(f"tuple {tuple(t)} does not have arity {arity}")
             bits |= 1 << tuple_rank(t, domain.size)
-        return cls(domain, arity, bits)
-
-    @classmethod
-    def from_ranks(cls, domain: DomainSpec, arity: int, ranks: Iterable[int]) -> "Relation":
-        bits = 0
-        limit = domain.size**arity
-        for r in ranks:
-            if not 0 <= r < limit:
-                raise ValueError(f"rank {r} out of range for {domain.name!r}^{arity}")
-            bits |= 1 << r
         return cls(domain, arity, bits)
 
     @classmethod
@@ -500,9 +493,12 @@ class ArityIndexed:
         return key in self.ranks(member.arity)
 
     def __eq__(self, other) -> bool:
+        """Per arity, the held forms where both sides hold one (each fixes its keys exactly), else the keys."""
         if type(other) is not type(self):
             return NotImplemented
-        return (self.dom, self.cod, self._by_arity()) == (other.dom, other.cod, other._by_arity())
+        return (self.dom, self.cod, self.arities()) == (other.dom, other.cod, other.arities()) and all(
+            self._held[n] == other._held[n] if n in self._held and n in other._held else self.ranks(n) == other.ranks(n)
+            for n in self.arities())
 
     def __hash__(self) -> int:
         return hash((self.dom, self.cod, self.arities()))
@@ -543,7 +539,7 @@ class FunctionClass(ArityIndexed):
     ``from_masks`` holds the bitmask over table ranks that the kernels produce
     (see ``mask``).  ``ranks`` derives the ranks of a held mask on first read
     and ``mask`` the mask of held ranks, each cached.  Every other operation
-    reads ranks, so only ``mask`` builds a mask.  ``members`` and ``tables``
+    but ``==`` of two held masks reads ranks, so only ``mask`` builds a mask.  ``members`` and ``tables``
     decode tables back for I/O and witnesses.
     """
 
@@ -666,8 +662,9 @@ class ConstraintSet(ArityIndexed):
 
     def _combine(self, other, op):
         """``op`` per arity, on floors where they decide it: an arity of one side
-        alone keeps its floors, and ``-`` of two floor-held arities takes the
-        (r, s) with s above the left floor of r but not above the right one."""
+        alone keeps its floors, ``-`` of two floor-held arities takes the (r, s)
+        with s above the left floor of r but not above the right one, and ``-``
+        of a floor-held arity from pairs keeps the (r, s) with s not above it."""
         if (self.dom, self.cod) != (other.dom, other.cod):
             raise DomainMismatchError("cannot combine collections over different domains")
         keys, kept = {}, {}
@@ -678,6 +675,8 @@ class ConstraintSet(ArityIndexed):
             elif left and right and op is operator.sub:
                 keys[n] = frozenset((r, a | extra) for r, (a, b) in enumerate(zip(left, right)) if b & ~a
                                     for extra in submasks(~a & (1 << self.cod.size**n) - 1) if b & ~(a | extra))
+            elif right and op is operator.sub:
+                keys[n] = frozenset((r, s) for r, s in self.ranks(n) if right[r] & ~s)
             else:
                 keys[n] = op(self.ranks(n), other.ranks(n))
         out = self._of_keys(self.dom, self.cod, keys)

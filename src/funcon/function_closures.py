@@ -2,12 +2,13 @@
 
 ``vs_closure`` realizes closure under simple variable substitutions (the class
 composed with the projection clone), reading member table ranks through
-``core.readings``; ``substitute`` is its one-table scalar reference.
+``core.readings``; ``substitute`` of one table through a ``SubstitutionMap`` is
+its scalar reference in the differential tests.
 ``lo_m_closure`` adds every function whose
 restriction to each size-<=m subset of its domain agrees with some member,
 computed on the column masks of ``core.column_masks`` as an AND over subsets
-of an OR over the class's value patterns there.  On finite domains the
-unparametrized local closure is the identity, which ``lo_closure`` checks.
+of an OR over the class's value patterns there.  From m = |A|^n on it is the
+identity at arity n: the unparametrized local closure on finite domains.
 """
 
 from __future__ import annotations
@@ -131,13 +132,3 @@ def lo_m_closure(
         result[n] = kept
     return FunctionClass.from_masks(dom, cod, result)
 
-
-def lo_closure(k: FunctionClass, budget: int = DEFAULT_ENUMERATION_BUDGET) -> FunctionClass:
-    """The unparametrized local closure; the identity on finite domains."""
-    if not k.arities():
-        return k
-    m = max(k.dom.size**n for n in k.arities())
-    closed = lo_m_closure(k, m, budget)
-    if closed != k:
-        raise RuntimeError("local closure must be the identity on finite domains")
-    return closed

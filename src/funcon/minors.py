@@ -4,7 +4,12 @@ A scheme assembles a target-arity relation from a family of source relations:
 each source map reads its coordinates either from the target tuple or from a
 shared pool of indeterminates, and membership in the tight minor is witnessed
 by an exhaustive search over assignments of domain elements to the
-indeterminates.
+indeterminates.  ``tight_minor_relation`` and ``tight_minor`` compute it, and
+``minor_check`` tests a candidate against it in the four modes: they re-check
+the minor witnesses of ``constraint_closures.cm_m_closure`` in the tests and
+the bench's witness gate.  ``compose_schemes`` flattens a two-level scheme
+stack into one scheme with the same tight minor, the transitivity lemma
+(acceptance 6) on which the soundness of the cm fixpoint's small steps rests.
 """
 
 from __future__ import annotations
@@ -26,16 +31,6 @@ from .core import (
 DEFAULT_SKOLEM_BUDGET = 2
 
 MODES = ("tight", "restrictive", "extensive", "conjunctive")
-
-
-def coord(i: int) -> tuple[str, int]:
-    """Scheme map entry reading target coordinate i (1-based)."""
-    return ("c", i)
-
-
-def indet(i: int) -> tuple[str, int]:
-    """Scheme map entry reading indeterminate i (1-based)."""
-    return ("v", i)
 
 
 @dataclass(frozen=True)
@@ -65,29 +60,6 @@ class Scheme:
                 if not 0 <= e < self.target + self.indets:
                     raise ValueError(f"map entry {e} out of range for target {self.target}, V={self.indets}")
 
-    @classmethod
-    def of(cls, target: int, indets: int, maps: Sequence[Sequence[tuple[str, int]]]) -> "Scheme":
-        """Build from tagged entries produced by coord()/indet()."""
-        encoded = []
-        for h in maps:
-            row = []
-            for kind, i in h:
-                if kind == "c":
-                    if not 1 <= i <= target:
-                        raise ValueError(f"coordinate {i} out of range 1..{target}")
-                    row.append(i - 1)
-                elif kind == "v":
-                    if not 1 <= i <= indets:
-                        raise ValueError(f"indeterminate {i} out of range 1..{indets}")
-                    row.append(target + i - 1)
-                else:
-                    raise ValueError(f"unknown entry kind {kind!r}")
-            encoded.append(tuple(row))
-        return cls(target, indets, tuple(encoded))
-
-    def source_arities(self) -> tuple[int, ...]:
-        return tuple(len(h) for h in self.maps)
-
     def normalized(self) -> "Scheme":
         """Drop unused indeterminates, renumbering the rest in order."""
         used = sorted({e for h in self.maps for e in h if e >= self.target})
@@ -96,11 +68,6 @@ class Scheme:
         remap = {e: self.target + i for i, e in enumerate(used)}
         maps = tuple(tuple(e if e < self.target else remap[e] for e in h) for h in self.maps)
         return Scheme(self.target, len(used), maps)
-
-
-def identity_scheme(m: int, source_count: int = 1) -> Scheme:
-    """source_count identity maps m -> m with no indeterminates."""
-    return Scheme(m, 0, tuple(tuple(range(m)) for _ in range(source_count)))
 
 
 def tight_minor_relation(
@@ -177,23 +144,6 @@ def minor_check(
     if mode == "extensive":
         return tm.consequent.issubset(candidate.consequent)
     return relaxation_of(candidate, tm)
-
-
-def special_minor(
-    c0: Constraint,
-    scheme: Scheme,
-    max_indets: int = DEFAULT_SKOLEM_BUDGET,
-) -> tuple[Constraint, frozenset[str]]:
-    """Tight minor of a single constraint, tagged simple and/or weak."""
-    flags = set()
-    if len(scheme.maps) == 1:
-        flags.add("simple")
-    if scheme.normalized().indets == 0:
-        flags.add("weak")
-    if not flags:
-        raise ValueError("scheme is neither single-source nor indeterminate-free")
-    family = [c0] * len(scheme.maps)
-    return tight_minor(family, scheme, max_indets), frozenset(flags)
 
 
 def compose_schemes(outer: Scheme, inner_schemes: Sequence[Scheme]) -> Scheme:

@@ -15,10 +15,11 @@ antecedents of at most n tuples the separators of ``fsc_n_of_csf_m``.
 route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
 checked against; this module imports nothing from the closure side.
 ``satisfies``, ``image`` and ``minimal_consequent`` evaluate one table at a
-time and serve as the scalar reference, sharing no code with these kernels.
-``trace_constraint`` builds the canonical separating constraint whose
-antecedent lists chosen columns and whose consequent collects the class's
-values on them.
+time and serve as the scalar reference, sharing no code with these kernels;
+the bench's tracer times ``satisfies`` and ``minimal_consequent``.
+``compose_classes`` and ``projections_class``, the clone of ``core.projection``,
+are the composition reference that ``function_closures.vs_closure``, the class
+composed with the projection clone, is tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from functools import lru_cache
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
-    ArityMismatchError,
     Constraint,
     ConstraintSet,
     DomainMismatchError,
@@ -79,13 +79,6 @@ def satisfies(f: FunctionTable, c: Constraint) -> bool:
         cons >> tuple_rank(f.apply_pointwise(choice), cod_size) & 1
         for choice in itertools.product(c.antecedent.tuples(), repeat=f.arity)
     )
-
-
-def preserves(f: FunctionTable, r: Relation) -> bool:
-    """The A=B specialization: f preserves R iff f satisfies (R, R)."""
-    if f.dom != f.cod:
-        raise DomainMismatchError("preservation needs dom = cod")
-    return satisfies(f, Constraint(r, r))
 
 
 def compose_classes(outer: FunctionClass, inner: FunctionClass, cap: int) -> FunctionClass:
@@ -336,24 +329,6 @@ def fsc_n_of_csf_m(k: FunctionClass, n: int, m: int, budget: int = DEFAULT_ENUME
     # refuse before building the separators
     within_budget(function_count(k.dom, k.cod, n), budget, f"fsc_{n} candidate functions")
     return fsc_n(ConstraintSet(k.dom, k.cod, {m: _minimal_consequents(k, m, n, budget).items()}), n, budget)
-
-
-def trace_constraint(k: FunctionClass, columns: list[tuple[int, ...]]) -> Constraint:
-    """The separating constraint for n chosen columns a1..an in A^m.
-
-    Antecedent {a1..an}; consequent = the values of the arity-n part of the
-    class applied to the columns as a matrix.
-    """
-    if not columns:
-        raise ValueError("need at least one column")
-    m = len(columns[0])
-    if any(len(c) != m for c in columns):
-        raise ArityMismatchError("columns must share one arity")
-    ante = Relation.from_tuples(k.dom, m, columns)
-    cons_bits = 0
-    for f in k.members(len(columns)):
-        cons_bits |= 1 << tuple_rank(f.apply_pointwise(columns), k.cod.size)
-    return Constraint(ante, Relation(k.cod, m, cons_bits))
 
 
 def minimal_consequent(k: FunctionClass, r: Relation) -> Relation:

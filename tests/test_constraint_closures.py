@@ -16,7 +16,6 @@ from funcon import (
     cm_closure,
     cm_m_closure,
     cm_m_oracle,
-    lo_constraints_closure,
     lo_n_closure,
     minor_check,
     relaxation_of,
@@ -239,7 +238,7 @@ def test_lo_n_chain_descends_and_stabilizes():
 
 def test_lo_constraints_closure_identity():
     t = cm_m_closure(cset(C_LEQ), 2).constraints
-    assert lo_constraints_closure(t) == t
+    assert lo_n_closure(t, 2**2) == t  # at n = |A|^m
 
 
 def test_union_closure_check():

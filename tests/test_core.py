@@ -15,12 +15,10 @@ from funcon import (
     Scheme,
     canonical_constraint,
     cm_m_closure,
-    coord,
     csf_m,
     enumerate_constraints,
     enumerate_functions,
     fsc_n,
-    indet,
     lo_m_closure,
     lo_n_closure,
     projection,
@@ -152,7 +150,7 @@ def test_enumeration_counts_and_budget():
 
 
 TRI = DomainSpec("tri", 3)
-COMPOSE = Scheme.of(2, 1, [[coord(1), indet(1)], [indet(1), coord(2)]])
+COMPOSE = Scheme(2, 1, ((0, 2), (2, 1)))  # h1 reads (c1, v1), h2 (v1, c2)
 
 # every guarded public entry point: a call under a given budget, and the count
 # its guard compares with that budget

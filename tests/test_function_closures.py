@@ -5,7 +5,6 @@ from funcon import (
     BudgetExceededError,
     SubstitutionMap,
     compose_classes,
-    lo_closure,
     lo_m_closure,
     projections_class,
     substitute,
@@ -109,11 +108,11 @@ def test_lo_closure_is_identity_on_finite_domains(rng):
 
     for _ in range(10):
         k = random_function_class(rng, BOOL, BOOL, 2, 5)
-        assert lo_closure(k) == k
+        assert lo_m_closure(k, 2**2) == k  # at m = |A|^n
 
 
 def test_empty_class_closures():
     empty = FunctionClass.empty(BOOL, BOOL)
     assert vs_closure(empty, 2) == empty
     assert lo_m_closure(empty, 1) == empty
-    assert lo_closure(empty) == empty
+    assert lo_m_closure(empty, 4) == empty

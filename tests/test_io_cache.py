@@ -11,12 +11,10 @@ from funcon import (
     DomainSpec,
     FunctionClass,
     Scheme,
-    coord,
     csf,
     csf_m,
     fsc,
     fsc_n,
-    indet,
     random_function_class,
 )
 from funcon.core import constraint_universe_count, function_count
@@ -306,7 +304,7 @@ def test_each_document_check_names_the_binding(text, error, message):
 
 
 def test_scheme_literal_roundtrip():
-    s = Scheme.of(2, 1, [[coord(1), indet(1)], [indet(1), coord(2)]])
+    s = Scheme(2, 1, ((0, 2), (2, 1)))
     text = scheme_literal(s)
     assert text == "target=2; V=1; h1=[c1,v1]; h2=[v1,c2]"
     assert parse_scheme_literal(text) == s

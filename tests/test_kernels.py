@@ -135,7 +135,7 @@ def random_constraint(rng, dom, cod, m):
     ante_universe, cons_universe = dom.size**m, cod.size**m
     ante = rng.sample(range(ante_universe), rng.randint(1, min(3, ante_universe)))
     cons = rng.sample(range(cons_universe), rng.randint(cons_universe // 2, cons_universe))
-    return Constraint(Relation.from_ranks(dom, m, ante), Relation.from_ranks(cod, m, cons))
+    return Constraint(Relation(dom, m, mask_of_ranks(ante, dom.size**m)), Relation(cod, m, mask_of_ranks(cons, cod.size**m)))
 
 
 @pytest.mark.parametrize("sizes, arities, constraint_arities", DOMAIN_PAIRS)
@@ -210,7 +210,7 @@ def test_vs_closures_match_substitute_reference(sizes, arities, constraint_ariti
 
 def separators_reference(k: FunctionClass, n: int, m: int) -> list[tuple[int, int]]:
     antecedents = (
-        Relation.from_ranks(k.dom, m, ranks)
+        Relation(k.dom, m, mask_of_ranks(ranks, k.dom.size**m))
         for j in range(n + 1)
         for ranks in itertools.combinations(range(k.dom.size**m), j)
     )
@@ -787,6 +787,20 @@ def pair_held(t):
     return ConstraintSet(t.dom, t.cod, {m: t.ranks(m) for m in t.arities()})
 
 
+def assert_floors_decide(sets, monkeypatch):
+    """== between floor-held sets and a pair-held set minus a floor-held one agree
+    with the same sets held as pairs, and derive no pairs from the floors."""
+    pairs = list(map(pair_held, sets))
+    fresh = [functools.reduce(operator.or_, [ConstraintSet.from_floors(t.dom, t.cod, m, t._held[m])
+                                             for m in t.arities()]) for t in sets]
+    derived, real = [], ConstraintSet._derive
+    monkeypatch.setattr(ConstraintSet, "_derive", lambda self, *args: derived.append(args) or real(self, *args))
+    for (x, px), (y, py) in itertools.product(zip(fresh, pairs), repeat=2):
+        assert (x == y) == (px == py)
+        assert (px - y).sorted_keys() == (px - py).sorted_keys()
+    assert not derived
+
+
 # (|A|, |B|), m, and the seeds of cm_m_closure: one random constraint, or the (R, R) pairs of two
 # t15ii-m3 pool relations at Boolean m = 3
 FLOOR_CASES = [pytest.param(sizes, m, None, id=f"{sizes[0]}x{sizes[1]}-m{m}")
@@ -795,10 +809,11 @@ FLOOR_CASES += [pytest.param((2, 2), 3, [(r, r)], id=f"2x2-m3-{r}") for r in (12
 
 
 @pytest.mark.parametrize("sizes, m, seeds", FLOOR_CASES)
-def test_floor_held_sets_match_their_pairs(sizes, m, seeds):
+def test_floor_held_sets_match_their_pairs(sizes, m, seeds, monkeypatch):
     """lo_n_closure at every n from 1 to |A|^m, len, - both ways and == on the
     floor-held sets of csf_m, csf and cm_m_closure agree with the same sets
-    held as pairs, and lo_n_closure keeps their floors."""
+    held as pairs, lo_n_closure keeps their floors, and floors alone decide ==
+    and a pair-held set minus a floor-held one."""
     dom, cod = domains(sizes)
     rng = random.Random(sum(sizes) + 10 * m)
     t = ConstraintSet(dom, cod, {m: seeds}) if seeds else ConstraintSet.from_constraints(
@@ -823,9 +838,10 @@ def test_floor_held_sets_match_their_pairs(sizes, m, seeds):
         assert (x - y).sorted_keys() == (px - py).sorted_keys() == (x - py).sorted_keys()
         assert (x == y) == (px == py)
     assert any(x != y for x, y in itertools.combinations(sets, 2))
+    assert_floors_decide(sets, monkeypatch)
 
 
-def test_floors_with_two_least_consequents_take_the_pair_path():
+def test_floors_with_two_least_consequents_take_the_pair_path(monkeypatch):
     # floors not growing with the antecedent: at n = 1, {0, 1} keeps the s above its floor 2 and gains
     # those above 1, the OR of the floors of its subsets, so the closure has two least consequents there
     bool_ = DomainSpec("bool", 2)
@@ -848,3 +864,29 @@ def test_floors_with_two_least_consequents_take_the_pair_path():
         for other in sets:
             assert (t - other).sorted_keys() == (pair_held(t) - pair_held(other)).sorted_keys()
     assert paths == {False, True}
+    # floors fix the set whether or not they grow with the antecedent: one changed floor is another set
+    changed = ConstraintSet.from_floors(bool_, bool_, 2, [f ^ (r == 5) for r, f in enumerate(sets[1]._held[2])])
+    assert_floors_decide([*sets, changed], monkeypatch)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)], ids=["2x2", "3x2", "2x3"])
+def test_cm_fixpoint_seeds_floor_held_input_by_its_floors(sizes, monkeypatch):
+    """A floor-held input enters the cm fixpoint as one (r, floor(r)) per
+    antecedent: floors, rounds and convergence, cut off or not, are those of
+    the same set held as pairs, and every witness re-checks."""
+    dom, cod = domains(sizes)
+    rng = random.Random(7 * sizes[0] + sizes[1])
+    adds = []
+    monkeypatch.setattr("funcon.constraint_closures._add", lambda *args: adds.append(args[2]) or _add(*args))
+    for m in (1, 2):
+        t = ConstraintSet.from_constraints(dom, cod, [random_constraint(rng, dom, cod, m)])
+        floors = [rng.getrandbits(cod.size**m) for _ in range(1 << dom.size**m)]  # not growing with r
+        inputs = [cm_m_closure(t, m).constraints, csf_m(random_function_class(rng, dom, cod, 1, 2), m),
+                  ConstraintSet.from_floors(dom, cod, m, floors)]
+        for x, bounds in itertools.product(inputs, [CmBounds(), CmBounds(max_iterations=1)]):
+            pairs = cm_m_closure(pair_held(x), m, bounds)
+            del adds[:]
+            held = cm_m_closure(ConstraintSet.from_floors(dom, cod, m, x._held[m]), m, bounds)
+            assert (held.floors, held.iterations, held.converged) == (pairs.floors, pairs.iterations, pairs.converged)
+            assert adds[: 1 << dom.size**m] == list(enumerate(x._held[m]))  # one seed per antecedent
+            minor_witnesses(held, x)

@@ -10,38 +10,36 @@ from funcon import (
     Relation,
     Scheme,
     compose_schemes,
-    coord,
     enumerate_functions,
-    indet,
     minor_check,
     relaxation_of,
     satisfies,
-    special_minor,
     tight_minor,
 )
-from funcon.minors import identity_scheme, tight_minor_relation
+from funcon.instance_io import parse_scheme_literal
+from funcon.minors import tight_minor_relation
 
 from conftest import BOOL, C_LEQ, GEQ, LEQ, cset
 
 
-SWAP = Scheme.of(2, 0, [[coord(2), coord(1)]])
-COMPOSE = Scheme.of(2, 1, [[coord(1), indet(1)], [indet(1), coord(2)]])
+SWAP = Scheme(2, 0, ((1, 0),))
+COMPOSE = Scheme(2, 1, ((0, 2), (2, 1)))  # h1 reads (c1, v1), h2 (v1, c2)
+IDENTITY2 = Scheme(2, 0, ((0, 1), (0, 1)))  # two identity maps
 
 
 def test_scheme_builder_and_validation():
-    s = Scheme.of(2, 1, [[coord(1), indet(1)]])
-    assert s.maps == ((0, 2),)
-    assert s.source_arities() == (2,)
+    s = parse_scheme_literal("target=2; V=1; h1=[c1,v1]")
+    assert s == Scheme(2, 1, ((0, 2),))
     with pytest.raises(ValueError):
-        Scheme.of(2, 0, [[coord(3)]])
+        Scheme(2, 0, ((2,),))  # coordinate 3 of a binary target
     with pytest.raises(ValueError):
-        Scheme.of(2, 1, [[indet(2)]])
+        Scheme(2, 1, ((3,),))  # indeterminate 2 of 1
     with pytest.raises(ValueError):
         Scheme(2, 0, ())
 
 
 def test_scheme_normalization_drops_unused_indeterminates():
-    s = Scheme.of(2, 3, [[coord(1), indet(3)]])
+    s = Scheme(2, 3, ((0, 4),))  # reads c1 and v3
     norm = s.normalized()
     assert norm.indets == 1
     assert norm.maps == ((0, 2),)
@@ -56,7 +54,7 @@ def test_tight_minor_swap():
 def test_tight_minor_relation_reports_a_domain_mismatch():
     t = DomainSpec("t", 3)
     with pytest.raises(DomainMismatchError):
-        tight_minor_relation([LEQ, Relation.full(t, 2)], identity_scheme(2, 2))
+        tight_minor_relation([LEQ, Relation.full(t, 2)], IDENTITY2)
     with pytest.raises(DomainMismatchError):
         tight_minor_relation([LEQ], SWAP, domain=t)
 
@@ -71,14 +69,14 @@ def test_tight_minor_intersection_via_identity_scheme():
     for b1 in range(16):
         for b2 in range(16):
             r1, r2 = Relation(BOOL, 2, b1), Relation(BOOL, 2, b2)
-            got = tight_minor_relation([r1, r2], identity_scheme(2, 2))
+            got = tight_minor_relation([r1, r2], IDENTITY2)
             assert got == (r1 & r2)
 
 
 def test_equality_m_from_binary_equalities():
     # =_3 arises from =_2 minors: h1 reads (1,2), h2 reads (2,3)
     eq2 = Relation.from_tuples(BOOL, 2, [(0, 0), (1, 1)])
-    scheme = Scheme.of(3, 0, [[coord(1), coord(2)], [coord(2), coord(3)]])
+    scheme = Scheme(3, 0, ((0, 1), (1, 2)))
     got = tight_minor_relation([eq2, eq2], scheme)
     assert sorted(got.tuples()) == [(0, 0, 0), (1, 1, 1)]
 
@@ -94,19 +92,6 @@ def test_minor_check_modes():
     relaxed = Constraint(shrunk.antecedent, grown.consequent)
     assert minor_check(relaxed, [C_LEQ], SWAP, "conjunctive")
     assert relaxation_of(relaxed, tm)
-
-
-def test_special_minor_flags():
-    _, flags = special_minor(C_LEQ, SWAP)
-    assert flags == frozenset({"simple", "weak"})
-    single = Scheme.of(1, 1, [[coord(1), indet(1)]])
-    _, flags = special_minor(C_LEQ, single)
-    assert flags == frozenset({"simple"})
-    weak_two = Scheme.of(2, 0, [[coord(1), coord(2)], [coord(2), coord(1)]])
-    _, flags = special_minor(C_LEQ, weak_two)
-    assert flags == frozenset({"weak"})
-    with pytest.raises(ValueError):
-        special_minor(C_LEQ, COMPOSE)  # two sources and an indeterminate
 
 
 def test_satisfaction_transported_by_conjunctive_minors():

@@ -23,17 +23,15 @@ from funcon import (
     fsc_n_of_csf_m,
     image,
     minimal_consequent,
-    preserves,
     projections_class,
     random_function_class,
     satisfies,
-    trace_constraint,
     verify_factorization,
     vs_closure,
 )
 
 from funcon.core import DEFAULT_ENUMERATION_BUDGET, constraint_universe_count
-from funcon.satisfaction import probe_groups
+from funcon.satisfaction import _minimal_consequents, probe_groups
 
 from conftest import (
     AND,
@@ -109,8 +107,9 @@ def test_satisfies_matches_image_containment():
 
 
 def test_preserves():
-    assert preserves(AND, LEQ)
-    assert not preserves(NEGATION, LEQ)
+    # f preserves R iff f satisfies (R, R)
+    assert satisfies(AND, Constraint(LEQ, LEQ))
+    assert not satisfies(NEGATION, Constraint(LEQ, LEQ))
 
 
 def test_compose_classes_realizes_substitutions():
@@ -244,13 +243,15 @@ def test_fsc_unions_the_fsc_n_masks_without_decoding_ranks(monkeypatch):
 
 
 def test_trace_constraint():
+    # the separator over the columns (0,1), (1,1) is (R, S_min(R))
     k = cls(AND, OR)
-    c = trace_constraint(k, [(0, 1), (1, 1)])
-    assert sorted(c.antecedent.tuples()) == [(0, 1), (1, 1)]
+    r = Relation.from_tuples(BOOL, 2, [(0, 1), (1, 1)])
+    s = minimal_consequent(k, r)
     # AND gives (0,1), OR gives (1,1)
-    assert sorted(c.consequent.tuples()) == [(0, 1), (1, 1)]
+    assert s.tuples() == [(0, 1), (1, 1)]
+    assert _minimal_consequents(k, 2, 2, DEFAULT_ENUMERATION_BUDGET)[r.bits] == s.bits
     for f in k.tables():
-        assert satisfies(f, c)
+        assert satisfies(f, Constraint(r, s))
 
 
 def test_minimal_consequent_is_union_of_images():
@@ -298,6 +299,33 @@ def test_csf_m_commutes_with_value_permutations_and_ignores_variable_order(sizes
             assert probe_groups(reordered, m, budget) == groups
             if fits:
                 assert csf_m(reordered, m) == csf_m(k, m)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)])
+def test_fsc_n_commutes_with_value_permutations_and_ignores_coordinate_order(sizes):
+    """fsc_n(pi t) = pi fsc_n(t) for value permutations (pi_A, pi_B), and
+    fsc_n(t sigma) = fsc_n(t) for coordinate permutations sigma of the
+    constraints, at n, m <= 2."""
+    a, b = sizes
+    dom = DomainSpec("a", a)
+    cod = dom if a == b else DomainSpec("b", b)
+    rng = random.Random(35 * a + b)
+    identity_a, identity_b = list(range(a)), list(range(b))
+    partial = 0  # the classes neither empty nor full
+    for m, count in itertools.product((1, 2), (1, 2, 3)):
+        # antecedents of about a quarter of A^m and consequents of about three quarters of B^m
+        # keep fsc_n away from both the empty and the full class
+        ante, cons = 1 << a**m, 1 << b**m
+        t = ConstraintSet(dom, cod, {m: {(rng.randrange(1, ante) & rng.randrange(ante) or 1,
+                                           rng.randrange(cons) | rng.randrange(cons)) for _ in range(count)}})
+        swapped = relabel_constraints(t, identity_a, identity_b, {m: [*range(1, m), 0]})
+        for n in (1, 2):
+            k = fsc_n(t, n)
+            partial += 0 < len(k) < b ** (a**n)
+            for pi_a, pi_b in zip(value_permutations(a), value_permutations(b)[::-1]):
+                assert fsc_n(relabel_constraints(t, pi_a, pi_b), n) == relabel_class(k, pi_a, pi_b)
+            assert fsc_n(swapped, n) == k
+    assert partial >= 8, partial
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)])
