@@ -46,6 +46,7 @@ from .core import (
     ArityMismatchError,
     Constraint,
     ConstraintSet,
+    canonical_constraint,
     capped_arities,
     constraint_universe_count,
     permutation_tables,
@@ -87,9 +88,9 @@ class MinorWitness:
 
 @dataclass
 class CmResult:
-    """The closure with its floors: ``floors[m][r]`` is the least consequent
-    of antecedent r, and the members are the (r, s) with s a superset of it.
-    ``entered[m]`` maps each bit pair that entered the fixpoint (a seed, a new
+    """The closure, held as floors: ``constraints.floors(m)[r]`` is the least
+    consequent of antecedent r, and the members are the (r, s) with s a superset
+    of it.  ``entered[m]`` maps each bit pair that entered the fixpoint (a seed, a new
     minor candidate, a new floor) to its witness, and following witnesses
     always ends at seeds: ``("seed",)``, ``("relaxation", parent_pair)`` or
     ``("minor", v, sources)`` with sources ``(r, s, h, src_arity)``; a v = 0
@@ -99,7 +100,6 @@ class CmResult:
     constraints: ConstraintSet
     converged: bool
     iterations: int
-    floors: dict[int, list[int]] = field(default_factory=dict, repr=False)
     entered: dict[int, dict[tuple[int, int], tuple]] = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -109,9 +109,8 @@ class CmResult:
         decode = self.constraints.decode
         out = {}
         for m, entered in self.entered.items():
-            floors = self.floors[m]
             for pair in self.constraints.ranks(m):
-                kind, *rest = entered.get(pair) or ("relaxation", (pair[0], floors[pair[0]]))
+                kind, *rest = entered.get(pair) or ("relaxation", (pair[0], self.constraints.floors(m)[pair[0]]))
                 if kind == "minor":
                     v, sources = rest
                     family = tuple(decode(n, (r, s)) for r, s, _, n in sources)
@@ -238,12 +237,13 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
     entered: dict[int, dict[tuple[int, int], tuple]] = {}
     for m in targets:
         full_a, full_b = (1 << sa**m) - 1, (1 << sb**m) - 1
-        eq = tuple(sum(1 << x for x in readings((0,) * m, 1, size)) for size in (sa, sb))
+        seeds = [canonical_constraint(kind, m, dom, cod) for kind in ("equality", "empty")]
+        eq, empty = [(c.antecedent.bits, c.consequent.bits) for c in seeds]
         floors[m] = [full_b] * (full_a + 1)
         # (A^m, B^m) is the tight minor of the equality seed through a constant map
         entered[m] = dict.fromkeys([(r, full_b) for r in range(full_a)], ("relaxation", (full_a, full_b)))
         entered[m][full_a, full_b] = ("minor", 0, ((*eq, (0,) * m, m),))
-        for pair in [*(enumerate(t._held[m]) if m in t._held else t.ranks(m)), eq, (0, 0)]:
+        for pair in [*(enumerate(t.floors(m)) if t.floors(m) else t.ranks(m)), eq, empty]:
             entered[m][pair] = ("seed",)
             _add(floors[m], entered[m], pair, m)
     done: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, packed meets projected
@@ -300,7 +300,7 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             converged = True
             break
     constraints = reduce(operator.or_, (ConstraintSet.from_floors(dom, cod, m, floors[m]) for m in targets))
-    return CmResult(constraints, converged, iteration, floors, entered)
+    return CmResult(constraints, converged, iteration, entered)
 
 
 def cm_m_closure(
@@ -353,8 +353,7 @@ def lo_n_closure(
     for m in t.arities():
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
         n_ante, width = 1 << dom.size**m, cod.size**m
-        floors = t._held.get(m)
-        if floors:
+        if floors := t.floors(m):
             grown = subset_fold([f if r.bit_count() <= n else 0 for r, f in enumerate(floors)], operator.or_)
             meets = tuple(f & g if r.bit_count() > n else f for r, (f, g) in enumerate(zip(floors, grown)))
             if all(meet in (f, g) for meet, f, g in zip(meets, floors, grown)):  # else some r has two least consequents

@@ -8,18 +8,16 @@ ranks, so subset/intersection/union are single word operations.
 
 Both sides of the Galois connection share the arity-indexed container
 ``ArityIndexed``: members are held as integer keys and decoded only for I/O
-and witnesses.  A ``ConstraintSet`` holds each arity as a frozenset of
-``(antecedent.bits, consequent.bits)`` pairs or, from ``from_floors``, as the
-least consequent of each antecedent, its floor.  A ``FunctionClass`` keys an
-n-ary table by its rank, the table read as base-|B| digits with the first
-entry most significant, and holds each arity in the form that built it: a
-frozenset of ranks from the constructor and ``from_tables``, or a bitmask over
-the ranks from ``from_masks``, the form the kernels produce.  The other form
-is derived on first read and cached.  Every container operation (equality,
-subset, union, difference, ``len``, ``in``, ``tables``) reads ranks, so only
-``FunctionClass.mask`` builds a mask from ranks, except that equality compares
-the held forms where both sides hold one, and floors give a ``ConstraintSet``
-its ``len``, a union over disjoint arities and differences.
+and witnesses.  A ``FunctionClass`` keys an n-ary table by its rank, the table
+read as base-|B| digits with the first entry most significant, and may hold an
+arity as the bitmask over those ranks that the kernels produce (``from_masks``).
+A ``ConstraintSet`` keys a constraint by ``(antecedent.bits, consequent.bits)``
+and may hold an arity as the least consequent of each antecedent, its floor
+(``from_floors``).  Only the container reads a held form: ``len`` counts it,
+``|`` and ``-`` keep an arity that one side alone has in its forms, ``==``
+compares two held forms, and a ``ConstraintSet`` takes ``-`` by the right
+side's floors.  Keys are derived from a held form on first read and cached,
+and only ``FunctionClass.mask`` builds a mask from ranks.
 ``column_masks`` gives, per argument point and value, the bitmask over the
 whole |B|^(|A|^n)-table universe of the ranks taking that value there, so the
 Galois maps become AND/OR operations on these truth-table columns.
@@ -417,15 +415,15 @@ def _grouped_by_arity(members: Iterable) -> dict[int, set]:
 @dataclass(frozen=True)
 class ArityIndexed:
     """An arity-indexed collection over a common dom and cod, each arity held
-    as a frozenset of integer keys.
+    as a frozenset of integer keys or in a subclass's held form.
 
     A subclass fixes its member type, ``_member``, and what a key is:
     ``_encode`` validates the members given for one arity and converts them to
     keys, ``decode`` turns one key back into a member.  The constructor takes the members of each arity as
-    ``by_arity``; ``arities`` and ``ranks`` read the keys back.  A subclass may also hold an arity in
-    another form, ``_held``, which ``_derive`` turns into keys on first read.  Empty arities are dropped
-    and the arities kept sorted.  ``|``, ``-`` and ``issubset`` take a collection of the same type over
-    the same domains.
+    ``by_arity``; ``arities`` and ``ranks`` read the keys back.  A held form, ``_held``, is turned into keys
+    by ``_derive`` on first read, counted by ``_count`` and kept by ``|`` and ``-`` where one side alone has
+    the arity.  Empty arities are dropped and the arities kept sorted.  ``|``, ``-`` and ``issubset`` take
+    a collection of the same type over the same domains.
     """
 
     dom: DomainSpec
@@ -467,10 +465,6 @@ class ArityIndexed:
             self._keys[arity] = self._derive(arity, self._held[arity])
         return self._keys.get(arity, frozenset())
 
-    def _by_arity(self) -> dict[int, frozenset]:
-        """Every arity with its keys."""
-        return {n: self.ranks(n) for n in self.arities()}
-
     def members(self, arity: int) -> frozenset:
         return frozenset(self.decode(arity, key) for key in self.ranks(arity))
 
@@ -483,7 +477,7 @@ class ArityIndexed:
         return [self.decode(n, key) for n, key in self.sorted_keys()]
 
     def __len__(self) -> int:
-        return sum(len(self.ranks(n)) for n in self.arities())
+        return sum(len(self._keys[n]) if n in self._keys else self._count(n, self._held[n]) for n in self.arities())
 
     def __contains__(self, member) -> bool:
         """Membership of a decoded member; any other object is not a member."""
@@ -504,14 +498,27 @@ class ArityIndexed:
         return hash((self.dom, self.cod, self.arities()))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(dom={self.dom!r}, cod={self.cod!r}, by_arity={self._by_arity()!r})"
+        keys = {n: self.ranks(n) for n in self.arities()}
+        return f"{type(self).__name__}(dom={self.dom!r}, cod={self.cod!r}, by_arity={keys!r})"
 
     def _combine(self, other, op):
-        """``op`` of the two key sets of every arity of either collection."""
+        """``op`` per arity of either collection (of the left one for ``-``):
+        ``_combine_arity`` where both have it, else the one side's forms as they are."""
         if (self.dom, self.cod) != (other.dom, other.cod):
             raise DomainMismatchError("cannot combine collections over different domains")
-        arities = {*self.arities(), *other.arities()}
-        return self._of_keys(self.dom, self.cod, {n: op(self.ranks(n), other.ranks(n)) for n in arities})
+        mine, theirs = self.arities(), other.arities()
+        lone = {n: self for n in mine if n not in theirs}
+        if op is operator.or_:
+            lone.update((n, other) for n in theirs if n not in mine)
+        keys = {n: self._combine_arity(other, n, op) for n in mine if n in theirs}
+        keys.update((n, side._keys[n]) for n, side in lone.items() if n in side._keys)
+        out = self._of_keys(self.dom, self.cod, keys)
+        out._held.update((n, side._held[n]) for n, side in lone.items() if n in side._held)
+        return out
+
+    def _combine_arity(self, other, n: int, op) -> frozenset:
+        """``op`` of the keys of an arity both collections have."""
+        return op(self.ranks(n), other.ranks(n))
 
     def __or__(self, other):
         if type(other) is not type(self):
@@ -533,14 +540,13 @@ class ArityIndexed:
 class FunctionClass(ArityIndexed):
     """An arity-indexed collection of functions with common dom and cod.
 
-    Each arity is held in the form that built it.  The constructor and
-    ``from_tables`` hold the ranks of the member tables (see
-    ``FunctionTable.rank``), converting ``FunctionTable`` members to ranks;
-    ``from_masks`` holds the bitmask over table ranks that the kernels produce
-    (see ``mask``).  ``ranks`` derives the ranks of a held mask on first read
-    and ``mask`` the mask of held ranks, each cached.  Every other operation
-    but ``==`` of two held masks reads ranks, so only ``mask`` builds a mask.  ``members`` and ``tables``
-    decode tables back for I/O and witnesses.
+    Each arity is held in the form that built it: the ranks of the member
+    tables (see ``FunctionTable.rank``) from the constructor and
+    ``from_tables``, which convert ``FunctionTable`` members, or the bitmask
+    over table ranks that the kernels produce from ``from_masks`` (see
+    ``mask``).  ``ranks`` derives the ranks of a held mask on first read and
+    ``mask`` the mask of held ranks, each cached; ``len`` counts a mask's bits.
+    ``members`` and ``tables`` decode tables back for I/O and witnesses.
     """
 
     _member = FunctionTable
@@ -586,6 +592,9 @@ class FunctionClass(ArityIndexed):
     def _derive(self, arity: int, mask: int) -> frozenset[int]:
         return ranks_of_mask(mask)
 
+    def _count(self, arity: int, mask: int) -> int:
+        return mask.bit_count()
+
     def mask(self, arity: int) -> int:
         """The members of one arity as a bitmask over table ranks.
 
@@ -605,7 +614,8 @@ class ConstraintSet(ArityIndexed):
     """An arity-indexed collection of constraints over a common A and B.
 
     Each arity holds the ``(antecedent.bits, consequent.bits)`` pairs of its
-    members or, from ``from_floors``, the floor of each antecedent.  The
+    members or, from ``from_floors``, the floor of each antecedent, which
+    ``floors`` returns; ``len`` sums 2^(|B|^m - |floor|) over the floors.  The
     constructor also accepts ``Constraint`` members and converts them;
     ``members`` and ``constraints`` decode constraints back.
     """
@@ -656,32 +666,23 @@ class ConstraintSet(ArityIndexed):
         full = (1 << self.cod.size**arity) - 1
         return frozenset((r, f | extra) for r, f in enumerate(floors) for extra in submasks(full & ~f))
 
-    def __len__(self) -> int:
-        return sum(sum(1 << (self.cod.size**n - floor.bit_count()) for floor in self._held[n])
-                   if n in self._held else len(self._keys[n]) for n in self.arities())
+    def _count(self, arity: int, floors: tuple[int, ...]) -> int:
+        return sum(1 << (self.cod.size**arity - floor.bit_count()) for floor in floors)
 
-    def _combine(self, other, op):
-        """``op`` per arity, on floors where they decide it: an arity of one side
-        alone keeps its floors, ``-`` of two floor-held arities takes the (r, s)
-        with s above the left floor of r but not above the right one, and ``-``
-        of a floor-held arity from pairs keeps the (r, s) with s not above it."""
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise DomainMismatchError("cannot combine collections over different domains")
-        keys, kept = {}, {}
-        for n in {*self.arities(), *other.arities()} if op is operator.or_ else self.arities():
-            left, right = self._held.get(n), other._held.get(n)
-            if left and n not in other.arities() or right and n not in self.arities():
-                kept[n] = left or right
-            elif left and right and op is operator.sub:
-                keys[n] = frozenset((r, a | extra) for r, (a, b) in enumerate(zip(left, right)) if b & ~a
-                                    for extra in submasks(~a & (1 << self.cod.size**n) - 1) if b & ~(a | extra))
-            elif right and op is operator.sub:
-                keys[n] = frozenset((r, s) for r, s in self.ranks(n) if right[r] & ~s)
-            else:
-                keys[n] = op(self.ranks(n), other.ranks(n))
-        out = self._of_keys(self.dom, self.cod, keys)
-        out._held.update(kept)
-        return out
+    def floors(self, arity: int) -> tuple[int, ...] | None:
+        """The floors an arity is held as, or None where it is held as pairs."""
+        return self._held.get(arity)
+
+    def _combine_arity(self, other, n: int, op) -> frozenset[tuple[int, int]]:
+        """``-`` by the right side's floors where it holds them: the (r, s) above
+        the left floor of r, or the left pairs, that are not above the right one."""
+        left, right = self.floors(n), other.floors(n)
+        if right and op is operator.sub:
+            if left:
+                return frozenset((r, a | extra) for r, (a, b) in enumerate(zip(left, right)) if b & ~a
+                                 for extra in submasks(~a & (1 << self.cod.size**n) - 1) if b & ~(a | extra))
+            return frozenset((r, s) for r, s in self.ranks(n) if right[r] & ~s)
+        return super()._combine_arity(other, n, op)
 
     def constraints(self) -> list[Constraint]:
         return self._sorted_members()

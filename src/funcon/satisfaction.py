@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -140,20 +141,22 @@ def fsc_n(
     signature of every constraint of an OR over consequent tuples s of the
     column masks ``col[q_i][s_i]`` ANDed along the signature.  When fewer
     tuples lie outside the consequent, the OR runs over those instead and its
-    result is removed from the class.
+    result is removed from the class.  Satisfaction is upward closed in the
+    consequent, so an arity held as floors is read as its (r, floor(r)).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     count = within_budget(function_count(t.dom, t.cod, n), budget, f"fsc_{n} candidate functions")
+    pairs = {m: list(enumerate(t.floors(m))) if t.floors(m) else t.ranks(m) for m in t.arities()}
     # only antecedents wider than n count: the others have at most n^n row choices each
-    sizes = [r.bit_count() for m in t.arities() for r, _ in t.ranks(m)]
+    sizes = [r.bit_count() for members in pairs.values() for r, _ in members]
     within_budget(sum(size**n for size in sizes if size > n), budget, f"fsc_{n} row choices")
     cols = column_masks(t.dom, t.cod, n)
     kept = (1 << count) - 1
-    for m in t.arities():
+    for m, members in pairs.items():
         value_tuples = list(itertools.product(range(t.cod.size), repeat=m))  # in rank order
         outside_all = (1 << len(value_tuples)) - 1
-        for r_bits, cons in t.ranks(m):
+        for r_bits, cons in members:
             banned = 2 * cons.bit_count() > len(value_tuples)
             values = [value_tuples[s] for s in ranks_of_mask(outside_all & ~cons if banned else cons)]
             for sig in _signatures(t.dom.size, m, r_bits, n):
@@ -168,9 +171,8 @@ def fsc_n(
 
 
 def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> FunctionClass:
-    """Union of fsc_n over n = 1..cap, one kernel mask per arity."""
-    masks = {n: fsc_n(t, n, budget).mask(n) for n in capped_arities(cap)}
-    return FunctionClass.from_masks(t.dom, t.cod, masks)
+    """Union of fsc_n over n = 1..cap, each arity held as its kernel mask."""
+    return reduce(operator.or_, (fsc_n(t, n, budget) for n in capped_arities(cap)))
 
 
 @lru_cache(maxsize=32)
@@ -295,11 +297,8 @@ def csf_m(
 
 
 def csf(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> ConstraintSet:
-    """Union of csf_m over m = 1..cap."""
-    out = ConstraintSet.empty(k.dom, k.cod)
-    for m in capped_arities(cap):
-        out = out | csf_m(k, m, budget)
-    return out
+    """Union of csf_m over m = 1..cap, each arity held as its floors."""
+    return reduce(operator.or_, (csf_m(k, m, budget) for m in capped_arities(cap)))
 
 
 def cm_m_oracle(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from funcon import CmBounds
+from funcon import CmBounds, ConstraintSet, DomainSpec, cm_closure, enumerate_constraints, lo_m_closure, vs_closure
 from funcon.cli import (
     EXIT_BUDGET,
     EXIT_DISCREPANCY,
@@ -15,6 +15,7 @@ from funcon.cli import (
     _build_parser,
     run_command,
 )
+from funcon.instance_io import class_listing, parse_instance, set_listing
 
 DOC = """{
   "domains": {"bool": 2},
@@ -113,6 +114,31 @@ def test_galois_fsc_csf(doc_path, capsys):
     assert code == EXIT_OK and json.loads(out)["count"] == 78
 
 
+A, B = DomainSpec("A", 2), DomainSpec("B", 2)
+
+
+# per command, the listing of the library call it wraps, on the K2 and T2 of DOC
+@pytest.mark.parametrize("argv, listing", [
+    (["close", "vs", "--in", "DOC", "--class", "K2", "--cap", "2"], lambda k, t: class_listing(vs_closure(k, 2))),
+    (["close", "lom", "--in", "DOC", "--class", "K2", "--m", "1"], lambda k, t: class_listing(lo_m_closure(k, 1))),
+    (["close", "cm", "--in", "DOC", "--set", "T2", "--cap", "2"],
+     lambda k, t: set_listing(cm_closure(t, 2).constraints)),
+    (["enumerate", "constraints", "--arity", "1"],
+     lambda k, t: set_listing(ConstraintSet.from_constraints(A, B, enumerate_constraints(A, B, 1)))),
+], ids=["close-vs", "close-lom", "close-cm", "enumerate-constraints"])
+def test_commands_print_the_listing_of_the_call_they_wrap(doc_path, capsys, argv, listing):
+    doc = parse_instance(DOC)
+    code, out, _ = run(capsys, *(doc_path if word == "DOC" else word for word in argv))
+    assert code == EXIT_OK
+    assert out == listing(doc.lookup("classes", "K2"), doc.lookup("sets", "T2"))
+
+
+def test_non_integer_flag_is_a_usage_error(doc_path, capsys):
+    code, out, err = run(capsys, "close", "lon", "--in", doc_path, "--set", "T2", "--n", "two")
+    assert code == EXIT_USAGE and out == ""
+    assert "invalid int value: 'two'" in err and "Traceback" not in err
+
+
 def test_laws_suites(capsys):
     for suite in ("vsn", "lon", "axioms"):
         code, out, _ = run(capsys, "laws", suite, "--samples", "5", "--seed", "1")
@@ -165,6 +191,23 @@ def test_unusable_cache_dir_warns_and_still_prints(doc_path, tmp_path, capsys, m
     assert out == run(capsys, *argv)[1]
     assert "warning: result not cached" in err
     assert blocker.read_text() == "keep"
+
+
+def test_entry_that_cannot_be_replaced_warns_and_leaves_no_temp_file(doc_path, tmp_path, capsys, monkeypatch):
+    # a directory where the entry goes: the temp file is written, os.replace fails, and the temp file is removed
+    monkeypatch.delenv("FUNCON_CACHE_DIR", raising=False)
+    cache = tmp_path / "cache"
+    argv = ["close", "vsn", "--in", doc_path, "--class", "K2"]
+    expected = run(capsys, *argv)[1]
+    run(capsys, "--cache-dir", str(cache), *argv)
+    (entry,) = cache.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run(capsys, "--cache-dir", str(cache), *argv)
+    assert "warning: result not cached" in err
+    assert out == expected
+    assert code == EXIT_OK
+    assert not list(cache.glob("*.tmp"))
 
 
 def test_usage_errors(doc_path, capsys):

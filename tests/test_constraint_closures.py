@@ -179,10 +179,10 @@ def test_cm_m_closure_commutes_with_relabeling(sizes, m, sets):
         for pi_a, pi_b, sigma in relabelings:
             moved = cm_m_closure(relabel_constraints(t, pi_a, pi_b, {m: sigma}), m)
             moved_a, moved_b = moved_ranks(sizes[0], m, pi_a, sigma), moved_ranks(sizes[1], m, pi_b, sigma)
-            floors = [0] * len(res.floors[m])
-            for r, floor in enumerate(res.floors[m]):
+            floors = [0] * len(res.constraints.floors(m))
+            for r, floor in enumerate(res.constraints.floors(m)):
                 floors[relabel_bits(r, moved_a)] = relabel_bits(floor, moved_b)
-            assert (moved.floors[m], moved.converged, moved.iterations) == (floors, res.converged, res.iterations)
+            assert (list(moved.constraints.floors(m)), moved.converged, moved.iterations) == (floors, res.converged, res.iterations)
 
 
 def test_cm_bounds_validation():

@@ -41,6 +41,7 @@ from funcon import (
     csf_m,
     enumerate_constraints,
     enumerate_functions,
+    fsc,
     fsc_n,
     fsc_n_of_csf_m,
     lo_m_closure,
@@ -609,7 +610,8 @@ def test_fixpoint_matches_all_pairs_round():
     runs.append((random_pair_set(rng, gap.dom, gap.cod, 1, 1) | random_pair_set(rng, gap.dom, gap.cod, 2, 2), [1, 2, 3], CmBounds()))
     for t, targets, bounds in runs:
         res = cm_m_closure(t, targets[0], bounds) if len(targets) == 1 else cm_closure(t, len(targets), bounds)
-        assert (res.floors, res.iterations, res.converged) == fixpoint_reference(t, targets, bounds)
+        floors = {m: list(res.constraints.floors(m)) for m in targets}
+        assert (floors, res.iterations, res.converged) == fixpoint_reference(t, targets, bounds)
         # the engine meets one lift per orbit and adds permuted floors, so its witnesses are its own; the
         # (3, 3) closure (all 262144 members) and the one to arity 3 (65808) take 10 s to decode and are left out
         if len(res.constraints) < 10_000:
@@ -737,7 +739,7 @@ def test_floors_hold_the_relaxation_and_meet_closure(sizes):
     for m in (1, 2):
         for _ in range(2):  # the floors the fixpoint converges to
             res = cm_m_closure(ConstraintSet.from_constraints(dom, cod, [random_constraint(rng, dom, cod, m)]), m)
-            assert _maximal(res.floors[m], dom.size**m) == maximal_reference(res.constraints.ranks(m))
+            assert _maximal(res.constraints.floors(m), dom.size**m) == maximal_reference(res.constraints.ranks(m))
         full_a, full_b = (1 << dom.size**m) - 1, (1 << cod.size**m) - 1
         for count in (1, 3, 5):
             seeds = sorted(random_pair_set(rng, dom, cod, m, count).ranks(m))
@@ -787,17 +789,92 @@ def pair_held(t):
     return ConstraintSet(t.dom, t.cod, {m: t.ranks(m) for m in t.arities()})
 
 
+def held_floors(t):
+    """Per arity, its floors, or None where it is held as pairs."""
+    return {m: t.floors(m) for m in t.arities()}
+
+
+def record_derives(monkeypatch):
+    """The arguments of every ``_derive`` call, of either container, from here on."""
+    derived = []
+    for container in (FunctionClass, ConstraintSet):
+        real = container._derive
+        monkeypatch.setattr(container, "_derive", lambda self, *args, real=real: derived.append(args) or real(self, *args))
+    return derived
+
+
+def floor_held(t):
+    """A fresh copy of a floor-held set, with no pairs derived yet."""
+    return functools.reduce(operator.or_, [ConstraintSet.from_floors(t.dom, t.cod, m, t.floors(m)) for m in t.arities()])
+
+
 def assert_floors_decide(sets, monkeypatch):
     """== between floor-held sets and a pair-held set minus a floor-held one agree
     with the same sets held as pairs, and derive no pairs from the floors."""
     pairs = list(map(pair_held, sets))
-    fresh = [functools.reduce(operator.or_, [ConstraintSet.from_floors(t.dom, t.cod, m, t._held[m])
-                                             for m in t.arities()]) for t in sets]
-    derived, real = [], ConstraintSet._derive
-    monkeypatch.setattr(ConstraintSet, "_derive", lambda self, *args: derived.append(args) or real(self, *args))
+    fresh = list(map(floor_held, sets))
+    derived = record_derives(monkeypatch)
     for (x, px), (y, py) in itertools.product(zip(fresh, pairs), repeat=2):
         assert (x == y) == (px == py)
         assert (px - y).sorted_keys() == (px - py).sorted_keys()
+    assert not derived
+
+
+def assert_fsc_n_reads_floors(sets, ns, monkeypatch):
+    """fsc_n of a floor-held set, read as one (r, floor(r)) per antecedent,
+    derives nothing and equals fsc_n of the same set held as pairs."""
+    expected = [[fsc_n(pair_held(t), n) for n in ns] for t in sets]
+    fresh = list(map(floor_held, sets))
+    derived = record_derives(monkeypatch)
+    got = [[fsc_n(t, n) for n in ns] for t in fresh]
+    assert not derived
+    assert got == expected
+    assert any(len(k) not in (0, function_count(k.dom, k.cod, n)) for row in got for k, n in zip(row, ns))
+
+
+@pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS, ids=["2x2", "3x2", "2x3"])
+def test_fsc_n_of_floor_held_sets_matches_their_pairs(sizes, monkeypatch):
+    """``assert_fsc_n_reads_floors`` at m, n <= 2, on csf_m sets of random
+    classes and on random floors that do not grow with the antecedent."""
+    dom, cod = domains(sizes)
+    rng = random.Random(5 * sizes[0] + sizes[1])
+    sets = []
+    for m in (1, 2):
+        sets += [csf_m(random_function_class(rng, dom, cod, arity, 3), m) for arity in (1, 2)]
+        sets.append(ConstraintSet.from_floors(dom, cod, m, [rng.getrandbits(cod.size**m) for _ in range(1 << dom.size**m)]))
+    assert_fsc_n_reads_floors(sets, (1, 2), monkeypatch)
+
+
+@pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS, ids=["2x2", "3x2", "2x3"])
+def test_held_forms_answer_len_and_unions_without_deriving(sizes, monkeypatch):
+    """len of mask-held and floor-held collections, the unions fsc (of a
+    floor-held set) and csf, and fsc_n of a floor-held set read the held forms
+    and derive no keys; the results equal those of the same collections held
+    as keys."""
+    dom, cod = domains(sizes)
+    rng = random.Random(3 * sizes[0] + sizes[1])
+    k = random_function_class(rng, dom, cod, 1, 2) | random_function_class(rng, dom, cod, 2, 4)
+    t = csf_m(k, 1)
+    cap = 3 if dom.size == 2 else 2  # 2^27 tables of arity 3 at |A| = 3
+    derived = record_derives(monkeypatch)
+    classes, sets = fsc(t, cap), csf(k, 2)
+    sizes_held = list(map(len, [classes, sets]))
+    floors_read = fsc_n(sets, 2)
+    assert (classes.arities(), sets.arities()) == (tuple(range(1, cap + 1)), (1, 2))
+    assert not derived
+    by_keys = [FunctionClass(dom, cod, {n: classes.ranks(n) for n in classes.arities()}), pair_held(sets)]
+    assert sizes_held == list(map(len, by_keys))
+    assert classes == functools.reduce(operator.or_, [fsc_n(pair_held(t), n) for n in range(1, cap + 1)])
+    assert sets == pair_held(csf_m(k, 1)) | pair_held(csf_m(k, 2))
+    assert floors_read == fsc_n(by_keys[1], 2)
+
+
+def test_len_of_a_wide_mask_decodes_no_rank(monkeypatch):
+    """Boolean fsc_4 of {(A^2, B^2)} is every one of the 65,536 tables, counted off the mask."""
+    bool_ = DomainSpec("bool", 2)
+    k = fsc_n(ConstraintSet(bool_, bool_, {2: {(15, 15)}}), 4)
+    derived = record_derives(monkeypatch)
+    assert len(k) == 65_536
     assert not derived
 
 
@@ -821,16 +898,16 @@ def test_floor_held_sets_match_their_pairs(sizes, m, seeds, monkeypatch):
     k = fsc_n(t, 1)
     sets = [cm_m_closure(t, m).constraints, csf(k, m), csf_m(random_function_class(rng, dom, cod, 1, 1), m)]
     # csf's union over the arities 1..m keeps each arity's floors
-    assert list(sets[1]._held) == list(range(1, m + 1))
+    assert sets[1].arities() == tuple(range(1, m + 1)) and None not in held_floors(sets[1]).values()
     assert sets[1] == functools.reduce(operator.or_, [pair_held(csf_m(k, j)) for j in range(1, m + 1)])
     for n in range(1, dom.size**m + 1):
         for x in sets[1:3]:  # csf sets are closed under lo_n, on either path
-            assert lo_n_closure(x, n)._held == x._held
+            assert held_floors(lo_n_closure(x, n)) == held_floors(x)
             assert lo_n_closure(pair_held(x), n) == x
         closed = lo_n_closure(sets[0], n)
-        assert list(closed._held) == [m]  # cm-closed floors keep the floor path
+        assert closed.arities() == (m,) and closed.floors(m)  # cm-closed floors keep the floor path
         assert closed == lo_n_closure(pair_held(sets[0]), n)
-        if closed._held != sets[-1]._held:  # lo_n stops growing from some n on
+        if held_floors(closed) != held_floors(sets[-1]):  # lo_n stops growing from some n on
             sets.append(closed)
     pairs = list(map(pair_held, sets))
     assert list(map(len, sets)) == list(map(len, pairs))
@@ -847,7 +924,7 @@ def test_floors_with_two_least_consequents_take_the_pair_path(monkeypatch):
     bool_ = DomainSpec("bool", 2)
     t = ConstraintSet.from_floors(bool_, bool_, 1, [0, 1, 0, 2])
     closed = lo_n_closure(t, 1)
-    assert not closed._held  # the pair path
+    assert closed.floors(1) is None  # the pair path
     assert closed.ranks(1) == t.ranks(1) | {(3, 1)}
     rng = random.Random(3)
     sets = [t] + [ConstraintSet.from_floors(bool_, bool_, 2, [rng.getrandbits(4) for _ in range(16)])
@@ -859,13 +936,13 @@ def test_floors_with_two_least_consequents_take_the_pair_path(monkeypatch):
             closed = lo_n_closure(t, n)
             assert closed == lo_n_closure(pair_held(t), n) == lo_n_reference(t, n)
             assert len(closed) == len(pair_held(closed))
-            paths.add(bool(closed._held))
+            paths.add(closed.floors(m) is not None)
         assert len(t) == len(pair_held(t))
         for other in sets:
             assert (t - other).sorted_keys() == (pair_held(t) - pair_held(other)).sorted_keys()
     assert paths == {False, True}
     # floors fix the set whether or not they grow with the antecedent: one changed floor is another set
-    changed = ConstraintSet.from_floors(bool_, bool_, 2, [f ^ (r == 5) for r, f in enumerate(sets[1]._held[2])])
+    changed = ConstraintSet.from_floors(bool_, bool_, 2, [f ^ (r == 5) for r, f in enumerate(sets[1].floors(2))])
     assert_floors_decide([*sets, changed], monkeypatch)
 
 
@@ -886,7 +963,8 @@ def test_cm_fixpoint_seeds_floor_held_input_by_its_floors(sizes, monkeypatch):
         for x, bounds in itertools.product(inputs, [CmBounds(), CmBounds(max_iterations=1)]):
             pairs = cm_m_closure(pair_held(x), m, bounds)
             del adds[:]
-            held = cm_m_closure(ConstraintSet.from_floors(dom, cod, m, x._held[m]), m, bounds)
-            assert (held.floors, held.iterations, held.converged) == (pairs.floors, pairs.iterations, pairs.converged)
-            assert adds[: 1 << dom.size**m] == list(enumerate(x._held[m]))  # one seed per antecedent
+            held = cm_m_closure(ConstraintSet.from_floors(dom, cod, m, x.floors(m)), m, bounds)
+            assert (held.constraints.floors(m), held.iterations, held.converged) == (
+                pairs.constraints.floors(m), pairs.iterations, pairs.converged)
+            assert adds[: 1 << dom.size**m] == list(enumerate(x.floors(m)))  # one seed per antecedent
             minor_witnesses(held, x)
