@@ -243,7 +243,7 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
         # (A^m, B^m) is the tight minor of the equality seed through a constant map
         entered[m] = dict.fromkeys([(r, full_b) for r in range(full_a)], ("relaxation", (full_a, full_b)))
         entered[m][full_a, full_b] = ("minor", 0, ((*eq, (0,) * m, m),))
-        for pair in [*(enumerate(t.floors(m)) if t.floors(m) else t.ranks(m)), eq, empty]:
+        for pair in [*t.generators(m), eq, empty]:
             entered[m][pair] = ("seed",)
             _add(floors[m], entered[m], pair, m)
     done: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, packed meets projected
@@ -348,8 +348,7 @@ def lo_n_closure(
     if n < 1:
         raise ValueError("n must be >= 1")
     dom, cod = t.dom, t.cod
-    result: dict[int, frozenset[tuple[int, int]]] = {}
-    parts = []  # the arities that keep floors
+    forms: dict[int, object] = {}  # per arity, its floors where they stay floors, else its pairs
     for m in t.arities():
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
         n_ante, width = 1 << dom.size**m, cod.size**m
@@ -357,10 +356,11 @@ def lo_n_closure(
             grown = subset_fold([f if r.bit_count() <= n else 0 for r, f in enumerate(floors)], operator.or_)
             meets = tuple(f & g if r.bit_count() > n else f for r, (f, g) in enumerate(zip(floors, grown)))
             if all(meet in (f, g) for meet, f, g in zip(meets, floors, grown)):  # else some r has two least consequents
-                parts.append(ConstraintSet.from_floors(dom, cod, m, meets))
+                forms[m] = meets
                 continue
+        pairs = t.ranks(m)
         rows = [0] * n_ante
-        for r, s in t.ranks(m):
+        for r, s in pairs:
             rows[r] |= 1 << s
         full = (1 << (1 << width)) - 1
         # entry j: the consequent masks holding tuple j, as a bitmask over all of them
@@ -374,9 +374,9 @@ def lo_n_closure(
                 inner[r] = row
         shared = subset_fold(inner, operator.and_)
         added = [(r, s) for r in range(n_ante) if r.bit_count() > n for s in ranks_of_mask(shared[r] & ~rows[r])]
-        result[m] = t.ranks(m).union(added)
-    # the pairs of t were checked when t was built, and the added ones are in range
-    return reduce(operator.or_, parts, ConstraintSet._of_keys(dom, cod, result))
+        forms[m] = pairs.union(added)
+    # the pairs and floors of t were checked when t was built, and what is added is in range
+    return ConstraintSet._of_forms(dom, cod, forms)
 
 
 def union_closure_check(

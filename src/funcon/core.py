@@ -13,11 +13,13 @@ read as base-|B| digits with the first entry most significant, and may hold an
 arity as the bitmask over those ranks that the kernels produce (``from_masks``).
 A ``ConstraintSet`` keys a constraint by ``(antecedent.bits, consequent.bits)``
 and may hold an arity as the least consequent of each antecedent, its floor
-(``from_floors``).  Only the container reads a held form: ``len`` counts it,
-``|`` and ``-`` keep an arity that one side alone has in its forms, ``==``
-compares two held forms, and a ``ConstraintSet`` takes ``-`` by the right
-side's floors.  Keys are derived from a held form on first read and cached,
-and only ``FunctionClass.mask`` builds a mask from ranks.
+(``from_floors``).  Each arity keeps the one form that built it, and no read
+writes it.  Only the container reads a form: ``len`` counts it, ``in`` tests
+one key, ``|`` and ``-`` keep an arity that one side alone has as it is and
+combine two masks into a mask, ``==`` compares two forms of one kind, and a
+``ConstraintSet`` takes ``-`` by the right side's floors.  ``ranks`` derives
+the keys of a held form and ``FunctionClass.mask`` the mask of held ranks on
+every call.
 ``column_masks`` gives, per argument point and value, the bitmask over the
 whole |B|^(|A|^n)-table universe of the ranks taking that value there, so the
 Galois maps become AND/OR operations on these truth-table columns.
@@ -46,7 +48,7 @@ import itertools
 import operator
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
 
@@ -174,11 +176,6 @@ class FunctionTable:
             if not 0 <= v < self.cod.size:
                 raise ValueError(f"table value {v} out of range for codomain {self.cod.name!r}")
 
-    def __call__(self, args: Sequence[int]) -> int:
-        if len(args) != self.arity:
-            raise ArityMismatchError(f"expected {self.arity} arguments, got {len(args)}")
-        return self.table[tuple_rank(args, self.dom.size)]
-
     def rank(self) -> int:
         """Rank of the table itself, read as base-|cod| digits."""
         return tuple_rank(self.table, self.cod.size)
@@ -200,8 +197,7 @@ class FunctionTable:
 
 @dataclass(frozen=True)
 class Relation:
-    """An m-ary relation over a finite domain, stored as a bitmask of ranks;
-    ``contains_tuple`` reads one member by its tuple."""
+    """An m-ary relation over a finite domain, stored as a bitmask of ranks."""
 
     domain: DomainSpec
     arity: int
@@ -237,15 +233,6 @@ class Relation:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def contains_rank(self, rank: int) -> bool:
-        return (self.bits >> rank) & 1 == 1
-
-    def contains_tuple(self, t: Sequence[int]) -> bool:
-        return self.contains_rank(tuple_rank(t, self.domain.size))
-
     def tuples(self) -> list[tuple[int, ...]]:
         """The member tuples in rank order, which is lexicographic order."""
         size, bits = self.domain.size, self.bits
@@ -260,9 +247,6 @@ class Relation:
     def issubset(self, other: "Relation") -> bool:
         self._check_compatible(other)
         return self.bits & ~other.bits == 0
-
-    def __le__(self, other: "Relation") -> bool:
-        return self.issubset(other)
 
     def __or__(self, other: "Relation") -> "Relation":
         self._check_compatible(other)
@@ -405,65 +389,69 @@ def enumerate_functions(
         yield FunctionTable(dom, cod, n, table)
 
 
-def _grouped_by_arity(members: Iterable) -> dict[int, set]:
-    by_arity: dict[int, set] = {}
-    for x in members:
-        by_arity.setdefault(x.arity, set()).add(x)
-    return by_arity
-
-
 @dataclass(frozen=True)
 class ArityIndexed:
-    """An arity-indexed collection over a common dom and cod, each arity held
-    as a frozenset of integer keys or in a subclass's held form.
+    """An arity-indexed collection over a common dom and cod.  Each arity has
+    one form, fixed when the collection is built: a frozenset of integer keys,
+    or a subclass's held form.  No read writes a form.
 
-    A subclass fixes its member type, ``_member``, and what a key is:
-    ``_encode`` validates the members given for one arity and converts them to
-    keys, ``decode`` turns one key back into a member.  The constructor takes the members of each arity as
-    ``by_arity``; ``arities`` and ``ranks`` read the keys back.  A held form, ``_held``, is turned into keys
-    by ``_derive`` on first read, counted by ``_count`` and kept by ``|`` and ``-`` where one side alone has
-    the arity.  Empty arities are dropped and the arities kept sorted.  ``|``, ``-`` and ``issubset`` take
-    a collection of the same type over the same domains.
+    A subclass fixes its member type, ``_member``, and what a key is: ``_key``
+    keys one member, ``_check`` validates the keys given for one arity, and
+    ``decode`` turns one key back into a member.  The constructor takes the keys
+    of each arity as ``by_arity``; ``_of_members``, behind ``from_tables`` and
+    ``from_constraints``, is the one door for decoded members.  A held form is
+    turned into keys by ``_derive`` on every read of ``ranks``, counted by
+    ``_count``, tested for one key by ``_holds`` and kept by ``|`` and ``-``
+    where one side alone has the arity.  Empty arities are dropped and the
+    arities kept sorted.  ``|``, ``-`` and ``issubset`` take a collection of
+    the same type over the same domains.
     """
 
     dom: DomainSpec
     cod: DomainSpec
     by_arity: InitVar[Mapping[int, Iterable]]
-    _keys: dict[int, frozenset] = field(init=False, repr=False)
-    _held: dict[int, object] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _forms: dict[int, object] = field(init=False, repr=False)
 
     def __post_init__(self, by_arity: Mapping[int, Iterable]) -> None:
-        out: dict[int, frozenset] = {}
-        for arity, members in sorted(by_arity.items()):
-            members = frozenset(members)
-            if not members:
-                continue
-            out[arity] = self._encode(arity, members)
-        object.__setattr__(self, "_keys", out)
+        forms = {arity: frozenset(keys) for arity, keys in sorted(by_arity.items())}
+        forms = {arity: keys for arity, keys in forms.items() if keys}
+        for arity, keys in forms.items():
+            self._check(arity, keys)
+        object.__setattr__(self, "_forms", forms)
 
     @classmethod
-    def _of_keys(cls, dom: DomainSpec, cod: DomainSpec, keys: Mapping[int, frozenset]):
-        """A collection of keys already checked for their arities."""
-        out = cls(dom, cod, {})
-        out._keys.update((n, k) for n, k in sorted(keys.items()) if k)
+    def _of_forms(cls, dom: DomainSpec, cod: DomainSpec, forms: Mapping[int, object]):
+        """A collection of forms already checked for their arities; empty ones are dropped."""
+        out = object.__new__(cls)
+        for name, value in (("dom", dom), ("cod", cod), ("_forms", {n: f for n, f in sorted(forms.items()) if f})):
+            object.__setattr__(out, name, value)
         return out
 
-    def decode(self, arity: int, key):
-        """The member of the given arity stored under ``key``."""
-        raise NotImplementedError
+    @classmethod
+    def _of_members(cls, dom: DomainSpec, cod: DomainSpec, members: Iterable):
+        """The collection of decoded members, each checked against dom and cod
+        and keyed at its own arity."""
+        keys: dict[int, set] = {}
+        for x in members:
+            if not isinstance(x, cls._member):
+                raise TypeError(f"a {type(x).__name__} is not a {cls._member.__name__}")
+            if (x.dom, x.cod) != (dom, cod):
+                raise DomainMismatchError(f"{cls._member.__name__} over {x.dom.name!r}->{x.cod.name!r} "
+                                          f"in a collection over {dom.name!r}->{cod.name!r}")
+            keys.setdefault(x.arity, set()).add(cls._key(x))
+        return cls._of_forms(dom, cod, {n: frozenset(k) for n, k in keys.items()})
 
     @classmethod
     def empty(cls, dom: DomainSpec, cod: DomainSpec):
         return cls(dom, cod, {})
 
     def arities(self) -> tuple[int, ...]:
-        return tuple(sorted({*self._keys, *self._held}))
+        return tuple(self._forms)
 
     def ranks(self, arity: int) -> frozenset:
-        """The keys of one arity, derived from its held form on first read."""
-        if arity not in self._keys and arity in self._held:
-            self._keys[arity] = self._derive(arity, self._held[arity])
-        return self._keys.get(arity, frozenset())
+        """The keys of one arity, derived from a held form on every call."""
+        form = self._forms.get(arity, frozenset())
+        return form if type(form) is frozenset else self._derive(arity, form)
 
     def members(self, arity: int) -> frozenset:
         return frozenset(self.decode(arity, key) for key in self.ranks(arity))
@@ -477,22 +465,22 @@ class ArityIndexed:
         return [self.decode(n, key) for n, key in self.sorted_keys()]
 
     def __len__(self) -> int:
-        return sum(len(self._keys[n]) if n in self._keys else self._count(n, self._held[n]) for n in self.arities())
+        return sum(len(form) if type(form) is frozenset else self._count(n, form) for n, form in self._forms.items())
 
     def __contains__(self, member) -> bool:
         """Membership of a decoded member; any other object is not a member."""
         if not isinstance(member, self._member) or (member.dom, member.cod) != (self.dom, self.cod):
             return False
-        (key,) = self._encode(member.arity, frozenset([member]))
-        return key in self.ranks(member.arity)
+        form, key = self._forms.get(member.arity, frozenset()), self._key(member)
+        return key in form if type(form) is frozenset else self._holds(form, key)
 
     def __eq__(self, other) -> bool:
-        """Per arity, the held forms where both sides hold one (each fixes its keys exactly), else the keys."""
+        """Per arity, the forms where both sides hold it in one kind (each fixes its keys exactly), else the keys."""
         if type(other) is not type(self):
             return NotImplemented
         return (self.dom, self.cod, self.arities()) == (other.dom, other.cod, other.arities()) and all(
-            self._held[n] == other._held[n] if n in self._held and n in other._held else self.ranks(n) == other.ranks(n)
-            for n in self.arities())
+            form == other._forms[n] if type(form) is type(other._forms[n]) else self.ranks(n) == other.ranks(n)
+            for n, form in self._forms.items())
 
     def __hash__(self) -> int:
         return hash((self.dom, self.cod, self.arities()))
@@ -503,20 +491,17 @@ class ArityIndexed:
 
     def _combine(self, other, op):
         """``op`` per arity of either collection (of the left one for ``-``):
-        ``_combine_arity`` where both have it, else the one side's forms as they are."""
+        ``_combine_arity`` where both have it, else the one side's form as it is."""
         if (self.dom, self.cod) != (other.dom, other.cod):
             raise DomainMismatchError("cannot combine collections over different domains")
-        mine, theirs = self.arities(), other.arities()
-        lone = {n: self for n in mine if n not in theirs}
+        mine, theirs = self._forms, other._forms
+        forms = {n: form for n, form in mine.items() if n not in theirs}
         if op is operator.or_:
-            lone.update((n, other) for n in theirs if n not in mine)
-        keys = {n: self._combine_arity(other, n, op) for n in mine if n in theirs}
-        keys.update((n, side._keys[n]) for n, side in lone.items() if n in side._keys)
-        out = self._of_keys(self.dom, self.cod, keys)
-        out._held.update((n, side._held[n]) for n, side in lone.items() if n in side._held)
-        return out
+            forms.update((n, form) for n, form in theirs.items() if n not in mine)
+        forms.update((n, self._combine_arity(other, n, op)) for n in mine if n in theirs)
+        return self._of_forms(self.dom, self.cod, forms)
 
-    def _combine_arity(self, other, n: int, op) -> frozenset:
+    def _combine_arity(self, other, n: int, op):
         """``op`` of the keys of an arity both collections have."""
         return op(self.ranks(n), other.ranks(n))
 
@@ -536,20 +521,21 @@ class ArityIndexed:
         return not (self - other).arities()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FunctionClass(ArityIndexed):
     """An arity-indexed collection of functions with common dom and cod.
 
     Each arity is held in the form that built it: the ranks of the member
     tables (see ``FunctionTable.rank``) from the constructor and
-    ``from_tables``, which convert ``FunctionTable`` members, or the bitmask
-    over table ranks that the kernels produce from ``from_masks`` (see
-    ``mask``).  ``ranks`` derives the ranks of a held mask on first read and
-    ``mask`` the mask of held ranks, each cached; ``len`` counts a mask's bits.
-    ``members`` and ``tables`` decode tables back for I/O and witnesses.
+    ``from_tables``, or the bitmask over table ranks that the kernels produce
+    from ``from_masks`` (see ``mask``).  ``ranks`` derives the ranks of a held
+    mask and ``mask`` the mask of held ranks, on every call; ``len`` counts a
+    mask's bits, ``in`` reads one of them, and ``|`` and ``-`` of two masks
+    are a mask.  ``members`` and ``tables`` decode tables back for I/O and
+    witnesses.
     """
 
     _member = FunctionTable
+    _key = operator.methodcaller("rank")
 
     @classmethod
     def from_masks(cls, dom: DomainSpec, cod: DomainSpec, masks: Mapping[int, int]) -> "FunctionClass":
@@ -557,37 +543,21 @@ class FunctionClass(ArityIndexed):
         for arity, mask in masks.items():
             if arity < 1 or mask < 0 or mask >> function_count(dom, cod, arity):
                 raise ValueError(f"mask out of range for arity {arity}")
-        k = cls(dom, cod, {})
         # a mask in range holds valid ranks only, so the per-rank checks are skipped
-        k._held.update((n, mask) for n, mask in masks.items() if mask)
-        return k
+        return cls._of_forms(dom, cod, masks)
 
-    def _encode(self, arity: int, members: frozenset) -> frozenset[int]:
-        kinds = set(map(type, members))
-        if kinds == {int}:
-            if min(members) < 0 or max(members) >= function_count(self.dom, self.cod, arity):
-                raise ValueError(f"table rank out of range for arity {arity}")
-            return members
-        if kinds != {FunctionTable}:
-            raise TypeError("class members must be all table ranks or all FunctionTables")
-        for f in members:
-            if f.dom != self.dom or f.cod != self.cod:
-                raise DomainMismatchError(f"function over {f.dom.name!r}->{f.cod.name!r} in class over {self.dom.name!r}->{self.cod.name!r}")
-            if f.arity != arity:
-                raise ArityMismatchError(f"function of arity {f.arity} stored under arity {arity}")
-        return frozenset(f.rank() for f in members)
+    @classmethod
+    def from_tables(cls, dom: DomainSpec, cod: DomainSpec, tables: Iterable[FunctionTable]) -> "FunctionClass":
+        return cls._of_members(dom, cod, tables)
+
+    def _check(self, arity: int, ranks: frozenset) -> None:
+        if set(map(type, ranks)) != {int}:
+            raise TypeError("class members must be table ranks; from_tables takes FunctionTables")
+        if min(ranks) < 0 or max(ranks) >= function_count(self.dom, self.cod, arity):
+            raise ValueError(f"table rank out of range for arity {arity}")
 
     def decode(self, arity: int, rank: int) -> FunctionTable:
         return FunctionTable.unrank(self.dom, self.cod, arity, rank)
-
-    @classmethod
-    def from_tables(
-        cls,
-        dom: DomainSpec,
-        cod: DomainSpec,
-        tables: Iterable[FunctionTable],
-    ) -> "FunctionClass":
-        return cls(dom, cod, _grouped_by_arity(tables))
 
     def _derive(self, arity: int, mask: int) -> frozenset[int]:
         return ranks_of_mask(mask)
@@ -595,16 +565,24 @@ class FunctionClass(ArityIndexed):
     def _count(self, arity: int, mask: int) -> int:
         return mask.bit_count()
 
+    def _holds(self, mask: int, rank: int) -> bool:
+        return mask >> rank & 1 == 1
+
+    def _combine_arity(self, other, n: int, op):
+        """Two masks by OR or AND-NOT, which gives a mask."""
+        left, right = self._forms[n], other._forms[n]
+        if type(left) is int and type(right) is int:
+            return left | right if op is operator.or_ else left & ~right
+        return super()._combine_arity(other, n, op)
+
     def mask(self, arity: int) -> int:
         """The members of one arity as a bitmask over table ranks.
 
         Built from ranks, the mask has ``function_count(dom, cod, arity)``
         bits, so callers check that count against their budget first.
         """
-        if arity not in self._held and arity in self._keys:
-            count = function_count(self.dom, self.cod, arity)
-            self._held[arity] = mask_of_ranks(self._keys[arity], count)
-        return self._held.get(arity, 0)
+        form = self._forms.get(arity, 0)
+        return form if type(form) is int else mask_of_ranks(form, function_count(self.dom, self.cod, arity))
 
     def tables(self) -> list[FunctionTable]:
         return self._sorted_members()
@@ -613,43 +591,22 @@ class FunctionClass(ArityIndexed):
 class ConstraintSet(ArityIndexed):
     """An arity-indexed collection of constraints over a common A and B.
 
-    Each arity holds the ``(antecedent.bits, consequent.bits)`` pairs of its
-    members or, from ``from_floors``, the floor of each antecedent, which
-    ``floors`` returns; ``len`` sums 2^(|B|^m - |floor|) over the floors.  The
-    constructor also accepts ``Constraint`` members and converts them;
-    ``members`` and ``constraints`` decode constraints back.
+    Each arity is held in the form that built it: the ``(antecedent.bits,
+    consequent.bits)`` pairs of its members from the constructor and
+    ``from_constraints``, or, from ``from_floors``, the floor of each
+    antecedent, which ``floors`` returns.  ``len`` sums 2^(|B|^m - |floor|)
+    over the floors, ``in`` compares one floor, and ``-`` takes the right
+    side's floors where it holds them.  ``generators`` reads either form as
+    the pairs satisfaction and the cm seed need; ``members`` and
+    ``constraints`` decode constraints back.
     """
 
     _member = Constraint
-
-    def _encode(self, arity: int, members: frozenset) -> frozenset[tuple[int, int]]:
-        kinds = set(map(type, members))
-        if kinds == {tuple}:
-            a_limit, b_limit = 1 << self.dom.size**arity, 1 << self.cod.size**arity
-            for r, s in members:
-                if not (type(r) is int and type(s) is int and 0 <= r < a_limit and 0 <= s < b_limit):
-                    raise ValueError(f"bitmask pair {(r, s)} out of range for arity {arity}")
-            return members
-        if kinds != {Constraint}:
-            raise TypeError("set members must be all bitmask pairs or all Constraints")
-        for c in members:
-            if c.dom != self.dom or c.cod != self.cod:
-                raise DomainMismatchError(f"constraint over {c.dom.name!r}->{c.cod.name!r} in set over {self.dom.name!r}->{self.cod.name!r}")
-            if c.arity != arity:
-                raise ArityMismatchError(f"constraint of arity {c.arity} stored under arity {arity}")
-        return frozenset((c.antecedent.bits, c.consequent.bits) for c in members)
-
-    def decode(self, arity: int, pair: tuple[int, int]) -> Constraint:
-        return Constraint(Relation(self.dom, arity, pair[0]), Relation(self.cod, arity, pair[1]))
+    _key = operator.attrgetter("antecedent.bits", "consequent.bits")
 
     @classmethod
-    def from_constraints(
-        cls,
-        dom: DomainSpec,
-        cod: DomainSpec,
-        constraints: Iterable[Constraint],
-    ) -> "ConstraintSet":
-        return cls(dom, cod, _grouped_by_arity(constraints))
+    def from_constraints(cls, dom: DomainSpec, cod: DomainSpec, constraints: Iterable[Constraint]) -> "ConstraintSet":
+        return cls._of_members(dom, cod, constraints)
 
     @classmethod
     def from_floors(cls, dom: DomainSpec, cod: DomainSpec, m: int, floors: Sequence[int]) -> "ConstraintSet":
@@ -658,9 +615,18 @@ class ConstraintSet(ArityIndexed):
         full = (1 << cod.size**m) - 1
         if len(floors) != 1 << dom.size**m or any(not 0 <= floor <= full for floor in floors):
             raise ValueError(f"floors out of range for arity {m}")
-        t = cls(dom, cod, {})
-        t._held[m] = tuple(floors)  # every floor has supersets, so a held arity is never empty
-        return t
+        return cls._of_forms(dom, cod, {m: tuple(floors)})  # every floor has supersets, so the arity is not empty
+
+    def _check(self, arity: int, pairs: frozenset) -> None:
+        if set(map(type, pairs)) != {tuple}:
+            raise TypeError("set members must be bitmask pairs; from_constraints takes Constraints")
+        a_limit, b_limit = 1 << self.dom.size**arity, 1 << self.cod.size**arity
+        for r, s in pairs:
+            if not (type(r) is int and type(s) is int and 0 <= r < a_limit and 0 <= s < b_limit):
+                raise ValueError(f"bitmask pair {(r, s)} out of range for arity {arity}")
+
+    def decode(self, arity: int, pair: tuple[int, int]) -> Constraint:
+        return Constraint(Relation(self.dom, arity, pair[0]), Relation(self.cod, arity, pair[1]))
 
     def _derive(self, arity: int, floors: tuple[int, ...]) -> frozenset[tuple[int, int]]:
         full = (1 << self.cod.size**arity) - 1
@@ -669,9 +635,19 @@ class ConstraintSet(ArityIndexed):
     def _count(self, arity: int, floors: tuple[int, ...]) -> int:
         return sum(1 << (self.cod.size**arity - floor.bit_count()) for floor in floors)
 
+    def _holds(self, floors: tuple[int, ...], pair: tuple[int, int]) -> bool:
+        return not floors[pair[0]] & ~pair[1]
+
     def floors(self, arity: int) -> tuple[int, ...] | None:
         """The floors an arity is held as, or None where it is held as pairs."""
-        return self._held.get(arity)
+        form = self._forms.get(arity)
+        return form if type(form) is tuple else None
+
+    def generators(self, arity: int) -> Collection[tuple[int, int]]:
+        """The (r, floor(r)) of an arity held as floors, else its pairs: members
+        of which every member is a relaxation by a larger consequent."""
+        floors = self.floors(arity)
+        return list(enumerate(floors)) if floors else self.ranks(arity)
 
     def _combine_arity(self, other, n: int, op) -> frozenset[tuple[int, int]]:
         """``-`` by the right side's floors where it holds them: the (r, s) above

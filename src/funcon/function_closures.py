@@ -66,11 +66,12 @@ def _instances(k: FunctionClass, targets, budget: int) -> FunctionClass:
     on table ranks: the map h turns the table of f into x -> f(x[h])."""
     size, values = k.dom.size, k.cod.size
     # an n-ary member has t^n maps into arity t, each reading |A|^t entries
-    count = sum(len(k.ranks(n)) * sum(t**n * size**t for t in targets) for n in k.arities())
+    ranks = {n: k.ranks(n) for n in k.arities()}
+    count = sum(len(members) * sum(t**n * size**t for t in targets) for n, members in ranks.items())
     within_budget(count, budget, "substitution instances")
     out: dict[int, set[int]] = {t: set() for t in targets}
-    for n in k.arities():
-        tables = [tuple_unrank(rank, values, size**n) for rank in k.ranks(n)]
+    for n, members in ranks.items():
+        tables = [tuple_unrank(rank, values, size**n) for rank in members]
         for t in targets:
             reads = [readings(h, t, size) for h in itertools.product(range(t), repeat=n)]
             out[t].update(tuple_rank([table[x] for x in read], values) for table in tables for read in reads)

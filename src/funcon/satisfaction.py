@@ -147,7 +147,7 @@ def fsc_n(
     if n < 1:
         raise ValueError("n must be >= 1")
     count = within_budget(function_count(t.dom, t.cod, n), budget, f"fsc_{n} candidate functions")
-    pairs = {m: list(enumerate(t.floors(m))) if t.floors(m) else t.ranks(m) for m in t.arities()}
+    pairs = {m: t.generators(m) for m in t.arities()}
     # only antecedents wider than n count: the others have at most n^n row choices each
     sizes = [r.bit_count() for members in pairs.values() for r, _ in members]
     within_budget(sum(size**n for size in sizes if size > n), budget, f"fsc_{n} row choices")

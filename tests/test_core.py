@@ -39,6 +39,7 @@ from funcon.lab import _report
 from funcon.minors import tight_minor_relation
 
 from conftest import AND, BOOL, C_EQ2, C_LEQ, EQ2, LEQ, cls, cset, fn
+from test_kernels import record_derives
 
 
 def test_tuple_codec_roundtrip_exhaustive():
@@ -68,7 +69,6 @@ def test_function_table_validation():
         FunctionTable(BOOL, BOOL, 2, (0, 0, 0))  # wrong length
     with pytest.raises(ValueError):
         FunctionTable(BOOL, BOOL, 1, (0, 2))  # value out of range
-    assert AND((1, 1)) == 1 and AND((0, 1)) == 0
 
 
 def test_function_apply_pointwise():
@@ -85,7 +85,6 @@ def test_apply_pointwise_rejects_malformed_rows():
 
 def test_relation_bitmask_ops():
     assert len(LEQ) == 3
-    assert LEQ.contains_tuple((0, 1)) and not LEQ.contains_tuple((1, 0))
     assert EQ2.issubset(LEQ)
     assert (LEQ & EQ2) == EQ2
     assert (LEQ | EQ2) == LEQ
@@ -203,23 +202,26 @@ def test_constraint_set_from_floors():
             ConstraintSet.from_floors(BOOL, BOOL, 1, bad)
 
 
-def test_t15ii_sides_stay_held_as_floors():
+def test_t15ii_sides_stay_held_as_floors(monkeypatch):
     # csf_m and the cm closure build floors, lo_n_closure keeps them on cm-closed sets, and len and
     # the report's differences read them: an equal verdict expands no set into pairs
     t = cset(C_LEQ)
+    derived = record_derives(monkeypatch)
     lhs, closure = csf_m(fsc_n(t, 2), 2), cm_m_closure(t, 2).constraints
     rhs = lo_n_closure(closure, 2)
     rep = _report("t15ii", {}, lhs, rhs)
     assert (rep.verdict, rep.lhs_size, rep.rhs_size, len(closure)) == ("equal", 48, 48, 48)
     assert not lhs - rhs and not rhs - lhs and lhs.issubset(rhs)
-    assert [x._keys for x in (lhs, closure, rhs)] == [{}, {}, {}]
+    assert not derived
+    assert all(x.floors(2) for x in (lhs, closure, rhs))
 
 
-def test_collections_hash_alike_when_equal():
+def test_collections_hash_alike_when_equal(monkeypatch):
     by_ranks = cls(AND, fn((0, 1)))
     by_masks = FunctionClass.from_masks(BOOL, BOOL, {n: by_ranks.mask(n) for n in (1, 2)})
+    derived = record_derives(monkeypatch)
     assert hash(by_masks) == hash(by_ranks)
-    assert not by_masks._keys  # hashing derives no ranks
+    assert not derived  # hashing derives no ranks
     assert by_masks == by_ranks and {by_ranks: "k"}[by_masks] == "k"
     t = cset(C_LEQ)
     assert {t: "t"}[ConstraintSet(BOOL, BOOL, {2: t.ranks(2)})] == "t"
@@ -227,8 +229,23 @@ def test_collections_hash_alike_when_equal():
 
 
 def test_empty_arities_normalized_out():
-    k = FunctionClass(BOOL, BOOL, {2: frozenset(), 1: frozenset({fn((0, 1))})})
+    k = FunctionClass(BOOL, BOOL, {2: frozenset(), 1: frozenset({fn((0, 1)).rank()})})
     assert k.arities() == (1,)
+
+
+def test_constructors_take_keys_and_refuse_members():
+    with pytest.raises(TypeError):
+        FunctionClass(BOOL, BOOL, {2: {AND}})
+    with pytest.raises(TypeError):
+        FunctionClass(BOOL, BOOL, {2: {AND.rank(), AND}})
+    with pytest.raises(TypeError):
+        ConstraintSet(BOOL, BOOL, {2: {C_LEQ}})
+    with pytest.raises(TypeError):
+        FunctionClass.from_tables(BOOL, BOOL, [C_LEQ])
+    with pytest.raises(TypeError):
+        ConstraintSet.from_constraints(BOOL, BOOL, [AND])
+    # the one door for members keys each at its own arity
+    assert cls(AND, fn((0, 1))) == FunctionClass(BOOL, BOOL, {1: {1}, 2: {AND.rank()}})
 
 
 SIZE_PAIRS = [(2, 2), (3, 2), (2, 3)]
@@ -251,7 +268,7 @@ def test_containers_round_trip_through_their_members(sizes, rng):
     assert ConstraintSet.from_constraints(dom, cod, t.constraints()) == t
     assert t.ranks(2) == frozenset(pairs[2]) and len(t) == sum(map(len, pairs.values()))
     by_constraint = {m: {t.decode(m, pair) for pair in ps} for m, ps in pairs.items()}
-    assert ConstraintSet(dom, cod, by_constraint) == t
+    assert ConstraintSet.from_constraints(dom, cod, [c for cs in by_constraint.values() for c in cs]) == t
     assert t.members(1) == by_constraint[1]
     assert all(c in t for c in t.constraints())
     k = FunctionClass(dom, cod, {1: set(range(0, function_count(dom, cod, 1), 2)), 2: {0, 5, 7}})
@@ -271,10 +288,12 @@ def test_constraint_set_rejects_malformed_members(sizes):
         ConstraintSet(dom, cod, {2: {(-1, 0)}})
     with pytest.raises(TypeError):
         ConstraintSet(dom, cod, {2: {(0, 0), full}})
+    with pytest.raises(TypeError):
+        ConstraintSet(dom, cod, {2: {full}})
     with pytest.raises(DomainMismatchError):
-        ConstraintSet(DomainSpec("C", sizes[0] + 1), cod, {2: {full}})
-    with pytest.raises(ArityMismatchError):
-        ConstraintSet(dom, cod, {1: {full}})
+        ConstraintSet.from_constraints(DomainSpec("C", sizes[0] + 1), cod, [full])
+    with pytest.raises(DomainMismatchError):
+        ConstraintSet.from_constraints(dom, DomainSpec("C", sizes[1] + 1), [full])
 
 
 def test_classes_and_sets_do_not_mix():

@@ -17,7 +17,7 @@ from funcon import (
     fsc_n,
     random_function_class,
 )
-from funcon.core import constraint_universe_count, function_count
+from funcon.core import constraint_universe_count, function_count, tuple_rank
 from funcon.cache import ResultCache, cache_key, resolve_cache_dir
 from funcon.instance_io import (
     InstanceParseError,
@@ -333,7 +333,7 @@ def reference_listing(kind: str, collection) -> str:
     """The scalar reference of ``class_listing``/``set_listing``: decode every
     member and write one dict record per member with ``json.dumps``."""
     def tuples(r):
-        return [list(t) for t in itertools.product(range(r.domain.size), repeat=r.arity) if r.contains_tuple(t)]
+        return [list(t) for t in itertools.product(range(r.domain.size), repeat=r.arity) if r.bits >> tuple_rank(t, r.domain.size) & 1]
 
     if kind == "class":
         records = [{"arity": f.arity, "table": list(f.table)} for f in collection.tables()]

@@ -14,6 +14,7 @@ closures, which rank member tables through ``core.readings``, against
 
 import functools
 import itertools
+import json
 import operator
 import os
 import random
@@ -69,6 +70,7 @@ from funcon.core import (
     subset_fold,
 )
 from funcon.satisfaction import _minimal_consequents, _orbit_plan, _probe_masks, probe_groups
+from funcon.instance_io import parse_instance
 from funcon.minors import tight_minor_relation
 
 from conftest import minor_witnesses
@@ -803,18 +805,12 @@ def record_derives(monkeypatch):
     return derived
 
 
-def floor_held(t):
-    """A fresh copy of a floor-held set, with no pairs derived yet."""
-    return functools.reduce(operator.or_, [ConstraintSet.from_floors(t.dom, t.cod, m, t.floors(m)) for m in t.arities()])
-
-
 def assert_floors_decide(sets, monkeypatch):
     """== between floor-held sets and a pair-held set minus a floor-held one agree
     with the same sets held as pairs, and derive no pairs from the floors."""
     pairs = list(map(pair_held, sets))
-    fresh = list(map(floor_held, sets))
     derived = record_derives(monkeypatch)
-    for (x, px), (y, py) in itertools.product(zip(fresh, pairs), repeat=2):
+    for (x, px), (y, py) in itertools.product(zip(sets, pairs), repeat=2):
         assert (x == y) == (px == py)
         assert (px - y).sorted_keys() == (px - py).sorted_keys()
     assert not derived
@@ -824,9 +820,8 @@ def assert_fsc_n_reads_floors(sets, ns, monkeypatch):
     """fsc_n of a floor-held set, read as one (r, floor(r)) per antecedent,
     derives nothing and equals fsc_n of the same set held as pairs."""
     expected = [[fsc_n(pair_held(t), n) for n in ns] for t in sets]
-    fresh = list(map(floor_held, sets))
     derived = record_derives(monkeypatch)
-    got = [[fsc_n(t, n) for n in ns] for t in fresh]
+    got = [[fsc_n(t, n) for n in ns] for t in sets]
     assert not derived
     assert got == expected
     assert any(len(k) not in (0, function_count(k.dom, k.cod, n)) for row in got for k, n in zip(row, ns))
@@ -876,6 +871,68 @@ def test_len_of_a_wide_mask_decodes_no_rank(monkeypatch):
     derived = record_derives(monkeypatch)
     assert len(k) == 65_536
     assert not derived
+
+
+@pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS, ids=["2x2", "3x2", "2x3"])
+def test_unions_and_differences_of_masks_stay_masks(sizes, monkeypatch):
+    """| and - of two mask-held classes OR or AND-NOT the masks, derive no
+    ranks, and equal the results of the same classes held as ranks."""
+    dom, cod = domains(sizes)
+    rng = random.Random(11 * sizes[0] + sizes[1])
+    classes = [FunctionClass.from_masks(dom, cod, {n: rng.getrandbits(function_count(dom, cod, n))
+                                                   for n in (1, 2) if rng.random() < 0.8}) for _ in range(5)]
+    by_ranks = [FunctionClass(dom, cod, {n: k.ranks(n) for n in k.arities()}) for k in classes]
+    derived = record_derives(monkeypatch)
+    results = [(x | y, x - y) for x, y in itertools.product(classes, repeat=2)]
+    subsets = [x.issubset(y) for x, y in itertools.product(classes, repeat=2)]
+    assert not derived
+    assert all(type(form) is int for pair in results for k in pair for form in k._forms.values())
+    assert results == [(x | y, x - y) for x, y in itertools.product(by_ranks, repeat=2)]
+    assert subsets == [x.issubset(y) for x, y in itertools.product(by_ranks, repeat=2)]
+
+
+@pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS, ids=["2x2", "3x2", "2x3"])
+def test_membership_reads_masks_and_floors(sizes, monkeypatch):
+    """in on a mask-held class and a floor-held set reads one bit or one floor,
+    derives nothing, and agrees with the same collection held as keys on
+    members, non-members and members of an arity it does not have."""
+    dom, cod = domains(sizes)
+    rng = random.Random(13 * sizes[0] + sizes[1])
+    k = FunctionClass.from_masks(dom, cod, {1: rng.getrandbits(function_count(dom, cod, 1)) | 1})
+    t = ConstraintSet.from_floors(dom, cod, 1, [rng.getrandbits(cod.size) for _ in range(1 << dom.size)])
+    keyed = [FunctionClass(dom, cod, {1: k.ranks(1)}), pair_held(t)]
+    functions = [*enumerate_functions(dom, cod, 1), *enumerate_functions(dom, cod, 2)]
+    constraints = [*enumerate_constraints(dom, cod, 1), *enumerate_constraints(dom, cod, 2)]
+    derived = record_derives(monkeypatch)
+    held = [[f in k for f in functions], [c in t for c in constraints]]
+    assert not derived
+    assert held == [[f in keyed[0] for f in functions], [c in keyed[1] for c in constraints]]
+    for found, members in zip(held, (functions, constraints)):
+        assert True in found and False in found  # members and non-members of arity 1
+        assert not any(x for x, member in zip(found, members) if member.arity == 2)
+
+
+def test_reads_leave_every_form_as_built(rng):
+    """ranks, mask, floors, len, in, ==, hash, sorted_keys and the operands of
+    | and - write no container's forms, a class of a parsed document included."""
+    bool_ = DomainSpec("bool", 2)
+    doc = parse_instance(json.dumps({
+        "domains": {"bool": 2},
+        "functions": {"and": {"dom": "bool", "cod": "bool", "arity": 2, "table": [0, 0, 0, 1]},
+                      "not": {"dom": "bool", "cod": "bool", "arity": 1, "table": [1, 0]}},
+        "classes": {"K": {"dom": "bool", "cod": "bool", "members": ["and", "not"]}},
+    }))
+    k = doc.lookup("classes", "K")
+    masks = FunctionClass.from_masks(bool_, bool_, {n: k.mask(n) for n in k.arities()})
+    pairs = ConstraintSet(bool_, bool_, {2: {(rng.getrandbits(4), rng.getrandbits(4)) for _ in range(6)}})
+    floors = csf_m(k, 2)
+    for x, other in ((k, masks), (masks, k), (pairs, floors), (floors, pairs)):
+        forms, held = x._forms, dict(x._forms)  # the dict and, by identity, each arity's form
+        reads = [x.ranks(n) for n in (1, 2, 3)]
+        reads += [x.mask(n) if isinstance(x, FunctionClass) else x.floors(n) for n in (1, 2, 3)]
+        reads += [member in x for member in (*x.members(2), *other.members(1), *other.members(2))]
+        reads += [len(x), hash(x), x == other, other == x, x.sorted_keys(), repr(x), x | other, x - other, other - x]
+        assert x._forms is forms and forms == held and all(forms[n] is held[n] for n in held)
 
 
 # (|A|, |B|), m, and the seeds of cm_m_closure: one random constraint, or the (R, R) pairs of two
