@@ -35,7 +35,7 @@ the differential tests, so it shares no code with them.
 
 The subset-lattice kernels are ``submasks``, the subsets of one mask, and
 ``subset_fold``, which folds a table indexed by masks over every subset for
-``lo_n_closure``; S_min in ``satisfaction`` has its own recurrence.
+``lo_n_closure`` and for S_min in ``satisfaction``.
 
 ``within_budget`` is the single enumeration guard: every refusal in the
 package passes a count through it, and it raises ``BudgetExceededError``

@@ -250,7 +250,7 @@ def verify_factorization(
     else:  # t4finite
         rhs = vs_closure(payload, cap, budget)
         lhs = FunctionClass.empty(payload.dom, payload.cod)
-        for arity in range(1, cap + 1):
+        for arity in range(cap, 0, -1):  # the widest first: an arity over the budget is refused before any runs
             lhs = lhs | fsc_n_of_csf_m(payload, arity, payload.dom.size**arity, budget)
     return _report(identity, params, lhs, rhs)
 

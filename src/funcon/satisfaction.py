@@ -8,9 +8,9 @@ achievable output tuples off ANDs of the class mask with column minterms.
 It reads each point's last value by difference and, where the shape's byte
 tables stay small, walks one probe per S_m orbit and fills the rest from them.
 ``probe_groups`` ORs the probe masks by cross-row set, and
-``_minimal_consequents`` ORs the groups into S_min(R), the least consequent
-over R, by one recurrence: its full table is the floors of ``csf_m``, its
-antecedents of at most n tuples the separators of ``fsc_n_of_csf_m``.
+``_minimal_consequents`` folds them into S_min(R), the least consequent over R,
+for every R: the floors of ``csf_m``.  ``_orbit_separators`` walks the probes
+of one R per S_m orbit alone, the separators (R, S_min(R)) of ``fsc_n_of_csf_m``.
 ``cm_m_oracle`` is the twin composite csf_m(fsc_n(T)) at n = |A|^m, the Galois
 route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
 checked against; this module imports nothing from the closure side.
@@ -47,6 +47,7 @@ from .core import (
     projection,
     ranks_of_mask,
     readings,
+    subset_fold,
     tuple_rank,
     tuple_unrank,
     within_budget,
@@ -199,6 +200,16 @@ def _orbit_plan(size: int, n: int, m: int, cod_size: int) -> tuple[list[int], li
     return keys, fill
 
 
+def _columns(k: FunctionClass, n: int, budget: int) -> tuple[list, int]:
+    """k's arity-n column table and class mask, over the members where the table universe exceeds the budget."""
+    if function_count(k.dom, k.cod, n) <= budget:
+        return column_masks(k.dom, k.cod, n), k.mask(n)
+    members = [tuple_unrank(rank, k.cod.size, k.dom.size**n) for rank in k.ranks(n)]  # one bit each, in every column
+    marks = [{x: 48 + (x == v) for x in range(k.cod.size)} for v in range(k.cod.size)]  # "1" where a digit is v
+    columns = ("".join(map(chr, column)) for column in zip(*members))
+    return [[int(column.translate(mark), 2) for mark in marks] for column in columns], (1 << len(members)) - 1
+
+
 def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     """The achievable output-tuple masks of k's arity-n part at every m-point probe.
 
@@ -209,19 +220,11 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     ANDs; at each point the last value's hit is the sub-class minus the other
     values' hits.  With a fill from ``_orbit_plan`` it visits only the probes
     with non-decreasing points, one per S_m orbit, and the fill's byte tables
-    give the rest; otherwise it visits every probe.  Above the budget the
-    column table is built over the members.
+    give the rest; otherwise it visits every probe.  ``_columns`` gives the columns.
     """
     points, cod_size, last = k.dom.size**n, k.cod.size, k.cod.size - 1
     fill = _orbit_plan(k.dom.size, n, m, cod_size)[1]
-    if function_count(k.dom, k.cod, n) > budget:
-        members = [tuple_unrank(rank, cod_size, points) for rank in k.ranks(n)]  # one bit each, in every column
-        marks = [{x: 48 + (x == v) for x in range(cod_size)} for v in range(cod_size)]  # "1" where a digit is v
-        columns = ("".join(map(chr, column)) for column in zip(*members))
-        cols = [[int(column.translate(mark), 2) for mark in marks] for column in columns]
-        class_mask = (1 << len(members)) - 1
-    else:
-        cols, class_mask = column_masks(k.dom, k.cod, n), k.mask(n)
+    cols, class_mask = _columns(k, n, budget)
     masks = [0] * points**m
 
     def walk(depth: int, start: int, q: int, s: int, within: int) -> None:
@@ -257,24 +260,60 @@ def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
     return groups
 
 
-def _minimal_consequents(k: FunctionClass, m: int, n: int, budget: int) -> dict[int, int]:
-    """S_min(R) for every antecedent R over A^m of at most n tuples, by size and
-    then in ``itertools.combinations`` order, as rank masks: the probe group of
-    R ORed with S_min of R less each of its tuples."""
-    universe = k.dom.size**m
-    within_budget(sum(math.comb(universe, j) for j in range(n + 1)), budget, "separating constraints")
-    # an arity a walks (|A|^m)^a probes, within n! of the separator count if a <= n
-    within_budget(sum(universe**a for a in k.arities() if a > n), budget, "probes")
-    groups, bits = probe_groups(k, m, budget), [1 << row for row in range(universe)]
-    floors: dict[int, int] = {}
+def _minimal_consequents(k: FunctionClass, m: int, budget: int) -> list[int]:
+    """S_min(R) of every antecedent R over A^m, in rank order: the probe groups of R's subsets, ORed."""
+    groups = probe_groups(k, m, budget)
+    return subset_fold([groups.get(r, 0) for r in range(1 << k.dom.size**m)], operator.or_)
+
+
+@lru_cache(maxsize=32)
+def _orbit_antecedents(size: int, m: int, n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """One antecedent R over A^m of at most n tuples per S_m orbit, as (R, j, rows): R's j tuples are the
+    columns of the m sorted rows, ranks over A^j.  Each m-multiset of A^j with j distinct columns is listed
+    once up to column order, as the least of its images."""
+    out = []
     for j in range(n + 1):
-        for rows in itertools.combinations(bits, j):
-            r = sum(rows)
-            floor = groups.get(r, 0)
-            for row in rows:
-                floor |= floors[r ^ row]
-            floors[r] = floor
-    return floors
+        orders = [readings(order, j, size) for order in itertools.permutations(range(j))]
+        digits = [readings((c,), j, size) for c in range(j)]
+        for rows in itertools.combinations_with_replacement(range(size**j), m):
+            columns = {tuple(map(digit.__getitem__, rows)) for digit in digits}
+            if len(columns) == j and all(rows <= tuple(sorted(map(order.__getitem__, rows))) for order in orders):
+                out.append((sum(1 << tuple_rank(column, size) for column in columns), j, rows))
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _orbit_probes(size: int, m: int, n: int, a: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The distinct probes of the ``_orbit_antecedents`` at arity a, sorted, as (the count of first points
+    shared with the previous probe, the m points over A^a, the antecedents having it): a choice of a of the
+    j columns of R gives a probe of R, whose point i reads row i of those columns."""
+    probes = sorted((tuple(map(readings(choice, j, size).__getitem__, rows)), i)
+                    for i, (_, j, rows) in enumerate(_orbit_antecedents(size, m, n))
+                    for choice in itertools.product(range(j), repeat=a))
+    grouped = [(points, tuple(i for _, i in same)) for points, same in itertools.groupby(probes, operator.itemgetter(0))]
+    return tuple((next(d for d, (p, q) in enumerate(zip(before, points)) if p != q), points, indices)
+                 for before, (points, indices) in zip([(-1,) * m] + [points for points, _ in grouped], grouped))
+
+
+def _orbit_separators(k: FunctionClass, m: int, n: int, budget: int) -> list[tuple[int, int]]:
+    """(R, S_min(R)) for each R of ``_orbit_antecedents``, walking R's ``_orbit_probes`` at each arity of k
+    as ``_probe_masks`` walks: a probe walks only the points it does not share with the one before."""
+    within_budget(sum(math.comb(k.dom.size**j + m - 1, m) for j in range(n + 1)), budget, "separator antecedents")
+    antecedents = _orbit_antecedents(k.dom.size, m, n)
+    within_budget(sum(j**a for _, j, _ in antecedents for a in k.arities()), budget, "separator probes")
+    floors = [0] * len(antecedents)
+    for a in k.arities():
+        cols, class_mask = _columns(k, a, budget)
+        stack = [[(0, class_mask)]]  # per point walked: each value tuple so far with its sub-class
+        for shared, points, indices in _orbit_probes(k.dom.size, m, n, a):
+            del stack[shared + 1:]
+            for p in points[shared:]:
+                stack.append([(s * k.cod.size + v, hit) for s, within in stack[-1] for v, col in enumerate(cols[p])
+                              if (hit := within & col)])
+            reached = sum(1 << s for s, _ in stack[-1])
+            for i in indices:
+                floors[i] |= reached
+    return [(r, floor) for (r, _, _), floor in zip(antecedents, floors)]
 
 
 def csf_m(
@@ -292,8 +331,7 @@ def csf_m(
         raise ValueError("m must be >= 1")
     within_budget(constraint_universe_count(k.dom, k.cod, m), budget, f"csf_{m} universe constraints")
     within_budget(sum(k.dom.size ** (n * m) for n in k.arities()), budget, f"csf_{m} probes")
-    floors = _minimal_consequents(k, m, k.dom.size**m, budget)
-    return ConstraintSet.from_floors(k.dom, k.cod, m, [floors[r] for r in range(1 << k.dom.size**m)])
+    return ConstraintSet.from_floors(k.dom, k.cod, m, _minimal_consequents(k, m, budget))
 
 
 def csf(k: FunctionClass, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> ConstraintSet:
@@ -322,12 +360,13 @@ def fsc_n_of_csf_m(k: FunctionClass, n: int, m: int, budget: int = DEFAULT_ENUME
     Instead of materializing the m-ary constraint universe, this is fsc_n of
     the separators (R, S_min(R)) with R of at most n tuples.  A violation of
     any satisfied constraint always restricts to a violation of one of these.
+    One R per S_m orbit will do: σ in S_m keeps satisfaction, and S_min(σR) = σ S_min(R).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     # refuse before building the separators
     within_budget(function_count(k.dom, k.cod, n), budget, f"fsc_{n} candidate functions")
-    return fsc_n(ConstraintSet(k.dom, k.cod, {m: _minimal_consequents(k, m, n, budget).items()}), n, budget)
+    return fsc_n(ConstraintSet(k.dom, k.cod, {m: _orbit_separators(k, m, n, budget)}), n, budget)
 
 
 def minimal_consequent(k: FunctionClass, r: Relation) -> Relation:

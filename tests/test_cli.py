@@ -340,6 +340,17 @@ def test_non_string_reference_exit_code(tmp_path, capsys):
     assert code == EXIT_USAGE and "function reference ['and'] must be a name" in err and out == ""
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("target=x; V=0; h1=[c1]", "target and V must be integers"),  # int() refuses the target
+    ("target=1; V=-1; h1=[c1]", "indeterminate count must be >= 0"),  # Scheme refuses its arguments
+])
+def test_scheme_refusals_are_usage_errors(tmp_path, capsys, literal, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(DOC), "schemes": {"s": literal}}))
+    code, out, err = run(capsys, "verify", "t15i", "--in", str(bad), "--class", "K2", "--n", "2", "--m", "1")
+    assert code == EXIT_USAGE and out == "" and err == f"error: scheme 's': {message}\n"
+
+
 def test_budget_refusal_exit_code(doc_path, capsys):
     code, _, err = run(
         capsys, "galois", "fsc", "--in", doc_path, "--set", "T2", "--arity", "5", "--budget", "100"
@@ -404,8 +415,12 @@ def test_flag_references_name_no_binding(doc_path, capsys):
 
 
 def test_t4_budget_refusal_exit_code(doc_path, capsys):
-    code, out, err = run(capsys, "verify", "t4", "--in", doc_path, "--class", "K2", "--cap", "3")
-    assert code == EXIT_BUDGET and "separating constraints" in err and out == ""
+    argv = ["verify", "t4", "--in", doc_path, "--class", "K2", "--cap", "3"]
+    code, out, err = run(capsys, *argv, "--budget", "5000")
+    # arity 3 enumerates the 8-row multisets of A^0..A^3 for its S_8 orbits: 1 + 9 + 165 + 6435
+    assert code == EXIT_BUDGET and "separator antecedents: 6610 exceeds budget 5000" in err and out == ""
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and "verdict: equal" in out
 
 
 def test_verify_dispatches_every_identity(doc_path, capsys, monkeypatch):

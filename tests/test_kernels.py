@@ -69,7 +69,14 @@ from funcon.core import (
     submasks,
     subset_fold,
 )
-from funcon.satisfaction import _minimal_consequents, _orbit_plan, _probe_masks, probe_groups
+from funcon.satisfaction import (
+    _minimal_consequents,
+    _orbit_antecedents,
+    _orbit_plan,
+    _orbit_separators,
+    _probe_masks,
+    probe_groups,
+)
 from funcon.instance_io import parse_instance
 from funcon.minors import tight_minor_relation
 
@@ -220,8 +227,11 @@ def separators_reference(k: FunctionClass, n: int, m: int) -> list[tuple[int, in
     return [(r.bits, minimal_consequent(k, r).bits) for r in antecedents]
 
 
-@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_separators_match_minimal_consequent(sizes):
+    """The full S_min table csf_m reads, and the orbit separators of
+    fsc_n_of_csf_m: each is a reference separator, and fsc_n over them is
+    fsc_n over the full list wherever the n-ary universe fits the budget."""
     dom, cod = domains(sizes)
     rng = random.Random(40 + 10 * sizes[0] + sizes[1])
     classes = [FunctionClass.empty(dom, cod)]
@@ -233,10 +243,57 @@ def test_separators_match_minimal_consequent(sizes):
             classes.append(k)
     for k in classes:
         for m in (1, 2):
-            # below, at and above the class arities, and at n = |A|^m, the full table csf_m reads
-            full = [dom.size**m] if constraint_universe_count(dom, cod, m) <= 10**6 else []
-            for n in sorted({1, 2, 3, *full}):
-                assert list(_minimal_consequents(k, m, n, 10**6).items()) == separators_reference(k, n, m)
+            if constraint_universe_count(dom, cod, m) <= 10**6:
+                full = sorted(separators_reference(k, dom.size**m, m))
+                assert _minimal_consequents(k, m, 10**6) == [s for _, s in full]
+            for n in (1, 2, 3):  # below, at and above the class arities
+                reference = separators_reference(k, n, m)
+                orbit = _orbit_separators(k, m, n, 10**6)
+                assert set(orbit) <= set(reference)
+                if function_count(dom, cod, n) <= 10**6:
+                    by_orbit, full_list = (ConstraintSet(dom, cod, {m: pairs}) for pairs in (orbit, reference))
+                    assert fsc_n(by_orbit, n) == fsc_n(full_list, n)
+
+
+def orbit_of(r: int, size: int, m: int) -> set[int]:
+    """The images of the rank mask r over size^m under every coordinate permutation."""
+    return {permute(permutation_tables(p, size), r) for p in itertools.permutations(range(m))}
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_minimal_consequents_commute_with_coordinate_permutations(sizes):
+    # S_min(sigma R) = sigma S_min(R) for every sigma in S_m, on the full table
+    dom, cod = domains(sizes)
+    rng = random.Random(60 + 10 * sizes[0] + sizes[1])
+    for m in (1, 2, 3) if dom.size == 2 else (1, 2):
+        for arities in ((1,), (2,), (1, 2)):
+            k = FunctionClass.empty(dom, cod)
+            for a in arities:
+                k = k | random_function_class(rng, dom, cod, a, 2)
+            table = _minimal_consequents(k, m, DEFAULT_ENUMERATION_BUDGET)
+            for p in itertools.permutations(range(m)):
+                on_a, on_b = permutation_tables(p, dom.size), permutation_tables(p, cod.size)
+                assert all(table[permute(on_a, r)] == permute(on_b, s) for r, s in enumerate(table))
+
+
+@pytest.mark.parametrize("size, m, n", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (2, 4, 2), (3, 1, 3), (3, 2, 3), (3, 3, 2)])
+def test_orbit_antecedents_meet_each_orbit_once(size, m, n):
+    # their S_m images cover every antecedent of at most n tuples, and no two share an orbit
+    antecedents = _orbit_antecedents(size, m, n)
+    orbits = [orbit_of(r, size, m) for r, _, _ in antecedents]
+    covered = set().union(*orbits)
+    every = {sum(1 << x for x in rows) for j in range(n + 1) for rows in itertools.combinations(range(size**m), j)}
+    assert covered == every
+    assert sum(map(len, orbits)) == len(covered)
+    assert all(r.bit_count() == j for r, j, _ in antecedents)
+
+
+def test_orbit_antecedents_at_boolean_m8_n3():
+    # one antecedent per S_8 orbit of the 2,796,417 of at most 3 tuples over {0, 1}^8
+    counts = [0] * 4
+    for _, j, _ in _orbit_antecedents(2, 8, 3):
+        counts[j] += 1
+    assert counts == [1, 9, 86, 1159] and sum(counts) == 1255
 
 
 def test_csf_1_of_boolean_arity_5_class_evaluates_members():
@@ -374,7 +431,7 @@ def test_probe_masks_stay_small_at_wide_constraint_arities():
     started = time.perf_counter()
     out = fsc_n_of_csf_m(k, 1, 8)
     assert time.perf_counter() - started < 10
-    assert list(_minimal_consequents(k, 8, 1, 10**6).items()) == separators_reference(k, 1, 8)
+    assert set(_orbit_separators(k, 8, 1, 10**6)) <= set(separators_reference(k, 1, 8))
     assert out.ranks(1) == fsc_n(ConstraintSet(bool_, bool_, {8: separators_reference(k, 1, 8)}), 1).ranks(1)
     for n in (1, 2):
         assert _orbit_plan(2, n, 8, 2)[1] is None

@@ -32,6 +32,8 @@ from funcon.lab import (
 
 from conftest import AND, BOOL, C_LEQ, NEGATION, OR, PR1, PR2, cls, cset, fn
 
+EMPTY_1 = ConstraintSet.from_constraints(BOOL, BOOL, [canonical_constraint("empty", 1, BOOL, BOOL)])
+
 
 def test_report_verdict_invariant():
     with pytest.raises(ValueError):
@@ -212,23 +214,37 @@ def test_t4finite(rng):
 
 
 def test_t4finite_refuses_oversized_separator_sets():
-    # cap=3 needs antecedents of up to 3 tuples over A^8: sum_{j<=3} C(256, j)
+    # cap=3 reads antecedents of up to 3 tuples over A^8: one per S_8 orbit fits the default budget
+    assert verify_factorization("t4finite", cls(NEGATION), cap=3).verdict == "equal"
+    # n=2, m=4: 1 + 5 + 35 multisets of 4 rows from A^0, A^1 and A^2 are enumerated
+    with pytest.raises(BudgetExceededError, match="separator antecedents: 41 exceeds budget 40"):
+        fsc_n_of_csf_m(cls(AND), 2, 4, budget=40)
+    # they leave 1 + 5 + 17 antecedents, whose probes of the binary member number 0 + 5 * 1 + 17 * 4
     with pytest.raises(BudgetExceededError) as excinfo:
-        verify_factorization("t4finite", cls(NEGATION), cap=3)
-    assert excinfo.value.count == 2_796_417
-    with pytest.raises(BudgetExceededError):
-        fsc_n_of_csf_m(cls(AND), 2, 4, budget=136)  # 1 + 16 + 120 separators
-    assert fsc_n_of_csf_m(cls(AND), 2, 4, budget=137) == fsc_n_of_csf_m(cls(AND), 2, 4)
+        fsc_n_of_csf_m(cls(AND), 2, 4, budget=72)
+    assert excinfo.value.count == 73
+    assert fsc_n_of_csf_m(cls(AND), 2, 4, budget=73) == fsc_n_of_csf_m(cls(AND), 2, 4)
 
 
 def test_fsc_n_of_csf_m_refuses_oversized_probe_walks():
-    # n=1, m=2: 1 + 4 separators, but the ternary member walks 4^3 = 64 probes
+    # n=1, m=2: the three one-tuple antecedents walk one probe per member arity, 3 * 2 probes
     ternary = FunctionClass.from_tables(BOOL, BOOL, [fn((0, 1) * 4, 3)])
     k = cls(NEGATION) | ternary
-    with pytest.raises(BudgetExceededError) as excinfo:
-        fsc_n_of_csf_m(k, 1, 2, budget=63)
-    assert excinfo.value.count == 64
-    assert fsc_n_of_csf_m(k, 1, 2, budget=64) == fsc_n_of_csf_m(k, 1, 2)
+    with pytest.raises(BudgetExceededError, match="separator probes") as excinfo:
+        fsc_n_of_csf_m(k, 1, 2, budget=5)
+    assert excinfo.value.count == 6
+    assert fsc_n_of_csf_m(k, 1, 2, budget=6) == fsc_n_of_csf_m(k, 1, 2)
+
+
+def test_thm5_at_boolean_n3_through_one_separator_per_orbit():
+    # FSC_n CSF_m = Lo_m VS_n, and at m = |A|^n the local closure is trivial (Theorem 5),
+    # so fsc_n_of_csf_m(k, 3, 8) is vs_n_closure(k)
+    rng = random.Random(26)
+    classes = [random_function_class(rng, BOOL, BOOL, 3, count) for count in (1, 3, 8)]
+    for k in classes:
+        assert fsc_n_of_csf_m(k, 3, 8) == vs_n_closure(k)
+    assert verify_definability("thm5", classes[1], n=3).verdict == "equal"
+    assert verify_factorization("t4finite", classes[1], cap=3).verdict == "equal"
 
 
 def test_unknown_identity_rejected():
@@ -291,6 +307,9 @@ def test_thm6_equivalence():
     seed = cm_closure(cset(C_LEQ), cap=2).constraints
     rep = verify_definability("thm6", seed, n=2, cap=2)
     assert rep.ok, rep.parameters
+    # without the unary empty constraint the set is still locally closed, but neither side holds
+    rep = verify_definability("thm6", fixed - EMPTY_1, n=2, cap=2)
+    assert rep.ok and not rep.parameters["predicate"] and not rep.parameters["fixed_point"]
 
 
 def test_cor1_every_unary_class_is_a_fixed_point(rng):
@@ -310,8 +329,9 @@ def test_cor2_equivalence():
     t = csf_full(k1, 2)
     rep = verify_definability("cor2", t, cap=2)
     assert rep.ok and rep.parameters["predicate"] and rep.parameters["fixed_point"]
-    rep = verify_definability("cor2", cset(C_LEQ), cap=2)
-    assert rep.ok and not rep.parameters["predicate"] and not rep.parameters["fixed_point"]
+    for lacking in (cset(C_LEQ), t - EMPTY_1):  # no binary equality; no unary empty constraint
+        rep = verify_definability("cor2", lacking, cap=2)
+        assert rep.ok and not rep.parameters["predicate"] and not rep.parameters["fixed_point"]
 
 
 def test_random_constraint_set_draws_as_from_the_listed_universe():

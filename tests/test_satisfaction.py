@@ -249,7 +249,7 @@ def test_trace_constraint():
     s = minimal_consequent(k, r)
     # AND gives (0,1), OR gives (1,1)
     assert s.tuples() == [(0, 1), (1, 1)]
-    assert _minimal_consequents(k, 2, 2, DEFAULT_ENUMERATION_BUDGET)[r.bits] == s.bits
+    assert _minimal_consequents(k, 2, DEFAULT_ENUMERATION_BUDGET)[r.bits] == s.bits
     for f in k.tables():
         assert satisfies(f, Constraint(r, s))
 
