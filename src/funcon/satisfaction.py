@@ -1,12 +1,13 @@
 """Class composition, images, the satisfaction relation, and the Galois maps.
 
 ``fsc_n`` and ``csf_m`` realize the two directions of the correspondence at
-fixed arities.  Both work on classes as bitmasks over table ranks with the
-column table of ``core.column_masks``: ``fsc_n`` ANDs, per signature of each
-constraint, an OR of column minterms, and ``csf_m`` reads each probe's
-achievable output tuples off ANDs of the class mask with column minterms.
-It reads each point's last value by difference and, where the shape's byte
-tables stay small, walks one probe per S_m orbit and fills the rest from them.
+fixed arities.  Both work on classes as bitmasks over table ranks: ``fsc_n``
+ANDs, per signature of each constraint, an OR of the column minterms of
+``core.column_masks``.  ``csf_m`` reads each probe's achievable
+output tuples by splitting the class point by point.  Where the shape's byte
+tables stay small, it walks one probe per S_m orbit and fills the rest from
+them, and a class mask splits into the |B| slices of each point's table digit,
+so each point shrinks the sub-class by |B|; elsewhere it ANDs column minterms.
 ``probe_groups`` ORs the probe masks by cross-row set, and
 ``_minimal_consequents`` folds them into S_min(R), the least consequent over R,
 for every R: the floors of ``csf_m``.  ``_orbit_separators`` walks the probes
@@ -215,34 +216,41 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
 
     Entry ``q`` is a bitmask over cod^m ranks: the value tuples some member of
     the class takes at the m argument points encoded in the probe rank ``q``
-    (base |A|^n digits, first point most significant).  Bit s is set iff the
-    class mask meets ``AND_i col[q_i][s_i]``.  The walk shares a prefix's
-    ANDs; at each point the last value's hit is the sub-class minus the other
-    values' hits.  With a fill from ``_orbit_plan`` it visits only the probes
-    with non-decreasing points, one per S_m orbit, and the fill's byte tables
-    give the rest; otherwise it visits every probe.  ``_columns`` gives the columns.
+    (base |A|^n digits, first point most significant).  The walk shares a
+    prefix's splits: at point p, value v's sub-class is ``within >> shift & mask``
+    for that value's shift and mask, and the OR of the sub-classes walks on to
+    point p + 1.  With a fill from ``_orbit_plan`` it visits only the probes
+    with non-decreasing points, one per S_m orbit, a repeated point reading the
+    value already chosen, and the fill's byte tables give the rest.  There a
+    class held as a mask splits into the |B| slices of point p's digit, of
+    weight w = |B|^(|A|^n-1-p), shift v*w and mask 2^w - 1, so a sub-class past
+    p holds only the later digits.  Otherwise it visits every probe and ANDs the
+    columns of ``_columns``.
     """
-    points, cod_size, last = k.dom.size**n, k.cod.size, k.cod.size - 1
+    points, cod_size = k.dom.size**n, k.cod.size
     fill = _orbit_plan(k.dom.size, n, m, cod_size)[1]
-    cols, class_mask = _columns(k, n, budget)
+    if fill is not None and function_count(k.dom, k.cod, n) <= budget:
+        class_mask = k.mask(n)
+        weights = (cod_size ** (points - 1 - p) for p in range(points))  # point 0's digit is the most significant
+        splits = [[(v * w, (1 << w) - 1) for v in range(cod_size)] for w in weights]
+    else:
+        cols, class_mask = _columns(k, n, budget)
+        splits = [[(0, col) for col in row] for row in cols]
     masks = [0] * points**m
 
     def walk(depth: int, start: int, q: int, s: int, within: int) -> None:
         for p in range(start, points):
-            bits = acc = 0
-            for v, col in zip(range(last), cols[p]):
-                hit = within & col
-                if hit:
-                    acc = acc | hit if acc else hit
+            rest = bits = 0
+            for v, (shift, mask) in enumerate(splits[p]):
+                part = within >> shift & mask if shift else within & mask  # a shift by 0 copies within
+                if part:
+                    rest |= part
                     bits |= 1 << v
-                    if depth > 1:
-                        walk(depth - 1, p if fill else 0, q * points + p, s * cod_size + v, hit)
-            if acc != within:  # the last value, read by difference
-                bits |= 1 << last
-                if depth > 1:
-                    walk(depth - 1, p if fill else 0, q * points + p, s * cod_size + last, within ^ acc)
+                    if depth > 1:  # put back at point p, v's slice is all a repeated point reads
+                        walk(depth - 1, p if fill else 0, q * points + p, s * cod_size + v, part << shift)
             if depth == 1:
                 masks[q * points + p] |= bits << s * cod_size
+            within = rest
 
     walk(m, 0, 0, 0, class_mask)
     if fill is None:
@@ -297,7 +305,7 @@ def _orbit_probes(size: int, m: int, n: int, a: int) -> tuple[tuple[int, tuple[i
 
 def _orbit_separators(k: FunctionClass, m: int, n: int, budget: int) -> list[tuple[int, int]]:
     """(R, S_min(R)) for each R of ``_orbit_antecedents``, walking R's ``_orbit_probes`` at each arity of k
-    as ``_probe_masks`` walks: a probe walks only the points it does not share with the one before."""
+    on the columns of ``_columns``: a probe walks only the points it does not share with the one before."""
     within_budget(sum(math.comb(k.dom.size**j + m - 1, m) for j in range(n + 1)), budget, "separator antecedents")
     antecedents = _orbit_antecedents(k.dom.size, m, n)
     within_budget(sum(j**a for _, j, _ in antecedents for a in k.arities()), budget, "separator probes")

@@ -122,6 +122,11 @@ def monotone_tables(arity):
 # and variable permutations tau of the functions, one per arity
 
 
+def value_permutations(size):
+    """A transposition and a cycle of the domain (one swap on Boolean)."""
+    return [[1, 0, *range(2, size)], [*range(1, size), 0]]
+
+
 def moved_ranks(size, arity, perm, sigma=None):
     """Entry r: the rank of the tuple of rank r over size^arity with perm
     applied to every coordinate, and coordinate i then read from coordinate
@@ -163,3 +168,21 @@ def relabel_constraints(t, pi_a, pi_b, sigmas=None):
         moved_a, moved_b = moved_ranks(t.dom.size, m, pi_a, sigma), moved_ranks(t.cod.size, m, pi_b, sigma)
         by_arity[m] = [(relabel_bits(r, moved_a), relabel_bits(s, moved_b)) for r, s in t.ranks(m)]
     return ConstraintSet(t.dom, t.cod, by_arity)
+
+
+def constraint_orbits(a, b, m):
+    """One single-constraint set {(R, S)} of arity m over |A| = a, |B| = b per
+    orbit of the relabelings: a value permutation of A, one of B and a
+    coordinate permutation applied to R and S together.  Yields (R, S, orbit
+    size), R and S rank masks over A^m and B^m, (R, S) the least of its orbit."""
+    from itertools import permutations
+
+    group = [(moved_ranks(a, m, pi_a, sigma), moved_ranks(b, m, pi_b, sigma))
+             for pi_a in permutations(range(a)) for pi_b in permutations(range(b)) for sigma in permutations(range(m))]
+    images_r = [[relabel_bits(r, moved_a) for r in range(1 << a**m)] for moved_a, _ in group]
+    images_s = [[relabel_bits(s, moved_b) for s in range(1 << b**m)] for _, moved_b in group]
+    for r in range(1 << a**m):
+        for s in range(1 << b**m):
+            orbit = {(image_r[r], image_s[s]) for image_r, image_s in zip(images_r, images_s)}
+            if min(orbit) == (r, s):
+                yield r, s, len(orbit)

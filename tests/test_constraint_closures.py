@@ -23,7 +23,18 @@ from funcon import (
 )
 from funcon.core import BudgetExceededError, ConstraintSet, constraint_universe_count
 
-from conftest import BOOL, C_EQ2, C_LEQ, GEQ, cset, minor_witnesses, moved_ranks, relabel_bits, relabel_constraints
+from conftest import (
+    BOOL,
+    C_EQ2,
+    C_LEQ,
+    GEQ,
+    cset,
+    minor_witnesses,
+    moved_ranks,
+    relabel_bits,
+    relabel_constraints,
+    value_permutations,
+)
 
 
 def q1_subset(rng, count):
@@ -183,6 +194,36 @@ def test_cm_m_closure_commutes_with_relabeling(sizes, m, sets):
             for r, floor in enumerate(res.constraints.floors(m)):
                 floors[relabel_bits(r, moved_a)] = relabel_bits(floor, moved_b)
             assert (list(moved.constraints.floors(m)), moved.converged, moved.iterations) == (floors, res.converged, res.iterations)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3), (3, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_lo_n_closure_commutes_with_relabeling(sizes):
+    """lo_n_closure(g T, n) = g lo_n_closure(T, n) for g a pair of value
+    permutations (pi_A, pi_B) and a permutation sigma of the m coordinates, at
+    m, n <= 2: on sets held as floors, relabeled by their floors, and on the
+    pairs above those floors at antecedents of at most n tuples, which the
+    closure grows to the larger antecedents."""
+    a, b = sizes
+    dom, cod = DomainSpec("A", a), DomainSpec("B", b)
+    rng = random.Random(55 * a + b)
+    for m, n in itertools.product((1, 2), (1, 2)):
+        full = (1 << b**m) - 1
+        # dense floors keep the pairs above them few
+        floors = [rng.randrange(full + 1) | rng.randrange(full + 1) for _ in range(1 << a**m)]
+        small = {(r, s) for r, floor in enumerate(floors) if r.bit_count() <= n for s in range(full + 1) if s & floor == floor}
+        held, pairs = ConstraintSet.from_floors(dom, cod, m, floors), ConstraintSet(dom, cod, {m: small})
+        closed_held, closed_pairs = lo_n_closure(held, n), lo_n_closure(pairs, n)
+        assert len(closed_pairs) > len(pairs) or n >= a**m  # the larger antecedents gain pairs
+        for (pi_a, pi_b), sigma in itertools.product(zip(value_permutations(a), value_permutations(b)[::-1]),
+                                                     itertools.permutations(range(m))):
+            moved_a, moved_b = moved_ranks(a, m, pi_a, sigma), moved_ranks(b, m, pi_b, sigma)
+            moved_floors = [0] * len(floors)
+            for r, floor in enumerate(floors):
+                moved_floors[relabel_bits(r, moved_a)] = relabel_bits(floor, moved_b)
+            assert lo_n_closure(ConstraintSet.from_floors(dom, cod, m, moved_floors), n) == \
+                relabel_constraints(closed_held, pi_a, pi_b, {m: sigma})
+            assert lo_n_closure(relabel_constraints(pairs, pi_a, pi_b, {m: sigma}), n) == \
+                relabel_constraints(closed_pairs, pi_a, pi_b, {m: sigma})
 
 
 def test_cm_bounds_validation():

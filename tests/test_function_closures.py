@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from funcon import (
     ArityMismatchError,
     BudgetExceededError,
+    DomainSpec,
     SubstitutionMap,
     compose_classes,
     lo_m_closure,
@@ -12,8 +15,9 @@ from funcon import (
     vs_n_closure,
 )
 from funcon.core import FunctionClass
+from funcon.lab import random_function_class
 
-from conftest import AND, BOOL, IDENTITY, OR, PR1, PR2, XOR, cls, fn
+from conftest import AND, BOOL, IDENTITY, OR, PR1, PR2, XOR, cls, fn, relabel_class, value_permutations
 
 
 def test_substitute_examples():
@@ -116,3 +120,29 @@ def test_empty_class_closures():
     assert vs_closure(empty, 2) == empty
     assert lo_m_closure(empty, 1) == empty
     assert lo_m_closure(empty, 4) == empty
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3), (3, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_vs_n_and_lo_m_closures_commute_with_relabeling(sizes):
+    """vs_n_closure(g k) = g vs_n_closure(k) and lo_m_closure(g k, m) =
+    g lo_m_closure(k, m) for g a pair of value permutations (pi_A, pi_B)
+    followed by a variable permutation tau of each arity, at n, m <= 2."""
+    a, b = sizes
+    dom = DomainSpec("a", a)
+    cod = dom if a == b else DomainSpec("b", b)
+    rng = random.Random(45 * a + b)
+    swaps = {1: [0], 2: [1, 0]}
+    classes = [random_function_class(rng, dom, cod, n, 3) for n in (1, 2)]
+    for k in classes:
+        closed = vs_n_closure(k)
+        assert k.issubset(closed)
+        for pi_a, pi_b in zip(value_permutations(a), value_permutations(b)[::-1]):
+            for taus in (None, swaps):
+                assert vs_n_closure(relabel_class(k, pi_a, pi_b, taus)) == relabel_class(closed, pi_a, pi_b, taus)
+    mixed = classes[0] | classes[1]
+    assert len(lo_m_closure(mixed, 1)) > len(mixed)  # lo_1 adds the tables pieced together pointwise
+    for m in (1, 2):
+        closed = lo_m_closure(mixed, m)
+        for pi_a, pi_b in zip(value_permutations(a), value_permutations(b)[::-1]):
+            for taus in (None, swaps):
+                assert lo_m_closure(relabel_class(mixed, pi_a, pi_b, taus), m) == relabel_class(closed, pi_a, pi_b, taus)

@@ -1,10 +1,11 @@
 """Differential tests of the bit-sliced Galois kernels against scalar
 references built from ``satisfies`` over the enumerated function and
 constraint universes, on seeded instances off the Boolean domain too, of the
-csf_m probe masks and probe groups on dense classes against the walk over
-every probe, and of the constraint-side mask kernels (lift, projection, the floor add pass,
-maximal members, ``lo_n_closure``) against scalar pair-by-pair reference
-loops, of the cm fixpoint against the tuple-keyed all-pairs round loop, of
+csf_m probe masks and probe groups on dense classes, and on the digit
+slices of empty, one-member and |B| = 3 classes, against the walk over every
+probe, and of the constraint-side mask kernels (lift, projection, the floor
+add pass, maximal members, ``lo_n_closure``) against scalar pair-by-pair
+reference loops, of the cm fixpoint against the tuple-keyed all-pairs round loop, of
 ``core.subset_fold`` against a fold over ``core.submasks``, of the reading
 table ``core.readings``, the permutation tables ``core.permutation_tables``
 and the tight minor built on them against digit-by-digit decoding, and of S_min, the separators ``fsc_n_of_csf_m`` and the floors
@@ -418,6 +419,34 @@ def test_csf_m_matches_the_all_probes_walk_on_dense_classes(k, constraint_aritie
             assert csf_m(k, m).ranks(m) == csf_pairs_from_groups(k, m, groups)
         if reference_cheap or m == 1:
             assert csf_m(k, m) == csf_reference(k, m)
+
+
+def slice_cases():
+    """pytest params (class, arity n, constraint arity m) on which the walk
+    splits class masks into digit slices: the empty and a one-member Boolean
+    class at n = 4, (3, 3) classes at n = 2, three slices per digit over 3^9
+    tables, and (3, 2) classes at n = 2 and m = 3."""
+    rng = random.Random(27)
+    bool_ = DomainSpec("bool", 2)
+    one = FunctionTable(bool_, bool_, 4, tuple(rng.randrange(2) for _ in range(16)))
+    one = FunctionClass.from_tables(bool_, bool_, [one])
+    cases = [pytest.param(FunctionClass.from_masks(bool_, bool_, {4: 0}), 4, 2, id="2x2-n4-empty")]
+    cases += [pytest.param(one, 4, m, id=f"2x2-n4-one-m{m}") for m in (2, 3)]
+    for sizes, m in (((3, 3), 2), ((3, 2), 3)):
+        dom, cod = domains(sizes)
+        count = function_count(dom, cod, 2)
+        masks = dense_masks(dom, cod, 2, rng)
+        masks["sparse"] = mask_of_ranks(rng.sample(range(count), 40), count)
+        cases += [pytest.param(FunctionClass.from_masks(dom, cod, {2: masks[name]}), 2, m,
+                               id=f"{sizes[0]}x{sizes[1]}-n2-m{m}-{name}") for name in ("3/4", "co-sparse", "sparse")]
+    return cases
+
+
+@pytest.mark.parametrize("k, n, m", slice_cases())
+def test_probe_masks_match_the_all_probes_walk_on_digit_slices(k, n, m):
+    assert _orbit_plan(k.dom.size, n, m, k.cod.size)[1] is not None  # a fill, so the walk splits digit slices
+    assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == walk_reference(k, n, m)
+    assert probe_groups(k, m, DEFAULT_ENUMERATION_BUDGET) == probe_groups_reference(k, m)
 
 
 def test_probe_masks_stay_small_at_wide_constraint_arities():

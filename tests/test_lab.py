@@ -30,7 +30,7 @@ from funcon.lab import (
     random_function_class,
 )
 
-from conftest import AND, BOOL, C_LEQ, NEGATION, OR, PR1, PR2, cls, cset, fn
+from conftest import AND, BOOL, C_LEQ, NEGATION, OR, PR1, PR2, cls, constraint_orbits, cset, fn
 
 EMPTY_1 = ConstraintSet.from_constraints(BOOL, BOOL, [canonical_constraint("empty", 1, BOOL, BOOL)])
 
@@ -174,6 +174,26 @@ def test_t15ii_at_m_2_off_the_boolean_diagonal(sizes):
             assert rep.ok, (sorted(t.ranks(2)), n, rep.symmetric_difference)
             found.append(rep.lhs_size)
     assert found == T15II_OFF_DIAGONAL_M2[sizes]
+
+
+# per (|A|, |B|): the function arities n, and the count of orbits of single-constraint sets {(R, S)} at
+# m = 2 under value permutations of A and of B and the coordinate swap
+T15II_CENSUS_M2 = {(2, 2): ((1, 2), 82), (3, 2): ((2,), 696), (2, 3): ((2,), 696)}
+
+
+@pytest.mark.parametrize("sizes", sorted(T15II_CENSUS_M2), ids=lambda s: f"{s[0]}x{s[1]}")
+def test_t15ii_is_equal_on_every_single_constraint_orbit_at_m_2(sizes):
+    a, b = sizes
+    arities, count = T15II_CENSUS_M2[sizes]
+    dom, cod = DomainSpec("A", a), DomainSpec("B", b)
+    orbits = list(constraint_orbits(a, b, 2))
+    assert len(orbits) == count
+    assert sum(size for _, _, size in orbits) == 1 << a**2 + b**2  # the orbits cover every set
+    for r, s, _ in orbits:
+        t = ConstraintSet(dom, cod, {2: [(r, s)]})
+        for n in arities:
+            rep = verify_factorization("t15ii", t, n=n, m=2)
+            assert rep.verdict == "equal", (r, s, n, rep.symmetric_difference)
 
 
 def test_t15ii_never_turns_the_fsc_4_mask_into_ranks(monkeypatch):

@@ -50,6 +50,7 @@ from conftest import (
     relabel_bits,
     relabel_class,
     relabel_constraints,
+    value_permutations,
 )
 
 
@@ -260,11 +261,6 @@ def test_minimal_consequent_is_union_of_images():
     assert minimal_consequent(k, r) == (image(AND, r) | image(OR, r))
     for f in k.tables():
         assert satisfies(f, Constraint(r, minimal_consequent(k, r)))
-
-
-def value_permutations(size):
-    """A transposition and a cycle of the domain (one swap on Boolean)."""
-    return [[1, 0, *range(2, size)], [*range(1, size), 0]]
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)])
