@@ -16,18 +16,22 @@ The fixpoint holds one floor per antecedent R, its least consequent: the sets
 it builds are closed under relaxation and under the meet of two members with
 one antecedent, so their members are the (R, S) with S a superset of floor(R).
 ``_add`` ANDs a new pair's consequent into the floors below its antecedent,
-and ``_maximal`` reads off the maximal members.  A round of minor moves packs
-each lift of a maximal member into one int, antecedent above consequent, so a
-meet of lifts is one AND (a lift met with itself is a single-source tight
-minor).  The lifts are closed under the permutations g of the target and the
+and ``_maximal`` reads off the maximal members, one C-level compare per tuple.
+A round of minor moves packs each lift of a maximal member into one int,
+antecedent above consequent, so a meet of lifts is one AND (a lift met with
+itself is a single-source tight minor).  A member whose identity lift is held
+is skipped: its other lifts read that one through maps of the m+v coordinates.
+The lifts are closed under the permutations g of the target and the
 indeterminate coordinates, and g commutes with the meet and the projection, so
 the first lift of each orbit (``_map_orbits``) meets the lifts, and the floors
-are closed under the target permutations after (``core.permute``).  Its row of
-meets is deduplicated in row order by ``dict.fromkeys`` and against every meet
-seen, and each new one is projected by shift-ORs and 8-block tables
-(``_meet_projection``).  Semi-naive rounds: an old orbit meets the fresh lifts,
-a fresh one those from its own orbit on.  Witnesses are recorded as bit pairs
-for the pairs that enter and decoded, one per member, on first read.
+are closed under the target permutations after (``core.permute``), a pass a
+round whose meets add nothing skips.  A row of meets is deduplicated in row
+order by ``dict.fromkeys`` and against every meet seen, and each new one is
+projected by shift-ORs and 8-block tables (``_meet_projection``).  Semi-naive
+rounds: an old orbit meets the fresh lifts, a fresh one itself and those from
+its own orbit on, and only lifts sharing an indeterminate: with disjoint ones
+the projection is the meet of two projections, members already.  Witnesses
+are recorded as bit pairs for the pairs that enter and decoded on first read.
 ``lo_n_closure`` ORs floors over the subset lattice with ``core.subset_fold``,
 or else masks, per antecedent, the consequents present with it and folds their
 up-interiors.
@@ -35,6 +39,7 @@ up-interiors.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from collections.abc import Callable, Iterable
@@ -138,9 +143,14 @@ def _add(floors: list[int], entered: dict[tuple[int, int], tuple], pair: tuple[i
 
 def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
     """The maximal members: floors grow with the antecedent, so these are the
-    (r, floor(r)) whose floor grows at every one-tuple-larger antecedent."""
-    return [(r, floor) for r, floor in enumerate(floors)
-            if all(floors[r | 1 << j] != floor for j in range(width) if not r >> j & 1)]
+    (r, floor(r)) whose floor grows at every one-tuple-larger antecedent.  Per tuple j, one
+    ``map`` compares each floor with the one 2^j on, byte r of an int marking a tie at r,
+    masked to the r without j, where r + 2^j is r | 2^j: the same list as an ``all()`` per r."""
+    count, tied = len(floors), 0
+    for j in range(width):
+        ties = int.from_bytes(bytes(map(operator.eq, floors, floors[1 << j :])), "little")
+        tied |= ties & int.from_bytes((b"\1" * (1 << j) + bytes(1 << j)) * (count >> j + 1), "little")
+    return list(itertools.compress(enumerate(floors), (tied ^ int.from_bytes(b"\1" * count, "little")).to_bytes(count, "little")))
 
 
 @lru_cache(maxsize=32)
@@ -161,17 +171,24 @@ def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple[tuple[int, ..
 
 
 @lru_cache(maxsize=32)
-def _map_orbits(k: int, m: int, v: int) -> tuple[tuple[int, ...], ...]:
+def _map_orbits(k: int, m: int, v: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Per map h of ``_lift_tables(k, m, v, ..)``, the indices of the maps g∘h for g permuting the m target
-    and the v indeterminate coordinates: the maps that are equal where h is and targets where h is."""
-    shapes = [tuple((e < m, h.index(e)) for e in h) for h in itertools.product(range(m + v), repeat=k)]
+    and the v indeterminate coordinates (the maps that are equal where h is and targets where h is), and
+    the mask of the indeterminates h reads, bit e - m for coordinate e >= m."""
+    maps = list(itertools.product(range(m + v), repeat=k))
+    shapes = [tuple((e < m, h.index(e)) for e in h) for h in maps]
     orbits = {shape: tuple(i for i, other in enumerate(shapes) if other == shape) for shape in set(shapes)}
-    return tuple(map(orbits.__getitem__, shapes))
+    return tuple(map(orbits.__getitem__, shapes)), tuple(sum(1 << e for e in set(h)) >> m for h in maps)
 
 
 def _lifts(columns: tuple[tuple[tuple[int, ...], ...], ...], bits: int) -> Iterable[int]:
     """The lifts of a source mask through every map of its ``_lift_tables``: the sum of its nibbles' columns."""
     return reduce(partial(map, operator.add), [column[bits >> 4 * c & 15] for c, column in enumerate(columns)])
+
+
+def _lift(columns: tuple[tuple[tuple[int, ...], ...], ...], bits: int, i: int) -> int:
+    """The lift of a source mask through map i alone."""
+    return sum(column[bits >> 4 * c & 15][i] for c, column in enumerate(columns))
 
 
 def _projection(m: int, v: int, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, dict[int, int]], ...]]:
@@ -260,24 +277,36 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             width_b = sb ** (m + v)
             # packed lift (antecedent << width_b | consequent) -> a source giving it, orbit by orbit
             lifts: dict[int, tuple[int, int, tuple[int, ...], int]] = {}
+            indets: dict[int, int] = {}  # packed lift -> the indeterminates its map reads
             reps = []  # the first lift of each orbit
             for src_arity in targets:
                 (maps, columns_a), (_, columns_b) = _lift_tables(src_arity, m, v, sa), _lift_tables(src_arity, m, v, sb)
-                orbits = _map_orbits(src_arity, m, v)
+                orbits, masks = _map_orbits(src_arity, m, v)
+                ident = maps.index(tuple(range(src_arity))) if src_arity <= m + v else None
                 for r, s in maximals[src_arity]:
+                    # every lift of (r, s) reads its identity lift through a map of the m+v coordinates: one held, all held
+                    if ident is not None and _lift(columns_a, r, ident) << width_b | _lift(columns_b, s, ident) in lifts:
+                        continue
                     keys = list(map(operator.or_, map(operator.lshift, _lifts(columns_a, r), itertools.repeat(width_b)), _lifts(columns_b, s)))
                     for i, key in enumerate(keys):
                         if key not in lifts:  # nor is its orbit, the lifts through the maps g∘h
                             reps.append(key)
                             lifts.update({keys[j]: (r, s, maps[j], src_arity) for j in orbits[i]})
+                            indets.update({keys[j]: masks[j] for j in orbits[i]})
             old, previous[m] = previous[m], set(lifts)
             fresh = [key for key in lifts if key not in old]
             at = {key: i for i, key in enumerate(fresh)}
-            project, seen, floor = _meet_projection(m, v, sa, sb), done[m], floors[m]
+            buckets: dict[int, list[int]] = {}  # indeterminate mask -> the fresh lifts with it, in order
+            for key in fresh:
+                buckets.setdefault(indets[key], []).append(key)
+            project, seen, floor, added = _meet_projection(m, v, sa, sb), done[m], floors[m], False
             for key in reps:
-                # an old orbit met the old lifts last round, so it meets the fresh ones; a fresh orbit meets
-                # the fresh lifts from its own orbit on, as the fresh orbits before it met it
-                row = fresh if key in old else fresh[at[key]:]
+                # an old orbit met the old lifts last round, so it meets the fresh ones; a fresh orbit meets itself and
+                # the fresh lifts from its own orbit on, as the fresh orbits before it met it; both only across a shared indeterminate
+                row = [key] if key in at and not indets[key] else []
+                for mask, keys in buckets.items():
+                    if mask & indets[key]:
+                        row += keys[bisect.bisect_left(keys, at.get(key, 0), key=at.__getitem__):]
                 meets = list(map(key.__and__, row))
                 new = [meet for meet in dict.fromkeys(meets) if meet not in seen]  # in the order of the row
                 seen.update(new)
@@ -287,9 +316,9 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
                         other = row[meets.index(meet)]
                         entered[m][cand] = ("minor", v, (lifts[key],) if other == key else (lifts[key], lifts[other]))
                         _add(floor, entered[m], cand, m)
-                        changed = True
-            # the pairs met the orbits through one lift each, so add the S_m images of the maximal members
-            for r, s in _maximal(floor, sa**m):
+                        added = changed = True
+            # the pairs met the orbits through one lift each, so add the S_m images of the maximal members (round 1, or a meet added)
+            for r, s in _maximal(floor, sa**m) if added or iteration == 1 else ():
                 for q, tables_a, tables_b in perms[m]:
                     image = permute(tables_a, r), permute(tables_b, s)
                     if floor[image[0]] & ~image[1]:

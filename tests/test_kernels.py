@@ -526,6 +526,12 @@ def maximal_reference(members):
     ]
 
 
+def maximal_scan(floors, width):
+    """The (r, floor(r)) whose floor differs at every one-tuple-larger antecedent, one test at a time."""
+    return [(r, floor) for r, floor in enumerate(floors)
+            if all(floors[r | 1 << j] != floor for j in range(width) if not r >> j & 1)]
+
+
 def lo_n_reference(t, n):
     """Add, pair by pair, every constraint all of whose relaxations with
     antecedent of size at most n are present, sweeping until nothing changes."""
@@ -643,7 +649,7 @@ def fixpoint_reference(t, targets, bounds):
     v, done, converged, iteration = bounds.max_indets, set(), False, 0
     for iteration in range(1, bounds.max_iterations + 1):
         changed = False
-        maximals = {m: _maximal(floors[m], sa**m) for m in targets}
+        maximals = {m: maximal_scan(floors[m], sa**m) for m in targets}
         for m in targets:
             lifts = set()
             for src_arity in targets:
@@ -696,6 +702,18 @@ def test_fixpoint_matches_all_pairs_round():
         runs.append((ConstraintSet(dom, cod, {2: frozenset({pair})}), [2], CmBounds()))
     # source arities 1..3 feed every target arity 1..3
     runs.append((random_pair_set(rng, gap.dom, gap.cod, 1, 1) | random_pair_set(rng, gap.dom, gap.cod, 2, 2), [1, 2, 3], CmBounds()))
+    # source arities above m + v, which have no identity lift: arity 3 into 1 at v = 0 and 1, into 2 at v = 0
+    for v in (0, 1):
+        t = random_pair_set(rng, gap.dom, gap.cod, 1, 1) | random_pair_set(rng, gap.dom, gap.cod, 2, 1)
+        runs.append((t | random_pair_set(rng, gap.dom, gap.cod, 3, 1), [1, 2, 3], CmBounds(max_indets=v)))
+        # a ternary seed with a binary one that is its lift through the map (0, 1, 1), not injective: the
+        # seed's other lifts into two coordinates (the identifications of coordinates 1 and 2, 1 and 3) are new
+        r, s = 196, 224
+        pair = tuple(sum(1 << x for x, read in enumerate(readings((0, 1, 1), 2, 2)) if bits >> read & 1) for bits in (r, s))
+        runs.append((ConstraintSet(gap.dom, gap.cod, {2: frozenset({pair}), 3: frozenset({(r, s)})}), [1, 2, 3], CmBounds(max_indets=v)))
+    runs.append((gap, [3], CmBounds(max_indets=3)))  # maps reading up to three indeterminates
+    # round 1's meets add nothing here, and only the S_2 image pass adds the seed's swapped pair
+    runs.append((ConstraintSet(gap.dom, gap.cod, {2: frozenset({(4, 14)})}), [2], CmBounds(max_indets=0)))
     for t, targets, bounds in runs:
         res = cm_m_closure(t, targets[0], bounds) if len(targets) == 1 else cm_closure(t, len(targets), bounds)
         floors = {m: list(res.constraints.floors(m)) for m in targets}
@@ -817,6 +835,44 @@ def test_subset_fold_matches_submask_fold(op, length):
     expected = [functools.reduce(op, (table[sub] for sub in submasks(r))) for r in range(length)]
     assert subset_fold(table, op) == expected
     assert table == expected  # folded in place
+
+
+def floor_tables(rng, width):
+    """Floor tables over 2^width antecedents, each with its consequent width, the r expected
+    not maximal where known (else None), and whether the floors grow with the antecedent."""
+    count = 1 << width
+    for cons_width in sorted({1, 2, width}):  # floors that _add builds from random seeds
+        full = (1 << cons_width) - 1
+        for seeds in (1, 3, 6):
+            floors = [full] * count
+            for _ in range(seeds):
+                _add(floors, {}, (rng.randrange(count), rng.randrange(full + 1)), 1)
+            yield cons_width, floors, None, True
+    yield width, [rng.randrange(count)] * count, set(range(count - 1)), True  # only the top is maximal
+    yield width, list(range(count)), set(), True  # every antecedent is maximal
+    for j in range(width):  # one tie at tuple j: at the top's lower neighbour, and at a random r without j
+        yield width, [r | 1 << j if r | 1 << j == count - 1 else r for r in range(count)], {count - 1 ^ 1 << j}, True
+        r0 = rng.choice([r for r in range(count) if not r >> j & 1])
+        yield width, [r0 | 1 << j if r == r0 else r for r in range(count)], {r0}, False
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_maximal_matches_the_scalar_scan(width):
+    """Widths 1 to 9, up to the 512 floors of (3,3) m=2: the word-parallel scan
+    against the one-test-at-a-time scan, and, where the floors grow with the
+    antecedent and the members are few, against the pairwise scan of the members."""
+    rng = random.Random(width)
+    checked = 0
+    for cons_width, floors, tied, grows in floor_tables(rng, width):
+        maximal = _maximal(floors, width)
+        assert maximal == maximal_scan(floors, width)
+        if tied is not None:
+            assert [r for r, _ in maximal] == [r for r in range(1 << width) if r not in tied]
+        if grows and sum(1 << cons_width - floor.bit_count() for floor in floors) <= 600:
+            members = [(r, s) for r, floor in enumerate(floors) for s in range(1 << cons_width) if s & floor == floor]
+            assert maximal == maximal_reference(members)
+            checked += 1
+    assert checked >= (3 if width <= 4 else 1)
 
 
 @pytest.mark.parametrize("sizes", CONSTRAINT_SIDE_PAIRS)
