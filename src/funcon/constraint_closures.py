@@ -23,18 +23,18 @@ itself is a single-source tight minor).  A member whose identity lift is held
 is skipped: its other lifts read that one through maps of the m+v coordinates.
 The lifts are closed under the permutations g of the target and the
 indeterminate coordinates, and g commutes with the meet and the projection, so
-the first lift of each orbit (``_map_orbits``) meets the lifts, and the floors
-are closed under the target permutations after (``core.permute``), a pass a
-round whose meets add nothing skips.  A row of meets is deduplicated in row
-order by ``dict.fromkeys`` and against every meet seen, and each new one is
-projected by shift-ORs and 8-block tables (``_meet_projection``).  Semi-naive
-rounds: an old orbit meets the fresh lifts, a fresh one itself and those from
-its own orbit on, and only lifts sharing an indeterminate: with disjoint ones
-the projection is the meet of two projections, members already.  Witnesses
-are recorded as bit pairs for the pairs that enter and decoded on first read.
-``lo_n_closure`` ORs floors over the subset lattice with ``core.subset_fold``,
-or else masks, per antecedent, the consequents present with it and folds their
-up-interiors.
+the first lift of each orbit (``_lift_tables`` lists every map's orbit) meets
+the lifts, and the floors are closed under the target permutations after
+(``core.permute``), a pass a round whose meets add nothing skips.  A row of
+meets is deduplicated in row order by ``dict.fromkeys`` and against every meet
+seen, and each new one is projected by shift-ORs and 8-block tables
+(``_meet_projection``).  Semi-naive rounds: an old orbit meets the fresh
+lifts, a fresh one itself and those from its own orbit on, and only lifts
+sharing an indeterminate: with disjoint ones the projection is the meet of two
+projections, members already.  Witnesses are recorded as bit pairs for the
+pairs that enter and decoded on first read.  ``lo_n_closure`` ORs floors over
+the subset lattice with ``core.subset_fold``, or else masks, per antecedent,
+the consequents present with it and folds their up-interiors.
 """
 
 from __future__ import annotations
@@ -154,12 +154,16 @@ def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=32)
-def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """The maps h from k source coordinates to the m+v extended ones, in product
-    order, and per 4-bit chunk c of the source ranks one column per nibble p:
-    entry i is the bitmask over size^(m+v) of the extended tuples (coordinate 1
-    most significant) whose reading through map i has rank 4c+j for a bit j of p."""
+def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The maps h from k source coordinates to the m+v extended ones, in product order; per map, the
+    indices of the maps g∘h for g permuting the m target and the v indeterminate coordinates (the maps
+    equal where h is and targets where h is) and the mask of the indeterminates h reads, bit e - m for
+    coordinate e >= m; and per 4-bit chunk c of the source ranks one column per nibble p: entry i is the
+    bitmask over size^(m+v) of the extended tuples (coordinate 1 most significant) whose reading
+    through map i has rank 4c+j for a bit j of p."""
     maps, tables = tuple(itertools.product(range(m + v), repeat=k)), []
+    shapes = [tuple((e < m, h.index(e)) for e in h) for h in maps]
+    orbits = {shape: tuple(i for i, other in enumerate(shapes) if other == shape) for shape in set(shapes)}
     for h in maps:
         pre = [0] * size**k
         for x, read in enumerate(readings(h, m + v, size)):
@@ -167,18 +171,8 @@ def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple[tuple[int, ..
         # the preimages of distinct ranks are disjoint, so a sum is their OR
         tables.append([reduce(lambda table, bit: table + [t + bit for t in table], pre[c : c + 4], [0])
                        for c in range(0, len(pre), 4)])
-    return maps, tuple(tuple(zip(*chunk)) for chunk in zip(*tables))
-
-
-@lru_cache(maxsize=32)
-def _map_orbits(k: int, m: int, v: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Per map h of ``_lift_tables(k, m, v, ..)``, the indices of the maps g∘h for g permuting the m target
-    and the v indeterminate coordinates (the maps that are equal where h is and targets where h is), and
-    the mask of the indeterminates h reads, bit e - m for coordinate e >= m."""
-    maps = list(itertools.product(range(m + v), repeat=k))
-    shapes = [tuple((e < m, h.index(e)) for e in h) for h in maps]
-    orbits = {shape: tuple(i for i, other in enumerate(shapes) if other == shape) for shape in set(shapes)}
-    return tuple(map(orbits.__getitem__, shapes)), tuple(sum(1 << e for e in set(h)) >> m for h in maps)
+    masks = tuple(sum(1 << e for e in set(h)) >> m for h in maps)
+    return maps, tuple(map(orbits.__getitem__, shapes)), masks, tuple(tuple(zip(*chunk)) for chunk in zip(*tables))
 
 
 def _lifts(columns: tuple[tuple[tuple[int, ...], ...], ...], bits: int) -> Iterable[int]:
@@ -209,7 +203,8 @@ def _meet_projection(m: int, v: int, sa: int, sb: int) -> Callable[[int], tuple[
     fold serves both halves: the antecedent bits it moves down stay above the top consequent block's lowest bit."""
     (shifts, chunks), width_b = _projection(m, v, sb), sb ** (m + v)
     if sa != sb:
-        return lambda packed: (_project(packed >> width_b, m, v, sa), _project(packed & (1 << width_b) - 1, m, v, sb))
+        fold_a, fold_b = _meet_projection(m, v, sa, sa), _meet_projection(m, v, sb, sb)
+        return lambda packed: (fold_a(packed >> width_b)[1], fold_b(packed & (1 << width_b) - 1)[1])
     chunks_a = tuple((offset + width_b, low, table) for offset, low, table in chunks)
 
     def project(packed: int) -> tuple[int, int]:
@@ -223,11 +218,6 @@ def _meet_projection(m: int, v: int, sa: int, sb: int) -> Callable[[int], tuple[
         return pa, pb
 
     return project
-
-
-def _project(bits: int, m: int, v: int, size: int) -> int:
-    """Existentially project away the trailing v coordinates."""
-    return _meet_projection(m, v, size, size)(bits)[1]
 
 
 def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, budget: int) -> CmResult:
@@ -280,8 +270,7 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             indets: dict[int, int] = {}  # packed lift -> the indeterminates its map reads
             reps = []  # the first lift of each orbit
             for src_arity in targets:
-                (maps, columns_a), (_, columns_b) = _lift_tables(src_arity, m, v, sa), _lift_tables(src_arity, m, v, sb)
-                orbits, masks = _map_orbits(src_arity, m, v)
+                (maps, orbits, masks, columns_a), columns_b = _lift_tables(src_arity, m, v, sa), _lift_tables(src_arity, m, v, sb)[3]
                 ident = maps.index(tuple(range(src_arity))) if src_arity <= m + v else None
                 for r, s in maximals[src_arity]:
                     # every lift of (r, s) reads its identity lift through a map of the m+v coordinates: one held, all held
@@ -377,7 +366,7 @@ def lo_n_closure(
     if n < 1:
         raise ValueError("n must be >= 1")
     dom, cod = t.dom, t.cod
-    forms: dict[int, object] = {}  # per arity, its floors where they stay floors, else its pairs
+    held, pairs_out = [], {}  # the arities whose floors stay floors, as sets, and the pairs of the others
     for m in t.arities():
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
         n_ante, width = 1 << dom.size**m, cod.size**m
@@ -385,7 +374,7 @@ def lo_n_closure(
             grown = subset_fold([f if r.bit_count() <= n else 0 for r, f in enumerate(floors)], operator.or_)
             meets = tuple(f & g if r.bit_count() > n else f for r, (f, g) in enumerate(zip(floors, grown)))
             if all(meet in (f, g) for meet, f, g in zip(meets, floors, grown)):  # else some r has two least consequents
-                forms[m] = meets
+                held.append(ConstraintSet.from_floors(dom, cod, m, meets))
                 continue
         pairs = t.ranks(m)
         rows = [0] * n_ante
@@ -403,9 +392,8 @@ def lo_n_closure(
                 inner[r] = row
         shared = subset_fold(inner, operator.and_)
         added = [(r, s) for r in range(n_ante) if r.bit_count() > n for s in ranks_of_mask(shared[r] & ~rows[r])]
-        forms[m] = pairs.union(added)
-    # the pairs and floors of t were checked when t was built, and what is added is in range
-    return ConstraintSet._of_forms(dom, cod, forms)
+        pairs_out[m] = pairs.union(added)
+    return reduce(operator.or_, held, ConstraintSet(dom, cod, pairs_out))
 
 
 def union_closure_check(

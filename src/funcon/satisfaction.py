@@ -11,7 +11,7 @@ so each point shrinks the sub-class by |B|; elsewhere it ANDs column minterms.
 ``probe_groups`` ORs the probe masks by cross-row set, and
 ``_minimal_consequents`` folds them into S_min(R), the least consequent over R,
 for every R: the floors of ``csf_m``.  ``_orbit_separators`` walks the probes
-of one R per S_m orbit alone, the separators (R, S_min(R)) of ``fsc_n_of_csf_m``.
+(``_signatures``) of one R per S_m orbit: the separators of ``fsc_n_of_csf_m``.
 ``cm_m_oracle`` is the twin composite csf_m(fsc_n(T)) at n = |A|^m, the Galois
 route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
 checked against; this module imports nothing from the closure side.
@@ -182,14 +182,14 @@ def _orbit_plan(size: int, n: int, m: int, cod_size: int) -> tuple[list[int], li
     """Per m-point probe of the n-ary tables: its cross-row set as a rank mask
     over A^m, and the fill: its representative's rank (points sorted) and the
     ``core.permutation_tables`` taking the representative's value-tuple mask to
-    the probe's, or None at a representative.  No fill at m = 1 or where m!
-    permutations' tables pass 64 chunks of 256."""
+    the probe's, or None at a representative (every probe at m = 1).  No fill
+    where m! permutations' tables pass 64 chunks of 256."""
     points = size**n
     keys = [0] * points**m
     for j in range(n):  # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
         rows = readings(tuple(range(j, n * m, n)), n * m, size)
         keys = [r | 1 << row for r, row in zip(keys, rows)]
-    if m == 1 or math.factorial(m) * -(-(cod_size**m) // 8) > 64:  # m = 1 has nothing to fill
+    if math.factorial(m) * -(-(cod_size**m) // 8) > 64:
         return keys, None
     fill = []
     for q in range(points**m):
@@ -275,9 +275,9 @@ def _minimal_consequents(k: FunctionClass, m: int, budget: int) -> list[int]:
 
 
 @lru_cache(maxsize=32)
-def _orbit_antecedents(size: int, m: int, n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """One antecedent R over A^m of at most n tuples per S_m orbit, as (R, j, rows): R's j tuples are the
-    columns of the m sorted rows, ranks over A^j.  Each m-multiset of A^j with j distinct columns is listed
+def _orbit_antecedents(size: int, m: int, n: int) -> tuple[int, ...]:
+    """One antecedent R over A^m of at most n tuples per S_m orbit, as its rank mask: R's j tuples are the
+    columns of m sorted rows, ranks over A^j.  Each m-multiset of A^j with j distinct columns is listed
     once up to column order, as the least of its images."""
     out = []
     for j in range(n + 1):
@@ -286,18 +286,17 @@ def _orbit_antecedents(size: int, m: int, n: int) -> tuple[tuple[int, int, tuple
         for rows in itertools.combinations_with_replacement(range(size**j), m):
             columns = {tuple(map(digit.__getitem__, rows)) for digit in digits}
             if len(columns) == j and all(rows <= tuple(sorted(map(order.__getitem__, rows))) for order in orders):
-                out.append((sum(1 << tuple_rank(column, size) for column in columns), j, rows))
+                out.append(sum(1 << tuple_rank(column, size) for column in columns))
     return tuple(out)
 
 
 @lru_cache(maxsize=32)
 def _orbit_probes(size: int, m: int, n: int, a: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
     """The distinct probes of the ``_orbit_antecedents`` at arity a, sorted, as (the count of first points
-    shared with the previous probe, the m points over A^a, the antecedents having it): a choice of a of the
-    j columns of R gives a probe of R, whose point i reads row i of those columns."""
-    probes = sorted((tuple(map(readings(choice, j, size).__getitem__, rows)), i)
-                    for i, (_, j, rows) in enumerate(_orbit_antecedents(size, m, n))
-                    for choice in itertools.product(range(j), repeat=a))
+    shared with the previous probe, the m points over A^a, the antecedents having it): the probes of R are
+    its ``_signatures`` at arity a."""
+    probes = sorted((points, i) for i, r in enumerate(_orbit_antecedents(size, m, n))
+                    for points in _signatures(size, m, r, a))
     grouped = [(points, tuple(i for _, i in same)) for points, same in itertools.groupby(probes, operator.itemgetter(0))]
     return tuple((next(d for d, (p, q) in enumerate(zip(before, points)) if p != q), points, indices)
                  for before, (points, indices) in zip([(-1,) * m] + [points for points, _ in grouped], grouped))
@@ -308,7 +307,7 @@ def _orbit_separators(k: FunctionClass, m: int, n: int, budget: int) -> list[tup
     on the columns of ``_columns``: a probe walks only the points it does not share with the one before."""
     within_budget(sum(math.comb(k.dom.size**j + m - 1, m) for j in range(n + 1)), budget, "separator antecedents")
     antecedents = _orbit_antecedents(k.dom.size, m, n)
-    within_budget(sum(j**a for _, j, _ in antecedents for a in k.arities()), budget, "separator probes")
+    within_budget(sum(r.bit_count()**a for r in antecedents for a in k.arities()), budget, "separator probes")
     floors = [0] * len(antecedents)
     for a in k.arities():
         cols, class_mask = _columns(k, a, budget)
@@ -321,7 +320,7 @@ def _orbit_separators(k: FunctionClass, m: int, n: int, budget: int) -> list[tup
             reached = sum(1 << s for s, _ in stack[-1])
             for i in indices:
                 floors[i] |= reached
-    return [(r, floor) for (r, _, _), floor in zip(antecedents, floors)]
+    return list(zip(antecedents, floors))
 
 
 def csf_m(

@@ -182,6 +182,8 @@ def constraint_orbits(a, b, m):
     images_r = [[relabel_bits(r, moved_a) for r in range(1 << a**m)] for moved_a, _ in group]
     images_s = [[relabel_bits(s, moved_b) for s in range(1 << b**m)] for _, moved_b in group]
     for r in range(1 << a**m):
+        if min(image_r[r] for image_r in images_r) < r:
+            continue  # the least pair of an orbit has the least antecedent of its own orbit
         for s in range(1 << b**m):
             orbit = {(image_r[r], image_s[s]) for image_r, image_s in zip(images_r, images_s)}
             if min(orbit) == (r, s):

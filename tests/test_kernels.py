@@ -57,7 +57,7 @@ from funcon import (
     vs_closure,
     vs_n_closure,
 )
-from funcon.constraint_closures import _add, _lift_tables, _maximal, _project, _projection
+from funcon.constraint_closures import _add, _lift_tables, _maximal, _meet_projection, _projection
 from funcon.core import (
     DEFAULT_ENUMERATION_BUDGET,
     column_masks,
@@ -281,19 +281,18 @@ def test_minimal_consequents_commute_with_coordinate_permutations(sizes):
 def test_orbit_antecedents_meet_each_orbit_once(size, m, n):
     # their S_m images cover every antecedent of at most n tuples, and no two share an orbit
     antecedents = _orbit_antecedents(size, m, n)
-    orbits = [orbit_of(r, size, m) for r, _, _ in antecedents]
+    orbits = [orbit_of(r, size, m) for r in antecedents]
     covered = set().union(*orbits)
     every = {sum(1 << x for x in rows) for j in range(n + 1) for rows in itertools.combinations(range(size**m), j)}
     assert covered == every
     assert sum(map(len, orbits)) == len(covered)
-    assert all(r.bit_count() == j for r, j, _ in antecedents)
 
 
 def test_orbit_antecedents_at_boolean_m8_n3():
     # one antecedent per S_8 orbit of the 2,796,417 of at most 3 tuples over {0, 1}^8
     counts = [0] * 4
-    for _, j, _ in _orbit_antecedents(2, 8, 3):
-        counts[j] += 1
+    for r in _orbit_antecedents(2, 8, 3):
+        counts[r.bit_count()] += 1
     assert counts == [1, 9, 86, 1159] and sum(counts) == 1255
 
 
@@ -597,12 +596,28 @@ def test_lift_matches_digit_decoding(size):
         width = size**k
         if width > 9:
             continue
-        maps, columns = _lift_tables(k, m, v, size)
+        maps, *_, columns = _lift_tables(k, m, v, size)
         assert maps == tuple(itertools.product(range(m + v), repeat=k))
         assert [len(chunk) for chunk in columns] == [1 << min(4, width - c) for c in range(0, width, 4)]
         for r_bits in (0, (1 << width) - 1, rng.getrandbits(width), rng.getrandbits(width)):
             lifts = [sum(chunk[r_bits >> 4 * c & 15][i] for c, chunk in enumerate(columns)) for i in range(len(maps))]
             assert lifts == [lift_reference(r_bits, h, m, v, size) for h in maps]
+
+
+@pytest.mark.parametrize("k, m, v", list(itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2))))
+def test_lift_plan_orbits_and_indeterminates(k, m, v):
+    """Per map h: its orbit is the maps g∘h for every g in S_m × S_v, found by
+    composing, the orbits partition the maps, and its indeterminate mask has
+    bit e - m for each coordinate e >= m that h reads."""
+    maps, orbits, masks, _ = _lift_tables(k, m, v, 2)
+    index = {h: i for i, h in enumerate(maps)}
+    group = [(*targets, *(m + e for e in indets))
+             for targets in itertools.permutations(range(m)) for indets in itertools.permutations(range(v))]
+    for i, h in enumerate(maps):
+        assert set(orbits[i]) == {index[tuple(g[e] for e in h)] for g in group}
+        assert masks[i] == sum(1 << e - m for e in range(m, m + v) if e in h)
+    distinct = set(orbits)
+    assert sorted(i for orbit in distinct for i in orbit) == list(range(len(maps)))
 
 
 def project_reference(bits, m, v, size):
@@ -628,7 +643,7 @@ def test_project_matches_block_loop():
         for density in (1, 4, 32):  # random sparse masks: about one bit in density set
             masks += [sum(1 << x for x in range(width) if rng.randrange(density) == 0) for _ in range(4)]
         for bits in masks:
-            assert _project(bits, m, v, size) == project_reference(bits, m, v, size)
+            assert _meet_projection(m, v, size, size)(bits)[1] == project_reference(bits, m, v, size)
     assert checked == {(False, False), (False, True), (True, False), (True, True)}
     # every table a projection reads holds at most 256 entries
     assert max(len(table) for m, v, size in itertools.product((1, 2, 3), (0, 1, 2), (2, 3, 4))

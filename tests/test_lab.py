@@ -178,7 +178,7 @@ def test_t15ii_at_m_2_off_the_boolean_diagonal(sizes):
 
 # per (|A|, |B|): the function arities n, and the count of orbits of single-constraint sets {(R, S)} at
 # m = 2 under value permutations of A and of B and the coordinate swap
-T15II_CENSUS_M2 = {(2, 2): ((1, 2), 82), (3, 2): ((2,), 696), (2, 3): ((2,), 696)}
+T15II_CENSUS_M2 = {(2, 2): ((1, 2), 82), (3, 2): ((1, 2), 696), (2, 3): ((1, 2), 696)}
 
 
 @pytest.mark.parametrize("sizes", sorted(T15II_CENSUS_M2), ids=lambda s: f"{s[0]}x{s[1]}")

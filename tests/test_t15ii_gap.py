@@ -3,7 +3,8 @@ the satisfaction side has 60 more constraints than the bounded cm closure
 followed by lo_3 reaches.  The extra constraints are genuinely satisfied by
 FSC_3(T), so the right side is incomplete, not the left side unsound.  The
 census of single Boolean ternary constraints found five more gap orbits,
-pinned here by their sizes."""
+pinned here by their sizes.  Relabeling values and coordinates keeps every
+verdict and size, and a fixed stride of that census is equal elsewhere."""
 
 import itertools
 
@@ -22,6 +23,8 @@ from funcon import (
     satisfies,
     verify_factorization,
 )
+
+from conftest import constraint_orbits, relabel_constraints
 
 BOOL = DomainSpec("bool", 2)
 
@@ -75,6 +78,18 @@ CENSUS_GAPS = {
 }
 
 
+# every gap orbit with its sizes, and the (R, R) pairs of the six pool relations of the t15ii-m3 workload
+# with the size of both sides
+GAP_ORBITS = {(ONE_IN_THREE.bits, EVEN_PARITY.bits): (2360, 2300), **CENSUS_GAPS}
+POOL_M3 = {(126, 126): 2401, (105, 105): 2360, (139, 139): 2536, (191, 191): 2816, (254, 254): 2748, (232, 232): 2732}
+
+
+def t15ii_m3(t):
+    """The verdict and both sizes of t15ii at n = m = 3 on t."""
+    rep = verify_factorization("t15ii", t, n=3, m=3)
+    return rep.verdict, rep.lhs_size, rep.rhs_size
+
+
 @pytest.fixture(scope="module", params=sorted(CENSUS_GAPS), ids=lambda pair: "%d-%d" % pair)
 def census_sides(request):
     t = ConstraintSet(BOOL, BOOL, {3: frozenset({request.param})})
@@ -106,3 +121,27 @@ def test_verify_runs_one_bounded_closure(sides, cm_m_calls):
     cm_m_calls.clear()
     verify_factorization("t15ii", T, n=3, m=3, bounds=bounds)
     assert cm_m_calls == [bounds] and cm_m_calls[0] is bounds
+
+
+@pytest.mark.parametrize("pair", [*POOL_M3, *sorted(GAP_ORBITS)], ids=lambda pair: "%d-%d" % pair)
+def test_relabeling_keeps_the_t15ii_verdict_and_sizes_at_m3(pair):
+    # a value flip on A, one on B and a permutation of the three coordinates, applied to R and S together
+    expected = ("lhs_strict", *GAP_ORBITS[pair]) if pair in GAP_ORBITS else ("equal", POOL_M3[pair], POOL_M3[pair])
+    t = ConstraintSet(BOOL, BOOL, {3: [pair]})
+    for pi_a, pi_b, sigma in itertools.product(itertools.permutations(range(2)), itertools.permutations(range(2)),
+                                               itertools.permutations(range(3))):
+        assert t15ii_m3(relabel_constraints(t, pi_a, pi_b, {3: sigma})) == expected, (pi_a, pi_b, sigma)
+
+
+def test_t15ii_is_equal_on_every_8th_boolean_m3_orbit_but_the_gaps():
+    # the 3916 orbits cover the 65,536 single-constraint sets; the stride meets the gap orbit (22, 105)
+    orbits = list(constraint_orbits(2, 2, 3))
+    assert len(orbits) == 3916 and sum(size for *_, size in orbits) == 1 << 16
+    stride = [(r, s) for r, s, _ in orbits[::8]]
+    assert [pair for pair in stride if pair in GAP_ORBITS] == [(22, 105)]
+    for pair in stride:
+        verdict, lhs, rhs = t15ii_m3(ConstraintSet(BOOL, BOOL, {3: [pair]}))
+        if pair in GAP_ORBITS:
+            assert (verdict, lhs, rhs) == ("lhs_strict", *GAP_ORBITS[pair])
+        else:
+            assert verdict == "equal", (pair, lhs, rhs)
