@@ -16,25 +16,29 @@ The fixpoint holds one floor per antecedent R, its least consequent: the sets
 it builds are closed under relaxation and under the meet of two members with
 one antecedent, so their members are the (R, S) with S a superset of floor(R).
 ``_add`` ANDs a new pair's consequent into the floors below its antecedent,
-and ``_maximal`` reads off the maximal members, one C-level compare per tuple.
-A round of minor moves packs each lift of a maximal member into one int,
-antecedent above consequent, so a meet of lifts is one AND (a lift met with
-itself is a single-source tight minor).  A member whose identity lift is held
-is skipped: its other lifts read that one through maps of the m+v coordinates.
-The lifts are closed under the permutations g of the target and the
-indeterminate coordinates, and g commutes with the meet and the projection, so
-the first lift of each orbit (``_lift_tables`` lists every map's orbit) meets
-the lifts, and the floors are closed under the target permutations after
-(``core.permute``), a pass a round whose meets add nothing skips.  A row of
-meets is deduplicated in row order by ``dict.fromkeys`` and against every meet
-seen, and each new one is projected by shift-ORs and 8-block tables
-(``_meet_projection``).  Semi-naive rounds: an old orbit meets the fresh
-lifts, a fresh one itself and those from its own orbit on, and only lifts
-sharing an indeterminate: with disjoint ones the projection is the meet of two
-projections, members already.  Witnesses are recorded as bit pairs for the
-pairs that enter and decoded on first read.  ``lo_n_closure`` ORs floors over
-the subset lattice with ``core.subset_fold``, or else masks, per antecedent,
-the consequents present with it and folds their up-interiors.
+and ``_maximal`` reads off the maximal members, with the floors side by side
+in one int.  A round of minor moves packs each lift of a maximal member into
+one int, antecedent above consequent, so a meet of lifts is one AND (a lift
+met with itself is a single-source tight minor).  A member whose identity lift
+is held is skipped: its other lifts read that one through maps of the m+v
+coordinates.  The lifts are closed under the permutations g of the target and
+the indeterminate coordinates, and g commutes with the meet and the
+projection, so a member's lifts are read only at the first map of each orbit
+(``_lift_tables`` lists them with every map's orbit), the first lift of each
+orbit meets the lifts, and the floors are closed under the target permutations
+after (``core.permute_masks``), a pass a round whose meets add nothing skips.
+Each step of a round is a pass over a whole list: the rows of every orbit are
+one list of meets, deduplicated once in round order by ``dict.fromkeys``,
+projected by shift-ORs and 8-block tables (``_meet_projection``), and checked
+against the floors (``_outside``); so are the S_m images, member by member.
+Only the flagged candidates are checked again, in order, before ``_add``.
+Semi-naive rounds: an old orbit meets the fresh lifts, a fresh one itself and
+those from its own orbit on, and only lifts sharing an indeterminate: with
+disjoint ones the projection is the meet of two projections, members already.
+Witnesses are recorded as bit pairs for the pairs that enter and decoded on
+first read.  ``lo_n_closure`` ORs floors over the subset lattice with
+``core.subset_fold``, or else masks, per antecedent, the consequents present
+with it and folds their up-interiors.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 
@@ -55,7 +59,7 @@ from .core import (
     capped_arities,
     constraint_universe_count,
     permutation_tables,
-    permute,
+    permute_masks,
     ranks_of_mask,
     readings,
     submasks,
@@ -143,24 +147,32 @@ def _add(floors: list[int], entered: dict[tuple[int, int], tuple], pair: tuple[i
 
 def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
     """The maximal members: floors grow with the antecedent, so these are the
-    (r, floor(r)) whose floor grows at every one-tuple-larger antecedent.  Per tuple j, one
-    ``map`` compares each floor with the one 2^j on, byte r of an int marking a tie at r,
-    masked to the r without j, where r + 2^j is r | 2^j: the same list as an ``all()`` per r."""
-    count, tied = len(floors), 0
+    (r, floor(r)) whose floor grows at every one-tuple-larger antecedent.  The floors lie
+    side by side in one int, a field of whole bytes each.  Per tuple j, its XOR with the
+    int 2^j fields on, shift-ORed down each field, sets field r's lowest bit where floor r
+    differs from the one 2^j on, which counts at the r without j, where r + 2^j is r | 2^j:
+    the same list as an ``all()`` per r."""
+    count, size = len(floors), -(-max(floors).bit_length() // 8) or 1  # bytes per field
+    fields = b"".join(map(int.to_bytes, floors, itertools.repeat(size), itertools.repeat("little"))) if size > 1 else bytes(floors)
+    packed, one = int.from_bytes(fields, "little"), b"\1" + bytes(size - 1)
+    shifts = [min(1 << k, 8 * size - (1 << k)) for k in range((8 * size - 1).bit_length())]  # they sum to 8 * size - 1
+    grows = int.from_bytes(one * count, "little")
     for j in range(width):
-        ties = int.from_bytes(bytes(map(operator.eq, floors, floors[1 << j :])), "little")
-        tied |= ties & int.from_bytes((b"\1" * (1 << j) + bytes(1 << j)) * (count >> j + 1), "little")
-    return list(itertools.compress(enumerate(floors), (tied ^ int.from_bytes(b"\1" * count, "little")).to_bytes(count, "little")))
+        differs = packed ^ packed >> (8 * size << j)
+        for shift in shifts:
+            differs |= differs >> shift
+        grows &= differs | int.from_bytes((bytes(size << j) + one * (1 << j)) * (count >> j + 1), "little")
+    return list(itertools.compress(enumerate(floors), grows.to_bytes(count * size, "little")[::size]))
 
 
 @lru_cache(maxsize=32)
-def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple, tuple, tuple, tuple]:
+def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple, tuple, tuple, tuple, tuple]:
     """The maps h from k source coordinates to the m+v extended ones, in product order; per map, the
     indices of the maps g∘h for g permuting the m target and the v indeterminate coordinates (the maps
-    equal where h is and targets where h is) and the mask of the indeterminates h reads, bit e - m for
-    coordinate e >= m; and per 4-bit chunk c of the source ranks one column per nibble p: entry i is the
-    bitmask over size^(m+v) of the extended tuples (coordinate 1 most significant) whose reading
-    through map i has rank 4c+j for a bit j of p."""
+    equal where h is and targets where h is), ascending, and the mask of the indeterminates h reads, bit
+    e - m for coordinate e >= m; the maps first in their orbits; and per 4-bit chunk c of the source
+    ranks one column per nibble p: entry i is the bitmask over size^(m+v) of the extended tuples
+    (coordinate 1 most significant) whose reading through map i has rank 4c+j for a bit j of p."""
     maps, tables = tuple(itertools.product(range(m + v), repeat=k)), []
     shapes = [tuple((e < m, h.index(e)) for e in h) for h in maps]
     orbits = {shape: tuple(i for i, other in enumerate(shapes) if other == shape) for shape in set(shapes)}
@@ -172,12 +184,16 @@ def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple, tuple, tuple
         tables.append([reduce(lambda table, bit: table + [t + bit for t in table], pre[c : c + 4], [0])
                        for c in range(0, len(pre), 4)])
     masks = tuple(sum(1 << e for e in set(h)) >> m for h in maps)
-    return maps, tuple(map(orbits.__getitem__, shapes)), masks, tuple(tuple(zip(*chunk)) for chunk in zip(*tables))
+    firsts = tuple(i for i, shape in enumerate(shapes) if orbits[shape][0] == i)
+    return maps, tuple(map(orbits.__getitem__, shapes)), masks, firsts, tuple(tuple(zip(*chunk)) for chunk in zip(*tables))
 
 
-def _lifts(columns: tuple[tuple[tuple[int, ...], ...], ...], bits: int) -> Iterable[int]:
-    """The lifts of a source mask through every map of its ``_lift_tables``: the sum of its nibbles' columns."""
-    return reduce(partial(map, operator.add), [column[bits >> 4 * c & 15] for c, column in enumerate(columns)])
+def _lifts(columns_a: tuple, columns_b: tuple, pair: tuple[int, int], width_b: int) -> list[int]:
+    """The lifts of a source pair (r, s) through the maps of its ``_lift_tables`` columns on A and on B:
+    per map, the sum of r's nibbles' columns above, by ``width_b`` bits, the sum of s's."""
+    r, s = (reduce(partial(map, operator.add), [column[bits >> 4 * c & 15] for c, column in enumerate(columns)])
+            for columns, bits in ((columns_a, pair[0]), (columns_b, pair[1])))
+    return list(map(operator.or_, map(operator.lshift, r, itertools.repeat(width_b)), s))
 
 
 def _lift(columns: tuple[tuple[tuple[int, ...], ...], ...], bits: int, i: int) -> int:
@@ -198,26 +214,32 @@ def _projection(m: int, v: int, size: int) -> tuple[tuple[int, ...], tuple[tuple
 
 
 @lru_cache(maxsize=64)
-def _meet_projection(m: int, v: int, sa: int, sb: int) -> Callable[[int], tuple[int, int]]:
-    """The projection of a packed lift ``a << sb^(m+v) | b`` to its pair of masks.  With sa == sb one
-    fold serves both halves: the antecedent bits it moves down stay above the top consequent block's lowest bit."""
+def _meet_projection(m: int, v: int, sa: int, sb: int) -> Callable[[list[int]], tuple[list[int], list[int]]]:
+    """The projection of a list of packed lifts ``a << sb^(m+v) | b`` to the lists of their antecedent
+    and consequent masks, each shift-OR and 8-block table one pass over the list.  With sa == sb one fold
+    serves both halves: the antecedent bits it moves down stay above the top consequent block's lowest bit."""
     (shifts, chunks), width_b = _projection(m, v, sb), sb ** (m + v)
     if sa != sb:
         fold_a, fold_b = _meet_projection(m, v, sa, sa), _meet_projection(m, v, sb, sb)
-        return lambda packed: (fold_a(packed >> width_b)[1], fold_b(packed & (1 << width_b) - 1)[1])
+        return lambda packed: (fold_a(list(map(operator.rshift, packed, itertools.repeat(width_b))))[1],
+                               fold_b(list(map(operator.and_, packed, itertools.repeat((1 << width_b) - 1))))[1])
     chunks_a = tuple((offset + width_b, low, table) for offset, low, table in chunks)
 
-    def project(packed: int) -> tuple[int, int]:
+    def project(packed: list[int]) -> tuple[list[int], list[int]]:
         for shift in shifts:
-            packed |= packed >> shift
-        pa = pb = 0
-        for offset, low, table in chunks_a:
-            pa |= table[packed >> offset & low]
-        for offset, low, table in chunks:
-            pb |= table[packed >> offset & low]
-        return pa, pb
+            packed = list(map(operator.or_, packed, map(operator.rshift, packed, itertools.repeat(shift))))
+        return tuple(list(reduce(partial(map, operator.or_), [
+            map(table.__getitem__, map(operator.and_, map(operator.rshift, packed, itertools.repeat(offset)),
+                                       itertools.repeat(low))) for offset, low, table in half])) for half in (chunks_a, chunks))
 
     return project
+
+
+def _outside(floors: list[int], antecedents: list[int], consequents: list[int]) -> list[int]:
+    """The indices i where (antecedents[i], consequents[i]) is not a member: its floor has a bit outside the
+    consequent, one pass over the lists.  Floors only shrink, so a candidate left out stays a member after any add."""
+    return list(itertools.compress(itertools.count(), map(operator.and_, map(floors.__getitem__, antecedents),
+                                                          map(operator.invert, consequents))))
 
 
 def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, budget: int) -> CmResult:
@@ -253,8 +275,7 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
         for pair in [*t.generators(m), eq, empty]:
             entered[m][pair] = ("seed",)
             _add(floors[m], entered[m], pair, m)
-    done: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, packed meets projected
-    previous: dict[int, set[int]] = {m: set() for m in targets}  # and the last round's packed lifts
+    previous: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, the last round's packed lifts
     # the permutations q of the target coordinates but the identity, with their tables on both sides
     perms = {m: [(q, permutation_tables(q, sa), permutation_tables(q, sb)) for q in itertools.permutations(range(m))][1:]
              for m in targets}
@@ -270,50 +291,68 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             indets: dict[int, int] = {}  # packed lift -> the indeterminates its map reads
             reps = []  # the first lift of each orbit
             for src_arity in targets:
-                (maps, orbits, masks, columns_a), columns_b = _lift_tables(src_arity, m, v, sa), _lift_tables(src_arity, m, v, sb)[3]
+                (maps, orbits, masks, firsts, columns_a), columns_b = (_lift_tables(src_arity, m, v, sa),
+                                                                       _lift_tables(src_arity, m, v, sb)[-1])
                 ident = maps.index(tuple(range(src_arity))) if src_arity <= m + v else None
                 for r, s in maximals[src_arity]:
                     # every lift of (r, s) reads its identity lift through a map of the m+v coordinates: one held, all held
                     if ident is not None and _lift(columns_a, r, ident) << width_b | _lift(columns_b, s, ident) in lifts:
                         continue
-                    keys = list(map(operator.or_, map(operator.lshift, _lifts(columns_a, r), itertools.repeat(width_b)), _lifts(columns_b, s)))
-                    for i, key in enumerate(keys):
-                        if key not in lifts:  # nor is its orbit, the lifts through the maps g∘h
-                            reps.append(key)
-                            lifts.update({keys[j]: (r, s, maps[j], src_arity) for j in orbits[i]})
-                            indets.update({keys[j]: masks[j] for j in orbits[i]})
+                    keys = _lifts(columns_a, columns_b, (r, s), width_b)
+                    for i in firsts:  # the held lifts are closed under g: an orbit's first lift held, the orbit is held
+                        if keys[i] not in lifts:
+                            reps.append(keys[i])
+                            for j in orbits[i]:
+                                lifts[keys[j]] = (r, s, maps[j], src_arity)
+                                indets[keys[j]] = masks[j]
             old, previous[m] = previous[m], set(lifts)
-            fresh = [key for key in lifts if key not in old]
-            at = {key: i for i, key in enumerate(fresh)}
-            buckets: dict[int, list[int]] = {}  # indeterminate mask -> the fresh lifts with it, in order
-            for key in fresh:
-                buckets.setdefault(indets[key], []).append(key)
-            project, seen, floor, added = _meet_projection(m, v, sa, sb), done[m], floors[m], False
+            fresh = list(itertools.filterfalse(old.__contains__, lifts))
+            at = dict(zip(fresh, itertools.count()))
+            # indeterminate mask -> the fresh lifts with it and their positions in fresh
+            buckets: dict[int, tuple[list[int], list[int]]] = {}
+            for i, key in enumerate(fresh):
+                keys, positions = buckets.setdefault(indets[key], ([], []))
+                keys.append(key)
+                positions.append(i)
+            # the round's meets as pairs of lifts, orbit by orbit: an old orbit met the old lifts last round, so it meets
+            # the fresh ones; a fresh orbit meets itself and the fresh lifts from its own orbit on, as the fresh orbits
+            # before it met it; both only across a shared indeterminate
+            lefts, rights = [], []
             for key in reps:
-                # an old orbit met the old lifts last round, so it meets the fresh ones; a fresh orbit meets itself and
-                # the fresh lifts from its own orbit on, as the fresh orbits before it met it; both only across a shared indeterminate
-                row = [key] if key in at and not indets[key] else []
-                for mask, keys in buckets.items():
+                start = len(rights)
+                if key in at and not indets[key]:
+                    rights.append(key)
+                for mask, (keys, positions) in buckets.items():
                     if mask & indets[key]:
-                        row += keys[bisect.bisect_left(keys, at.get(key, 0), key=at.__getitem__):]
-                meets = list(map(key.__and__, row))
-                new = [meet for meet in dict.fromkeys(meets) if meet not in seen]  # in the order of the row
-                seen.update(new)
-                for meet in new:
-                    cand = project(meet)
-                    if floor[cand[0]] & ~cand[1]:
-                        other = row[meets.index(meet)]
-                        entered[m][cand] = ("minor", v, (lifts[key],) if other == key else (lifts[key], lifts[other]))
-                        _add(floor, entered[m], cand, m)
-                        added = changed = True
-            # the pairs met the orbits through one lift each, so add the S_m images of the maximal members (round 1, or a meet added)
-            for r, s in _maximal(floor, sa**m) if added or iteration == 1 else ():
-                for q, tables_a, tables_b in perms[m]:
-                    image = permute(tables_a, r), permute(tables_b, s)
-                    if floor[image[0]] & ~image[1]:
-                        entered[m][image] = ("minor", 0, ((r, s, q, m),))
-                        _add(floor, entered[m], image, m)
-                        changed = True
+                        rights += keys[bisect.bisect_left(positions, at.get(key, 0)):]
+                lefts += [key] * (len(rights) - start)
+            meets = list(map(operator.and_, lefts, rights))
+            floor, added = floors[m], False
+            # a meet projected in a round before gave a member, so projecting it again adds nothing
+            new = list(dict.fromkeys(meets))
+            pa, pb = _meet_projection(m, v, sa, sb)(new)
+            first: dict[int, int] = {}  # meet -> its first index in the round, filled at the first add
+            for i in _outside(floor, pa, pb):
+                cand = pa[i], pb[i]
+                if floor[cand[0]] & ~cand[1]:  # still outside after the adds before it
+                    first = first or dict(zip(reversed(meets), itertools.count(len(meets) - 1, -1)))
+                    key, other = lefts[first[new[i]]], rights[first[new[i]]]
+                    entered[m][cand] = ("minor", v, (lifts[key],) if other == key else (lifts[key], lifts[other]))
+                    _add(floor, entered[m], cand, m)
+                    added = changed = True
+            # the pairs met the orbits through one lift each, so add the S_m images of the maximal members (round 1, or a
+            # meet added), member by member
+            members = _maximal(floor, sa**m) if (added or iteration == 1) and perms[m] else []
+            rs, ss = zip(*members) if members else ((), ())
+            images_a = list(itertools.chain.from_iterable(zip(*[permute_masks(on_a, rs) for _, on_a, _ in perms[m]])))
+            images_b = list(itertools.chain.from_iterable(zip(*[permute_masks(on_b, ss) for *_, on_b in perms[m]])))
+            for i in _outside(floor, images_a, images_b):
+                image = images_a[i], images_b[i]
+                if floor[image[0]] & ~image[1]:
+                    (r, s), (q, *_) = members[i // len(perms[m])], perms[m][i % len(perms[m])]
+                    entered[m][image] = ("minor", 0, ((r, s, q, m),))
+                    _add(floor, entered[m], image, m)
+                    changed = True
         if not changed:
             converged = True
             break
@@ -371,9 +410,11 @@ def lo_n_closure(
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
         n_ante, width = 1 << dom.size**m, cod.size**m
         if floors := t.floors(m):
+            # g(r) for |r| <= n is above floor(r), one of the subsets it ORs, so f & g is f there
             grown = subset_fold([f if r.bit_count() <= n else 0 for r, f in enumerate(floors)], operator.or_)
-            meets = tuple(f & g if r.bit_count() > n else f for r, (f, g) in enumerate(zip(floors, grown)))
-            if all(meet in (f, g) for meet, f, g in zip(meets, floors, grown)):  # else some r has two least consequents
+            meets = tuple(map(operator.and_, floors, grown))
+            # floor(r) and g(r) comparable at every r, else some r has two least consequents
+            if all(map(operator.or_, map(operator.eq, meets, floors), map(operator.eq, meets, grown))):
                 held.append(ConstraintSet.from_floors(dom, cod, m, meets))
                 continue
         pairs = t.ranks(m)

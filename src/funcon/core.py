@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
@@ -147,6 +147,13 @@ def permutation_tables(p: tuple[int, ...], size: int) -> tuple[tuple[int, ...], 
 def permute(tables: tuple[tuple[int, ...], ...], mask: int) -> int:
     """The mask moved through its ``permutation_tables``."""
     return sum(map(operator.getitem, tables, mask.to_bytes(len(tables), "little")))
+
+
+def permute_masks(tables: tuple[tuple[int, ...], ...], masks: Iterable[int]) -> list[int]:
+    """Each mask moved through its ``permutation_tables``, one pass over the masks per byte."""
+    masks = list(masks)
+    return list(reduce(partial(map, operator.add), [map(table.__getitem__, map(operator.and_, map(
+        operator.rshift, masks, itertools.repeat(8 * c)), itertools.repeat(255))) for c, table in enumerate(tables)]))
 
 
 @dataclass(frozen=True, order=True)
@@ -353,11 +360,19 @@ def submasks(mask: int) -> Iterator[int]:
 
 def subset_fold(table: list, op) -> list:
     """Fold ``table``, indexed by subset masks and of power-of-two length, in
-    place: entry r becomes ``op`` over the entries of every subset of r."""
-    for i in range(len(table).bit_length() - 1):
-        for r in range(len(table)):
-            if r >> i & 1:
-                table[r] = op(table[r], table[r ^ 1 << i])
+    place: entry r becomes ``op`` over the entries of every subset of r.  Level
+    i folds each r holding bit i with r - 2^i, one ``map`` per slice: while 2^i
+    is below the count of 2^(i+1)-blocks, per offset j < 2^i the strided slice
+    of the r = j + 2^i mod 2^(i+1), else per block its upper half."""
+    count = len(table)
+    for i in range(count.bit_length() - 1):
+        half = 1 << i
+        if half < count // (2 * half):
+            for j in range(half, 2 * half):
+                table[j :: 2 * half] = map(op, table[j :: 2 * half], table[j - half :: 2 * half])
+        else:
+            for j in range(half, count, 2 * half):
+                table[j : j + half] = map(op, table[j : j + half], table[j - half : j])
     return table
 
 
@@ -613,7 +628,7 @@ class ConstraintSet(ArityIndexed):
         """The m-ary set of the (r, s) with s a superset of ``floors[r]``, the
         least consequent of antecedent r, held as its floors."""
         full = (1 << cod.size**m) - 1
-        if len(floors) != 1 << dom.size**m or any(not 0 <= floor <= full for floor in floors):
+        if len(floors) != 1 << dom.size**m or min(floors) < 0 or max(floors) > full:
             raise ValueError(f"floors out of range for arity {m}")
         return cls._of_forms(dom, cod, {m: tuple(floors)})  # every floor has supersets, so the arity is not empty
 
@@ -655,8 +670,10 @@ class ConstraintSet(ArityIndexed):
         left, right = self.floors(n), other.floors(n)
         if right and op is operator.sub:
             if left:
-                return frozenset((r, a | extra) for r, (a, b) in enumerate(zip(left, right)) if b & ~a
-                                 for extra in submasks(~a & (1 << self.cod.size**n) - 1) if b & ~(a | extra))
+                # the r whose right floor is not below the left one, flagged in one pass
+                above = itertools.compress(range(len(left)), map(operator.and_, right, map(operator.invert, left)))
+                return frozenset((r, left[r] | extra) for r in above
+                                 for extra in submasks(~left[r] & (1 << self.cod.size**n) - 1) if right[r] & ~(left[r] | extra))
             return frozenset((r, s) for r, s in self.ranks(n) if right[r] & ~s)
         return super()._combine_arity(other, n, op)
 

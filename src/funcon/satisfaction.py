@@ -111,14 +111,15 @@ def projections_class(dom: DomainSpec, cap: int) -> FunctionClass:
     )
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2048)
 def _signatures(size: int, m: int, r_bits: int, n: int) -> frozenset[tuple[int, ...]]:
     """Distinct evaluation signatures of an n-ary function against the m-ary
     antecedent of rank mask r_bits over a domain of the given size.
 
     Each signature is the m argument-point ranks produced by one choice of n
     antecedent rows; a function satisfies (R, S) iff every signature's output
-    tuple lands in S.
+    tuple lands in S.  The cache holds the 1,255 orbit separators of
+    ``fsc_n_of_csf_m`` at Boolean m = 8, n = 3, so ``fsc_n`` reads them back.
     """
     rows = list(ranks_of_mask(r_bits))
     by_coordinate = []
@@ -178,19 +179,22 @@ def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 
 
 @lru_cache(maxsize=32)
-def _orbit_plan(size: int, n: int, m: int, cod_size: int) -> tuple[list[int], list | None]:
+def _orbit_plan(size: int, n: int, m: int, cod_size: int, sliced: bool) -> tuple[list[int], list | None, list | None]:
     """Per m-point probe of the n-ary tables: its cross-row set as a rank mask
     over A^m, and the fill: its representative's rank (points sorted) and the
     ``core.permutation_tables`` taking the representative's value-tuple mask to
     the probe's, or None at a representative (every probe at m = 1).  No fill
-    where m! permutations' tables pass 64 chunks of 256."""
+    where m! permutations' tables pass 64 chunks of 256.  With a fill and where
+    the caller holds the class as a mask (``sliced``), the digit slices of that
+    mask: per point p and value v, the shift v*w and the mask 2^w - 1 of weight
+    w = |B|^(|A|^n-1-p), |B|^(|A|^n) bits in all."""
     points = size**n
     keys = [0] * points**m
     for j in range(n):  # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
         rows = readings(tuple(range(j, n * m, n)), n * m, size)
         keys = [r | 1 << row for r, row in zip(keys, rows)]
     if math.factorial(m) * -(-(cod_size**m) // 8) > 64:
-        return keys, None
+        return keys, None, None
     fill = []
     for q in range(points**m):
         probe = tuple_unrank(q, points, m)
@@ -198,7 +202,10 @@ def _orbit_plan(size: int, n: int, m: int, cod_size: int) -> tuple[list[int], li
         rep = tuple_rank([probe[i] for i in order], points)
         # the probe's value tuples are the representative's through the tight minor of order
         fill.append((rep, permutation_tables(order, cod_size) if rep != q else None))
-    return keys, fill
+    if not sliced:
+        return keys, fill, None
+    weights = (cod_size ** (points - 1 - p) for p in range(points))  # point 0's digit is the most significant
+    return keys, fill, [[(v * w, (1 << w) - 1) for v in range(cod_size)] for w in weights]
 
 
 def _columns(k: FunctionClass, n: int, budget: int) -> tuple[list, int]:
@@ -228,11 +235,9 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     columns of ``_columns``.
     """
     points, cod_size = k.dom.size**n, k.cod.size
-    fill = _orbit_plan(k.dom.size, n, m, cod_size)[1]
-    if fill is not None and function_count(k.dom, k.cod, n) <= budget:
+    _, fill, splits = _orbit_plan(k.dom.size, n, m, cod_size, function_count(k.dom, k.cod, n) <= budget)
+    if splits is not None:
         class_mask = k.mask(n)
-        weights = (cod_size ** (points - 1 - p) for p in range(points))  # point 0's digit is the most significant
-        splits = [[(v * w, (1 << w) - 1) for v in range(cod_size)] for w in weights]
     else:
         cols, class_mask = _columns(k, n, budget)
         splits = [[(0, col) for col in row] for row in cols]
@@ -263,7 +268,8 @@ def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
     mask over A^m) collects the probes whose cross-rows are the members of r."""
     groups: dict[int, int] = {}
     for n in k.arities():
-        for r, mask in zip(_orbit_plan(k.dom.size, n, m, k.cod.size)[0], _probe_masks(k, n, m, budget)):
+        plan = _orbit_plan(k.dom.size, n, m, k.cod.size, function_count(k.dom, k.cod, n) <= budget)
+        for r, mask in zip(plan[0], _probe_masks(k, n, m, budget)):
             groups[r] = groups.get(r, 0) | mask
     return groups
 

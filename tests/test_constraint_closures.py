@@ -164,6 +164,39 @@ def test_cm_2_closure_off_the_boolean_diagonal_is_pinned(sizes, seeds, size, dig
     assert minor_witnesses(res, t)
 
 
+def closure_battery():
+    """Seeded closures of random 1-3 pair sets: two at each of (2,2), (3,2), (2,3) and (3,3) for m <= 2
+    and v = 0..3, three and the six pool pairs at Boolean m = 3 for v = 1 and 2, and two of cm_closure at
+    caps 1 and 2 for v = 0..2."""
+    rng = random.Random(30)
+
+    def pairs(a, b, m, count):
+        return frozenset((rng.randrange(1, 1 << a**m), rng.randrange(1 << b**m)) for _ in range(count))
+
+    for (a, b), m, v, _ in itertools.product([(2, 2), (3, 2), (2, 3), (3, 3)], (1, 2), range(4), range(2)):
+        t = ConstraintSet(DomainSpec("A", a), DomainSpec("B", b), {m: pairs(a, b, m, rng.randint(1, 3))})
+        yield cm_m_closure(t, m, CmBounds(max_indets=v))
+    for v in (1, 2):
+        for seeds in [pairs(2, 2, 3, rng.randint(1, 2)) for _ in range(3)] + [{pair} for pair in POOL_M3]:
+            yield cm_m_closure(ConstraintSet(BOOL, BOOL, {3: frozenset(seeds)}), 3, CmBounds(max_indets=v))
+    for cap, v, _ in itertools.product((1, 2), range(3), range(2)):
+        m = rng.randint(1, cap)
+        yield cm_closure(ConstraintSet(BOOL, BOOL, {m: pairs(2, 2, m, rng.randint(1, 3))}), cap, CmBounds(max_indets=v))
+
+
+def test_closure_battery_is_pinned():
+    """The floors, rounds, convergence and every entered witness of the battery, hashed: a change to
+    the fixpoint that keeps its results keeps this digest, under any hash seed."""
+    digest = hashlib.sha256()
+    started = time.perf_counter()
+    for res in closure_battery():
+        for m in sorted(res.entered):
+            digest.update(repr((m, res.constraints.floors(m), sorted(res.entered[m].items()))).encode())
+        digest.update(repr((res.iterations, res.converged)).encode())
+    assert time.perf_counter() - started < 2
+    assert digest.hexdigest() == "5cb80aa1a7bebbfce0c22121364778a54cef94953595c029495af6b7a5545d08"
+
+
 # the (R, R) pairs of the six pool relations of the t15ii-m3 workload, and the six gap orbits of the
 # census of single Boolean ternary constraints (see tests/test_t15ii_gap.py), as rank masks
 POOL_M3 = [(r, r) for r in (126, 105, 139, 191, 254, 232)]

@@ -66,6 +66,7 @@ from funcon.core import (
     mask_of_ranks,
     permutation_tables,
     permute,
+    permute_masks,
     readings,
     submasks,
     subset_fold,
@@ -74,8 +75,10 @@ from funcon.satisfaction import (
     _minimal_consequents,
     _orbit_antecedents,
     _orbit_plan,
+    _orbit_probes,
     _orbit_separators,
     _probe_masks,
+    _signatures,
     probe_groups,
 )
 from funcon.instance_io import parse_instance
@@ -296,6 +299,21 @@ def test_orbit_antecedents_at_boolean_m8_n3():
     assert counts == [1, 9, 86, 1159] and sum(counts) == 1255
 
 
+def test_signature_cache_holds_one_wide_call():
+    """fsc_n_of_csf_m(k, 3, 8) hands fsc_3 its 1,255 orbit separators, more than
+    256: a repeated call reads every separator's signatures back from the cache."""
+    bool_ = DomainSpec("bool", 2)
+    k = FunctionClass(bool_, bool_, {3: frozenset({0b11101000})})  # majority
+    _signatures.cache_clear()
+    _orbit_probes.cache_clear()
+    first = fsc_n_of_csf_m(k, 3, 8)
+    before = _signatures.cache_info()
+    assert before.currsize == 1255
+    assert fsc_n_of_csf_m(k, 3, 8) == first
+    after = _signatures.cache_info()
+    assert (after.hits - before.hits, after.misses) == (1255, before.misses)
+
+
 def test_csf_1_of_boolean_arity_5_class_evaluates_members():
     # 2^32 arity-5 tables exceed the default budget, so no column table exists
     # and the probe walk runs on a column table over the members
@@ -309,6 +327,7 @@ def test_csf_1_of_boolean_arity_5_class_evaluates_members():
     for members in (tables, tables[:1], [parity]):
         k = FunctionClass.from_tables(bool_, bool_, members)
         assert csf_m(k, 1) == csf_reference(k, 1)
+    assert _orbit_plan(2, 5, 1, 2, False)[2] is None  # the plan holds no 2^32-bit digit slice masks
 
 
 def walk_reference(k: FunctionClass, n: int, m: int) -> list[int]:
@@ -443,7 +462,7 @@ def slice_cases():
 
 @pytest.mark.parametrize("k, n, m", slice_cases())
 def test_probe_masks_match_the_all_probes_walk_on_digit_slices(k, n, m):
-    assert _orbit_plan(k.dom.size, n, m, k.cod.size)[1] is not None  # a fill, so the walk splits digit slices
+    assert _orbit_plan(k.dom.size, n, m, k.cod.size, True)[2] is not None  # a fill, so the walk splits digit slices
     assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == walk_reference(k, n, m)
     assert probe_groups(k, m, DEFAULT_ENUMERATION_BUDGET) == probe_groups_reference(k, m)
 
@@ -462,10 +481,10 @@ def test_probe_masks_stay_small_at_wide_constraint_arities():
     assert set(_orbit_separators(k, 8, 1, 10**6)) <= set(separators_reference(k, 1, 8))
     assert out.ranks(1) == fsc_n(ConstraintSet(bool_, bool_, {8: separators_reference(k, 1, 8)}), 1).ranks(1)
     for n in (1, 2):
-        assert _orbit_plan(2, n, 8, 2)[1] is None
+        assert _orbit_plan(2, n, 8, 2, True)[1:] == (None, None)
         assert _probe_masks(k, n, 8, DEFAULT_ENUMERATION_BUDGET) == walk_reference(k, n, 8)
     for shape in [(2, 2, 2, 2), (2, 2, 4, 2), (3, 1, 3, 3), (2, 1, 2, 16), (2, 1, 3, 5), (2, 1, 5, 2)]:
-        fill = _orbit_plan(*shape)[1] or []
+        fill = _orbit_plan(*shape, False)[1] or []
         entries = {id(chunks): len(chunks) * 256 for _, chunks in fill if chunks}
         assert sum(entries.values()) <= 1 << 14, shape
 
@@ -607,17 +626,19 @@ def test_lift_matches_digit_decoding(size):
 @pytest.mark.parametrize("k, m, v", list(itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2))))
 def test_lift_plan_orbits_and_indeterminates(k, m, v):
     """Per map h: its orbit is the maps g∘h for every g in S_m × S_v, found by
-    composing, the orbits partition the maps, and its indeterminate mask has
-    bit e - m for each coordinate e >= m that h reads."""
-    maps, orbits, masks, _ = _lift_tables(k, m, v, 2)
+    composing, ascending, the orbits partition the maps, the first maps are the
+    least of each orbit, in order, and its indeterminate mask has bit e - m for
+    each coordinate e >= m that h reads."""
+    maps, orbits, masks, firsts, _ = _lift_tables(k, m, v, 2)
     index = {h: i for i, h in enumerate(maps)}
     group = [(*targets, *(m + e for e in indets))
              for targets in itertools.permutations(range(m)) for indets in itertools.permutations(range(v))]
     for i, h in enumerate(maps):
-        assert set(orbits[i]) == {index[tuple(g[e] for e in h)] for g in group}
+        assert orbits[i] == tuple(sorted({index[tuple(g[e] for e in h)] for g in group}))
         assert masks[i] == sum(1 << e - m for e in range(m, m + v) if e in h)
     distinct = set(orbits)
     assert sorted(i for orbit in distinct for i in orbit) == list(range(len(maps)))
+    assert firsts == tuple(sorted(orbit[0] for orbit in distinct))
 
 
 def project_reference(bits, m, v, size):
@@ -632,19 +653,27 @@ def project_reference(bits, m, v, size):
 
 
 def test_project_matches_block_loop():
+    """The list projection of packed meets a << sb^(m+v) | b, with |A| = |B| (one fold for both halves) and
+    |A| != |B| (a fold per half), is the block loop on each half, on the empty list too."""
     rng = random.Random(16)
     checked = set()
-    for size, m, v in itertools.product((2, 3, 4), (1, 2, 3), (0, 1, 2, 3)):
-        width = size ** (m + v)
-        if width > 4096:
+    for sa, sb, m, v in itertools.product((2, 3, 4), (2, 3, 4), (1, 2, 3), (0, 1, 2, 3)):
+        width_a, width_b = sa ** (m + v), sb ** (m + v)
+        if max(width_a, width_b) > 4096 or sa != sb and width_a + width_b > 1024:
             continue
-        checked.add((v == 0, size**m > 8))
-        masks = [0, (1 << width) - 1]
-        for density in (1, 4, 32):  # random sparse masks: about one bit in density set
-            masks += [sum(1 << x for x in range(width) if rng.randrange(density) == 0) for _ in range(4)]
-        for bits in masks:
-            assert _meet_projection(m, v, size, size)(bits)[1] == project_reference(bits, m, v, size)
-    assert checked == {(False, False), (False, True), (True, False), (True, True)}
+        checked.add((sa == sb, v == 0, max(sa, sb) ** m > 8))
+        halves = []
+        for width in (width_a, width_b):
+            masks = [0, (1 << width) - 1]
+            for density in (1, 4, 32):  # random sparse masks: about one bit in density set
+                masks += [sum(1 << x for x in range(width) if rng.randrange(density) == 0) for _ in range(4)]
+            halves.append(masks)
+        pairs = list(itertools.product(*halves)) if sa != sb else list(zip(*halves))
+        packed = [a << width_b | b for a, b in pairs]
+        assert _meet_projection(m, v, sa, sb)(packed) == (
+            [project_reference(a, m, v, sa) for a, _ in pairs], [project_reference(b, m, v, sb) for _, b in pairs])
+        assert _meet_projection(m, v, sa, sb)([]) == ([], [])
+    assert checked == set(itertools.product((False, True), repeat=3))
     # every table a projection reads holds at most 256 entries
     assert max(len(table) for m, v, size in itertools.product((1, 2, 3), (0, 1, 2), (2, 3, 4))
                for *_, table in _projection(m, v, size)[1]) == 256
@@ -761,14 +790,17 @@ def test_readings_match_unrank_then_rank(size):
 def test_permute_matches_readings_reference(size):
     """The byte tables of ``core.permutation_tables`` move a rank mask R over
     size^m to {x : x read through p is in R}, read tuple by tuple, for every
-    coordinate permutation p at m <= 4."""
+    coordinate permutation p at m <= 4, one mask at a time and as a list."""
     rng = random.Random(30 + size)
     for m in range(1, 5):
         width = size**m
         for p in itertools.permutations(range(m)):
             reads = readings_reference(p, m, size)
-            for mask in [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(6))]:
-                assert permute(permutation_tables(p, size), mask) == sum(1 << x for x, read in enumerate(reads) if mask >> read & 1)
+            masks = [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(6))]
+            expected = [sum(1 << x for x, read in enumerate(reads) if mask >> read & 1) for mask in masks]
+            assert [permute(permutation_tables(p, size), mask) for mask in masks] == expected
+            assert permute_masks(permutation_tables(p, size), masks) == expected
+            assert permute_masks(permutation_tables(p, size), []) == []
 
 
 def test_readings_table_is_filled_lazily():
@@ -843,8 +875,9 @@ def meet_closure_reference(seeds, full_a, full_b):
 
 
 @pytest.mark.parametrize("op", [operator.or_, operator.and_])
-@pytest.mark.parametrize("length", [1, 2, 16, 512])
+@pytest.mark.parametrize("length", [1, 2, 4, 8, 16, 64, 256, 512, 4096])
 def test_subset_fold_matches_submask_fold(op, length):
+    # the levels fold by strided slices while 2^i is below length / 2^(i+1), then by blocks
     rng = random.Random(length)
     table = [rng.getrandbits(12) for _ in range(length)]
     expected = [functools.reduce(op, (table[sub] for sub in submasks(r))) for r in range(length)]
