@@ -79,7 +79,7 @@ class SystemExit2(Exception):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the arity, size, cap and sample-count flags."""
+    """argparse type of the arity, size, cap, sample-count and budget flags."""
     try:
         value = int(text)
     except ValueError:
@@ -97,7 +97,7 @@ def _build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--in", dest="infile", required=True, help="instance document")
-        sp.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
+        sp.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUMERATION_BUDGET)
 
     def shared(sp, class_help=None, set_help=None):  # the flags of close and verify
         sp.add_argument("--class", dest="class_name", help=class_help)
@@ -130,7 +130,7 @@ def _build_parser() -> _Parser:
     enum.add_argument("--arity", type=_positive_int, required=True)
     enum.add_argument("--dom-size", type=_positive_int, default=2)
     enum.add_argument("--cod-size", type=_positive_int, default=2)
-    enum.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
+    enum.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUMERATION_BUDGET)
 
     laws = sub.add_parser("laws", help="closure-law and Galois-axiom audit")
     laws.add_argument("suite", choices=[*_LAW_SUITES, "axioms"])
@@ -141,7 +141,7 @@ def _build_parser() -> _Parser:
     laws.add_argument("--arity", type=_positive_int, default=2)
     laws.add_argument("--m", type=_positive_int, default=1)
     laws.add_argument("--n", type=_positive_int, default=1)
-    laws.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
+    laws.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUMERATION_BUDGET)
     return p
 
 

@@ -29,6 +29,9 @@ checks its entries, and ``readings(h, k, size)`` tabulates, per k-tuple rank,
 the rank of that tuple read through the coordinate map h.  A variable
 substitution, a minor scheme's source map and a ``projection`` (a member of
 the projection clone of the composition reference) are all such readings.
+``permutation_tables`` and ``permute_masks`` move whole lists of rank masks
+through a permutation of the coordinates, by bytes: the S_m images of the cm
+fixpoint's floors and of the csf walk's probes.
 ``column_masks`` and the signature and probe kernels of ``satisfaction``
 keep their own digit arithmetic: ``satisfies`` is their scalar reference in
 the differential tests, so it shares no code with them.
@@ -142,11 +145,6 @@ def permutation_tables(p: tuple[int, ...], size: int) -> tuple[tuple[int, ...], 
     bits = [1 << x for x in readings(inverse, len(p), size)]
     return tuple(tuple(reduce(lambda table, bit: table + [t | bit for t in table], bits[c : c + 8], [0]))
                  for c in range(0, len(bits), 8))
-
-
-def permute(tables: tuple[tuple[int, ...], ...], mask: int) -> int:
-    """The mask moved through its ``permutation_tables``."""
-    return sum(map(operator.getitem, tables, mask.to_bytes(len(tables), "little")))
 
 
 def permute_masks(tables: tuple[tuple[int, ...], ...], masks: Iterable[int]) -> list[int]:

@@ -5,10 +5,11 @@ fixed arities.  Both work on classes as bitmasks over table ranks: ``fsc_n``
 ANDs, per signature of each constraint, an OR of the column minterms of
 ``core.column_masks``.  ``csf_m`` reads each probe's achievable
 output tuples by splitting the class point by point.  Where the shape's byte
-tables stay small, it walks one probe per S_m orbit and fills the rest from
-them, and a class mask splits into the |B| slices of each point's table digit,
-so each point shrinks the sub-class by |B|; elsewhere it ANDs column minterms.
-``probe_groups`` ORs the probe masks by cross-row set, and
+tables stay small, it walks one probe per S_m orbit, and a class mask splits
+into the |B| slices of each point's table digit, so each point shrinks the
+sub-class by |B|; elsewhere it walks every probe and ANDs column minterms.
+``probe_groups`` ORs the probe masks by cross-row set, the walked probes' with
+their S_m images, moved as whole lists by ``core.permute_masks``, and
 ``_minimal_consequents`` folds them into S_min(R), the least consequent over R,
 for every R: the floors of ``csf_m``.  ``_orbit_separators`` walks the probes
 (``_signatures``) of one R per S_m orbit: the separators of ``fsc_n_of_csf_m``.
@@ -44,7 +45,7 @@ from .core import (
     constraint_universe_count,
     function_count,
     permutation_tables,
-    permute,
+    permute_masks,
     projection,
     ranks_of_mask,
     readings,
@@ -151,9 +152,7 @@ def fsc_n(
         raise ValueError("n must be >= 1")
     count = within_budget(function_count(t.dom, t.cod, n), budget, f"fsc_{n} candidate functions")
     pairs = {m: t.generators(m) for m in t.arities()}
-    # only antecedents wider than n count: the others have at most n^n row choices each
-    sizes = [r.bit_count() for members in pairs.values() for r, _ in members]
-    within_budget(sum(size**n for size in sizes if size > n), budget, f"fsc_{n} row choices")
+    within_budget(sum(r.bit_count() ** n for members in pairs.values() for r, _ in members), budget, f"fsc_{n} row choices")
     cols = column_masks(t.dom, t.cod, n)
     kept = (1 << count) - 1
     for m, members in pairs.items():
@@ -180,14 +179,14 @@ def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 
 @lru_cache(maxsize=32)
 def _orbit_plan(size: int, n: int, m: int, cod_size: int, sliced: bool) -> tuple[list[int], list | None, list | None]:
-    """Per m-point probe of the n-ary tables: its cross-row set as a rank mask
-    over A^m, and the fill: its representative's rank (points sorted) and the
-    ``core.permutation_tables`` taking the representative's value-tuple mask to
-    the probe's, or None at a representative (every probe at m = 1).  No fill
-    where m! permutations' tables pass 64 chunks of 256.  With a fill and where
-    the caller holds the class as a mask (``sliced``), the digit slices of that
-    mask: per point p and value v, the shift v*w and the mask 2^w - 1 of weight
-    w = |B|^(|A|^n-1-p), |B|^(|A|^n) bits in all."""
+    """Per m-point probe of the n-ary tables, its cross-row set as a rank mask
+    over A^m; the images: per permutation q of the m points but the identity,
+    ``core.permutation_tables`` of q at |A| and at |B|, moving a probe's key and
+    mask to the probe with its points permuted, or None where m! permutations'
+    B tables pass 64 chunks of 256 (the A tables hold the |A|^m bits that
+    ``csf_m``'s universe guard bounds); and with images, where the caller holds
+    the class as a mask (``sliced``), the digit slices of that mask: per point p
+    and value v, the shift v*w and the mask 2^w - 1 of weight w = |B|^(|A|^n-1-p)."""
     points = size**n
     keys = [0] * points**m
     for j in range(n):  # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
@@ -195,17 +194,11 @@ def _orbit_plan(size: int, n: int, m: int, cod_size: int, sliced: bool) -> tuple
         keys = [r | 1 << row for r, row in zip(keys, rows)]
     if math.factorial(m) * -(-(cod_size**m) // 8) > 64:
         return keys, None, None
-    fill = []
-    for q in range(points**m):
-        probe = tuple_unrank(q, points, m)
-        order = tuple(sorted(range(m), key=probe.__getitem__))  # representative point j is probe[order[j]]
-        rep = tuple_rank([probe[i] for i in order], points)
-        # the probe's value tuples are the representative's through the tight minor of order
-        fill.append((rep, permutation_tables(order, cod_size) if rep != q else None))
+    images = [(permutation_tables(q, size), permutation_tables(q, cod_size)) for q in itertools.permutations(range(m))][1:]
     if not sliced:
-        return keys, fill, None
+        return keys, images, None
     weights = (cod_size ** (points - 1 - p) for p in range(points))  # point 0's digit is the most significant
-    return keys, fill, [[(v * w, (1 << w) - 1) for v in range(cod_size)] for w in weights]
+    return keys, images, [[(v * w, (1 << w) - 1) for v in range(cod_size)] for w in weights]
 
 
 def _columns(k: FunctionClass, n: int, budget: int) -> tuple[list, int]:
@@ -219,23 +212,23 @@ def _columns(k: FunctionClass, n: int, budget: int) -> tuple[list, int]:
 
 
 def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
-    """The achievable output-tuple masks of k's arity-n part at every m-point probe.
+    """The achievable output-tuple masks of k's arity-n part at the m-point probes it walks.
 
     Entry ``q`` is a bitmask over cod^m ranks: the value tuples some member of
     the class takes at the m argument points encoded in the probe rank ``q``
     (base |A|^n digits, first point most significant).  The walk shares a
     prefix's splits: at point p, value v's sub-class is ``within >> shift & mask``
     for that value's shift and mask, and the OR of the sub-classes walks on to
-    point p + 1.  With a fill from ``_orbit_plan`` it visits only the probes
+    point p + 1.  With images from ``_orbit_plan`` it visits only the probes
     with non-decreasing points, one per S_m orbit, a repeated point reading the
-    value already chosen, and the fill's byte tables give the rest.  There a
-    class held as a mask splits into the |B| slices of point p's digit, of
-    weight w = |B|^(|A|^n-1-p), shift v*w and mask 2^w - 1, so a sub-class past
-    p holds only the later digits.  Otherwise it visits every probe and ANDs the
-    columns of ``_columns``.
+    value already chosen, and leaves the other entries 0 for ``probe_groups``
+    to fill through the images.  There a class held as a mask splits into the
+    |B| slices of point p's digit, of weight w = |B|^(|A|^n-1-p), shift v*w and
+    mask 2^w - 1, so a sub-class past p holds only the later digits.  Otherwise
+    it visits every probe and ANDs the columns of ``_columns``.
     """
     points, cod_size = k.dom.size**n, k.cod.size
-    _, fill, splits = _orbit_plan(k.dom.size, n, m, cod_size, function_count(k.dom, k.cod, n) <= budget)
+    _, images, splits = _orbit_plan(k.dom.size, n, m, cod_size, function_count(k.dom, k.cod, n) <= budget)
     if splits is not None:
         class_mask = k.mask(n)
     else:
@@ -252,25 +245,30 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
                     rest |= part
                     bits |= 1 << v
                     if depth > 1:  # put back at point p, v's slice is all a repeated point reads
-                        walk(depth - 1, p if fill else 0, q * points + p, s * cod_size + v, part << shift)
+                        walk(depth - 1, p if images is not None else 0, q * points + p, s * cod_size + v, part << shift)
             if depth == 1:
                 masks[q * points + p] |= bits << s * cod_size
             within = rest
 
     walk(m, 0, 0, 0, class_mask)
-    if fill is None:
-        return masks
-    return [masks[rep] if tables is None else permute(tables, masks[rep]) for rep, tables in fill]
+    return masks
 
 
 def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
     """The probe masks of every arity of k, ORed by cross-row set: key r (a rank
-    mask over A^m) collects the probes whose cross-rows are the members of r."""
+    mask over A^m) collects the probes whose cross-rows are the members of r.
+    With images, the walked probes that reach a value enter again per
+    permutation, keys and masks moved as whole lists: every probe is an image of
+    a walked one, and a probe reached twice ORs the same mask in again."""
     groups: dict[int, int] = {}
     for n in k.arities():
-        plan = _orbit_plan(k.dom.size, n, m, k.cod.size, function_count(k.dom, k.cod, n) <= budget)
-        for r, mask in zip(plan[0], _probe_masks(k, n, m, budget)):
-            groups[r] = groups.get(r, 0) | mask
+        keys, images, _ = _orbit_plan(k.dom.size, n, m, k.cod.size, function_count(k.dom, k.cod, n) <= budget)
+        masks = _probe_masks(k, n, m, budget)
+        hit_keys, hits = list(itertools.compress(keys, masks)), list(filter(None, masks))  # walked probes reaching a value
+        moved = [(permute_masks(on_a, hit_keys), permute_masks(on_b, hits)) for on_a, on_b in images or ()]
+        for rs, ss in [(keys, masks), *moved]:
+            for r, mask in zip(rs, ss):
+                groups[r] = groups.get(r, 0) | mask
     return groups
 
 

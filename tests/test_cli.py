@@ -271,6 +271,12 @@ def test_multi_arity_bindings_are_usage_errors(mixed_path, capsys, words, flags)
         ["laws", "cmm", "--m", "-2"],
         ["laws", "vsn", "--samples", "0"],
         ["laws", "axioms", "--samples", "-4"],
+        # a budget below 1 refuses every count, so it is a usage error, not a budget refusal
+        ["galois", "csf", "--in", "DOC", "--class", "K1", "--arity", "1", "--budget", "-1"],
+        ["close", "vsn", "--in", "DOC", "--class", "K1", "--budget", "0"],
+        ["verify", "t15i", "--in", "DOC", "--class", "K1", "--n", "1", "--m", "1", "--budget", "0"],
+        ["enumerate", "functions", "--arity", "1", "--budget", "-1"],
+        ["laws", "vsn", "--budget", "0"],
     ],
 )
 def test_nonpositive_integer_flags_are_usage_errors(mixed_path, capsys, argv):

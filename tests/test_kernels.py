@@ -1,8 +1,9 @@
 """Differential tests of the bit-sliced Galois kernels against scalar
 references built from ``satisfies`` over the enumerated function and
 constraint universes, on seeded instances off the Boolean domain too, of the
-csf_m probe masks and probe groups on dense classes, and on the digit
-slices of empty, one-member and |B| = 3 classes, against the walk over every
+csf_m probe masks and probe groups on dense classes, on the digit
+slices of empty, one-member and |B| = 3 classes, and on both sides of the
+cutoff past which no S_m images are kept, against the walk over every
 probe, and of the constraint-side mask kernels (lift, projection, the floor
 add pass, maximal members, ``lo_n_closure``) against scalar pair-by-pair
 reference loops, of the cm fixpoint against the tuple-keyed all-pairs round loop, of
@@ -65,7 +66,6 @@ from funcon.core import (
     function_count,
     mask_of_ranks,
     permutation_tables,
-    permute,
     permute_masks,
     readings,
     submasks,
@@ -261,7 +261,7 @@ def test_separators_match_minimal_consequent(sizes):
 
 def orbit_of(r: int, size: int, m: int) -> set[int]:
     """The images of the rank mask r over size^m under every coordinate permutation."""
-    return {permute(permutation_tables(p, size), r) for p in itertools.permutations(range(m))}
+    return {image for p in itertools.permutations(range(m)) for image in permute_masks(permutation_tables(p, size), [r])}
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -276,8 +276,8 @@ def test_minimal_consequents_commute_with_coordinate_permutations(sizes):
                 k = k | random_function_class(rng, dom, cod, a, 2)
             table = _minimal_consequents(k, m, DEFAULT_ENUMERATION_BUDGET)
             for p in itertools.permutations(range(m)):
-                on_a, on_b = permutation_tables(p, dom.size), permutation_tables(p, cod.size)
-                assert all(table[permute(on_a, r)] == permute(on_b, s) for r, s in enumerate(table))
+                moved = permute_masks(permutation_tables(p, dom.size), range(len(table)))
+                assert [table[r] for r in moved] == permute_masks(permutation_tables(p, cod.size), table)
 
 
 @pytest.mark.parametrize("size, m, n", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (2, 4, 2), (3, 1, 3), (3, 2, 3), (3, 3, 2)])
@@ -333,7 +333,7 @@ def test_csf_1_of_boolean_arity_5_class_evaluates_members():
 def walk_reference(k: FunctionClass, n: int, m: int) -> list[int]:
     """Entry q: the value tuples k's arity-n part takes at probe q, walking
     every m-point probe and every value at each point (no orbit walk, no
-    difference read, no fill).  Arities past the default budget evaluate
+    difference read, no images).  Arities past the default budget evaluate
     every member at every probe."""
     points, cod_size = k.dom.size**n, k.cod.size
     masks = [0] * points**m
@@ -358,6 +358,17 @@ def walk_reference(k: FunctionClass, n: int, m: int) -> list[int]:
 
     walk(m, 0, 0, k.mask(n))
     return masks
+
+
+def at_walked_probes(k: FunctionClass, n: int, m: int, masks: list[int]) -> list[int]:
+    """The per-probe masks at the probes ``_probe_masks`` walks and 0 elsewhere:
+    where the plan has S_m images, it walks the probes whose points do not
+    decrease, one per orbit; past the image cutoff, every probe."""
+    points = k.dom.size**n
+    if _orbit_plan(k.dom.size, n, m, k.cod.size, function_count(k.dom, k.cod, n) <= DEFAULT_ENUMERATION_BUDGET)[1] is None:
+        return masks
+    probes = (tuple_unrank(q, points, m) for q in range(points**m))
+    return [mask if list(probe) == sorted(probe) else 0 for mask, probe in zip(masks, probes)]
 
 
 def probe_groups_reference(k: FunctionClass, m: int) -> dict[int, int]:
@@ -430,7 +441,7 @@ def dense_cases():
 def test_csf_m_matches_the_all_probes_walk_on_dense_classes(k, constraint_arities, csf_fits, reference_cheap):
     for m in constraint_arities:
         for n in k.arities():
-            assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == walk_reference(k, n, m)
+            assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == at_walked_probes(k, n, m, walk_reference(k, n, m))
         groups = probe_groups_reference(k, m)
         assert probe_groups(k, m, DEFAULT_ENUMERATION_BUDGET) == groups
         if csf_fits:
@@ -462,13 +473,13 @@ def slice_cases():
 
 @pytest.mark.parametrize("k, n, m", slice_cases())
 def test_probe_masks_match_the_all_probes_walk_on_digit_slices(k, n, m):
-    assert _orbit_plan(k.dom.size, n, m, k.cod.size, True)[2] is not None  # a fill, so the walk splits digit slices
-    assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == walk_reference(k, n, m)
+    assert _orbit_plan(k.dom.size, n, m, k.cod.size, True)[2] is not None  # images, so the walk splits digit slices
+    assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == at_walked_probes(k, n, m, walk_reference(k, n, m))
     assert probe_groups(k, m, DEFAULT_ENUMERATION_BUDGET) == probe_groups_reference(k, m)
 
 
 def test_probe_masks_stay_small_at_wide_constraint_arities():
-    # at m = 8 the fill tables of 8! permutations over 256-bit value masks
+    # at m = 8 the image tables of 8! permutations over 256-bit value masks
     # would take gigabytes, so the walk visits every probe and keeps no tables
     bool_ = DomainSpec("bool", 2)
     rng = random.Random(8)
@@ -483,10 +494,31 @@ def test_probe_masks_stay_small_at_wide_constraint_arities():
     for n in (1, 2):
         assert _orbit_plan(2, n, 8, 2, True)[1:] == (None, None)
         assert _probe_masks(k, n, 8, DEFAULT_ENUMERATION_BUDGET) == walk_reference(k, n, 8)
-    for shape in [(2, 2, 2, 2), (2, 2, 4, 2), (3, 1, 3, 3), (2, 1, 2, 16), (2, 1, 3, 5), (2, 1, 5, 2)]:
-        fill = _orbit_plan(*shape, False)[1] or []
-        entries = {id(chunks): len(chunks) * 256 for _, chunks in fill if chunks}
+    # the A and B tables of every image, each table shared by equal sizes counted once
+    for shape in [(2, 2, 2, 2), (2, 2, 4, 2), (3, 1, 3, 3), (3, 1, 3, 2), (2, 1, 3, 4), (2, 1, 2, 16), (2, 1, 3, 5),
+                  (2, 1, 5, 2)]:
+        images = _orbit_plan(*shape, False)[1] or []
+        entries = {id(chunks): len(chunks) * 256 for pair in images for chunks in pair}
         assert sum(entries.values()) <= 1 << 14, shape
+
+
+@pytest.mark.parametrize("sizes, m, inside", [
+    ((2, 2), 4, True),  # m! * ceil(|B|^m / 8) = 24 * 2 = 48 chunk tables, within the cutoff of 64
+    ((2, 4), 3, True),  # 6 * 8 = 48
+    ((2, 2), 5, False),  # 120 * 4 = 480
+    ((2, 3), 4, False),  # 24 * 11 = 264
+    ((2, 5), 3, False),  # 6 * 16 = 96
+])
+def test_probe_groups_match_on_both_sides_of_the_image_cutoff(sizes, m, inside):
+    # inside the cutoff the walk visits one probe per S_m orbit and the images give the rest; past it, every probe
+    dom, cod = domains(sizes)
+    rng = random.Random(40 + 10 * sizes[1] + m)
+    dense = FunctionClass.from_masks(dom, cod, {2: dense_masks(dom, cod, 2, rng)["3/4"]})
+    for k in (dense | random_function_class(rng, dom, cod, 1, 2), random_function_class(rng, dom, cod, 2, 3)):
+        for n in k.arities():
+            assert (_orbit_plan(dom.size, n, m, cod.size, True)[1] is not None) == inside
+            assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == at_walked_probes(k, n, m, walk_reference(k, n, m))
+        assert probe_groups(k, m, DEFAULT_ENUMERATION_BUDGET) == probe_groups_reference(k, m)
 
 
 def test_missing_verify_parameter_raises_under_optimize():
@@ -790,7 +822,7 @@ def test_readings_match_unrank_then_rank(size):
 def test_permute_matches_readings_reference(size):
     """The byte tables of ``core.permutation_tables`` move a rank mask R over
     size^m to {x : x read through p is in R}, read tuple by tuple, for every
-    coordinate permutation p at m <= 4, one mask at a time and as a list."""
+    coordinate permutation p at m <= 4, as a list and one mask at a time."""
     rng = random.Random(30 + size)
     for m in range(1, 5):
         width = size**m
@@ -798,8 +830,8 @@ def test_permute_matches_readings_reference(size):
             reads = readings_reference(p, m, size)
             masks = [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(6))]
             expected = [sum(1 << x for x, read in enumerate(reads) if mask >> read & 1) for mask in masks]
-            assert [permute(permutation_tables(p, size), mask) for mask in masks] == expected
             assert permute_masks(permutation_tables(p, size), masks) == expected
+            assert [permute_masks(permutation_tables(p, size), [mask])[0] for mask in masks] == expected
             assert permute_masks(permutation_tables(p, size), []) == []
 
 

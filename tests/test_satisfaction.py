@@ -199,6 +199,21 @@ def test_fsc_n_counts_the_row_choices_of_wide_antecedents_against_the_budget():
     assert fsc_n(t, 2, 64) == fsc_n(t, 2)
 
 
+def test_fsc_n_counts_the_row_choices_of_narrow_antecedents_too():
+    # at |B| = 1 each arity has one candidate function, so the candidate guard admits every n and only the row
+    # choices bound the work: |R|^n of them, also where R has no more than n tuples
+    a3, b1 = DomainSpec("a", 3), DomainSpec("b", 1)
+    six = Relation.from_tuples(a3, 2, list(itertools.product(range(3), repeat=2))[:6])
+    t = cset(Constraint(six, Relation.full(b1, 2)), dom=a3, cod=b1)
+    for n in (6, 7):
+        with pytest.raises(BudgetExceededError, match=f"fsc_{n} row choices: {6**n} exceeds budget 1$"):
+            fsc_n(t, n, 1)
+    t = cset(Constraint(Relation.full(a3, 2), Relation.full(b1, 2)), dom=a3, cod=b1)
+    with pytest.raises(BudgetExceededError, match="fsc_7 row choices: 4782969 exceeds budget 1000000"):
+        fsc_n(t, 7)
+    assert len(fsc_n(t, 2, 81)) == 1  # (A^2, B^2) holds for the one binary function
+
+
 @pytest.mark.parametrize("value", [0, -1])
 def test_arity_guards_fire_before_any_work(value):
     with pytest.raises(ValueError, match="n must be >= 1"):
