@@ -15,7 +15,8 @@ OR of the preimages of its bits, the extended tuples whose h-readings they rank.
 The fixpoint holds one floor per antecedent R, its least consequent: the sets
 it builds are closed under relaxation and under the meet of two members with
 one antecedent, so their members are the (R, S) with S a superset of floor(R).
-``_add`` ANDs a new pair's consequent into the floors below its antecedent,
+``_add``, the one door into the floors, enters a pair they do not hold with
+its witness and ANDs its consequent into the floors below its antecedent,
 and ``_maximal`` reads off the maximal members, with the floors side by side
 in one int.  A round of minor moves packs each lift of a maximal member into
 one int, antecedent above consequent, so a meet of lifts is one AND (a lift
@@ -31,12 +32,12 @@ Each step of a round is a pass over a whole list: the rows of every orbit are
 one list of meets, deduplicated once in round order by ``dict.fromkeys``,
 projected by shift-ORs and 8-block tables (``_meet_projection``), and checked
 against the floors (``_outside``); so are the S_m images, member by member.
-Only the flagged candidates are checked again, in order, before ``_add``.
+Only the flagged candidates go to ``_add``, in order, which checks each again.
 Semi-naive rounds: an old orbit meets the fresh lifts, a fresh one itself and
 those from its own orbit on, and only lifts sharing an indeterminate: with
 disjoint ones the projection is the meet of two projections, members already.
-Witnesses are recorded as bit pairs for the pairs that enter and decoded on
-first read.  ``lo_n_closure`` ORs floors over the subset lattice with
+Witnesses are recorded by ``_add`` as bit pairs for the pairs that enter and
+decoded on first read.  ``lo_n_closure`` ORs floors over the subset lattice with
 ``core.subset_fold``, or else masks, per antecedent, the consequents present
 with it and folds their up-interiors.
 """
@@ -130,11 +131,14 @@ class CmResult:
         return out
 
 
-def _add(floors: list[int], entered: dict[tuple[int, int], tuple], pair: tuple[int, int], m: int) -> None:
-    """Add the member (r, s) by ANDing s into the floor of every r' inside r.
-    A new floor s is a relaxation of the pair, a new floor ``old & s`` the meet
-    of (r', old) and the pair; the pair's own witness is the caller's."""
+def _add(floors: list[int], entered: dict[tuple[int, int], tuple], pair: tuple[int, int], m: int, witness: tuple) -> bool:
+    """The one door into the floors: whether the member (r, s) is new.  A new one enters with ``witness``
+    and ANDs s into the floor of every r' inside r: a new floor s is a relaxation of the pair, a new floor
+    ``old & s`` the meet of (r', old) and the pair.  A pair whose floor holds it changes nothing."""
     r, s = pair
+    if not floors[r] & ~s:
+        return False
+    entered[pair] = witness
     ident = tuple(range(m))
     for sub in submasks(r):
         old = floors[sub]
@@ -143,6 +147,7 @@ def _add(floors: list[int], entered: dict[tuple[int, int], tuple], pair: tuple[i
             if (sub, new) != pair:
                 meet = ("minor", 0, ((sub, old, ident, m), (r, s, ident, m)))
                 entered[sub, new] = ("relaxation", pair) if new == s else meet
+    return True
 
 
 def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
@@ -273,8 +278,8 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
         entered[m] = dict.fromkeys([(r, full_b) for r in range(full_a)], ("relaxation", (full_a, full_b)))
         entered[m][full_a, full_b] = ("minor", 0, ((*eq, (0,) * m, m),))
         for pair in [*t.generators(m), eq, empty]:
-            entered[m][pair] = ("seed",)
-            _add(floors[m], entered[m], pair, m)
+            entered[m][pair] = ("seed",)  # a seed its floor already holds keeps its witness too
+            _add(floors[m], entered[m], pair, m, ("seed",))
     previous: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, the last round's packed lifts
     # the permutations q of the target coordinates but the identity, with their tables on both sides
     perms = {m: [(q, permutation_tables(q, sa), permutation_tables(q, sb)) for q in itertools.permutations(range(m))][1:]
@@ -286,9 +291,8 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
         maximals = {m: _maximal(floors[m], sa**m) for m in targets}
         for m in targets:
             width_b = sb ** (m + v)
-            # packed lift (antecedent << width_b | consequent) -> a source giving it, orbit by orbit
-            lifts: dict[int, tuple[int, int, tuple[int, ...], int]] = {}
-            indets: dict[int, int] = {}  # packed lift -> the indeterminates its map reads
+            # packed lift (antecedent << width_b | consequent) -> (a source giving it, the indeterminates its map reads)
+            lifts: dict[int, tuple[tuple[int, int, tuple[int, ...], int], int]] = {}
             reps = []  # the first lift of each orbit
             for src_arity in targets:
                 (maps, orbits, masks, firsts, columns_a), columns_b = (_lift_tables(src_arity, m, v, sa),
@@ -303,15 +307,14 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
                         if keys[i] not in lifts:
                             reps.append(keys[i])
                             for j in orbits[i]:
-                                lifts[keys[j]] = (r, s, maps[j], src_arity)
-                                indets[keys[j]] = masks[j]
+                                lifts[keys[j]] = (r, s, maps[j], src_arity), masks[j]
             old, previous[m] = previous[m], set(lifts)
             fresh = list(itertools.filterfalse(old.__contains__, lifts))
             at = dict(zip(fresh, itertools.count()))
             # indeterminate mask -> the fresh lifts with it and their positions in fresh
             buckets: dict[int, tuple[list[int], list[int]]] = {}
             for i, key in enumerate(fresh):
-                keys, positions = buckets.setdefault(indets[key], ([], []))
+                keys, positions = buckets.setdefault(lifts[key][1], ([], []))
                 keys.append(key)
                 positions.append(i)
             # the round's meets as pairs of lifts, orbit by orbit: an old orbit met the old lifts last round, so it meets
@@ -320,10 +323,10 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             lefts, rights = [], []
             for key in reps:
                 start = len(rights)
-                if key in at and not indets[key]:
+                if key in at and not lifts[key][1]:
                     rights.append(key)
                 for mask, (keys, positions) in buckets.items():
-                    if mask & indets[key]:
+                    if mask & lifts[key][1]:
                         rights += keys[bisect.bisect_left(positions, at.get(key, 0)):]
                 lefts += [key] * (len(rights) - start)
             meets = list(map(operator.and_, lefts, rights))
@@ -331,15 +334,14 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             # a meet projected in a round before gave a member, so projecting it again adds nothing
             new = list(dict.fromkeys(meets))
             pa, pb = _meet_projection(m, v, sa, sb)(new)
-            first: dict[int, int] = {}  # meet -> its first index in the round, filled at the first add
-            for i in _outside(floor, pa, pb):
-                cand = pa[i], pb[i]
-                if floor[cand[0]] & ~cand[1]:  # still outside after the adds before it
-                    first = first or dict(zip(reversed(meets), itertools.count(len(meets) - 1, -1)))
-                    key, other = lefts[first[new[i]]], rights[first[new[i]]]
-                    entered[m][cand] = ("minor", v, (lifts[key],) if other == key else (lifts[key], lifts[other]))
-                    _add(floor, entered[m], cand, m)
-                    added = changed = True
+            # meet -> its first index in the round, built where a pair is outside the floors: the first one enters
+            outside = _outside(floor, pa, pb)
+            first = dict(zip(reversed(meets), itertools.count(len(meets) - 1, -1))) if outside else {}
+            for i in outside:
+                key, other = lefts[first[new[i]]], rights[first[new[i]]]
+                sources = (lifts[key][0],) if other == key else (lifts[key][0], lifts[other][0])
+                added |= _add(floor, entered[m], (pa[i], pb[i]), m, ("minor", v, sources))
+            changed |= added
             # the pairs met the orbits through one lift each, so add the S_m images of the maximal members (round 1, or a
             # meet added), member by member
             members = _maximal(floor, sa**m) if (added or iteration == 1) and perms[m] else []
@@ -347,12 +349,8 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             images_a = list(itertools.chain.from_iterable(zip(*[permute_masks(on_a, rs) for _, on_a, _ in perms[m]])))
             images_b = list(itertools.chain.from_iterable(zip(*[permute_masks(on_b, ss) for *_, on_b in perms[m]])))
             for i in _outside(floor, images_a, images_b):
-                image = images_a[i], images_b[i]
-                if floor[image[0]] & ~image[1]:
-                    (r, s), (q, *_) = members[i // len(perms[m])], perms[m][i % len(perms[m])]
-                    entered[m][image] = ("minor", 0, ((r, s, q, m),))
-                    _add(floor, entered[m], image, m)
-                    changed = True
+                (r, s), (q, *_) = members[i // len(perms[m])], perms[m][i % len(perms[m])]
+                changed |= _add(floor, entered[m], (images_a[i], images_b[i]), m, ("minor", 0, ((r, s, q, m),)))
         if not changed:
             converged = True
             break

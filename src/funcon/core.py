@@ -646,7 +646,7 @@ class ConstraintSet(ArityIndexed):
         return frozenset((r, f | extra) for r, f in enumerate(floors) for extra in submasks(full & ~f))
 
     def _count(self, arity: int, floors: tuple[int, ...]) -> int:
-        return sum(1 << (self.cod.size**arity - floor.bit_count()) for floor in floors)
+        return sum(map((1 << self.cod.size**arity).__rshift__, map(int.bit_count, floors)))  # 2^(width - |floor|) each
 
     def _holds(self, floors: tuple[int, ...], pair: tuple[int, int]) -> bool:
         return not floors[pair[0]] & ~pair[1]

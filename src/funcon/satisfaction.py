@@ -310,6 +310,7 @@ def _orbit_separators(k: FunctionClass, m: int, n: int, budget: int) -> list[tup
     """(R, S_min(R)) for each R of ``_orbit_antecedents``, walking R's ``_orbit_probes`` at each arity of k
     on the columns of ``_columns``: a probe walks only the points it does not share with the one before."""
     within_budget(sum(math.comb(k.dom.size**j + m - 1, m) for j in range(n + 1)), budget, "separator antecedents")
+    within_budget(max(k.dom.size, k.cod.size) ** m, budget, "separator mask width")  # R over A^m, S_min(R) over B^m
     antecedents = _orbit_antecedents(k.dom.size, m, n)
     within_budget(sum(r.bit_count()**a for r in antecedents for a in k.arities()), budget, "separator probes")
     floors = [0] * len(antecedents)

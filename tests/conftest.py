@@ -9,6 +9,7 @@ from funcon import (
     FunctionClass,
     FunctionTable,
     Relation,
+    Scheme,
     canonical_constraint,
     minor_check,
     relaxation_of,
@@ -78,7 +79,7 @@ def minor_witnesses(res, t):
     members.  Returns the (member, witness) pairs of kind minor."""
     members = res.constraints
     assert set(res.witnesses) == set(members.constraints())
-    seeds = set(t.constraints()) | {
+    seeds = {t.decode(m, pair) for m in t.arities() for pair in t.generators(m)} | {
         canonical_constraint(kind, m, t.dom, t.cod) for kind in ("equality", "empty") for m in members.arities()
     }
     minors, parents = [], {}  # most members relax one of a few floors: check each parent once
@@ -96,6 +97,33 @@ def minor_witnesses(res, t):
             assert minor_check(c, list(wit.family), wit.scheme, "tight", max_indets=wit.scheme.indets)
             minors.append((c, wit))
     return minors
+
+
+def certify(res, t):
+    """Certify a cm result by the pairs that entered its fixpoint, not by its
+    members: every floor pair (r, floor(r)) entered, and every entered pair is
+    a member whose witness re-checks against the members of any target arity.
+    A seed is a generator of t or the equality or empty constraint, a
+    relaxation relaxes an entered parent, a minor is the tight minor of members."""
+    members = res.constraints
+    floors = {m: members.floors(m) for m in res.entered}
+    for m, entered in res.entered.items():
+        assert entered.keys() >= set(enumerate(floors[m]))
+        seeds = set(t.generators(m)) | {(c.antecedent.bits, c.consequent.bits) for c in (
+            canonical_constraint(kind, m, t.dom, t.cod) for kind in ("equality", "empty"))}
+        for (r, s), (kind, *rest) in entered.items():
+            assert not floors[m][r] & ~s
+            if kind == "seed":
+                assert (r, s) in seeds
+            elif kind == "relaxation":
+                (r0, s0), = rest
+                assert (r0, s0) in entered and not r & ~r0 and not s0 & ~s
+            else:
+                v, sources = rest
+                assert all(not floors[n][r1] & ~s1 for r1, s1, _, n in sources)
+                family = [members.decode(n, (r1, s1)) for r1, s1, _, n in sources]
+                scheme = Scheme(m, v, tuple(h for _, _, h, _ in sources))
+                assert minor_check(members.decode(m, (r, s)), family, scheme, "tight", max_indets=v)
 
 
 def monotone_tables(arity):

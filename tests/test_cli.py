@@ -399,6 +399,8 @@ def wide_path(tmp_path):
     (["galois", "csf", "--class", "P8", "--arity", "3"], "csf_3 probes: 16777216 exceeds budget 1000000"),
     (["galois", "fsc", "--set", "T8", "--arity", "3"], "fsc_3 row choices: 18874368 exceeds budget 1000000"),
     (["close", "vsn", "--class", "K3", "--budget", "215"], "substitution instances: 216 exceeds budget 215"),
+    # the separators of an m = 20 class are masks of 2^20 bits over A^20 and B^20
+    (["verify", "t15i", "--class", "K2", "--n", "2", "--m", "20"], "separator mask width: 1048576 exceeds budget 1000000"),
 ])
 def test_wide_enumerations_are_budget_refusals(wide_path, capsys, argv, refusal):
     # each would walk its probes, row choices or instances for minutes at a wide arity

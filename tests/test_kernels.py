@@ -84,7 +84,7 @@ from funcon.satisfaction import (
 from funcon.instance_io import parse_instance
 from funcon.minors import tight_minor_relation
 
-from conftest import minor_witnesses
+from conftest import certify, minor_witnesses
 
 # (|A|, |B|) with the function arities n and the constraint arities m at
 # which the scalar references stay small; csf_reference scans the whole
@@ -721,7 +721,7 @@ def fixpoint_reference(t, targets, bounds):
         eq = tuple(sum(1 << x for x in readings((0,) * m, 1, size)) for size in (sa, sb))
         floors[m] = [(1 << sb**m) - 1] * (1 << sa**m)
         for pair in [*t.ranks(m), eq, (0, 0)]:
-            _add(floors[m], entered[m], pair, m)
+            _add(floors[m], entered[m], pair, m, ("seed",))
     v, done, converged, iteration = bounds.max_indets, set(), False, 0
     for iteration in range(1, bounds.max_iterations + 1):
         changed = False
@@ -740,9 +740,7 @@ def fixpoint_reference(t, targets, bounds):
                         continue
                     done.add(key)
                     cand = (project_reference(key[1], m, v, sa), project_reference(key[2], m, v, sb))
-                    if floors[m][cand[0]] & ~cand[1]:
-                        _add(floors[m], entered[m], cand, m)
-                        changed = True
+                    changed |= _add(floors[m], entered[m], cand, m, ("minor",))
         if not changed:
             converged = True
             break
@@ -794,10 +792,9 @@ def test_fixpoint_matches_all_pairs_round():
         res = cm_m_closure(t, targets[0], bounds) if len(targets) == 1 else cm_closure(t, len(targets), bounds)
         floors = {m: list(res.constraints.floors(m)) for m in targets}
         assert (floors, res.iterations, res.converged) == fixpoint_reference(t, targets, bounds)
-        # the engine meets one lift per orbit and adds permuted floors, so its witnesses are its own; the
-        # (3, 3) closure (all 262144 members) and the one to arity 3 (65808) take 10 s to decode and are left out
-        if len(res.constraints) < 10_000:
-            minor_witnesses(res, t)
+        # the engine meets one lift per orbit and adds permuted floors, so its witnesses are its own; they are
+        # certified by the pairs that entered, the (3, 3) closure of all 262144 members and the one to arity 3 too
+        certify(res, t)
 
 
 def readings_reference(h, k, size):
@@ -926,7 +923,7 @@ def floor_tables(rng, width):
         for seeds in (1, 3, 6):
             floors = [full] * count
             for _ in range(seeds):
-                _add(floors, {}, (rng.randrange(count), rng.randrange(full + 1)), 1)
+                _add(floors, {}, (rng.randrange(count), rng.randrange(full + 1)), 1, ("seed",))
             yield cons_width, floors, None, True
     yield width, [rng.randrange(count)] * count, set(range(count - 1)), True  # only the top is maximal
     yield width, list(range(count)), set(), True  # every antecedent is maximal
@@ -969,13 +966,17 @@ def test_floors_hold_the_relaxation_and_meet_closure(sizes):
             seeds = sorted(random_pair_set(rng, dom, cod, m, count).ranks(m))
             floors, entered = [full_b] * (full_a + 1), {}
             for pair in seeds:
-                _add(floors, entered, pair, m)
+                _add(floors, entered, pair, m, ("seed",))
+            held = list(floors), dict(entered)  # a pair its floor holds enters no more: no floor, no witness
+            assert not any(_add(floors, entered, pair, m, ("minor",)) for pair in seeds) and (floors, entered) == held
             members = ConstraintSet.from_floors(dom, cod, m, floors).ranks(m)
             assert members == meet_closure_reference(seeds, full_a, full_b)
             assert _maximal(floors, dom.size**m) == maximal_reference(members)
             for (r, s), (kind, *rest) in entered.items():  # every new floor, with its witness
                 assert floors[r] & ~s == 0
-                if kind == "relaxation":
+                if kind == "seed":
+                    assert (r, s) in seeds
+                elif kind == "relaxation":
                     (r0, s0), = rest
                     assert (r0, s0) in seeds and r & ~r0 == 0 and s == s0
                 else:
