@@ -8,31 +8,38 @@ instance against ``satisfaction.cm_m_oracle``, the independently computed
 Galois composite.  Nothing here imports the satisfaction side it is checked
 against.
 
-The kernels are word operations on the relations' rank bitmasks.  A mask's
-lifts through every map h are sums of cached nibble tables (``_lift_tables``):
-per 4-bit chunk of the source ranks, the column of a nibble holds, per map, the
-OR of the preimages of its bits, the extended tuples whose h-readings they rank.
+The kernels are word operations on the relations' rank bitmasks, and a round
+of minor moves holds its lifts and meets as fields of one int, a lift or meet
+``a << |B|^(m+v) | b`` each, so a meet of two lifts is one AND.  A member's
+lifts through every map h are one sum of cached nibble tables
+(``_lift_tables``): per 4-bit chunk of the source pair, the entry of a nibble
+holds in field i the OR of the preimages of its bits under map i, the
+extended tuples whose readings they rank, the A side above the B side.
 The fixpoint holds one floor per antecedent R, its least consequent: the sets
 it builds are closed under relaxation and under the meet of two members with
 one antecedent, so their members are the (R, S) with S a superset of floor(R).
 ``_add``, the one door into the floors, enters a pair they do not hold with
 its witness and ANDs its consequent into the floors below its antecedent,
 and ``_maximal`` reads off the maximal members, with the floors side by side
-in one int.  A round of minor moves packs each lift of a maximal member into
-one int, antecedent above consequent, so a meet of lifts is one AND (a lift
-met with itself is a single-source tight minor).  A member whose identity lift
-is held is skipped: its other lifts read that one through maps of the m+v
-coordinates.  The lifts are closed under the permutations g of the target and
-the indeterminate coordinates, and g commutes with the meet and the
-projection, so a member's lifts are read only at the first map of each orbit
+in one int.  A member whose identity lift, one field of its sum, is held is
+skipped: its other lifts read that one through maps of the m+v coordinates.
+The lifts are closed under the permutations g of the target and the
+indeterminate coordinates, and g commutes with the meet and the projection,
+so a member's lifts are read only at the first map of each orbit
 (``_lift_tables`` lists them with every map's orbit), the first lift of each
 orbit meets the lifts, and the floors are closed under the target permutations
 after (``core.permute_masks``), a pass a round whose meets add nothing skips.
-Each step of a round is a pass over a whole list: the rows of every orbit are
-one list of meets, deduplicated once in round order by ``dict.fromkeys``,
-projected by shift-ORs and 8-block tables (``_meet_projection``), and checked
-against the floors (``_outside``); so are the S_m images, member by member.
-Only the flagged candidates go to ``_add``, in order, which checks each again.
+A row of meets is ``(bucket >> lo*F) & key*ONES``: the packed fresh lifts of an
+indeterminate bucket from a representative's first partner on, ANDed with it
+in every field.  The rows side by side are projected by one fold-and-gather
+pass (``_fold_gather``): shift-ORs fold each block of |A|^v or |B|^v bits onto
+its lowest bit, and log2 shift-and-mask steps gather those bits.  The steps
+read above a field's last block, so the field width F has headroom, worked
+out from (|A|, |B|, m, v): the narrowest whole-byte width at which no bit of
+the fields above reaches a kept bit.  The projections, deduplicated in round
+order, are checked against the floors (``_outside``); so are the S_m images,
+member by member.  Only the flagged candidates go to ``_add``, in order, each
+with the first meet in round order that has its projection as the witness.
 Semi-naive rounds: an old orbit meets the fresh lifts, a fresh one itself and
 those from its own orbit on, and only lifts sharing an indeterminate: with
 disjoint ones the projection is the meet of two projections, members already.
@@ -47,6 +54,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+import sys
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
@@ -158,8 +167,7 @@ def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
     differs from the one 2^j on, which counts at the r without j, where r + 2^j is r | 2^j:
     the same list as an ``all()`` per r."""
     count, size = len(floors), -(-max(floors).bit_length() // 8) or 1  # bytes per field
-    fields = b"".join(map(int.to_bytes, floors, itertools.repeat(size), itertools.repeat("little"))) if size > 1 else bytes(floors)
-    packed, one = int.from_bytes(fields, "little"), b"\1" + bytes(size - 1)
+    packed, one = _pack(floors, size), b"\1" + bytes(size - 1)
     shifts = [min(1 << k, 8 * size - (1 << k)) for k in range((8 * size - 1).bit_length())]  # they sum to 8 * size - 1
     grows = int.from_bytes(one * count, "little")
     for j in range(width):
@@ -170,74 +178,95 @@ def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
     return list(itertools.compress(enumerate(floors), grows.to_bytes(count * size, "little")[::size]))
 
 
-@lru_cache(maxsize=32)
-def _lift_tables(k: int, m: int, v: int, size: int) -> tuple[tuple, tuple, tuple, tuple, tuple]:
-    """The maps h from k source coordinates to the m+v extended ones, in product order; per map, the
-    indices of the maps g∘h for g permuting the m target and the v indeterminate coordinates (the maps
-    equal where h is and targets where h is), ascending, and the mask of the indeterminates h reads, bit
-    e - m for coordinate e >= m; the maps first in their orbits; and per 4-bit chunk c of the source
-    ranks one column per nibble p: entry i is the bitmask over size^(m+v) of the extended tuples
-    (coordinate 1 most significant) whose reading through map i has rank 4c+j for a bit j of p."""
-    maps, tables = tuple(itertools.product(range(m + v), repeat=k)), []
-    shapes = [tuple((e < m, h.index(e)) for e in h) for h in maps]
-    orbits = {shape: tuple(i for i, other in enumerate(shapes) if other == shape) for shape in set(shapes)}
-    for h in maps:
-        pre = [0] * size**k
-        for x, read in enumerate(readings(h, m + v, size)):
-            pre[read] |= 1 << x
-        # the preimages of distinct ranks are disjoint, so a sum is their OR
-        tables.append([reduce(lambda table, bit: table + [t + bit for t in table], pre[c : c + 4], [0])
-                       for c in range(0, len(pre), 4)])
-    masks = tuple(sum(1 << e for e in set(h)) >> m for h in maps)
-    firsts = tuple(i for i, shape in enumerate(shapes) if orbits[shape][0] == i)
-    return maps, tuple(map(orbits.__getitem__, shapes)), masks, firsts, tuple(tuple(zip(*chunk)) for chunk in zip(*tables))
+def _fields(packed: int, count: int, size: int) -> list[int]:
+    """The ``count`` fields of ``size`` bytes each of a packed int, lowest first."""
+    data = packed.to_bytes(count * size, "little")
+    if size in (1, 2, 4, 8) and sys.byteorder == "little":  # one array read
+        return array("BHIQ"[size.bit_length() - 1], data).tolist()
+    ends = range(size, len(data) + size, size)
+    return list(map(int.from_bytes, map(data.__getitem__, map(slice, range(0, len(data), size), ends)), itertools.repeat("little")))
 
 
-def _lifts(columns_a: tuple, columns_b: tuple, pair: tuple[int, int], width_b: int) -> list[int]:
-    """The lifts of a source pair (r, s) through the maps of its ``_lift_tables`` columns on A and on B:
-    per map, the sum of r's nibbles' columns above, by ``width_b`` bits, the sum of s's."""
-    r, s = (reduce(partial(map, operator.add), [column[bits >> 4 * c & 15] for c, column in enumerate(columns)])
-            for columns, bits in ((columns_a, pair[0]), (columns_b, pair[1])))
-    return list(map(operator.or_, map(operator.lshift, r, itertools.repeat(width_b)), s))
-
-
-def _lift(columns: tuple[tuple[tuple[int, ...], ...], ...], bits: int, i: int) -> int:
-    """The lift of a source mask through map i alone."""
-    return sum(column[bits >> 4 * c & 15][i] for c, column in enumerate(columns))
-
-
-def _projection(m: int, v: int, size: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, dict[int, int]], ...]]:
-    """The shifts whose ORs fold each block of size^v bits onto its lowest bit (they sum to
-    size^v - 1, so no block reads the next one), and per chunk of 8 blocks its offset, the
-    mask of their lowest bits and the table from that pattern to the projected bits."""
-    block = size**v
-    chunks = []
-    for first in range(0, size**m, 8):
-        spread = [sum(1 << k * block for k in range(8) if p >> k & 1) for p in range(1 << min(8, size**m - first))]
-        chunks.append((first * block, spread[-1], {low: p << first for p, low in enumerate(spread)}))
-    return tuple(min(1 << k, block - (1 << k)) for k in range((block - 1).bit_length())), tuple(chunks)
+def _pack(values: list[int], size: int) -> int:
+    """The inverse of ``_fields``: the values as fields of ``size`` bytes, the first lowest."""
+    if size == 1:
+        return int.from_bytes(bytes(values), "little")
+    if size in (2, 4, 8) and sys.byteorder == "little":
+        return int.from_bytes(array("HIQ"[size.bit_length() - 2], values), "little")
+    return int.from_bytes(b"".join(map(int.to_bytes, values, itertools.repeat(size), itertools.repeat("little"))), "little")
 
 
 @lru_cache(maxsize=64)
-def _meet_projection(m: int, v: int, sa: int, sb: int) -> Callable[[list[int]], tuple[list[int], list[int]]]:
-    """The projection of a list of packed lifts ``a << sb^(m+v) | b`` to the lists of their antecedent
-    and consequent masks, each shift-OR and 8-block table one pass over the list.  With sa == sb one fold
-    serves both halves: the antecedent bits it moves down stay above the top consequent block's lowest bit."""
-    (shifts, chunks), width_b = _projection(m, v, sb), sb ** (m + v)
-    if sa != sb:
-        fold_a, fold_b = _meet_projection(m, v, sa, sa), _meet_projection(m, v, sb, sb)
-        return lambda packed: (fold_a(list(map(operator.rshift, packed, itertools.repeat(width_b))))[1],
-                               fold_b(list(map(operator.and_, packed, itertools.repeat((1 << width_b) - 1))))[1])
-    chunks_a = tuple((offset + width_b, low, table) for offset, low, table in chunks)
+def _fold_gather(m: int, v: int, sa: int, sb: int) -> tuple[int, Callable[[int, int], int]]:
+    """The field width, in bytes, of a round's packed lifts and meets, a << sb^(m+v) | b in each field, and
+    the projection of ``count`` such fields at once to pa << sb^m | pb, pa and pb the projections of a and b.
+    Per half (one where |A| = |B|, whose A blocks continue its B blocks), shift-ORs summing to size^v - 1 fold
+    each block of size^v bits onto its lowest bit; a mask keeps those bits, and gather step t moves each odd
+    group of 2^t of them down next to the even one before it, so ⌈log2 blocks⌉ steps set them side by side.
+    The steps shift down, so a field's last groups read bits above it: past a power of two of blocks, as for
+    the 18 of |A| = |B| = 3, m = 2, v = 1, they read the next field.  The width is the narrowest whole-byte
+    one at which the fields above, all content bits set, reach no kept bit: the headroom the gather needs."""
+    wb = sb ** (m + v)
+    # per half: its bits in a field, its fold shifts, its blocks' lowest bits, its (shift, mask) gather steps, and
+    # how far its projection moves down to its place
+    halves = []
+    for offset, blocks, block, place in ([(0, 2 * sb**m, sb**v, 0)] if sa == sb else
+                                         [(wb, sa**m, sa**v, sb**m), (0, sb**m, sb**v, 0)]):
+        folds = [min(1 << k, block - (1 << k)) for k in range((block - 1).bit_length())]
+        steps = [((block - 1) << t, sum(((1 << min(2 << t, blocks - j)) - 1) << offset + j * block for j in range(0, blocks, 2 << t)))
+                 for t in range((blocks - 1).bit_length() if block > 1 else 0)]
+        kept = sum(1 << offset + j * block for j in range(blocks))
+        halves.append((((1 << blocks * block) - 1) << offset, folds, kept, steps, offset - place))
 
-    def project(packed: list[int]) -> tuple[list[int], list[int]]:
-        for shift in shifts:
-            packed = list(map(operator.or_, packed, map(operator.rshift, packed, itertools.repeat(shift))))
-        return tuple(list(reduce(partial(map, operator.or_), [
-            map(table.__getitem__, map(operator.and_, map(operator.rshift, packed, itertools.repeat(offset)),
-                                       itertools.repeat(low))) for offset, low, table in half])) for half in (chunks_a, chunks))
+    def project(packed: int, count: int, size: int) -> int:
+        ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+        out = 0
+        for region, folds, kept, steps, down in halves:
+            x = packed & region * ones if len(halves) > 1 else packed
+            for shift in folds:
+                x |= x >> shift
+            x &= kept * ones
+            for shift, mask in steps:
+                x = (x | x >> shift) & mask * ones
+            out |= x >> down
+        return out
 
-    return project
+    content, reach = sa ** (m + v) + wb, max(sum(folds) + sum(shift for shift, _ in steps) for _, folds, _, steps, _ in halves)
+    size = -(-content // 8)
+    while True:  # field 0 empty and the fields a bit can come down from full: a bit in its result leaked
+        above = reach // (8 * size) + 2
+        full = ((1 << content) - 1) * int.from_bytes(bytes(size) + (b"\1" + bytes(size - 1)) * above, "little")
+        if not project(full, above + 1, size) & (1 << 8 * size) - 1:
+            return size, partial(project, size=size)
+        size += 1
+
+
+@lru_cache(maxsize=32)
+def _lift_tables(k: int, m: int, v: int, sa: int, sb: int) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """The maps h from k source coordinates to the m+v extended ones, in product order; per map, the
+    indices of the maps g∘h for g permuting the m target and the v indeterminate coordinates (the maps
+    equal where h is and targets where h is), ascending, and the mask of the indeterminates h reads, bit
+    e - m for coordinate e >= m; the maps first in their orbits; and per 4-bit chunk c of a source pair
+    r << 4⌈sb^k/4⌉ | s one table per nibble p: entry p packs, in field i of ``_fold_gather``'s width, the
+    lift of p's bits through map i, the bitmask of the extended tuples (coordinate 1 most significant) whose
+    reading through map i has rank 4c+j for a bit j of p, r's lifts over A above the sb^(m+v) bits of s's."""
+    maps, size = tuple(itertools.product(range(m + v), repeat=k)), _fold_gather(m, v, sa, sb)[0]
+    shapes = [tuple((e < m, h.index(e)) for e in h) for h in maps]
+    orbits = {shape: tuple(i for i, other in enumerate(shapes) if other == shape) for shape in set(shapes)}
+    columns = []
+    for side, shift in ((sb, 0), (sa, sb ** (m + v))):
+        tables = []
+        for h in maps:
+            pre = [0] * side**k
+            for x, read in enumerate(readings(h, m + v, side)):
+                pre[read] |= 1 << x + shift
+            # the preimages of distinct ranks are disjoint, so a sum is their OR
+            tables.append([reduce(lambda table, bit: table + [t + bit for t in table], pre[c : c + 4], [0])
+                           for c in range(0, len(pre), 4)])
+        columns += [tuple(_pack(entry, size) for entry in zip(*chunk)) for chunk in zip(*tables)]
+    masks = tuple(sum(1 << e for e in set(h)) >> m for h in maps)
+    firsts = tuple(i for i, shape in enumerate(shapes) if orbits[shape][0] == i)
+    return maps, tuple(map(orbits.__getitem__, shapes)), masks, firsts, tuple(columns)
 
 
 def _outside(floors: list[int], antecedents: list[int], consequents: list[int]) -> list[int]:
@@ -290,19 +319,22 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
         changed = False
         maximals = {m: _maximal(floors[m], sa**m) for m in targets}
         for m in targets:
-            width_b = sb ** (m + v)
-            # packed lift (antecedent << width_b | consequent) -> (a source giving it, the indeterminates its map reads)
+            size, project = _fold_gather(m, v, sa, sb)
+            field = (1 << 8 * size) - 1
+            # packed lift (antecedent << sb^(m+v) | consequent) -> (a source giving it, the indeterminates its map reads)
             lifts: dict[int, tuple[tuple[int, int, tuple[int, ...], int], int]] = {}
             reps = []  # the first lift of each orbit
             for src_arity in targets:
-                (maps, orbits, masks, firsts, columns_a), columns_b = (_lift_tables(src_arity, m, v, sa),
-                                                                       _lift_tables(src_arity, m, v, sb)[-1])
-                ident = maps.index(tuple(range(src_arity))) if src_arity <= m + v else None
+                maps, orbits, masks, firsts, columns = _lift_tables(src_arity, m, v, sa, sb)
+                ident = maps.index(tuple(range(src_arity))) * 8 * size if src_arity <= m + v else None  # its field's offset
+                above = 4 * -(-sb**src_arity // 4)  # where r starts in the source pair the columns read
                 for r, s in maximals[src_arity]:
+                    pair = r << above | s
+                    summed = sum(column[pair >> 4 * c & 15] for c, column in enumerate(columns))
                     # every lift of (r, s) reads its identity lift through a map of the m+v coordinates: one held, all held
-                    if ident is not None and _lift(columns_a, r, ident) << width_b | _lift(columns_b, s, ident) in lifts:
+                    if ident is not None and summed >> ident & field in lifts:
                         continue
-                    keys = _lifts(columns_a, columns_b, (r, s), width_b)
+                    keys = _fields(summed, len(maps), size)
                     for i in firsts:  # the held lifts are closed under g: an orbit's first lift held, the orbit is held
                         if keys[i] not in lifts:
                             reps.append(keys[i])
@@ -311,34 +343,41 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             old, previous[m] = previous[m], set(lifts)
             fresh = list(itertools.filterfalse(old.__contains__, lifts))
             at = dict(zip(fresh, itertools.count()))
-            # indeterminate mask -> the fresh lifts with it and their positions in fresh
+            # indeterminate mask -> the fresh lifts with it and their positions in fresh, and -> those lifts as fields
             buckets: dict[int, tuple[list[int], list[int]]] = {}
             for i, key in enumerate(fresh):
                 keys, positions = buckets.setdefault(lifts[key][1], ([], []))
                 keys.append(key)
                 positions.append(i)
-            # the round's meets as pairs of lifts, orbit by orbit: an old orbit met the old lifts last round, so it meets
-            # the fresh ones; a fresh orbit meets itself and the fresh lifts from its own orbit on, as the fresh orbits
-            # before it met it; both only across a shared indeterminate
-            lefts, rights = [], []
+            packed = {mask: _pack(keys, size) for mask, (keys, _) in buckets.items()}
+            # the round's meets, row by row as (left lift, right lifts, first right, the rights packed): an old orbit met
+            # the old lifts last round, so it meets the fresh ones; a fresh orbit meets itself and the fresh lifts from its
+            # own orbit on, as the fresh orbits before it met it; both only across a shared indeterminate
+            rows = []
             for key in reps:
-                start = len(rights)
                 if key in at and not lifts[key][1]:
-                    rights.append(key)
+                    rows.append((key, [key], 0, key))
                 for mask, (keys, positions) in buckets.items():
-                    if mask & lifts[key][1]:
-                        rights += keys[bisect.bisect_left(positions, at.get(key, 0)):]
-                lefts += [key] * (len(rights) - start)
-            meets = list(map(operator.and_, lefts, rights))
+                    if mask & lifts[key][1] and (lo := bisect.bisect_left(positions, at.get(key, 0))) < len(keys):
+                        rows.append((key, keys, lo, packed[mask]))
+            starts = list(itertools.accumulate((len(keys) - lo for _, keys, lo, _ in rows), initial=0))
+            within_budget(starts[-1], budget, f"meets of a round at arity {m}")
+            ones = int.from_bytes((b"\1" + bytes(size - 1)) * len(fresh), "little")
+            # row i is its rights, from the first on, ANDed with its left in every field; the rows side by side project at once
+            meets = b"".join((rights >> 8 * size * lo & key * ones).to_bytes((len(keys) - lo) * size, "little")
+                             for key, keys, lo, rights in rows)
+            projections = _fields(project(int.from_bytes(meets, "little"), starts[-1]), starts[-1], size)
+            new = list(dict.fromkeys(projections))
+            pa = list(map(operator.rshift, new, itertools.repeat(sb**m)))
+            pb = list(map(operator.and_, new, itertools.repeat((1 << sb**m) - 1)))
             floor, added = floors[m], False
-            # a meet projected in a round before gave a member, so projecting it again adds nothing
-            new = list(dict.fromkeys(meets))
-            pa, pb = _meet_projection(m, v, sa, sb)(new)
-            # meet -> its first index in the round, built where a pair is outside the floors: the first one enters
+            # projection -> its first index in the round, built where a pair is outside the floors: its first meet enters
             outside = _outside(floor, pa, pb)
-            first = dict(zip(reversed(meets), itertools.count(len(meets) - 1, -1))) if outside else {}
+            first = dict(zip(reversed(projections), itertools.count(len(projections) - 1, -1))) if outside else {}
             for i in outside:
-                key, other = lefts[first[new[i]]], rights[first[new[i]]]
+                row = bisect.bisect_right(starts, first[new[i]]) - 1
+                key, keys, lo, _ = rows[row]
+                other = keys[lo + first[new[i]] - starts[row]]
                 sources = (lifts[key][0],) if other == key else (lifts[key][0], lifts[other][0])
                 added |= _add(floor, entered[m], (pa[i], pb[i]), m, ("minor", v, sources))
             changed |= added

@@ -14,6 +14,7 @@ identity at arity n: the unparametrized local closure on finite domains.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -127,6 +128,7 @@ def lo_m_closure(
         cols = column_masks(dom, cod, n)
         members = k.mask(n)
         points = dom.size**n
+        within_budget(math.comb(points, min(m, points)), budget, f"lo_{m} point subsets at arity {n}")
         kept = (1 << count) - 1
         for subset in itertools.combinations(range(points), min(m, points)):
             kept &= _agreeing(cols, members, subset)

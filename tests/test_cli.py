@@ -378,9 +378,12 @@ def test_cm_lift_budget_refusal_exit_code(tmp_path, capsys):
 
 @pytest.fixture
 def wide_path(tmp_path):
-    """A parity function of arity 8, a function of arity 3, and the set
-    {(A^8, A^8), (even-parity^8, even-parity^8)}."""
+    """A parity function of arity 8, a function of arity 3, the set
+    {(A^8, A^8), (even-parity^8, even-parity^8)}, and a ternary function from
+    a domain of 3 elements to one of 1."""
     doc = json.loads(DOC)
+    doc["domains"].update(ter=3, unit=1)
+    doc["functions"]["zero3"] = {"dom": "ter", "cod": "unit", "arity": 3, "table": [0] * 27}
     points = [[x >> (7 - i) & 1 for i in range(8)] for x in range(256)]
     doc["functions"]["par8"] = {"dom": "bool", "cod": "bool", "arity": 8, "table": [sum(p) % 2 for p in points]}
     doc["functions"]["maj"] = {"dom": "bool", "cod": "bool", "arity": 3, "table": [0, 0, 0, 1, 0, 1, 1, 1]}
@@ -388,7 +391,8 @@ def wide_path(tmp_path):
     doc["relations"]["even8"] = {"domain": "bool", "arity": 8, "tuples": [p for p in points if sum(p) % 2 == 0]}
     doc["constraints"].update({name: {"antecedent": name[2:], "consequent": name[2:]} for name in ("c_all8", "c_even8")})
     doc["classes"].update(P8={"dom": "bool", "cod": "bool", "members": ["par8"]},
-                          K3={"dom": "bool", "cod": "bool", "members": ["maj"]})
+                          K3={"dom": "bool", "cod": "bool", "members": ["maj"]},
+                          U3={"dom": "ter", "cod": "unit", "members": ["zero3"]})
     doc["sets"]["T8"] = {"dom": "bool", "cod": "bool", "members": ["c_all8", "c_even8"]}
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
@@ -401,6 +405,8 @@ def wide_path(tmp_path):
     (["close", "vsn", "--class", "K3", "--budget", "215"], "substitution instances: 216 exceeds budget 215"),
     # the separators of an m = 20 class are masks of 2^20 bits over A^20 and B^20
     (["verify", "t15i", "--class", "K2", "--n", "2", "--m", "20"], "separator mask width: 1048576 exceeds budget 1000000"),
+    # at |B| = 1 there is one candidate table, but lo_m walks C(27, 10) subsets of the 27 points of A^3
+    (["verify", "thm13", "--class", "U3", "--n", "3", "--m", "10"], "lo_10 point subsets at arity 3: 8436285 exceeds budget 1000000"),
 ])
 def test_wide_enumerations_are_budget_refusals(wide_path, capsys, argv, refusal):
     # each would walk its probes, row choices or instances for minutes at a wide arity

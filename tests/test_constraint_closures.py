@@ -276,6 +276,15 @@ def test_cm_lift_maps_are_refused_above_the_budget():
     assert cm_m_closure(empty, 3, CmBounds(max_indets=3)).converged  # the widest bound the tests and the bench use
 
 
+def test_cm_round_meets_are_refused_above_the_budget():
+    one_in_three = Relation.from_tuples(BOOL, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    t = ConstraintSet.from_constraints(BOOL, BOOL, [Constraint(one_in_three, one_in_three)])
+    # its rounds make 130, 22620, 176539 and 49206 meets; the universe and lift guards count 65536 and 4000
+    with pytest.raises(BudgetExceededError, match="meets of a round at arity 3: 176539 exceeds budget 100000"):
+        cm_m_closure(t, 3, budget=100_000)
+    assert cm_m_closure(t, 3, budget=176_539).converged
+
+
 def test_lo_n_closure_small_antecedents_are_fixed():
     # constraints with antecedent of size <= n are their own relaxations, so
     # lo_n never adds any; over Q1 with n = 2 the closure is the identity

@@ -58,7 +58,7 @@ from funcon import (
     vs_closure,
     vs_n_closure,
 )
-from funcon.constraint_closures import _add, _lift_tables, _maximal, _meet_projection, _projection
+from funcon.constraint_closures import _add, _fields, _fold_gather, _lift_tables, _maximal, _pack
 from funcon.core import (
     DEFAULT_ENUMERATION_BUDGET,
     column_masks,
@@ -639,20 +639,24 @@ CONSTRAINT_SIDE_PAIRS = [(2, 2), (3, 2), (2, 3)]
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_lift_matches_digit_decoding(size):
-    """Every map, in product order, over source widths size^k of 1 to 9 bits:
-    the sum of a mask's nibble columns is its digit-decoded lift, and a
-    partial last chunk of w bits has 2^w columns."""
+    """Every map, in product order, over source widths of 1 to 9 bits on A of ``size`` and on B of each
+    size: the sum of the source pair's nibble tables holds, in field i, the digit-decoded lift of r through
+    map i above that of s, and a partial last chunk of w bits has 2^w tables."""
     rng = random.Random(19 + size)
-    for k, m, v in itertools.product((1, 2, 3), (1, 2), (0, 1, 2, 3)):
-        width = size**k
-        if width > 9:
+    for k, m, v, sb in itertools.product((1, 2, 3), (1, 2), (0, 1, 2, 3), (1, 2, 3)):
+        width_a, width_b = size**k, sb**k
+        if max(width_a, width_b) > 9:
             continue
-        maps, *_, columns = _lift_tables(k, m, v, size)
+        maps, *_, columns = _lift_tables(k, m, v, size, sb)
         assert maps == tuple(itertools.product(range(m + v), repeat=k))
-        assert [len(chunk) for chunk in columns] == [1 << min(4, width - c) for c in range(0, width, 4)]
-        for r_bits in (0, (1 << width) - 1, rng.getrandbits(width), rng.getrandbits(width)):
-            lifts = [sum(chunk[r_bits >> 4 * c & 15][i] for c, chunk in enumerate(columns)) for i in range(len(maps))]
-            assert lifts == [lift_reference(r_bits, h, m, v, size) for h in maps]
+        assert [len(chunk) for chunk in columns] == [1 << min(4, width - c) for width in (width_b, width_a)
+                                                     for c in range(0, width, 4)]
+        field = _fold_gather(m, v, size, sb)[0]
+        for r, s in itertools.product((0, (1 << width_a) - 1, rng.getrandbits(width_a)), (0, (1 << width_b) - 1, rng.getrandbits(width_b))):
+            pair = r << 4 * -(-width_b // 4) | s
+            packed = sum(chunk[pair >> 4 * c & 15] for c, chunk in enumerate(columns))
+            assert _fields(packed, len(maps), field) == [
+                lift_reference(r, h, m, v, size) << sb ** (m + v) | lift_reference(s, h, m, v, sb) for h in maps]
 
 
 @pytest.mark.parametrize("k, m, v", list(itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2))))
@@ -661,7 +665,7 @@ def test_lift_plan_orbits_and_indeterminates(k, m, v):
     composing, ascending, the orbits partition the maps, the first maps are the
     least of each orbit, in order, and its indeterminate mask has bit e - m for
     each coordinate e >= m that h reads."""
-    maps, orbits, masks, firsts, _ = _lift_tables(k, m, v, 2)
+    maps, orbits, masks, firsts, _ = _lift_tables(k, m, v, 2, 2)
     index = {h: i for i, h in enumerate(maps)}
     group = [(*targets, *(m + e for e in indets))
              for targets in itertools.permutations(range(m)) for indets in itertools.permutations(range(v))]
@@ -685,15 +689,17 @@ def project_reference(bits, m, v, size):
 
 
 def test_project_matches_block_loop():
-    """The list projection of packed meets a << sb^(m+v) | b, with |A| = |B| (one fold for both halves) and
-    |A| != |B| (a fold per half), is the block loop on each half, on the empty list too."""
+    """The fold-and-gather of a round's packed meets, a << sb^(m+v) | b in fields of the plan's width, is
+    the block loop on each half of every field, pa << sb^m | pb: with |A| = |B| (one pass for both halves)
+    and |A| != |B| (a pass per half), v = 0 (no fold), results of more than 64 bits, |A| = 3 with v = 1 at
+    m = 2 (18 blocks, where the gather reads past a field into the next), and an empty round."""
     rng = random.Random(16)
     checked = set()
-    for sa, sb, m, v in itertools.product((2, 3, 4), (2, 3, 4), (1, 2, 3), (0, 1, 2, 3)):
+    for sa, sb, m, v in itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3), (0, 1, 2, 3)):
         width_a, width_b = sa ** (m + v), sb ** (m + v)
         if max(width_a, width_b) > 4096 or sa != sb and width_a + width_b > 1024:
             continue
-        checked.add((sa == sb, v == 0, max(sa, sb) ** m > 8))
+        checked.add((sa == sb, v == 0, sa**m + sb**m > 64))
         halves = []
         for width in (width_a, width_b):
             masks = [0, (1 << width) - 1]
@@ -701,14 +707,14 @@ def test_project_matches_block_loop():
                 masks += [sum(1 << x for x in range(width) if rng.randrange(density) == 0) for _ in range(4)]
             halves.append(masks)
         pairs = list(itertools.product(*halves)) if sa != sb else list(zip(*halves))
-        packed = [a << width_b | b for a, b in pairs]
-        assert _meet_projection(m, v, sa, sb)(packed) == (
-            [project_reference(a, m, v, sa) for a, _ in pairs], [project_reference(b, m, v, sb) for _, b in pairs])
-        assert _meet_projection(m, v, sa, sb)([]) == ([], [])
+        rng.shuffle(pairs)  # so fields of every kind lie above one another
+        size, project = _fold_gather(m, v, sa, sb)
+        packed = _pack([a << width_b | b for a, b in pairs], size)
+        assert _fields(project(packed, len(pairs)), len(pairs), size) == [
+            project_reference(a, m, v, sa) << sb**m | project_reference(b, m, v, sb) for a, b in pairs]
+        assert _fields(project(0, 0), 0, size) == []
     assert checked == set(itertools.product((False, True), repeat=3))
-    # every table a projection reads holds at most 256 entries
-    assert max(len(table) for m, v, size in itertools.product((1, 2, 3), (0, 1, 2), (2, 3, 4))
-               for *_, table in _projection(m, v, size)[1]) == 256
+    assert _fold_gather(2, 1, 3, 3)[0] > 7  # 54 bits of content fit 7 bytes, but the gather reads the field above
 
 
 def fixpoint_reference(t, targets, bounds):
