@@ -295,8 +295,9 @@ def relaxation_of(c: Constraint, c0: Constraint) -> bool:
     return c.antecedent.issubset(c0.antecedent) and c0.consequent.issubset(c.consequent)
 
 
+@lru_cache(maxsize=64)
 def canonical_constraint(kind: str, m: int, dom: DomainSpec, cod: DomainSpec) -> Constraint:
-    """The distinguished constraints: equality, empty, trivial, all at arity m."""
+    """The distinguished constraints: equality, empty, trivial, all at arity m, cached since they are frozen."""
     if m < 1:
         raise ValueError("constraint arity must be >= 1")
     if kind == "equality":

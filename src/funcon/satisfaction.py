@@ -3,16 +3,16 @@
 ``fsc_n`` and ``csf_m`` realize the two directions of the correspondence at
 fixed arities.  Both work on classes as bitmasks over table ranks: ``fsc_n``
 ANDs, per signature of each constraint, an OR of the column minterms of
-``core.column_masks``.  ``csf_m`` reads each probe's achievable
-output tuples by splitting the class point by point.  Where the shape's byte
-tables stay small, it walks one probe per S_m orbit, and a class mask splits
-into the |B| slices of each point's table digit, so each point shrinks the
-sub-class by |B|; elsewhere it walks every probe and ANDs column minterms.
-``probe_groups`` ORs the probe masks by cross-row set, the walked probes' with
-their S_m images, moved as whole lists by ``core.permute_masks``, and
-``_minimal_consequents`` folds them into S_min(R), the least consequent over R,
-for every R: the floors of ``csf_m``.  ``_orbit_separators`` walks the probes
-(``_signatures``) of one R per S_m orbit: the separators of ``fsc_n_of_csf_m``.
+``core.column_masks``.  ``csf_m`` splits the class point by point at each probe.
+Where the shape's byte tables stay small, it walks one probe per S_m orbit, a
+class mask splits into the |B| slices of each point's table digit, and a
+last-point sub-class of every table over the later digits gives them every
+value unsplit; elsewhere it walks every probe and ANDs column minterms.
+``probe_groups`` ORs the walked probes' masks by cross-row set and moves the
+groups through the S_m images; ``_minimal_consequents`` folds them into
+S_min(R), the least consequent over R, for every R: the floors of ``csf_m``.
+``_orbit_separators`` walks the probes (``_signatures``) of one R per S_m
+orbit: the separators of ``fsc_n_of_csf_m``.
 ``cm_m_oracle`` is the twin composite csf_m(fsc_n(T)) at n = |A|^m, the Galois
 route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
 checked against; this module imports nothing from the closure side.
@@ -218,34 +218,46 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     the class takes at the m argument points encoded in the probe rank ``q``
     (base |A|^n digits, first point most significant).  The walk shares a
     prefix's splits: at point p, value v's sub-class is ``within >> shift & mask``
-    for that value's shift and mask, and the OR of the sub-classes walks on to
-    point p + 1.  With images from ``_orbit_plan`` it visits only the probes
-    with non-decreasing points, one per S_m orbit, a repeated point reading the
-    value already chosen, and leaves the other entries 0 for ``probe_groups``
-    to fill through the images.  There a class held as a mask splits into the
-    |B| slices of point p's digit, of weight w = |B|^(|A|^n-1-p), shift v*w and
-    mask 2^w - 1, so a sub-class past p holds only the later digits.  Otherwise
-    it visits every probe and ANDs the columns of ``_columns``.
+    and the OR of the sub-classes walks on to point p + 1.  With images from
+    ``_orbit_plan`` it visits only the probes with non-decreasing points, one
+    per S_m orbit (a repeat of p reads v, and v's sub-class walks on from
+    p + 1), and leaves the other entries 0.  There a class mask splits into the
+    |B| slices of p's digit, of weight w = |B|^(|A|^n-1-p), shift v*w and mask
+    2^w - 1, and a last-point sub-class of every table over the later digits
+    gives each of them every value.  Otherwise it visits every probe and ANDs
+    the columns of ``_columns``.
     """
     points, cod_size = k.dom.size**n, k.cod.size
     _, images, splits = _orbit_plan(k.dom.size, n, m, cod_size, function_count(k.dom, k.cod, n) <= budget)
-    if splits is not None:
+    if sliced := splits is not None:
         class_mask = k.mask(n)
     else:
         cols, class_mask = _columns(k, n, budget)
         splits = [[(0, col) for col in row] for row in cols]
-    masks = [0] * points**m
+    masks, every = [0] * points**m, (1 << cod_size) - 1
 
     def walk(depth: int, start: int, q: int, s: int, within: int) -> None:
         for p in range(start, points):
+            if sliced and depth == 1 and within.bit_count() == cod_size ** (points - p):  # every table over digits p on
+                tail = slice(q * points + p, (q + 1) * points)
+                masks[tail] = [mask | every << s * cod_size for mask in masks[tail]]
+                return
             rest = bits = 0
             for v, (shift, mask) in enumerate(splits[p]):
                 part = within >> shift & mask if shift else within & mask  # a shift by 0 copies within
                 if part:
                     rest |= part
                     bits |= 1 << v
-                    if depth > 1:  # put back at point p, v's slice is all a repeated point reads
-                        walk(depth - 1, p if images is not None else 0, q * points + p, s * cod_size + v, part << shift)
+                    if depth == 1:
+                        continue
+                    if images is None:
+                        walk(depth - 1, 0, q * points + p, s * cod_size + v, part)
+                    else:  # the probes repeating p read v there, and walk on from p + 1 in part
+                        t, u = q, s
+                        for d in range(depth - 1, 0, -1):
+                            t, u = t * points + p, u * cod_size + v
+                            walk(d, p + 1, t, u, part)
+                        masks[t * points + p] |= 1 << u * cod_size + v
             if depth == 1:
                 masks[q * points + p] |= bits << s * cod_size
             within = rest
@@ -257,18 +269,20 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
 def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
     """The probe masks of every arity of k, ORed by cross-row set: key r (a rank
     mask over A^m) collects the probes whose cross-rows are the members of r.
-    With images, the walked probes that reach a value enter again per
-    permutation, keys and masks moved as whole lists: every probe is an image of
-    a walked one, and a probe reached twice ORs the same mask in again."""
-    groups: dict[int, int] = {}
+    The walked probes that reach a value enter; with images, the groups then
+    enter again per permutation, keys and masks moved as whole lists once for
+    every arity: every probe is an image of a walked one, and a permutation
+    moves bits, so it commutes with the OR."""
+    groups, images = {}, None
     for n in k.arities():
         keys, images, _ = _orbit_plan(k.dom.size, n, m, k.cod.size, function_count(k.dom, k.cod, n) <= budget)
         masks = _probe_masks(k, n, m, budget)
-        hit_keys, hits = list(itertools.compress(keys, masks)), list(filter(None, masks))  # walked probes reaching a value
-        moved = [(permute_masks(on_a, hit_keys), permute_masks(on_b, hits)) for on_a, on_b in images or ()]
-        for rs, ss in [(keys, masks), *moved]:
-            for r, mask in zip(rs, ss):
-                groups[r] = groups.get(r, 0) | mask
+        for r, mask in zip(itertools.compress(keys, masks), filter(None, masks)):
+            groups[r] = groups.get(r, 0) | mask
+    rs, ss = list(groups), list(groups.values())
+    for on_a, on_b in images or ():
+        for r, mask in zip(permute_masks(on_a, rs), permute_masks(on_b, ss)):
+            groups[r] = groups.get(r, 0) | mask
     return groups
 
 

@@ -2,11 +2,12 @@
 references built from ``satisfies`` over the enumerated function and
 constraint universes, on seeded instances off the Boolean domain too, of the
 csf_m probe masks and probe groups on dense classes, on the digit
-slices of empty, one-member and |B| = 3 classes, and on both sides of the
-cutoff past which no S_m images are kept, against the walk over every
-probe, and of the constraint-side mask kernels (lift, projection, the floor
-add pass, maximal members, ``lo_n_closure``) against scalar pair-by-pair
-reference loops, of the cm fixpoint against the tuple-keyed all-pairs round loop, of
+slices of empty, one-member and |B| = 3 classes and of classes whose
+sub-classes hold every table past a middle point, and on both sides of the cutoff past which
+no S_m images are kept, against the walk over every probe, and of the
+constraint-side mask kernels (lift, projection, the floor add pass, maximal
+members, ``lo_n_closure``) against scalar pair-by-pair reference loops, of
+the cm fixpoint against the tuple-keyed all-pairs round loop, of
 ``core.subset_fold`` against a fold over ``core.submasks``, of the reading
 table ``core.readings``, the permutation tables ``core.permutation_tables``
 and the tight minor built on them against digit-by-digit decoding, and of S_min, the separators ``fsc_n_of_csf_m`` and the floors
@@ -400,13 +401,19 @@ def csf_pairs_from_groups(k: FunctionClass, m: int, groups: dict[int, int]) -> s
 
 def dense_masks(dom: DomainSpec, cod: DomainSpec, n: int, rng) -> dict[str, int]:
     """The full universe of n-ary tables; those with f(0..0) = 0; those with a 0
-    at the first or the last point (3/4 of them on Boolean); all but three."""
+    at the first or the last point (3/4 of them on Boolean); all but three; those
+    with a 0 at the middle point p* = (|A|^n - 1) // 2, past which a sub-class
+    holds every table over the later digits; and those also |B| - 1 at p* + 1."""
     count = function_count(dom, cod, n)
     full = (1 << count) - 1
     first = (1 << count // cod.size) - 1  # the digit of point 0 is the most significant
     last = mask_of_ranks(range(0, count, cod.size), count)
     sparse = mask_of_ranks(rng.sample(range(count), 3), count)
-    return {"full": full, "half": first, "3/4": first | last, "co-sparse": full & ~sparse}
+    weight = cod.size ** (dom.size**n - 1 - (dom.size**n - 1) // 2)  # of the digit of p*
+    middle = [r for r in range(count) if r // weight % cod.size == 0]
+    two = [r for r in middle if r // (weight // cod.size) % cod.size == cod.size - 1]
+    return {"full": full, "half": first, "3/4": first | last, "co-sparse": full & ~sparse,
+            "middle": mask_of_ranks(middle, count), "two-middle": mask_of_ranks(two, count)}
 
 
 def dense_cases():
@@ -434,6 +441,11 @@ def dense_cases():
     dom, cod = domains((3, 3))
     tables = [FunctionTable(dom, cod, 3, tuple(rng.randrange(3) for _ in range(27))) for _ in range(6)]
     cases.append(pytest.param(FunctionClass.from_tables(dom, cod, tables), (1, 2), True, False, id="3x3-arity-3"))
+    # two arity-5 tables that are 0 at points 30 and 31: on the member columns, with images at m = 2, the
+    # sub-class past point 30 is the member mask 0b11, which is also the mask of every table over one Boolean
+    # digit, so a full-slice rule read off member masks would give point 31 the value 1
+    tables = [FunctionTable(bool_, bool_, 5, tuple(rng.randrange(2) for _ in range(30)) + (0, 0)) for _ in range(2)]
+    cases.append(pytest.param(FunctionClass.from_tables(bool_, bool_, tables), (1, 2), True, False, id="arity-5-zero-tail"))
     return cases
 
 
@@ -454,7 +466,8 @@ def slice_cases():
     """pytest params (class, arity n, constraint arity m) on which the walk
     splits class masks into digit slices: the empty and a one-member Boolean
     class at n = 4, (3, 3) classes at n = 2, three slices per digit over 3^9
-    tables, and (3, 2) classes at n = 2 and m = 3."""
+    tables, (3, 2) classes at n = 2 and m = 3, and the Boolean classes fixing
+    the middle point at n = 4 and m = 3."""
     rng = random.Random(27)
     bool_ = DomainSpec("bool", 2)
     one = FunctionTable(bool_, bool_, 4, tuple(rng.randrange(2) for _ in range(16)))
@@ -467,7 +480,11 @@ def slice_cases():
         masks = dense_masks(dom, cod, 2, rng)
         masks["sparse"] = mask_of_ranks(rng.sample(range(count), 40), count)
         cases += [pytest.param(FunctionClass.from_masks(dom, cod, {2: masks[name]}), 2, m,
-                               id=f"{sizes[0]}x{sizes[1]}-n2-m{m}-{name}") for name in ("3/4", "co-sparse", "sparse")]
+                               id=f"{sizes[0]}x{sizes[1]}-n2-m{m}-{name}")
+                  for name in ("3/4", "co-sparse", "sparse", "middle", "two-middle")]
+    masks = dense_masks(bool_, bool_, 4, rng)
+    cases += [pytest.param(FunctionClass.from_masks(bool_, bool_, {4: masks[name]}), 4, 3, id=f"2x2-n4-m3-{name}")
+              for name in ("middle", "two-middle")]
     return cases
 
 
@@ -475,7 +492,10 @@ def slice_cases():
 def test_probe_masks_match_the_all_probes_walk_on_digit_slices(k, n, m):
     assert _orbit_plan(k.dom.size, n, m, k.cod.size, True)[2] is not None  # images, so the walk splits digit slices
     assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == at_walked_probes(k, n, m, walk_reference(k, n, m))
-    assert probe_groups(k, m, DEFAULT_ENUMERATION_BUDGET) == probe_groups_reference(k, m)
+    groups = probe_groups_reference(k, m)
+    assert probe_groups(k, m, DEFAULT_ENUMERATION_BUDGET) == groups
+    if k.dom.size == k.cod.size == 2:  # the constraint universes at |A| = 3 take 2^18 and 2^35 pairs
+        assert csf_m(k, m).ranks(m) == csf_pairs_from_groups(k, m, groups)
 
 
 def test_probe_masks_stay_small_at_wide_constraint_arities():
