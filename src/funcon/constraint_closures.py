@@ -208,8 +208,9 @@ def _fold_gather(m: int, v: int, sa: int, sb: int) -> tuple[int, Callable[[int, 
     one at which the fields above, all content bits set, reach no kept bit: the headroom the gather needs."""
     wb = sb ** (m + v)
     # per half: its bits in a field, its fold shifts, its blocks' lowest bits, its (shift, mask) gather steps, and
-    # how far its projection moves down to its place
-    halves = []
+    # how far its projection moves down to its place; and per field width, the most fields projected yet with
+    # those masks repeated over that many, read by every projection of no more fields: past count, fields are 0
+    halves, wide = [], {}
     for offset, blocks, block, place in ([(0, 2 * sb**m, sb**v, 0)] if sa == sb else
                                          [(wb, sa**m, sa**v, sb**m), (0, sb**m, sb**v, 0)]):
         folds = [min(1 << k, block - (1 << k)) for k in range((block - 1).bit_length())]
@@ -219,15 +220,18 @@ def _fold_gather(m: int, v: int, sa: int, sb: int) -> tuple[int, Callable[[int, 
         halves.append((((1 << blocks * block) - 1) << offset, folds, kept, steps, offset - place))
 
     def project(packed: int, count: int, size: int) -> int:
-        ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+        if wide.get(size, (0,))[0] < count:
+            ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+            wide[size] = count, [(region * ones, folds, kept * ones, [(shift, mask * ones) for shift, mask in steps], down)
+                                 for region, folds, kept, steps, down in halves]
         out = 0
-        for region, folds, kept, steps, down in halves:
-            x = packed & region * ones if len(halves) > 1 else packed
+        for region, folds, kept, steps, down in wide[size][1]:
+            x = packed & region if len(halves) > 1 else packed
             for shift in folds:
                 x |= x >> shift
-            x &= kept * ones
+            x &= kept
             for shift, mask in steps:
-                x = (x | x >> shift) & mask * ones
+                x = (x | x >> shift) & mask
             out |= x >> down
         return out
 
@@ -429,11 +433,12 @@ def lo_n_closure(
     at most n already belong to the set.
 
     Only constraints with more than n antecedent tuples are added, and the
-    test reads only those with at most n, so one pass is the least fixpoint.
-    On floors, a larger r gains the consequents above the OR g(r) of the
-    floors of its subsets of at most n tuples, one ``core.subset_fold``, and
-    has a floor if floor(r) and g(r) are comparable.  Otherwise the pair pass
-    runs: ``rows[r]`` masks the consequents present with antecedent r.
+    test reads only those with at most n, so one pass is the least fixpoint,
+    and an arity m with n >= |A|^m comes back in the form it came in.  On
+    floors, a larger r gains the consequents above the OR g(r) of the floors of
+    its subsets of at most n tuples, one ``core.subset_fold``, and has a floor
+    if floor(r) and g(r) are comparable.  Otherwise the pair pass runs:
+    ``rows[r]`` masks the consequents present with antecedent r.
     ``inner[r]`` is its up-interior for |r| <= n (the consequents all of whose
     supersets are present, one shift-and-mask pass per consequent tuple) and
     all consequents otherwise; a larger r gains the consequents it lacks in
@@ -446,7 +451,14 @@ def lo_n_closure(
     for m in t.arities():
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
         n_ante, width = 1 << dom.size**m, cod.size**m
-        if floors := t.floors(m):
+        floors = t.floors(m)
+        if n >= dom.size**m:  # no antecedent has more than n tuples, so nothing is added
+            if floors:
+                held.append(ConstraintSet.from_floors(dom, cod, m, floors))
+            else:
+                pairs_out[m] = t.ranks(m)
+            continue
+        if floors:
             # g(r) for |r| <= n is above floor(r), one of the subsets it ORs, so f & g is f there
             grown = subset_fold([f if r.bit_count() <= n else 0 for r, f in enumerate(floors)], operator.or_)
             meets = tuple(map(operator.and_, floors, grown))

@@ -98,9 +98,8 @@ def _verdict(lhs_only: list, rhs_only: list) -> str:
 
 
 def _report(name: str, params: dict, lhs: ArityIndexed, rhs: ArityIndexed) -> ClosureReport:
-    """Both sides of an identity over classes or over constraint sets."""
-    lhs_only = (lhs - rhs).sorted_keys()
-    rhs_only = (rhs - lhs).sorted_keys()
+    """Both sides of an identity over classes or over constraint sets; their differences only where they differ."""
+    lhs_only, rhs_only = ([], []) if lhs == rhs else ((lhs - rhs).sorted_keys(), (rhs - lhs).sorted_keys())
     wits = [_describe(lhs.decode(n, key)) + " (lhs only)" for n, key in lhs_only[:MAX_WITNESSES]]
     wits += [_describe(rhs.decode(n, key)) + " (rhs only)" for n, key in rhs_only[:MAX_WITNESSES]]
     return ClosureReport(name, params, len(lhs), len(rhs), wits, _verdict(lhs_only, rhs_only))

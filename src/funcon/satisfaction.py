@@ -5,9 +5,10 @@ fixed arities.  Both work on classes as bitmasks over table ranks: ``fsc_n``
 ANDs, per signature of each constraint, an OR of the column minterms of
 ``core.column_masks``.  ``csf_m`` splits the class point by point at each probe.
 Where the shape's byte tables stay small, it walks one probe per S_m orbit, a
-class mask splits into the |B| slices of each point's table digit, and a
-last-point sub-class of every table over the later digits gives them every
-value unsplit; elsewhere it walks every probe and ANDs column minterms.
+class mask splits into the |B| slices of each point's table digit, a last-point
+sub-class of every table over the later digits gives them every value unsplit,
+and a class that is the box of its points' value sets fills every probe from
+those sets unwalked; elsewhere it walks every probe and ANDs column minterms.
 ``probe_groups`` ORs the walked probes' masks by cross-row set and moves the
 groups through the S_m images; ``_minimal_consequents`` folds them into
 S_min(R), the least consequent over R, for every R: the floors of ``csf_m``.
@@ -158,7 +159,7 @@ def fsc_n(
     for m, members in pairs.items():
         value_tuples = list(itertools.product(range(t.cod.size), repeat=m))  # in rank order
         outside_all = (1 << len(value_tuples)) - 1
-        for r_bits, cons in members:
+        for r_bits, cons in [(r, s) for r, s in members if s != outside_all]:  # every function satisfies (R, B^m)
             banned = 2 * cons.bit_count() > len(value_tuples)
             values = [value_tuples[s] for s in ranks_of_mask(outside_all & ~cons if banned else cons)]
             for sig in _signatures(t.dom.size, m, r_bits, n):
@@ -224,7 +225,11 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     p + 1), and leaves the other entries 0.  There a class mask splits into the
     |B| slices of p's digit, of weight w = |B|^(|A|^n-1-p), shift v*w and mask
     2^w - 1, and a last-point sub-class of every table over the later digits
-    gives each of them every value.  Otherwise it visits every probe and ANDs
+    gives each of them every value.  First the depth-1 walk at the root leaves
+    V_p, point p's values, at entry p: the masks at m = 1.  A class of
+    prod |V_p| members is the box of the tables with f(p) in V_p, and ``fill``
+    gives each walked probe, unwalked, the product of its points' V_p, a
+    repeated point reading one value.  Otherwise it visits every probe and ANDs
     the columns of ``_columns``.
     """
     points, cod_size = k.dom.size**n, k.cod.size
@@ -234,7 +239,8 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     else:
         cols, class_mask = _columns(k, n, budget)
         splits = [[(0, col) for col in row] for row in cols]
-    masks, every = [0] * points**m, (1 << cod_size) - 1
+    # and per prefix value mask s of ``fill``, s's tuples each followed by a free value and each by its last one
+    masks, every, known = [0] * points**m, (1 << cod_size) - 1, {}
 
     def walk(depth: int, start: int, q: int, s: int, within: int) -> None:
         for p in range(start, points):
@@ -262,6 +268,28 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
                 masks[q * points + p] |= bits << s * cod_size
             within = rest
 
+    def fill(depth: int, last: int, q: int, s: int) -> None:  # the box's probes past prefix q, of last point `last`
+        if s not in known:
+            tuples = [x for x in range(s.bit_length()) if s >> x & 1]
+            known[s] = sum(1 << x * cod_size for x in tuples), sum(1 << x * cod_size + x % cod_size for x in tuples)
+        spread, again = known[s]
+        heads = [again, *map(spread.__mul__, sets[last + 1:])]  # at `last` its value again, at a later p one of V_p
+        if depth == 1:
+            masks[q * points + last:(q + 1) * points] = heads
+        else:
+            for p, head in enumerate(heads, last):
+                fill(depth - 1, p, q * points + p, head)
+
+    if sliced:  # the value pass
+        walk(1, 0, 0, 0, class_mask)
+        if m == 1:
+            return masks
+        sets = masks[:points]
+        if class_mask.bit_count() == math.prod(map(int.bit_count, sets)):  # the class is the box of the V_p
+            for p, v in enumerate(sets):
+                fill(m - 1, p, p, v)
+            return masks
+        masks[:points] = [0] * points
     walk(m, 0, 0, 0, class_mask)
     return masks
 

@@ -324,6 +324,20 @@ def test_lo_constraints_closure_identity():
     assert lo_n_closure(t, 2**2) == t  # at n = |A|^m
 
 
+@pytest.mark.parametrize("sizes, m", [((2, 2), 2), ((3, 2), 1)])
+def test_lo_n_closure_returns_an_arity_as_it_came_at_n_of_every_antecedent(sizes, m):
+    # at n >= |A|^m no antecedent has more than n tuples, so nothing is added: pairs come back as pairs, floors as floors
+    dom, cod = DomainSpec("a", sizes[0]), DomainSpec("b", sizes[1])
+    rng = random.Random(10 * sizes[0] + m)
+    n_ante, n_cons = 1 << dom.size**m, 1 << cod.size**m
+    pairs = ConstraintSet(dom, cod, {m: {(rng.randrange(n_ante), rng.randrange(n_cons)) for _ in range(12)}})
+    floors = ConstraintSet.from_floors(dom, cod, m, [rng.randrange(n_cons) for _ in range(n_ante)])
+    for t in (pairs, floors):
+        for n in (dom.size**m, dom.size**m + 1, 2 * dom.size**m):
+            closed = lo_n_closure(t, n)
+            assert closed == t and closed.floors(m) == t.floors(m)
+
+
 def test_union_closure_check():
     c_geq = Constraint(GEQ, GEQ)
     ok, witness = union_closure_check(cset(C_LEQ, c_geq))

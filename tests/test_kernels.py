@@ -403,7 +403,14 @@ def dense_masks(dom: DomainSpec, cod: DomainSpec, n: int, rng) -> dict[str, int]
     """The full universe of n-ary tables; those with f(0..0) = 0; those with a 0
     at the first or the last point (3/4 of them on Boolean); all but three; those
     with a 0 at the middle point p* = (|A|^n - 1) // 2, past which a sub-class
-    holds every table over the later digits; and those also |B| - 1 at p* + 1."""
+    holds every table over the later digits; and those also |B| - 1 at p* + 1.
+    Then boxes, each the product of one value set per point: "box" restricts
+    point 0 to the values below |B| - 1 and the last point to those above 0,
+    two of three at |B| = 3; "narrow-box" fixes every point to 0 but those two,
+    which take 0 or 1.  Near them: "box-plus" also holds the table of all
+    |B| - 1, so a value set grows, and "narrow-box-minus" lacks the table 1 at
+    both points, the one reaching (1, 1) at that pair; so each misses the
+    product of its value sets, by one table in the latter."""
     count = function_count(dom, cod, n)
     full = (1 << count) - 1
     first = (1 << count // cod.size) - 1  # the digit of point 0 is the most significant
@@ -412,8 +419,13 @@ def dense_masks(dom: DomainSpec, cod: DomainSpec, n: int, rng) -> dict[str, int]
     weight = cod.size ** (dom.size**n - 1 - (dom.size**n - 1) // 2)  # of the digit of p*
     middle = [r for r in range(count) if r // weight % cod.size == 0]
     two = [r for r in middle if r // (weight // cod.size) % cod.size == cod.size - 1]
+    top = count // cod.size  # the weight of point 0's digit; the last point's is 1
+    box = [r for r in range(count) if r // top < cod.size - 1 and r % cod.size > 0]
+    narrow = [a * top + b for a in (0, 1) for b in (0, 1)]
     return {"full": full, "half": first, "3/4": first | last, "co-sparse": full & ~sparse,
-            "middle": mask_of_ranks(middle, count), "two-middle": mask_of_ranks(two, count)}
+            "middle": mask_of_ranks(middle, count), "two-middle": mask_of_ranks(two, count),
+            "box": mask_of_ranks(box, count), "box-plus": mask_of_ranks(box + [count - 1], count),
+            "narrow-box": mask_of_ranks(narrow, count), "narrow-box-minus": mask_of_ranks(narrow[:3], count)}
 
 
 def dense_cases():
@@ -462,12 +474,17 @@ def test_csf_m_matches_the_all_probes_walk_on_dense_classes(k, constraint_aritie
             assert csf_m(k, m) == csf_reference(k, m)
 
 
+BOXES = ("box", "narrow-box", "box-plus", "narrow-box-minus")
+
+
 def slice_cases():
     """pytest params (class, arity n, constraint arity m) on which the walk
     splits class masks into digit slices: the empty and a one-member Boolean
     class at n = 4, (3, 3) classes at n = 2, three slices per digit over 3^9
     tables, (3, 2) classes at n = 2 and m = 3, and the Boolean classes fixing
-    the middle point at n = 4 and m = 3."""
+    the middle point at n = 4 and m = 3; the boxes and near boxes of
+    ``dense_masks`` at each of these shapes and at m = 1, and one (3, 3) table
+    at n = 2, a box of single values, at m = 1, 2 and 3."""
     rng = random.Random(27)
     bool_ = DomainSpec("bool", 2)
     one = FunctionTable(bool_, bool_, 4, tuple(rng.randrange(2) for _ in range(16)))
@@ -481,10 +498,15 @@ def slice_cases():
         masks["sparse"] = mask_of_ranks(rng.sample(range(count), 40), count)
         cases += [pytest.param(FunctionClass.from_masks(dom, cod, {2: masks[name]}), 2, m,
                                id=f"{sizes[0]}x{sizes[1]}-n2-m{m}-{name}")
-                  for name in ("3/4", "co-sparse", "sparse", "middle", "two-middle")]
+                  for name in ("3/4", "co-sparse", "sparse", "middle", "two-middle", *BOXES)]
+        cases += [pytest.param(FunctionClass.from_masks(dom, cod, {2: masks[name]}), 2, 1,
+                               id=f"{sizes[0]}x{sizes[1]}-n2-m1-{name}") for name in BOXES]
     masks = dense_masks(bool_, bool_, 4, rng)
-    cases += [pytest.param(FunctionClass.from_masks(bool_, bool_, {4: masks[name]}), 4, 3, id=f"2x2-n4-m3-{name}")
-              for name in ("middle", "two-middle")]
+    cases += [pytest.param(FunctionClass.from_masks(bool_, bool_, {4: masks[name]}), 4, m, id=f"2x2-n4-m{m}-{name}")
+              for m, names in ((3, ("middle", "two-middle", *BOXES)), (1, BOXES)) for name in names]
+    dom, cod = domains((3, 3))
+    one = FunctionClass.from_tables(dom, cod, [FunctionTable(dom, cod, 2, (2, 0, 1, 1, 2, 0, 0, 2, 1))])
+    cases += [pytest.param(one, 2, m, id=f"3x3-n2-one-m{m}") for m in (1, 2, 3)]
     return cases
 
 
