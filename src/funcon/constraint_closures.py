@@ -28,7 +28,7 @@ indeterminate coordinates, and g commutes with the meet and the projection,
 so a member's lifts are read only at the first map of each orbit
 (``_lift_tables`` lists them with every map's orbit), the first lift of each
 orbit meets the lifts, and the floors are closed under the target permutations
-after (``core.permute_masks``), a pass a round whose meets add nothing skips.
+after (``core.permute_pairs``), a pass a round whose meets add nothing skips.
 A row of meets is ``(bucket >> lo*F) & key*ONES``: the packed fresh lifts of an
 indeterminate bucket from a representative's first partner on, ANDed with it
 in every field.  The rows side by side are projected by one fold-and-gather
@@ -68,8 +68,8 @@ from .core import (
     canonical_constraint,
     capped_arities,
     constraint_universe_count,
-    permutation_tables,
-    permute_masks,
+    coordinate_images,
+    permute_pairs,
     ranks_of_mask,
     readings,
     submasks,
@@ -314,9 +314,6 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             entered[m][pair] = ("seed",)  # a seed its floor already holds keeps its witness too
             _add(floors[m], entered[m], pair, m, ("seed",))
     previous: dict[int, set[int]] = {m: set() for m in targets}  # per target arity, the last round's packed lifts
-    # the permutations q of the target coordinates but the identity, with their tables on both sides
-    perms = {m: [(q, permutation_tables(q, sa), permutation_tables(q, sb)) for q in itertools.permutations(range(m))][1:]
-             for m in targets}
     converged = False
     iteration = 0
     for iteration in range(1, bounds.max_iterations + 1):
@@ -387,12 +384,11 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             changed |= added
             # the pairs met the orbits through one lift each, so add the S_m images of the maximal members (round 1, or a
             # meet added), member by member
-            members = _maximal(floor, sa**m) if (added or iteration == 1) and perms[m] else []
-            rs, ss = zip(*members) if members else ((), ())
-            images_a = list(itertools.chain.from_iterable(zip(*[permute_masks(on_a, rs) for _, on_a, _ in perms[m]])))
-            images_b = list(itertools.chain.from_iterable(zip(*[permute_masks(on_b, ss) for *_, on_b in perms[m]])))
+            images = coordinate_images(m, sa, sb)
+            members = _maximal(floor, sa**m) if (added or iteration == 1) and images else []
+            images_a, images_b = permute_pairs(images, members)
             for i in _outside(floor, images_a, images_b):
-                (r, s), (q, *_) = members[i // len(perms[m])], perms[m][i % len(perms[m])]
+                (r, s), (q, *_) = members[i // len(images)], images[i % len(images)]
                 changed |= _add(floor, entered[m], (images_a[i], images_b[i]), m, ("minor", 0, ((r, s, q, m),)))
         if not changed:
             converged = True
@@ -434,7 +430,7 @@ def lo_n_closure(
 
     Only constraints with more than n antecedent tuples are added, and the
     test reads only those with at most n, so one pass is the least fixpoint,
-    and an arity m with n >= |A|^m comes back in the form it came in.  On
+    and an arity m with n >= |A|^m comes back as it came, at any budget.  On
     floors, a larger r gains the consequents above the OR g(r) of the floors of
     its subsets of at most n tuples, one ``core.subset_fold``, and has a floor
     if floor(r) and g(r) are comparable.  Otherwise the pair pass runs:
@@ -447,17 +443,14 @@ def lo_n_closure(
     if n < 1:
         raise ValueError("n must be >= 1")
     dom, cod = t.dom, t.cod
-    held, pairs_out = [], {}  # the arities whose floors stay floors, as sets, and the pairs of the others
+    held, pairs_out = [], {}  # the arities that keep their form, as sets, and the pairs of the others
     for m in t.arities():
+        floors = t.floors(m)
+        if n >= dom.size**m:  # no antecedent has more than n tuples, so nothing is added and no universe is read
+            held.append(ConstraintSet.from_floors(dom, cod, m, floors) if floors else ConstraintSet(dom, cod, {m: t.ranks(m)}))
+            continue
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
         n_ante, width = 1 << dom.size**m, cod.size**m
-        floors = t.floors(m)
-        if n >= dom.size**m:  # no antecedent has more than n tuples, so nothing is added
-            if floors:
-                held.append(ConstraintSet.from_floors(dom, cod, m, floors))
-            else:
-                pairs_out[m] = t.ranks(m)
-            continue
         if floors:
             # g(r) for |r| <= n is above floor(r), one of the subsets it ORs, so f & g is f there
             grown = subset_fold([f if r.bit_count() <= n else 0 for r, f in enumerate(floors)], operator.or_)

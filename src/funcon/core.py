@@ -29,9 +29,9 @@ checks its entries, and ``readings(h, k, size)`` tabulates, per k-tuple rank,
 the rank of that tuple read through the coordinate map h.  A variable
 substitution, a minor scheme's source map and a ``projection`` (a member of
 the projection clone of the composition reference) are all such readings.
-``permutation_tables`` and ``permute_masks`` move whole lists of rank masks
-through a permutation of the coordinates, by bytes: the S_m images of the cm
-fixpoint's floors and of the csf walk's probes.
+The S_m symmetry both sides read lives here alone: ``coordinate_images``, the
+byte tables of each coordinate permutation, ``permute_pairs``, which moves lists
+of (R, S) mask pairs through them, and ``orbit_antecedents``, one R per orbit.
 ``column_masks`` and the signature and probe kernels of ``satisfaction``
 keep their own digit arithmetic: ``satisfies`` is their scalar reference in
 the differential tests, so it shares no code with them.
@@ -74,9 +74,10 @@ class BudgetExceededError(RuntimeError):
 
 def within_budget(count: int, budget: int, what: str) -> int:
     """The one enumeration guard: ``count`` if it fits the budget, otherwise a
-    ``BudgetExceededError`` naming what was counted."""
+    ``BudgetExceededError`` naming what was counted, a count past 10,000 bits as its power of two."""
     if count > budget:
-        raise BudgetExceededError(f"{what}: {count} exceeds budget {budget}", count)
+        shown = count if count.bit_length() <= 10_000 else f"at least 2^{count.bit_length() - 1}"
+        raise BudgetExceededError(f"{what}: {shown} exceeds budget {budget}", count)
     return count
 
 
@@ -138,20 +139,42 @@ def readings(h: tuple[int, ...], k: int, size: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def permutation_tables(p: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
-    """The coordinate permutation p on rank masks over size^len(p), by bytes: table c sends bits 8c..8c+7
-    of a mask R to their bits in R's tight minor through p, {x : x read through p is in R}."""
-    inverse = tuple(sorted(range(len(p)), key=p.__getitem__))  # its readings invert those of p
-    bits = [1 << x for x in readings(inverse, len(p), size)]
-    return tuple(tuple(reduce(lambda table, bit: table + [t | bit for t in table], bits[c : c + 8], [0]))
-                 for c in range(0, len(bits), 8))
+def coordinate_images(m: int, size_a: int, size_b: int) -> tuple[tuple[tuple[int, ...], tuple, tuple], ...]:
+    """Per permutation q of the m coordinates but the identity, in ``itertools.permutations`` order, q with its byte
+    tables over size_a^m and size_b^m, shared at equal sizes: table c moves bits 8c..8c+7 of R into {x read through q in R}."""
+    def tables(q, size):  # the readings of q's inverse invert those of q
+        bits = [1 << x for x in readings(tuple(sorted(range(m), key=q.__getitem__)), m, size)]
+        return tuple(tuple(reduce(lambda table, bit: table + [t | bit for t in table], bits[c : c + 8], [0]))
+                     for c in range(0, len(bits), 8))
+    images = [(q, tables(q, size_a)) for q in itertools.islice(itertools.permutations(range(m)), 1, None)]
+    return tuple((q, on_a, on_a if size_a == size_b else tables(q, size_b)) for q, on_a in images)
 
 
-def permute_masks(tables: tuple[tuple[int, ...], ...], masks: Iterable[int]) -> list[int]:
-    """Each mask moved through its ``permutation_tables``, one pass over the masks per byte."""
-    masks = list(masks)
-    return list(reduce(partial(map, operator.add), [map(table.__getitem__, map(operator.and_, map(
-        operator.rshift, masks, itertools.repeat(8 * c)), itertools.repeat(255))) for c, table in enumerate(tables)]))
+def permute_pairs(images: Sequence[tuple], pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """The antecedents and the consequents of the pairs (r, s) through each of the ``coordinate_images`` in turn,
+    pair by pair: entry i * len(images) + j is pair i through image j.  A byte table moves a whole list at once."""
+    def moved(tables, masks):
+        return reduce(partial(map, operator.add), [map(table.__getitem__, map(operator.and_, map(
+            operator.rshift, masks, itertools.repeat(8 * c)), itertools.repeat(255))) for c, table in enumerate(tables)])
+    rs, ss = zip(*pairs) if pairs else ((), ())
+    return tuple(list(itertools.chain.from_iterable(zip(*[moved(image[side], masks) for image in images])))
+                 for side, masks in ((1, rs), (2, ss)))
+
+
+@lru_cache(maxsize=32)
+def orbit_antecedents(size: int, m: int, n: int) -> tuple[int, ...]:
+    """One antecedent R over A^m of at most n tuples per S_m orbit, as its rank mask: R's j tuples are the
+    columns of m sorted rows, ranks over A^j.  Each m-multiset of A^j with j distinct columns is listed
+    once up to column order, as the least of its images."""
+    out = []
+    for j in range(n + 1):
+        orders = [readings(order, j, size) for order in itertools.permutations(range(j))]
+        digits = [readings((c,), j, size) for c in range(j)]
+        for rows in itertools.combinations_with_replacement(range(size**j), m):
+            columns = {tuple(map(digit.__getitem__, rows)) for digit in digits}
+            if len(columns) == j and all(rows <= tuple(sorted(map(order.__getitem__, rows))) for order in orders):
+                out.append(sum(1 << tuple_rank(column, size) for column in columns))
+    return tuple(out)
 
 
 @dataclass(frozen=True, order=True)
@@ -319,7 +342,8 @@ def projection(dom: DomainSpec, n: int, i: int) -> FunctionTable:
 
 
 def function_count(dom: DomainSpec, cod: DomainSpec, n: int) -> int:
-    return cod.size ** (dom.size**n)
+    points = dom.size**n  # past 2^20 points the power takes seconds, then terabytes: its lower bound 2^(2^20) stands in
+    return cod.size**points if points <= 1 << 20 else min(cod.size, 2) ** (1 << 20)
 
 
 @lru_cache(maxsize=16)
@@ -567,7 +591,7 @@ class FunctionClass(ArityIndexed):
     def _check(self, arity: int, ranks: frozenset) -> None:
         if set(map(type, ranks)) != {int}:
             raise TypeError("class members must be table ranks; from_tables takes FunctionTables")
-        if min(ranks) < 0 or max(ranks) >= function_count(self.dom, self.cod, arity):
+        if min(ranks) < 0 or max(ranks) >= self.cod.size ** self.dom.size**arity:  # exact past function_count's bound
             raise ValueError(f"table rank out of range for arity {arity}")
 
     def decode(self, arity: int, rank: int) -> FunctionTable:

@@ -10,10 +10,10 @@ sub-class of every table over the later digits gives them every value unsplit,
 and a class that is the box of its points' value sets fills every probe from
 those sets unwalked; elsewhere it walks every probe and ANDs column minterms.
 ``probe_groups`` ORs the walked probes' masks by cross-row set and moves the
-groups through the S_m images; ``_minimal_consequents`` folds them into
-S_min(R), the least consequent over R, for every R: the floors of ``csf_m``.
+groups through ``core.coordinate_images``; ``_minimal_consequents`` folds them
+into S_min(R), the least consequent over R, for every R: the floors of ``csf_m``.
 ``_orbit_separators`` walks the probes (``_signatures``) of one R per S_m
-orbit: the separators of ``fsc_n_of_csf_m``.
+orbit, ``core.orbit_antecedents``: the separators of ``fsc_n_of_csf_m``.
 ``cm_m_oracle`` is the twin composite csf_m(fsc_n(T)) at n = |A|^m, the Galois
 route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
 checked against; this module imports nothing from the closure side.
@@ -44,9 +44,10 @@ from .core import (
     capped_arities,
     column_masks,
     constraint_universe_count,
+    coordinate_images,
     function_count,
-    permutation_tables,
-    permute_masks,
+    orbit_antecedents,
+    permute_pairs,
     projection,
     ranks_of_mask,
     readings,
@@ -179,15 +180,15 @@ def fsc(t: ConstraintSet, cap: int, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 
 
 @lru_cache(maxsize=32)
-def _orbit_plan(size: int, n: int, m: int, cod_size: int, sliced: bool) -> tuple[list[int], list | None, list | None]:
+def _orbit_plan(size: int, n: int, m: int, cod_size: int, sliced: bool) -> tuple[list[int], tuple | None, list | None]:
     """Per m-point probe of the n-ary tables, its cross-row set as a rank mask
-    over A^m; the images: per permutation q of the m points but the identity,
-    ``core.permutation_tables`` of q at |A| and at |B|, moving a probe's key and
-    mask to the probe with its points permuted, or None where m! permutations'
-    B tables pass 64 chunks of 256 (the A tables hold the |A|^m bits that
-    ``csf_m``'s universe guard bounds); and with images, where the caller holds
-    the class as a mask (``sliced``), the digit slices of that mask: per point p
-    and value v, the shift v*w and the mask 2^w - 1 of weight w = |B|^(|A|^n-1-p)."""
+    over A^m; the images: ``core.coordinate_images``, which move a probe's key
+    and mask to the probe with its points permuted, or None where m!
+    permutations' B tables pass 64 chunks of 256 (the A tables hold the |A|^m
+    bits that ``csf_m``'s universe guard bounds); and with images, where the
+    caller holds the class as a mask (``sliced``), the digit slices of that
+    mask: per point p and value v, the shift v*w and the mask 2^w - 1 of weight
+    w = |B|^(|A|^n-1-p)."""
     points = size**n
     keys = [0] * points**m
     for j in range(n):  # the probe as n*m base-|A| digits: cross-row j reads digits j, j+n, ..
@@ -195,7 +196,7 @@ def _orbit_plan(size: int, n: int, m: int, cod_size: int, sliced: bool) -> tuple
         keys = [r | 1 << row for r, row in zip(keys, rows)]
     if math.factorial(m) * -(-(cod_size**m) // 8) > 64:
         return keys, None, None
-    images = [(permutation_tables(q, size), permutation_tables(q, cod_size)) for q in itertools.permutations(range(m))][1:]
+    images = coordinate_images(m, size, cod_size)
     if not sliced:
         return keys, images, None
     weights = (cod_size ** (points - 1 - p) for p in range(points))  # point 0's digit is the most significant
@@ -298,8 +299,8 @@ def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
     """The probe masks of every arity of k, ORed by cross-row set: key r (a rank
     mask over A^m) collects the probes whose cross-rows are the members of r.
     The walked probes that reach a value enter; with images, the groups then
-    enter again per permutation, keys and masks moved as whole lists once for
-    every arity: every probe is an image of a walked one, and a permutation
+    enter again through each permutation, moved by ``core.permute_pairs`` once
+    for every arity: every probe is an image of a walked one, and a permutation
     moves bits, so it commutes with the OR."""
     groups, images = {}, None
     for n in k.arities():
@@ -307,10 +308,8 @@ def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
         masks = _probe_masks(k, n, m, budget)
         for r, mask in zip(itertools.compress(keys, masks), filter(None, masks)):
             groups[r] = groups.get(r, 0) | mask
-    rs, ss = list(groups), list(groups.values())
-    for on_a, on_b in images or ():
-        for r, mask in zip(permute_masks(on_a, rs), permute_masks(on_b, ss)):
-            groups[r] = groups.get(r, 0) | mask
+    for r, mask in zip(*permute_pairs(images or (), list(groups.items()))):
+        groups[r] = groups.get(r, 0) | mask
     return groups
 
 
@@ -321,27 +320,11 @@ def _minimal_consequents(k: FunctionClass, m: int, budget: int) -> list[int]:
 
 
 @lru_cache(maxsize=32)
-def _orbit_antecedents(size: int, m: int, n: int) -> tuple[int, ...]:
-    """One antecedent R over A^m of at most n tuples per S_m orbit, as its rank mask: R's j tuples are the
-    columns of m sorted rows, ranks over A^j.  Each m-multiset of A^j with j distinct columns is listed
-    once up to column order, as the least of its images."""
-    out = []
-    for j in range(n + 1):
-        orders = [readings(order, j, size) for order in itertools.permutations(range(j))]
-        digits = [readings((c,), j, size) for c in range(j)]
-        for rows in itertools.combinations_with_replacement(range(size**j), m):
-            columns = {tuple(map(digit.__getitem__, rows)) for digit in digits}
-            if len(columns) == j and all(rows <= tuple(sorted(map(order.__getitem__, rows))) for order in orders):
-                out.append(sum(1 << tuple_rank(column, size) for column in columns))
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
 def _orbit_probes(size: int, m: int, n: int, a: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """The distinct probes of the ``_orbit_antecedents`` at arity a, sorted, as (the count of first points
+    """The distinct probes of the ``core.orbit_antecedents`` at arity a, sorted, as (the count of first points
     shared with the previous probe, the m points over A^a, the antecedents having it): the probes of R are
     its ``_signatures`` at arity a."""
-    probes = sorted((points, i) for i, r in enumerate(_orbit_antecedents(size, m, n))
+    probes = sorted((points, i) for i, r in enumerate(orbit_antecedents(size, m, n))
                     for points in _signatures(size, m, r, a))
     grouped = [(points, tuple(i for _, i in same)) for points, same in itertools.groupby(probes, operator.itemgetter(0))]
     return tuple((next(d for d, (p, q) in enumerate(zip(before, points)) if p != q), points, indices)
@@ -349,11 +332,11 @@ def _orbit_probes(size: int, m: int, n: int, a: int) -> tuple[tuple[int, tuple[i
 
 
 def _orbit_separators(k: FunctionClass, m: int, n: int, budget: int) -> list[tuple[int, int]]:
-    """(R, S_min(R)) for each R of ``_orbit_antecedents``, walking R's ``_orbit_probes`` at each arity of k
+    """(R, S_min(R)) for each R of ``core.orbit_antecedents``, walking R's ``_orbit_probes`` at each arity of k
     on the columns of ``_columns``: a probe walks only the points it does not share with the one before."""
     within_budget(sum(math.comb(k.dom.size**j + m - 1, m) for j in range(n + 1)), budget, "separator antecedents")
     within_budget(max(k.dom.size, k.cod.size) ** m, budget, "separator mask width")  # R over A^m, S_min(R) over B^m
-    antecedents = _orbit_antecedents(k.dom.size, m, n)
+    antecedents = orbit_antecedents(k.dom.size, m, n)
     within_budget(sum(r.bit_count()**a for r in antecedents for a in k.arities()), budget, "separator probes")
     floors = [0] * len(antecedents)
     for a in k.arities():

@@ -338,6 +338,20 @@ def test_lo_n_closure_returns_an_arity_as_it_came_at_n_of_every_antecedent(sizes
             assert closed == t and closed.floors(m) == t.floors(m)
 
 
+@pytest.mark.parametrize("sizes, m", [((2, 2), 4), ((3, 3), 3)], ids=["2x2-m4", "3x3-m3"])
+def test_lo_n_closure_at_n_of_every_antecedent_reads_no_universe(sizes, m):
+    # at n = |A|^m the set comes back at the default budget, though its constraint universe is far past it;
+    # one tuple less, the closure would read that universe, so it is refused with the universe's count
+    dom, cod = DomainSpec("a", sizes[0]), DomainSpec("b", sizes[1])
+    rng = random.Random(7 * sizes[0] + m)
+    t = ConstraintSet(dom, cod, {m: {(rng.getrandbits(dom.size**m), rng.getrandbits(cod.size**m)) for _ in range(5)}})
+    closed = lo_n_closure(t, dom.size**m)
+    assert closed == t and closed.ranks(m) == t.ranks(m)
+    with pytest.raises(BudgetExceededError, match=f"constraints of arity {m}") as excinfo:
+        lo_n_closure(t, dom.size**m - 1)
+    assert excinfo.value.count == constraint_universe_count(dom, cod, m) == 2 ** (sizes[0]**m + sizes[1]**m)
+
+
 def test_union_closure_check():
     c_geq = Constraint(GEQ, GEQ)
     ok, witness = union_closure_check(cset(C_LEQ, c_geq))

@@ -176,6 +176,23 @@ def test_budget_boundary(call, count):
     call(count)
 
 
+def test_guards_refuse_astronomical_counts_at_once():
+    # past 10,000 bits a count is named by its power of two, as Python refuses str() of an int past 4300 digits;
+    # past 2^20 points function_count is the lower bound 2^(2^20), as the power itself would take terabytes,
+    # so fsc_27 at (3, 3) is refused at once
+    with pytest.raises(BudgetExceededError, match=r"^x: at least 2\^20000 exceeds budget 10$") as excinfo:
+        core.within_budget(2**20000, 10, "x")
+    assert excinfo.value.count == 2**20000
+    assert function_count(TRI, TRI, 12) == 3 ** 3**12 and function_count(TRI, TRI, 13) == 2 ** (1 << 20)
+    assert function_count(TRI, DomainSpec("one", 1), 27) == 1
+    # a rank past that bound is still a table of arity 21, and the class checks its ranks exactly
+    assert len(FunctionClass(BOOL, BOOL, {21: {2 ** (1 << 20)}})) == 1
+    with pytest.raises(ValueError, match="table rank out of range for arity 21"):
+        FunctionClass(BOOL, BOOL, {21: {2 ** (1 << 21)}})
+    with pytest.raises(BudgetExceededError, match=r"^fsc_27 candidate functions: at least 2\^1048576 exceeds"):
+        fsc_n(ConstraintSet.empty(TRI, TRI), 27)
+
+
 def test_function_class_basics():
     k = cls(AND, fn((0, 1)))
     assert len(k) == 2

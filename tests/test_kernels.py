@@ -9,15 +9,18 @@ constraint-side mask kernels (lift, projection, the floor add pass, maximal
 members, ``lo_n_closure``) against scalar pair-by-pair reference loops, of
 the cm fixpoint against the tuple-keyed all-pairs round loop, of
 ``core.subset_fold`` against a fold over ``core.submasks``, of the reading
-table ``core.readings``, the permutation tables ``core.permutation_tables``
-and the tight minor built on them against digit-by-digit decoding, and of S_min, the separators ``fsc_n_of_csf_m`` and the floors
+table ``core.readings``, the S_m images ``core.coordinate_images`` through
+``core.permute_pairs`` and the tight minor built on them against digit-by-digit decoding, and of S_min, the separators ``fsc_n_of_csf_m`` and the floors
 ``csf_m`` read off the probe groups, against ``minimal_consequent``, and of the variable-substitution
 closures, which rank member tables through ``core.readings``, against
-``substitute`` over every ``SubstitutionMap``."""
+``substitute`` over every ``SubstitutionMap``; and a digest pinned over the
+csf kernels and ``core.orbit_antecedents`` on a seeded battery."""
 
 import functools
+import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import random
@@ -62,19 +65,20 @@ from funcon import (
 from funcon.constraint_closures import _add, _fields, _fold_gather, _lift_tables, _maximal, _pack
 from funcon.core import (
     DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceededError,
     column_masks,
     constraint_universe_count,
+    coordinate_images,
     function_count,
     mask_of_ranks,
-    permutation_tables,
-    permute_masks,
+    orbit_antecedents,
+    permute_pairs,
     readings,
     submasks,
     subset_fold,
 )
 from funcon.satisfaction import (
     _minimal_consequents,
-    _orbit_antecedents,
     _orbit_plan,
     _orbit_probes,
     _orbit_separators,
@@ -262,7 +266,7 @@ def test_separators_match_minimal_consequent(sizes):
 
 def orbit_of(r: int, size: int, m: int) -> set[int]:
     """The images of the rank mask r over size^m under every coordinate permutation."""
-    return {image for p in itertools.permutations(range(m)) for image in permute_masks(permutation_tables(p, size), [r])}
+    return {r, *permute_pairs(coordinate_images(m, size, size), [(r, 0)])[0]}
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -276,15 +280,15 @@ def test_minimal_consequents_commute_with_coordinate_permutations(sizes):
             for a in arities:
                 k = k | random_function_class(rng, dom, cod, a, 2)
             table = _minimal_consequents(k, m, DEFAULT_ENUMERATION_BUDGET)
-            for p in itertools.permutations(range(m)):
-                moved = permute_masks(permutation_tables(p, dom.size), range(len(table)))
-                assert [table[r] for r in moved] == permute_masks(permutation_tables(p, cod.size), table)
+            moved_r, moved_s = permute_pairs(coordinate_images(m, dom.size, cod.size), list(enumerate(table)))
+            assert len(moved_r) == len(table) * (math.factorial(m) - 1)
+            assert [table[r] for r in moved_r] == moved_s
 
 
 @pytest.mark.parametrize("size, m, n", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (2, 4, 2), (3, 1, 3), (3, 2, 3), (3, 3, 2)])
 def test_orbit_antecedents_meet_each_orbit_once(size, m, n):
     # their S_m images cover every antecedent of at most n tuples, and no two share an orbit
-    antecedents = _orbit_antecedents(size, m, n)
+    antecedents = orbit_antecedents(size, m, n)
     orbits = [orbit_of(r, size, m) for r in antecedents]
     covered = set().union(*orbits)
     every = {sum(1 << x for x in rows) for j in range(n + 1) for rows in itertools.combinations(range(size**m), j)}
@@ -295,7 +299,7 @@ def test_orbit_antecedents_meet_each_orbit_once(size, m, n):
 def test_orbit_antecedents_at_boolean_m8_n3():
     # one antecedent per S_8 orbit of the 2,796,417 of at most 3 tuples over {0, 1}^8
     counts = [0] * 4
-    for r in _orbit_antecedents(2, 8, 3):
+    for r in orbit_antecedents(2, 8, 3):
         counts[r.bit_count()] += 1
     assert counts == [1, 9, 86, 1159] and sum(counts) == 1255
 
@@ -540,7 +544,7 @@ def test_probe_masks_stay_small_at_wide_constraint_arities():
     for shape in [(2, 2, 2, 2), (2, 2, 4, 2), (3, 1, 3, 3), (3, 1, 3, 2), (2, 1, 3, 4), (2, 1, 2, 16), (2, 1, 3, 5),
                   (2, 1, 5, 2)]:
         images = _orbit_plan(*shape, False)[1] or []
-        entries = {id(chunks): len(chunks) * 256 for pair in images for chunks in pair}
+        entries = {id(chunks): len(chunks) * 256 for _, *pair in images for chunks in pair}
         assert sum(entries.values()) <= 1 << 14, shape
 
 
@@ -561,6 +565,61 @@ def test_probe_groups_match_on_both_sides_of_the_image_cutoff(sizes, m, inside):
             assert (_orbit_plan(dom.size, n, m, cod.size, True)[1] is not None) == inside
             assert _probe_masks(k, n, m, DEFAULT_ENUMERATION_BUDGET) == at_walked_probes(k, n, m, walk_reference(k, n, m))
         assert probe_groups(k, m, DEFAULT_ENUMERATION_BUDGET) == probe_groups_reference(k, m)
+
+
+def kernel_battery():
+    """(name, class, m, budget) for the pinned kernel digest.  Every class of ``dense_cases`` at m = 1 and at
+    its constraint arities, at (3, 3) n = 2 the full, half, box and near-box masks of ``dense_masks`` with a
+    sparse class and one table at m = 1 and 2; each at the default budget and, where the class has at most
+    256 members at arities of at most 512 tables, at one table less, where the walk reads member columns, not
+    digit slices.  Then both sides of the image cutoff: Boolean m = 4 and 5, (2, 3) m = 3 and 4 and (2, 4)
+    m = 3 and (2, 5) m = 3, on a random class of binary and unary tables, at the default budget and at one
+    below the count of unary tables."""
+    for case in dense_cases():
+        k, arities = case.values[:2]
+        for m in sorted({1, *arities}):
+            yield case.id, k, m, DEFAULT_ENUMERATION_BUDGET
+            counts = [function_count(k.dom, k.cod, n) for n in k.arities()]
+            if len(k) <= 256 and max(counts) <= 512:
+                yield case.id, k, m, min(counts) - 1
+    rng = random.Random(36)
+    dom, cod = domains((3, 3))
+    count = function_count(dom, cod, 2)
+    masks = dense_masks(dom, cod, 2, rng)
+    masks.update(sparse=mask_of_ranks(rng.sample(range(count), 40), count), one=1 << rng.randrange(count))
+    for name in ("full", "half", "box", "box-plus", "narrow-box", "narrow-box-minus", "sparse", "one"):
+        k = FunctionClass.from_masks(dom, cod, {2: masks[name]})
+        for m, budget in itertools.product((1, 2), (DEFAULT_ENUMERATION_BUDGET, count - 1)):
+            if budget > count or len(k) <= 256:
+                yield f"3x3-n2-{name}", k, m, budget
+    for sizes, ms in (((2, 2), (4, 5)), ((2, 3), (3, 4)), ((2, 4), (3,)), ((2, 5), (3,))):
+        dom, cod = domains(sizes)
+        k = random_function_class(rng, dom, cod, 2, 5) | random_function_class(rng, dom, cod, 1, 2)
+        for m, budget in itertools.product(ms, (DEFAULT_ENUMERATION_BUDGET, function_count(dom, cod, 1) - 1)):
+            yield f"{sizes[0]}x{sizes[1]}-cutoff", k, m, budget
+
+
+def test_galois_kernels_are_pinned():
+    """``probe_groups`` (sorted: its insertion order is no result), ``_minimal_consequents`` where its
+    2^(|A|^m) table stays small, ``_orbit_separators`` at n = 1 and 2 (or its refusal's count) and
+    ``orbit_antecedents`` over the battery, hashed: a change to the csf kernels or to the S_m images that keeps
+    their results keeps this digest, under any hash seed."""
+    digest = hashlib.sha256()
+    started = time.perf_counter()
+    for name, k, m, budget in kernel_battery():
+        floors = _minimal_consequents(k, m, budget) if k.dom.size**m <= 16 else None
+        separators = []
+        for n in (1, 2):
+            try:
+                separators.append(_orbit_separators(k, m, n, budget))
+            except BudgetExceededError as exc:
+                separators.append(exc.count)
+        groups = sorted(probe_groups(k, m, budget).items())
+        digest.update(repr((name, m, budget, groups, floors, separators)).encode())
+    for size, m, n in [(2, 1, 3), (2, 2, 3), (2, 3, 3), (2, 4, 2), (2, 5, 2), (3, 1, 3), (3, 2, 3), (3, 3, 2)]:
+        digest.update(repr((size, m, n, orbit_antecedents(size, m, n))).encode())
+    assert time.perf_counter() - started < 2
+    assert digest.hexdigest() == "16b8c59d580285e2a11c9a132bab7be5850b1ea01a958f226fd72140c15b5e49"
 
 
 def test_missing_verify_parameter_raises_under_optimize():
@@ -865,19 +924,26 @@ def test_readings_match_unrank_then_rank(size):
 
 @pytest.mark.parametrize("size", [2, 3])
 def test_permute_matches_readings_reference(size):
-    """The byte tables of ``core.permutation_tables`` move a rank mask R over
-    size^m to {x : x read through p is in R}, read tuple by tuple, for every
-    coordinate permutation p at m <= 4, as a list and one mask at a time."""
+    """``core.coordinate_images`` lists every coordinate permutation q but the identity at m <= 4, and
+    ``core.permute_pairs`` moves a rank mask R over size^m, and one over the other size, to {x : x read
+    through q is in R}, read tuple by tuple, as a list and one pair at a time; equal sizes share tables."""
     rng = random.Random(30 + size)
+    other = 5 - size
     for m in range(1, 5):
-        width = size**m
-        for p in itertools.permutations(range(m)):
-            reads = readings_reference(p, m, size)
-            masks = [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(6))]
-            expected = [sum(1 << x for x, read in enumerate(reads) if mask >> read & 1) for mask in masks]
-            assert permute_masks(permutation_tables(p, size), masks) == expected
-            assert [permute_masks(permutation_tables(p, size), [mask])[0] for mask in masks] == expected
-            assert permute_masks(permutation_tables(p, size), []) == []
+        images = coordinate_images(m, size, other)
+        assert [q for q, *_ in images] == list(itertools.permutations(range(m)))[1:]
+        assert all(on_a is on_b for _, on_a, on_b in coordinate_images(m, size, size))
+        pairs = [(0, (1 << other**m) - 1), ((1 << size**m) - 1, 0)]
+        pairs += [(rng.getrandbits(size**m), rng.getrandbits(other**m)) for _ in range(6)]
+        expected = ([], [])
+        for r, s in pairs:
+            for q, *_ in images:
+                for mask, width, out in ((r, size, expected[0]), (s, other, expected[1])):
+                    out.append(sum(1 << x for x, read in enumerate(readings_reference(q, m, width)) if mask >> read & 1))
+        assert permute_pairs(images, pairs) == expected
+        one_by_one = [permute_pairs(images, [pair]) for pair in pairs]
+        assert [sum(side, []) for side in zip(*one_by_one)] == list(expected)
+        assert permute_pairs(images, []) == ([], [])
 
 
 def test_readings_table_is_filled_lazily():

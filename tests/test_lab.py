@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from funcon import (
     check_closure_laws,
     check_galois_axioms,
     cm_m_closure,
+    csf_m,
     fsc_n,
     fsc_n_of_csf_m,
     verify_definability,
@@ -30,7 +32,22 @@ from funcon.lab import (
     random_function_class,
 )
 
-from conftest import AND, BOOL, C_LEQ, NEGATION, OR, PR1, PR2, cls, constraint_orbits, cset, fn
+from conftest import (
+    AND,
+    BOOL,
+    C_LEQ,
+    NEGATION,
+    OR,
+    PR1,
+    PR2,
+    cls,
+    constraint_orbits,
+    cset,
+    fn,
+    relabel_class,
+    relabel_constraints,
+    value_permutations,
+)
 
 EMPTY_1 = ConstraintSet.from_constraints(BOOL, BOOL, [canonical_constraint("empty", 1, BOOL, BOOL)])
 
@@ -47,7 +64,7 @@ def test_report_verdict_invariant():
 def test_fsc_n_of_csf_m_matches_direct_composite():
     # at desk scale the separating-constraint route must agree with filtering
     # against the fully materialized csf
-    from funcon import csf_m, satisfies
+    from funcon import satisfies
     from funcon.core import enumerate_functions
 
     for k in (cls(AND), cls(AND, OR), cls(NEGATION), FunctionClass.empty(BOOL, BOOL)):
@@ -194,6 +211,48 @@ def test_t15ii_is_equal_on_every_single_constraint_orbit_at_m_2(sizes):
         for n in arities:
             rep = verify_factorization("t15ii", t, n=n, m=2)
             assert rep.verdict == "equal", (r, s, n, rep.symmetric_difference)
+
+
+def outcome(identity, payload, n, m):
+    """(verdict, lhs_size, rhs_size) of one identity at the default budget, or the message of its refusal."""
+    try:
+        if identity in FACTORIZATION_IDENTITIES:
+            rep = verify_factorization(identity, payload, n=None if identity == "t12ii" else n, m=m)
+        else:
+            rep = verify_definability(identity, payload, n=n, m=m)
+    except BudgetExceededError as exc:
+        return str(exc)
+    return rep.verdict, rep.lhs_size, rep.rhs_size
+
+
+@pytest.mark.parametrize("identity", ["t15i", "thm13", "t12ii", "thm14"])
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3), (3, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_identities_are_invariant_under_relabeling(sizes, identity):
+    """Relabeling the values of A and of B, or reversing the variables of a class or the coordinates of a
+    set, moves both sides of an identity alike: the verdict and the two sizes stay, and a refusal stays the
+    same refusal.  At |A| = 3, t12ii reads fsc at n = |A|^m >= 3, over 2^27 or 3^27 tables, so every one of
+    its payloads is refused there; at each other shape and identity some payload is answered."""
+    a, b = sizes
+    dom = DomainSpec("A", a)
+    cod = dom if a == b else DomainSpec("B", b)
+    on_class = IDENTITIES[identity][0] == "class"
+    rng = random.Random(100 * a + 10 * b + len(identity))
+    (pi_a, _), (_, pi_b) = value_permutations(a), value_permutations(b)
+    cases = []
+    for n, m in itertools.product((1, 2), (1, 2)):
+        arity = n if on_class else m
+        payload = (random_function_class if on_class else random_constraint_set)(rng, dom, cod, arity, rng.randint(1, 3))
+        cases.append((n, m, arity, payload))
+        if not on_class and m == 1:  # a Galois-closed set too, on which thm14's two tests can hold
+            cases.append((n, m, arity, csf_m(fsc_n(payload, n), m)))
+    relabel = relabel_class if on_class else relabel_constraints
+    answered = 0
+    for n, m, arity, payload in cases:
+        expected = outcome(identity, payload, n, m)
+        for moved in (relabel(payload, pi_a, pi_b), relabel(payload, range(a), range(b), {arity: tuple(reversed(range(arity)))})):
+            assert outcome(identity, moved, n, m) == expected, (sorted(payload.ranks(arity)), n, m)
+        answered += not isinstance(expected, str)
+    assert answered == 0 if identity == "t12ii" and a == 3 else answered > 0
 
 
 def test_t15ii_never_turns_the_fsc_4_mask_into_ranks(monkeypatch):

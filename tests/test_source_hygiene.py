@@ -7,6 +7,8 @@ method referenced outside funcon/__init__.py or named in a docstring; only core.
 reads a container's form dict, _forms, or calls its private builders, _of_forms and
 _of_members.  Side independence: the closure side and the satisfaction side import
 nothing from each other, and lab imports only the Galois maps from satisfaction.
+One home for the S_m symmetry: only core.py enumerates coordinate permutations
+(itertools.permutations); both sides read its images and orbit antecedents.
 """
 
 import ast
@@ -121,4 +123,11 @@ def test_side_independence():
                 bad.append(f"{path}:{node.lineno}: lab imports the satisfaction module")
             for module in sorted(parts & banned):
                 bad.append(f"{path}:{node.lineno}: {path.stem} imports from {module}")
+    assert not bad, "\n".join(bad)
+
+
+def test_one_home_for_coordinate_permutations():
+    bad = [f"{path}:{node.lineno}: calls itertools.permutations outside core.py" for path, tree in TREES.items()
+           if path.name != "core.py" for node in ast.walk(tree)
+           if isinstance(node, ast.Call) and named(node.func, "permutations")]
     assert not bad, "\n".join(bad)
