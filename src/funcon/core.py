@@ -400,7 +400,16 @@ def subset_fold(table: list, op) -> list:
 
 
 def ranks_of_mask(mask: int) -> frozenset[int]:
-    """The positions of the set bits of a non-negative mask."""
+    """The positions of the set bits of a non-negative mask.  A mask with
+    fewer than one set bit per 64 positions is read one set bit at a time,
+    any other by its binary digits."""
+    if mask.bit_count() * 64 < mask.bit_length():
+        ranks = []
+        while mask:
+            low = mask & -mask
+            ranks.append(low.bit_length() - 1)
+            mask ^= low
+        return frozenset(ranks)
     digits = format(mask, "b")[::-1].encode().translate(_BIT_DIGITS)
     return frozenset(itertools.compress(itertools.count(), digits))
 

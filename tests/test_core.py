@@ -448,6 +448,27 @@ def test_mask_and_rank_conversions():
     assert FunctionClass.from_masks(BOOL, BOOL, {1: 0, 2: 1}).arities() == (2,)
 
 
+def test_ranks_of_mask_reads_sparse_masks_by_set_bits(monkeypatch):
+    # a mask of p set bits is read by its binary digits up to bit length 64·p, and one set bit at a time past it
+    digit_reads = []
+    monkeypatch.setattr(core, "format", lambda *a: digit_reads.append(a) or format(*a), raising=False)
+
+    def dense(mask):  # the scalar reference: the digits of the mask, lowest first
+        return frozenset(i for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1")
+
+    assert ranks_of_mask(0) == frozenset() and ranks_of_mask(1) == frozenset({0})
+    rng = random.Random(11)
+    for popcount in (1, 2, 3, 12, 40):
+        for length, digit_read in ((64 * popcount - 1, True), (64 * popcount, True), (64 * popcount + 1, False)):
+            for _ in range(3):
+                lower = rng.sample(range(length - 1), popcount - 1)
+                mask = (1 << length - 1) | sum(1 << r for r in lower)
+                assert mask.bit_count() == popcount and mask.bit_length() == length
+                digit_reads.clear()
+                assert ranks_of_mask(mask) == dense(mask)
+                assert bool(digit_reads) == digit_read
+
+
 def test_mask_built_class_reads_whole_through_public_api():
     # every arity a mask holds is seen before and after any rank is derived
     k = FunctionClass.from_masks(BOOL, BOOL, {1: 0b0110, 2: 1 << 6})

@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import pathlib
 import random
 import re
 
@@ -18,6 +20,7 @@ from funcon import (
     random_function_class,
 )
 from funcon.core import constraint_universe_count, function_count, tuple_rank
+import funcon.cache
 from funcon.cache import ResultCache, cache_key, resolve_cache_dir
 from funcon.instance_io import (
     InstanceParseError,
@@ -422,6 +425,116 @@ def test_cache_rejects_entries_with_non_string_fields(tmp_path, capsys, field):
     assert "corrupt cache entry" in capsys.readouterr().err
     cache.store(key, "value")  # a recomputed result overwrites the entry
     assert cache.load(key) == "value"
+
+
+def test_cache_key_frames_the_operation():
+    keys = [cache_key("ab", "c"), cache_key("a", "bc"), cache_key("a", "b\nc"), cache_key("close", "\udcff")]
+    assert len(set(keys)) == len(keys)  # an argv byte that is not UTF-8 reaches the key as a lone surrogate
+    assert all(re.fullmatch("[0-9a-f]{64}", key) for key in keys)
+
+
+def test_missing_entry_is_a_silent_miss(tmp_path, capsys):
+    key = cache_key("op", "x")
+    assert ResultCache(tmp_path).load(key) is None
+    assert ResultCache(tmp_path / "absent").load(key) is None
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    assert ResultCache(blocker).load(key) is None  # no directory, so no entry
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+def test_entry_removed_after_its_store_is_a_silent_miss(tmp_path, capsys, monkeypatch):
+    # the cache is shared: another process may clear the directory between a store and a load
+    cache = ResultCache(tmp_path)
+    key = cache_key("op", "x")
+    cache.store(key, "value")
+    (tmp_path / f"{key}.json").unlink()
+    assert cache.load(key) is None
+    # the same when the entry goes after any existence check a load might make
+    monkeypatch.setattr(pathlib.Path, "exists", lambda self, **kwargs: True)
+    monkeypatch.setattr(os.path, "exists", lambda path: True)
+    assert cache.load(key) is None
+    assert capsys.readouterr().err == ""
+
+
+def test_directory_at_the_entry_path_is_corrupt(tmp_path, capsys):
+    cache = ResultCache(tmp_path)
+    key = cache_key("op", "x")
+    (tmp_path / f"{key}.json").mkdir()
+    assert cache.load(key) is None
+    assert "corrupt cache entry" in capsys.readouterr().err
+
+
+def test_store_creates_a_missing_nested_directory(tmp_path, capsys):
+    directory = tmp_path / "a" / "b"
+    cache = ResultCache(directory)
+    key = cache_key("op", "x")
+    cache.store(key, "payload\n")
+    assert cache.load(key) == "payload\n"
+    assert os.listdir(directory) == [f"{key}.json"]
+    assert capsys.readouterr().err == ""
+
+
+def test_each_store_adds_one_entry_and_a_hit_adds_none(tmp_path):
+    cache = ResultCache(tmp_path)
+    expected = set()
+    for i in range(5):
+        key = cache_key("op", str(i))
+        cache.store(key, f"value {i}")
+        expected.add(f"{key}.json")
+        assert set(os.listdir(tmp_path)) == expected
+        assert cache.load(key) == f"value {i}"
+        cache.store(key, f"value {i}")  # a second store replaces the entry
+        assert set(os.listdir(tmp_path)) == expected
+
+
+def test_taken_temp_name_neither_corrupts_the_entry_nor_leaves_a_temp_file(tmp_path, capsys, monkeypatch):
+    cache = ResultCache(tmp_path)
+    key = cache_key("op", "x")
+    cache.store(key, "old")
+    monkeypatch.setattr(funcon.cache, "_temp_serials", itertools.repeat(0))
+    squatter = tmp_path / f"{key}.{os.getpid()}.0.tmp"
+    squatter.write_text("not ours")
+    cache.store(key, "new")
+    assert "warning: result not cached" in capsys.readouterr().err
+    assert cache.load(key) == "old"
+    assert squatter.read_text() == "not ours"  # another store's temp file is left alone
+    assert sorted(tmp_path.glob("*.tmp")) == [squatter]
+
+
+class _ShortWrites:
+    """The os module, but each os.write writes at most 7 bytes, and the write
+    numbered ``fail_at`` (counting from 0) fails as a full disk would."""
+
+    def __init__(self, fail_at=None):
+        self.writes, self.fail_at = 0, fail_at
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def write(self, fd, data):
+        if self.writes == self.fail_at:
+            raise OSError(28, "No space left on device")
+        self.writes += 1
+        return os.write(fd, data[:7])
+
+
+def test_store_writes_every_byte_through_short_writes(tmp_path, capsys, monkeypatch):
+    cache = ResultCache(tmp_path)
+    key = cache_key("op", "x")
+    short = _ShortWrites()
+    monkeypatch.setattr(funcon.cache, "os", short)
+    cache.store(key, "payload " * 10)
+    assert short.writes > 10
+    assert cache.load(key) == "payload " * 10
+    assert capsys.readouterr().err == ""
+
+    monkeypatch.setattr(funcon.cache, "os", _ShortWrites(fail_at=3))
+    cache.store(key, "a longer payload " * 10)
+    assert "warning: result not cached" in capsys.readouterr().err
+    assert cache.load(key) == "payload " * 10  # the truncated entry is never renamed into place
+    assert os.listdir(tmp_path) == [f"{key}.json"]
 
 
 def test_cache_dir_resolution(monkeypatch, tmp_path):
