@@ -1,11 +1,11 @@
 """Content-addressed result cache for the CLI's close and galois listings.
 
 A key is the sha256 of the operation name, framed by its length, and its
-inputs, which the CLI gives as the document text plus the argument list; a
-hit requires an exact tool-version match.  An entry is one ``<key>.json``
-file, read with one open: a missing entry is a silent miss, and an entry
-that cannot be read or decoded is ignored with a warning and the result
-recomputed.  A store writes a temp file created exclusively in the cache
+inputs, which the CLI gives as the document text and each argument, each framed
+by its length; a hit requires an exact tool-version match.  An entry is one
+``<key>.json`` file, read with one open: a missing entry is a silent miss, and
+an entry that cannot be read or decoded is ignored with a warning and the
+result recomputed.  A store writes a temp file created exclusively in the cache
 directory, which it makes on the first store, and renames it onto the entry.
 """
 

@@ -3,11 +3,13 @@
 Exit codes: 0 success; 1 a verification found a discrepancy (report emitted);
 2 usage or parse error; 3 an enumeration budget refusal.
 
+A well-formed request is read in one pass over the parser's own action table;
+argparse parses everything else and prints all help, usage and error text.
 Every command builds its stdout text inside one ``try`` in ``run_command``,
-whose one tail writes it, prints the ``elapsed:`` line and picks the exit
-code.  The listings of close and galois go through the result cache, keyed on
-the document text plus the argument list; a closure cut off by
---max-iterations is never cached, so it warns on every run.
+whose one tail writes it, prints the ``elapsed:`` line and picks the exit code.
+The listings of close and galois go through the result cache, keyed on the
+document text and each argument, each framed by its length; a closure cut off
+by --max-iterations is never cached, so it warns on every run.
 
 Output on stdout is canonical and byte-stable for fixed inputs and seed;
 runtimes and warnings go to stderr.
@@ -69,6 +71,24 @@ EXIT_BUDGET = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that records every action it declares, and its plain stores by key."""
+
+    def __init__(self, *args, **kwargs):
+        self.declared, self.stores = [], {}
+        super().__init__(*args, **kwargs)
+
+    def _record(self, action, plain):
+        self.declared.append(action)
+        for key in action.option_strings or [None]:  # None: the first positional; a key mapped to None declines
+            self.stores.setdefault(key, action if plain else None)
+        return action
+
+    def add_argument(self, *args, **kwargs):  # a plain store names no action and no nargs
+        return self._record(super().add_argument(*args, **kwargs), not {"action", "nargs"} & kwargs.keys())
+
+    def add_subparsers(self, **kwargs):  # its choices map each command word to its parser
+        return self._record(super().add_subparsers(**kwargs), True)
+
     def error(self, message):  # argparse exits 2 already; keep message on stderr
         self.print_usage(sys.stderr)
         raise SystemExit2(message)
@@ -145,6 +165,30 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds for a well-formed request, read in one pass over the
+    recorded actions; None for anything else (help, an abbreviation, --flag=value, ...)."""
+    parser, seen, tokens = _build_parser(), {}, iter(argv)
+    for token in tokens:
+        action = parser.stores.get(token if token.startswith("-") else None)
+        value = next(tokens, "-") if action and action.option_strings else token  # "-": none left
+        if action is None or value.startswith("-") or action in seen and not action.option_strings:
+            return None
+        try:
+            value = (action.type or str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        seen[action] = value
+        if action.nargs == argparse.PARSER:  # the command word: the rest is its parser's
+            parser = action.choices[value]
+    declared = _build_parser().declared + parser.declared  # with no command word, its action is missing
+    if any(action.required and action not in seen for action in declared):
+        return None
+    return argparse.Namespace(**{a.dest: seen.get(a, a.default) for a in declared if a in seen or a.default is not argparse.SUPPRESS})
+
+
 def _load_document(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -219,7 +263,7 @@ def _run_cached(args, argv: list[str]) -> str:
     text, doc = _load_document(args.infile)
     cache_dir = resolve_cache_dir(args.cache_dir)
     cache = ResultCache(cache_dir) if cache_dir else None
-    key = cache_key(args.command, text + "\n" + " ".join(argv))
+    key = cache_key(args.command, "".join(f"{len(part)}:{part}" for part in (text, *argv)))
     out = cache.load(key) if cache else None
     if out is None:
         result, complete = _run_close(args, doc) if args.command == "close" else (_run_galois(args, doc), True)
@@ -288,7 +332,7 @@ def _run_laws(args):
 def run_command(argv: list[str]) -> int:
     started = time.time()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv) or _build_parser().parse_args(argv)
         if args.command in ("close", "galois"):
             out, ok = _run_cached(args, argv), True
         elif args.command == "enumerate":

@@ -1,18 +1,25 @@
+import contextlib
+import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import funcon.cli as cli
 from funcon import CmBounds, ConstraintSet, DomainSpec, cm_closure, enumerate_constraints, lo_m_closure, vs_closure
 from funcon.cli import (
     EXIT_BUDGET,
     EXIT_DISCREPANCY,
     EXIT_OK,
     EXIT_USAGE,
+    SystemExit2,
     _build_parser,
+    _parse,
     run_command,
 )
 from funcon.instance_io import class_listing, parse_instance, set_listing
@@ -66,6 +73,24 @@ def mixed_path(tmp_path):
     path = tmp_path / "mixed.json"
     path.write_text(MIXED_DOC)
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def reader_agrees_with_argparse(monkeypatch):
+    """Every argv a test here sends: the one-pass reader declines it, or
+    argparse accepts it and reads the same namespace."""
+
+    def checked(argv):
+        args = _parse(argv)
+        if args is not None:
+            try:
+                expected = _build_parser().parse_args(argv)
+            except (SystemExit, SystemExit2):  # which run_command would report as the request's own error
+                pytest.fail(f"the reader took {argv}, which argparse refuses")
+            assert vars(args) == vars(expected), argv
+        return args
+
+    monkeypatch.setattr(cli, "_parse", checked)
 
 
 def run(capsys, *argv):
@@ -302,7 +327,6 @@ def test_cached_parser_keeps_no_state_after_parse_errors(doc_path, capsys):
 
 def test_cached_parser_restores_default_bounds(doc_path, capsys, monkeypatch):
     from funcon import ClosureReport
-    import funcon.cli as cli
 
     seen = []
 
@@ -439,7 +463,6 @@ def test_t4_budget_refusal_exit_code(doc_path, capsys):
 
 def test_verify_dispatches_every_identity(doc_path, capsys, monkeypatch):
     from funcon import ClosureReport
-    import funcon.cli as cli
 
     calls = []
 
@@ -486,7 +509,6 @@ def test_verify_dispatches_every_identity(doc_path, capsys, monkeypatch):
 
 def test_laws_axioms_lists_every_failing_sample(capsys, monkeypatch):
     from funcon import ClosureReport
-    import funcon.cli as cli
 
     def failing(k, t, n_cap, m_cap, budget):
         return ClosureReport("galois-axioms", {}, len(k), len(t), ["fsc o csf o fsc != fsc"], "incomparable")
@@ -503,7 +525,6 @@ def test_laws_axioms_lists_every_failing_sample(capsys, monkeypatch):
 def test_discrepancy_exit_code(doc_path, capsys, monkeypatch):
     # the theorems hold, so a discrepancy is simulated through the lab layer
     from funcon import ClosureReport
-    import funcon.cli as cli
 
     def fake_verify(identity, payload, **kwargs):
         return ClosureReport("t15i", {}, 1, 0, ["function arity=1 table=[0, 1] (lhs only)"], "lhs_strict")
@@ -534,8 +555,10 @@ GAP_DOC = {
         (EXIT_USAGE, ["close", "vsn", "--in", "DOC"]),
         (EXIT_BUDGET, ["galois", "fsc", "--in", "DOC", "--set", "T2", "--arity", "2", "--budget", "10"]),
         (EXIT_OK, ["--help"]),
+        (EXIT_OK, ["galois", "csf", "--in", "DOC", "--cla", "K2", "--ar", "1"]),
+        (EXIT_OK, ["galois", "csf", "--in", "DOC", "--class=K2", "--arity=1"]),
     ],
-    ids=["ok", "discrepancy", "usage", "budget", "help"],
+    ids=["ok", "discrepancy", "usage", "budget", "help", "abbreviated", "flag=value"],
 )
 def test_the_module_as_a_process_exits_and_prints_as_run_command(doc_path, tmp_path, capsys, monkeypatch, expected, argv):
     monkeypatch.delenv("FUNCON_CACHE_DIR", raising=False)
@@ -550,3 +573,131 @@ def test_the_module_as_a_process_exits_and_prints_as_run_command(doc_path, tmp_p
     proc = subprocess.run([sys.executable, "-m", "funcon.cli", *argv], env=env, capture_output=True, timeout=120)
     assert proc.returncode == expected, proc.stderr
     assert proc.stdout == out.encode()
+
+
+# the vocabulary of random_argv: every command word, positional and flag of the parser, a
+# command and a positional it does not know, values a well-formed request may hold, and
+# tokens that the one-pass reader leaves to argparse or that argparse refuses
+COMMANDS = {
+    "close": ["vs", "vsn", "lom", "lon", "cmm", "cm"],
+    "galois": ["fsc", "csf"],
+    "verify": ["t15i", "thm13", "t4", "t15ii"],
+    "enumerate": ["functions", "constraints"],
+    "laws": ["vsn", "cmm", "axioms"],
+    "nope": ["vsn", "nope"],
+}
+FLAGS = ["--in", "--budget", "--class", "--set", "--n", "--m", "--cap", "--max-indets", "--max-iterations",
+         "--arity", "--dom-size", "--cod-size", "--samples", "--seed"]
+VALUES = ["1", "2", "3", "0", "x", "K2"]
+ODD = ["-h", "--help", "--", "-", "-1", "--cache-dir", "--nope", "--x=y", "--arity=2", "--in=x", "--cla", "--ar",
+       "--ma", "--max-it", "--c", "", " 2", "1.5", "vsn", "csf"]
+
+
+def random_argv(rng):
+    """A seeded argv near the grammar: an optional leading --cache-dir, a command word,
+    flag-value pairs in any order with the positional before, between or after them,
+    then a few random edits."""
+    command = rng.choice(list(COMMANDS))
+    pairs = [["--in", rng.choice(VALUES)]] if rng.random() < 0.8 else []
+    if command == "enumerate" and rng.random() < 0.8:
+        pairs.append(["--arity", rng.choice(VALUES[:3])])
+    pairs += [[rng.choice(FLAGS), rng.choice(VALUES)] for _ in range(rng.randint(0, 4))]
+    rng.shuffle(pairs)
+    rest = [token for pair in pairs for token in pair]
+    rest.insert(2 * rng.randint(0, len(pairs)), rng.choice(COMMANDS[command]))
+    argv = (["--cache-dir", rng.choice(VALUES)] if rng.random() < 0.5 else []) + [command] + rest
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+        edit, at = rng.random(), rng.randrange(len(argv) + 1)
+        if edit < 0.5:
+            argv.insert(at, rng.choice(ODD + VALUES + FLAGS))
+        elif edit < 0.8 and at < len(argv):
+            del argv[at]
+        elif at < len(argv):
+            argv[at] = rng.choice(ODD + VALUES + FLAGS + list(COMMANDS))
+    return argv
+
+
+def reader_sweep(count, seed=0):
+    """Read `count` argv of random_argv through the one-pass reader and through argparse;
+    every argv the reader takes argparse must accept with the same namespace.  Returns how
+    many argv argparse accepted and how many of those the reader took."""
+    rng, parser = random.Random(seed), _build_parser()
+    accepted = taken = 0
+    for _ in range(count):
+        argv = random_argv(rng)
+        args = _parse(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                expected = parser.parse_args(argv)
+        except (SystemExit, SystemExit2):  # help, or a usage error
+            assert args is None, argv
+            continue
+        accepted += 1
+        if args is not None:
+            assert vars(args) == vars(expected), argv
+            taken += 1
+    return accepted, taken
+
+
+def test_reader_reads_what_argparse_reads():
+    accepted, taken = reader_sweep(3000)
+    assert 0 < taken <= accepted
+
+
+@pytest.mark.parametrize("words, flags", [
+    (["verify", "t15i"], [("--class", "K2"), ("--n", "2"), ("--m", "1")]),
+    (["verify", "thm13"], [("--class", "K3"), ("--n", "3"), ("--m", "1")]),
+    (["close", "vsn"], [("--class", "K2")]),
+    (["close", "lom"], [("--class", "K2"), ("--m", "2")]),
+    (["galois", "csf"], [("--class", "K3"), ("--arity", "1")]),
+])
+def test_reader_takes_every_request_shape_of_the_bench_stream(words, flags):
+    for order in itertools.permutations([("--in", "docs/p0.json"), *flags]):
+        argv = ["--cache-dir", "cache", *words, *(token for pair in order for token in pair)]
+        args = _parse(argv)
+        assert args is not None and vars(args) == vars(_build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["galois", "-h"],
+    ["close", "vsn", "--in", "DOC", "--class", "K2", "--nope", "1"],
+    ["close", "lom", "--in", "DOC", "--class", "K2", "--max", "1"],
+    ["close", "lom", "--in", "DOC", "--class", "K2", "--m=0"],
+    ["close", "vsn", "--", "--in", "DOC", "--class", "K2"],
+    ["close", "vsn", "--in", "DOC", "--class", "K2", "--cache-dir", "cache"],
+    ["laws", "cmm", "--m", "-2"],
+    ["close", "vsn", "--class", "K2", "--in"],
+    ["close", "vsn", "--in", "--class", "K2"],
+    ["close", "lom", "--in", "DOC", "--class", "K2", "--m", "two"],
+    ["close", "nope", "--in", "DOC", "--class", "K2"],
+    ["close", "vsn", "lom", "--in", "DOC", "--class", "K2"],
+    ["close", "vsn", "--class", "K2"],
+    ["--cache-dir", "cache"],
+], ids=["help", "unknown-flag", "ambiguous-abbreviation", "flag=value", "double-dash", "cache-dir-after-command",
+        "negative-number", "missing-value", "value-is-a-flag", "type", "choices", "second-positional",
+        "required", "no-command"])
+def test_declined_argv_print_what_argparse_prints(doc_path, capsys, argv):
+    argv = [doc_path if word == "DOC" else word for word in argv]
+    assert _parse(argv) is None
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit2 as exc:
+        code, tail = EXIT_USAGE, f"error: {exc}\n"
+    except SystemExit as exc:
+        code, tail = exc.code, ""
+    else:
+        pytest.fail(f"argparse accepted {argv}")
+    captured = capsys.readouterr()
+    assert run(capsys, *argv) == (code, captured.out, captured.err + tail)
+
+
+def test_cache_key_frames_each_argument(tmp_path, capsys, monkeypatch):
+    # byte-identical documents named y and "y --arity 1": both argv join with spaces to one string
+    monkeypatch.delenv("FUNCON_CACHE_DIR", raising=False)
+    for name in ("y", "y --arity 1"):
+        (tmp_path / name).write_text(DOC)
+    y, cache = str(tmp_path / "y"), str(tmp_path / "cache")
+    request = ["galois", "csf", "--class", "K2", "--in", y, "--arity", "2", "--in"]
+    assert run(capsys, "--cache-dir", cache, *request, y + " --arity 1")[0] == EXIT_OK
+    uncached = run(capsys, *request, y, "--arity", "1")
+    assert run(capsys, "--cache-dir", cache, *request, y, "--arity", "1")[:2] == uncached[:2]
