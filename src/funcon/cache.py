@@ -3,10 +3,15 @@
 A key is the sha256 of the operation name, framed by its length, and its
 inputs, which the CLI gives as the document text and each argument, each framed
 by its length; a hit requires an exact tool-version match.  An entry is one
-``<key>.json`` file, read with one open: a missing entry is a silent miss, and
-an entry that cannot be read or decoded is ignored with a warning and the
-result recomputed.  A store writes a temp file created exclusively in the cache
-directory, which it makes on the first store, and renames it onto the entry.
+``<key>.entry`` file, read with one open: a header line, the JSON object of the
+key and the tool version (``json.dumps`` never writes a raw newline), then the
+value's own UTF-8 bytes, so no store escapes a listing and no hit unescapes
+one.  A missing entry is a silent miss, as is one under another key or tool
+version, or one in the older ``<key>.json`` layout, which is never opened; an
+entry that cannot be read, whose header does not decode or whose body is not
+UTF-8 is ignored with a warning and the result recomputed.  A store writes a
+temp file created exclusively in the cache directory, which it makes on the
+first store, and renames it onto the entry.
 """
 
 from __future__ import annotations
@@ -44,13 +49,17 @@ class ResultCache:
         self._prefix = os.path.join(directory, "")
 
     def load(self, key: str) -> str | None:
-        path = f"{self._prefix}{key}.json"
+        path = f"{self._prefix}{key}.entry"
         try:
             with open(path, "rb") as fh:
-                raw = json.loads(fh.read())
-            stored, value, version = raw["key"], raw["value"], raw["tool_version"]
-            if not all(isinstance(field, str) for field in (stored, value, version)):
+                header, newline, body = fh.read().partition(b"\n")
+            if not newline:
+                raise ValueError("cache entry has no header line")
+            raw = json.loads(header)
+            stored, version = raw["key"], raw["tool_version"]
+            if not all(isinstance(field, str) for field in (stored, version)):
                 raise TypeError("cache entry fields must be strings")
+            value = body.decode("utf-8", "surrogatepass")
         except (FileNotFoundError, NotADirectoryError):  # no entry, or no directory to hold one
             return None
         except (ValueError, KeyError, TypeError, OSError):
@@ -61,7 +70,8 @@ class ResultCache:
     def store(self, key: str, value: str) -> None:
         """Write an entry; the cache is best-effort, so a directory that cannot
         hold it is reported with a warning and the entry skipped."""
-        data = json.dumps({"key": key, "value": value, "tool_version": __version__}).encode()
+        header = json.dumps({"key": key, "tool_version": __version__})
+        data = f"{header}\n{value}".encode("utf-8", "surrogatepass")
         tmp = f"{self._prefix}{key}.{os.getpid()}.{next(_temp_serials)}.tmp"
         created = False
         try:
@@ -76,7 +86,7 @@ class ResultCache:
                     data = data[os.write(fd, data):]
             finally:
                 os.close(fd)
-            os.replace(tmp, f"{self._prefix}{key}.json")
+            os.replace(tmp, f"{self._prefix}{key}.entry")
             created = False
         except OSError as exc:
             print(f"warning: result not cached in {self.directory}: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ those sets unwalked; elsewhere it walks every probe and ANDs column minterms.
 groups through ``core.coordinate_images``; ``_minimal_consequents`` folds them
 into S_min(R), the least consequent over R, for every R: the floors of ``csf_m``.
 ``_orbit_separators`` walks the probes (``_signatures``) of one R per S_m
-orbit, ``core.orbit_antecedents``: the separators of ``fsc_n_of_csf_m``.
+orbit, ``core.orbit_antecedents``: the separators of ``fsc_n_of_csf_m``, which
+reads each only at the row choices that use every tuple of its R.
 ``cm_m_oracle`` is the twin composite csf_m(fsc_n(T)) at n = |A|^m, the Galois
 route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
 checked against; this module imports nothing from the closure side.
@@ -115,14 +116,15 @@ def projections_class(dom: DomainSpec, cap: int) -> FunctionClass:
 
 
 @lru_cache(maxsize=2048)
-def _signatures(size: int, m: int, r_bits: int, n: int) -> frozenset[tuple[int, ...]]:
+def _signatures(size: int, m: int, r_bits: int, n: int, onto: bool) -> frozenset[tuple[int, ...]]:
     """Distinct evaluation signatures of an n-ary function against the m-ary
     antecedent of rank mask r_bits over a domain of the given size.
 
     Each signature is the m argument-point ranks produced by one choice of n
-    antecedent rows; a function satisfies (R, S) iff every signature's output
-    tuple lands in S.  The cache holds the 1,255 orbit separators of
-    ``fsc_n_of_csf_m`` at Boolean m = 8, n = 3, so ``fsc_n`` reads them back.
+    antecedent rows, of every choice or (``onto``) of those using every row;
+    a function satisfies (R, S) iff every signature's output tuple lands in S.
+    The cache holds the 1,255 onto sets of the orbit separators of
+    ``fsc_n_of_csf_m`` at Boolean m = 8, n = 3, so a repeated call reads them back.
     """
     rows = list(ranks_of_mask(r_bits))
     by_coordinate = []
@@ -133,7 +135,10 @@ def _signatures(size: int, m: int, r_bits: int, n: int) -> frozenset[tuple[int, 
         for _ in range(n):  # every choice of n rows, in itertools.product order
             points = [p * size + e for p in points for e in entries]
         by_coordinate.append(points)
-    return frozenset(zip(*by_coordinate))
+    signatures = zip(*by_coordinate)
+    if onto:  # the choices in the same order, kept where they use every row
+        signatures = itertools.compress(signatures, (len(set(c)) == len(rows) for c in itertools.product(rows, repeat=n)))
+    return frozenset(signatures)
 
 
 def fsc_n(
@@ -150,6 +155,11 @@ def fsc_n(
     result is removed from the class.  Satisfaction is upward closed in the
     consequent, so an arity held as floors is read as its (r, floor(r)).
     """
+    return _fsc_n(t, n, budget, False)
+
+
+def _fsc_n(t: ConstraintSet, n: int, budget: int, onto: bool) -> FunctionClass:
+    """``fsc_n``; where ``onto``, each (R, S) is read only at the row choices using every tuple of R."""
     if n < 1:
         raise ValueError("n must be >= 1")
     count = within_budget(function_count(t.dom, t.cod, n), budget, f"fsc_{n} candidate functions")
@@ -163,7 +173,7 @@ def fsc_n(
         for r_bits, cons in [(r, s) for r, s in members if s != outside_all]:  # every function satisfies (R, B^m)
             banned = 2 * cons.bit_count() > len(value_tuples)
             values = [value_tuples[s] for s in ranks_of_mask(outside_all & ~cons if banned else cons)]
-            for sig in _signatures(t.dom.size, m, r_bits, n):
+            for sig in _signatures(t.dom.size, m, r_bits, n, onto):
                 hits = 0
                 for s in values:
                     mask = kept
@@ -324,8 +334,9 @@ def _orbit_probes(size: int, m: int, n: int, a: int) -> tuple[tuple[int, tuple[i
     """The distinct probes of the ``core.orbit_antecedents`` at arity a, sorted, as (the count of first points
     shared with the previous probe, the m points over A^a, the antecedents having it): the probes of R are
     its ``_signatures`` at arity a."""
+    # unwrapped: this function's cache keeps the probes, and the signature cache keeps fsc_n's onto sets
     probes = sorted((points, i) for i, r in enumerate(orbit_antecedents(size, m, n))
-                    for points in _signatures(size, m, r, a))
+                    for points in _signatures.__wrapped__(size, m, r, a, False))
     grouped = [(points, tuple(i for _, i in same)) for points, same in itertools.groupby(probes, operator.itemgetter(0))]
     return tuple((next(d for d, (p, q) in enumerate(zip(before, points)) if p != q), points, indices)
                  for before, (points, indices) in zip([(-1,) * m] + [points for points, _ in grouped], grouped))
@@ -398,12 +409,15 @@ def fsc_n_of_csf_m(k: FunctionClass, n: int, m: int, budget: int = DEFAULT_ENUME
     the separators (R, S_min(R)) with R of at most n tuples.  A violation of
     any satisfied constraint always restricts to a violation of one of these.
     One R per S_m orbit will do: σ in S_m keeps satisfaction, and S_min(σR) = σ S_min(R).
+    So each separator is read only at the row choices that use every tuple of R:
+    a choice inside R' ⊊ R lands in S_min(R') ⊆ S_min(R), and R', of fewer
+    tuples, has its orbit's separator in the list.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     # refuse before building the separators
     within_budget(function_count(k.dom, k.cod, n), budget, f"fsc_{n} candidate functions")
-    return fsc_n(ConstraintSet(k.dom, k.cod, {m: _orbit_separators(k, m, n, budget)}), n, budget)
+    return _fsc_n(ConstraintSet(k.dom, k.cod, {m: _orbit_separators(k, m, n, budget)}), n, budget, True)
 
 
 def minimal_consequent(k: FunctionClass, r: Relation) -> Relation:

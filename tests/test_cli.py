@@ -191,7 +191,7 @@ def test_cache_hit_preserves_bytes(doc_path, tmp_path, capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
-    assert list((tmp_path / "cache").glob("*.json"))  # entry was written
+    assert list((tmp_path / "cache").glob("*.entry"))  # entry was written
 
 
 def test_cut_off_closure_warns_on_every_run_and_is_never_cached(doc_path, tmp_path, capsys):
@@ -203,7 +203,7 @@ def test_cut_off_closure_warns_on_every_run_and_is_never_cached(doc_path, tmp_pa
         assert code == EXIT_OK
         assert "warning: fixpoint iteration limit reached" in err
     assert runs[0][1] == runs[1][1]
-    assert not list(cache.glob("*.json"))
+    assert not list(cache.glob("*.entry"))
 
 
 def test_unusable_cache_dir_warns_and_still_prints(doc_path, tmp_path, capsys, monkeypatch):
@@ -225,7 +225,7 @@ def test_entry_that_cannot_be_replaced_warns_and_leaves_no_temp_file(doc_path, t
     argv = ["close", "vsn", "--in", doc_path, "--class", "K2"]
     expected = run(capsys, *argv)[1]
     run(capsys, "--cache-dir", str(cache), *argv)
-    (entry,) = cache.glob("*.json")
+    (entry,) = cache.glob("*.entry")
     entry.unlink()
     entry.mkdir()
     code, out, err = run(capsys, "--cache-dir", str(cache), *argv)

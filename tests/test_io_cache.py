@@ -395,32 +395,71 @@ def test_cache_roundtrip(tmp_path):
     assert cache.load(key) == "payload\n"
 
 
+def _entry(directory, key):
+    """An entry's header line, decoded, and its body bytes."""
+    header, body = (directory / f"{key}.entry").read_bytes().split(b"\n", 1)
+    return json.loads(header), body
+
+
+def test_entry_is_a_header_line_then_the_listing_bytes(tmp_path, capsys):
+    # no escaping on store and none on a hit: quotes, backslashes, newlines and a lone surrogate come back as stored
+    cache = ResultCache(tmp_path)
+    key = cache_key("op", "x")
+    value = 'a "quoted" \\ back\\slash\n\n{"members": ["\\u00e9"]}\r\n\té\udcff\n'
+    cache.store(key, value)
+    header, body = _entry(tmp_path, key)
+    assert header == {"key": key, "tool_version": funcon.__version__}
+    assert body == value.encode("utf-8", "surrogatepass")
+    assert cache.load(key) == value
+    assert capsys.readouterr().err == ""
+
+
+def test_entry_of_the_json_layout_is_a_silent_miss(tmp_path, capsys):
+    # an entry as the one-object JSON layout wrote it, under its own name, is never opened
+    cache = ResultCache(tmp_path)
+    key = cache_key("op", "x")
+    old = tmp_path / f"{key}.json"
+    old.write_text(json.dumps({"key": key, "value": "value", "tool_version": funcon.__version__}))
+    assert cache.load(key) is None
+    assert capsys.readouterr().err == ""
+    cache.store(key, "value")
+    assert cache.load(key) == "value"
+    assert sorted(os.listdir(tmp_path)) == [f"{key}.entry", f"{key}.json"]
+
+
 def test_cache_rejects_corrupt_and_stale(tmp_path, capsys):
     cache = ResultCache(tmp_path)
     key = cache_key("op", "x")
     cache.store(key, "value")
-    # corrupt the entry
-    path = tmp_path / f"{key}.json"
-    path.write_text("{broken")
-    assert cache.load(key) is None
-    assert "corrupt cache entry" in capsys.readouterr().err
-    # stale tool version
-    cache.store(key, "value")
-    raw = json.loads(path.read_text())
-    raw["tool_version"] = "0.0.0"
-    path.write_text(json.dumps(raw))
-    assert cache.load(key) is None
+    path = tmp_path / f"{key}.entry"
+    # a header that is not JSON, and a whole header with no line end, as if the body were cut off
+    whole = json.dumps({"key": key, "tool_version": funcon.__version__}).encode()
+    for corrupt in (b"{broken\nvalue", whole):
+        path.write_bytes(corrupt)
+        assert cache.load(key) is None
+        assert "corrupt cache entry" in capsys.readouterr().err
+    # stale tool version, and another key's entry: silent misses
+    for field, other in (("tool_version", "0.0.0"), ("key", cache_key("op", "y"))):
+        cache.store(key, "value")
+        header, body = _entry(tmp_path, key)
+        path.write_bytes(json.dumps({**header, field: other}).encode() + b"\n" + body)
+        assert cache.load(key) is None
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("field", ["key", "value", "tool_version"])
 def test_cache_rejects_entries_with_non_string_fields(tmp_path, capsys, field):
+    # a header field that is not a string, or (value) a body that is not UTF-8
     cache = ResultCache(tmp_path)
     key = cache_key("op", "x")
     cache.store(key, "value")
-    path = tmp_path / f"{key}.json"
-    raw = json.loads(path.read_text())
-    raw[field] = 5
-    path.write_text(json.dumps(raw))
+    path = tmp_path / f"{key}.entry"
+    header, body = _entry(tmp_path, key)
+    if field == "value":
+        body = b"\xffvalue"
+    else:
+        header[field] = 5
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
     assert cache.load(key) is None
     assert "corrupt cache entry" in capsys.readouterr().err
     cache.store(key, "value")  # a recomputed result overwrites the entry
@@ -449,7 +488,7 @@ def test_entry_removed_after_its_store_is_a_silent_miss(tmp_path, capsys, monkey
     cache = ResultCache(tmp_path)
     key = cache_key("op", "x")
     cache.store(key, "value")
-    (tmp_path / f"{key}.json").unlink()
+    (tmp_path / f"{key}.entry").unlink()
     assert cache.load(key) is None
     # the same when the entry goes after any existence check a load might make
     monkeypatch.setattr(pathlib.Path, "exists", lambda self, **kwargs: True)
@@ -461,7 +500,7 @@ def test_entry_removed_after_its_store_is_a_silent_miss(tmp_path, capsys, monkey
 def test_directory_at_the_entry_path_is_corrupt(tmp_path, capsys):
     cache = ResultCache(tmp_path)
     key = cache_key("op", "x")
-    (tmp_path / f"{key}.json").mkdir()
+    (tmp_path / f"{key}.entry").mkdir()
     assert cache.load(key) is None
     assert "corrupt cache entry" in capsys.readouterr().err
 
@@ -472,7 +511,7 @@ def test_store_creates_a_missing_nested_directory(tmp_path, capsys):
     key = cache_key("op", "x")
     cache.store(key, "payload\n")
     assert cache.load(key) == "payload\n"
-    assert os.listdir(directory) == [f"{key}.json"]
+    assert os.listdir(directory) == [f"{key}.entry"]
     assert capsys.readouterr().err == ""
 
 
@@ -482,7 +521,7 @@ def test_each_store_adds_one_entry_and_a_hit_adds_none(tmp_path):
     for i in range(5):
         key = cache_key("op", str(i))
         cache.store(key, f"value {i}")
-        expected.add(f"{key}.json")
+        expected.add(f"{key}.entry")
         assert set(os.listdir(tmp_path)) == expected
         assert cache.load(key) == f"value {i}"
         cache.store(key, f"value {i}")  # a second store replaces the entry
@@ -534,7 +573,7 @@ def test_store_writes_every_byte_through_short_writes(tmp_path, capsys, monkeypa
     cache.store(key, "a longer payload " * 10)
     assert "warning: result not cached" in capsys.readouterr().err
     assert cache.load(key) == "payload " * 10  # the truncated entry is never renamed into place
-    assert os.listdir(tmp_path) == [f"{key}.json"]
+    assert os.listdir(tmp_path) == [f"{key}.entry"]
 
 
 def test_cache_dir_resolution(monkeypatch, tmp_path):

@@ -319,6 +319,36 @@ def test_signature_cache_holds_one_wide_call():
     assert (after.hits - before.hits, after.misses) == (1255, before.misses)
 
 
+@pytest.mark.parametrize("size, m, n", [(2, 1, 3), (2, 3, 3), (2, 8, 3), (3, 2, 2), (3, 4, 3)])
+def test_onto_signatures_are_the_choices_using_every_row(size, m, n):
+    # each antecedent of at most n tuples: the signatures of the choices whose rows are all of R
+    rng = random.Random(size * 100 + m * 10 + n)
+    point = lambda choice, i: sum(row // size ** (m - 1 - i) % size * size ** (n - 1 - c) for c, row in enumerate(choice))
+    for j in range(min(n, size**m) + 1):
+        rows = rng.sample(range(size**m), j)
+        choices = list(itertools.product(rows, repeat=n))
+        every = {tuple(point(choice, i) for i in range(m)) for choice in choices}
+        onto = {tuple(point(choice, i) for i in range(m)) for choice in choices if set(choice) == set(rows)}
+        r = mask_of_ranks(rows, size**m)
+        assert _signatures(size, m, r, n, False) == every
+        assert _signatures(size, m, r, n, True) == onto
+
+
+@pytest.mark.parametrize("sizes, wide", [((2, 2), (3, 8)), ((3, 2), (2, 5)), ((2, 3), (2, 8)), ((3, 3), (2, 5))])
+def test_fsc_n_of_csf_m_reads_onto_row_choices_only(sizes, wide):
+    """fsc_n_of_csf_m reads each orbit separator only at the row choices that use
+    every tuple of R; it equals fsc_n over every row choice of the same separators,
+    and lo_m(vs_n(k)), at m = 1..4 and at one wide (n, m)."""
+    dom, cod = domains(sizes)
+    rng = random.Random(80 + 10 * sizes[0] + sizes[1])
+    cases = [(n, m) for n in (1, 2, 3) if function_count(dom, cod, n) <= 10**6 for m in (1, 2, 3, 4)]
+    for n, m in [*cases, wide]:
+        for count in (1, 3):
+            k = random_function_class(rng, dom, cod, n, count)
+            every_choice = fsc_n(ConstraintSet(dom, cod, {m: _orbit_separators(k, m, n, 10**6)}), n)
+            assert fsc_n_of_csf_m(k, n, m) == every_choice == lo_m_closure(vs_n_closure(k), m)
+
+
 def test_csf_1_of_boolean_arity_5_class_evaluates_members():
     # 2^32 arity-5 tables exceed the default budget, so no column table exists
     # and the probe walk runs on a column table over the members
