@@ -31,7 +31,8 @@ substitution, a minor scheme's source map and a ``projection`` (a member of
 the projection clone of the composition reference) are all such readings.
 The S_m symmetry both sides read lives here alone: ``coordinate_images``, the
 byte tables of each coordinate permutation, ``permute_pairs``, which moves lists
-of (R, S) mask pairs through them, and ``orbit_antecedents``, one R per orbit.
+of (R, S) mask pairs through them, and ``orbit_antecedents``, one R per orbit,
+on which ``satisfaction._orbit_probes`` plans the composite's separators.
 ``column_masks`` and the signature and probe kernels of ``satisfaction``
 keep their own digit arithmetic: ``satisfies`` is their scalar reference in
 the differential tests, so it shares no code with them.

@@ -12,9 +12,9 @@ those sets unwalked; elsewhere it walks every probe and ANDs column minterms.
 ``probe_groups`` ORs the walked probes' masks by cross-row set and moves the
 groups through ``core.coordinate_images``; ``_minimal_consequents`` folds them
 into S_min(R), the least consequent over R, for every R: the floors of ``csf_m``.
-``_orbit_separators`` walks the probes (``_signatures``) of one R per S_m
-orbit, ``core.orbit_antecedents``: the separators of ``fsc_n_of_csf_m``, which
-reads each only at the row choices that use every tuple of its R.
+``_orbit_probes``, one shape's plan, sorts the probes of one R per S_m orbit
+(``core.orbit_antecedents``) for ``_orbit_separators``' walk, and keeps per R those of
+the row choices onto R: ``fsc_n_of_csf_m`` reads each separator there alone.
 ``cm_m_oracle`` is the twin composite csf_m(fsc_n(T)) at n = |A|^m, the Galois
 route to the m-ary minor closure that ``constraint_closures.cm_m_closure`` is
 checked against; this module imports nothing from the closure side.
@@ -31,7 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
+from typing import Callable, Collection, Iterator
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -115,18 +116,9 @@ def projections_class(dom: DomainSpec, cap: int) -> FunctionClass:
     )
 
 
-@lru_cache(maxsize=2048)
-def _signatures(size: int, m: int, r_bits: int, n: int, onto: bool) -> frozenset[tuple[int, ...]]:
-    """Distinct evaluation signatures of an n-ary function against the m-ary
-    antecedent of rank mask r_bits over a domain of the given size.
-
-    Each signature is the m argument-point ranks produced by one choice of n
-    antecedent rows, of every choice or (``onto``) of those using every row;
-    a function satisfies (R, S) iff every signature's output tuple lands in S.
-    The cache holds the 1,255 onto sets of the orbit separators of
-    ``fsc_n_of_csf_m`` at Boolean m = 8, n = 3, so a repeated call reads them back.
-    """
-    rows = list(ranks_of_mask(r_bits))
+def _row_choices(size: int, n: int, m: int, rows: list[int]) -> Iterator[tuple[int, ...]]:
+    """Per choice of n of the rows (ranks over A^m), in ``itertools.product`` order, its signature: the m argument
+    points an n-ary function reads there.  It satisfies (R, S) iff its output at every signature of R lies in S."""
     by_coordinate = []
     for i in range(m):
         weight = size ** (m - 1 - i)
@@ -135,10 +127,13 @@ def _signatures(size: int, m: int, r_bits: int, n: int, onto: bool) -> frozenset
         for _ in range(n):  # every choice of n rows, in itertools.product order
             points = [p * size + e for p in points for e in entries]
         by_coordinate.append(points)
-    signatures = zip(*by_coordinate)
-    if onto:  # the choices in the same order, kept where they use every row
-        signatures = itertools.compress(signatures, (len(set(c)) == len(rows) for c in itertools.product(rows, repeat=n)))
-    return frozenset(signatures)
+    return zip(*by_coordinate)
+
+
+@lru_cache(maxsize=2048)
+def _signatures(size: int, n: int, m: int, r_bits: int) -> frozenset[tuple[int, ...]]:
+    """The distinct ``_row_choices`` of the antecedent of rank mask r_bits: what ``fsc_n`` reads of it."""
+    return frozenset(_row_choices(size, n, m, list(ranks_of_mask(r_bits))))
 
 
 def fsc_n(
@@ -155,11 +150,11 @@ def fsc_n(
     result is removed from the class.  Satisfaction is upward closed in the
     consequent, so an arity held as floors is read as its (r, floor(r)).
     """
-    return _fsc_n(t, n, budget, False)
+    return _fsc_n(t, n, budget, partial(_signatures, t.dom.size, n))
 
 
-def _fsc_n(t: ConstraintSet, n: int, budget: int, onto: bool) -> FunctionClass:
-    """``fsc_n``; where ``onto``, each (R, S) is read only at the row choices using every tuple of R."""
+def _fsc_n(t: ConstraintSet, n: int, budget: int, signatures: Callable[[int, int], Collection]) -> FunctionClass:
+    """``fsc_n``, reading each (R, S) of arity m at the probes ``signatures(m, R)``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     count = within_budget(function_count(t.dom, t.cod, n), budget, f"fsc_{n} candidate functions")
@@ -173,7 +168,7 @@ def _fsc_n(t: ConstraintSet, n: int, budget: int, onto: bool) -> FunctionClass:
         for r_bits, cons in [(r, s) for r, s in members if s != outside_all]:  # every function satisfies (R, B^m)
             banned = 2 * cons.bit_count() > len(value_tuples)
             values = [value_tuples[s] for s in ranks_of_mask(outside_all & ~cons if banned else cons)]
-            for sig in _signatures(t.dom.size, m, r_bits, n, onto):
+            for sig in signatures(m, r_bits):
                 hits = 0
                 for s in values:
                     mask = kept
@@ -330,16 +325,18 @@ def _minimal_consequents(k: FunctionClass, m: int, budget: int) -> list[int]:
 
 
 @lru_cache(maxsize=32)
-def _orbit_probes(size: int, m: int, n: int, a: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """The distinct probes of the ``core.orbit_antecedents`` at arity a, sorted, as (the count of first points
-    shared with the previous probe, the m points over A^a, the antecedents having it): the probes of R are
-    its ``_signatures`` at arity a."""
-    # unwrapped: this function's cache keeps the probes, and the signature cache keeps fsc_n's onto sets
-    probes = sorted((points, i) for i, r in enumerate(orbit_antecedents(size, m, n))
-                    for points in _signatures.__wrapped__(size, m, r, a, False))
-    grouped = [(points, tuple(i for _, i in same)) for points, same in itertools.groupby(probes, operator.itemgetter(0))]
-    return tuple((next(d for d, (p, q) in enumerate(zip(before, points)) if p != q), points, indices)
-                 for before, (points, indices) in zip([(-1,) * m] + [points for points, _ in grouped], grouped))
+def _orbit_probes(size: int, m: int, n: int, a: int) -> tuple[tuple[tuple[int, tuple, tuple], ...], dict]:
+    """The plan of the ``core.orbit_antecedents`` at arity a, from one pass over each R's ``_row_choices``:
+    the distinct probes, sorted, as (the count of first points shared with the previous probe, the m points
+    over A^a, the antecedents having it), and per R the probes of the choices that use every tuple of R."""
+    having, onto = {}, {}
+    for i, r in enumerate(orbit_antecedents(size, m, n)):
+        choices = list(_row_choices(size, a, m, rows := list(ranks_of_mask(r))))
+        onto[r] = frozenset(itertools.compress(choices, (len(set(c)) == len(rows) for c in itertools.product(rows, repeat=a))))
+        for points in set(choices):
+            having.setdefault(points, []).append(i)
+    return tuple((next(itertools.compress(itertools.count(), map(operator.ne, before, points))), points, tuple(having[points]))
+                 for before, points in itertools.pairwise([(-1,) * m, *sorted(having)])), onto
 
 
 def _orbit_separators(k: FunctionClass, m: int, n: int, budget: int) -> list[tuple[int, int]]:
@@ -353,7 +350,7 @@ def _orbit_separators(k: FunctionClass, m: int, n: int, budget: int) -> list[tup
     for a in k.arities():
         cols, class_mask = _columns(k, a, budget)
         stack = [[(0, class_mask)]]  # per point walked: each value tuple so far with its sub-class
-        for shared, points, indices in _orbit_probes(k.dom.size, m, n, a):
+        for shared, points, indices in _orbit_probes(k.dom.size, m, n, a)[0]:
             del stack[shared + 1:]
             for p in points[shared:]:
                 stack.append([(s * k.cod.size + v, hit) for s, within in stack[-1] for v, col in enumerate(cols[p])
@@ -415,9 +412,10 @@ def fsc_n_of_csf_m(k: FunctionClass, n: int, m: int, budget: int = DEFAULT_ENUME
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    # refuse before building the separators
+    # refuse before building the separators, and read the plan at arity n, which enumerates every row choice, past fsc_n's guard
     within_budget(function_count(k.dom, k.cod, n), budget, f"fsc_{n} candidate functions")
-    return _fsc_n(ConstraintSet(k.dom, k.cod, {m: _orbit_separators(k, m, n, budget)}), n, budget, True)
+    return _fsc_n(ConstraintSet(k.dom, k.cod, {m: _orbit_separators(k, m, n, budget)}), n, budget,
+                  lambda _, r: _orbit_probes(k.dom.size, m, n, n)[1][r])
 
 
 def minimal_consequent(k: FunctionClass, r: Relation) -> Relation:

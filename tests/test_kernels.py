@@ -13,9 +13,12 @@ table ``core.readings``, the S_m images ``core.coordinate_images`` through
 ``core.permute_pairs`` and the tight minor built on them against digit-by-digit decoding, and of S_min, the separators ``fsc_n_of_csf_m`` and the floors
 ``csf_m`` read off the probe groups, against ``minimal_consequent``, and of the variable-substitution
 closures, which rank member tables through ``core.readings``, against
-``substitute`` over every ``SubstitutionMap``; and a digest pinned over the
+``substitute`` over every ``SubstitutionMap``, of the orbit counts of
+``core.orbit_antecedents`` against Burnside's lemma, and of the separator plan's
+probes against ``itertools`` row choices; and a digest pinned over the
 csf kernels and ``core.orbit_antecedents`` on a seeded battery."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -73,6 +76,7 @@ from funcon.core import (
     mask_of_ranks,
     orbit_antecedents,
     permute_pairs,
+    ranks_of_mask,
     readings,
     submasks,
     subset_fold,
@@ -304,34 +308,77 @@ def test_orbit_antecedents_at_boolean_m8_n3():
     assert counts == [1, 9, 86, 1159] and sum(counts) == 1255
 
 
+def burnside_orbit_counts(size: int, m: int, n: int) -> list[int]:
+    """Per k <= n, the S_m orbits of the k-subsets of A^m (|A| = size), by Burnside's lemma: the mean over S_m
+    of the k-subsets a permutation fixes, the unions of its cycles on A^m, summed over the cycle types of S_m."""
+    def cycle_types(rest, largest):
+        if not rest:
+            yield ()
+        for part in range(min(rest, largest), 0, -1):
+            yield from ((part, *tail) for tail in cycle_types(rest - part, part))
+
+    totals = [0] * (n + 1)
+    for parts in cycle_types(m, m):
+        fixed = [1] + [0] * n  # per k, the k-subsets of A^m that are unions of cycles, over lengths 1..l so far
+        cycles = {}  # cycles on A^m by length l: the points fixed by sigma^l are those on cycles of length d | l
+        for l in range(1, n + 1):
+            cycles[l] = (size ** sum(math.gcd(p, l) for p in parts) - sum(d * c for d, c in cycles.items() if l % d == 0)) // l
+            fixed = [sum(math.comb(cycles[l], j) * fixed[k - l * j] for j in range(k // l + 1)) for k in range(n + 1)]
+        members = math.factorial(m) // math.prod(p**c * math.factorial(c) for p, c in collections.Counter(parts).items())
+        totals = [t + members * f for t, f in zip(totals, fixed)]
+    return [t // math.factorial(m) for t in totals]
+
+
+@pytest.mark.parametrize("size, m, n", [(2, 3, 3), (3, 2, 2), (2, 4, 2), (3, 4, 2), (2, 8, 3), (2, 9, 3), (3, 9, 2)])
+def test_orbit_antecedents_count_every_orbit(size, m, n):
+    # one antecedent of each size k per S_m orbit of the k-subsets of A^m, as Burnside's lemma counts them
+    counts = [0] * (n + 1)
+    for r in orbit_antecedents(size, m, n):
+        counts[r.bit_count()] += 1
+    assert counts == burnside_orbit_counts(size, m, n)
+
+
 def test_signature_cache_holds_one_wide_call():
-    """fsc_n_of_csf_m(k, 3, 8) hands fsc_3 its 1,255 orbit separators, more than
-    256: a repeated call reads every separator's signatures back from the cache."""
+    """fsc_n_of_csf_m(majority, 3, m) at m = 8 and 9 reads its 1,255 and 2,190 orbit separators at the onto
+    probes of the plan of its shape, one cached value: a repeated call builds no plan, and no call reads a
+    ``_signatures`` entry, though 2,190 would pass its 2,048."""
     bool_ = DomainSpec("bool", 2)
     k = FunctionClass(bool_, bool_, {3: frozenset({0b11101000})})  # majority
-    _signatures.cache_clear()
-    _orbit_probes.cache_clear()
-    first = fsc_n_of_csf_m(k, 3, 8)
-    before = _signatures.cache_info()
-    assert before.currsize == 1255
-    assert fsc_n_of_csf_m(k, 3, 8) == first
-    after = _signatures.cache_info()
-    assert (after.hits - before.hits, after.misses) == (1255, before.misses)
+    for m, separators in ((8, 1255), (9, 2190)):
+        _signatures.cache_clear()
+        _orbit_probes.cache_clear()
+        first = fsc_n_of_csf_m(k, 3, m)
+        built = _orbit_probes.cache_info().misses
+        assert fsc_n_of_csf_m(k, 3, m) == first
+        assert _orbit_probes.cache_info().misses == built
+        assert _signatures.cache_info()[:2] == (0, 0)  # hits, misses
+        assert len(_orbit_probes(2, m, 3, 3)[1]) == separators
 
 
 @pytest.mark.parametrize("size, m, n", [(2, 1, 3), (2, 3, 3), (2, 8, 3), (3, 2, 2), (3, 4, 3)])
 def test_onto_signatures_are_the_choices_using_every_row(size, m, n):
-    # each antecedent of at most n tuples: the signatures of the choices whose rows are all of R
+    """Per orbit antecedent R (400 of them at most), the plan at arity n holds the signatures of the choices whose
+    rows are all of R and walks those of every choice; ``_signatures`` of R, and of a random R, are those of every choice."""
     rng = random.Random(size * 100 + m * 10 + n)
     point = lambda choice, i: sum(row // size ** (m - 1 - i) % size * size ** (n - 1 - c) for c, row in enumerate(choice))
-    for j in range(min(n, size**m) + 1):
-        rows = rng.sample(range(size**m), j)
+    signature = lambda choice: tuple(point(choice, i) for i in range(m))
+    walk, onto = _orbit_probes(size, m, n, n)
+    walked = collections.defaultdict(set)
+    for _, points, indices in walk:
+        for index in indices:
+            walked[index].add(points)
+    antecedents = orbit_antecedents(size, m, n)
+    assert list(onto) == list(antecedents)
+    randoms = [mask_of_ranks(rng.sample(range(size**m), j), size**m) for j in range(min(n, size**m) + 1)]
+    sample = rng.sample(list(enumerate(antecedents)), min(len(antecedents), 400))  # every R at the small shapes
+    for index, r in [*sample, *((None, r) for r in randoms)]:
+        rows = list(ranks_of_mask(r))
         choices = list(itertools.product(rows, repeat=n))
-        every = {tuple(point(choice, i) for i in range(m)) for choice in choices}
-        onto = {tuple(point(choice, i) for i in range(m)) for choice in choices if set(choice) == set(rows)}
-        r = mask_of_ranks(rows, size**m)
-        assert _signatures(size, m, r, n, False) == every
-        assert _signatures(size, m, r, n, True) == onto
+        every = {signature(choice) for choice in choices}
+        assert _signatures(size, n, m, r) == every
+        if index is not None:
+            assert walked[index] == every
+            assert onto[r] == {signature(choice) for choice in choices if set(choice) == set(rows)}
 
 
 @pytest.mark.parametrize("sizes, wide", [((2, 2), (3, 8)), ((3, 2), (2, 5)), ((2, 3), (2, 8)), ((3, 3), (2, 5))])

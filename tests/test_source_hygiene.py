@@ -1,7 +1,8 @@
 """Source checks over ``src/funcon``, each a list of violations that must stay empty.
 
 Robustness invariants: no assert statement, every BudgetExceededError raised in
-``core.within_budget``, every cache bounded.  Name hygiene: no unused import; every
+``core.within_budget``, every cache bounded, no read of a cached function's
+``__wrapped__``, so that no fact is kept in two caches.  Name hygiene: no unused import; every
 private module- or class-level name referenced; every public function, class or
 method referenced outside funcon/__init__.py or named in a docstring; only core.py
 reads a container's form dict, _forms, or calls its private builders, _of_forms and
@@ -37,6 +38,8 @@ def test_robustness_invariants():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name) and exc.id == "BudgetExceededError":
                     bad.append(f"{path}:{node.lineno}: BudgetExceededError raised outside core.within_budget")
+            elif isinstance(node, ast.Attribute) and node.attr == "__wrapped__":
+                bad.append(f"{path}:{node.lineno}: reads __wrapped__, a second path past a cache")
             elif isinstance(node, ast.Call) and named(node.func, "lru_cache"):
                 sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
                 if any(isinstance(size, ast.Constant) and size.value is None for size in sizes):
