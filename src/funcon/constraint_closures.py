@@ -21,8 +21,8 @@ one antecedent, so their members are the (R, S) with S a superset of floor(R).
 ``_add``, the one door into the floors, enters a pair they do not hold with
 its witness and ANDs its consequent into the floors below its antecedent,
 and ``_maximal`` reads off the maximal members, with the floors side by side
-in one int.  A member whose identity lift, one field of its sum, is held is
-skipped: its other lifts read that one through maps of the m+v coordinates.
+in one int.  A member whose identity lift, summed from that field's tables
+alone (no field carries), is held is skipped: its other lifts read that one.
 The lifts are closed under the permutations g of the target and the
 indeterminate coordinates, and g commutes with the meet and the projection,
 so a member's lifts are read only at the first map of each orbit
@@ -36,17 +36,17 @@ pass (``_fold_gather``): shift-ORs fold each block of |A|^v or |B|^v bits onto
 its lowest bit, and log2 shift-and-mask steps gather those bits.  The steps
 read above a field's last block, so the field width F has headroom, worked
 out from (|A|, |B|, m, v): the narrowest whole-byte width at which no bit of
-the fields above reaches a kept bit.  The projections, deduplicated in round
-order, are checked against the floors (``_outside``); so are the S_m images,
-member by member.  Only the flagged candidates go to ``_add``, in order, each
+the fields above reaches a kept bit.  The projections, deduplicated as a set,
+are checked against the floors; so are the S_m images, member by member
+(``_outside``).  Only the flagged candidates go to ``_add``, in round order, each
 with the first meet in round order that has its projection as the witness.
 Semi-naive rounds: an old orbit meets the fresh lifts, a fresh one itself and
 those from its own orbit on, and only lifts sharing an indeterminate: with
 disjoint ones the projection is the meet of two projections, members already.
 Witnesses are recorded by ``_add`` as bit pairs for the pairs that enter and
-decoded on first read.  ``lo_n_closure`` ORs floors over the subset lattice with
-``core.subset_fold``, or else masks, per antecedent, the consequents present
-with it and folds their up-interiors.
+decoded on first read.  ``lo_n_closure`` folds the packed floors (``core._fold``)
+and tests them all at once, or else masks, per antecedent, the consequents
+present with it and folds their up-interiors (``core.subset_fold``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-import sys
-from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
@@ -65,6 +63,10 @@ from .core import (
     ArityMismatchError,
     Constraint,
     ConstraintSet,
+    _fields,
+    _fold,
+    _level_masks,
+    _pack,
     canonical_constraint,
     capped_arities,
     constraint_universe_count,
@@ -73,7 +75,6 @@ from .core import (
     ranks_of_mask,
     readings,
     submasks,
-    subset_fold,
     within_budget,
 )
 from .minors import Scheme
@@ -167,33 +168,14 @@ def _maximal(floors: list[int], width: int) -> list[tuple[int, int]]:
     differs from the one 2^j on, which counts at the r without j, where r + 2^j is r | 2^j:
     the same list as an ``all()`` per r."""
     count, size = len(floors), -(-max(floors).bit_length() // 8) or 1  # bytes per field
-    packed, one = _pack(floors, size), b"\1" + bytes(size - 1)
+    packed, grows = _pack(floors, size), int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
     shifts = [min(1 << k, 8 * size - (1 << k)) for k in range((8 * size - 1).bit_length())]  # they sum to 8 * size - 1
-    grows = int.from_bytes(one * count, "little")
-    for j in range(width):
+    for j, (holding, _) in enumerate(_level_masks(count, size)[:width]):  # the fields r holding tuple j
         differs = packed ^ packed >> (8 * size << j)
         for shift in shifts:
             differs |= differs >> shift
-        grows &= differs | int.from_bytes((bytes(size << j) + one * (1 << j)) * (count >> j + 1), "little")
+        grows &= differs | holding
     return list(itertools.compress(enumerate(floors), grows.to_bytes(count * size, "little")[::size]))
-
-
-def _fields(packed: int, count: int, size: int) -> list[int]:
-    """The ``count`` fields of ``size`` bytes each of a packed int, lowest first."""
-    data = packed.to_bytes(count * size, "little")
-    if size in (1, 2, 4, 8) and sys.byteorder == "little":  # one array read
-        return array("BHIQ"[size.bit_length() - 1], data).tolist()
-    ends = range(size, len(data) + size, size)
-    return list(map(int.from_bytes, map(data.__getitem__, map(slice, range(0, len(data), size), ends)), itertools.repeat("little")))
-
-
-def _pack(values: list[int], size: int) -> int:
-    """The inverse of ``_fields``: the values as fields of ``size`` bytes, the first lowest."""
-    if size == 1:
-        return int.from_bytes(bytes(values), "little")
-    if size in (2, 4, 8) and sys.byteorder == "little":
-        return int.from_bytes(array("HIQ"[size.bit_length() - 2], values), "little")
-    return int.from_bytes(b"".join(map(int.to_bytes, values, itertools.repeat(size), itertools.repeat("little"))), "little")
 
 
 @lru_cache(maxsize=64)
@@ -246,18 +228,19 @@ def _fold_gather(m: int, v: int, sa: int, sb: int) -> tuple[int, Callable[[int, 
 
 
 @lru_cache(maxsize=32)
-def _lift_tables(k: int, m: int, v: int, sa: int, sb: int) -> tuple[tuple, tuple, tuple, tuple, tuple]:
-    """The maps h from k source coordinates to the m+v extended ones, in product order; per map, the
-    indices of the maps g∘h for g permuting the m target and the v indeterminate coordinates (the maps
-    equal where h is and targets where h is), ascending, and the mask of the indeterminates h reads, bit
-    e - m for coordinate e >= m; the maps first in their orbits; and per 4-bit chunk c of a source pair
-    r << 4⌈sb^k/4⌉ | s one table per nibble p: entry p packs, in field i of ``_fold_gather``'s width, the
-    lift of p's bits through map i, the bitmask of the extended tuples (coordinate 1 most significant) whose
+def _lift_tables(k: int, m: int, v: int, sa: int, sb: int) -> tuple[tuple, tuple, tuple, tuple, tuple | None, tuple]:
+    """The maps h from k source coordinates to the m+v extended ones, in product order; per map, the indices of the
+    maps g∘h for g permuting the m target and the v indeterminate coordinates (the maps equal where h is and targets
+    where h is), ascending, and the mask of the indeterminates h reads, bit e - m for coordinate e >= m; the maps first
+    in their orbits; the identity map's field of the columns (k <= m + v, else None); and the columns: per 4-bit chunk
+    c of a source pair r << 4⌈sb^k/4⌉ | s one table per nibble p: entry p packs, in field i of ``_fold_gather``'s
+    width, the lift of p's bits through map i, the bitmask of the extended tuples (coordinate 1 most significant) whose
     reading through map i has rank 4c+j for a bit j of p, r's lifts over A above the sb^(m+v) bits of s's."""
     maps, size = tuple(itertools.product(range(m + v), repeat=k)), _fold_gather(m, v, sa, sb)[0]
+    ident = maps.index(tuple(range(k))) if k <= m + v else None
     shapes = [tuple((e < m, h.index(e)) for e in h) for h in maps]
     orbits = {shape: tuple(i for i, other in enumerate(shapes) if other == shape) for shape in set(shapes)}
-    columns = []
+    columns, identity = [], []
     for side, shift in ((sb, 0), (sa, sb ** (m + v))):
         tables = []
         for h in maps:
@@ -268,9 +251,10 @@ def _lift_tables(k: int, m: int, v: int, sa: int, sb: int) -> tuple[tuple, tuple
             tables.append([reduce(lambda table, bit: table + [t + bit for t in table], pre[c : c + 4], [0])
                            for c in range(0, len(pre), 4)])
         columns += [tuple(_pack(entry, size) for entry in zip(*chunk)) for chunk in zip(*tables)]
+        identity += [] if ident is None else tables[ident]
     masks = tuple(sum(1 << e for e in set(h)) >> m for h in maps)
     firsts = tuple(i for i, shape in enumerate(shapes) if orbits[shape][0] == i)
-    return maps, tuple(map(orbits.__getitem__, shapes)), masks, firsts, tuple(columns)
+    return maps, tuple(map(orbits.__getitem__, shapes)), masks, firsts, tuple(map(tuple, identity)) or None, tuple(columns)
 
 
 def _outside(floors: list[int], antecedents: list[int], consequents: list[int]) -> list[int]:
@@ -321,33 +305,30 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
         maximals = {m: _maximal(floors[m], sa**m) for m in targets}
         for m in targets:
             size, project = _fold_gather(m, v, sa, sb)
-            field = (1 << 8 * size) - 1
-            # packed lift (antecedent << sb^(m+v) | consequent) -> (a source giving it, the indeterminates its map reads)
-            lifts: dict[int, tuple[tuple[int, int, tuple[int, ...], int], int]] = {}
+            # packed lift (antecedent << sb^(m+v) | consequent) -> (r, s, map, arity) of a source giving it, indeterminates read
+            lifts: dict[int, tuple[int, int, tuple[int, ...], int, int]] = {}
             reps = []  # the first lift of each orbit
             for src_arity in targets:
-                maps, orbits, masks, firsts, columns = _lift_tables(src_arity, m, v, sa, sb)
-                ident = maps.index(tuple(range(src_arity))) * 8 * size if src_arity <= m + v else None  # its field's offset
+                maps, orbits, masks, firsts, identity, columns = _lift_tables(src_arity, m, v, sa, sb)
                 above = 4 * -(-sb**src_arity // 4)  # where r starts in the source pair the columns read
                 for r, s in maximals[src_arity]:
                     pair = r << above | s
-                    summed = sum(column[pair >> 4 * c & 15] for c, column in enumerate(columns))
                     # every lift of (r, s) reads its identity lift through a map of the m+v coordinates: one held, all held
-                    if ident is not None and summed >> ident & field in lifts:
+                    if identity and sum(column[pair >> 4 * c & 15] for c, column in enumerate(identity)) in lifts:
                         continue
-                    keys = _fields(summed, len(maps), size)
+                    keys = _fields(sum(column[pair >> 4 * c & 15] for c, column in enumerate(columns)), len(maps), size)
                     for i in firsts:  # the held lifts are closed under g: an orbit's first lift held, the orbit is held
                         if keys[i] not in lifts:
                             reps.append(keys[i])
                             for j in orbits[i]:
-                                lifts[keys[j]] = (r, s, maps[j], src_arity), masks[j]
+                                lifts[keys[j]] = r, s, maps[j], src_arity, masks[j]
             old, previous[m] = previous[m], set(lifts)
             fresh = list(itertools.filterfalse(old.__contains__, lifts))
             at = dict(zip(fresh, itertools.count()))
             # indeterminate mask -> the fresh lifts with it and their positions in fresh, and -> those lifts as fields
             buckets: dict[int, tuple[list[int], list[int]]] = {}
             for i, key in enumerate(fresh):
-                keys, positions = buckets.setdefault(lifts[key][1], ([], []))
+                keys, positions = buckets.setdefault(lifts[key][4], ([], []))
                 keys.append(key)
                 positions.append(i)
             packed = {mask: _pack(keys, size) for mask, (keys, _) in buckets.items()}
@@ -356,40 +337,37 @@ def _closure_fixpoint(t: ConstraintSet, targets: list[int], bounds: CmBounds, bu
             # own orbit on, as the fresh orbits before it met it; both only across a shared indeterminate
             rows = []
             for key in reps:
-                if key in at and not lifts[key][1]:
+                if key in at and not lifts[key][4]:
                     rows.append((key, [key], 0, key))
                 for mask, (keys, positions) in buckets.items():
-                    if mask & lifts[key][1] and (lo := bisect.bisect_left(positions, at.get(key, 0))) < len(keys):
+                    if mask & lifts[key][4] and (lo := bisect.bisect_left(positions, at.get(key, 0))) < len(keys):
                         rows.append((key, keys, lo, packed[mask]))
             starts = list(itertools.accumulate((len(keys) - lo for _, keys, lo, _ in rows), initial=0))
             within_budget(starts[-1], budget, f"meets of a round at arity {m}")
             ones = int.from_bytes((b"\1" + bytes(size - 1)) * len(fresh), "little")
-            # row i is its rights, from the first on, ANDed with its left in every field; the rows side by side project at once
-            meets = b"".join((rights >> 8 * size * lo & key * ones).to_bytes((len(keys) - lo) * size, "little")
-                             for key, keys, lo, rights in rows)
+            # row i is its rights, from the first on, ANDed with its left in each of their fields; the rows side by side project
+            meets = b"".join((rights >> 8 * size * lo & key * (ones >> 8 * size * (len(fresh) - len(keys) + lo)))
+                             .to_bytes((len(keys) - lo) * size, "little") for key, keys, lo, rights in rows)
             projections = _fields(project(int.from_bytes(meets, "little"), starts[-1]), starts[-1], size)
-            new = list(dict.fromkeys(projections))
-            pa = list(map(operator.rshift, new, itertools.repeat(sb**m)))
-            pb = list(map(operator.and_, new, itertools.repeat((1 << sb**m) - 1)))
             floor, added = floors[m], False
-            # projection -> its first index in the round, built where a pair is outside the floors: its first meet enters
-            outside = _outside(floor, pa, pb)
+            outside = [p for p in set(projections) if floor[p >> sb**m] & ~p]  # the distinct ones the floors do not hold
+            # projection -> its first index in the round, built where a pair is outside the floors: they enter in that order
             first = dict(zip(reversed(projections), itertools.count(len(projections) - 1, -1))) if outside else {}
-            for i in outside:
-                row = bisect.bisect_right(starts, first[new[i]]) - 1
+            for p in sorted(outside, key=first.__getitem__):
+                row = bisect.bisect_right(starts, first[p]) - 1
                 key, keys, lo, _ = rows[row]
-                other = keys[lo + first[new[i]] - starts[row]]
-                sources = (lifts[key][0],) if other == key else (lifts[key][0], lifts[other][0])
-                added |= _add(floor, entered[m], (pa[i], pb[i]), m, ("minor", v, sources))
+                other = keys[lo + first[p] - starts[row]]
+                sources = (lifts[key][:4],) if other == key else (lifts[key][:4], lifts[other][:4])
+                added |= _add(floor, entered[m], (p >> sb**m, p & (1 << sb**m) - 1), m, ("minor", v, sources))
             changed |= added
             # the pairs met the orbits through one lift each, so add the S_m images of the maximal members (round 1, or a
             # meet added), member by member
             images = coordinate_images(m, sa, sb)
-            members = _maximal(floor, sa**m) if (added or iteration == 1) and images else []
-            images_a, images_b = permute_pairs(images, members)
-            for i in _outside(floor, images_a, images_b):
-                (r, s), (q, *_) = members[i // len(images)], images[i % len(images)]
-                changed |= _add(floor, entered[m], (images_a[i], images_b[i]), m, ("minor", 0, ((r, s, q, m),)))
+            if (added or iteration == 1) and images:
+                images_a, images_b = permute_pairs(images, members := _maximal(floor, sa**m))
+                for i in _outside(floor, images_a, images_b):
+                    (r, s), (q, *_) = members[i // len(images)], images[i % len(images)]
+                    changed |= _add(floor, entered[m], (images_a[i], images_b[i]), m, ("minor", 0, ((r, s, q, m),)))
         if not changed:
             converged = True
             break
@@ -420,6 +398,28 @@ def cm_closure(
     return _closure_fixpoint(t, list(capped_arities(cap)), bounds, budget)
 
 
+@lru_cache(maxsize=32)
+def _small_antecedents(count: int, size: int, n: int) -> int:
+    """All ones in the fields of ``size`` bytes of the antecedents r < count of at most n tuples."""
+    return int.from_bytes(b"".join(b"\xff" * size if r.bit_count() <= n else bytes(size) for r in range(count)), "little")
+
+
+def _lo_n_floors(floors: tuple[int, ...], n: int) -> list[int] | None:
+    """``lo_n_closure``'s floors f & g at each r, or None where f = floor(r) and g(r) are incomparable at some r, on
+    the floors packed side by side: g is one ``core._fold`` of the fields of at most n tuples, and f & g is f or g
+    where f & g ^ f or f & g ^ g, shift-ORed down its field as in ``_maximal``, is 0 at the field's lowest bit."""
+    count, size = len(floors), -(-max(floors).bit_length() // 8) or 1
+    packed = _pack(floors, size)
+    grown = _fold(packed & _small_antecedents(count, size, n), count, size, operator.or_)
+    meets = packed & grown  # g(r) for |r| <= n is above floor(r), one of the subsets it ORs, so f & g is f there
+    below, above = meets ^ packed, meets ^ grown
+    for shift in [min(1 << k, 8 * size - (1 << k)) for k in range((8 * size - 1).bit_length())]:
+        below, above = below | below >> shift, above | above >> shift
+    if below & above & int.from_bytes((b"\1" + bytes(size - 1)) * count, "little"):
+        return None  # floor(r) and g(r) incomparable at some r, which has two least consequents
+    return _fields(meets, count, size)
+
+
 def lo_n_closure(
     t: ConstraintSet,
     n: int,
@@ -432,13 +432,14 @@ def lo_n_closure(
     test reads only those with at most n, so one pass is the least fixpoint,
     and an arity m with n >= |A|^m comes back as it came, at any budget.  On
     floors, a larger r gains the consequents above the OR g(r) of the floors of
-    its subsets of at most n tuples, one ``core.subset_fold``, and has a floor
-    if floor(r) and g(r) are comparable.  Otherwise the pair pass runs:
-    ``rows[r]`` masks the consequents present with antecedent r.
-    ``inner[r]`` is its up-interior for |r| <= n (the consequents all of whose
-    supersets are present, one shift-and-mask pass per consequent tuple) and
-    all consequents otherwise; a larger r gains the consequents it lacks in
-    the AND of ``inner`` over its subsets, one ``core.subset_fold``.
+    its subsets of at most n tuples, and has a floor if floor(r) and g(r) are
+    comparable, tested at every r at once by ``_lo_n_floors``.  Otherwise the
+    pair pass runs on the packed rows: ``rows[r]`` masks the consequents
+    present with antecedent r.  Field r of ``inner`` is its up-interior for
+    |r| <= n (the consequents all of whose supersets are present, one
+    shift-and-mask pass per consequent tuple) and all consequents otherwise; a
+    larger r gains the consequents it lacks in the AND of ``inner`` over its
+    subsets, one ``core._fold``, read off all fields at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -451,31 +452,24 @@ def lo_n_closure(
             continue
         within_budget(constraint_universe_count(dom, cod, m), budget, f"constraints of arity {m}")
         n_ante, width = 1 << dom.size**m, cod.size**m
-        if floors:
-            # g(r) for |r| <= n is above floor(r), one of the subsets it ORs, so f & g is f there
-            grown = subset_fold([f if r.bit_count() <= n else 0 for r, f in enumerate(floors)], operator.or_)
-            meets = tuple(map(operator.and_, floors, grown))
-            # floor(r) and g(r) comparable at every r, else some r has two least consequents
-            if all(map(operator.or_, map(operator.eq, meets, floors), map(operator.eq, meets, grown))):
-                held.append(ConstraintSet.from_floors(dom, cod, m, meets))
-                continue
+        if floors and (meets := _lo_n_floors(floors, n)) is not None:
+            held.append(ConstraintSet.from_floors(dom, cod, m, meets))
+            continue
         pairs = t.ranks(m)
         rows = [0] * n_ante
         for r, s in pairs:
             rows[r] |= 1 << s
-        full = (1 << (1 << width)) - 1
-        # entry j: the consequent masks holding tuple j, as a bitmask over all of them
-        containing = [full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j)) for j in range(width)]
-        inner = [full] * n_ante
-        for r in range(n_ante):
-            if r.bit_count() <= n:
-                row = rows[r]
-                for j, with_j in enumerate(containing):
-                    row &= (row >> (1 << j)) | with_j
-                inner[r] = row
-        shared = subset_fold(inner, operator.and_)
-        added = [(r, s) for r in range(n_ante) if r.bit_count() > n for s in ranks_of_mask(shared[r] & ~rows[r])]
-        pairs_out[m] = pairs.union(added)
+        full, size = (1 << (1 << width)) - 1, -(-(1 << width) // 8)  # the rows packed in fields of size bytes
+        # all consequents, and per tuple j the consequent masks holding j as a bitmask over all of them, in every field
+        masks = [full, *(full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j)) for j in range(width))]
+        every, *containing = (int.from_bytes(mask.to_bytes(size, "little") * n_ante, "little") for mask in masks)
+        inner = packed = _pack(rows, size)
+        for j, with_j in enumerate(containing):
+            inner &= inner >> (1 << j) | with_j
+        small = _small_antecedents(n_ante, size, n)
+        shared = _fold(inner & small | every ^ every & small, n_ante, size, operator.and_)
+        # bit s of field r, set where r gains s (never at |r| <= n, whose interior is inside its row), is pair (r, s)
+        pairs_out[m] = pairs.union(divmod(x, 8 * size) for x in ranks_of_mask(shared ^ shared & packed))
     return reduce(operator.or_, held, ConstraintSet(dom, cod, pairs_out))
 
 

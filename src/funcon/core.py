@@ -31,15 +31,18 @@ substitution, a minor scheme's source map and a ``projection`` (a member of
 the projection clone of the composition reference) are all such readings.
 The S_m symmetry both sides read lives here alone: ``coordinate_images``, the
 byte tables of each coordinate permutation, ``permute_pairs``, which moves lists
-of (R, S) mask pairs through them, and ``orbit_antecedents``, one R per orbit,
-on which ``satisfaction._orbit_probes`` plans the composite's separators.
+of (R, S) mask pairs through them, ``orbit_antecedents``, one R per orbit,
+on which ``satisfaction._orbit_probes`` plans the composite's separators, and
+``burnside_orbit_counts``, which counts those orbits without listing them.
 ``column_masks`` and the signature and probe kernels of ``satisfaction``
 keep their own digit arithmetic: ``satisfies`` is their scalar reference in
 the differential tests, so it shares no code with them.
 
-The subset-lattice kernels are ``submasks``, the subsets of one mask, and
-``subset_fold``, which folds a table indexed by masks over every subset for
-``lo_n_closure`` and for S_min in ``satisfaction``.
+``_pack`` lays a table of masks side by side in one int, a field of whole bytes
+per entry, and ``_fields`` reads it back.  The subset-lattice kernels are
+``submasks``, the subsets of one mask, and ``subset_fold``, which folds a table
+over every subset for ``lo_n_closure`` and S_min in ``satisfaction``: ``_fold``
+on the packed table, one shift a tuple.
 
 ``within_budget`` is the single enumeration guard: every refusal in the
 package passes a count through it, and it raises ``BudgetExceededError``
@@ -49,7 +52,10 @@ carrying that count when the count exceeds the budget.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import sys
+from array import array
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, partial, reduce
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -176,6 +182,25 @@ def orbit_antecedents(size: int, m: int, n: int) -> tuple[int, ...]:
             if len(columns) == j and all(rows <= tuple(sorted(map(order.__getitem__, rows))) for order in orders):
                 out.append(sum(1 << tuple_rank(column, size) for column in columns))
     return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def burnside_orbit_counts(size: int, m: int, n: int) -> tuple[int, ...]:
+    """Per k <= n, the S_m orbits of the k-subsets of A^m (|A| = size) by Burnside's lemma: the mean over S_m of the
+    k-subsets a permutation fixes, the unions of its cycles on A^m, summed over the cycle types of S_m."""
+    def cycle_types(rest, largest):  # the partitions of rest into parts of at most largest, largest first
+        return [(part, *tail) for part in range(min(rest, largest), 0, -1) for tail in cycle_types(rest - part, part)] or [()]
+
+    totals = [0] * (n + 1)
+    for parts in cycle_types(m, m):
+        fixed = [1] + [0] * n  # per k, the k-subsets of A^m that are unions of cycles, over lengths 1..l so far
+        cycles = {}  # cycles on A^m by length l: the points fixed by sigma^l are those on cycles of length d | l
+        for l in range(1, n + 1):
+            cycles[l] = (size ** sum(math.gcd(p, l) for p in parts) - sum(d * c for d, c in cycles.items() if l % d == 0)) // l
+            fixed = [sum(math.comb(cycles[l], j) * fixed[k - l * j] for j in range(k // l + 1)) for k in range(n + 1)]
+        members = math.factorial(m) // math.prod(p ** parts.count(p) * math.factorial(parts.count(p)) for p in set(parts))
+        totals = [t + members * f for t, f in zip(totals, fixed)]
+    return tuple(t // math.factorial(m) for t in totals)
 
 
 @dataclass(frozen=True, order=True)
@@ -382,21 +407,47 @@ def submasks(mask: int) -> Iterator[int]:
     yield 0
 
 
+def _fields(packed: int, count: int, size: int) -> list[int]:
+    """The ``count`` fields of ``size`` bytes each of a packed int, lowest first."""
+    data = packed.to_bytes(count * size, "little")
+    if size in (1, 2, 4, 8) and sys.byteorder == "little":  # one array read
+        return array("BHIQ"[size.bit_length() - 1], data).tolist()
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
+def _pack(values: list[int], size: int) -> int:
+    """The inverse of ``_fields``: the values as fields of ``size`` bytes, the first lowest."""
+    if size == 1:
+        return int.from_bytes(bytes(values), "little")
+    if size in (2, 4, 8) and sys.byteorder == "little":
+        return int.from_bytes(array("HIQ"[size.bit_length() - 2], values), "little")
+    return int.from_bytes(b"".join(map(int.to_bytes, values, itertools.repeat(size), itertools.repeat("little"))), "little")
+
+
+@lru_cache(maxsize=32)
+def _level_masks(count: int, size: int) -> tuple[tuple[int, int], ...]:
+    """Per level i of a fold of ``count`` fields of ``size`` bytes: all ones in the fields r holding bit i, and in the others."""
+    blocks = [bytes(size << i) + b"\xff" * (size << i) for i in range(count.bit_length() - 1)]  # 2^i fields without, 2^i with
+    return tuple(tuple(int.from_bytes(b * (count >> i + 1), "little") for b in (block, block[::-1])) for i, block in enumerate(blocks))
+
+
+def _fold(packed: int, count: int, size: int, op) -> int:
+    """``subset_fold`` of the table packed as ``count`` fields of ``size`` bytes: level i shifts the whole table
+    2^i fields up, which sets r - 2^i beside r, and ORs (or ANDs) it into the fields r holding bit i."""
+    for i, (holding, others) in enumerate(_level_masks(count, size)):
+        moved = packed << (8 * size << i)
+        packed = packed | moved & holding if op is operator.or_ else packed & (moved | others)
+    return packed
+
+
 def subset_fold(table: list, op) -> list:
-    """Fold ``table``, indexed by subset masks and of power-of-two length, in
-    place: entry r becomes ``op`` over the entries of every subset of r.  Level
-    i folds each r holding bit i with r - 2^i, one ``map`` per slice: while 2^i
-    is below the count of 2^(i+1)-blocks, per offset j < 2^i the strided slice
-    of the r = j + 2^i mod 2^(i+1), else per block its upper half."""
-    count = len(table)
-    for i in range(count.bit_length() - 1):
-        half = 1 << i
-        if half < count // (2 * half):
-            for j in range(half, 2 * half):
-                table[j :: 2 * half] = map(op, table[j :: 2 * half], table[j - half :: 2 * half])
-        else:
-            for j in range(half, count, 2 * half):
-                table[j : j + half] = map(op, table[j : j + half], table[j - half : j])
+    """Fold ``table``, indexed by subset masks and of power-of-two length, in place: entry r becomes ``op``,
+    ``operator.or_`` or ``operator.and_``, over the entries of every subset of r, by ``_fold`` on the entries
+    packed as fields of the fewest whole bytes that hold the largest."""
+    if op is not operator.or_ and op is not operator.and_:
+        raise ValueError("subset_fold folds by operator.or_ or operator.and_")
+    size = -(-max(table).bit_length() // 8) or 1
+    table[:] = _fields(_fold(_pack(table, size), len(table), size, op), len(table), size)
     return table
 
 

@@ -9,8 +9,9 @@ class mask splits into the |B| slices of each point's table digit, a last-point
 sub-class of every table over the later digits gives them every value unsplit,
 and a class that is the box of its points' value sets fills every probe from
 those sets unwalked; elsewhere it walks every probe and ANDs column minterms.
-``probe_groups`` ORs the walked probes' masks by cross-row set and moves the
-groups through ``core.coordinate_images``; ``_minimal_consequents`` folds them
+``probe_groups`` ORs the walked probes' masks into a list indexed by cross-row
+set and moves its nonzero entries through ``core.coordinate_images``;
+``_minimal_consequents`` hands the list to ``core.subset_fold``, which folds it
 into S_min(R), the least consequent over R, for every R: the floors of ``csf_m``.
 ``_orbit_probes``, one shape's plan, sorts the probes of one R per S_m orbit
 (``core.orbit_antecedents``) for ``_orbit_separators``' walk, and keeps per R those of
@@ -28,6 +29,7 @@ composed with the projection clone, is tested against.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -43,6 +45,7 @@ from .core import (
     FunctionClass,
     FunctionTable,
     Relation,
+    burnside_orbit_counts,
     capped_arities,
     column_masks,
     constraint_universe_count,
@@ -300,28 +303,27 @@ def _probe_masks(k: FunctionClass, n: int, m: int, budget: int) -> list[int]:
     return masks
 
 
-def probe_groups(k: FunctionClass, m: int, budget: int) -> dict[int, int]:
-    """The probe masks of every arity of k, ORed by cross-row set: key r (a rank
-    mask over A^m) collects the probes whose cross-rows are the members of r.
-    The walked probes that reach a value enter; with images, the groups then
-    enter again through each permutation, moved by ``core.permute_pairs`` once
-    for every arity: every probe is an image of a walked one, and a permutation
-    moves bits, so it commutes with the OR."""
-    groups, images = {}, None
+def probe_groups(k: FunctionClass, m: int, budget: int, groups: list[int] | None = None) -> list[int] | dict[int, int]:
+    """The probe masks of every arity of k, ORed by cross-row set into ``groups``, a list over every r, else a new
+    dict of the nonzero ones: entry r (a rank mask over A^m) collects the probes whose cross-rows are the members
+    of r.  The walked probes that reach a value enter; with images, the nonzero groups then enter again through
+    each permutation, moved by ``core.permute_pairs`` once for every arity: every probe is an image of a walked
+    one, and a permutation moves bits, so it commutes with the OR."""
+    images, groups = None, collections.defaultdict(int) if groups is None else groups
     for n in k.arities():
         keys, images, _ = _orbit_plan(k.dom.size, n, m, k.cod.size, function_count(k.dom, k.cod, n) <= budget)
         masks = _probe_masks(k, n, m, budget)
         for r, mask in zip(itertools.compress(keys, masks), filter(None, masks)):
-            groups[r] = groups.get(r, 0) | mask
-    for r, mask in zip(*permute_pairs(images or (), list(groups.items()))):
-        groups[r] = groups.get(r, 0) | mask
+            groups[r] |= mask
+    nonzero = [(r, mask) for r, mask in (enumerate(groups) if type(groups) is list else groups.items()) if mask]
+    for r, mask in zip(*permute_pairs(images or (), nonzero)):
+        groups[r] |= mask
     return groups
 
 
 def _minimal_consequents(k: FunctionClass, m: int, budget: int) -> list[int]:
     """S_min(R) of every antecedent R over A^m, in rank order: the probe groups of R's subsets, ORed."""
-    groups = probe_groups(k, m, budget)
-    return subset_fold([groups.get(r, 0) for r in range(1 << k.dom.size**m)], operator.or_)
+    return subset_fold(probe_groups(k, m, budget, [0] * (1 << k.dom.size**m)), operator.or_)
 
 
 @lru_cache(maxsize=32)
@@ -344,8 +346,9 @@ def _orbit_separators(k: FunctionClass, m: int, n: int, budget: int) -> list[tup
     on the columns of ``_columns``: a probe walks only the points it does not share with the one before."""
     within_budget(sum(math.comb(k.dom.size**j + m - 1, m) for j in range(n + 1)), budget, "separator antecedents")
     within_budget(max(k.dom.size, k.cod.size) ** m, budget, "separator mask width")  # R over A^m, S_min(R) over B^m
+    orbits = burnside_orbit_counts(k.dom.size, m, n)  # per size j, the antecedents of j tuples, counted before listing
+    within_budget(sum(count * j**a for j, count in enumerate(orbits) for a in k.arities()), budget, "separator probes")
     antecedents = orbit_antecedents(k.dom.size, m, n)
-    within_budget(sum(r.bit_count()**a for r in antecedents for a in k.arities()), budget, "separator probes")
     floors = [0] * len(antecedents)
     for a in k.arities():
         cols, class_mask = _columns(k, a, budget)

@@ -6,15 +6,18 @@ slices of empty, one-member and |B| = 3 classes and of classes whose
 sub-classes hold every table past a middle point, and on both sides of the cutoff past which
 no S_m images are kept, against the walk over every probe, and of the
 constraint-side mask kernels (lift, projection, the floor add pass, maximal
-members, ``lo_n_closure``) against scalar pair-by-pair reference loops, of
+members, the identity field of the lift tables, ``lo_n_closure`` and its
+packed floor test) against scalar pair-by-pair reference loops, of
 the cm fixpoint against the tuple-keyed all-pairs round loop, of
-``core.subset_fold`` against a fold over ``core.submasks``, of the reading
+``core.subset_fold`` against a fold over ``core.submasks`` and, at field
+widths of 1 to 32 bytes, against the fold one entry at a time, of the reading
 table ``core.readings``, the S_m images ``core.coordinate_images`` through
 ``core.permute_pairs`` and the tight minor built on them against digit-by-digit decoding, and of S_min, the separators ``fsc_n_of_csf_m`` and the floors
 ``csf_m`` read off the probe groups, against ``minimal_consequent``, and of the variable-substitution
 closures, which rank member tables through ``core.readings``, against
 ``substitute`` over every ``SubstitutionMap``, of the orbit counts of
-``core.orbit_antecedents`` against Burnside's lemma, and of the separator plan's
+``core.orbit_antecedents`` against Burnside's lemma (``core.burnside_orbit_counts``,
+which the separator probe guard reads before any orbit is built), and of the separator plan's
 probes against ``itertools`` row choices; and a digest pinned over the
 csf kernels and ``core.orbit_antecedents`` on a seeded battery."""
 
@@ -65,10 +68,13 @@ from funcon import (
     vs_closure,
     vs_n_closure,
 )
-from funcon.constraint_closures import _add, _fields, _fold_gather, _lift_tables, _maximal, _pack
+from funcon.constraint_closures import _add, _fold_gather, _lift_tables, _lo_n_floors, _maximal
 from funcon.core import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
+    _fields,
+    _pack,
+    burnside_orbit_counts,
     column_masks,
     constraint_universe_count,
     coordinate_images,
@@ -308,34 +314,28 @@ def test_orbit_antecedents_at_boolean_m8_n3():
     assert counts == [1, 9, 86, 1159] and sum(counts) == 1255
 
 
-def burnside_orbit_counts(size: int, m: int, n: int) -> list[int]:
-    """Per k <= n, the S_m orbits of the k-subsets of A^m (|A| = size), by Burnside's lemma: the mean over S_m
-    of the k-subsets a permutation fixes, the unions of its cycles on A^m, summed over the cycle types of S_m."""
-    def cycle_types(rest, largest):
-        if not rest:
-            yield ()
-        for part in range(min(rest, largest), 0, -1):
-            yield from ((part, *tail) for tail in cycle_types(rest - part, part))
-
-    totals = [0] * (n + 1)
-    for parts in cycle_types(m, m):
-        fixed = [1] + [0] * n  # per k, the k-subsets of A^m that are unions of cycles, over lengths 1..l so far
-        cycles = {}  # cycles on A^m by length l: the points fixed by sigma^l are those on cycles of length d | l
-        for l in range(1, n + 1):
-            cycles[l] = (size ** sum(math.gcd(p, l) for p in parts) - sum(d * c for d, c in cycles.items() if l % d == 0)) // l
-            fixed = [sum(math.comb(cycles[l], j) * fixed[k - l * j] for j in range(k // l + 1)) for k in range(n + 1)]
-        members = math.factorial(m) // math.prod(p**c * math.factorial(c) for p, c in collections.Counter(parts).items())
-        totals = [t + members * f for t, f in zip(totals, fixed)]
-    return [t // math.factorial(m) for t in totals]
-
-
 @pytest.mark.parametrize("size, m, n", [(2, 3, 3), (3, 2, 2), (2, 4, 2), (3, 4, 2), (2, 8, 3), (2, 9, 3), (3, 9, 2)])
 def test_orbit_antecedents_count_every_orbit(size, m, n):
     # one antecedent of each size k per S_m orbit of the k-subsets of A^m, as Burnside's lemma counts them
     counts = [0] * (n + 1)
     for r in orbit_antecedents(size, m, n):
         counts[r.bit_count()] += 1
-    assert counts == burnside_orbit_counts(size, m, n)
+    assert tuple(counts) == burnside_orbit_counts(size, m, n)
+
+
+def test_separator_probes_are_counted_before_the_orbits_are_built():
+    """At (|A|, m, n) = (3, 6, 3) Burnside's lemma counts 1, 28, 1,533 and 152,901 orbits of 0 to 3 tuples
+    without listing the 154,463 antecedents, and the composite's guard refuses the (3, 1) ternary class on the
+    4,140,619 probes they read at arity 3, before it builds them."""
+    built = orbit_antecedents.cache_info()
+    started = time.perf_counter()
+    assert burnside_orbit_counts(3, 6, 3) == (1, 28, 1533, 152901)
+    k = FunctionClass(DomainSpec("a", 3), DomainSpec("b", 1), {3: frozenset({0})})
+    with pytest.raises(BudgetExceededError, match="^separator probes: 4140619 exceeds budget 1000000$") as refused:
+        _orbit_separators(k, 6, 3, DEFAULT_ENUMERATION_BUDGET)
+    assert refused.value.count == 4140619
+    assert time.perf_counter() - started < 0.5
+    assert orbit_antecedents.cache_info() == built
 
 
 def test_signature_cache_holds_one_wide_call():
@@ -837,13 +837,34 @@ def test_lift_matches_digit_decoding(size):
                 lift_reference(r, h, m, v, size) << sb ** (m + v) | lift_reference(s, h, m, v, sb) for h in maps]
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_identity_tables_sum_to_the_identity_field(size):
+    """At every shape of the lift battery: summed like the chunk tables, the identity tables of ``_lift_tables``
+    give the identity map's field of the full sum, ``summed >> ident & field``; they are None where k > m + v."""
+    rng = random.Random(29 + size)
+    for k, m, v, sb in itertools.product((1, 2, 3), (1, 2), (0, 1, 2, 3), (1, 2, 3)):
+        width_a, width_b = size**k, sb**k
+        if max(width_a, width_b) > 9:
+            continue
+        maps, *_, identity, columns = _lift_tables(k, m, v, size, sb)
+        if k > m + v:
+            assert identity is None
+            continue
+        field = _fold_gather(m, v, size, sb)[0]
+        ident = maps.index(tuple(range(k))) * 8 * field
+        for r, s in itertools.product((0, (1 << width_a) - 1, rng.getrandbits(width_a)), (0, (1 << width_b) - 1, rng.getrandbits(width_b))):
+            pair = r << 4 * -(-width_b // 4) | s
+            summed = sum(chunk[pair >> 4 * c & 15] for c, chunk in enumerate(columns))
+            assert sum(chunk[pair >> 4 * c & 15] for c, chunk in enumerate(identity)) == summed >> ident & (1 << 8 * field) - 1
+
+
 @pytest.mark.parametrize("k, m, v", list(itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2))))
 def test_lift_plan_orbits_and_indeterminates(k, m, v):
     """Per map h: its orbit is the maps g∘h for every g in S_m × S_v, found by
     composing, ascending, the orbits partition the maps, the first maps are the
     least of each orbit, in order, and its indeterminate mask has bit e - m for
     each coordinate e >= m that h reads."""
-    maps, orbits, masks, firsts, _ = _lift_tables(k, m, v, 2, 2)
+    maps, orbits, masks, firsts, *_ = _lift_tables(k, m, v, 2, 2)
     index = {h: i for i, h in enumerate(maps)}
     group = [(*targets, *(m + e for e in indets))
              for targets in itertools.permutations(range(m)) for indets in itertools.permutations(range(v))]
@@ -1105,6 +1126,37 @@ def test_subset_fold_matches_submask_fold(op, length):
     assert table == expected  # folded in place
 
 
+def level_fold(table, op):
+    """The fold one entry at a time: level i sets each r holding bit i to op of it and r - 2^i."""
+    out = list(table)
+    for i in range(len(out).bit_length() - 1):
+        for r in range(len(out)):
+            if r >> i & 1:
+                out[r] = op(out[r], out[r ^ 1 << i])
+    return out
+
+
+@pytest.mark.parametrize("op", [operator.or_, operator.and_])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 9, 32])
+def test_subset_fold_at_every_field_width(op, size):
+    """The whole-int fold at fields of 1, 2, 4 and 8 bytes (packed and read back in one call each), 3 bytes and
+    past 8 (joined and sliced), at lengths 1 to 4096, against the fold one entry at a time, in place; by AND also on
+    a table of ``lo_n_closure``'s pair path, up-interiors at the r of at most n tuples and the all-ones
+    sentinel at every other r.  The top bit of some entry is set, so the fields are ``size`` bytes wide."""
+    rng = random.Random(10 * size + (op is operator.and_))
+    full = (1 << 8 * size) - 1
+    for length in (1, 2, 8, 64, 512, 4096):
+        tables = [[rng.getrandbits(8 * size) for _ in range(length)]]
+        if op is operator.and_:
+            tables.append([rng.getrandbits(8 * size) if r.bit_count() <= 2 else full for r in range(length)])
+        for table in tables:
+            table[rng.randrange(length)] |= 1 << 8 * size - 1
+            expected = level_fold(table, op)
+            assert subset_fold(table, op) is table and table == expected
+    with pytest.raises(ValueError):
+        subset_fold([1, 2], operator.xor)
+
+
 def floor_tables(rng, width):
     """Floor tables over 2^width antecedents, each with its consequent width, the r expected
     not maximal where known (else None), and whether the floors grow with the antecedent."""
@@ -1198,6 +1250,59 @@ def test_lo_n_closure_matches_pair_sweep(sizes):
             assert closed == lo_n_reference(t, n)
             grown += len(closed) > len(t)
     assert grown  # the sweep is not vacuous
+
+
+def lo_n_floors_reference(floors, n):
+    """The floors of lo_n one r at a time: floor(r) & g(r), g(r) the OR of the floors of r's subsets of at
+    most n tuples, or None where floor(r) and g(r) are incomparable at some r."""
+    grown = [functools.reduce(operator.or_, (floors[sub] for sub in submasks(r) if sub.bit_count() <= n)) for r in range(len(floors))]
+    meets = [f & g for f, g in zip(floors, grown)]
+    return meets if all(x in (f, g) for x, f, g in zip(meets, floors, grown)) else None
+
+
+def with_one_incomparable(floors, n, rng):
+    """The floors with floor(r) made incomparable with g(r) at one r of more than n tuples, where some r has
+    0 < g(r) < all ones: there g(r) loses its lowest bit and gains one outside it.  None where no r does."""
+    full = max(floors)
+    grown = {r: functools.reduce(operator.or_, (floors[sub] for sub in submasks(r) if sub.bit_count() <= n))
+             for r in range(len(floors)) if r.bit_count() > n}
+    open_r = [r for r, g in grown.items() if 0 < g < full]
+    if not open_r:
+        return None
+    r = rng.choice(open_r)
+    g = grown[r]
+    out = list(floors)
+    out[r] = g & (g - 1) | 1 << rng.choice([x for x in range(full.bit_length()) if not g >> x & 1])
+    return out
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_lo_n_floors_match_the_per_element_test(width):
+    """``_lo_n_floors`` on packed floors against the per-element fold, meet and comparability test it replaced, on
+    the floors ``_add`` builds from random seeds, at consequent widths of 1 bit to 9 bytes, and on each of them
+    with exactly one incomparable r, where it gives None.  At small shapes ``lo_n_closure`` of those then takes
+    the pair path and still equals the pair-by-pair sweep."""
+    rng = random.Random(70 + width)
+    count, incomparable, paired = 1 << width, 0, 0
+    for cons_width in (1, 3, 8, 9, 17, 33, 70):
+        full = (1 << cons_width) - 1
+        for seeds in (1, 3, 6):
+            floors = [full] * count
+            for _ in range(seeds):
+                _add(floors, {}, (rng.randrange(count), rng.randrange(full + 1)), 1, ("seed",))
+            for n in range(1, width + 1):
+                assert _lo_n_floors(tuple(floors), n) == lo_n_floors_reference(floors, n)
+                broken = with_one_incomparable(floors, n, rng)
+                if broken is None:
+                    continue
+                incomparable += 1
+                assert lo_n_floors_reference(broken, n) is None and _lo_n_floors(tuple(broken), n) is None
+                if width == 4 and cons_width == 3:  # floors over A^2 and three of the four tuples of B^2
+                    t = ConstraintSet.from_floors(DomainSpec("a", 2), DomainSpec("b", 2), 2, broken)
+                    assert t.floors(2) and lo_n_closure(t, n) == lo_n_reference(t, n)
+                    paired += 1
+    assert incomparable or width == 1  # one tuple: no r has more than n
+    assert paired or width != 4
 
 
 def pair_held(t):

@@ -284,7 +284,8 @@ def test_csf_m_commutes_with_value_permutations_and_ignores_variable_order(sizes
     csf_m(k tau) = csf_m(k) for variable permutations tau, at m = 1..3: on
     csf_m where its constraint universe fits the default budget, and on the
     probe groups it is read off, cross-row keys moved by pi_A and value
-    masks by pi_B, at every m."""
+    masks by pi_B, at every m, as a dict, and where csf_m fits also as the
+    list over every antecedent that csf_m folds."""
     a, b = sizes
     dom = DomainSpec("a", a)
     cod = dom if a == b else DomainSpec("b", b)
@@ -299,16 +300,19 @@ def test_csf_m_commutes_with_value_permutations_and_ignores_variable_order(sizes
         for m in (1, 2, 3):
             fits = constraint_universe_count(dom, cod, m) <= budget
             groups = probe_groups(k, m, budget)
+            every = range(1 << a**m)  # the antecedents, where csf_m fits the entries of the list it folds
             for pi_a, pi_b in zip(value_permutations(a), value_permutations(b)[::-1]):
                 moved = relabel_class(k, pi_a, pi_b)
                 moved_a, moved_b = moved_ranks(a, m, pi_a), moved_ranks(b, m, pi_b)
                 expected = {relabel_bits(r, moved_a): relabel_bits(mask, moved_b) for r, mask in groups.items()}
                 assert probe_groups(moved, m, budget) == expected
                 if fits:
+                    assert probe_groups(moved, m, budget, [0] * len(every)) == [expected.get(r, 0) for r in every]
                     assert csf_m(moved, m) == relabel_constraints(csf_m(k, m), pi_a, pi_b)
             reordered = relabel_class(k, identity_a, identity_b, taus)
             assert probe_groups(reordered, m, budget) == groups
             if fits:
+                assert probe_groups(reordered, m, budget, [0] * len(every)) == [groups.get(r, 0) for r in every]
                 assert csf_m(reordered, m) == csf_m(k, m)
 
 
